@@ -22,6 +22,13 @@
 // component-probe tier whose footprint is O(n + k²) in the number of
 // SCC-condensation components k rather than O(n²) — the representation
 // that lets the catalog register ≥100k-node data graphs at all.
+//
+// Every registered graph also owns a candidate index (simmatrix's
+// content postings), read from the same registry entry as the graph
+// itself, so the content-similarity matrix a request builds can list its
+// admissible pairs instead of scoring all of V1 × V2. It belongs to the
+// graph, not to a cached closure: it is never evicted and is carried
+// forward across patches.
 package catalog
 
 import (
@@ -31,11 +38,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"graphmatch/internal/closure"
 	"graphmatch/internal/graph"
-	"graphmatch/internal/shingle"
 	"graphmatch/internal/simmatrix"
 	"graphmatch/internal/trace"
 )
@@ -139,6 +146,11 @@ type Stats struct {
 	// over budget).
 	PatchesIncremental uint64 `json:"patches_incremental"`
 	PatchesRebuild     uint64 `json:"patches_rebuild"`
+	// CandidateIndexBytes approximates the heap held by the registered
+	// graphs' candidate indexes (content postings, present once a
+	// content-similarity request has built them). Outside the LRU bounds
+	// — an index lives as long as its graph.
+	CandidateIndexBytes int64 `json:"candidate_index_bytes"`
 }
 
 // HitRate is Hits / (Hits + Misses), or 0 before any lookup.
@@ -184,13 +196,71 @@ type entry struct {
 	idxCounted bool
 }
 
-// graphEntry is one registered data graph plus its lazily computed,
-// shared content shingle sets (the data-side half of content
-// similarity, which would otherwise be recomputed per request).
+// graphEntry is one registered data graph plus its candidate index: the
+// content postings, built on the first content-similarity request
+// (single-flight) because shingling every node is expensive and label
+// traffic never needs it. An entry is immutable apart from that lazy
+// build; a patch makes a new entry (patched).
 type graphEntry struct {
-	g           *graph.Graph
+	g *graph.Graph
+
 	contentOnce sync.Once
-	contentSets []shingle.Set
+	content     atomic.Pointer[simmatrix.ContentIndex]
+	// counted is what this entry has added to Catalog.candidateBytes;
+	// guarded by the catalog lock.
+	counted int64
+}
+
+// patched returns the entry of ng, the graph p turns ge.g into. Edges
+// are no part of the candidate index, so a patch that sets no content
+// and adds no node carries a built index forward by pointer; after any
+// other patch the successor builds its own on the next content request,
+// as a freshly registered graph does. Never blocks on a build in flight
+// on ge.
+func (ge *graphEntry) patched(ng *graph.Graph, p *graph.Patch) *graphEntry {
+	ne := &graphEntry{g: ng}
+	if len(p.SetContent) == 0 && len(p.AddNodes) == 0 {
+		ne.content.Store(ge.content.Load())
+	}
+	return ne
+}
+
+// contentIndex returns ge's content postings, building them on first
+// use; name is what ge was looked up under.
+func (c *Catalog) contentIndex(name string, ge *graphEntry) *simmatrix.ContentIndex {
+	if ix := ge.content.Load(); ix != nil {
+		return ix
+	}
+	ge.contentOnce.Do(func() {
+		ix := simmatrix.NewContentIndex(ge.g, 0)
+		ge.content.Store(ix)
+		c.mu.Lock()
+		if c.graphs[name] == ge { // else replaced meanwhile: garbage once its readers finish
+			ge.counted = ix.Bytes()
+			c.candidateBytes += ge.counted
+		}
+		c.mu.Unlock()
+	})
+	return ge.content.Load()
+}
+
+// setEntryLocked makes ge the registry entry of name (nil removes the
+// name), keeping candidateBytes the sum over the registered entries.
+// Callers hold c.mu.
+func (c *Catalog) setEntryLocked(name string, ge *graphEntry) {
+	if old := c.graphs[name]; old != nil {
+		c.candidateBytes -= old.counted
+		old.counted = 0
+	}
+	if ge == nil {
+		delete(c.graphs, name)
+		return
+	}
+	if ix := ge.content.Load(); ix != nil { // carried forward by patched
+		ge.counted = ix.Bytes()
+		c.candidateBytes += ge.counted
+	}
+	c.graphs[name] = ge
 }
 
 // Mutation describes one committed registry change for MutationHook
@@ -268,6 +338,7 @@ type Catalog struct {
 	residentSparse          int
 	denseBytes              int64
 	sparseBytes             int64
+	candidateBytes          int64 // Σ graphEntry.counted over c.graphs
 }
 
 // New returns an empty catalog bounding resident closures at
@@ -329,7 +400,7 @@ func (c *Catalog) RegisterCtx(ctx context.Context, name string, g *graph.Graph) 
 			return err
 		}
 	}
-	c.graphs[name] = &graphEntry{g: g}
+	c.setEntryLocked(name, &graphEntry{g: g})
 	if c.onMutate != nil {
 		c.onMutate(name, g, Mutation{})
 	}
@@ -414,7 +485,7 @@ func (c *Catalog) RemoveCtx(ctx context.Context, name string) error {
 			return err
 		}
 	}
-	delete(c.graphs, name)
+	c.setEntryLocked(name, nil)
 	if c.onMutate != nil {
 		c.onMutate(name, ge.g, Mutation{Removed: true})
 	}
@@ -492,6 +563,7 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 		if ng, err = ge.g.ApplyPatch(p); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadPatch, err)
 		}
+		ne := ge.patched(ng, p)
 
 		// Incremental closure maintenance, still outside the lock: the
 		// delta is computed copy-on-write against the captured closure,
@@ -543,7 +615,7 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 				return nil, err
 			}
 		}
-		c.graphs[name] = &graphEntry{g: ng}
+		c.setEntryLocked(name, ne)
 		if c.onMutate != nil {
 			c.onMutate(name, ng, Mutation{Patch: p, Prev: ge.g})
 		}
@@ -647,14 +719,14 @@ func (c *Catalog) Replace(state map[string]*graph.Graph) error {
 	sort.Strings(old)
 	for _, n := range old {
 		ge := c.graphs[n]
-		delete(c.graphs, n)
+		c.setEntryLocked(n, nil)
 		if c.onMutate != nil {
 			c.onMutate(n, ge.g, Mutation{Removed: true})
 		}
 		c.dropClosuresLocked(n)
 	}
 	for _, n := range names {
-		c.graphs[n] = &graphEntry{g: state[n]}
+		c.setEntryLocked(n, &graphEntry{g: state[n]})
 		if c.onMutate != nil {
 			c.onMutate(n, state[n], Mutation{})
 		}
@@ -717,33 +789,35 @@ func (c *Catalog) dropAccountingLocked(e *entry) {
 	e.bytes, e.idxBytes, e.idxCounted = 0, 0, false
 }
 
-// Get returns the registered graph.
-func (c *Catalog) Get(name string) (*graph.Graph, error) {
+// lookup returns the registry entry of name.
+func (c *Catalog) lookup(name string) (*graphEntry, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.graphs[name]
+	ge, ok := c.graphs[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return e.g, nil
+	return ge, nil
 }
 
-// ContentSets returns the cached shingle sets of the named graph's
-// node contents (computed once, on first use, with the default shingle
-// window) together with the graph they index — callers that resolved
-// the graph separately can detect a concurrent Remove/Register swap by
-// comparing pointers.
-func (c *Catalog) ContentSets(name string) (*graph.Graph, []shingle.Set, error) {
-	c.mu.Lock()
-	e, ok := c.graphs[name]
-	c.mu.Unlock()
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+// Get returns the registered graph.
+func (c *Catalog) Get(name string) (*graph.Graph, error) {
+	ge, err := c.lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	e.contentOnce.Do(func() {
-		e.contentSets = simmatrix.ContentSets(e.g, 0)
-	})
-	return e.g, e.contentSets, nil
+	return ge.g, nil
+}
+
+// ContentSets returns the named graph's content postings (built once, on
+// first use, with the default shingle window) together with the graph
+// they index, both from one registry read.
+func (c *Catalog) ContentSets(name string) (*graph.Graph, *simmatrix.ContentIndex, error) {
+	ge, err := c.lookup(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ge.g, c.contentIndex(name, ge), nil
 }
 
 // GraphInfo is a point-in-time description of one registered graph and
@@ -765,6 +839,10 @@ type GraphInfo struct {
 	IndexTier string `json:"index_tier,omitempty"`
 	// IndexBytes sums the resident index bytes across the entries.
 	IndexBytes int64 `json:"index_bytes"`
+	// CandidateIndexBytes approximates the graph's candidate index
+	// (content postings; 0 until a content-similarity request builds
+	// them).
+	CandidateIndexBytes int64 `json:"candidate_index_bytes"`
 }
 
 // Describe reports the catalog's view of one registered graph: its
@@ -778,9 +856,10 @@ func (c *Catalog) Describe(name string) (GraphInfo, error) {
 		return GraphInfo{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	info := GraphInfo{
-		Name:  name,
-		Nodes: ge.g.NumNodes(),
-		Edges: ge.g.NumEdges(),
+		Name:                name,
+		Nodes:               ge.g.NumNodes(),
+		Edges:               ge.g.NumEdges(),
+		CandidateIndexBytes: ge.counted,
 	}
 	for k, e := range c.closures {
 		if k.name != name {
@@ -832,59 +911,85 @@ func (c *Catalog) Reach(name string, pathLimit int) (*closure.Reach, error) {
 // resolved under one lock acquisition; a fresh build uses the graph
 // pointer captured there, never a re-lookup by name.
 func (c *Catalog) GetWithReach(name string, pathLimit int) (*graph.Graph, *closure.Reach, error) {
-	g, e, _, err := c.getEntry(trace.Span{}, name, pathLimit)
+	ge, e, _, err := c.getEntry(trace.Span{}, name, pathLimit)
 	if err != nil {
 		return nil, nil, err
 	}
-	return g, e.reach, nil
+	return ge.g, e.reach, nil
 }
 
-// GetWithReachCtx is GetWithReach recording a catalog.resolve span
-// (cache hit, closure build time) under the request's trace.
-func (c *Catalog) GetWithReachCtx(ctx context.Context, name string, pathLimit int) (*graph.Graph, *closure.Reach, error) {
-	sp := trace.SpanFromContext(ctx).Child("catalog.resolve")
-	defer sp.End()
-	sp.SetStr("graph", name)
-	g, e, hit, err := c.getEntry(sp, name, pathLimit)
-	if err != nil {
-		sp.SetStr("error", err.Error())
-		return nil, nil, err
-	}
-	sp.SetBool("closure_cache_hit", hit)
-	return g, e.reach, nil
+// Need says how much reachability state a ResolveCtx must come back
+// with; the graph and its candidate index always do.
+type Need int
+
+const (
+	// NeedGraph asks for no closure at all (graph simulation).
+	NeedGraph Need = iota
+	// NeedReach adds the reachability closure (the exact deciders).
+	NeedReach
+	// NeedIndex adds the matcher-facing index too (compMaxCard/Sim).
+	NeedIndex
+)
+
+// Resolved is one consistent read of a registered graph: everything in
+// it belongs to the same registry entry, whatever Remove, Register or
+// Apply does to the name meanwhile.
+type Resolved struct {
+	Graph *graph.Graph
+	Reach *closure.Reach // nil under NeedGraph
+	Index closure.Index  // nil unless NeedIndex
+
+	c    *Catalog
+	name string
+	ge   *graphEntry
 }
 
-// GetWithIndexCtx is GetWithIndex recording a catalog.resolve span
+// Content returns the graph's content postings, building them on first
+// use; concurrent callers share the one build.
+func (r Resolved) Content() *simmatrix.ContentIndex { return r.c.contentIndex(r.name, r.ge) }
+
+// ResolveCtx resolves the named graph with its candidate index and as
+// much reachability state as need asks for — the closure and the index
+// (the representation the compMaxCard / compMaxSim trim consumes, in
+// whichever tier the catalog's policy selects for the graph's size) are
+// each built once per cached entry, single-flight, and shared by every
+// request. Anything beyond NeedGraph records a catalog.resolve span
 // (cache hit, tier, build times) under the request's trace.
-func (c *Catalog) GetWithIndexCtx(ctx context.Context, name string, pathLimit int) (*graph.Graph, *closure.Reach, closure.Index, error) {
+func (c *Catalog) ResolveCtx(ctx context.Context, name string, pathLimit int, need Need) (Resolved, error) {
+	if need == NeedGraph {
+		ge, err := c.lookup(name)
+		if err != nil {
+			return Resolved{}, err
+		}
+		return Resolved{Graph: ge.g, c: c, name: name, ge: ge}, nil
+	}
 	sp := trace.SpanFromContext(ctx).Child("catalog.resolve")
 	defer sp.End()
 	sp.SetStr("graph", name)
-	g, e, hit, err := c.getEntry(sp, name, pathLimit)
+	ge, e, hit, err := c.getEntry(sp, name, pathLimit)
 	if err != nil {
 		sp.SetStr("error", err.Error())
-		return nil, nil, nil, err
+		return Resolved{}, err
 	}
 	sp.SetBool("closure_cache_hit", hit)
-	c.ensureIndex(sp, e)
-	sp.SetStr("tier", string(e.idx.Tier()))
-	return g, e.reach, e.idx, nil
+	r := Resolved{Graph: ge.g, Reach: e.reach, c: c, name: name, ge: ge}
+	if need == NeedIndex {
+		c.ensureIndex(sp, e)
+		sp.SetStr("tier", string(e.idx.Tier()))
+		r.Index = e.idx
+	}
+	return r, nil
 }
 
-// GetWithIndex resolves the named graph, its reachability closure, and
-// the matcher-facing index (the representation the compMaxCard /
-// compMaxSim trim consumes, in whichever tier the catalog's policy
-// selects for the graph's size) as one consistent triple. The index is
-// built once per cached closure — single-flight, like the closure
-// itself — and shared by every request, so per-request matcher setup
-// materialises nothing.
+// GetWithIndexCtx is ResolveCtx(NeedIndex) without the candidate index.
+func (c *Catalog) GetWithIndexCtx(ctx context.Context, name string, pathLimit int) (*graph.Graph, *closure.Reach, closure.Index, error) {
+	r, err := c.ResolveCtx(ctx, name, pathLimit, NeedIndex)
+	return r.Graph, r.Reach, r.Index, err
+}
+
+// GetWithIndex is GetWithIndexCtx for untraced callers.
 func (c *Catalog) GetWithIndex(name string, pathLimit int) (*graph.Graph, *closure.Reach, closure.Index, error) {
-	g, e, _, err := c.getEntry(trace.Span{}, name, pathLimit)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	c.ensureIndex(trace.Span{}, e)
-	return g, e.reach, e.idx, nil
+	return c.GetWithIndexCtx(context.Background(), name, pathLimit)
 }
 
 // ensureIndex performs the single-flight matcher-index build for a
@@ -931,7 +1036,7 @@ func (c *Catalog) ensureIndex(sp trace.Span, e *entry) {
 // reports whether the closure was already cached (possibly still
 // building under another request); a build performed here is recorded
 // as a catalog.closure_build child of sp when sp is active.
-func (c *Catalog) getEntry(sp trace.Span, name string, pathLimit int) (*graph.Graph, *entry, bool, error) {
+func (c *Catalog) getEntry(sp trace.Span, name string, pathLimit int) (*graphEntry, *entry, bool, error) {
 	if pathLimit < 0 {
 		pathLimit = 0
 	}
@@ -943,13 +1048,12 @@ func (c *Catalog) getEntry(sp trace.Span, name string, pathLimit int) (*graph.Gr
 		c.mu.Unlock()
 		return nil, nil, false, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	g := ge.g
 	if e, ok := c.closures[key]; ok {
 		c.hits++
 		c.lru.MoveToFront(e.elem)
 		c.mu.Unlock()
 		<-e.ready
-		return g, e, true, nil
+		return ge, e, true, nil
 	}
 	c.misses++
 	e := &entry{key: key, ready: make(chan struct{})}
@@ -960,7 +1064,7 @@ func (c *Catalog) getEntry(sp trace.Span, name string, pathLimit int) (*graph.Gr
 
 	bsp := sp.Child("catalog.closure_build")
 	start := time.Now()
-	e.reach = closure.ComputeBounded(g, pathLimit)
+	e.reach = closure.ComputeBounded(ge.g, pathLimit)
 	built := time.Since(start)
 	close(e.ready)
 	bsp.SetInt("path_limit", int64(pathLimit))
@@ -975,7 +1079,7 @@ func (c *Catalog) getEntry(sp trace.Span, name string, pathLimit int) (*graph.Gr
 		c.evictBytesLocked(e)
 	}
 	c.mu.Unlock()
-	return g, e, false, nil
+	return ge, e, false, nil
 }
 
 // evictLocked enforces the count LRU bound. In-flight builds may be
@@ -1029,22 +1133,23 @@ func (c *Catalog) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Graphs:             len(c.graphs),
-		ResidentClosures:   c.lru.Len(),
-		ResidentIndexes:    c.residentDense + c.residentSparse,
-		ResidentDense:      c.residentDense,
-		ResidentSparse:     c.residentSparse,
-		DenseIndexBytes:    c.denseBytes,
-		SparseIndexBytes:   c.sparseBytes,
-		ResidentBytes:      c.residentBytes,
-		MaxClosures:        c.capacity,
-		MaxBytes:           c.maxBytes,
-		TierPolicy:         string(c.tierPolicy),
-		Hits:               c.hits,
-		Misses:             c.misses,
-		Evictions:          c.evictions,
-		BuildTime:          c.buildTime,
-		PatchesIncremental: c.patchesIncremental,
-		PatchesRebuild:     c.patchesRebuild,
+		Graphs:              len(c.graphs),
+		ResidentClosures:    c.lru.Len(),
+		ResidentIndexes:     c.residentDense + c.residentSparse,
+		ResidentDense:       c.residentDense,
+		ResidentSparse:      c.residentSparse,
+		DenseIndexBytes:     c.denseBytes,
+		SparseIndexBytes:    c.sparseBytes,
+		ResidentBytes:       c.residentBytes,
+		MaxClosures:         c.capacity,
+		MaxBytes:            c.maxBytes,
+		TierPolicy:          string(c.tierPolicy),
+		Hits:                c.hits,
+		Misses:              c.misses,
+		Evictions:           c.evictions,
+		BuildTime:           c.buildTime,
+		PatchesIncremental:  c.patchesIncremental,
+		PatchesRebuild:      c.patchesRebuild,
+		CandidateIndexBytes: c.candidateBytes,
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"graphmatch/internal/closure"
 	"graphmatch/internal/graph"
+	"graphmatch/internal/simmatrix"
 )
 
 func chain(n int) *graph.Graph {
@@ -189,9 +190,9 @@ func TestConcurrentReachSingleFlight(t *testing.T) {
 	}
 }
 
-// TestContentSetsCachedAndConsistent checks that the data-side shingle
-// sets are computed once per graph and returned with the graph they
-// index.
+// TestContentSetsCachedAndConsistent checks that the data-side content
+// index is computed once per graph and returned with the graph it
+// indexes.
 func TestContentSetsCachedAndConsistent(t *testing.T) {
 	c := New(4)
 	g := chain(5)
@@ -205,15 +206,15 @@ func TestContentSetsCachedAndConsistent(t *testing.T) {
 	if cg != g {
 		t.Fatalf("ContentSets returned a different graph")
 	}
-	if len(sets) != g.NumNodes() {
-		t.Fatalf("sets = %d, want %d", len(sets), g.NumNodes())
+	if sets.NumNodes() != g.NumNodes() {
+		t.Fatalf("sets = %d, want %d", sets.NumNodes(), g.NumNodes())
 	}
 	_, sets2, err := c.ContentSets("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &sets[0] != &sets2[0] {
-		t.Fatalf("ContentSets recomputed instead of returning the cached slice")
+	if sets != sets2 {
+		t.Fatalf("ContentSets recomputed instead of returning the cached index")
 	}
 	if _, _, err := c.ContentSets("missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing graph: %v, want ErrNotFound", err)
@@ -854,5 +855,269 @@ func TestApplyIncrementalEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// contentPatch draws a random valid patch out of content rewrites, node
+// appends and edge inserts, whichever of the three the flags allow.
+func contentPatch(rng *rand.Rand, g *graph.Graph, content, nodes, edges bool) *graph.Patch {
+	text := func() string {
+		return fmt.Sprintf("w%d w%d w%d w%d w%d", rng.Intn(4), rng.Intn(4), rng.Intn(4), rng.Intn(4), rng.Intn(4))
+	}
+	for {
+		p := &graph.Patch{}
+		if nodes {
+			for i := rng.Intn(3); i > 0; i-- {
+				p.AddNodes = append(p.AddNodes, graph.Node{Label: fmt.Sprintf("p%d", rng.Intn(5)), Weight: 1, Content: text()})
+			}
+		}
+		total := g.NumNodes() + len(p.AddNodes)
+		if content {
+			for i := rng.Intn(3); i > 0; i-- {
+				cu := graph.ContentUpdate{Node: graph.NodeID(rng.Intn(total))}
+				if rng.Intn(4) > 0 { // else clear it: the label takes over
+					cu.Content = text()
+				}
+				p.SetContent = append(p.SetContent, cu)
+			}
+		}
+		if edges {
+			for i := 1 + rng.Intn(3); i > 0; i-- {
+				e := [2]graph.NodeID{graph.NodeID(rng.Intn(total)), graph.NodeID(rng.Intn(total))}
+				if int(e[0]) >= g.NumNodes() || int(e[1]) >= g.NumNodes() || !g.HasEdge(e[0], e[1]) {
+					p.AddEdges = append(p.AddEdges, e)
+				}
+			}
+		}
+		if !p.Empty() {
+			return p
+		}
+	}
+}
+
+// sameContentIndex compares two content indexes by everything a request
+// can see of them: the matrix of every node of g against g, and the
+// size they report.
+func sameContentIndex(t *testing.T, where string, g *graph.Graph, got, want *simmatrix.ContentIndex) {
+	t.Helper()
+	if got.NumNodes() != want.NumNodes() || got.Bytes() != want.Bytes() {
+		t.Fatalf("%s: carried index covers %d nodes in %d B, a fresh build %d in %d B",
+			where, got.NumNodes(), got.Bytes(), want.NumNodes(), want.Bytes())
+	}
+	sets := simmatrix.ContentSets(g, 0)
+	mg, mw := got.Matrix(sets), want.Matrix(sets)
+	for v := 0; v < g.NumNodes(); v++ {
+		for u := 0; u < g.NumNodes(); u++ {
+			if a, b := mg.Score(graph.NodeID(v), graph.NodeID(u)), mw.Score(graph.NodeID(v), graph.NodeID(u)); a != b {
+				t.Fatalf("%s: mat(%d,%d) = %v over the carried index, %v over a fresh build", where, v, u, a, b)
+			}
+		}
+	}
+}
+
+// TestCandidateIndexCarriedAcrossPatches drives random patch sequences —
+// content rewrites, node appends, edge edits, merged batches — with
+// content requests arriving at random points between them (so the index
+// is sometimes built, sometimes pending behind several patches, sometimes
+// never built), and checks the index the catalog hands out always equals
+// a fresh build over the current graph.
+func TestCandidateIndexCarriedAcrossPatches(t *testing.T) {
+	for trial := 0; trial < 25; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		c := New(4)
+		g := chain(3 + rng.Intn(8))
+		if err := c.Register("g", g); err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 12; step++ {
+			cur, err := c.Get("g")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := contentPatch(rng, cur, true, true, true)
+			if rng.Intn(3) == 0 { // a coalesced batch: two patches merged into one commit
+				mid, err := cur.ApplyPatch(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p, err = graph.MergePatches(cur, p, contentPatch(rng, mid, true, true, true)); err != nil {
+					t.Fatal(err)
+				}
+				if p.Empty() {
+					continue
+				}
+			}
+			ng, err := c.Apply("g", p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rng.Intn(2) == 0 {
+				continue // no content request between this patch and the next
+			}
+			cg, ix, err := c.ContentSets("g")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cg != ng {
+				t.Fatalf("trial %d step %d: content index returned with a graph other than the current one", trial, step)
+			}
+			sameContentIndex(t, fmt.Sprintf("trial %d step %d", trial, step), ng, ix, simmatrix.NewContentIndex(ng, 0))
+		}
+	}
+}
+
+// TestCandidateIndexPatchRules pins what each kind of patch does to the
+// candidate index and to the bytes the catalog reports for it: an
+// edge-only patch hands the very same index on, a patch that rewrites or
+// appends text leaves the successor to build its own on the next content
+// request, and the running total follows every build, swap and removal.
+func TestCandidateIndexPatchRules(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	c := New(4)
+	g := chain(40)
+	if err := c.Register("g", g); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Register("other", chain(5)); err != nil {
+		t.Fatal(err)
+	}
+	total := func(where string, want int64) {
+		t.Helper()
+		if got := c.Stats().CandidateIndexBytes; got != want {
+			t.Fatalf("%s: Stats.CandidateIndexBytes = %d, want %d", where, got, want)
+		}
+	}
+	total("before any content request", 0)
+	_, built, err := c.ContentSets("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built.Bytes() == 0 {
+		t.Fatal("a built index reports 0 bytes")
+	}
+	total("after the first build", built.Bytes())
+
+	cur := g
+	for i := 0; i < 5; i++ {
+		if cur, err = c.Apply("g", contentPatch(rng, cur, false, false, true)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ix, _ := c.ContentSets("g"); ix != built {
+		t.Fatal("edge-only patches did not carry the content index forward by pointer")
+	}
+	total("after edge-only patches", built.Bytes())
+
+	if cur, err = c.Apply("g", &graph.Patch{SetContent: []graph.ContentUpdate{{Node: 7, Content: "entirely new words on page seven"}}}); err != nil {
+		t.Fatal(err)
+	}
+	total("after a content rewrite, before the next content request", 0)
+	_, ix, _ := c.ContentSets("g")
+	if ix == built {
+		t.Fatal("a content rewrite kept the old index")
+	}
+	sameContentIndex(t, "after SetContent", cur, ix, simmatrix.NewContentIndex(cur, 0))
+
+	if cur, err = c.Apply("g", &graph.Patch{
+		AddNodes: []graph.Node{{Label: "x", Weight: 1, Content: "a"}, {Label: "y", Weight: 1}},
+		AddEdges: [][2]graph.NodeID{{0, 40}, {40, 41}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, grown, _ := c.ContentSets("g")
+	if grown.NumNodes() != 42 {
+		t.Fatalf("after appending two nodes the index covers %d of 42", grown.NumNodes())
+	}
+	sameContentIndex(t, "after AddNodes", cur, grown, simmatrix.NewContentIndex(cur, 0))
+
+	info, err := c.Describe("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.CandidateIndexBytes != grown.Bytes() {
+		t.Fatalf("GraphInfo.CandidateIndexBytes = %d, the index holds %d", info.CandidateIndexBytes, grown.Bytes())
+	}
+	_, small, _ := c.ContentSets("other")
+	total("two graphs indexed", grown.Bytes()+small.Bytes())
+
+	// A reader still holding a replaced entry may build that entry's
+	// index; nothing registered owns it, so it is not counted.
+	r, err := c.ResolveCtx(context.Background(), "other", 0, NeedGraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Apply("other", &graph.Patch{AddNodes: []graph.Node{{Label: "z", Weight: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	total("after patching the second graph", grown.Bytes())
+	if r.Content() != small {
+		t.Fatal("a held entry lost its index")
+	}
+	r2, err := c.ResolveCtx(context.Background(), "g", 0, NeedGraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Remove("g"); err != nil {
+		t.Fatal(err)
+	}
+	total("after removing the first graph", 0)
+	if r2.Content() != grown {
+		t.Fatal("a held entry lost its index")
+	}
+	if _, _, err := c.ContentSets("other"); err != nil {
+		t.Fatal(err)
+	}
+	if c.Stats().CandidateIndexBytes == 0 {
+		t.Fatal("the rebuilt index of the second graph is not counted")
+	}
+	if err := c.Replace(map[string]*graph.Graph{"fresh": chain(3)}); err != nil {
+		t.Fatal(err)
+	}
+	total("after Replace", 0)
+}
+
+// TestCandidateIndexBytesUnderRaces: content requests building indexes
+// while patches swap entries underneath them must leave the running total
+// at exactly the registered entry's index, whichever side won each race.
+func TestCandidateIndexBytesUnderRaces(t *testing.T) {
+	c := New(4)
+	if err := c.Register("g", chain(30)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(2)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 60; i++ {
+				cur, err := c.Get("g")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := c.Apply("g", contentPatch(rng, cur, i%3 == 0, i%7 == 0, true)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(int64(w))
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				if _, _, err := c.ContentSets("g"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	_, ix, err := c.ContentSets("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats().CandidateIndexBytes; got != ix.Bytes() {
+		t.Fatalf("Stats.CandidateIndexBytes = %d after the dust settled, the registered index holds %d", got, ix.Bytes())
 	}
 }

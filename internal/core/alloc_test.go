@@ -3,7 +3,14 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
+
+	"graphmatch/internal/closure"
+	"graphmatch/internal/graph"
+	"graphmatch/internal/simmatrix"
 )
 
 // Allocation regression tests for the greedyMatch hot path. The free
@@ -53,8 +60,8 @@ func TestGreedyMatchAllocationFree(t *testing.T) {
 }
 
 func TestGreedyMatchAllocationFreePickBest(t *testing.T) {
-	// The compMaxSim pick path additionally consults the memoized
-	// weight rows; after the rows are built the recursion must still be
+	// The compMaxSim pick path additionally walks the node's candidate
+	// list for the heaviest pair; the recursion must still be
 	// allocation-free.
 	in := weightedRandomInstance(5, 10, 90)
 	mx := in.newMatcher(false)
@@ -71,5 +78,49 @@ func TestGreedyMatchAllocationFreePickBest(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state pickBest greedyMatch allocates %.2f allocs/run, want 0", avg)
+	}
+}
+
+// TestMaxSimHoldsNoPerNodeRows bounds what a similarity match allocates
+// on a 2 000-node data graph. Pair weights live with the candidate lists,
+// so a whole match must stay below what one |V2|-long weight row per
+// pattern node would cost on its own.
+func TestMaxSimHoldsNoPerNodeRows(t *testing.T) {
+	const n1, n2 = 12, 2000
+	rng := rand.New(rand.NewSource(9))
+	g2 := graph.New(n2)
+	for i := 0; i < n2; i++ {
+		g2.AddNode(fmt.Sprintf("l%d", rng.Intn(64)))
+	}
+	for i := 0; i < 4*n2; i++ {
+		g2.AddEdge(graph.NodeID(rng.Intn(n2)), graph.NodeID(rng.Intn(n2)))
+	}
+	g2.Finish()
+	keep := make([]graph.NodeID, n1)
+	for i := range keep {
+		keep[i] = graph.NodeID(rng.Intn(n2))
+	}
+	g1, _ := g2.InducedSubgraph(keep)
+	reach := closure.Compute(g2)
+	idx := closure.AutoIndex(reach)
+	match := func() {
+		in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.9)
+		in.SetReach(reach)
+		in.SetIndex(idx)
+		if m := in.CompMaxSim(); len(m) == 0 {
+			t.Fatal("degenerate fixture: nothing matched")
+		}
+	}
+	match()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		match()
+	}
+	runtime.ReadMemStats(&after)
+	perMatch := (after.TotalAlloc - before.TotalAlloc) / runs
+	if rows := uint64(n1 * n2 * 8); perMatch >= rows {
+		t.Fatalf("one maxsim match allocates %d B; per-node weight rows alone would be %d B", perMatch, rows)
 	}
 }

@@ -122,7 +122,7 @@ func BenchmarkCompMaxCardSparseTier(b *testing.B) {
 }
 
 // BenchmarkCompMaxSimServing is the similarity variant of the above
-// (weight buckets, memoized weight rows, weight-greedy picks).
+// (weight buckets, per-candidate weights, weight-greedy picks).
 func BenchmarkCompMaxSimServing(b *testing.B) {
 	g1, g2, mat, reach, idx := benchFixture()
 	b.ReportAllocs()

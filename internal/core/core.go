@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -83,14 +84,15 @@ type Instance struct {
 	// call.
 	MaxPathLen int
 
-	// mu guards lazy initialisation of reach and idx. A mutex rather
-	// than sync.Once: the build must be single-flight AND other
+	// mu guards lazy initialisation of reach, idx and cands. A mutex
+	// rather than sync.Once: the build must be single-flight AND other
 	// methods (Symmetric, filterCandidates) need to peek at what is
 	// already cached without forcing a build, which Once cannot offer
 	// race-free.
 	mu    sync.Mutex
 	reach *closure.Reach
 	idx   closure.Index
+	cands [][]simmatrix.Scored
 }
 
 // NewInstance builds an instance. Xi outside [0, 1] is clamped.
@@ -198,6 +200,39 @@ func (in *Instance) admissible(v, u graph.NodeID) bool {
 	return in.Mat.Score(v, u) >= in.Xi
 }
 
+// candidates returns, for every pattern node v, the data nodes it may
+// map to — H[v].good of Fig. 3 line 4: every u with mat(v, u) ≥ ξ, and on
+// a cycle of G2 when v has a self-loop (a pattern edge (v, v) needs a
+// nonempty path from σ(v) to itself) — in ascending u, each with its
+// score. The rows come from the matrix itself when it can list its
+// support and from one pass over V2 otherwise (simmatrix.Row); every
+// algorithm of this package starts from these lists, so none of them
+// visits V1 × V2 on its own. Built on first use, then shared and
+// read-only. Set Mat, Xi and MaxPathLen before the first call.
+func (in *Instance) candidates() [][]simmatrix.Scored {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.cands != nil {
+		return in.cands
+	}
+	reach := in.reachLocked()
+	n2 := in.G2.NumNodes()
+	var all []simmatrix.Scored
+	ends := make([]int, in.G1.NumNodes())
+	for v := range ends {
+		vv := graph.NodeID(v)
+		start := len(all)
+		all = simmatrix.Row(all, in.Mat, vv, n2, in.Xi)
+		if in.G1.HasEdge(vv, vv) {
+			kept := slices.DeleteFunc(all[start:], func(c simmatrix.Scored) bool { return !reach.Reachable(c.U, c.U) })
+			all = all[:start+len(kept)]
+		}
+		ends[v] = len(all)
+	}
+	in.cands = simmatrix.CutRows(all, ends)
+	return in.cands
+}
+
 // CheckMapping verifies that σ is a valid p-hom mapping from the subgraph
 // of G1 induced by dom(σ) to G2 — the polynomial-time certificate check
 // behind the NP upper bound of Theorem 4.1. With injective set it also
@@ -266,10 +301,4 @@ func (in *Instance) QualSim(m Mapping) float64 {
 		}
 	}
 	return got / total
-}
-
-// pairWeight is the product-graph node weight w(v)·mat(v, u) used by the
-// similarity-driven algorithms.
-func (in *Instance) pairWeight(v, u graph.NodeID) float64 {
-	return in.G1.Weight(v) * in.Mat.Score(v, u)
 }

@@ -41,24 +41,16 @@ func (in *Instance) decideWith(ctx context.Context, injective, filtered bool) (M
 	done := ctx.Done()
 	var steps uint64
 
-	// Candidate lists per node, pre-filtered by ξ and the self-loop
-	// condition (a node with a self-loop needs an image on a cycle).
+	// Candidate lists per node, already filtered by ξ and the self-loop
+	// condition; copied because the pre-filter below prunes them in place.
 	cands := make([][]graph.NodeID, n1)
-	for v := 0; v < n1; v++ {
-		vv := graph.NodeID(v)
-		selfLoop := in.G1.HasEdge(vv, vv)
-		for u := 0; u < in.G2.NumNodes(); u++ {
-			uu := graph.NodeID(u)
-			if !in.admissible(vv, uu) {
-				continue
-			}
-			if selfLoop && !reach.Reachable(uu, uu) {
-				continue
-			}
-			cands[v] = append(cands[v], uu)
-		}
-		if len(cands[v]) == 0 {
+	for v, row := range in.candidates() {
+		if len(row) == 0 {
 			return nil, false, nil
+		}
+		cands[v] = make([]graph.NodeID, len(row))
+		for i, c := range row {
+			cands[v][i] = c.U
 		}
 	}
 	if sp := trace.SpanFromContext(ctx); sp.Active() {
@@ -67,7 +59,7 @@ func (in *Instance) decideWith(ctx context.Context, injective, filtered bool) (M
 			total += len(c)
 		}
 		sp.SetInt("nodes", int64(n1))
-		sp.SetInt("candidates", int64(total))
+		sp.SetInt("initial_pairs", int64(total)) // the name the comp* spans use
 	}
 	if filtered {
 		in.filterCandidates(cands, injective)

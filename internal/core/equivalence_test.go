@@ -109,6 +109,12 @@ func newRefMatcher(in *Instance, injective bool) *refMatcher {
 	return mx
 }
 
+// pairWeight is the product-graph node weight w(v)·mat(v, u) of the
+// similarity-driven algorithms, straight from the matrix.
+func (in *Instance) pairWeight(v, u graph.NodeID) float64 {
+	return in.G1.Weight(v) * in.Mat.Score(v, u)
+}
+
 func (mx *refMatcher) initialList() *refList {
 	in := mx.in
 	reach := in.Reach()

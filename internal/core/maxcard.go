@@ -6,6 +6,7 @@ import (
 	"graphmatch/internal/bitset"
 	"graphmatch/internal/closure"
 	"graphmatch/internal/graph"
+	"graphmatch/internal/simmatrix"
 )
 
 // This file implements algorithm compMaxCard of Fig. 3 and its procedures
@@ -115,10 +116,10 @@ type matcher struct {
 	pickBest  bool // pick the heaviest candidate u (used by compMaxSim)
 	n1        int
 	n2        int
-	idx       closure.Index // shared reachability index of G2+
-	prevBits  []*bitset.Set // prevBits[v] over V1
-	postBits  []*bitset.Set // postBits[v] over V1
-	weights   [][]float64   // memoized pairWeight rows, built per v on demand
+	idx       closure.Index        // shared reachability index of G2+
+	cands     [][]simmatrix.Scored // in.candidates(), the admissible images per pattern node
+	prevBits  []*bitset.Set        // prevBits[v] over V1
+	postBits  []*bitset.Set        // postBits[v] over V1
 	stats     SearchStats
 
 	// Cooperative cancellation (see cancel.go): done is the bound
@@ -138,7 +139,7 @@ type matcher struct {
 
 func (in *Instance) newMatcher(injective bool) *matcher {
 	n1, n2 := in.G1.NumNodes(), in.G2.NumNodes()
-	mx := &matcher{in: in, injective: injective, n1: n1, n2: n2, idx: in.Index()}
+	mx := &matcher{in: in, injective: injective, n1: n1, n2: n2, idx: in.Index(), cands: in.candidates()}
 	mx.prevBits = make([]*bitset.Set, n1)
 	mx.postBits = make([]*bitset.Set, n1)
 	for v := 0; v < n1; v++ {
@@ -219,34 +220,22 @@ func (mx *matcher) appendPair(ps []Pair, p Pair) []Pair {
 	return append(ps, p)
 }
 
-// initialList builds the top-level matching list (Fig. 3 line 4): good[v]
-// holds every u with mat(v, u) ≥ ξ, additionally respecting the self-loop
-// condition (a pattern node on a cycle of length one needs a self-reaching
-// image). Nodes with no candidates are excluded — they can never join a
-// mapping (the Appendix B partitioning observation). The top-level list
-// owns its sets privately (removePairs mutates them); it never returns
-// to the free lists.
+// initialList builds the top-level matching list (Fig. 3 line 4) from
+// the instance's candidate lists. Nodes with no candidates are excluded —
+// they can never join a mapping (the Appendix B partitioning
+// observation). The top-level list owns its sets privately (removePairs
+// mutates them); it never returns to the free lists.
 func (mx *matcher) initialList() *matchList {
-	in := mx.in
-	reach := in.Reach()
 	h := newMatchList(mx.n1)
-	for v := 0; v < mx.n1; v++ {
-		vv := graph.NodeID(v)
-		selfLoop := in.G1.HasEdge(vv, vv)
+	for v, row := range mx.cands {
+		if len(row) == 0 {
+			continue
+		}
 		set := bitset.New(mx.n2)
-		for u := 0; u < mx.n2; u++ {
-			uu := graph.NodeID(u)
-			if !in.admissible(vv, uu) {
-				continue
-			}
-			if selfLoop && !reach.Reachable(uu, uu) {
-				continue
-			}
-			set.Add(u)
+		for _, c := range row {
+			set.Add(int(c.U))
 		}
-		if !set.Empty() {
-			h.add(vv, set)
-		}
+		h.add(graph.NodeID(v), set)
 	}
 	return h
 }
@@ -376,40 +365,24 @@ func (mx *matcher) greedyMatchAt(h *matchList, depth int) (sigma, conflicts []Pa
 // pickCandidate selects u from v's good set: the first candidate by ID
 // for the cardinality algorithms (any candidate contributes equally to
 // qualCard), or the heaviest pair w(v)·mat(v, u) for the similarity
-// algorithms (where the pick directly feeds the qualSim numerator).
-// Weight rows are memoized per pattern node, so repeated scans over one
-// run — and over the log n bucket runs of compMaxSim — compute each
-// w(v)·mat(v, u) once instead of per call.
+// algorithms (where the pick directly feeds the qualSim numerator),
+// earliest ID among equals. A good set only ever holds candidates of v,
+// so the scores come from walking v's candidate list.
 func (mx *matcher) pickCandidate(v graph.NodeID, good *bitset.Set) graph.NodeID {
-	first := good.Next(0)
 	if !mx.pickBest {
-		return graph.NodeID(first)
+		return graph.NodeID(good.Next(0))
 	}
-	row := mx.weightRow(v)
-	best, bestW := first, row[first]
-	for u := good.Next(first + 1); u >= 0; u = good.Next(u + 1) {
-		if w := row[u]; w > bestW {
-			bestW, best = w, u
+	wv := mx.in.G1.Weight(v)
+	best, bestW := graph.Invalid, 0.0
+	for _, c := range mx.cands[v] {
+		if !good.Contains(int(c.U)) {
+			continue
+		}
+		if w := wv * c.Score; best == graph.Invalid || w > bestW {
+			bestW, best = w, c.U
 		}
 	}
-	return graph.NodeID(best)
-}
-
-// weightRow returns the memoized pairWeight row of v, computing it on
-// first use.
-func (mx *matcher) weightRow(v graph.NodeID) []float64 {
-	if mx.weights == nil {
-		mx.weights = make([][]float64, mx.n1)
-	}
-	row := mx.weights[v]
-	if row == nil {
-		row = make([]float64, mx.n2)
-		for u := range row {
-			row[u] = mx.in.pairWeight(v, graph.NodeID(u))
-		}
-		mx.weights[v] = row
-	}
-	return row
+	return best
 }
 
 // removePairs deletes the pairs of I from the top-level matching list

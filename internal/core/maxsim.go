@@ -20,21 +20,25 @@ import (
 // simBuckets partitions the admissible pairs of the initial matching list
 // into weight buckets. Bucket i holds pairs with weight in
 // (W/2^(i+1), W/2^i]; pairs below the W/(n1·n2) floor are discarded.
-// Pair weights come from the matcher's memoized rows, so each
-// w(v)·mat(v, u) is computed once across the scan, the bucket
-// assignment, and every pickCandidate of the bucket runs.
 func (mx *matcher) simBuckets(h *matchList) []*matchList {
 	in := mx.in
-	maxW := 0.0
-	for _, v := range h.nodes {
-		set := h.good[v]
-		row := mx.weightRow(v)
-		for u := set.Next(0); u >= 0; u = set.Next(u + 1) {
-			if w := row[u]; w > maxW {
-				maxW = w
+	// each visits the pairs of h in list order, ascending u within a node.
+	each := func(visit func(v, u graph.NodeID, w float64)) {
+		for _, v := range h.nodes {
+			wv := in.G1.Weight(v)
+			for _, c := range mx.cands[v] {
+				if h.good[v].Contains(int(c.U)) {
+					visit(v, c.U, wv*c.Score)
+				}
 			}
 		}
 	}
+	maxW := 0.0
+	each(func(_, _ graph.NodeID, w float64) {
+		if w > maxW {
+			maxW = w
+		}
+	})
 	if maxW <= 0 {
 		return nil
 	}
@@ -45,31 +49,26 @@ func (mx *matcher) simBuckets(h *matchList) []*matchList {
 	floor := maxW / float64(n)
 	nb := int(math.Ceil(math.Log2(float64(n)))) + 1
 	buckets := make([]*matchList, nb)
-	for _, v := range h.nodes {
-		set := h.good[v]
-		row := mx.weightRow(v)
-		for u := set.Next(0); u >= 0; u = set.Next(u + 1) {
-			w := row[u]
-			if w < floor || w <= 0 {
-				continue
-			}
-			i := 0
-			if w < maxW {
-				i = int(math.Floor(math.Log2(maxW / w)))
-			}
-			if i >= nb {
-				i = nb - 1
-			}
-			if buckets[i] == nil {
-				buckets[i] = newMatchList(mx.n1)
-			}
-			b := buckets[i]
-			if b.good[v] == nil {
-				b.add(v, bitset.New(mx.n2))
-			}
-			b.good[v].Add(u)
+	each(func(v, u graph.NodeID, w float64) {
+		if w < floor || w <= 0 {
+			return
 		}
-	}
+		i := 0
+		if w < maxW {
+			i = int(math.Floor(math.Log2(maxW / w)))
+		}
+		if i >= nb {
+			i = nb - 1
+		}
+		if buckets[i] == nil {
+			buckets[i] = newMatchList(mx.n1)
+		}
+		b := buckets[i]
+		if b.good[v] == nil {
+			b.add(v, bitset.New(mx.n2))
+		}
+		b.good[v].Add(int(u))
+	})
 	out := buckets[:0]
 	for _, b := range buckets {
 		if b != nil {
@@ -121,22 +120,15 @@ func (mx *matcher) augment(m Mapping) Mapping {
 		w    float64
 	}
 	var cands []cand
-	for v := 0; v < in.G1.NumNodes(); v++ {
+	for v, row := range mx.cands {
 		mx.poll()
 		vv := graph.NodeID(v)
 		if _, ok := out[vv]; ok {
 			continue
 		}
-		selfLoop := in.G1.HasEdge(vv, vv)
-		for u := 0; u < mx.n2; u++ {
-			uu := graph.NodeID(u)
-			if !in.admissible(vv, uu) {
-				continue
-			}
-			if selfLoop && !reach.Reachable(uu, uu) {
-				continue
-			}
-			cands = append(cands, cand{v: vv, u: uu, w: in.pairWeight(vv, uu)})
+		wv := in.G1.Weight(vv)
+		for _, c := range row {
+			cands = append(cands, cand{v: vv, u: c.U, w: wv * c.Score})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {

@@ -35,23 +35,18 @@ func (r remapMatrix) Score(v, u graph.NodeID) float64 {
 
 // partitionComponents removes unmatchable G1 nodes and returns the
 // connected components of the remaining induced subgraph, each as its own
-// sub-instance sharing this instance's G2 and closure.
+// sub-instance sharing this instance's G2, closure and candidate lists.
 func (in *Instance) partitionComponents() []struct {
 	sub  *Instance
 	orig []graph.NodeID
 } {
 	reach := in.Reach()
 	idx := in.Index()
+	cands := in.candidates()
 	var keep []graph.NodeID
-	for v := 0; v < in.G1.NumNodes(); v++ {
-		vv := graph.NodeID(v)
-		selfLoop := in.G1.HasEdge(vv, vv)
-		for u := 0; u < in.G2.NumNodes(); u++ {
-			uu := graph.NodeID(u)
-			if in.admissible(vv, uu) && (!selfLoop || reach.Reachable(uu, uu)) {
-				keep = append(keep, vv)
-				break
-			}
+	for v, row := range cands {
+		if len(row) > 0 {
+			keep = append(keep, graph.NodeID(v))
 		}
 	}
 	pruned, prunedOrig := in.G1.InducedSubgraph(keep)
@@ -62,36 +57,34 @@ func (in *Instance) partitionComponents() []struct {
 	for _, comp := range pruned.ConnectedComponents() {
 		sub, subOrig := pruned.InducedSubgraph(comp)
 		orig := make([]graph.NodeID, len(subOrig))
+		// An induced subgraph keeps self-loops, so a node's candidates
+		// carry over unchanged under its new ID.
+		subCands := make([][]simmatrix.Scored, len(subOrig))
 		for i, p := range subOrig {
 			orig[i] = prunedOrig[p]
+			subCands[i] = cands[orig[i]]
 		}
 		out = append(out, struct {
 			sub  *Instance
 			orig []graph.NodeID
 		}{
-			sub:  &Instance{G1: sub, G2: in.G2, Mat: remapMatrix{base: in.Mat, orig: orig}, Xi: in.Xi, reach: reach, idx: idx},
+			sub: &Instance{
+				G1: sub, G2: in.G2, Mat: remapMatrix{base: in.Mat, orig: orig}, Xi: in.Xi,
+				reach: reach, idx: idx, cands: subCands,
+			},
 			orig: orig,
 		})
 	}
 	return out
 }
 
-// bestCandidate returns the admissible u with maximal mat(v, u), or
-// Invalid when none exists.
+// bestCandidate returns the admissible u with maximal mat(v, u), the
+// earliest among equals, or Invalid when none exists.
 func (in *Instance) bestCandidate(v graph.NodeID) graph.NodeID {
-	reach := in.Reach()
-	selfLoop := in.G1.HasEdge(v, v)
 	best, bestScore := graph.Invalid, -1.0
-	for u := 0; u < in.G2.NumNodes(); u++ {
-		uu := graph.NodeID(u)
-		if !in.admissible(v, uu) {
-			continue
-		}
-		if selfLoop && !reach.Reachable(uu, uu) {
-			continue
-		}
-		if s := in.Mat.Score(v, uu); s > bestScore {
-			bestScore, best = s, uu
+	for _, c := range in.candidates()[v] {
+		if c.Score > bestScore {
+			bestScore, best = c.Score, c.U
 		}
 	}
 	return best
@@ -161,10 +154,7 @@ func (in *Instance) CompressedMaxCard() Mapping {
 	for v, c := range m {
 		best, bestScore := graph.Invalid, -1.0
 		for _, u := range comp.Members[c] {
-			if !in.admissible(v, u) {
-				continue
-			}
-			if s := in.Mat.Score(v, u); s > bestScore {
+			if s := in.Mat.Score(v, u); s >= in.Xi && s > bestScore {
 				bestScore, best = s, u
 			}
 		}

@@ -40,6 +40,7 @@ import (
 	"graphmatch/internal/metrics"
 	"graphmatch/internal/repl"
 	"graphmatch/internal/search"
+	"graphmatch/internal/shingle"
 	"graphmatch/internal/simmatrix"
 	"graphmatch/internal/simulation"
 	"graphmatch/internal/store"
@@ -321,6 +322,7 @@ type reqKey struct {
 // matcher observes cooperatively (core's *Ctx entry points).
 type task struct {
 	req      Request
+	prep     *prepared
 	key      reqKey
 	done     chan struct{}
 	res      Result
@@ -382,6 +384,14 @@ type Engine struct {
 	// graph when it is not yet clean, and two concurrent submissions
 	// may legitimately share one pattern object.
 	finishMu sync.Mutex
+	// prepares counts pattern preparations (see prepare), for the test
+	// that a fan-out prepares its pattern once.
+	prepares atomic.Uint64
+
+	// beforeExecute, when set, runs on the worker between picking a task
+	// up and executing it. Tests use it to hold a worker still while they
+	// queue work behind it; set it before the first submission.
+	beforeExecute func()
 
 	// sendMu serialises queue sends against Close: submitters hold the
 	// read side across the check-closed + send pair, so the channel is
@@ -652,7 +662,7 @@ func (e *Engine) Match(ctx context.Context, req Request) Result {
 		msp.End()
 		return Result{Err: decorate(ctx, fmt.Errorf("%w: %w", ErrDeadline, err))}
 	}
-	t, coalesced, err := e.submit(req, msp)
+	t, coalesced, err := e.submit(req, nil, msp)
 	if err != nil {
 		e.errors.Add(1)
 		if msp.Active() {
@@ -689,6 +699,14 @@ func (e *Engine) Match(ctx context.Context, req Request) Result {
 // only submission-level failure of the whole batch (engine closed);
 // per-request failures land in Result.Err.
 func (e *Engine) MatchBatch(ctx context.Context, reqs []Request) []Result {
+	return e.matchBatch(ctx, reqs, nil)
+}
+
+// matchBatch is MatchBatch starting from a pattern preparation the caller
+// already holds (Search's) or none. Consecutive requests carrying the
+// same pattern object share one preparation, so a fan-out of one pattern
+// over many graphs normalises, fingerprints and shingles it once.
+func (e *Engine) matchBatch(ctx context.Context, reqs []Request, p *prepared) []Result {
 	e.batches.Add(1)
 	results := make([]Result, len(reqs))
 	if err := ctx.Err(); err != nil {
@@ -704,9 +722,15 @@ func (e *Engine) MatchBatch(ctx context.Context, reqs []Request) []Result {
 	tasks := make([]*task, len(reqs))
 	flags := make([]bool, len(reqs))
 	for i, req := range reqs {
+		if p != nil && p.g != req.Pattern {
+			p = nil
+		}
+		if p == nil && req.Pattern != nil {
+			p = e.prepare(req.Pattern)
+		}
 		// Batch items do not get per-item spans: a search fan-out would
 		// blow the per-trace span cap and drown the interesting stages.
-		t, coalesced, err := e.submit(req, trace.Span{})
+		t, coalesced, err := e.submit(req, p, trace.Span{})
 		if err != nil {
 			e.errors.Add(1)
 			results[i] = Result{Err: err}
@@ -724,12 +748,42 @@ func (e *Engine) MatchBatch(ctx context.Context, reqs []Request) []Result {
 	return results
 }
 
+// prepared is a request pattern made ready for the workers: normalised,
+// fingerprinted for coalescing and — on the first content-similarity use
+// — shingled. Every task of a fan-out over one pattern object shares it.
+type prepared struct {
+	g   *graph.Graph
+	sum [sha256.Size]byte
+
+	setsOnce sync.Once
+	sets     []shingle.Set
+}
+
+// prepare normalises and fingerprints a pattern. Finish is serialised
+// because it mutates a not-yet-clean graph and concurrent submissions
+// may share one pattern object.
+func (e *Engine) prepare(g *graph.Graph) *prepared {
+	e.prepares.Add(1)
+	e.finishMu.Lock()
+	g.Finish()
+	e.finishMu.Unlock()
+	return &prepared{g: g, sum: fingerprint(g)}
+}
+
+// contentSets returns the pattern's shingle sets (default window),
+// computed once however many tasks and stages ask.
+func (p *prepared) contentSets() []shingle.Set {
+	p.setsOnce.Do(func() { p.sets = simmatrix.ContentSets(p.g, 0) })
+	return p.sets
+}
+
 // submit validates a request and either enqueues a new task or attaches
-// to an identical in-flight one. sp is the submitter's engine.match
-// span (inert when untraced); a newly created task adopts it, so the
-// worker's execution spans land in the trace of the request that
-// caused the work.
-func (e *Engine) submit(req Request, sp trace.Span) (*task, bool, error) {
+// to an identical in-flight one. p is the preparation of req.Pattern
+// when the caller already holds one, else nil. sp is the submitter's
+// engine.match span (inert when untraced); a newly created task adopts
+// it, so the worker's execution spans land in the trace of the request
+// that caused the work.
+func (e *Engine) submit(req Request, p *prepared, sp trace.Span) (*task, bool, error) {
 	e.requests.Add(1)
 	if req.Pattern == nil {
 		return nil, false, fmt.Errorf("engine: nil pattern")
@@ -754,14 +808,12 @@ func (e *Engine) submit(req Request, sp trace.Span) (*task, bool, error) {
 		return nil, false, fmt.Errorf("%w: %d nodes > limit %d",
 			ErrExactLimit, req.Pattern.NumNodes(), e.exactLimit)
 	}
-	// Normalise the pattern before workers or coalesced readers touch
-	// it. Serialised because Finish mutates a not-yet-clean graph and
-	// concurrent submissions may share one pattern object.
-	e.finishMu.Lock()
-	req.Pattern.Finish()
-	e.finishMu.Unlock()
+	// Normalise the pattern before workers or coalesced readers touch it.
+	if p == nil {
+		p = e.prepare(req.Pattern)
+	}
 	key := reqKey{
-		pattern:   fingerprint(req.Pattern),
+		pattern:   p.sum,
 		graphName: req.GraphName,
 		algo:      req.Algo,
 		xi:        req.Xi,
@@ -788,7 +840,7 @@ func (e *Engine) submit(req Request, sp trace.Span) (*task, bool, error) {
 			ErrOverloaded, n-1, e.maxPending)
 	}
 	tctx, cancel := context.WithCancel(context.Background())
-	t := &task{req: req, key: key, done: make(chan struct{}), ctx: tctx, cancel: cancel, span: sp}
+	t := &task{req: req, prep: p, key: key, done: make(chan struct{}), ctx: tctx, cancel: cancel, span: sp}
 	t.waiters.Store(1)
 	e.inflight[key] = t // overwrites a dead (waiterless) predecessor, if any
 	e.mu.Unlock()
@@ -860,8 +912,11 @@ func (e *Engine) worker() {
 			t.span.ChildSpanning("engine.queue", t.enqueued, picked)
 			ctx = trace.ContextWithSpan(ctx, t.span)
 		}
+		if e.beforeExecute != nil {
+			e.beforeExecute()
+		}
 		runStart := time.Now()
-		t.res = e.execute(ctx, t.req)
+		t.res = e.execute(ctx, t.req, t.prep)
 		runSecs := time.Since(runStart).Seconds()
 		if t.span.Active() {
 			e.mTaskRun.ObserveWithExemplar(runSecs, "trace_id", t.span.TraceID().String())
@@ -888,48 +943,40 @@ func (e *Engine) worker() {
 // gave up — and is threaded into the core matcher's cooperative
 // cancellation points, so an abandoned computation stops burning its
 // worker within microseconds instead of running to completion.
-func (e *Engine) execute(ctx context.Context, req Request) Result {
+func (e *Engine) execute(ctx context.Context, req Request, p *prepared) Result {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		// Every waiter detached while the task was still queued: skip
 		// the work entirely.
 		return Result{Err: fmt.Errorf("%w: %w", ErrDeadline, err)}
 	}
-	// Resolve the graph and its closure as one consistent pair; a
-	// separate Get + Reach could straddle a Remove/Register of the
-	// same name and mix one graph with another's index. The
-	// approximation algorithms additionally receive the catalog's
-	// tiered reachability index (dense rows or candidate-sparse,
-	// whichever the catalog selected for the graph's size), so their
-	// per-request matcher setup materialises nothing at all.
-	var (
-		g2    *graph.Graph
-		reach *closure.Reach
-		idx   closure.Index
-		err   error
-	)
+	// Resolve the graph, its candidate index and its closure in one
+	// read; separate lookups could straddle a Remove/Register/patch of
+	// the same name and mix one graph with another's index. Simulation
+	// never consults the closure, the exact deciders only the closure,
+	// and the approximation algorithms additionally receive the
+	// catalog's tiered reachability index (dense rows or
+	// candidate-sparse, whichever the catalog selected for the graph's
+	// size), so their per-request matcher setup materialises nothing.
+	need := catalog.NeedIndex
 	switch req.Algo {
 	case Simulation:
-		g2, err = e.cat.Get(req.GraphName) // simulation never consults the closure
+		need = catalog.NeedGraph
 	case Decide, Decide11:
-		g2, reach, err = e.cat.GetWithReachCtx(ctx, req.GraphName, req.PathLimit)
-	default:
-		g2, reach, idx, err = e.cat.GetWithIndexCtx(ctx, req.GraphName, req.PathLimit)
+		need = catalog.NeedReach
 	}
+	data, err := e.cat.ResolveCtx(ctx, req.GraphName, req.PathLimit, need)
 	if err != nil {
 		return Result{Err: err}
 	}
+	g2, reach, idx := data.Graph, data.Reach, data.Index
 	var mat simmatrix.Matrix
 	switch req.Sim {
 	case SimContent:
-		cg, sets2, err := e.cat.ContentSets(req.GraphName)
-		if err != nil {
-			return Result{Err: err}
-		}
-		if cg != g2 {
-			return Result{Err: fmt.Errorf("engine: graph %q replaced mid-request", req.GraphName)}
-		}
-		mat = simmatrix.FromContentSets(req.Pattern, sets2, 0)
+		// Built over the graph's content postings, from the same registry
+		// entry as g2: the matrix lists its own admissible pairs and the
+		// matcher never scores V1 × V2.
+		mat = data.Content().Matrix(p.contentSets())
 	default:
 		mat = simmatrix.NewLabelEquality(req.Pattern, g2)
 	}

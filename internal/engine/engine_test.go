@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"graphmatch/internal/catalog"
@@ -162,21 +163,26 @@ func TestEngineSimulationBaseline(t *testing.T) {
 	}
 }
 
-// TestCoalescing issues a batch of identical, deliberately heavy
-// requests through a single worker: all but the first must attach to
-// the in-flight computation.
+// TestCoalescing issues a batch of identical requests through a single
+// worker: all but the first must attach to the in-flight computation.
+// The worker is held between pickup and execution until every duplicate
+// has attached (the coalesced counter only moves after a successful
+// attach), so the outcome does not depend on how long a match takes.
 func TestCoalescing(t *testing.T) {
+	const dup = 16
 	e := New(Options{Workers: 1, QueueDepth: 64})
 	defer e.Close()
+	e.beforeExecute = func() {
+		for e.coalesced.Load() < dup-1 {
+			runtime.Gosched()
+		}
+	}
 	data := randomGraph(250, 4, 5)
 	if err := e.Register("data", data); err != nil {
 		t.Fatal(err)
 	}
 	pattern := patternFrom(data, 25, 6)
-	// Content similarity forces a dense shingle matrix per execution —
-	// easily slow enough that duplicates arrive while it runs.
 	req := Request{Pattern: pattern, GraphName: "data", Algo: MaxCard, Xi: 0.3, Sim: SimContent}
-	const dup = 16
 	reqs := make([]Request, dup)
 	for i := range reqs {
 		// Distinct pattern objects with identical content must still

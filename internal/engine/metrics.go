@@ -113,6 +113,9 @@ func (e *Engine) initMetrics() {
 	r.GaugeFunc("phomd_catalog_sparse_index_bytes",
 		"Approximate heap held by sparse-tier matcher indexes.",
 		func() float64 { return float64(e.cat.Stats().SparseIndexBytes) })
+	r.GaugeFunc("phomd_catalog_candidate_index_bytes",
+		"Approximate heap held by the registered graphs' candidate indexes (content postings, once a content-similarity request has built them).",
+		func() float64 { return float64(e.cat.Stats().CandidateIndexBytes) })
 	r.CounterFunc("phomd_catalog_closure_build_seconds_total",
 		"Cumulative wall time spent building closures and closure rows.",
 		func() float64 { return e.cat.Stats().BuildTime.Seconds() })

@@ -147,14 +147,12 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 			pol.MinResemblance = math.Max(e.searchMinResembl, 0)
 		}
 	}
-	// Normalise the pattern once, up front, under the same serialisation
-	// submit uses (concurrent searches may share one pattern object).
-	e.finishMu.Lock()
-	req.Pattern.Finish()
-	e.finishMu.Unlock()
+	// Prepare the pattern once, up front: stage 1 summarises the same
+	// shingle sets every stage-2 content matrix is built from.
+	prep := e.prepare(req.Pattern)
 
 	start := time.Now()
-	cands, cstats := e.searchIdx.Candidates(search.Summarize(req.Pattern), pol)
+	cands, cstats := e.searchIdx.Candidates(search.SummarizeSets(req.Pattern, prep.contentSets()), pol)
 	stats := SearchStats{
 		Graphs:     cstats.Graphs,
 		Candidates: len(cands),
@@ -194,7 +192,7 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 		}
 	}
 	stage2 := time.Now()
-	results := e.MatchBatch(ctx, reqs)
+	results := e.matchBatch(ctx, reqs, prep)
 
 	top := search.NewTopK(k)
 	var firstErr error

@@ -113,6 +113,7 @@ func TestMetricsCoversAllLayers(t *testing.T) {
 		"phomd_catalog_graphs",          // catalog cache
 		"phomd_catalog_closure_hits_total",
 		"phomd_catalog_resident_bytes",
+		"phomd_catalog_candidate_index_bytes",
 		"phomd_search_requests_total", // search
 		"phomd_search_prune_ratio",    //
 		"phomd_store_appended_total",  // store

@@ -156,7 +156,7 @@ func (ix *Index) ensure(r *rec) {
 	}
 
 	if !built {
-		sum, counts, degs := summarizeCounted(g)
+		sum, counts, degs := summarizeCounted(g, simmatrix.ContentSets(g, 0))
 		ix.mu.Lock()
 		if ix.recs[r.name] == r {
 			if !r.indexed {

@@ -40,6 +40,7 @@ import (
 	"sort"
 
 	"graphmatch/internal/graph"
+	"graphmatch/internal/shingle"
 	"graphmatch/internal/simmatrix"
 )
 
@@ -138,7 +139,14 @@ type Summary struct {
 // Summarize builds the stage-1 summary of g. It is a pure function of
 // the graph — safe to call concurrently, no shared state.
 func Summarize(g *graph.Graph) Summary {
-	sum, _, _ := summarizeCounted(g)
+	return SummarizeSets(g, simmatrix.ContentSets(g, 0))
+}
+
+// SummarizeSets is Summarize for a caller that already holds g's
+// per-node shingle sets (simmatrix.ContentSets, default window), so a
+// query pattern is shingled once for both search stages.
+func SummarizeSets(g *graph.Graph, sets []shingle.Set) Summary {
+	sum, _, _ := summarizeCounted(g, sets)
 	return sum
 }
 
@@ -147,9 +155,9 @@ func Summarize(g *graph.Graph) Summary {
 // many nodes contribute each distinct shingle — decrementable under
 // content rewrites, where a plain set is not) and the raw degree-bucket
 // counts behind the signature.
-func summarizeCounted(g *graph.Graph) (Summary, map[uint64]int32, [HistBuckets]int) {
+func summarizeCounted(g *graph.Graph, sets []shingle.Set) (Summary, map[uint64]int32, [HistBuckets]int) {
 	counts := make(map[uint64]int32)
-	for _, s := range simmatrix.ContentSets(g, 0) {
+	for _, s := range sets {
 		for h := range s {
 			counts[h]++
 		}

@@ -18,6 +18,11 @@
 //     convention of Section 6).
 //   - FromContent: shingle resemblance of node contents (the Web-graph
 //     convention of Section 6).
+//
+// Matrices built over a data graph's candidate index (index.go) can also
+// list, per pattern node, the data nodes at or above a threshold; Row is
+// the one place that asks for that list or falls back to scoring every
+// node.
 package simmatrix
 
 import (
@@ -134,19 +139,18 @@ func (gr *Grouped) Score(v, u graph.NodeID) float64 {
 	return gr.score[[2]string{lv, lu}]
 }
 
-// FromContent precomputes a Dense matrix from shingle resemblance of node
-// contents, falling back to label text when a node has no content. This is
-// how Web-graph similarity is derived in Section 6 ("the similarity between
+// FromContent builds the matrix of shingle resemblance of node contents,
+// falling back to label text when a node has no content. This is how
+// Web-graph similarity is derived in Section 6 ("the similarity between
 // two nodes was measured by the textual similarity of their contents based
 // on shingles").
-func FromContent(g1, g2 *graph.Graph, shingleSize int) *Dense {
-	return FromContentSets(g1, ContentSets(g2, shingleSize), shingleSize)
+func FromContent(g1, g2 *graph.Graph, shingleSize int) *RowSparse {
+	return FromContentSets(g1, NewContentIndex(g2, shingleSize), shingleSize)
 }
 
-// ContentSets precomputes the shingle set of every node of g (content,
-// falling back to the label), indexed by NodeID. The serving catalog
-// caches this per registered data graph so content similarity does not
-// re-shingle the data side on every request.
+// ContentSets computes the shingle set of every node of g (content,
+// falling back to the label), indexed by NodeID — the pattern-side input
+// of ContentIndex.Matrix.
 func ContentSets(g *graph.Graph, shingleSize int) []shingle.Set {
 	sh := shingle.NewShingler(shingleSize)
 	sets := make([]shingle.Set, g.NumNodes())
@@ -156,21 +160,12 @@ func ContentSets(g *graph.Graph, shingleSize int) []shingle.Set {
 	return sets
 }
 
-// FromContentSets builds the content-similarity matrix of g1 against
-// precomputed data-side shingle sets (see ContentSets). shingleSize
-// must match the one the sets were built with.
-func FromContentSets(g1 *graph.Graph, sets2 []shingle.Set, shingleSize int) *Dense {
-	sh := shingle.NewShingler(shingleSize)
-	d := NewDense(g1.NumNodes(), len(sets2))
-	for v := 0; v < g1.NumNodes(); v++ {
-		set1 := sh.Shingle(contentText(g1, graph.NodeID(v)))
-		for u := range sets2 {
-			if s := shingle.Resemblance(set1, sets2[u]); s > 0 {
-				d.Set(graph.NodeID(v), graph.NodeID(u), s)
-			}
-		}
-	}
-	return d
+// FromContentSets builds the content-similarity matrix of g1 against an
+// indexed data graph (the serving catalog keeps one ContentIndex per
+// registered graph, so the data side is shingled once, not per request).
+// shingleSize must match the one the index was built with.
+func FromContentSets(g1 *graph.Graph, data *ContentIndex, shingleSize int) *RowSparse {
+	return data.Matrix(ContentSets(g1, shingleSize))
 }
 
 // ContentSet returns the shingle set of one node's content text
@@ -194,14 +189,16 @@ func contentText(g *graph.Graph, v graph.NodeID) string {
 // result is indexed by v.
 func Candidates(g1, g2 *graph.Graph, mat Matrix, xi float64) [][]graph.NodeID {
 	out := make([][]graph.NodeID, g1.NumNodes())
-	for v := 0; v < g1.NumNodes(); v++ {
-		var cs []graph.NodeID
-		for u := 0; u < g2.NumNodes(); u++ {
-			if mat.Score(graph.NodeID(v), graph.NodeID(u)) >= xi {
-				cs = append(cs, graph.NodeID(u))
-			}
+	var row []Scored
+	for v := range out {
+		row = Row(row[:0], mat, graph.NodeID(v), g2.NumNodes(), xi)
+		if len(row) == 0 {
+			continue
 		}
-		out[v] = cs
+		out[v] = make([]graph.NodeID, len(row))
+		for i, e := range row {
+			out[v][i] = e.U
+		}
 	}
 	return out
 }
