@@ -146,6 +146,11 @@ type Stats struct {
 	// over budget).
 	PatchesIncremental uint64 `json:"patches_incremental"`
 	PatchesRebuild     uint64 `json:"patches_rebuild"`
+	// PatchIndexRebuilds counts Apply commits that built the
+	// matcher-facing index afresh (closure.BuildIndex) instead of
+	// patching it: the graph outgrew the dense budget, or the row patch
+	// declined. Zero on a healthy server.
+	PatchIndexRebuilds uint64 `json:"patch_index_rebuilds"`
 	// CandidateIndexBytes approximates the heap held by the registered
 	// graphs' candidate indexes (content postings, present once a
 	// content-similarity request has built them). Outside the LRU bounds
@@ -284,8 +289,10 @@ type Mutation struct {
 // in-place update from a replayed Register). Hooks run synchronously
 // under the catalog lock so observers see mutations in their true
 // order; they must return quickly and must not call back into the
-// catalog.
-type MutationHook func(name string, g *graph.Graph, m Mutation)
+// catalog. Work too heavy for the lock hold is returned as settle,
+// which Apply runs once it has released the lock (nil: nothing to do;
+// no other notification may return one).
+type MutationHook func(name string, g *graph.Graph, m Mutation) (settle func())
 
 // Persister is the catalog's write-ahead durability callback. Each
 // method is invoked under the catalog lock, after validation but
@@ -332,6 +339,7 @@ type Catalog struct {
 	hits, misses, evictions uint64
 	patchesIncremental      uint64
 	patchesRebuild          uint64
+	patchIndexRebuilds      uint64
 	buildTime               time.Duration
 	residentBytes           int64
 	residentDense           int
@@ -360,6 +368,9 @@ func New(maxClosures int, opts ...Option) *Catalog {
 	}
 	if c.tierPolicy == "" {
 		c.tierPolicy = closure.PolicyAuto
+	}
+	if c.denseMaxBytes <= 0 {
+		c.denseMaxBytes = closure.DefaultDenseMaxBytes
 	}
 	return c
 }
@@ -508,17 +519,20 @@ func (c *Catalog) RemoveCtx(ctx context.Context, name string) error {
 // the patched closure in alongside the graph. When the update cannot be
 // incremental — no cached closure, the patch reshapes the SCC
 // condensation, or the delta cone blows the cost budget — the closure
-// is invalidated and rebuilt eagerly, like Register's. In-flight
-// requests that resolved the old (graph, closure) pair finish against
-// that consistent pair.
+// is invalidated and rebuilt eagerly, like Register's. A built index
+// follows its closure: patched with it, rebuilt here only when the
+// graph has outgrown the dense budget, left to the next request when
+// the closure itself was rebuilt. In-flight requests that resolved the
+// old (graph, closure) pair finish against that consistent pair.
 func (c *Catalog) Apply(name string, p *graph.Patch) (*graph.Graph, error) {
 	return c.ApplyCtx(context.Background(), name, p)
 }
 
 // ApplyCtx is Apply with a request context for trace attribution: the
 // whole commit is recorded as a catalog.commit span (with the
-// incremental-vs-rebuild outcome and delta cone size as attributes)
-// and the persister receives ctx for WAL-append spans.
+// incremental-vs-rebuild outcome, the delta cone size and what happened
+// to the index — index=patched|rebuilt|lazy, index_reason when rebuilt —
+// as attributes) and the persister receives ctx for WAL-append spans.
 func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*graph.Graph, error) {
 	if p == nil || p.Empty() {
 		return nil, fmt.Errorf("%w: empty patch for %q", ErrBadPatch, name)
@@ -538,6 +552,8 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 	var ng *graph.Graph
 	var incremental bool
 	var coneSize int
+	var indexed, indexReason string
+	var settle func()
 	for {
 		c.mu.Lock()
 		ge, ok := c.graphs[name]
@@ -573,6 +589,7 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 		var newIdx closure.Index
 		var deltaTime time.Duration
 		incremental, coneSize = false, 0
+		indexed, indexReason = "lazy", "" // none built yet, or dropped with its closure
 		if oldReach != nil && c.deltaBudget >= 0 {
 			deltaStart := time.Now()
 			if nr, d, ok2 := oldReach.ApplyEdges(ge.g, len(p.AddNodes), p.DelEdges, p.AddEdges, c.deltaBudget); ok2 {
@@ -580,25 +597,21 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 				incremental = true
 				coneSize = d.ConeSize()
 				switch old := oldIdx.(type) {
-				case nil:
-					// No index built yet; leave it lazy.
 				case *closure.CompIndex:
 					// The sparse tier reads straight through the Reach:
 					// rewrapping is O(1), incremental by construction.
-					newIdx = closure.NewCompIndex(newReach)
+					newIdx, indexed = closure.NewCompIndex(newReach), "patched"
 				case *closure.Rows:
-					if rw, ok3 := closure.UpdateRows(old, oldReach, newReach, d); ok3 {
-						newIdx = rw
+					if c.tierPolicy == closure.PolicyAuto && closure.ProjectedRowsBytes(newReach) > c.denseMaxBytes {
+						indexReason = "outgrew_dense"
+					} else if rw, ok3 := closure.UpdateRows(old, oldReach, newReach, d); ok3 {
+						newIdx, indexed = rw, "patched"
 					} else {
-						// Row patch declined (node growth or a wide
-						// cone): rebuild the index — cheap at the scale
-						// the dense tier admits — re-running tier
-						// selection, since the graph may have outgrown
-						// the dense budget.
-						newIdx = closure.BuildIndex(newReach, c.tierPolicy, c.denseMaxBytes)
+						indexReason = "row_patch_declined"
 					}
-				default:
-					newIdx = closure.BuildIndex(newReach, c.tierPolicy, c.denseMaxBytes)
+					if newIdx == nil {
+						newIdx, indexed = closure.BuildIndex(newReach, c.tierPolicy, c.denseMaxBytes), "rebuilt"
+					}
 				}
 			}
 			deltaTime = time.Since(deltaStart)
@@ -617,7 +630,7 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 		}
 		c.setEntryLocked(name, ne)
 		if c.onMutate != nil {
-			c.onMutate(name, ng, Mutation{Patch: p, Prev: ge.g})
+			settle = c.onMutate(name, ng, Mutation{Patch: p, Prev: ge.g})
 		}
 		c.buildTime += deltaTime
 		if incremental {
@@ -627,8 +640,14 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 			c.patchesRebuild++
 			c.dropClosuresLocked(name)
 		}
+		if indexed == "rebuilt" {
+			c.patchIndexRebuilds++
+		}
 		c.mu.Unlock()
 		break
+	}
+	if settle != nil {
+		settle()
 	}
 	if !incremental {
 		// Warm the closure eagerly, like Register. The patch is
@@ -651,6 +670,10 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 	sp.SetBool("incremental", incremental)
 	if incremental {
 		sp.SetInt("cone_comps", int64(coneSize))
+	}
+	sp.SetStr("index", indexed)
+	if indexReason != "" {
+		sp.SetStr("index_reason", indexReason)
 	}
 	return ng, nil
 }
@@ -1150,6 +1173,7 @@ func (c *Catalog) Stats() Stats {
 		BuildTime:           c.buildTime,
 		PatchesIncremental:  c.patchesIncremental,
 		PatchesRebuild:      c.patchesRebuild,
+		PatchIndexRebuilds:  c.patchIndexRebuilds,
 		CandidateIndexBytes: c.candidateBytes,
 	}
 }

@@ -536,13 +536,14 @@ func TestMutationHook(t *testing.T) {
 		mu     sync.Mutex
 		events []event
 	)
-	c.SetMutationHook(func(name string, g *graph.Graph, m Mutation) {
+	c.SetMutationHook(func(name string, g *graph.Graph, m Mutation) func() {
 		if g == nil {
 			t.Errorf("hook for %q got nil graph", name)
 		}
 		mu.Lock()
 		events = append(events, event{name, m.Removed})
 		mu.Unlock()
+		return nil
 	})
 	if err := c.Register("a", chain(2)); err != nil {
 		t.Fatal(err)
@@ -617,11 +618,18 @@ func TestApplyPatch(t *testing.T) {
 
 	var hooked *graph.Graph
 	var hookedMut Mutation
-	c.SetMutationHook(func(name string, g *graph.Graph, m Mutation) {
+	settled := 0
+	c.SetMutationHook(func(name string, g *graph.Graph, m Mutation) func() {
 		if name == "web" && !m.Removed {
 			hooked = g
 			hookedMut = m
 		}
+		if m.Patch == nil {
+			return nil
+		}
+		// Deferred work runs once the lock is released: it can call back
+		// into the catalog.
+		return func() { settled += c.Len() }
 	})
 
 	ng, err := c.Apply("web", &graph.Patch{
@@ -633,6 +641,9 @@ func TestApplyPatch(t *testing.T) {
 	}
 	if ng == old {
 		t.Fatal("Apply mutated in place instead of copy-on-write")
+	}
+	if settled != 1 {
+		t.Fatalf("the hook's settle func ran %d times, want once after the commit", settled)
 	}
 	if old.NumNodes() != 3 {
 		t.Fatal("old graph mutated")

@@ -422,99 +422,146 @@ func stronglyConnected(g0 *graph.Graph, comp []int, c int, ms []graph.NodeID,
 	return sweep(true) == len(ms), work
 }
 
-// UpdateRows incrementally rebuilds the dense Rows expansion after an
-// ApplyEdges delta: only the forward rows of dirty components and the
-// backward rows of columns whose bits changed are recomputed; every
-// other row is shared with old. It returns ok=false — and the caller
-// runs NewRows — when nodes were added (the row width changes, and at
-// dense-tier scale a fresh expansion is cheap) or when the affected
-// slice is large enough that a full rebuild would be comparable.
+// UpdateRows patches the dense Rows expansion after an ApplyEdges
+// delta: old expands oldReach, the result expands newReach bit for bit
+// as NewRows(newReach) would, sharing every row the delta left alone.
+//
+// A node's rows are unions of component member sets — Fwd over the
+// components its own reaches, Bwd over the components that reach it —
+// and ApplyEdges never moves a node between components, so each replaced
+// row is derived from the old one: for every dirty component row c, the
+// components that entered it (in newReach's row, not in oldReach's) have
+// their members OR-ed into a copy of fwd[c] and c's members OR-ed into a
+// copy of their own bwd rows; the components that left are masked out
+// the same way. A singleton's member set is one bit, a larger
+// component's a node bitset built on demand. Appended nodes arrive as
+// fresh singleton components with empty rows, and every kept row is
+// re-headed (re-allocated only when n crosses a word boundary) to the
+// new width. The cost is O((dirty rows + changed columns) · n/64) words
+// copied, one set or OR per flipped component bit, and one O(n + k)
+// pass to collect members — where a fresh expansion pays O(k · n/64)
+// words per direction however small the delta.
+//
+// ok=false means the arguments do not fit together (old is not the
+// expansion of oldReach, or newReach and d are not a delta of it); a
+// delta ApplyEdges returned for oldReach is never declined.
 func UpdateRows(old *Rows, oldReach, newReach *Reach, d *Delta) (*Rows, bool) {
-	if d.AddedComps > 0 || old.n != newReach.n || oldReach.n != newReach.n {
+	n2 := newReach.n
+	k0, k2 := len(oldReach.compReach), len(newReach.compReach)
+	if oldReach.n != old.n || len(old.bwd) != k0 || n2 < old.n || k2 != k0+d.AddedComps {
 		return nil, false
 	}
-	n := old.n
-	k := len(newReach.compReach)
-	if len(oldReach.compReach) != k {
-		return nil, false
-	}
-
-	// Exact changed-column set: the symmetric difference of every dirty
-	// row, old vs new.
-	dirty := make([]bool, k)
-	dcol := bitset.New(k)
-	diff := bitset.New(k)
 	for _, c := range d.Dirty {
-		if c < 0 || c >= k {
+		if c < 0 || c >= k2 {
 			return nil, false
 		}
-		dirty[c] = true
-		or, nr := oldReach.compReach[c], newReach.compReach[c]
-		diff.CopyFrom(or)
-		diff.AndNot(nr)
-		dcol.Or(diff)
-		diff.CopyFrom(nr)
-		diff.AndNot(or)
-		dcol.Or(diff)
-	}
-	cols := dcol.Slice()
-
-	// Cost heuristic: each affected row costs an O(n) probe pass; give
-	// up once the affected slice stops being a small fraction of the
-	// full 2k-row rebuild.
-	affected := len(d.Dirty) + len(cols)
-	if affected*4 > k && affected > 64 {
-		return nil, false
 	}
 
-	comp := newReach.comp
-	newFwd := make(map[int]*bitset.Set, len(d.Dirty))
+	// Every kept row at the new width, new components empty.
+	widen := func(rows []*bitset.Set) []*bitset.Set {
+		out := make([]*bitset.Set, k2)
+		for c := 0; c < k0; c++ {
+			out[c] = rows[c].Grown(n2)
+		}
+		for c := k0; c < k2; c++ {
+			out[c] = bitset.New(n2)
+		}
+		return out
+	}
+	rw := &Rows{n: n2, comp: newReach.comp, bwd: widen(old.bwd), aliased: old.aliased}
+	if old.aliased {
+		rw.fwd = newReach.compReach // appended singletons keep the mapping an identity
+	} else {
+		rw.fwd = widen(old.fwd)
+	}
+
+	// diff leaves in entered / left the components that row c gained and
+	// lost, or reports that it only was rewritten.
+	entered, left := bitset.New(k2), bitset.New(k2)
+	diff := func(c int) bool {
+		entered.CopyFrom(newReach.compReach[c])
+		left.Clear()
+		if c < k0 {
+			was := oldReach.compReach[c].Grown(k2)
+			left.CopyFrom(was)
+			left.AndNot(entered)
+			entered.AndNot(was)
+		}
+		return !entered.Empty() || !left.Empty()
+	}
+
+	// Pass 1: the columns that changed, and with the changed rows the
+	// components whose members the patch needs.
+	cols, need := bitset.New(k2), bitset.New(k2)
 	for _, c := range d.Dirty {
-		row := bitset.New(n)
-		cr := newReach.compReach[c]
-		for w := 0; w < n; w++ {
-			if cr.Contains(comp[w]) {
-				row.Add(w)
-			}
+		if diff(c) {
+			need.Add(c)
+			cols.Or(entered)
+			cols.Or(left)
 		}
-		newFwd[c] = row
 	}
-	colMark := make([]bool, k)
-	newBwd := make(map[int]*bitset.Set, len(cols))
-	for _, dc := range cols {
-		colMark[dc] = true
-		row := bitset.New(n)
-		for w := 0; w < n; w++ {
-			if newReach.compReach[comp[w]].Contains(dc) {
-				row.Add(w)
-			}
+	need.Or(cols)
+	// member[c] says who is in component c, for the components needed:
+	// v+1 for the singleton {v}, −(i+1) for the node set multi[i].
+	member := make([]int32, k2)
+	var multi []*bitset.Set
+	for v, c := range newReach.comp {
+		if !need.Contains(c) {
+			continue
 		}
-		newBwd[dc] = row
+		switch m := member[c]; {
+		case m == 0:
+			member[c] = int32(v) + 1
+		case m > 0:
+			set := bitset.New(n2)
+			set.Add(int(m - 1))
+			set.Add(v)
+			multi = append(multi, set)
+			member[c] = -int32(len(multi))
+		default:
+			multi[-m-1].Add(v)
+		}
+	}
+	// put adds (or removes) the members of component c to row.
+	put := func(row *bitset.Set, c int, add bool) {
+		switch m := member[c]; {
+		case m > 0 && add:
+			row.Add(int(m - 1))
+		case m > 0:
+			row.Remove(int(m - 1))
+		case add:
+			row.Or(multi[-m-1])
+		default:
+			row.AndNot(multi[-m-1])
+		}
 	}
 
-	fwd := make([]*bitset.Set, n)
-	bwd := make([]*bitset.Set, n)
-	for v := 0; v < n; v++ {
-		c := comp[v]
-		if dirty[c] {
-			fwd[v] = newFwd[c]
-		} else {
-			fwd[v] = old.fwd[v]
-		}
-		if colMark[c] {
-			bwd[v] = newBwd[c]
-		} else {
-			bwd[v] = old.bwd[v]
-		}
+	// Pass 2: private copies of the changed rows, then the flips.
+	for dc := cols.Next(0); dc >= 0 && dc < k0; dc = cols.Next(dc + 1) {
+		rw.bwd[dc] = rw.bwd[dc].Clone()
 	}
-	rowBytes := 8 * ((n + 63) / 64)
-	return &Rows{
-		n:   n,
-		fwd: fwd,
-		bwd: bwd,
-		// Replaced rows stay live only until the old expansion is
-		// dropped; counting both is a conservative over-estimate the
-		// cache accounting tolerates.
-		ownedBytes: old.ownedBytes + affected*rowBytes,
-	}, true
+	for _, c := range d.Dirty {
+		if !diff(c) {
+			continue
+		}
+		var row *bitset.Set // c's forward row, unless it is the closure's own
+		if !old.aliased {
+			row = rw.fwd[c]
+			if c < k0 {
+				row = row.Clone()
+				rw.fwd[c] = row
+			}
+		}
+		flip := func(comps *bitset.Set, add bool) {
+			for dc := comps.Next(0); dc >= 0; dc = comps.Next(dc + 1) {
+				if row != nil {
+					put(row, dc, add)
+				}
+				put(rw.bwd[dc], c, add)
+			}
+		}
+		flip(left, false)
+		flip(entered, true)
+	}
+	return rw, true
 }

@@ -78,27 +78,28 @@ type Index interface {
 func (rw *Rows) Tier() Tier { return TierDense }
 
 // Reachable reports whether a nonempty path u ⇝ v exists.
-func (rw *Rows) Reachable(u, v graph.NodeID) bool { return rw.fwd[u].Contains(int(v)) }
+func (rw *Rows) Reachable(u, v graph.NodeID) bool { return rw.Fwd(u).Contains(int(v)) }
 
 // FanOut reports the number of nodes reachable from u, as a word-level
 // population count of u's forward row.
-func (rw *Rows) FanOut(u graph.NodeID) int { return rw.fwd[u].Count() }
+func (rw *Rows) FanOut(u graph.NodeID) int { return rw.Fwd(u).Count() }
 
 // FanIn reports the number of nodes that reach u.
-func (rw *Rows) FanIn(u graph.NodeID) int { return rw.bwd[u].Count() }
+func (rw *Rows) FanIn(u graph.NodeID) int { return rw.Bwd(u).Count() }
 
 // Split is the word-level trim: one SplitInto pass against the masked
 // closure rows of u.
 func (rw *Rows) Split(cand *bitset.Set, u graph.NodeID, needBwd, needFwd bool, kept, moved *bitset.Set) (anyKept, anyMoved bool) {
 	var a, b *bitset.Set
+	c := rw.comp[u]
 	if needBwd {
-		a = rw.bwd[u]
+		a = rw.bwd[c]
 	}
 	if needFwd {
 		if a == nil {
-			a = rw.fwd[u]
+			a = rw.fwd[c]
 		} else {
-			b = rw.fwd[u]
+			b = rw.fwd[c]
 		}
 	}
 	return cand.SplitInto(a, b, kept, moved)
@@ -216,24 +217,7 @@ func (ci *CompIndex) Bytes() int { return 2 * 4 * len(ci.r.compReach) }
 // DefaultDenseMaxBytes, and the "dense projection" the large-graph
 // benchmark compares resident memory to.
 func ProjectedRowsBytes(r *Reach) int {
-	n, k := r.n, len(r.compReach)
-	identity := k == n
-	if identity {
-		for v, c := range r.comp {
-			if c != v {
-				identity = false
-				break
-			}
-		}
-	}
-	rowBytes := 8 * ((n + 63) / 64)
-	owned := 2 * n * 8 // fwd/bwd pointer slices
-	if identity {
-		owned += k * rowBytes // compBwd only; fwd aliases Reach rows
-	} else {
-		owned += 2 * k * rowBytes
-	}
-	return owned
+	return rowsBytes(r.n, len(r.compReach), identityComp(r))
 }
 
 // TierPolicy selects how an Index is built from a Reach.

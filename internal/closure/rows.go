@@ -16,22 +16,48 @@ import (
 // Beyond the auto-tier threshold the candidate-sparse CompIndex takes
 // over (see index.go).
 //
-// Nodes in the same SCC have identical closure rows, so Rows allocates
-// one row per component and aliases it across members; when the Reach
-// index already stores one singleton component per node in ID order
-// (the ComputeBFS/ComputeBounded shape), the forward rows alias the
-// Reach rows directly with no copying at all.
+// Nodes in the same SCC have identical closure rows, so Rows keeps one
+// row per component and reads a node's row through the Reach index's
+// component assignment; when the Reach index already stores one
+// singleton component per node in ID order (the ComputeBFS/
+// ComputeBounded shape), the forward rows are the Reach rows themselves
+// with no copying at all.
 //
 // Rows is immutable once built and safe for concurrent readers. The
 // returned row sets are shared — callers must never mutate them.
 type Rows struct {
-	n   int
-	fwd []*bitset.Set // fwd[u] = {w : nonempty path u ⇝ w}
-	bwd []*bitset.Set // bwd[u] = {w : nonempty path w ⇝ u}
-	// ownedBytes approximates the heap held by rows allocated here
-	// (excluding rows aliased from the Reach index), for cache
-	// accounting.
-	ownedBytes int
+	n    int
+	comp []int         // node → component, the Reach index's own slice
+	fwd  []*bitset.Set // fwd[c] = {w : nonempty path c ⇝ w}, per component
+	bwd  []*bitset.Set // bwd[c] = {w : nonempty path w ⇝ c}
+	// aliased marks fwd as the Reach index's own component rows (the
+	// identity mapping), which Reach.Bytes already accounts for.
+	aliased bool
+}
+
+// identityComp reports whether r stores one singleton component per
+// node, in ID order — the shape ComputeBFS and ComputeBounded produce.
+// There the component rows already are node rows.
+func identityComp(r *Reach) bool {
+	if len(r.compReach) != r.n {
+		return false
+	}
+	for v, c := range r.comp {
+		if c != v {
+			return false
+		}
+	}
+	return true
+}
+
+// rowsBytes is what a Rows over n nodes in k components holds beyond its
+// Reach index: the rows it does not alias plus the two row tables.
+func rowsBytes(n, k int, aliased bool) int {
+	rows := 2 * k
+	if aliased {
+		rows = k
+	}
+	return rows*8*((n+63)/64) + 2*k*8
 }
 
 // NewRows expands a Reach index into forward and backward closure rows.
@@ -42,22 +68,7 @@ type Rows struct {
 func NewRows(r *Reach) *Rows {
 	n := r.n
 	k := len(r.compReach)
-	rw := &Rows{n: n}
-
-	// Detect the identity component mapping (one singleton component
-	// per node, in ID order) — the shape ComputeBFS and ComputeBounded
-	// produce. There the component rows already are node rows.
-	identity := k == n
-	if identity {
-		for v, c := range r.comp {
-			if c != v {
-				identity = false
-				break
-			}
-		}
-	}
-
-	rowBytes := 8 * ((n + 63) / 64)
+	rw := &Rows{n: n, comp: r.comp, aliased: identityComp(r)}
 
 	// Component-level transpose: compBwd[d] = {c : d ∈ compReach[c]}.
 	compBwd := make([]*bitset.Set, k)
@@ -71,12 +82,10 @@ func NewRows(r *Reach) *Rows {
 		}
 	}
 
-	var fwdByComp, bwdByComp []*bitset.Set
 	switch {
-	case identity:
-		fwdByComp = r.compReach
-		bwdByComp = compBwd
-		rw.ownedBytes += k * rowBytes // compBwd
+	case rw.aliased:
+		rw.fwd = r.compReach
+		rw.bwd = compBwd
 	case k == n:
 		// Acyclic graph whose SCC pass numbered the (all singleton)
 		// components out of ID order. Expanding a component row is then
@@ -100,9 +109,8 @@ func NewRows(r *Reach) *Rows {
 			}
 			return out
 		}
-		fwdByComp = translate(r.compReach)
-		bwdByComp = translate(compBwd)
-		rw.ownedBytes += 2 * k * rowBytes
+		rw.fwd = translate(r.compReach)
+		rw.bwd = translate(compBwd)
 	default:
 		// members[c] = bitset of the nodes in component c; expanding a
 		// component row is then a word-level OR of member bitsets.
@@ -125,18 +133,9 @@ func NewRows(r *Reach) *Rows {
 			}
 			return out
 		}
-		fwdByComp = expand(r.compReach)
-		bwdByComp = expand(compBwd)
-		rw.ownedBytes += 2 * k * rowBytes
+		rw.fwd = expand(r.compReach)
+		rw.bwd = expand(compBwd)
 	}
-
-	rw.fwd = make([]*bitset.Set, n)
-	rw.bwd = make([]*bitset.Set, n)
-	for v := 0; v < n; v++ {
-		rw.fwd[v] = fwdByComp[r.comp[v]]
-		rw.bwd[v] = bwdByComp[r.comp[v]]
-	}
-	rw.ownedBytes += 2 * n * 8 // the fwd/bwd pointer slices
 	return rw
 }
 
@@ -145,16 +144,18 @@ func (rw *Rows) NumNodes() int { return rw.n }
 
 // Fwd returns the forward closure row of u: {w : u ⇝ w}. Shared and
 // immutable — do not modify.
-func (rw *Rows) Fwd(u graph.NodeID) *bitset.Set { return rw.fwd[u] }
+func (rw *Rows) Fwd(u graph.NodeID) *bitset.Set { return rw.fwd[rw.comp[u]] }
 
 // Bwd returns the backward closure row of u: {w : w ⇝ u}. Shared and
 // immutable — do not modify.
-func (rw *Rows) Bwd(u graph.NodeID) *bitset.Set { return rw.bwd[u] }
+func (rw *Rows) Bwd(u graph.NodeID) *bitset.Set { return rw.bwd[rw.comp[u]] }
 
-// Bytes approximates the heap bytes held by the rows beyond what the
-// underlying Reach index already accounts for. Used by the catalog's
-// cache memory accounting.
-func (rw *Rows) Bytes() int { return rw.ownedBytes }
+// Bytes reports the heap bytes held by the rows beyond what the
+// underlying Reach index already accounts for — a function of the
+// shape alone, so a patched Rows (UpdateRows) reports what a fresh
+// expansion of the same Reach would. Used by the catalog's cache memory
+// accounting.
+func (rw *Rows) Bytes() int { return rowsBytes(rw.n, len(rw.bwd), rw.aliased) }
 
 // Bytes approximates the heap bytes held by the Reach index: the
 // component assignment plus the component reachability rows. Used by

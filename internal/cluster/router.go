@@ -138,6 +138,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) initMetrics() {
+	rt.reg.RegisterRuntime()
 	rt.mRequests = rt.reg.CounterVec("phomd_router_requests_total",
 		"Routed requests by route, method and status code.", "route", "method", "code")
 	rt.mLatency = rt.reg.HistogramVec("phomd_router_request_seconds",

@@ -158,6 +158,11 @@ type Stats struct {
 	// that rode in them. Zero when batching is disabled.
 	PatchBatches     uint64 `json:"patch_batches"`
 	PatchesCoalesced uint64 `json:"patches_coalesced"`
+	// SearchIndexPendingDeltas is the point-in-time count of committed
+	// patches the search index has queued and not yet folded into a
+	// graph summary; bounded per summarised graph, 0 while nothing has
+	// been searched.
+	SearchIndexPendingDeltas int `json:"search_index_pending_deltas"`
 }
 
 // ErrExactLimit rejects an exact-decision request whose pattern
@@ -631,6 +636,8 @@ func (e *Engine) Stats() Stats {
 		Batches:   e.batches.Load(),
 		Searches:  e.searches.Load(),
 		Workers:   e.workers,
+
+		SearchIndexPendingDeltas: e.searchIdx.PendingDeltas(),
 	}
 	if e.coalescer != nil {
 		s.PatchBatches = e.coalescer.batches.Load()

@@ -45,6 +45,7 @@ func (e *Engine) initMetrics() {
 	if r == nil {
 		return
 	}
+	r.RegisterRuntime()
 
 	// Worker pool.
 	e.mTaskWait = r.Histogram("phomd_engine_task_wait_seconds",
@@ -127,6 +128,9 @@ func (e *Engine) initMetrics() {
 	r.CounterFunc("phomd_catalog_patch_rebuild_total",
 		"Patches that fell back to dropping and rebuilding closures.",
 		func() float64 { return float64(e.cat.Stats().PatchesRebuild) })
+	r.CounterFunc("phomd_catalog_patch_index_rebuilds_total",
+		"Patches that rebuilt the matcher index instead of patching it (graph outgrew the dense budget, or the row patch declined).",
+		func() float64 { return float64(e.cat.Stats().PatchIndexRebuilds) })
 	patchHist := r.Histogram("phomd_catalog_patch_seconds",
 		"Patch commit wall time (clone, delta or rebuild, swap).", nil)
 	coneHist := r.Histogram("phomd_catalog_patch_cone_comps",
@@ -149,6 +153,9 @@ func (e *Engine) initMetrics() {
 	r.CounterFunc("phomd_search_requests_total",
 		"Catalog-wide search calls.",
 		func() float64 { return float64(e.searches.Load()) })
+	r.GaugeFunc("phomd_search_index_pending_deltas",
+		"Committed patches queued in the search index, not yet folded into a graph summary.",
+		func() float64 { return float64(e.searchIdx.PendingDeltas()) })
 	e.mSearchCandidates = r.Histogram("phomd_search_candidates",
 		"Stage-1 candidates handed to the matcher per search.", searchCandidateBuckets)
 	e.mSearchPruneRatio = r.Histogram("phomd_search_prune_ratio",

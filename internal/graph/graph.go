@@ -32,16 +32,62 @@ type Node struct {
 	Content string
 }
 
+// Adjacency row headers live in fixed-size pages, so that a patched
+// version (ApplyPatch) shares every page it does not write with its
+// parent and copies one page pointer per page plus the pages it touches,
+// instead of one row header per node. 128 rows (3 KB) per page was
+// chosen by measurement: see DESIGN.md, "Memory under mutation".
+const (
+	pageShift = 7
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+type page [pageSize][]NodeID
+
+// adjacency holds one direction's rows — the neighbours of each node,
+// sorted and without duplicates once finished. The rows that fill whole
+// pages are paged; the fewer than pageSize rows after them sit in a
+// plain slice, so a graph smaller than a page costs what its rows cost.
+type adjacency struct {
+	pages []*page
+	tail  [][]NodeID
+}
+
+func (a *adjacency) row(v NodeID) []NodeID { return *a.slot(v) }
+
+// slot addresses row v for writing. Only the graph that allocated the
+// page (or the tail) may write through it.
+func (a *adjacency) slot(v NodeID) *[]NodeID {
+	if i := int(v) - len(a.pages)<<pageShift; i >= 0 {
+		return &a.tail[i]
+	}
+	return &a.pages[v>>pageShift][v&pageMask]
+}
+
+// grow appends one empty row, sealing the tail into a page when that
+// fills it; spare is how many more rows the caller expects.
+func (a *adjacency) grow(spare int) {
+	a.tail = append(a.tail, nil)
+	if len(a.tail) == pageSize {
+		a.pages = append(a.pages, (*page)(a.tail))
+		a.tail = make([][]NodeID, 0, min(spare, pageSize))
+	}
+}
+
 // Graph is a directed node-labelled graph. The zero value is an empty graph
 // ready to use. Graph is not safe for concurrent mutation; concurrent reads
 // are safe once construction is complete.
 type Graph struct {
 	nodes []Node
-	post  [][]NodeID // post[v] = children of v, sorted, no duplicates
-	prev  [][]NodeID // prev[v] = parents of v, sorted, no duplicates
-	edges int
+	// tail is the spare capacity behind nodes that versions made by
+	// ApplyPatch grow into; nil on a graph built node by node.
+	tail  *nodeTail
+	post  adjacency // children
+	prev  adjacency // parents
+	edges int       // exact once clean; counts duplicates until then
 
-	dirty []bool // adjacency rows needing sort+dedup on next Finish/lookup
+	dirty []bool // builder only: nodes whose rows need sort+dedup on next Finish/lookup
 	clean bool   // true when no row is dirty
 }
 
@@ -49,8 +95,8 @@ type Graph struct {
 func New(n int) *Graph {
 	return &Graph{
 		nodes: make([]Node, 0, n),
-		post:  make([][]NodeID, 0, n),
-		prev:  make([][]NodeID, 0, n),
+		post:  adjacency{tail: make([][]NodeID, 0, min(n, pageSize))},
+		prev:  adjacency{tail: make([][]NodeID, 0, min(n, pageSize))},
 		dirty: make([]bool, 0, n),
 		clean: true,
 	}
@@ -71,8 +117,8 @@ func (g *Graph) AddNodeFull(n Node) NodeID {
 	}
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, n)
-	g.post = append(g.post, nil)
-	g.prev = append(g.prev, nil)
+	g.post.grow(cap(g.nodes) - len(g.nodes))
+	g.prev.grow(cap(g.nodes) - len(g.nodes))
 	g.dirty = append(g.dirty, false)
 	return id
 }
@@ -85,12 +131,13 @@ func (g *Graph) AddNodeFull(n Node) NodeID {
 func (g *Graph) AddEdge(from, to NodeID) {
 	g.check(from)
 	g.check(to)
-	g.post[from] = append(g.post[from], to)
-	g.prev[to] = append(g.prev[to], from)
 	g.dirty[from] = true
 	g.dirty[to] = true
 	g.clean = false
-	g.edges++ // provisional; Finish recounts after dedup
+	p, q := g.post.slot(from), g.prev.slot(to)
+	*p = append(*p, to)
+	*q = append(*q, from)
+	g.edges++ // counts a parallel edge until Finish drops it
 }
 
 func (g *Graph) check(v NodeID) {
@@ -100,23 +147,24 @@ func (g *Graph) check(v NodeID) {
 }
 
 // Finish normalises the adjacency lists (sorts them and removes duplicate
-// edges) and recomputes the edge count. It is idempotent and cheap when
+// edges) and settles the edge count. It is idempotent and cheap when
 // nothing changed since the last call. All read accessors call it lazily, so
 // calling Finish explicitly is an optimisation, not a requirement.
 func (g *Graph) Finish() {
 	if g.clean {
 		return
 	}
-	edges := 0
-	for v := range g.post {
-		if g.dirty[v] {
-			g.post[v] = dedupSorted(g.post[v])
-			g.prev[v] = dedupSorted(g.prev[v])
-			g.dirty[v] = false
+	for v, d := range g.dirty {
+		if !d {
+			continue
 		}
-		edges += len(g.post[v])
+		p, q := g.post.slot(NodeID(v)), g.prev.slot(NodeID(v))
+		had := len(*p)
+		*p = dedupSorted(*p)
+		*q = dedupSorted(*q)
+		g.edges -= had - len(*p)
+		g.dirty[v] = false
 	}
-	g.edges = edges
 	g.clean = true
 }
 
@@ -186,7 +234,7 @@ func (g *Graph) Node(v NodeID) Node {
 func (g *Graph) Post(v NodeID) []NodeID {
 	g.check(v)
 	g.Finish()
-	return g.post[v]
+	return g.post.row(v)
 }
 
 // Prev returns the parents of v: the nodes u with an edge (u, v). The
@@ -194,7 +242,7 @@ func (g *Graph) Post(v NodeID) []NodeID {
 func (g *Graph) Prev(v NodeID) []NodeID {
 	g.check(v)
 	g.Finish()
-	return g.prev[v]
+	return g.prev.row(v)
 }
 
 // HasEdge reports whether the directed edge (from, to) exists.
@@ -202,9 +250,7 @@ func (g *Graph) HasEdge(from, to NodeID) bool {
 	g.check(from)
 	g.check(to)
 	g.Finish()
-	row := g.post[from]
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= to })
-	return i < len(row) && row[i] == to
+	return hasSorted(g.post.row(from), to)
 }
 
 // OutDegree reports |post(v)|.
@@ -221,8 +267,8 @@ func (g *Graph) Degree(v NodeID) int { return g.InDegree(v) + g.OutDegree(v) }
 // Iteration stops early if fn returns false.
 func (g *Graph) Edges(fn func(from, to NodeID) bool) {
 	g.Finish()
-	for v := range g.post {
-		for _, u := range g.post[v] {
+	for v := range g.nodes {
+		for _, u := range g.post.row(NodeID(v)) {
 			if !fn(NodeID(v), u) {
 				return
 			}
@@ -252,38 +298,39 @@ func (g *Graph) FindLabel(label string) NodeID {
 }
 
 // Clone returns a deep copy of the graph. Each adjacency direction is
-// copied into one shared arena (two allocations instead of two per
-// node — the difference between microseconds and tens of milliseconds
-// at webgraph scale); rows are full-capacity sub-slices, so appending
-// to one reallocates instead of clobbering its arena neighbour.
+// copied into one shared arena (one allocation per page instead of one
+// per node — the difference between microseconds and tens of
+// milliseconds at webgraph scale); rows are full-capacity sub-slices,
+// so appending to one reallocates instead of clobbering its arena
+// neighbour.
 func (g *Graph) Clone() *Graph {
 	g.Finish()
 	c := New(len(g.nodes))
 	c.nodes = append(c.nodes, g.nodes...)
-	c.post = cloneAdjacency(g.post)
-	c.prev = cloneAdjacency(g.prev)
+	c.post = g.post.clone(g.edges)
+	c.prev = g.prev.clone(g.edges)
 	c.dirty = make([]bool, len(g.nodes))
-	c.clean = true
 	c.edges = g.edges
 	return c
 }
 
-func cloneAdjacency(rows [][]NodeID) [][]NodeID {
-	total := 0
-	for _, r := range rows {
-		total += len(r)
-	}
+// clone copies a, whose rows hold total entries between them.
+func (a *adjacency) clone(total int) adjacency {
 	arena := make([]NodeID, total)
-	out := make([][]NodeID, len(rows))
-	off := 0
-	for v, r := range rows {
-		if len(r) == 0 {
-			continue
+	cloneRows := func(dst, src [][]NodeID) {
+		for j, r := range src {
+			if len(r) > 0 {
+				n := copy(arena, r)
+				dst[j], arena = arena[:n:n], arena[n:]
+			}
 		}
-		copy(arena[off:], r)
-		out[v] = arena[off : off+len(r) : off+len(r)]
-		off += len(r)
 	}
+	out := adjacency{pages: make([]*page, len(a.pages)), tail: make([][]NodeID, len(a.tail))}
+	for i, pg := range a.pages {
+		out.pages[i] = new(page)
+		cloneRows(out.pages[i][:], pg[:])
+	}
+	cloneRows(out.tail, a.tail)
 	return out
 }
 
@@ -306,7 +353,7 @@ func (g *Graph) InducedSubgraph(keep []NodeID) (*Graph, []NodeID) {
 		orig = append(orig, v)
 	}
 	for _, v := range orig {
-		for _, u := range g.post[v] {
+		for _, u := range g.post.row(v) {
 			if nu, ok := old2new[u]; ok {
 				sub.AddEdge(old2new[v], nu)
 			}
@@ -319,17 +366,8 @@ func (g *Graph) InducedSubgraph(keep []NodeID) (*Graph, []NodeID) {
 // Reverse returns the graph with every edge direction flipped.
 func (g *Graph) Reverse() *Graph {
 	g.Finish()
-	r := New(len(g.nodes))
-	r.nodes = append(r.nodes, g.nodes...)
-	r.post = make([][]NodeID, len(g.post))
-	r.prev = make([][]NodeID, len(g.prev))
-	for v := range g.post {
-		r.post[v] = append([]NodeID(nil), g.prev[v]...)
-		r.prev[v] = append([]NodeID(nil), g.post[v]...)
-	}
-	r.dirty = make([]bool, len(g.nodes))
-	r.clean = true
-	r.edges = g.edges
+	r := g.Clone()
+	r.post, r.prev = r.prev, r.post
 	return r
 }
 

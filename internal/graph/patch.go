@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // ContentUpdate replaces the free-text content of one existing node.
 type ContentUpdate struct {
@@ -78,98 +81,177 @@ func (p *Patch) Validate(n int) error {
 // ApplyPatch returns a new graph with the patch applied; the receiver
 // is not modified. Registered graphs are shared by concurrent readers
 // and cached closures, so mutation is copy-on-write: the serving
-// catalog swaps the returned graph in under its lock and invalidates
+// catalog swaps the returned graph in under its lock and maintains
 // the derived state. Application is deterministic — replaying the same
 // patch against the same graph yields an identical graph, which is
 // what WAL recovery relies on.
 //
-// The copy is shallow where it can be: node attributes are copied (one
-// allocation), but adjacency rows are shared with the receiver and
-// only the rows the patch actually touches are copied before mutation.
-// A mutation storm against a large graph then pays O(touched) per
-// patch where a deep clone paid two allocations per node. The sharing
-// is safe under the package's contract that a finished graph is never
-// mutated in place — both graphs, like all registered graphs, are
-// immutable from here on.
+// The new version shares with the receiver everything the patch does
+// not write, so it costs O(touched) time and memory:
+//
+//   - adjacency: the page tables are copied (one pointer per pageSize
+//     nodes), and of the pages — or the short tail after them — only
+//     those holding a row the patch edits; of the rows only the edited
+//     ones. Edits keep rows sorted and the edge count exact as they go,
+//     so no Finish pass is needed.
+//   - node attributes: shared outright by a patch that neither adds a
+//     node nor sets content. Added nodes are written into spare capacity
+//     behind the receiver's nodes (amortised O(added); see nodeTail).
+//     Setting the content of a node the receiver already has is the one
+//     edit that copies all n attributes, because Label, Weight and
+//     Content stay one flat slice for the matrix scans.
+//
+// The sharing is safe under the package's contract that a finished
+// graph is never mutated in place — both graphs, like all registered
+// graphs, are immutable from here on, and readers still holding the
+// receiver (or any older version) are undisturbed.
 func (g *Graph) ApplyPatch(p *Patch) (*Graph, error) {
 	n := g.NumNodes()
 	if err := p.Validate(n); err != nil {
 		return nil, err
 	}
 	g.Finish()
-	grown := n + len(p.AddNodes)
-	ng := &Graph{
-		nodes: append(make([]Node, 0, grown), g.nodes...),
-		post:  append(make([][]NodeID, 0, grown), g.post...),
-		prev:  append(make([][]NodeID, 0, grown), g.prev...),
-		dirty: make([]bool, n, grown),
-		clean: true,
-		edges: g.edges,
-	}
-	// Copy every row a mutation below will write. AddEdge dirties both
-	// endpoints and Finish renormalises both directions of a dirty
-	// node, so an added edge owns all four rows; deleteEdge shifts
-	// exactly post[from] and prev[to]. Rows of patch-added nodes are
-	// fresh and need nothing.
-	ownedPost := make(map[NodeID]bool, 2*len(p.AddEdges)+len(p.DelEdges))
-	ownedPrev := make(map[NodeID]bool, 2*len(p.AddEdges)+len(p.DelEdges))
-	ownPost := func(v NodeID) {
-		if int(v) < n && !ownedPost[v] {
-			ownedPost[v] = true
-			ng.post[v] = append([]NodeID(nil), ng.post[v]...)
-		}
-	}
-	ownPrev := func(v NodeID) {
-		if int(v) < n && !ownedPrev[v] {
-			ownedPrev[v] = true
-			ng.prev[v] = append([]NodeID(nil), ng.prev[v]...)
-		}
-	}
+	ng := &Graph{nodes: g.nodes, tail: g.tail, edges: g.edges, clean: true}
+	post, prev := cow{cur: g.post, base: g.post.pages}, cow{cur: g.prev, base: g.prev.pages}
 	for _, e := range p.DelEdges {
-		ownPost(e[0])
-		ownPrev(e[1])
-	}
-	for _, e := range p.AddEdges {
-		ownPost(e[0])
-		ownPrev(e[0])
-		ownPost(e[1])
-		ownPrev(e[1])
-	}
-	for _, nd := range p.AddNodes {
-		ng.AddNodeFull(nd)
-	}
-	for _, cu := range p.SetContent {
-		ng.SetContent(cu.Node, cu.Content)
-	}
-	for _, e := range p.DelEdges {
-		if !ng.deleteEdge(e[0], e[1]) {
+		// An edge at a node this patch adds cannot exist yet.
+		if int(e[0]) >= n || int(e[1]) >= n || !removeSorted(post.own(e[0]), e[1]) {
 			return nil, fmt.Errorf("graph: patch deletes absent edge %d→%d", e[0], e[1])
 		}
+		removeSorted(prev.own(e[1]), e[0])
+		ng.edges--
 	}
+	post.grow(len(p.AddNodes))
+	prev.grow(len(p.AddNodes))
 	for _, e := range p.AddEdges {
-		ng.AddEdge(e[0], e[1])
+		if !hasSorted(post.cur.row(e[0]), e[1]) {
+			insertSorted(post.own(e[0]), e[1])
+			insertSorted(prev.own(e[1]), e[0])
+			ng.edges++
+		}
 	}
-	ng.Finish()
+	ng.post, ng.prev = post.cur, prev.cur
+	// Nodes last: every step that can fail is behind us, so a claim on
+	// the shared spare capacity is never wasted.
+	ng.patchNodes(p, n)
 	return ng, nil
 }
 
-// deleteEdge removes the directed edge (from, to) and reports whether
-// it existed. The graph must be clean (Clone returns clean graphs);
-// removal preserves sortedness, so the rows stay clean.
-func (g *Graph) deleteEdge(from, to NodeID) bool {
-	g.Finish()
-	if !removeSorted(&g.post[from], to) {
-		return false
-	}
-	removeSorted(&g.prev[to], from)
-	g.edges--
-	return true
+// cow builds one adjacency direction of a patched version: cur starts
+// as the parent's and replaces the page table, the tail, pages and rows
+// by private copies the first time each is written.
+type cow struct {
+	cur      adjacency
+	base     []*page             // the parent's page table
+	ownPages bool                // cur.pages is private
+	ownTail  bool                // cur.tail is private
+	rows     map[NodeID]struct{} // rows already copied
 }
 
-// removeSorted deletes x from the sorted slice *s, reporting whether it
-// was present.
-func removeSorted(s *[]NodeID, x NodeID) bool {
-	row := *s
+func (c *cow) privateTail(extra int) {
+	if !c.ownTail {
+		c.cur.tail = append(make([][]NodeID, 0, len(c.cur.tail)+extra), c.cur.tail...)
+		c.ownTail = true
+	}
+}
+
+func (c *cow) privatePages(extra int) {
+	if !c.ownPages {
+		c.cur.pages = append(make([]*page, 0, len(c.base)+extra), c.base...)
+		c.ownPages = true
+	}
+}
+
+// grow appends k empty rows for the nodes a patch adds.
+func (c *cow) grow(k int) {
+	if k == 0 {
+		return
+	}
+	c.privateTail(k)
+	if sealed := (len(c.cur.tail) + k) >> pageShift; sealed > 0 {
+		c.privatePages(sealed)
+	}
+	for ; k > 0; k-- {
+		c.cur.grow(k - 1)
+	}
+}
+
+// own returns row v's slot in the version being built, private down to
+// the row's backing array.
+func (c *cow) own(v NodeID) *[]NodeID {
+	if i := int(v >> pageShift); i >= len(c.cur.pages) {
+		c.privateTail(0)
+	} else {
+		c.privatePages(0)
+		if i < len(c.base) && c.cur.pages[i] == c.base[i] { // else sealed by this patch
+			cp := *c.base[i]
+			c.cur.pages[i] = &cp
+		}
+	}
+	slot := c.cur.slot(v)
+	if _, mine := c.rows[v]; !mine {
+		if c.rows == nil {
+			c.rows = make(map[NodeID]struct{})
+		}
+		c.rows[v] = struct{}{}
+		*slot = append(make([]NodeID, 0, len(*slot)+1), *slot...)
+	}
+	return slot
+}
+
+// nodeTail is the spare capacity behind the node slice of a graph
+// version. The versions of one lineage share one backing array: a patch
+// that adds nodes claims the slots after its parent's last node and
+// writes them in place — no reader of an older version looks past its
+// own length — so growth costs amortised O(added) instead of an O(n)
+// copy per patch. Only one successor of a version can claim a slot; a
+// second one (a lost commit race, a what-if apply) copies.
+type nodeTail struct {
+	buf  []Node       // the whole backing array, len == cap
+	used atomic.Int64 // slots of buf handed out
+}
+
+// patchNodes gives g, so far sharing the n node attributes of its
+// parent, the nodes p adds and the contents p sets.
+func (g *Graph) patchNodes(p *Patch, n int) {
+	if len(p.AddNodes) == 0 && len(p.SetContent) == 0 {
+		return
+	}
+	grown := n + len(p.AddNodes)
+	private := false
+	for _, cu := range p.SetContent {
+		private = private || int(cu.Node) < n
+	}
+	t := g.tail
+	fits := t != nil && grown <= len(t.buf)
+	if fits && !private && t.used.CompareAndSwap(int64(n), int64(grown)) {
+		g.nodes = t.buf[:grown:grown]
+	} else {
+		size := grown
+		if !fits {
+			// Out of room: leave slack for the appends to come. A copy
+			// forced by a content rewrite or a slot a sibling took is
+			// exact, and gets its slack when it first runs out.
+			size += grown/4 + 4
+		}
+		buf := make([]Node, size)
+		copy(buf, g.nodes[:n])
+		g.tail = &nodeTail{buf: buf}
+		g.tail.used.Store(int64(grown))
+		g.nodes = buf[:grown:grown]
+	}
+	for i, nd := range p.AddNodes {
+		if nd.Weight == 0 {
+			nd.Weight = 1 // as AddNodeFull
+		}
+		g.nodes[n+i] = nd
+	}
+	for _, cu := range p.SetContent {
+		g.nodes[cu.Node].Content = cu.Content
+	}
+}
+
+func searchSorted(row []NodeID, x NodeID) int {
 	lo, hi := 0, len(row)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -179,9 +261,31 @@ func removeSorted(s *[]NodeID, x NodeID) bool {
 			hi = mid
 		}
 	}
-	if lo >= len(row) || row[lo] != x {
+	return lo
+}
+
+func hasSorted(row []NodeID, x NodeID) bool {
+	i := searchSorted(row, x)
+	return i < len(row) && row[i] == x
+}
+
+// insertSorted adds x, which the sorted slice *s must not hold yet.
+func insertSorted(s *[]NodeID, x NodeID) {
+	i := searchSorted(*s, x)
+	row := append(*s, 0)
+	copy(row[i+1:], row[i:])
+	row[i] = x
+	*s = row
+}
+
+// removeSorted deletes x from the sorted slice *s, reporting whether it
+// was present.
+func removeSorted(s *[]NodeID, x NodeID) bool {
+	row := *s
+	i := searchSorted(row, x)
+	if i >= len(row) || row[i] != x {
 		return false
 	}
-	*s = append(row[:lo], row[lo+1:]...)
+	*s = append(row[:i], row[i+1:]...)
 	return true
 }

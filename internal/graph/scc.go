@@ -61,8 +61,8 @@ func (g *Graph) SCC() *SCCResult {
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			v := f.v
-			if f.next < len(g.post[v]) {
-				w := g.post[v][f.next]
+			if row := g.post.row(v); f.next < len(row) {
+				w := row[f.next]
 				f.next++
 				if index[w] == unvisited {
 					index[w] = counter

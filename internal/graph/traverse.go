@@ -22,7 +22,7 @@ func (g *Graph) BFS(start NodeID, visit func(v NodeID) bool) {
 		if !visit(v) {
 			return
 		}
-		for _, u := range g.post[v] {
+		for _, u := range g.post.row(v) {
 			if !seen[u] {
 				seen[u] = true
 				queue = append(queue, u)
@@ -47,7 +47,7 @@ func (g *Graph) DFS(start NodeID, visit func(v NodeID) bool) {
 			return
 		}
 		// Push children in reverse so traversal order matches recursion.
-		row := g.post[v]
+		row := g.post.row(v)
 		for i := len(row) - 1; i >= 0; i-- {
 			if u := row[i]; !seen[u] {
 				seen[u] = true
@@ -78,8 +78,8 @@ func (g *Graph) HasPath(u, v NodeID) bool {
 	g.Finish()
 	// BFS from the successors of u so the empty path is excluded.
 	seen := make([]bool, len(g.nodes))
-	queue := make([]NodeID, 0, len(g.post[u]))
-	for _, w := range g.post[u] {
+	queue := make([]NodeID, 0, len(g.post.row(u)))
+	for _, w := range g.post.row(u) {
 		if w == v {
 			return true
 		}
@@ -91,7 +91,7 @@ func (g *Graph) HasPath(u, v NodeID) bool {
 	for len(queue) > 0 {
 		x := queue[0]
 		queue = queue[1:]
-		for _, w := range g.post[x] {
+		for _, w := range g.post.row(x) {
 			if w == v {
 				return true
 			}
@@ -118,7 +118,7 @@ func (g *Graph) ShortestPath(u, v NodeID) []NodeID {
 	seen := make([]bool, n)
 	queue := make([]NodeID, 0, 16)
 	// Seed from u's successors so that the empty path is excluded.
-	for _, w := range g.post[u] {
+	for _, w := range g.post.row(u) {
 		if !seen[w] {
 			seen[w] = true
 			parent[w] = u
@@ -128,7 +128,7 @@ func (g *Graph) ShortestPath(u, v NodeID) []NodeID {
 	for len(queue) > 0 && !seen[v] {
 		x := queue[0]
 		queue = queue[1:]
-		for _, w := range g.post[x] {
+		for _, w := range g.post.row(x) {
 			if !seen[w] {
 				seen[w] = true
 				parent[w] = x
@@ -182,13 +182,13 @@ func (g *Graph) ConnectedComponents() [][]NodeID {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			members = append(members, v)
-			for _, u := range g.post[v] {
+			for _, u := range g.post.row(v) {
 				if comp[u] == -1 {
 					comp[u] = id
 					stack = append(stack, u)
 				}
 			}
-			for _, u := range g.prev[v] {
+			for _, u := range g.prev.row(v) {
 				if comp[u] == -1 {
 					comp[u] = id
 					stack = append(stack, u)
@@ -208,7 +208,7 @@ func (g *Graph) IsDAG() bool {
 	n := len(g.nodes)
 	indeg := make([]int, n)
 	for v := 0; v < n; v++ {
-		indeg[v] = len(g.prev[v])
+		indeg[v] = len(g.prev.row(NodeID(v)))
 	}
 	queue := make([]NodeID, 0, n)
 	for v := 0; v < n; v++ {
@@ -221,7 +221,7 @@ func (g *Graph) IsDAG() bool {
 		v := queue[0]
 		queue = queue[1:]
 		visited++
-		for _, u := range g.post[v] {
+		for _, u := range g.post.row(v) {
 			indeg[u]--
 			if indeg[u] == 0 {
 				queue = append(queue, u)
@@ -238,7 +238,7 @@ func (g *Graph) TopoSort() []NodeID {
 	n := len(g.nodes)
 	indeg := make([]int, n)
 	for v := 0; v < n; v++ {
-		indeg[v] = len(g.prev[v])
+		indeg[v] = len(g.prev.row(NodeID(v)))
 	}
 	queue := make([]NodeID, 0, n)
 	for v := 0; v < n; v++ {
@@ -251,7 +251,7 @@ func (g *Graph) TopoSort() []NodeID {
 		v := queue[0]
 		queue = queue[1:]
 		order = append(order, v)
-		for _, u := range g.post[v] {
+		for _, u := range g.post.row(v) {
 			indeg[u]--
 			if indeg[u] == 0 {
 				queue = append(queue, u)

@@ -1,9 +1,11 @@
 package metrics
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -309,5 +311,32 @@ func TestNames(t *testing.T) {
 	got := r.Names()
 	if len(got) != 2 || got[0] != "test_a_gauge" || got[1] != "test_b_total" {
 		t.Fatalf("Names() = %v", got)
+	}
+}
+
+// TestRegisterRuntime: the Go runtime families are exported, read live
+// at scrape time, and parse as valid exposition.
+func TestRegisterRuntime(t *testing.T) {
+	r := NewRegistry()
+	r.RegisterRuntime()
+	runtime.GC() // at least one completed cycle, so heap-live is known
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := Parse(&buf)
+	if err != nil {
+		t.Fatalf("runtime families do not parse: %v", err)
+	}
+	for _, name := range []string{
+		"phomd_go_heap_live_bytes", "phomd_go_heap_objects", "phomd_go_goroutines", "phomd_go_gc_cycles_total",
+	} {
+		f := fams[name]
+		if f == nil || len(f.Samples) != 1 || f.Samples[0].Value <= 0 {
+			t.Errorf("%s: want one positive sample, got %+v", name, f)
+		}
+	}
+	if f := fams["phomd_go_gc_pause_cpu_seconds_total"]; f == nil || len(f.Samples) != 1 || f.Samples[0].Value < 0 {
+		t.Errorf("phomd_go_gc_pause_cpu_seconds_total: want one sample, got %+v", f)
 	}
 }

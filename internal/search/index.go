@@ -16,19 +16,30 @@ type patchDelta struct {
 	p       *graph.Patch
 }
 
+// maxPendingDeltas bounds a record's queue of unfolded patch deltas;
+// past it the patch path folds the queue itself. Every queued delta
+// keeps two graph versions reachable, so the bound is what keeps a
+// summarised graph that is patched but never searched from pinning its
+// whole history. 64 — see DESIGN.md, "Memory under mutation".
+const maxPendingDeltas = 64
+
 // rec is the index's record of one registered graph. The summary is
 // built lazily (once, outside the index lock — summarising shingles a
 // whole graph, which must not stall registration or concurrent
 // searches) and maintained incrementally afterwards: committed patches
 // queue as deltas under Index.mu and the next search folds them into
-// the refcounted intermediates, re-shingling only changed nodes.
+// the refcounted intermediates, re-shingling only changed nodes. Until
+// the first search asks for the summary there is nothing to maintain:
+// a patch just replaces the graph.
 type rec struct {
 	name string
 
-	// Guarded by Index.mu: the latest graph, the queue of unfolded
-	// patch deltas, whether the summary build has been published, and
-	// whether sum.Hashes live in the postings map.
+	// Guarded by Index.mu: the latest graph, whether patches queue
+	// deltas (from the start of the first summary build on), the queue
+	// of unfolded deltas, whether the summary build has been published,
+	// and whether sum.Hashes live in the postings map.
 	g       *graph.Graph
+	queue   bool
 	pending []patchDelta
 	built   bool
 	indexed bool
@@ -54,6 +65,7 @@ type Index struct {
 	mu       sync.Mutex
 	recs     map[string]*rec
 	postings map[uint64][]*rec
+	pending  int // Σ len(rec.pending) over recs
 }
 
 // NewIndex builds an index over cat and keeps it coherent by
@@ -73,10 +85,12 @@ func NewIndex(cat *catalog.Catalog) *Index {
 
 // onMutate is the catalog hook. It runs under the catalog lock, so it
 // only does map bookkeeping — the expensive summary work is deferred
-// to the next search. A patch against the graph the record already
-// tracks queues an incremental delta; anything else (register, replace,
-// a patch whose base we never saw) drops the record and starts fresh.
-func (ix *Index) onMutate(name string, g *graph.Graph, m catalog.Mutation) {
+// to the next search, or, once a record's queue is full, to the settle
+// func the catalog runs after unlocking. A patch against the graph the
+// record already tracks queues an incremental delta if a summary exists
+// to maintain; anything else (register, replace, a patch whose base we
+// never saw) drops the record and starts fresh.
+func (ix *Index) onMutate(name string, g *graph.Graph, m catalog.Mutation) (settle func()) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	old := ix.recs[name]
@@ -91,13 +105,28 @@ func (ix *Index) onMutate(name string, g *graph.Graph, m catalog.Mutation) {
 			return // idempotent replay of a graph already indexed
 		}
 		if m.Patch != nil && old.g == m.Prev {
-			old.pending = append(old.pending, patchDelta{prev: m.Prev, g: g, p: m.Patch})
 			old.g = g
+			if old.queue {
+				old.pending = append(old.pending, patchDelta{prev: m.Prev, g: g, p: m.Patch})
+				ix.pending++
+			}
+			if len(old.pending) > maxPendingDeltas {
+				settle = func() { ix.ensure(old) }
+			}
 			return
 		}
 		ix.dropLocked(old)
 	}
 	ix.recs[name] = &rec{name: name, g: g}
+	return
+}
+
+// PendingDeltas reports the patch deltas queued across all records and
+// not yet folded into their summaries.
+func (ix *Index) PendingDeltas() int {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return ix.pending
 }
 
 // dropLocked removes r from the record map and, when its hashes were
@@ -106,6 +135,8 @@ func (ix *Index) dropLocked(r *rec) {
 	if ix.recs[r.name] == r {
 		delete(ix.recs, r.name)
 	}
+	ix.pending -= len(r.pending)
+	r.pending, r.queue = nil, false
 	if !r.indexed {
 		return
 	}
@@ -149,7 +180,9 @@ func (ix *Index) ensure(r *rec) {
 	g := r.g
 	pending := r.pending
 	r.pending = nil
+	ix.pending -= len(pending)
 	built := r.built
+	r.queue = alive // from this snapshot on, the summary follows g by deltas
 	ix.mu.Unlock()
 	if !alive {
 		return

@@ -489,3 +489,67 @@ func TestTopKUnbounded(t *testing.T) {
 		t.Fatalf("order: first %q last %q", ranked[0].Name, ranked[19].Name)
 	}
 }
+
+// TestIndexLongPatchRuns drives one graph through runs of patches far
+// longer than the delta queue — never searched, searched once before
+// the run, and searched every few patches — and requires what the index
+// then serves to deep-equal a fresh Summarize of the final graph, with
+// the queue bounded all along and nothing queued for a graph nobody has
+// searched.
+func TestIndexLongPatchRuns(t *testing.T) {
+	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
+	for _, tc := range []struct {
+		name        string
+		searchFirst bool
+		searchEvery int
+	}{
+		{name: "never searched"},
+		{name: "searched once", searchFirst: true},
+		{name: "interleaved", searchFirst: true, searchEvery: 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(99))
+			cat := catalog.New(0)
+			ix := NewIndex(cat)
+			if err := cat.Register("g", contentGraph("alpha beta gamma", "delta epsilon zeta", "eta theta alpha")); err != nil {
+				t.Fatal(err)
+			}
+			query := Summarize(contentGraph("alpha beta"))
+			if tc.searchFirst {
+				ix.Candidates(query, Policy{})
+			}
+			for step := 1; step <= 5*maxPendingDeltas; step++ {
+				g, err := cat.Get("g")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := cat.Apply("g", randomSearchPatch(rng, g, words)); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				switch queued := ix.PendingDeltas(); {
+				case !tc.searchFirst && queued != 0:
+					t.Fatalf("step %d: %d deltas queued for a graph that was never searched", step, queued)
+				case queued > maxPendingDeltas:
+					t.Fatalf("step %d: %d deltas queued, bound %d", step, queued, maxPendingDeltas)
+				}
+				if tc.searchEvery > 0 && step%tc.searchEvery == 0 {
+					ix.Candidates(query, Policy{})
+				}
+			}
+			ix.Candidates(query, Policy{}) // fold whatever is left
+			g, err := cat.Get("g")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix.mu.Lock()
+			got, queued := ix.recs["g"].sum, ix.pending
+			ix.mu.Unlock()
+			if want := Summarize(g); !reflect.DeepEqual(got, want) {
+				t.Fatalf("summary after the run diverges from a fresh Summarize\n got %+v\nwant %+v", got, want)
+			}
+			if queued != 0 {
+				t.Fatalf("%d deltas still queued after a search", queued)
+			}
+		})
+	}
+}
