@@ -1,5 +1,5 @@
-// Command benchload is the load-shedding and instrumentation-overhead
-// benchmark of the serving stack. It stands up the full HTTP stack
+// Command benchload is the load-shedding benchmark of the serving
+// stack. It stands up the full HTTP stack
 // (httpapi over engine) in-process, measures sustainable capacity
 // closed-loop, then drives open-loop phases at 1× and 5× that capacity
 // and records what the overload protection does: shed rate, error
@@ -8,13 +8,11 @@
 //	go run ./cmd/benchload -out BENCH_load.json
 //	go run ./cmd/benchload -short   # CI-sized phases
 //
-// Three properties gate the run (non-zero exit when violated):
+// Two properties gate the run (non-zero exit when violated):
 //
-//  1. overhead: closed-loop throughput with full instrumentation must
-//     stay within 10% of an Options.NoMetrics engine (ratio ≥ 0.9);
-//  2. shedding: at 5× capacity the admission controller must shed a
+//  1. shedding: at 5× capacity the admission controller must shed a
 //     non-zero fraction instead of queueing without bound;
-//  3. bounded latency: the p99 of requests the 5× phase *served* must
+//  2. bounded latency: the p99 of requests the 5× phase *served* must
 //     stay under the bound (default 1s) — load shedding is working
 //     precisely when excess load turns into fast 429s, not into a
 //     latency collapse of the admitted work.
@@ -81,24 +79,17 @@ func matchBody(salt uint64) []byte {
 	return body
 }
 
-type serverConfig struct {
-	workers   int
-	noMetrics bool
-	graphSize int
-}
-
 // newServer builds the full serving stack the way phomd wires it:
-// admission control at queue+workers, a request timeout, and (unless
-// noMetrics) every layer instrumented.
-func newServer(cfg serverConfig) (*httptest.Server, *engine.Engine) {
-	queue := 4 * cfg.workers
+// admission control at queue+workers, a request timeout, and every
+// layer instrumented.
+func newServer(workers, graphSize int) (*httptest.Server, *engine.Engine) {
+	queue := 4 * workers
 	e := engine.New(engine.Options{
-		Workers:    cfg.workers,
+		Workers:    workers,
 		QueueDepth: queue,
-		MaxPending: queue + cfg.workers,
-		NoMetrics:  cfg.noMetrics,
+		MaxPending: queue + workers,
 	})
-	if err := e.Register("path", pathGraph(cfg.graphSize)); err != nil {
+	if err := e.Register("path", pathGraph(graphSize)); err != nil {
 		log.Fatalf("benchload: %v", err)
 	}
 	ts := httptest.NewServer(httpapi.NewWithOptions(e, httpapi.Options{
@@ -281,14 +272,11 @@ type report struct {
 		Short     bool    `json:"short"`
 	} `json:"config"`
 	Capacity struct {
-		InstrumentedRPS float64 `json:"instrumented_rps"`
-		NoMetricsRPS    float64 `json:"no_metrics_rps"`
-		OverheadRatio   float64 `json:"overhead_ratio"`
-		ClosedLoopOK    float64 `json:"closed_loop_ok_rate"`
+		RPS          float64 `json:"rps"`
+		ClosedLoopOK float64 `json:"closed_loop_ok_rate"`
 	} `json:"capacity"`
 	Phases []phaseResult `json:"phases"`
 	Gates  struct {
-		OverheadOK     bool `json:"overhead_within_10pct"`
 		ShedAt5x       bool `json:"shed_nonzero_at_5x"`
 		P99BoundedAt5x bool `json:"p99_bounded_at_5x"`
 	} `json:"gates"`
@@ -315,41 +303,27 @@ func main() {
 	rep.Config.PhaseSecs = *phaseSec
 	rep.Config.Short = *short
 
-	// Closed-loop capacity, with and without instrumentation. The
-	// NoMetrics engine is the baseline the 10% overhead budget is
-	// measured against.
-	log.Printf("measuring closed-loop capacity (instrumented)")
-	tsI, engI := newServer(serverConfig{workers: *workers, graphSize: *graphSize})
-	instRPS, okRate := closedLoop(tsI.URL, 2**workers, phase)
-	rep.Capacity.InstrumentedRPS = round2(instRPS)
+	log.Printf("measuring closed-loop capacity")
+	ts, eng := newServer(*workers, *graphSize)
+	rps, okRate := closedLoop(ts.URL, 2**workers, phase)
+	rep.Capacity.RPS = round2(rps)
 	rep.Capacity.ClosedLoopOK = round2(okRate)
 
-	log.Printf("measuring closed-loop capacity (NoMetrics baseline)")
-	tsN, engN := newServer(serverConfig{workers: *workers, graphSize: *graphSize, noMetrics: true})
-	baseRPS, _ := closedLoop(tsN.URL, 2**workers, phase)
-	tsN.Close()
-	engN.Close()
-	rep.Capacity.NoMetricsRPS = round2(baseRPS)
-	if baseRPS > 0 {
-		rep.Capacity.OverheadRatio = round3(instRPS / baseRPS)
-	}
-
-	// Open-loop phases against the instrumented server. Rates are
-	// anchored to the measured capacity of this machine.
-	log.Printf("open loop at 1x (%.0f rps) for %v", instRPS, phase)
-	rep.Phases = append(rep.Phases, openLoop("1x", tsI.URL, instRPS, phase))
-	log.Printf("open loop at 5x (%.0f rps) for %v", 5*instRPS, phase)
-	p5 := openLoop("5x", tsI.URL, 5*instRPS, phase)
+	// Open-loop phases, with rates anchored to the measured capacity of
+	// this machine.
+	log.Printf("open loop at 1x (%.0f rps) for %v", rps, phase)
+	rep.Phases = append(rep.Phases, openLoop("1x", ts.URL, rps, phase))
+	log.Printf("open loop at 5x (%.0f rps) for %v", 5*rps, phase)
+	p5 := openLoop("5x", ts.URL, 5*rps, phase)
 	rep.Phases = append(rep.Phases, p5)
-	st := engI.Stats()
+	st := eng.Stats()
 	log.Printf("engine after phases: executed %d, shed %d, errors %d", st.Executed, st.Shed, st.Errors)
-	tsI.Close()
-	engI.Close()
+	ts.Close()
+	eng.Close()
 
-	rep.Gates.OverheadOK = rep.Capacity.OverheadRatio >= 0.9
 	rep.Gates.ShedAt5x = p5.Shed > 0
 	rep.Gates.P99BoundedAt5x = p5.OK > 0 && p5.P99MS < *p99Bound
-	rep.Pass = rep.Gates.OverheadOK && rep.Gates.ShedAt5x && rep.Gates.P99BoundedAt5x
+	rep.Pass = rep.Gates.ShedAt5x && rep.Gates.P99BoundedAt5x
 
 	data, _ := json.MarshalIndent(rep, "", "  ")
 	data = append(data, '\n')
@@ -364,4 +338,3 @@ func main() {
 }
 
 func round2(v float64) float64 { return math.Round(v*100) / 100 }
-func round3(v float64) float64 { return math.Round(v*1000) / 1000 }

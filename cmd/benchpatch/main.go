@@ -310,7 +310,7 @@ func engineStorm(writers, perWriter int, coalesce bool, rep *report) float64 {
 
 	g := syngen.GenerateLarge(syngen.LargeConfig{Nodes: 5000, AvgDeg: 5, CoreFraction: 0.9, Seed: 43})
 	ins, _, cores := classify(g)
-	opts := engine.Options{Workers: 2, StorePath: dir, NoMetrics: true}
+	opts := engine.Options{Workers: 2, StorePath: dir}
 	if coalesce {
 		opts.PatchCoalesceCount = 64
 	}

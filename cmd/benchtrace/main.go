@@ -2,8 +2,7 @@
 // benchengine workload and emits BENCH_trace.json. Four configurations
 // run the same fixed request pool:
 //
-//	baseline  Options{NoTrace, NoMetrics}: the pre-tracing engine (the
-//	          PR-6 NoMetrics baseline configuration)
+//	baseline  Options{NoTrace}: the pre-tracing engine
 //	off       tracing available (flight recorder allocated) but this
 //	          traffic untraced — the hot path of a server whose callers
 //	          did not opt in, which must stay free
@@ -153,7 +152,7 @@ func main() {
 // benchengine workload through it, and returns the throughput plus the
 // number of traces it recorded.
 func runPass(m mode, workers, clients, totalReqs int) (rps float64, traced uint64) {
-	opts := engine.Options{Workers: workers, NoMetrics: true}
+	opts := engine.Options{Workers: workers}
 	if m == modeBaseline {
 		opts.NoTrace = true
 	}

@@ -147,6 +147,7 @@ func main() {
 			noTrace:       *noTrace,
 			traceCapacity: *traceCapacity,
 			traceSlow:     *traceSlow,
+			pprof:         *pprofAddr,
 		})
 		return
 	}
@@ -194,19 +195,10 @@ func main() {
 	est := httpapi.NewReplayEstimator()
 	var handler atomic.Value // of http.Handler
 	handler.Store(httpapi.Booting(est))
-	srv := &http.Server{
-		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			handler.Load().(http.Handler).ServeHTTP(w, r)
-		}),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Fatalf("phomd: %v", err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	log.Printf("phomd listening on %s (booting)", ln.Addr())
+	lc := listen(*addr, *pprofAddr, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.Load().(http.Handler).ServeHTTP(w, r)
+	}))
+	log.Printf("phomd listening on %s (booting)", lc.ln.Addr())
 
 	// With -store, Open replays the persisted catalog (snapshot + WAL)
 	// here — closures and search index rebuilt — while the listener
@@ -265,22 +257,6 @@ func main() {
 			name, g.NumNodes(), g.NumEdges(), time.Since(start).Round(time.Millisecond))
 	}
 
-	// The profiling endpoint listens on its own side port, never on the
-	// serving address: the main server uses a dedicated handler, so the
-	// pprof routes net/http/pprof hangs on DefaultServeMux stay
-	// unreachable unless -pprof is set. This is how serving hot spots
-	// (closure row sweeps, greedyMatch recursion) get profiled in place:
-	//
-	//	go tool pprof http://localhost:6060/debug/pprof/profile
-	if *pprofAddr != "" {
-		go func() {
-			log.Printf("pprof listening on %s", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				log.Printf("phomd: pprof: %v", err)
-			}
-		}()
-	}
-
 	// Warm-up done: swap in the real API and flip readiness. A follower
 	// is ready only once it has provably been at the primary's head and
 	// its lag is within -ready-max-lag — a cold replica that would serve
@@ -312,50 +288,86 @@ func main() {
 	}))
 	ready.Store(true)
 
-	// Graceful shutdown, in dependency order: SIGINT/SIGTERM stops the
-	// listener (Shutdown waits for in-flight HTTP requests), then
-	// eng.Close drains the worker pool and — with -store — fsyncs and
-	// closes the WAL, so no acknowledged mutation is left in an
-	// unsynced tail when the process exits.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		<-ctx.Done()
-		log.Printf("phomd: signal received, draining")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			log.Printf("phomd: shutdown: %v", err)
-		}
-	}()
-
 	if *follow != "" {
 		log.Printf("phomd following %s on %s (%d workers, ready-max-lag %d)",
-			*follow, ln.Addr(), eng.Stats().Workers, *readyMaxLag)
+			*follow, lc.ln.Addr(), eng.Stats().Workers, *readyMaxLag)
 	} else {
 		log.Printf("phomd ready on %s (%d workers, max-pending %d, request-timeout %v)",
-			ln.Addr(), eng.Stats().Workers, pending, *requestTimeout)
+			lc.ln.Addr(), eng.Stats().Workers, pending, *requestTimeout)
 	}
-	err = <-serveErr
-	if err != nil && !errors.Is(err, http.ErrServerClosed) {
-		// Close before exiting even on a listener failure: -load
-		// registrations may already sit in the WAL.
-		eng.Close()
-		log.Fatalf("phomd: %v", err)
-	}
-	// Serve returns the moment the listener closes, while Shutdown is
-	// still draining in-flight handlers — wait for the drain before
-	// closing the engine underneath those requests.
-	stop()
-	<-drained
-	eng.Close()
+	// eng.Close drains the worker pool and — with -store — fsyncs and
+	// closes the WAL, so no acknowledged mutation is left in an unsynced
+	// tail when the process exits; it also runs on a listener failure,
+	// since -load registrations may already sit in the WAL.
+	lc.wait(eng.Close)
 	if st, ok := eng.StoreStats(); ok {
 		log.Printf("phomd stopped (WAL synced at seq %d)", st.LastSeq)
 	} else {
 		log.Printf("phomd stopped")
 	}
+}
+
+// lifecycle is the serving loop the shard and -router modes share: a
+// listener bound before anything slow happens, the optional pprof side
+// port, and a signal-driven graceful drain.
+type lifecycle struct {
+	srv      *http.Server
+	ln       net.Listener
+	serveErr chan error
+}
+
+// listen binds addr and serves h on it in the background. The profiling
+// endpoint, when pprofAddr is set, listens on its own side port, never
+// on the serving address: the main server uses a dedicated handler, so
+// the pprof routes net/http/pprof hangs on DefaultServeMux stay
+// unreachable unless -pprof is set. This is how serving hot spots
+// (closure row sweeps, greedyMatch recursion, shard fan-out) get
+// profiled in place:
+//
+//	go tool pprof http://localhost:6060/debug/pprof/profile
+func listen(addr, pprofAddr string, h http.Handler) *lifecycle {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatalf("phomd: %v", err)
+	}
+	lc := &lifecycle{
+		srv:      &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second},
+		ln:       ln,
+		serveErr: make(chan error, 1),
+	}
+	go func() { lc.serveErr <- lc.srv.Serve(ln) }()
+	if pprofAddr != "" {
+		go func() {
+			log.Printf("pprof listening on %s", pprofAddr)
+			if err := http.ListenAndServe(pprofAddr, nil); err != nil {
+				log.Printf("phomd: pprof: %v", err)
+			}
+		}()
+	}
+	return lc
+}
+
+// wait serves until SIGINT/SIGTERM, then shuts down in dependency
+// order: Shutdown stops the listener and waits (up to 10 s) for
+// in-flight requests, and only then does closeFn release what those
+// requests were using. A listener failure runs closeFn and exits.
+func (lc *lifecycle) wait(closeFn func()) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	select {
+	case err := <-lc.serveErr: // Serve only returns early on a real failure
+		closeFn()
+		log.Fatalf("phomd: %v", err)
+	case <-ctx.Done():
+	}
+	stop() // a second signal while draining kills the process
+	log.Printf("phomd: signal received, draining")
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := lc.srv.Shutdown(shutdownCtx); err != nil {
+		log.Printf("phomd: shutdown: %v", err)
+	}
+	closeFn()
 }
 
 func loadGraph(path string) (*graph.Graph, error) {

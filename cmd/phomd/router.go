@@ -1,16 +1,10 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"graphmatch/internal/cluster"
@@ -29,6 +23,7 @@ type routerFlags struct {
 	noTrace       bool
 	traceCapacity int
 	traceSlow     time.Duration
+	pprof         string
 }
 
 // runRouter is phomd's stateless mode: no engine, no store — just the
@@ -74,15 +69,7 @@ func runRouter(f routerFlags) {
 	if err != nil {
 		log.Fatalf("phomd: %v", err)
 	}
-	defer rt.Close()
-
-	srv := &http.Server{Handler: rt, ReadHeaderTimeout: 10 * time.Second}
-	ln, err := net.Listen("tcp", f.addr)
-	if err != nil {
-		log.Fatalf("phomd: %v", err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
+	lc := listen(f.addr, f.pprof, rt)
 
 	ring := rt.Ring().Config()
 	names := make([]string, 0, len(ring.Shards))
@@ -97,25 +84,7 @@ func runRouter(f routerFlags) {
 		probeEvery = cluster.DefaultProbeInterval
 	}
 	log.Printf("phomd router on %s fronting %s (route-max-lag %d, probe every %v)",
-		ln.Addr(), strings.Join(names, ", "), f.routeMaxLag, probeEvery)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		<-ctx.Done()
-		log.Printf("phomd: signal received, draining")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			log.Printf("phomd: shutdown: %v", err)
-		}
-	}()
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatalf("phomd: %v", err)
-	}
-	stop()
-	<-drained
+		lc.ln.Addr(), strings.Join(names, ", "), f.routeMaxLag, probeEvery)
+	lc.wait(rt.Close)
 	log.Printf("phomd router stopped")
 }

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -66,12 +64,8 @@ type Router struct {
 	opts   RouterOptions
 	client *http.Client
 	health *healthTracker
-	tracer *trace.Recorder
-	reg    *metrics.Registry
-	mux    *http.ServeMux
+	shell  *httpapi.Shell
 
-	mRequests     *metrics.CounterVec
-	mLatency      *metrics.HistogramVec
 	mShardReqs    *metrics.CounterVec
 	mShardSeconds *metrics.HistogramVec
 	mShardErrors  *metrics.CounterVec
@@ -81,7 +75,6 @@ type Router struct {
 	mFanout       *metrics.Histogram
 	mEndpointUp   *metrics.GaugeVec
 	mEndpointLag  *metrics.GaugeVec
-	mInFlight     *metrics.Gauge
 }
 
 // NewRouter builds a router over the given ring configuration and
@@ -97,16 +90,19 @@ func NewRouter(cfg Config, opts RouterOptions) (*Router, error) {
 		tr.MaxIdleConnsPerHost = 64
 		client = &http.Client{Transport: tr}
 	}
+	var tracer *trace.Recorder
+	if !opts.NoTrace {
+		tracer = trace.NewRecorder(opts.TraceCapacity, opts.TraceSlowThreshold)
+	}
+	reg := metrics.NewRegistry()
+	reg.RegisterRuntime()
 	rt := &Router{
 		ring:   ring,
 		opts:   opts,
 		client: client,
-		reg:    metrics.NewRegistry(),
+		shell:  httpapi.NewShell(reg, tracer, opts.RequestTimeout, opts.AccessLog),
 	}
-	if !opts.NoTrace {
-		rt.tracer = trace.NewRecorder(opts.TraceCapacity, opts.TraceSlowThreshold)
-	}
-	rt.initMetrics()
+	rt.initMetrics(reg)
 	rt.health = newHealthTracker(ring.Config().Shards, client, opts.ProbeInterval)
 	rt.health.observe = func(url string, ready bool, lag uint64) {
 		up := 0.0
@@ -124,138 +120,57 @@ func NewRouter(cfg Config, opts RouterOptions) (*Router, error) {
 // Close stops the health prober. In-flight requests finish normally.
 func (rt *Router) Close() { rt.health.close() }
 
-// Registry exposes the router's phomd_router_* metric families.
-func (rt *Router) Registry() *metrics.Registry { return rt.reg }
-
-// Tracer exposes the router's flight recorder (nil with NoTrace).
-func (rt *Router) Tracer() *trace.Recorder { return rt.tracer }
-
 // Ring exposes the placement the router serves from.
 func (rt *Router) Ring() *Ring { return rt.ring }
 
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rt.mux.ServeHTTP(w, r)
+	rt.shell.ServeHTTP(w, r)
 }
 
-func (rt *Router) initMetrics() {
-	rt.reg.RegisterRuntime()
-	rt.mRequests = rt.reg.CounterVec("phomd_router_requests_total",
-		"Routed requests by route, method and status code.", "route", "method", "code")
-	rt.mLatency = rt.reg.HistogramVec("phomd_router_request_seconds",
-		"End-to-end routed request latency by route.", nil, "route")
-	rt.mShardReqs = rt.reg.CounterVec("phomd_router_shard_requests_total",
+// initMetrics registers the router-only families; the transport
+// families (phomd_http_*) are the shell's.
+func (rt *Router) initMetrics(reg *metrics.Registry) {
+	rt.mShardReqs = reg.CounterVec("phomd_router_shard_requests_total",
 		"Shard hops by shard and status code (code \"error\" = transport failure).", "shard", "code")
-	rt.mShardSeconds = rt.reg.HistogramVec("phomd_router_shard_seconds",
+	rt.mShardSeconds = reg.HistogramVec("phomd_router_shard_seconds",
 		"Shard hop latency by shard.", nil, "shard")
-	rt.mShardErrors = rt.reg.CounterVec("phomd_router_shard_errors_total",
+	rt.mShardErrors = reg.CounterVec("phomd_router_shard_errors_total",
 		"Shard hops that failed (transport error or 5xx).", "shard")
-	rt.mRetries = rt.reg.CounterVec("phomd_router_retries_total",
+	rt.mRetries = reg.CounterVec("phomd_router_retries_total",
 		"Idempotent reads retried against another replica.", "shard")
-	rt.mRedirects = rt.reg.Counter("phomd_router_redirects_total",
+	rt.mRedirects = reg.Counter("phomd_router_redirects_total",
 		"Mutations re-sent after a 421 Misdirected redirect.")
-	rt.mPartial = rt.reg.Counter("phomd_router_partial_total",
+	rt.mPartial = reg.Counter("phomd_router_partial_total",
 		"Scatter-gather responses served incomplete under ?partial=1.")
-	rt.mFanout = rt.reg.Histogram("phomd_router_fanout_shards",
+	rt.mFanout = reg.Histogram("phomd_router_fanout_shards",
 		"Shards contacted per scatter-gather request.",
 		[]float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32})
-	rt.mEndpointUp = rt.reg.GaugeVec("phomd_router_endpoint_up",
+	rt.mEndpointUp = reg.GaugeVec("phomd_router_endpoint_up",
 		"1 when the endpoint's last /readyz probe succeeded.", "endpoint")
-	rt.mEndpointLag = rt.reg.GaugeVec("phomd_router_endpoint_lag",
+	rt.mEndpointLag = reg.GaugeVec("phomd_router_endpoint_lag",
 		"X-Replication-Lag reported by the endpoint's last probe.", "endpoint")
-	rt.mInFlight = rt.reg.Gauge("phomd_router_in_flight",
-		"Requests currently inside the router.")
 }
 
 func (rt *Router) initMux() {
-	mux := http.NewServeMux()
-	handle := func(pattern string, h http.HandlerFunc) {
-		mux.Handle(pattern, rt.observe(pattern, h))
-	}
-	handle("POST /v1/graphs", rt.handleRegister)
-	handle("GET /v1/graphs", rt.handleList)
-	handle("GET /v1/graphs/{name}", func(w http.ResponseWriter, r *http.Request) {
+	route := func(pattern string, h http.HandlerFunc) { rt.shell.Route(pattern, nil, h) }
+	route("POST /v1/graphs", rt.handleRegister)
+	route("GET /v1/graphs", rt.handleList)
+	route("GET /v1/graphs/{name}", func(w http.ResponseWriter, r *http.Request) {
 		rt.forwardRead(w, r, r.PathValue("name"), nil)
 	})
-	handle("PATCH /v1/graphs/{name}", func(w http.ResponseWriter, r *http.Request) {
+	route("PATCH /v1/graphs/{name}", func(w http.ResponseWriter, r *http.Request) {
 		rt.forwardMutation(w, r, r.PathValue("name"))
 	})
-	handle("DELETE /v1/graphs/{name}", func(w http.ResponseWriter, r *http.Request) {
+	route("DELETE /v1/graphs/{name}", func(w http.ResponseWriter, r *http.Request) {
 		rt.forwardMutation(w, r, r.PathValue("name"))
 	})
-	handle("POST /v1/match", rt.handleMatch)
-	handle("POST /v1/match/batch", rt.handleBatch)
-	handle("POST /v1/search", rt.handleSearch)
-	handle("POST /v1/admin/snapshot", rt.handleSnapshot)
-	handle("GET /v1/stats", rt.handleStats)
-	handle("GET /v1/cluster", rt.handleCluster)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("GET /readyz", rt.readyz)
-	mux.Handle("GET /metrics", rt.reg.Handler())
-	// The flight recorder stays outside the observe shell, like on the
-	// shards: reading traces must not generate traces.
-	mux.HandleFunc("GET /debug/traces", rt.debugTraces)
-	mux.HandleFunc("GET /debug/traces/{id}", rt.debugTrace)
-	rt.mux = mux
-}
-
-// observe is the router's transport shell: request id, root span,
-// metrics, optional deadline, access log — a stateless sibling of the
-// shard-side httpapi shell.
-func (rt *Router) observe(route string, h http.HandlerFunc) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		id := r.Header.Get("X-Request-ID")
-		if id == "" {
-			id = newRequestID()
-		}
-		w.Header().Set("X-Request-ID", id)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		sp := rt.startTrace(r, route, id, start)
-		if sp.Active() {
-			rec.traceID = sp.TraceID().String()
-			rec.Header().Set("traceparent", sp.Traceparent())
-		}
-		rt.mInFlight.Inc()
-		defer func() {
-			rt.mInFlight.Dec()
-			elapsed := time.Since(start)
-			if sp.Active() {
-				sp.SetInt("http_status", int64(rec.status))
-				sp.EndAfter(elapsed)
-			}
-			rt.mRequests.With(route, r.Method, strconv.Itoa(rec.status)).Inc()
-			rt.mLatency.With(route).Observe(elapsed.Seconds())
-			if lg := rt.opts.AccessLog; lg != nil {
-				lg.Printf("req_id=%s trace_id=%s method=%s path=%s status=%d dur=%s",
-					id, rec.traceID, r.Method, r.URL.Path, rec.status, elapsed.Round(time.Microsecond))
-			}
-		}()
-
-		ctx := r.Context()
-		if sp.Active() {
-			ctx = trace.ContextWithSpan(ctx, sp)
-		}
-		if rt.opts.RequestTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, rt.opts.RequestTimeout)
-			defer cancel()
-		}
-		h(rec, r.WithContext(ctx))
-	})
-}
-
-func (rt *Router) startTrace(r *http.Request, route, id string, start time.Time) trace.Span {
-	if rt.tracer == nil {
-		return trace.Span{}
-	}
-	if h := r.Header.Get("traceparent"); h != "" {
-		if tid, parent, ok := trace.ParseTraceparent(h); ok {
-			return rt.tracer.StartRemoteAt(tid, parent, route, id, start)
-		}
-	}
-	return rt.tracer.StartTraceAt(trace.DeriveTraceID(id), route, id, start)
+	route("POST /v1/match", rt.handleMatch)
+	route("POST /v1/match/batch", rt.handleBatch)
+	route("POST /v1/search", rt.handleSearch)
+	route("POST /v1/admin/snapshot", rt.handleSnapshot)
+	route("GET /v1/stats", rt.handleStats)
+	route("GET /v1/cluster", rt.handleCluster)
+	route("GET /readyz", rt.readyz)
 }
 
 // ---------------------------------------------------------------------------
@@ -296,7 +211,10 @@ func (rt *Router) do(ctx context.Context, r *http.Request, sp trace.Span, shard,
 		return h
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if id := r.Header.Get("X-Request-ID"); id != "" {
+	// The shell put the request's id — the client's or a generated one —
+	// in the context; forwarding it files the shard's access-log line
+	// and trace under the same X-Request-ID the client got back.
+	if id := engine.RequestID(ctx); id != "" {
 		req.Header.Set("X-Request-ID", id)
 	}
 	hsp := sp.Child("router.shard")
@@ -651,7 +569,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	out.ShardsServed = len(served)
 	out.ShardsFailed = failed
 	out.Incomplete = len(failed) > 0
-	writeJSON(w, http.StatusOK, out)
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 // tieOf reconstructs the secondary ranking key the shard's fold used
@@ -707,7 +625,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		ShardsFailed []string `json:"shards_failed,omitempty"`
 		Incomplete   bool     `json:"incomplete,omitempty"`
 	}{Graphs: names, ShardsFailed: failed, Incomplete: len(failed) > 0}
-	writeJSON(w, http.StatusOK, out)
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -809,7 +727,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		ShardsFailed []string          `json:"shards_failed,omitempty"`
 		Incomplete   bool              `json:"incomplete,omitempty"`
 	}{Results: results, ShardsFailed: failed, Incomplete: len(failed) > 0}
-	writeJSON(w, http.StatusOK, out)
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 func hopError(h hop) string {
@@ -829,7 +747,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		shards[h.shard] = json.RawMessage(h.body)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"ring_version": rt.ring.Version(),
 		"shards":       shards,
 	})
@@ -869,7 +787,7 @@ func (rt *Router) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if len(failed) > 0 {
 		status = http.StatusBadGateway
 	}
-	writeJSON(w, status, map[string]any{"shards": out, "shards_failed": failed})
+	httpapi.WriteJSON(w, status, map[string]any{"shards": out, "shards_failed": failed})
 }
 
 // ---------------------------------------------------------------------------
@@ -939,7 +857,7 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Shards = append(out.Shards, row)
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 // readyz: the router is ready when every shard has at least one
@@ -961,57 +879,15 @@ func (rt *Router) readyz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(down) > 0 {
-		writeJSON(w, http.StatusServiceUnavailable,
+		httpapi.WriteJSON(w, http.StatusServiceUnavailable,
 			map[string]any{"status": "degraded", "shards_down": down})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-}
-
-func (rt *Router) debugTraces(w http.ResponseWriter, r *http.Request) {
-	if rt.tracer == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("tracing disabled"))
-		return
-	}
-	limit := 0
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", v))
-			return
-		}
-		limit = n
-	}
-	writeJSON(w, http.StatusOK, httpapi.BuildTraceList(rt.tracer, limit))
-}
-
-func (rt *Router) debugTrace(w http.ResponseWriter, r *http.Request) {
-	if rt.tracer == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("tracing disabled"))
-		return
-	}
-	key := r.PathValue("id")
-	td, ok := rt.tracer.Get(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no trace %q in the flight recorder", key))
-		return
-	}
-	writeJSON(w, http.StatusOK, httpapi.BuildTraceDetail(rt.tracer, td))
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // ---------------------------------------------------------------------------
 // Plumbing
-
-type statusRecorder struct {
-	http.ResponseWriter
-	status  int
-	traceID string
-}
-
-func (rec *statusRecorder) WriteHeader(code int) {
-	rec.status = code
-	rec.ResponseWriter.WriteHeader(code)
-}
 
 type errorResponse struct {
 	Error        string   `json:"error"`
@@ -1034,22 +910,12 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return b, true
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeErrorShards(w, status, err, nil)
 }
 
 func writeErrorShards(w http.ResponseWriter, status int, err error, failed []string) {
-	resp := errorResponse{Error: err.Error(), FailedShards: failed}
-	if rec, ok := w.(*statusRecorder); ok {
-		resp.TraceID = rec.traceID
-	}
-	writeJSON(w, status, resp)
+	httpapi.WriteJSON(w, status, errorResponse{Error: err.Error(), TraceID: httpapi.TraceID(w), FailedShards: failed})
 }
 
 func mustJSON(v any) json.RawMessage {
@@ -1058,12 +924,4 @@ func mustJSON(v any) json.RawMessage {
 		panic(err) // marshalling maps of strings cannot fail
 	}
 	return b
-}
-
-func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "0000000000000000"
-	}
-	return hex.EncodeToString(b[:])
 }

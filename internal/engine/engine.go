@@ -213,11 +213,6 @@ type Options struct {
 	// QueueDepth + Workers). Keeping MaxPending ≤ QueueDepth + Workers
 	// guarantees an admitted task's queue send never blocks.
 	MaxPending int
-	// NoMetrics disables instrumentation entirely: Metrics() returns
-	// nil and every metric point on the hot path is a nil-receiver
-	// no-op. Exists for the instrumentation-overhead benchmark
-	// (cmd/benchload) and for embedders that bring their own metrics.
-	NoMetrics bool
 	// ExactNodeLimit, when positive, rejects Decide/Decide11 requests
 	// whose pattern has more nodes — those procedures are exponential,
 	// and while a context deadline now aborts them mid-recursion, a
@@ -446,9 +441,8 @@ type Engine struct {
 	searches  atomic.Uint64
 	workers   int
 
-	// reg is the process-wide metrics registry (nil with
-	// Options.NoMetrics); the m* instruments are nil exactly when reg
-	// is, making every observation a nil-receiver no-op.
+	// reg is the process-wide metrics registry the m* instruments
+	// register into.
 	reg               *metrics.Registry
 	mTaskWait         *metrics.Histogram
 	mTaskRun          *metrics.Histogram
@@ -496,15 +490,13 @@ func Open(opts Options) (*Engine, error) {
 		searchMaxCand:    opts.SearchMaxCandidates,
 		searchMinResembl: opts.SearchMinResemblance,
 		snapshotEvery:    opts.SnapshotEvery,
+		reg:              metrics.NewRegistry(),
 	}
 	if opts.FollowURL != "" && opts.StorePath == "" {
 		return nil, fmt.Errorf("engine: FollowURL requires StorePath (the follower persists the stream to its own WAL)")
 	}
 	if opts.PatchCoalesceCount > 1 || opts.PatchCoalesceWindow > 0 {
 		e.coalescer = newPatchCoalescer(e, opts.PatchCoalesceWindow, opts.PatchCoalesceCount)
-	}
-	if !opts.NoMetrics {
-		e.reg = metrics.NewRegistry()
 	}
 	if !opts.NoTrace {
 		e.tracer = trace.NewRecorder(opts.TraceCapacity, opts.TraceSlowThreshold)

@@ -31,20 +31,13 @@ var ratioBuckets = []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1}
 // component" to "touched most of a large graph".
 var coneBuckets = []float64{0, 1, 2, 5, 10, 20, 50, 100, 1000, 10000}
 
-// Metrics returns the engine's registry, or nil when the engine was
-// built with Options.NoMetrics (instrumentation fully disabled — the
-// configuration the overhead benchmark compares against).
+// Metrics returns the engine's registry.
 func (e *Engine) Metrics() *metrics.Registry { return e.reg }
 
 // initMetrics registers the engine-pool, catalog, and search families.
-// Called once from Open, before workers start; a nil registry leaves
-// every instrument pointer nil, which the nil-safe metric methods turn
-// into no-ops on the hot path.
+// Called once from Open, before workers start.
 func (e *Engine) initMetrics() {
 	r := e.reg
-	if r == nil {
-		return
-	}
 	r.RegisterRuntime()
 
 	// Worker pool.
@@ -171,7 +164,7 @@ func (e *Engine) initMetrics() {
 // not append, so nothing is missed) and before traffic.
 func (e *Engine) initStoreMetrics() {
 	r := e.reg
-	if r == nil || e.store == nil {
+	if e.store == nil {
 		return
 	}
 	appendHist := r.Histogram("phomd_store_append_seconds",
@@ -208,7 +201,7 @@ func (e *Engine) initStoreMetrics() {
 // already covered by the phomd_store_* families).
 func (e *Engine) initReplMetrics() {
 	r := e.reg
-	if r == nil || e.follower == nil {
+	if e.follower == nil {
 		return
 	}
 	f := e.follower

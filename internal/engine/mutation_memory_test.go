@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,6 +187,7 @@ func TestMatchersOnSupersededVersions(t *testing.T) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var got []Result
+	var completed atomic.Int64
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func() {
@@ -200,10 +202,24 @@ func TestMatchersOnSupersededVersions(t *testing.T) {
 				mu.Lock()
 				got = append(got, res)
 				mu.Unlock()
+				completed.Add(1)
 			}
 		}()
 	}
+	// Each patch waits until a match has completed since the one before
+	// it, so the matchers run between every two commits even where the
+	// scheduler would let this loop finish first (with GOMAXPROCS=1 it is
+	// not preempted for 10 ms, longer than the 90 patches take).
+	var seen int64
 	for i := 0; i < 90; i++ {
+		deadline := time.Now().Add(10 * time.Second)
+		for completed.Load() <= seen {
+			if time.Now().After(deadline) {
+				t.Fatalf("no match completed before patch %d", i)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+		seen = completed.Load()
 		p := mix.next(false)
 		if i%3 == 0 {
 			nid := graph.NodeID(versions[len(versions)-1].NumNodes())

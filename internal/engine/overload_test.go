@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -291,20 +292,13 @@ func TestEngineMetricsRegistered(t *testing.T) {
 	e := New(Options{Workers: 1})
 	t.Cleanup(e.Close)
 	if e.Metrics() == nil {
-		t.Fatal("Metrics() nil without NoMetrics")
+		t.Fatal("Metrics() nil")
 	}
-	e2 := New(Options{Workers: 1, NoMetrics: true})
-	t.Cleanup(e2.Close)
-	if e2.Metrics() != nil {
-		t.Fatal("Metrics() non-nil with NoMetrics")
-	}
-	// NoMetrics engines must still serve requests (nil-safe
-	// instruments).
-	if err := e2.Register("path", pathGraph(10)); err != nil {
-		t.Fatal(err)
-	}
-	if res := e2.Match(context.Background(), Request{Pattern: pathGraph(2), GraphName: "path", Algo: MaxCard, Xi: 0.5}); res.Err != nil {
-		t.Fatalf("NoMetrics engine match failed: %v", res.Err)
+	names := strings.Join(e.Metrics().Names(), " ")
+	for _, want := range []string{"phomd_engine_task_run_seconds", "phomd_catalog_graphs", "phomd_go_goroutines"} {
+		if !strings.Contains(names, want) {
+			t.Errorf("engine registry lacks %s", want)
+		}
 	}
 }
 

@@ -88,7 +88,7 @@ func (e *ReplayEstimator) RetryAfter() time.Duration {
 func Booting(est *ReplayEstimator) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "booting"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "booting"})
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		retry := bootRetryMin
@@ -96,7 +96,7 @@ func Booting(est *ReplayEstimator) http.Handler {
 			retry = est.RetryAfter()
 		}
 		w.Header().Set("Retry-After", formatSeconds(retry))
-		writeJSON(w, http.StatusServiceUnavailable,
+		WriteJSON(w, http.StatusServiceUnavailable,
 			map[string]string{"error": "booting: store replay in progress"})
 	})
 	return mux

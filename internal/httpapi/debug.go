@@ -13,7 +13,7 @@ import (
 // most recent completed traces (newest first, slow-ring survivors
 // included) and GET /debug/traces/{id} returns one full span tree,
 // looked up by trace id or by the X-Request-ID a response carried.
-// Both routes live outside the observe shell — see NewWithOptions.
+// Both routes live outside the observe shell — see newShell.
 
 // TraceSummary is one row of GET /debug/traces.
 type TraceSummary struct {
@@ -67,8 +67,8 @@ type TraceDetailResponse struct {
 	Spans        []TraceSpan `json:"spans"`
 }
 
-func (s *server) debugTraces(w http.ResponseWriter, r *http.Request) {
-	tr := s.eng.Tracer()
+func (sh *Shell) debugTraces(w http.ResponseWriter, r *http.Request) {
+	tr := sh.tracer
 	if tr == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("tracing disabled"))
 		return
@@ -82,13 +82,6 @@ func (s *server) debugTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	writeJSON(w, http.StatusOK, BuildTraceList(tr, limit))
-}
-
-// BuildTraceList assembles the GET /debug/traces body from a flight
-// recorder. Shared with the cluster router, whose own recorder serves
-// the same route shape.
-func BuildTraceList(tr *trace.Recorder, limit int) TraceListResponse {
 	st := tr.Stats()
 	out := TraceListResponse{
 		SlowThresholdUS: tr.SlowThreshold().Microseconds(),
@@ -100,11 +93,11 @@ func BuildTraceList(tr *trace.Recorder, limit int) TraceListResponse {
 	for _, td := range tr.Snapshot(limit) {
 		out.Traces = append(out.Traces, summarize(td, tr.SlowThreshold()))
 	}
-	return out
+	WriteJSON(w, http.StatusOK, out)
 }
 
-func (s *server) debugTrace(w http.ResponseWriter, r *http.Request) {
-	tr := s.eng.Tracer()
+func (sh *Shell) debugTrace(w http.ResponseWriter, r *http.Request) {
+	tr := sh.tracer
 	if tr == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("tracing disabled"))
 		return
@@ -115,12 +108,6 @@ func (s *server) debugTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no trace %q in the flight recorder", key))
 		return
 	}
-	writeJSON(w, http.StatusOK, BuildTraceDetail(tr, td))
-}
-
-// BuildTraceDetail assembles the GET /debug/traces/{id} body for one
-// completed trace. Shared with the cluster router.
-func BuildTraceDetail(tr *trace.Recorder, td trace.TraceData) TraceDetailResponse {
 	out := TraceDetailResponse{
 		ID:           td.ID.String(),
 		Route:        td.Name,
@@ -149,7 +136,7 @@ func BuildTraceDetail(tr *trace.Recorder, td trace.TraceData) TraceDetailRespons
 		}
 		out.Spans = append(out.Spans, ts)
 	}
-	return out
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func summarize(td trace.TraceData, slowThreshold time.Duration) TraceSummary {

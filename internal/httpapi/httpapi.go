@@ -27,8 +27,9 @@
 //
 // Observability and overload protection — request IDs, access log,
 // per-route metrics, per-request deadlines and per-endpoint
-// concurrency limits — live in observe.go and are configured through
-// Options / NewWithOptions.
+// concurrency limits — live in observe.go's Shell, configured through
+// Options / NewWithOptions; the cluster router serves through the same
+// Shell.
 package httpapi
 
 import (
@@ -40,7 +41,6 @@ import (
 	"graphmatch/internal/catalog"
 	"graphmatch/internal/engine"
 	"graphmatch/internal/graph"
-	"graphmatch/internal/metrics"
 	"graphmatch/internal/repl"
 	"graphmatch/internal/store"
 	"graphmatch/internal/trace"
@@ -255,22 +255,6 @@ func New(e *engine.Engine) http.Handler {
 type server struct {
 	eng  *engine.Engine
 	opts Options
-	// follower is fixed at construction: whether eng replicates from a
-	// primary (and so should advertise X-Replication-Lag on responses).
-	follower bool
-
-	// Per-endpoint concurrency gates; nil means unlimited.
-	matchSem  chan struct{}
-	searchSem chan struct{}
-	patchSem  chan struct{}
-
-	// Transport metric families; nil (engine without a registry, or a
-	// second handler over the same engine) means no-op.
-	mRequests  *metrics.CounterVec
-	mLatency   *metrics.HistogramVec
-	mRespBytes *metrics.CounterVec
-	mLimited   *metrics.CounterVec
-	mInFlight  *metrics.Gauge
 }
 
 func (s *server) registerGraph(w http.ResponseWriter, r *http.Request) {
@@ -290,7 +274,7 @@ func (s *server) registerGraph(w http.ResponseWriter, r *http.Request) {
 		s.writeMutationError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, RegisterResponse{
+	WriteJSON(w, http.StatusCreated, RegisterResponse{
 		Name:  req.Name,
 		Nodes: req.Graph.NumNodes(),
 		Edges: req.Graph.NumEdges(),
@@ -298,7 +282,7 @@ func (s *server) registerGraph(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) listGraphs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]string{"graphs": s.eng.Catalog().Names()})
+	WriteJSON(w, http.StatusOK, map[string][]string{"graphs": s.eng.Catalog().Names()})
 }
 
 func (s *server) describeGraph(w http.ResponseWriter, r *http.Request) {
@@ -314,7 +298,7 @@ func (s *server) describeGraph(w http.ResponseWriter, r *http.Request) {
 		out.AvgDeg = st.AvgDeg
 		out.MaxDeg = st.MaxDeg
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *server) patchGraph(w http.ResponseWriter, r *http.Request) {
@@ -332,7 +316,7 @@ func (s *server) patchGraph(w http.ResponseWriter, r *http.Request) {
 		s.writeMutationError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, PatchResponse{Name: name, Nodes: g.NumNodes(), Edges: g.NumEdges()})
+	WriteJSON(w, http.StatusOK, PatchResponse{Name: name, Nodes: g.NumNodes(), Edges: g.NumEdges()})
 }
 
 func (s *server) snapshot(w http.ResponseWriter, r *http.Request) {
@@ -341,7 +325,7 @@ func (s *server) snapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SnapshotResponse{Store: st})
+	WriteJSON(w, http.StatusOK, SnapshotResponse{Store: st})
 }
 
 func (s *server) removeGraph(w http.ResponseWriter, r *http.Request) {
@@ -354,7 +338,7 @@ func (s *server) removeGraph(w http.ResponseWriter, r *http.Request) {
 		s.writeMutationError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RemoveResponse{Name: name, Removed: true})
+	WriteJSON(w, http.StatusOK, RemoveResponse{Name: name, Removed: true})
 }
 
 func (s *server) match(w http.ResponseWriter, r *http.Request) {
@@ -376,7 +360,7 @@ func (s *server) match(w http.ResponseWriter, r *http.Request) {
 	if wantExplain(r) {
 		out.TraceID, out.Explain = explainOf(r)
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // wantExplain reports whether the request asked for the per-stage
@@ -447,7 +431,7 @@ func (s *server) matchBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Otherwise the batch as a whole is 200; per-item failures ride in
 	// "error".
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *server) search(w http.ResponseWriter, r *http.Request) {
@@ -501,7 +485,7 @@ func (s *server) search(w http.ResponseWriter, r *http.Request) {
 	if wantExplain(r) {
 		out.TraceID, out.Explain = explainOf(r)
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *server) stats(w http.ResponseWriter, r *http.Request) {
@@ -516,7 +500,7 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 	if rs, ok := s.eng.ReplStats(); ok {
 		out.Replication = &rs
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // toPatch converts the wire patch to the graph-level one.
@@ -535,10 +519,6 @@ func (pr PatchRequest) toPatch() *graph.Patch {
 		p.AddEdges = append(p.AddEdges, [2]graph.NodeID{graph.NodeID(e[0]), graph.NodeID(e[1])})
 	}
 	return p
-}
-
-func (s *server) health(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // toEngine validates the wire request and converts it. Invalid
@@ -694,20 +674,15 @@ func statusFor(err error) int {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the JSON response body with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
-	resp := errorResponse{Error: err.Error()}
-	// Handlers behind the observe shell write through the shell's
-	// statusRecorder, which knows the request's trace id.
-	if rec, ok := w.(*statusRecorder); ok {
-		resp.TraceID = rec.traceID
-	}
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, errorResponse{Error: err.Error(), TraceID: TraceID(w)})
 }
 
 // writeMutationError is writeError for the mutation routes, plus the
