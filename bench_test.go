@@ -1,7 +1,7 @@
 package graphmatch
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (Section 6), plus the ablations called out in DESIGN.md §5.
+// evaluation (Section 6), plus the ablations called out in DESIGN.md §1.
 // Benchmarks run scaled-down workloads so `go test -bench=.` finishes in
 // minutes; `cmd/experiments` regenerates the full-scale rows and series.
 //
@@ -10,6 +10,7 @@ package graphmatch
 // benchmarks time each algorithm separately at the swept settings.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"graphmatch/internal/core"
 	"graphmatch/internal/experiments"
 	"graphmatch/internal/graph"
+	"graphmatch/internal/product"
 	"graphmatch/internal/simmatrix"
 	"graphmatch/internal/simulation"
 	"graphmatch/internal/syngen"
@@ -60,25 +62,27 @@ func table3Instances(b *testing.B, skSet int) map[string]*core.Instance {
 	return out
 }
 
+// compAlgos lists the paper's four approximation algorithms under their
+// Table 3 names.
+var compAlgos = []struct {
+	name string
+	run  func(*core.Instance, context.Context) (core.Mapping, error)
+}{
+	{"compMaxCard", (*core.Instance).CompMaxCardCtx},
+	{"compMaxCard1-1", (*core.Instance).CompMaxCard11Ctx},
+	{"compMaxSim", (*core.Instance).CompMaxSimCtx},
+	{"compMaxSim1-1", (*core.Instance).CompMaxSim11Ctx},
+}
+
 func BenchmarkTable3_WebMatching(b *testing.B) {
-	type algo struct {
-		name string
-		run  func(in *core.Instance) core.Mapping
-	}
-	algos := []algo{
-		{"compMaxCard", func(in *core.Instance) core.Mapping { return in.CompMaxCard() }},
-		{"compMaxCard1-1", func(in *core.Instance) core.Mapping { return in.CompMaxCard11() }},
-		{"compMaxSim", func(in *core.Instance) core.Mapping { return in.CompMaxSim() }},
-		{"compMaxSim1-1", func(in *core.Instance) core.Mapping { return in.CompMaxSim11() }},
-	}
 	for skSet, skName := range []string{"skeletons1", "skeletons2"} {
 		instances := table3Instances(b, skSet)
-		for _, a := range algos {
+		for _, a := range compAlgos {
 			for site, in := range instances {
 				b.Run(fmt.Sprintf("%s/%s/%s", skName, a.name, site), func(b *testing.B) {
 					var q float64
 					for i := 0; i < b.N; i++ {
-						m := a.run(in)
+						m, _ := a.run(in, context.Background())
 						q = in.QualCard(m)
 					}
 					b.ReportMetric(q*100, "qualCard_pct")
@@ -125,16 +129,16 @@ func synInstances(m int, noise, xi float64, numData int, seed int64) []*core.Ins
 // benchAccuracyPoint times compMaxCard per matching run and reports the
 // point's accuracy across the prepared data graphs.
 func benchAccuracyPoint(b *testing.B, ins []*core.Instance) {
+	ctx := context.Background()
 	matched := 0
 	for _, in := range ins {
-		if in.QualCard(in.CompMaxCard()) >= 0.75 {
+		if m, _ := in.CompMaxCardCtx(ctx); in.QualCard(m) >= 0.75 {
 			matched++
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in := ins[i%len(ins)]
-		in.CompMaxCard()
+		ins[i%len(ins)].CompMaxCardCtx(ctx)
 	}
 	b.ReportMetric(100*float64(matched)/float64(len(ins)), "accuracy_pct")
 }
@@ -162,26 +166,13 @@ func BenchmarkFig5c_AccuracyVsThreshold(b *testing.B) {
 
 // benchAlgorithms times every Fig. 6 competitor on one instance.
 func benchAlgorithms(b *testing.B, in *core.Instance) {
-	b.Run("compMaxCard", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			in.CompMaxCard()
-		}
-	})
-	b.Run("compMaxCard1-1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			in.CompMaxCard11()
-		}
-	})
-	b.Run("compMaxSim", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			in.CompMaxSim()
-		}
-	})
-	b.Run("compMaxSim1-1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			in.CompMaxSim11()
-		}
-	})
+	for _, a := range compAlgos {
+		b.Run(a.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				a.run(in, context.Background())
+			}
+		})
+	}
 	b.Run("graphSimulation", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			simulation.Compute(in.G1, in.G2, in.Mat, in.Xi)
@@ -210,7 +201,7 @@ func BenchmarkFig6c_TimeVsThreshold(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations (DESIGN.md §1) ---
 
 // BenchmarkAblation_DirectVsNaive quantifies why compMaxCard operates on
 // the matching list instead of materialising the product graph: the naive
@@ -220,12 +211,13 @@ func BenchmarkAblation_DirectVsNaive(b *testing.B) {
 	in := ins[0]
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			in.CompMaxCard()
+			in.CompMaxCardCtx(context.Background())
 		}
 	})
 	b.Run("naive-product", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			in.NaiveMaxCard()
+			p := product.Build(in.G1, in.G2, in.Mat, in.Xi, false, in.Reach())
+			p.MappingFromClique(p.MaxCardClique())
 		}
 	})
 }
@@ -250,7 +242,7 @@ func BenchmarkAblation_PartitionG1(b *testing.B) {
 	in := core.NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.75)
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			in.CompMaxCard()
+			in.CompMaxCardCtx(context.Background())
 		}
 	})
 	b.Run("partitioned", func(b *testing.B) {
@@ -281,7 +273,7 @@ func BenchmarkAblation_CompressClosure(b *testing.B) {
 	in := core.NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.75)
 	b.Run("raw", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			in.CompMaxCard()
+			in.CompMaxCardCtx(context.Background())
 		}
 	})
 	b.Run("compressed", func(b *testing.B) {
@@ -296,18 +288,14 @@ func BenchmarkAblation_CompressClosure(b *testing.B) {
 func BenchmarkAblation_PickOrder(b *testing.B) {
 	ins := synInstances(80, 10, 0.75, 1, 13)
 	in := ins[0]
-	b.Run("max-good", func(b *testing.B) {
-		var size int
+	run := func(b *testing.B) {
+		var m core.Mapping
 		for i := 0; i < b.N; i++ {
-			size = len(in.CompMaxCardOpts(core.MatchOptions{}))
+			m, _ = in.CompMaxCardCtx(context.Background())
 		}
-		b.ReportMetric(float64(size), "matched_nodes")
-	})
-	b.Run("first", func(b *testing.B) {
-		var size int
-		for i := 0; i < b.N; i++ {
-			size = len(in.CompMaxCardOpts(core.MatchOptions{ArbitraryPick: true}))
-		}
-		b.ReportMetric(float64(size), "matched_nodes")
-	})
+		b.ReportMetric(float64(len(m)), "matched_nodes")
+	}
+	b.Run("max-good", run)
+	in.ArbitraryPick = true
+	b.Run("first", run)
 }

@@ -128,7 +128,7 @@ func main() {
 			in := core.NewInstance(pattern, data, mat, 0.9)
 			in.SetReach(reach)
 			in.SetIndex(rows)
-			_ = in.CompMaxCard()
+			_, _ = in.CompMaxCardCtx(context.Background())
 		}
 	})
 	sparseMatch := testing.Benchmark(func(b *testing.B) {
@@ -137,7 +137,7 @@ func main() {
 			in := core.NewInstance(pattern, data, mat, 0.9)
 			in.SetReach(reach)
 			in.SetIndex(sparse)
-			_ = in.CompMaxCard()
+			_, _ = in.CompMaxCardCtx(context.Background())
 		}
 	})
 

@@ -225,7 +225,7 @@ func (r *runner) fig5c() { r.xiSweep(false) }
 func (r *runner) fig6c() { r.xiSweep(true) }
 
 func (r *runner) ablation() {
-	fmt.Println("=== Ablations (DESIGN.md §5) ===")
+	fmt.Println("=== Ablations (DESIGN.md §1) ===")
 	rows := experiments.RunAblations(r.scaled(400), r.seed)
 	fmt.Print(experiments.FormatAblations(rows))
 	fmt.Println()

@@ -30,6 +30,8 @@
 package graphmatch
 
 import (
+	"context"
+
 	"graphmatch/internal/core"
 	"graphmatch/internal/graph"
 	"graphmatch/internal/simmatrix"
@@ -92,7 +94,9 @@ func SparseMatrix() *simmatrix.Sparse { return simmatrix.NewSparse() }
 // threshold ξ) and caches the data graph's transitive closure across
 // algorithm invocations. Create it with NewMatcher; the zero value is not
 // usable. A Matcher is safe for concurrent use once any method has been
-// called.
+// called. Its methods run internal/core's context-first entry points
+// under context.Background(), which is never cancelled, so they cannot
+// fail; Engine is the path with deadlines.
 type Matcher struct {
 	in *core.Instance
 }
@@ -129,27 +133,45 @@ func (m *Matcher) Symmetric() *Matcher {
 // IsPHom decides G1 ≼(e,p) G2 exactly and returns a total witness mapping
 // when it holds. Exponential in the worst case (the problem is
 // NP-complete); intended for moderate pattern sizes.
-func (m *Matcher) IsPHom() (Mapping, bool) { return m.in.Decide() }
+func (m *Matcher) IsPHom() (Mapping, bool) {
+	σ, ok, _ := m.in.DecideCtx(context.Background())
+	return σ, ok
+}
 
 // IsPHom11 decides G1 ≼1-1(e,p) G2 exactly, returning an injective total
 // witness when it holds. Exponential in the worst case.
-func (m *Matcher) IsPHom11() (Mapping, bool) { return m.in.Decide11() }
+func (m *Matcher) IsPHom11() (Mapping, bool) {
+	σ, ok, _ := m.in.Decide11Ctx(context.Background())
+	return σ, ok
+}
 
 // MaxCard approximates the maximum cardinality problem CPH with algorithm
 // compMaxCard (paper Fig. 3). The result is always a valid p-hom mapping
 // from the induced subgraph of its domain.
-func (m *Matcher) MaxCard() Mapping { return m.in.CompMaxCard() }
+func (m *Matcher) MaxCard() Mapping {
+	σ, _ := m.in.CompMaxCardCtx(context.Background())
+	return σ
+}
 
 // MaxCard11 approximates CPH1−1 (injective mappings) with
 // compMaxCard1−1.
-func (m *Matcher) MaxCard11() Mapping { return m.in.CompMaxCard11() }
+func (m *Matcher) MaxCard11() Mapping {
+	σ, _ := m.in.CompMaxCard11Ctx(context.Background())
+	return σ
+}
 
 // MaxSim approximates the maximum overall similarity problem SPH with
 // compMaxSim (weight buckets à la Halldórsson plus greedy augmentation).
-func (m *Matcher) MaxSim() Mapping { return m.in.CompMaxSim() }
+func (m *Matcher) MaxSim() Mapping {
+	σ, _ := m.in.CompMaxSimCtx(context.Background())
+	return σ
+}
 
 // MaxSim11 approximates SPH1−1.
-func (m *Matcher) MaxSim11() Mapping { return m.in.CompMaxSim11() }
+func (m *Matcher) MaxSim11() Mapping {
+	σ, _ := m.in.CompMaxSim11Ctx(context.Background())
+	return σ
+}
 
 // PartitionedMaxCard runs compMaxCard per connected component of the
 // pruned pattern (Appendix B optimisation; p-hom only).

@@ -6,6 +6,7 @@ package graphmatch
 // scale.
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -109,7 +110,7 @@ func TestIntegrationReductionToMatcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := core.NewInstance(r.G1, r.G2, r.Mat, r.Xi)
-	m, ok := in.Decide()
+	m, ok, _ := in.DecideCtx(context.Background())
 	if !ok {
 		t.Fatal("satisfiable instance must be p-hom")
 	}

@@ -107,7 +107,7 @@ func TestMaxSimHoldsNoPerNodeRows(t *testing.T) {
 		in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.9)
 		in.SetReach(reach)
 		in.SetIndex(idx)
-		if m := in.CompMaxSim(); len(m) == 0 {
+		if m := compMaxSim(in); len(m) == 0 {
 			t.Fatal("degenerate fixture: nothing matched")
 		}
 	}

@@ -100,7 +100,7 @@ func BenchmarkCompMaxCardServing(b *testing.B) {
 		in := NewInstance(g1, g2, mat, 0.9)
 		in.SetReach(reach)
 		in.SetIndex(idx)
-		_ = in.CompMaxCard()
+		_ = compMaxCard(in)
 	}
 }
 
@@ -117,7 +117,7 @@ func BenchmarkCompMaxCardSparseTier(b *testing.B) {
 		in := NewInstance(g1, g2, mat, 0.9)
 		in.SetReach(reach)
 		in.SetIndex(sparse)
-		_ = in.CompMaxCard()
+		_ = compMaxCard(in)
 	}
 }
 
@@ -131,7 +131,7 @@ func BenchmarkCompMaxSimServing(b *testing.B) {
 		in := NewInstance(g1, g2, mat, 0.9)
 		in.SetReach(reach)
 		in.SetIndex(idx)
-		_ = in.CompMaxSim()
+		_ = compMaxSim(in)
 	}
 }
 

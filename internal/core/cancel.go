@@ -28,15 +28,14 @@ import (
 //     abandoned matcher is garbage collected whole, and a subsequent
 //     identical request builds a fresh matcher and returns
 //     bit-identical results (pinned by TestCancelPoisonsNothing).
-//   - The closure/index build paths get the same treatment via
-//     closure.ComputeCtx/ComputeBoundedCtx (polled per node), reached
-//     through ReachCtx/IndexCtx. Builds installed by the catalog are
-//     shared across requests and are never cancelled — only a
-//     request-private lazy build dies with its request.
+//   - The closure build gets the same treatment via
+//     closure.ComputeBoundedCtx (polled per node), reached through
+//     ReachCtx. Builds installed by the catalog are shared across
+//     requests and are never cancelled — only a request-private lazy
+//     build dies with its request.
 //
-// The non-Ctx methods delegate with context.Background(), whose nil
-// Done channel disables polling entirely — library callers pay
-// nothing.
+// context.Background()'s nil Done channel disables polling entirely,
+// so callers with no deadline pay nothing.
 
 // ErrDeadline reports that a matching computation was abandoned
 // because its context was cancelled or its deadline expired before the
@@ -68,9 +67,6 @@ func wrapDeadline(cause error) error {
 // bind installs ctx on the matcher. A context that can never be
 // cancelled (Background) leaves polling disabled.
 func (mx *matcher) bind(ctx context.Context) {
-	if ctx == nil {
-		return
-	}
 	mx.done = ctx.Done()
 	mx.ctx = ctx
 }
@@ -122,24 +118,10 @@ func (in *Instance) ReachCtx(ctx context.Context) (*closure.Reach, error) {
 	return in.reach, nil
 }
 
-// IndexCtx is Index with a cancellable build, mirroring ReachCtx.
-func (in *Instance) IndexCtx(ctx context.Context) (closure.Index, error) {
-	if _, err := in.ReachCtx(ctx); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, wrapDeadline(err)
-	}
-	return in.Index(), nil
-}
-
 // prepareCtx runs the shared preflight of every *Ctx entry point:
 // reject an already-dead context before doing any work, then make sure
 // the reachability index exists (building it cancellably if not).
 func (in *Instance) prepareCtx(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
 	if err := ctx.Err(); err != nil {
 		return wrapDeadline(err)
 	}
@@ -147,76 +129,75 @@ func (in *Instance) prepareCtx(ctx context.Context) error {
 	return err
 }
 
-// CompMaxCardCtx is CompMaxCard with cooperative cancellation: when
-// ctx is cancelled mid-recursion the search stops within cancelStep
-// calls and the typed ErrDeadline (wrapping ctx's error) is returned.
-func (in *Instance) CompMaxCardCtx(ctx context.Context) (m Mapping, err error) {
+// CompMaxCardCtx is algorithm compMaxCard (Fig. 3): an approximation
+// for the maximum cardinality problem CPH with quality within
+// O(log²(|V1|·|V2|)/(|V1|·|V2|)) of the optimum (Proposition 5.2). The
+// returned mapping is always a valid p-hom mapping from the subgraph of
+// G1 induced by its domain to G2. When ctx is cancelled mid-recursion
+// the search stops within cancelStep calls and the typed ErrDeadline
+// (wrapping ctx's error) is returned.
+func (in *Instance) CompMaxCardCtx(ctx context.Context) (Mapping, error) {
+	return in.comp(ctx, "core.maxcard", false, false)
+}
+
+// CompMaxCard11Ctx is compMaxCard1−1: the CPH1−1 variant that keeps
+// mappings injective by displacing a matched data node from every other
+// candidate set. Same complexity and guarantee as compMaxCard
+// (Section 5).
+func (in *Instance) CompMaxCard11Ctx(ctx context.Context) (Mapping, error) {
+	return in.comp(ctx, "core.maxcard11", true, false)
+}
+
+// CompMaxSimCtx is algorithm compMaxSim: an approximation for the
+// maximum overall similarity problem SPH with the same performance
+// guarantee as compMaxCard (Theorem 5.1) and an extra log(|V1|·|V2|)
+// time factor. Candidate picks inside greedyMatch are weight-greedy
+// here — the choice of u from H[v].good is free in Fig. 4, and the
+// heaviest pair is the natural choice when maximising
+// Σ w(v)·mat(v, σ(v)).
+func (in *Instance) CompMaxSimCtx(ctx context.Context) (Mapping, error) {
+	return in.comp(ctx, "core.maxsim", false, true)
+}
+
+// CompMaxSim11Ctx is compMaxSim1−1, the injective variant for SPH1−1.
+func (in *Instance) CompMaxSim11Ctx(ctx context.Context) (Mapping, error) {
+	return in.comp(ctx, "core.maxsim11", true, true)
+}
+
+// comp is the one body behind the four approximation entry points: the
+// compMaxCard outer loop (run) or compMaxSim's bucket scheme (runSim,
+// with weight-greedy candidate picks), under ctx and the named span.
+func (in *Instance) comp(ctx context.Context, span string, injective, sim bool) (m Mapping, err error) {
 	if err := in.prepareCtx(ctx); err != nil {
 		return nil, err
 	}
 	defer recoverAbort(&m, &err)
-	mx := in.newMatcher(false)
+	mx := in.newMatcher(injective)
+	mx.pickBest = sim
 	mx.bind(ctx)
-	_, end := startMatchSpan(ctx, "core.maxcard")
-	defer end(mx)
+	defer startMatchSpan(ctx, span)(mx)
+	if sim {
+		return mx.runSim(mx.initialList()), nil
+	}
 	return mx.run(mx.initialList()), nil
 }
 
-// CompMaxCard11Ctx is CompMaxCard11 with cooperative cancellation.
-func (in *Instance) CompMaxCard11Ctx(ctx context.Context) (m Mapping, err error) {
-	if err := in.prepareCtx(ctx); err != nil {
-		return nil, err
-	}
-	defer recoverAbort(&m, &err)
-	mx := in.newMatcher(true)
-	mx.bind(ctx)
-	_, end := startMatchSpan(ctx, "core.maxcard11")
-	defer end(mx)
-	return mx.run(mx.initialList()), nil
-}
-
-// CompMaxSimCtx is CompMaxSim with cooperative cancellation.
-func (in *Instance) CompMaxSimCtx(ctx context.Context) (m Mapping, err error) {
-	if err := in.prepareCtx(ctx); err != nil {
-		return nil, err
-	}
-	defer recoverAbort(&m, &err)
-	mx := in.newMatcher(false)
-	mx.pickBest = true
-	mx.bind(ctx)
-	_, end := startMatchSpan(ctx, "core.maxsim")
-	defer end(mx)
-	return mx.runSim(mx.initialList()), nil
-}
-
-// CompMaxSim11Ctx is CompMaxSim11 with cooperative cancellation.
-func (in *Instance) CompMaxSim11Ctx(ctx context.Context) (m Mapping, err error) {
-	if err := in.prepareCtx(ctx); err != nil {
-		return nil, err
-	}
-	defer recoverAbort(&m, &err)
-	mx := in.newMatcher(true)
-	mx.pickBest = true
-	mx.bind(ctx)
-	_, end := startMatchSpan(ctx, "core.maxsim11")
-	defer end(mx)
-	return mx.runSim(mx.initialList()), nil
-}
-
-// DecideCtx is Decide with cooperative cancellation — the entry point
-// that matters most operationally, since the exact decider is
-// exponential and a single adversarial pattern can otherwise pin a
-// worker for hours.
+// DecideCtx reports whether G1 is p-hom to G2 w.r.t. mat() and ξ,
+// returning a witness mapping over the whole of V1 when it is. It
+// polls ctx like the approximation entry points — which matters most
+// here, since the exact decider is exponential and a single adversarial
+// pattern can otherwise pin a worker for hours.
 func (in *Instance) DecideCtx(ctx context.Context) (Mapping, bool, error) {
-	return in.decideCtx(ctx, false, false)
+	return in.decideCtx(ctx, false)
 }
 
-// Decide11Ctx is Decide11 with cooperative cancellation.
+// Decide11Ctx reports whether G1 is 1-1 p-hom to G2, returning an
+// injective witness mapping when it is.
 func (in *Instance) Decide11Ctx(ctx context.Context) (Mapping, bool, error) {
-	return in.decideCtx(ctx, true, false)
+	return in.decideCtx(ctx, true)
 }
 
-func (in *Instance) decideCtx(ctx context.Context, injective, filtered bool) (Mapping, bool, error) {
+func (in *Instance) decideCtx(ctx context.Context, injective bool) (Mapping, bool, error) {
 	if err := in.prepareCtx(ctx); err != nil {
 		return nil, false, err
 	}
@@ -231,7 +212,7 @@ func (in *Instance) decideCtx(ctx context.Context, injective, filtered bool) (Ma
 		ctx = trace.ContextWithSpan(ctx, sp)
 		defer sp.End()
 	}
-	m, ok, err := in.decideWith(ctx, injective, filtered)
+	m, ok, err := in.decideWith(ctx, injective)
 	if sp.Active() {
 		sp.SetBool("holds", ok)
 		if err != nil {

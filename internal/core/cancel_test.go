@@ -64,23 +64,26 @@ func TestExpiredContextRejectedUpFront(t *testing.T) {
 	}
 }
 
+// TestBackgroundContextMatchesPlainCalls: a live context that is never
+// cancelled turns polling on (Background leaves it off), and the results
+// must not notice.
 func TestBackgroundContextMatchesPlainCalls(t *testing.T) {
 	in := randInstance(t, 8, 30, 2)
-	want := in.CompMaxCard()
-	got, err := in.CompMaxCardCtx(context.Background())
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := in.CompMaxCardCtx(live)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != want.String() {
-		t.Fatalf("ctx variant diverged: %v vs %v", got, want)
+	if want := compMaxCard(in); got.String() != want.String() {
+		t.Fatalf("polled run diverged: %v vs %v", got, want)
 	}
-	wd, wok := in.Decide()
-	gd, gok, err := in.DecideCtx(context.Background())
+	gd, gok, err := in.DecideCtx(live)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gok != wok || gd.String() != wd.String() {
-		t.Fatalf("DecideCtx diverged: (%v,%v) vs (%v,%v)", gd, gok, wd, wok)
+	if wd, wok := decide(in); gok != wok || gd.String() != wd.String() {
+		t.Fatalf("polled DecideCtx diverged: (%v,%v) vs (%v,%v)", gd, gok, wd, wok)
 	}
 }
 
@@ -92,8 +95,8 @@ func TestBackgroundContextMatchesPlainCalls(t *testing.T) {
 func TestCancelPoisonsNothing(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		in := randInstance(t, 10, 60, 100+seed)
-		want := in.CompMaxCard().String()
-		wantSim := in.CompMaxSim().String()
+		want := compMaxCard(in).String()
+		wantSim := compMaxSim(in).String()
 		for trial := 0; trial < 6; trial++ {
 			ctx, cancel := context.WithCancel(context.Background())
 			go func(d time.Duration) {
@@ -112,10 +115,10 @@ func TestCancelPoisonsNothing(t *testing.T) {
 		}
 		// After all the aborted runs, the same instance must still
 		// produce the original answers.
-		if got := in.CompMaxCard().String(); got != want {
+		if got := compMaxCard(in).String(); got != want {
 			t.Fatalf("seed %d: post-cancel CompMaxCard diverged: %s vs %s", seed, got, want)
 		}
-		if got := in.CompMaxSim().String(); got != wantSim {
+		if got := compMaxSim(in).String(); got != wantSim {
 			t.Fatalf("seed %d: post-cancel CompMaxSim diverged: %s vs %s", seed, got, wantSim)
 		}
 	}

@@ -92,13 +92,12 @@ func TestListedCandidatesChangeNothing(t *testing.T) {
 		return func(in *Instance) (Mapping, bool) { return f(in), true }
 	}
 	algos := []algo{
-		{"maxcard", total((*Instance).CompMaxCard)},
-		{"maxcard11", total((*Instance).CompMaxCard11)},
-		{"maxsim", total((*Instance).CompMaxSim)},
-		{"maxsim11", total((*Instance).CompMaxSim11)},
-		{"decide", (*Instance).Decide},
-		{"decide11", (*Instance).Decide11},
-		{"decide-filtered", (*Instance).DecideFiltered},
+		{"maxcard", total(compMaxCard)},
+		{"maxcard11", total(compMaxCard11)},
+		{"maxsim", total(compMaxSim)},
+		{"maxsim11", total(compMaxSim11)},
+		{"decide", decide},
+		{"decide11", decide11},
 		{"partitioned-maxsim", total((*Instance).PartitionedMaxSim)},
 	}
 	sawCandidates := false

@@ -11,7 +11,7 @@ import (
 func TestConcurrentMatching(t *testing.T) {
 	in := randomInstance(3, 10, 14)
 	in.Reach() // prime the closure cache
-	want := len(in.CompMaxCard())
+	want := len(compMaxCard(in))
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
@@ -22,16 +22,16 @@ func TestConcurrentMatching(t *testing.T) {
 			var m Mapping
 			switch i % 4 {
 			case 0:
-				m = in.CompMaxCard()
+				m = compMaxCard(in)
 				if len(m) != want {
 					errs <- "nondeterministic CompMaxCard size"
 				}
 			case 1:
-				m = in.CompMaxCard11()
+				m = compMaxCard11(in)
 			case 2:
-				m = in.CompMaxSim()
+				m = compMaxSim(in)
 			case 3:
-				m = in.CompMaxSim11()
+				m = compMaxSim11(in)
 			}
 			if err := in.CheckMapping(m, i%4 == 1 || i%4 == 3); err != nil {
 				errs <- err.Error()
@@ -49,9 +49,9 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	// The algorithms are fully deterministic: repeated runs on one
 	// instance yield identical mappings.
 	in := randomInstance(11, 12, 16)
-	first := in.CompMaxCard()
+	first := compMaxCard(in)
 	for i := 0; i < 5; i++ {
-		again := in.CompMaxCard()
+		again := compMaxCard(in)
 		if len(again) != len(first) {
 			t.Fatalf("run %d: size %d != %d", i, len(again), len(first))
 		}
@@ -96,7 +96,7 @@ func BenchmarkCompMaxCardMedium(b *testing.B) {
 	in.Reach()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in.CompMaxCard()
+		compMaxCard(in)
 	}
 }
 
@@ -111,10 +111,10 @@ func TestConcurrentSymmetricSafe(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			if i%2 == 0 {
-				in.CompMaxCard()
+				compMaxCard(in)
 			} else {
 				sym := in.Symmetric()
-				if err := sym.CheckMapping(sym.CompMaxCard(), false); err != nil {
+				if err := sym.CheckMapping(compMaxCard(sym), false); err != nil {
 					t.Error(err)
 				}
 			}

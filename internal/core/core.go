@@ -3,7 +3,11 @@
 // exact decision procedures (Section 4's NP membership), and the
 // approximation algorithms compMaxCard, compMaxCard1−1, compMaxSim and
 // compMaxSim1−1 of Section 5 (Figs. 3–4), together with the Appendix B
-// optimisations and naive product-graph variants used for cross-checking.
+// optimisations. Each algorithm has one context-first entry point
+// (CompMaxCardCtx, …, DecideCtx); callers without a deadline pass
+// context.Background(). Theorem 5.1's product-graph solvers are not
+// here: they live in internal/product, which the tests and the
+// experiments use as a quality oracle and the server does not link.
 package core
 
 import (
@@ -84,11 +88,16 @@ type Instance struct {
 	// call.
 	MaxPathLen int
 
+	// ArbitraryPick replaces Fig. 4 line 2's max-|good| node selection
+	// with "first node in list order" — an ablation that measures what
+	// the heuristic contributes (DESIGN.md §1). The serving engine never
+	// sets it. It is read when an algorithm starts.
+	ArbitraryPick bool
+
 	// mu guards lazy initialisation of reach, idx and cands. A mutex
-	// rather than sync.Once: the build must be single-flight AND other
-	// methods (Symmetric, filterCandidates) need to peek at what is
-	// already cached without forcing a build, which Once cannot offer
-	// race-free.
+	// rather than sync.Once: the build must be single-flight AND
+	// Symmetric needs to peek at what is already cached without forcing
+	// a build, which Once cannot offer race-free.
 	mu    sync.Mutex
 	reach *closure.Reach
 	idx   closure.Index
@@ -166,15 +175,6 @@ func (in *Instance) SetIndex(ix closure.Index) {
 	in.mu.Unlock()
 }
 
-// cachedIndexes peeks at the lazily built caches without forcing
-// either build — for callers that can proceed (more cheaply) without
-// them.
-func (in *Instance) cachedIndexes() (*closure.Reach, closure.Index) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.reach, in.idx
-}
-
 // BenchSetup runs the per-request matcher construction path once and
 // discards the result. It exists so external benchmark drivers
 // (cmd/benchcore) can time setup cost without access to package
@@ -188,10 +188,12 @@ func (in *Instance) BenchSetup() { in.newMatcher(false) }
 // and cached closure.
 func (in *Instance) Symmetric() *Instance {
 	g1plus := closure.Compute(in.G1).Graph(in.G1)
-	reach, idx := in.cachedIndexes()
+	in.mu.Lock()
+	reach, idx := in.reach, in.idx // whatever is cached; no build forced
+	in.mu.Unlock()
 	return &Instance{
 		G1: g1plus, G2: in.G2, Mat: in.Mat, Xi: in.Xi,
-		MaxPathLen: in.MaxPathLen, reach: reach, idx: idx,
+		MaxPathLen: in.MaxPathLen, ArbitraryPick: in.ArbitraryPick, reach: reach, idx: idx,
 	}
 }
 
@@ -301,4 +303,41 @@ func (in *Instance) QualSim(m Mapping) float64 {
 		}
 	}
 	return got / total
+}
+
+// Matches reports the paper's Section 6 match convention: G1 matches G2
+// when the mapping's quality reaches the threshold (0.75 in all reported
+// experiments). The metric argument selects qualCard or qualSim.
+func Matches(in *Instance, m Mapping, metric Metric, threshold float64) bool {
+	switch metric {
+	case MetricCard:
+		return in.QualCard(m) >= threshold
+	case MetricSim:
+		return in.QualSim(m) >= threshold
+	default:
+		return false
+	}
+}
+
+// Metric selects one of the paper's two graph-similarity measures.
+type Metric int
+
+const (
+	// MetricCard is maximum cardinality: qualCard(σ) = |dom σ| / |V1|.
+	MetricCard Metric = iota
+	// MetricSim is maximum overall similarity:
+	// qualSim(σ) = Σ w(v)·mat(v,σ(v)) / Σ w(v).
+	MetricSim
+)
+
+// String names the metric.
+func (m Metric) String() string {
+	switch m {
+	case MetricCard:
+		return "qualCard"
+	case MetricSim:
+		return "qualSim"
+	default:
+		return "unknown"
+	}
 }

@@ -16,21 +16,7 @@ import (
 // the approximation algorithms on small inputs, to power the worked
 // examples, and to validate the reduction constructions of Appendix A.
 
-// Decide reports whether G1 is p-hom to G2 w.r.t. mat() and ξ, returning a
-// witness mapping over the whole of V1 when it is.
-func (in *Instance) Decide() (Mapping, bool) {
-	m, ok, _ := in.decideWith(context.Background(), false, false)
-	return m, ok
-}
-
-// Decide11 reports whether G1 is 1-1 p-hom to G2, returning an injective
-// witness mapping when it is.
-func (in *Instance) Decide11() (Mapping, bool) {
-	m, ok, _ := in.decideWith(context.Background(), true, false)
-	return m, ok
-}
-
-func (in *Instance) decideWith(ctx context.Context, injective, filtered bool) (Mapping, bool, error) {
+func (in *Instance) decideWith(ctx context.Context, injective bool) (Mapping, bool, error) {
 	n1 := in.G1.NumNodes()
 	if n1 == 0 {
 		return Mapping{}, true, nil
@@ -42,39 +28,18 @@ func (in *Instance) decideWith(ctx context.Context, injective, filtered bool) (M
 	var steps uint64
 
 	// Candidate lists per node, already filtered by ξ and the self-loop
-	// condition; copied because the pre-filter below prunes them in place.
-	cands := make([][]graph.NodeID, n1)
-	for v, row := range in.candidates() {
+	// condition.
+	cands := in.candidates()
+	total := 0
+	for _, row := range cands {
 		if len(row) == 0 {
 			return nil, false, nil
 		}
-		cands[v] = make([]graph.NodeID, len(row))
-		for i, c := range row {
-			cands[v][i] = c.U
-		}
+		total += len(row)
 	}
 	if sp := trace.SpanFromContext(ctx); sp.Active() {
-		total := 0
-		for _, c := range cands {
-			total += len(c)
-		}
 		sp.SetInt("nodes", int64(n1))
 		sp.SetInt("initial_pairs", int64(total)) // the name the comp* spans use
-	}
-	if filtered {
-		in.filterCandidates(cands, injective)
-		for v := range cands {
-			if len(cands[v]) == 0 {
-				return nil, false, nil
-			}
-		}
-		if sp := trace.SpanFromContext(ctx); sp.Active() {
-			total := 0
-			for _, c := range cands {
-				total += len(c)
-			}
-			sp.SetInt("candidates_filtered", int64(total))
-		}
 	}
 
 	// Assign scarcest-first: fewer candidates fail faster.
@@ -108,7 +73,8 @@ func (in *Instance) decideWith(ctx context.Context, injective, filtered bool) (M
 			return true
 		}
 		v := order[k]
-		for _, u := range cands[v] {
+		for _, c := range cands[v] {
+			u := c.U
 			if injective && used[u] > 0 {
 				continue
 			}

@@ -1,17 +1,76 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"graphmatch/internal/graph"
+	"graphmatch/internal/product"
 	"graphmatch/internal/simmatrix"
 )
+
+// TestExactSolversAgree holds this package's matchers to
+// internal/product's clique solvers, which share no search code with
+// them. The backtracking decider holds exactly when the exact
+// maximum-cardinality clique covers V1; no mapping any solver returns
+// beats the exact optima on qualCard or qualSim; and CheckMapping
+// accepts every one of them.
+func TestExactSolversAgree(t *testing.T) {
+	holds := 0
+	for _, size := range [][2]int{{3, 6}, {4, 8}, {5, 8}, {6, 8}, {4, 12}} {
+		for seed := int64(0); seed < 60; seed++ {
+			in := randomInstance(seed, size[0], size[1])
+			// Weights spread over an order of magnitude exercise
+			// compMaxSim's buckets; the decision ignores them.
+			rng := rand.New(rand.NewSource(seed ^ 0x5f5f))
+			for v := 0; v < in.G1.NumNodes(); v++ {
+				in.G1.SetWeight(graph.NodeID(v), 0.5+rng.Float64()*9.5)
+			}
+			for _, inj := range []bool{false, true} {
+				name := fmt.Sprintf("%dx%d seed %d injective=%v", size[0], size[1], seed, inj)
+				dec, card, sim := decide, compMaxCard, compMaxSim
+				if inj {
+					dec, card, sim = decide11, compMaxCard11, compMaxSim11
+				}
+				exactCard := oracle(in, inj, (*product.Product).ExactMaxCardClique)
+				exactSim := oracle(in, inj, (*product.Product).ExactMaxSimClique)
+				witness, ok := dec(in)
+				if full := len(exactCard) == in.G1.NumNodes(); ok != full {
+					t.Fatalf("%s: decide says %v, exact max-card covers %d of %d", name, ok, len(exactCard), in.G1.NumNodes())
+				}
+				got := map[string]Mapping{
+					"comp-card": card(in), "comp-sim": sim(in),
+					"naive-card": oracle(in, inj, (*product.Product).MaxCardClique),
+					"naive-sim":  oracle(in, inj, (*product.Product).MaxSimClique),
+					"exact-card": exactCard, "exact-sim": exactSim,
+				}
+				if ok {
+					holds++
+					got["witness"] = witness
+				}
+				if !inj { // Proposition 1 needs freely combinable components
+					got["partitioned-card"], got["partitioned-sim"] = in.PartitionedMaxCard(), in.PartitionedMaxSim()
+				}
+				for kind, m := range got {
+					if err := in.CheckMapping(m, inj); err != nil {
+						t.Fatalf("%s: %s invalid: %v", name, kind, err)
+					}
+					if len(m) > len(exactCard) || in.QualSim(m) > in.QualSim(exactSim)+1e-9 {
+						t.Fatalf("%s: %s %v beats the exact optima %v / %v", name, kind, m, exactCard, exactSim)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d of 600 decisions hold", holds)
+}
 
 func TestDecideFigure1(t *testing.T) {
 	gp, g, mate := figure1()
 	for _, xi := range []float64{0.3, 0.5, 0.6} {
 		in := NewInstance(gp, g, mate, xi)
-		m, ok := in.Decide()
+		m, ok := decide(in)
 		if !ok {
 			t.Fatalf("ξ=%v: Gp should be p-hom to G", xi)
 		}
@@ -22,7 +81,7 @@ func TestDecideFigure1(t *testing.T) {
 			t.Fatalf("ξ=%v: witness covers %d nodes, want %d", xi, len(m), gp.NumNodes())
 		}
 		// Example 3.2: the mapping is also 1-1.
-		m11, ok := in.Decide11()
+		m11, ok := decide11(in)
 		if !ok {
 			t.Fatalf("ξ=%v: Gp should be 1-1 p-hom to G", xi)
 		}
@@ -32,7 +91,7 @@ func TestDecideFigure1(t *testing.T) {
 	}
 	// Above the top mate() score, nothing matches.
 	in := NewInstance(gp, g, mate, 0.75)
-	if _, ok := in.Decide(); ok {
+	if _, ok := decide(in); ok {
 		t.Fatal("ξ=0.75 should not admit a full p-hom mapping (A scores only 0.7)")
 	}
 }
@@ -40,7 +99,7 @@ func TestDecideFigure1(t *testing.T) {
 func TestDecideFigure1ExpectedImages(t *testing.T) {
 	gp, g, mate := figure1()
 	in := NewInstance(gp, g, mate, 0.6)
-	m, ok := in.Decide11()
+	m, ok := decide11(in)
 	if !ok {
 		t.Fatal("expected 1-1 p-hom")
 	}
@@ -60,7 +119,7 @@ func TestDecideFigure1ExpectedImages(t *testing.T) {
 func TestDecideFigure2Pair1(t *testing.T) {
 	g1, g2, mat := figure2pair1()
 	in := NewInstance(g1, g2, mat, 0.5)
-	m, ok := in.Decide()
+	m, ok := decide(in)
 	if !ok {
 		t.Fatal("G1 should be p-hom to G2")
 	}
@@ -70,7 +129,7 @@ func TestDecideFigure2Pair1(t *testing.T) {
 	if m.Injective() {
 		t.Fatal("the only p-hom mapping maps both A nodes to one image; witness should not be injective")
 	}
-	if _, ok := in.Decide11(); ok {
+	if _, ok := decide11(in); ok {
 		t.Fatal("G1 should not be 1-1 p-hom to G2")
 	}
 }
@@ -78,14 +137,14 @@ func TestDecideFigure2Pair1(t *testing.T) {
 func TestDecideFigure2Pair2(t *testing.T) {
 	g3, g4, mat := figure2pair2()
 	in := NewInstance(g3, g4, mat, 0.5)
-	if _, ok := in.Decide(); ok {
+	if _, ok := decide(in); ok {
 		t.Fatal("G3 should not be p-hom to G4")
 	}
 }
 
 func TestDecideExample33(t *testing.T) {
 	in, _, _ := example33()
-	if _, ok := in.Decide11(); ok {
+	if _, ok := decide11(in); ok {
 		t.Fatal("G5 should not be 1-1 p-hom to G6")
 	}
 }
@@ -94,7 +153,7 @@ func TestDecideEmptyPattern(t *testing.T) {
 	g1 := graph.New(0)
 	g2 := graph.FromEdgeList([]string{"x"}, nil)
 	in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.5)
-	m, ok := in.Decide()
+	m, ok := decide(in)
 	if !ok || len(m) != 0 {
 		t.Fatal("empty pattern should match trivially")
 	}
@@ -105,13 +164,13 @@ func TestDecideSelfLoopNeedsCycle(t *testing.T) {
 	g1 := graph.FromEdgeList([]string{"a"}, [][2]int{{0, 0}})
 	g2 := graph.FromEdgeList([]string{"a", "a"}, [][2]int{{0, 1}})
 	in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.5)
-	if _, ok := in.Decide(); ok {
+	if _, ok := decide(in); ok {
 		t.Fatal("self-loop pattern should not match acyclic data")
 	}
 	// With a 2-cycle in the data it does.
 	g3 := graph.FromEdgeList([]string{"a", "a"}, [][2]int{{0, 1}, {1, 0}})
 	in2 := NewInstance(g1, g3, simmatrix.NewLabelEquality(g1, g3), 0.5)
-	m, ok := in2.Decide()
+	m, ok := decide(in2)
 	if !ok {
 		t.Fatal("self-loop pattern should match a 2-cycle")
 	}
@@ -126,7 +185,7 @@ func TestDecideEdgeToPathNotEdgeToEdge(t *testing.T) {
 	g1 := graph.FromEdgeList([]string{"a", "c"}, [][2]int{{0, 1}})
 	g2 := graph.FromEdgeList([]string{"a", "b", "c"}, [][2]int{{0, 1}, {1, 2}})
 	in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.5)
-	if _, ok := in.Decide(); !ok {
+	if _, ok := decide(in); !ok {
 		t.Fatal("edge should map to a length-2 path")
 	}
 }
@@ -136,10 +195,10 @@ func TestDecideThresholdGates(t *testing.T) {
 	g2 := graph.FromEdgeList([]string{"y"}, nil)
 	mat := simmatrix.NewSparse()
 	mat.Set(0, 0, 0.7)
-	if _, ok := NewInstance(g1, g2, mat, 0.7).Decide(); !ok {
+	if _, ok := decide(NewInstance(g1, g2, mat, 0.7)); !ok {
 		t.Fatal("threshold is inclusive: mat = ξ should match")
 	}
-	if _, ok := NewInstance(g1, g2, mat, 0.71).Decide(); ok {
+	if _, ok := decide(NewInstance(g1, g2, mat, 0.71)); ok {
 		t.Fatal("mat < ξ should not match")
 	}
 }
@@ -149,10 +208,10 @@ func TestDecide11CountingConstraint(t *testing.T) {
 	g1 := graph.FromEdgeList([]string{"x", "x", "x"}, nil)
 	g2 := graph.FromEdgeList([]string{"x", "x"}, nil)
 	in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.5)
-	if _, ok := in.Decide(); !ok {
+	if _, ok := decide(in); !ok {
 		t.Fatal("p-hom should hold")
 	}
-	if _, ok := in.Decide11(); ok {
+	if _, ok := decide11(in); ok {
 		t.Fatal("1-1 p-hom needs 3 distinct images out of 2")
 	}
 }
@@ -202,11 +261,11 @@ func TestSymmetricMatchingViaClosure(t *testing.T) {
 	g1 := graph.FromEdgeList([]string{"a", "b", "c"}, [][2]int{{0, 1}, {1, 2}})
 	g2 := graph.FromEdgeList([]string{"a", "c"}, [][2]int{{0, 1}})
 	in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.5)
-	if _, ok := in.Decide(); ok {
+	if _, ok := decide(in); ok {
 		t.Fatal("b has no candidate; full p-hom should fail")
 	}
 	// The maximum partial mapping covers a and c thanks to closure edges.
-	m := in.CompMaxCard()
+	m := compMaxCard(in)
 	if err := in.CheckMapping(m, false); err != nil {
 		t.Fatal(err)
 	}

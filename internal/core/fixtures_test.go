@@ -1,9 +1,39 @@
 package core
 
 import (
+	"context"
+
 	"graphmatch/internal/graph"
+	"graphmatch/internal/product"
 	"graphmatch/internal/simmatrix"
 )
+
+// Shorthands for the context-first entry points under a context that is
+// never cancelled, which is what the engine runs with no deadline set.
+func compMaxCard(in *Instance) Mapping   { m, _ := in.CompMaxCardCtx(context.Background()); return m }
+func compMaxCard11(in *Instance) Mapping { m, _ := in.CompMaxCard11Ctx(context.Background()); return m }
+func compMaxSim(in *Instance) Mapping    { m, _ := in.CompMaxSimCtx(context.Background()); return m }
+func compMaxSim11(in *Instance) Mapping  { m, _ := in.CompMaxSim11Ctx(context.Background()); return m }
+
+func decide(in *Instance) (Mapping, bool) {
+	m, ok, _ := in.DecideCtx(context.Background())
+	return m, ok
+}
+
+func decide11(in *Instance) (Mapping, bool) {
+	m, ok, _ := in.Decide11Ctx(context.Background())
+	return m, ok
+}
+
+// oracle solves in on Theorem 5.1's explicit product graph (Jain &
+// Obermayer's association graph) with one of internal/product's clique
+// solvers: ExactMaxCardClique / ExactMaxSimClique give the optimum, and
+// MaxCardClique / MaxSimClique the naive approximations compMax* exist
+// to avoid. It shares no search code with this package.
+func oracle(in *Instance, injective bool, clique func(*product.Product) []int) Mapping {
+	p := product.Build(in.G1, in.G2, in.Mat, in.Xi, injective, in.Reach())
+	return Mapping(p.MappingFromClique(clique(p)))
+}
 
 // Fixtures reconstructing the paper's worked examples. Figure 1's online
 // stores and Example 3.1's similarity matrix mate() are reproduced

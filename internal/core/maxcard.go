@@ -86,9 +86,10 @@ func (h *matchList) pairCount() int {
 	return total
 }
 
-// SearchStats instruments one run of the compMaxCard machinery. All
+// searchStats instruments one run of the compMaxCard machinery; the
+// entry points stamp it on the algorithm's span (tracing.go). All
 // counters are cumulative over the outer loop's greedyMatch invocations.
-type SearchStats struct {
+type searchStats struct {
 	// InitialPairs is Σ|H[v].good| at the start (product-graph size).
 	InitialPairs int
 	// OuterIterations counts rounds of the Fig. 3 while loop.
@@ -112,7 +113,6 @@ type SearchStats struct {
 type matcher struct {
 	in        *Instance
 	injective bool
-	pickFirst bool // ablation: pick the first node instead of max-|good|
 	pickBest  bool // pick the heaviest candidate u (used by compMaxSim)
 	n1        int
 	n2        int
@@ -120,7 +120,7 @@ type matcher struct {
 	cands     [][]simmatrix.Scored // in.candidates(), the admissible images per pattern node
 	prevBits  []*bitset.Set        // prevBits[v] over V1
 	postBits  []*bitset.Set        // postBits[v] over V1
-	stats     SearchStats
+	stats     searchStats
 
 	// Cooperative cancellation (see cancel.go): done is the bound
 	// context's Done channel (nil = polling disabled), steps gates the
@@ -258,10 +258,10 @@ func (mx *matcher) greedyMatchAt(h *matchList, depth int) (sigma, conflicts []Pa
 		mx.stats.MaxDepth = depth
 	}
 	// Line 2: pick v with maximal good set, then a candidate u. The
-	// pickFirst ablation takes the first node instead, quantifying how
-	// much the max-|good| heuristic contributes.
+	// ArbitraryPick ablation takes the first node instead, quantifying
+	// how much the max-|good| heuristic contributes.
 	var v graph.NodeID
-	if mx.pickFirst {
+	if mx.in.ArbitraryPick {
 		v = h.nodes[0]
 	} else {
 		best := -1
@@ -444,46 +444,4 @@ func pairsToMapping(pairs []Pair) Mapping {
 		m[p.V] = p.U
 	}
 	return m
-}
-
-// CompMaxCard is algorithm compMaxCard (Fig. 3): an approximation for the
-// maximum cardinality problem CPH with quality within
-// O(log²(|V1|·|V2|)/(|V1|·|V2|)) of the optimum (Proposition 5.2). The
-// returned mapping is always a valid p-hom mapping from the subgraph of G1
-// induced by its domain to G2.
-func (in *Instance) CompMaxCard() Mapping {
-	mx := in.newMatcher(false)
-	return mx.run(mx.initialList())
-}
-
-// CompMaxCard11 is compMaxCard1−1: the CPH1−1 variant that keeps mappings
-// injective by displacing a matched data node from every other candidate
-// set. Same complexity and guarantee as CompMaxCard (Section 5).
-func (in *Instance) CompMaxCard11() Mapping {
-	mx := in.newMatcher(true)
-	return mx.run(mx.initialList())
-}
-
-// MatchOptions tunes the compMaxCard machinery for experiments.
-type MatchOptions struct {
-	// Injective switches to the 1-1 variant.
-	Injective bool
-	// ArbitraryPick replaces the max-|good| node selection of Fig. 4
-	// line 2 with "first node in list order" (ablation: DESIGN.md #4).
-	ArbitraryPick bool
-}
-
-// CompMaxCardOpts runs compMaxCard with explicit options.
-func (in *Instance) CompMaxCardOpts(opts MatchOptions) Mapping {
-	m, _ := in.CompMaxCardStats(opts)
-	return m
-}
-
-// CompMaxCardStats runs compMaxCard with explicit options and returns the
-// search instrumentation alongside the mapping.
-func (in *Instance) CompMaxCardStats(opts MatchOptions) (Mapping, SearchStats) {
-	mx := in.newMatcher(opts.Injective)
-	mx.pickFirst = opts.ArbitraryPick
-	m := mx.run(mx.initialList())
-	return m, mx.stats
 }

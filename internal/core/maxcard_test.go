@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"graphmatch/internal/graph"
+	"graphmatch/internal/product"
 	"graphmatch/internal/simmatrix"
 )
 
@@ -35,7 +36,7 @@ func randomInstance(seed int64, n1, n2 int) *Instance {
 
 func TestCompMaxCardExample51(t *testing.T) {
 	in := example51()
-	m := in.CompMaxCard()
+	m := compMaxCard(in)
 	if err := in.CheckMapping(m, false); err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +56,14 @@ func TestCompMaxCardExample51(t *testing.T) {
 func TestCompMaxCardFigure1Full(t *testing.T) {
 	gp, g, mate := figure1()
 	in := NewInstance(gp, g, mate, 0.5)
-	m := in.CompMaxCard()
+	m := compMaxCard(in)
 	if err := in.CheckMapping(m, false); err != nil {
 		t.Fatal(err)
 	}
 	if in.QualCard(m) != 1 {
 		t.Fatalf("Fig. 1 pattern should match fully, got qualCard %v (σ=%v)", in.QualCard(m), m)
 	}
-	m11 := in.CompMaxCard11()
+	m11 := compMaxCard11(in)
 	if err := in.CheckMapping(m11, true); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestCompMaxCardFigure1Full(t *testing.T) {
 func TestCompMaxCardFigure2Pair1(t *testing.T) {
 	g1, g2, mat := figure2pair1()
 	in := NewInstance(g1, g2, mat, 0.5)
-	m := in.CompMaxCard()
+	m := compMaxCard(in)
 	if err := in.CheckMapping(m, false); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestCompMaxCardFigure2Pair1(t *testing.T) {
 		t.Fatalf("p-hom mapping should cover all 3 nodes, got %v", m)
 	}
 	// 1-1: only one A available, so at most 2 of 3 nodes.
-	m11 := in.CompMaxCard11()
+	m11 := compMaxCard11(in)
 	if err := in.CheckMapping(m11, true); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestCompMaxCardFigure2Pair1(t *testing.T) {
 
 func TestCompMaxCardExample33Cardinality(t *testing.T) {
 	in, v1, v2 := example33()
-	m := in.CompMaxCard11()
+	m := compMaxCard11(in)
 	if err := in.CheckMapping(m, true); err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +117,11 @@ func TestCompMaxCardExample33Cardinality(t *testing.T) {
 func TestCompMaxCardValidityRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		in := randomInstance(seed, 8, 12)
-		m := in.CompMaxCard()
+		m := compMaxCard(in)
 		if in.CheckMapping(m, false) != nil {
 			return false
 		}
-		m11 := in.CompMaxCard11()
+		m11 := compMaxCard11(in)
 		return in.CheckMapping(m11, true) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -131,17 +132,32 @@ func TestCompMaxCardValidityRandom(t *testing.T) {
 func TestCompMaxCardNeverBeatsExact(t *testing.T) {
 	f := func(seed int64) bool {
 		in := randomInstance(seed, 6, 8)
-		approx := in.CompMaxCard()
-		exact := in.ExactMaxCard(false)
-		if len(approx) > len(exact) {
-			return false
-		}
-		a11 := in.CompMaxCard11()
-		e11 := in.ExactMaxCard(true)
-		return len(a11) <= len(e11)
+		return len(compMaxCard(in)) <= len(oracle(in, false, (*product.Product).ExactMaxCardClique)) &&
+			len(compMaxCard11(in)) <= len(oracle(in, true, (*product.Product).ExactMaxCardClique))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestCompMaxCardAgainstNaiveOnSmallInstances(t *testing.T) {
+	// compMaxCard simulates ISRemoval on the product graph
+	// (Proposition 5.2); both must return valid mappings, and neither may
+	// exceed the exact optimum. Their sizes can differ by tie-breaking, so
+	// compare both to the optimum rather than to each other.
+	for seed := int64(0); seed < 20; seed++ {
+		in := randomInstance(seed, 6, 8)
+		exact := oracle(in, false, (*product.Product).ExactMaxCardClique)
+		for kind, m := range map[string]Mapping{
+			"direct": compMaxCard(in), "naive": oracle(in, false, (*product.Product).MaxCardClique),
+		} {
+			if err := in.CheckMapping(m, false); err != nil {
+				t.Fatalf("seed %d: %s invalid: %v", seed, kind, err)
+			}
+			if len(m) > len(exact) {
+				t.Fatalf("seed %d: %s exceeds optimum", seed, kind)
+			}
+		}
 	}
 }
 
@@ -152,8 +168,8 @@ func TestCompMaxCard11NeverExceedsPlain(t *testing.T) {
 	// instance size.
 	f := func(seed int64) bool {
 		in := randomInstance(seed, 7, 9)
-		m := in.CompMaxCard()
-		m11 := in.CompMaxCard11()
+		m := compMaxCard(in)
+		m11 := compMaxCard11(in)
 		return len(m) <= in.G1.NumNodes() && len(m11) <= in.G1.NumNodes()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -179,7 +195,7 @@ func TestCompMaxCardFindsFullMappingWhenDecideDoes(t *testing.T) {
 		g1 := graph.FromEdgeList(labels, edges)
 		g2 := g1.Clone()
 		in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.5)
-		m := in.CompMaxCard()
+		m := compMaxCard(in)
 		return in.QualCard(m) == 1 && in.CheckMapping(m, false) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -191,7 +207,7 @@ func TestCompMaxCardEmptyCandidates(t *testing.T) {
 	g1 := graph.FromEdgeList([]string{"x"}, nil)
 	g2 := graph.FromEdgeList([]string{"y"}, nil)
 	in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.5)
-	if m := in.CompMaxCard(); len(m) != 0 {
+	if m := compMaxCard(in); len(m) != 0 {
 		t.Fatalf("no candidates should yield empty mapping, got %v", m)
 	}
 }
@@ -201,31 +217,9 @@ func TestCompMaxCardDisconnectedPattern(t *testing.T) {
 	g1 := graph.FromEdgeList([]string{"a", "b", "c", "d"}, [][2]int{{0, 1}, {2, 3}})
 	g2 := graph.FromEdgeList([]string{"a", "b", "c", "d"}, [][2]int{{0, 1}, {2, 3}})
 	in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.5)
-	m := in.CompMaxCard()
+	m := compMaxCard(in)
 	if in.QualCard(m) != 1 {
 		t.Fatalf("disconnected pattern should match fully, got %v", m)
-	}
-}
-
-func TestCompMaxCardAgainstNaiveOnSmallInstances(t *testing.T) {
-	// compMaxCard simulates ISRemoval on the product graph
-	// (Proposition 5.2); both must return valid mappings, and neither may
-	// exceed the exact optimum. Their sizes can differ by tie-breaking, so
-	// compare both to the optimum rather than to each other.
-	for seed := int64(0); seed < 20; seed++ {
-		in := randomInstance(seed, 6, 8)
-		direct := in.CompMaxCard()
-		naive := in.NaiveMaxCard()
-		exact := in.ExactMaxCard(false)
-		if err := in.CheckMapping(direct, false); err != nil {
-			t.Fatalf("seed %d: direct invalid: %v", seed, err)
-		}
-		if err := in.CheckMapping(naive, false); err != nil {
-			t.Fatalf("seed %d: naive invalid: %v", seed, err)
-		}
-		if len(direct) > len(exact) || len(naive) > len(exact) {
-			t.Fatalf("seed %d: approximation exceeds optimum", seed)
-		}
 	}
 }
 
@@ -251,7 +245,7 @@ func TestMappingHelpers(t *testing.T) {
 func TestMetrics(t *testing.T) {
 	gp, g, mate := figure1()
 	in := NewInstance(gp, g, mate, 0.5)
-	full, ok := in.Decide()
+	full, ok := decide(in)
 	if !ok {
 		t.Fatal("setup: expected full mapping")
 	}

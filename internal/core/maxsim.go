@@ -169,22 +169,3 @@ func (mx *matcher) augment(m Mapping) Mapping {
 	}
 	return out
 }
-
-// CompMaxSim is algorithm compMaxSim: an approximation for the maximum
-// overall similarity problem SPH with the same performance guarantee as
-// compMaxCard (Theorem 5.1) and an extra log(|V1|·|V2|) time factor.
-// Candidate picks inside greedyMatch are weight-greedy here — the choice
-// of u from H[v].good is free in Fig. 4, and the heaviest pair is the
-// natural choice when maximising Σ w(v)·mat(v, σ(v)).
-func (in *Instance) CompMaxSim() Mapping {
-	mx := in.newMatcher(false)
-	mx.pickBest = true
-	return mx.runSim(mx.initialList())
-}
-
-// CompMaxSim11 is compMaxSim1−1, the injective variant for SPH1−1.
-func (in *Instance) CompMaxSim11() Mapping {
-	mx := in.newMatcher(true)
-	mx.pickBest = true
-	return mx.runSim(mx.initialList())
-}

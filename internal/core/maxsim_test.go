@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"graphmatch/internal/graph"
+	"graphmatch/internal/product"
 	"graphmatch/internal/simmatrix"
 )
 
@@ -14,7 +15,7 @@ func TestCompMaxSimExample33(t *testing.T) {
 	// mapping covers {A, v2} only, with qualSim = 0.7, although the
 	// cardinality-optimal mapping covers four nodes.
 	in, _, v2 := example33()
-	m := in.CompMaxSim11()
+	m := compMaxSim11(in)
 	if err := in.CheckMapping(m, true); err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +26,8 @@ func TestCompMaxSimExample33(t *testing.T) {
 		t.Fatalf("σs should include the heavyweight v2; got %v", m)
 	}
 	// Cross-check against the exact optimum.
-	exact := in.ExactMaxSim(true)
-	if got, want := in.QualSim(m), in.QualSim(Mapping(exact)); got < want-1e-9 {
+	exact := oracle(in, true, (*product.Product).ExactMaxSimClique)
+	if got, want := in.QualSim(m), in.QualSim(exact); got < want-1e-9 {
 		t.Fatalf("approximation %v below exact optimum %v", got, want)
 	}
 }
@@ -39,7 +40,7 @@ func TestCompMaxSimPrefersHeavyNodes(t *testing.T) {
 	g1.SetWeight(1, 10)
 	g2 := graph.FromEdgeList([]string{"x"}, nil)
 	in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.5)
-	m := in.CompMaxSim11()
+	m := compMaxSim11(in)
 	if err := in.CheckMapping(m, true); err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +52,11 @@ func TestCompMaxSimPrefersHeavyNodes(t *testing.T) {
 func TestCompMaxSimValidityRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		in := randomInstance(seed, 8, 12)
-		m := in.CompMaxSim()
+		m := compMaxSim(in)
 		if in.CheckMapping(m, false) != nil {
 			return false
 		}
-		m11 := in.CompMaxSim11()
+		m11 := compMaxSim11(in)
 		return in.CheckMapping(m11, true) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -72,14 +73,9 @@ func TestCompMaxSimNeverBeatsExact(t *testing.T) {
 		for v := 0; v < in.G1.NumNodes(); v++ {
 			in.G1.SetWeight(graph.NodeID(v), 0.5+rng.Float64()*9.5)
 		}
-		approx := in.QualSim(in.CompMaxSim())
-		exact := in.QualSim(in.ExactMaxSim(false))
-		if approx > exact+1e-9 {
-			return false
-		}
-		a11 := in.QualSim(in.CompMaxSim11())
-		e11 := in.QualSim(in.ExactMaxSim(true))
-		return a11 <= e11+1e-9
+		exact := in.QualSim(oracle(in, false, (*product.Product).ExactMaxSimClique))
+		exact11 := in.QualSim(oracle(in, true, (*product.Product).ExactMaxSimClique))
+		return in.QualSim(compMaxSim(in)) <= exact+1e-9 && in.QualSim(compMaxSim11(in)) <= exact11+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -91,8 +87,8 @@ func TestCompMaxSimAtLeastAsGoodAsCardOnSim(t *testing.T) {
 	// never fall below compMaxCard's.
 	f := func(seed int64) bool {
 		in := randomInstance(seed, 7, 10)
-		simQ := in.QualSim(in.CompMaxSim())
-		cardQ := in.QualSim(in.CompMaxCard())
+		simQ := in.QualSim(compMaxSim(in))
+		cardQ := in.QualSim(compMaxCard(in))
 		return simQ >= cardQ-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -103,7 +99,7 @@ func TestCompMaxSimAtLeastAsGoodAsCardOnSim(t *testing.T) {
 func TestCompMaxSimUniformWeightsFigure1(t *testing.T) {
 	gp, g, mate := figure1()
 	in := NewInstance(gp, g, mate, 0.5)
-	m := in.CompMaxSim()
+	m := compMaxSim(in)
 	if err := in.CheckMapping(m, false); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +115,7 @@ func TestCompMaxSimEmptyPattern(t *testing.T) {
 	g1 := graph.New(0)
 	g2 := graph.FromEdgeList([]string{"x"}, nil)
 	in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.5)
-	if m := in.CompMaxSim(); len(m) != 0 {
+	if m := compMaxSim(in); len(m) != 0 {
 		t.Fatalf("empty pattern should yield empty mapping, got %v", m)
 	}
 }
@@ -127,13 +123,10 @@ func TestCompMaxSimEmptyPattern(t *testing.T) {
 func TestNaiveMaxSimValid(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		in := randomInstance(seed, 6, 8)
-		m := in.NaiveMaxSim()
-		if err := in.CheckMapping(m, false); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		m11 := in.NaiveMaxSim11()
-		if err := in.CheckMapping(m11, true); err != nil {
-			t.Fatalf("seed %d (1-1): %v", seed, err)
+		for _, inj := range []bool{false, true} {
+			if err := in.CheckMapping(oracle(in, inj, (*product.Product).MaxSimClique), inj); err != nil {
+				t.Fatalf("seed %d injective=%v: %v", seed, inj, err)
+			}
 		}
 	}
 }
@@ -141,8 +134,7 @@ func TestNaiveMaxSimValid(t *testing.T) {
 func TestNaiveMaxCard11Valid(t *testing.T) {
 	for seed := int64(20); seed < 35; seed++ {
 		in := randomInstance(seed, 6, 8)
-		m := in.NaiveMaxCard11()
-		if err := in.CheckMapping(m, true); err != nil {
+		if err := in.CheckMapping(oracle(in, true, (*product.Product).MaxCardClique), true); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -151,7 +143,7 @@ func TestNaiveMaxCard11Valid(t *testing.T) {
 func TestMatchesConvention(t *testing.T) {
 	gp, g, mate := figure1()
 	in := NewInstance(gp, g, mate, 0.5)
-	m := in.CompMaxCard()
+	m := compMaxCard(in)
 	if !Matches(in, m, MetricCard, 0.75) {
 		t.Error("full mapping should match at threshold 0.75 under qualCard")
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"graphmatch/internal/closure"
 	"graphmatch/internal/graph"
 	"graphmatch/internal/simmatrix"
@@ -90,20 +92,20 @@ func (in *Instance) bestCandidate(v graph.NodeID) graph.NodeID {
 	return best
 }
 
-// PartitionedMaxCard runs CompMaxCard independently per connected
+// PartitionedMaxCard runs compMaxCard independently per connected
 // component of the pruned pattern (Appendix B) and unions the results.
 // Singleton components take their best candidate directly.
 func (in *Instance) PartitionedMaxCard() Mapping {
-	return in.partitioned(func(sub *Instance) Mapping { return sub.CompMaxCard() })
+	return in.partitioned((*Instance).CompMaxCardCtx)
 }
 
-// PartitionedMaxSim is the partitioned variant of CompMaxSim; qualSim is
+// PartitionedMaxSim is the partitioned variant of compMaxSim; qualSim is
 // additive over nodes, so Proposition 1 carries over.
 func (in *Instance) PartitionedMaxSim() Mapping {
-	return in.partitioned(func(sub *Instance) Mapping { return sub.CompMaxSim() })
+	return in.partitioned((*Instance).CompMaxSimCtx)
 }
 
-func (in *Instance) partitioned(solve func(*Instance) Mapping) Mapping {
+func (in *Instance) partitioned(solve func(*Instance, context.Context) (Mapping, error)) Mapping {
 	result := Mapping{}
 	for _, part := range in.partitionComponents() {
 		if part.sub.G1.NumNodes() == 1 {
@@ -113,7 +115,7 @@ func (in *Instance) partitioned(solve func(*Instance) Mapping) Mapping {
 			}
 			continue
 		}
-		sub := solve(part.sub)
+		sub, _ := solve(part.sub, context.Background()) // never cancelled, so no error
 		for v, u := range sub {
 			result[part.orig[v]] = u
 		}
@@ -149,7 +151,7 @@ func (in *Instance) CompressedMaxCard() Mapping {
 	comp := closure.Compress(in.G2)
 	cm := componentMatrix{base: in.Mat, members: comp.Members}
 	sub := &Instance{G1: in.G1, G2: comp.Star, Mat: cm, Xi: in.Xi}
-	m := sub.CompMaxCard()
+	m, _ := sub.CompMaxCardCtx(context.Background()) // never cancelled, so no error
 	lifted := make(Mapping, len(m))
 	for v, c := range m {
 		best, bestScore := graph.Invalid, -1.0

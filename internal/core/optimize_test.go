@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"graphmatch/internal/graph"
+	"graphmatch/internal/product"
 	"graphmatch/internal/simmatrix"
 )
 
@@ -44,12 +45,12 @@ func TestPartitionedMatchesDirectQuality(t *testing.T) {
 	// not be worse than the direct one (it solves easier subproblems).
 	f := func(seed int64) bool {
 		in := randomInstance(seed, 8, 10)
-		direct := in.CompMaxCard()
+		direct := compMaxCard(in)
 		part := in.PartitionedMaxCard()
 		if in.CheckMapping(part, false) != nil {
 			return false
 		}
-		exact := in.ExactMaxCard(false)
+		exact := oracle(in, false, (*product.Product).ExactMaxCardClique)
 		return len(part) <= len(exact) && len(direct) <= len(exact)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -126,7 +127,7 @@ func TestCompressedMatchesDirectOnDAGs(t *testing.T) {
 	g1 := graph.FromEdgeList([]string{"a", "b", "c"}, [][2]int{{0, 1}, {0, 2}})
 	g2 := graph.FromEdgeList([]string{"a", "x", "b", "c"}, [][2]int{{0, 1}, {1, 2}, {0, 3}})
 	in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.5)
-	direct := in.CompMaxCard()
+	direct := compMaxCard(in)
 	compressed := in.CompressedMaxCard()
 	if len(direct) != len(compressed) {
 		t.Fatalf("direct %v vs compressed %v", direct, compressed)

@@ -42,10 +42,10 @@ func TestTierEquivalence(t *testing.T) {
 		run  func(*Instance) Mapping
 	}
 	algos := []algo{
-		{"maxcard", func(in *Instance) Mapping { return in.CompMaxCard() }},
-		{"maxcard11", func(in *Instance) Mapping { return in.CompMaxCard11() }},
-		{"maxsim", func(in *Instance) Mapping { return in.CompMaxSim() }},
-		{"maxsim11", func(in *Instance) Mapping { return in.CompMaxSim11() }},
+		{"maxcard", compMaxCard},
+		{"maxcard11", compMaxCard11},
+		{"maxsim", compMaxSim},
+		{"maxsim11", compMaxSim11},
 	}
 	f := func(seed int64) bool {
 		for _, mk := range []func() *Instance{
@@ -73,24 +73,21 @@ func TestTierEquivalence(t *testing.T) {
 }
 
 func TestTierEquivalencePartitionedAndFiltered(t *testing.T) {
-	// The Appendix B partitioned variants and the filtered decision
-	// procedures consult the index through different paths
-	// (partitionComponents shares it across sub-instances; the filter
-	// reads fan counts); they too must be tier-blind.
+	// The Appendix B partitioned variants consult the index through a
+	// different path (partitionComponents shares it across
+	// sub-instances), and the deciders read only Reach; both must be
+	// tier-blind.
 	for seed := int64(0); seed < 25; seed++ {
 		dense, sparse := tierPair(func() *Instance { return randomInstance(seed, 8, 24) })
 		if md, ms := dense.PartitionedMaxCard(), sparse.PartitionedMaxCard(); !sameMapping(md, ms) {
 			t.Fatalf("seed %d: PartitionedMaxCard diverges: %v vs %v", seed, md, ms)
 		}
-		md, okd := dense.DecideFiltered()
-		ms, oks := sparse.DecideFiltered()
-		if okd != oks || !sameMapping(md, ms) {
-			t.Fatalf("seed %d: DecideFiltered diverges: (%v,%v) vs (%v,%v)", seed, md, okd, ms, oks)
-		}
-		md11, okd11 := dense.Decide11Filtered()
-		ms11, oks11 := sparse.Decide11Filtered()
-		if okd11 != oks11 || !sameMapping(md11, ms11) {
-			t.Fatalf("seed %d: Decide11Filtered diverges: (%v,%v) vs (%v,%v)", seed, md11, okd11, ms11, oks11)
+		for _, dec := range []func(*Instance) (Mapping, bool){decide, decide11} {
+			md, okd := dec(dense)
+			ms, oks := dec(sparse)
+			if okd != oks || !sameMapping(md, ms) {
+				t.Fatalf("seed %d: decide diverges: (%v,%v) vs (%v,%v)", seed, md, okd, ms, oks)
+			}
 		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"graphmatch/internal/trace"
 )
 
-// This file attaches the matcher's existing SearchStats counters to the
+// This file attaches the matcher's existing searchStats counters to the
 // request trace. Instrumentation happens only at the entry points — one
 // context lookup and one span per algorithm invocation — never inside
 // greedyMatch or the backtracking recursion, so the hot path stays
@@ -17,17 +17,17 @@ import (
 // cancelStep-polled recursion, so tracing adds no new work to it.
 
 // startMatchSpan opens the per-algorithm span under the request's trace
-// and returns it with an end func that stamps the matcher's search
-// stats and closes the span. The end func is safe to defer before
+// and returns an end func that stamps the matcher's search stats and
+// closes the span. The end func is safe to defer before
 // recoverAbort: on a deadline abort it still runs (during unwinding),
 // so the recorded trace shows how far the search got before it was
 // cancelled.
-func startMatchSpan(ctx context.Context, name string) (trace.Span, func(*matcher)) {
+func startMatchSpan(ctx context.Context, name string) func(*matcher) {
 	sp := trace.SpanFromContext(ctx).Child(name)
 	if !sp.Active() {
-		return sp, func(*matcher) {}
+		return func(*matcher) {}
 	}
-	return sp, func(mx *matcher) {
+	return func(mx *matcher) {
 		st := mx.stats
 		sp.SetInt("initial_pairs", int64(st.InitialPairs))
 		sp.SetInt("outer_iterations", int64(st.OuterIterations))

@@ -111,15 +111,16 @@ func BenchmarkSharedVsPrivateClosure(b *testing.B) {
 			// A fresh instance per request recomputes the closure —
 			// the seed's per-Matcher behaviour.
 			in := core.NewInstance(req.Pattern, data, simmatrix.NewLabelEquality(req.Pattern, data), req.Xi)
+			ctx := context.Background()
 			switch req.Algo {
 			case MaxCard:
-				in.CompMaxCard()
+				in.CompMaxCardCtx(ctx)
 			case MaxCard11:
-				in.CompMaxCard11()
+				in.CompMaxCard11Ctx(ctx)
 			case MaxSim:
-				in.CompMaxSim()
+				in.CompMaxSimCtx(ctx)
 			case MaxSim11:
-				in.CompMaxSim11()
+				in.CompMaxSim11Ctx(ctx)
 			}
 		}
 	})

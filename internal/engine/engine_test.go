@@ -71,21 +71,26 @@ func directResult(t *testing.T, g2 *graph.Graph, req Request) Result {
 	in := core.NewInstance(req.Pattern, g2, mat, req.Xi)
 	in.MaxPathLen = req.PathLimit
 	var res Result
+	var err error
+	ctx := context.Background()
 	switch req.Algo {
 	case MaxCard:
-		res.Mapping = in.CompMaxCard()
+		res.Mapping, err = in.CompMaxCardCtx(ctx)
 	case MaxCard11:
-		res.Mapping = in.CompMaxCard11()
+		res.Mapping, err = in.CompMaxCard11Ctx(ctx)
 	case MaxSim:
-		res.Mapping = in.CompMaxSim()
+		res.Mapping, err = in.CompMaxSimCtx(ctx)
 	case MaxSim11:
-		res.Mapping = in.CompMaxSim11()
+		res.Mapping, err = in.CompMaxSim11Ctx(ctx)
 	case Decide:
-		res.Mapping, res.Holds = in.Decide()
+		res.Mapping, res.Holds, err = in.DecideCtx(ctx)
 	case Decide11:
-		res.Mapping, res.Holds = in.Decide11()
+		res.Mapping, res.Holds, err = in.Decide11Ctx(ctx)
 	default:
 		t.Fatalf("directResult cannot run %q", req.Algo)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 	res.QualCard = in.QualCard(res.Mapping)
 	res.QualSim = in.QualSim(res.Mapping)

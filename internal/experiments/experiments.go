@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"graphmatch/internal/core"
@@ -60,18 +61,20 @@ type Outcome struct {
 func RunOne(alg Algorithm, in *core.Instance, mcsBudget time.Duration, matchBar float64) Outcome {
 	start := time.Now()
 	var out Outcome
+	// The comp* entry points fail only on cancellation, and Background
+	// is never cancelled.
 	switch alg {
 	case CompMaxCard:
-		m := in.CompMaxCard()
+		m, _ := in.CompMaxCardCtx(context.Background())
 		out.Quality = in.QualCard(m)
 	case CompMaxCard11:
-		m := in.CompMaxCard11()
+		m, _ := in.CompMaxCard11Ctx(context.Background())
 		out.Quality = in.QualCard(m)
 	case CompMaxSim:
-		m := in.CompMaxSim()
+		m, _ := in.CompMaxSimCtx(context.Background())
 		out.Quality = in.QualSim(m)
 	case CompMaxSim11:
-		m := in.CompMaxSim11()
+		m, _ := in.CompMaxSim11Ctx(context.Background())
 		out.Quality = in.QualSim(m)
 	case SF:
 		// Similarity flooding proposes the alignment; its quality is

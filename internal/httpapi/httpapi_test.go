@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -120,7 +121,7 @@ func TestMatchEndpoint(t *testing.T) {
 
 	// The wire result must equal a direct in-process run.
 	in := core.NewInstance(pattern, data, simmatrix.NewLabelEquality(pattern, data), xi)
-	want := in.CompMaxCard()
+	want, _ := in.CompMaxCardCtx(context.Background())
 	if mr.Matched != len(want) || mr.PatternNodes != pattern.NumNodes() {
 		t.Fatalf("matched %d/%d, want %d/%d", mr.Matched, mr.PatternNodes, len(want), pattern.NumNodes())
 	}
@@ -207,11 +208,12 @@ func TestEndToEndConcurrentBatches(t *testing.T) {
 
 	// Every client got per-algorithm results identical to direct runs.
 	in := core.NewInstance(pattern, data, simmatrix.NewLabelEquality(pattern, data), xi)
-	direct := map[string]core.Mapping{
-		"maxcard":   in.CompMaxCard(),
-		"maxcard11": in.CompMaxCard11(),
-		"maxsim":    in.CompMaxSim(),
-		"maxsim11":  in.CompMaxSim11(),
+	direct := map[string]core.Mapping{}
+	for algo, run := range map[string]func(context.Context) (core.Mapping, error){
+		"maxcard": in.CompMaxCardCtx, "maxcard11": in.CompMaxCard11Ctx,
+		"maxsim": in.CompMaxSimCtx, "maxsim11": in.CompMaxSim11Ctx,
+	} {
+		direct[algo], _ = run(context.Background())
 	}
 	for c, br := range responses {
 		if len(br.Results) != len(algos) {
@@ -234,7 +236,7 @@ func TestEndToEndConcurrentBatches(t *testing.T) {
 				}
 			}
 		}
-		_, holds := in.Decide()
+		_, holds, _ := in.DecideCtx(context.Background())
 		for _, res := range br.Results {
 			if res.Algo == "decide" && res.Holds != holds {
 				t.Errorf("client %d decide: holds %v, direct %v", c, res.Holds, holds)

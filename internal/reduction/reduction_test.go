@@ -1,11 +1,13 @@
 package reduction
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"graphmatch/internal/core"
+	"graphmatch/internal/product"
 	"graphmatch/internal/wis"
 )
 
@@ -93,7 +95,7 @@ func TestThreeSATReductionPaperExample(t *testing.T) {
 		t.Fatalf("|V2| = %d, want 27", r.G2.NumNodes())
 	}
 	in := instance(r.PHomInstance)
-	m, ok := in.Decide()
+	m, ok, _ := in.DecideCtx(context.Background())
 	if !ok {
 		t.Fatal("satisfiable formula must yield a p-hom mapping")
 	}
@@ -129,7 +131,7 @@ func TestThreeSATReductionEquivalence(t *testing.T) {
 			return false
 		}
 		in := instance(r.PHomInstance)
-		m, phom := in.Decide()
+		m, phom, _ := in.DecideCtx(context.Background())
 		_, sat := formula.Solve()
 		if phom != sat {
 			return false
@@ -196,7 +198,7 @@ func TestX3CReductionPaperExample(t *testing.T) {
 		t.Fatal("Theorem 4.1(b) constructs a tree and a DAG")
 	}
 	in := instance(r.PHomInstance)
-	m, ok := in.Decide11()
+	m, ok, _ := in.Decide11Ctx(context.Background())
 	if !ok {
 		t.Fatal("coverable instance must yield a 1-1 p-hom mapping")
 	}
@@ -226,7 +228,7 @@ func TestX3CReductionEquivalence(t *testing.T) {
 			return false
 		}
 		in := instance(r.PHomInstance)
-		m, phom := in.Decide11()
+		m, phom, _ := in.Decide11Ctx(context.Background())
 		_, coverable := x.Solve()
 		if phom != coverable {
 			return false
@@ -265,7 +267,7 @@ func TestWISReductionDomainIsIndependentSet(t *testing.T) {
 		}
 		r := FromWIS(g)
 		in := instance(r.PHomInstance)
-		m := in.CompMaxSim()
+		m, _ := in.CompMaxSimCtx(context.Background())
 		if in.CheckMapping(m, false) != nil {
 			return false
 		}
@@ -296,7 +298,8 @@ func TestWISReductionOptimaCoincide(t *testing.T) {
 		}
 		r := FromWIS(g)
 		in := instance(r.PHomInstance)
-		exactMapping := in.ExactMaxSim(false)
+		p := product.Build(in.G1, in.G2, in.Mat, in.Xi, false, in.Reach())
+		exactMapping := p.MappingFromClique(p.ExactMaxSimClique())
 		mappingWeight := 0.0
 		for v := range exactMapping {
 			mappingWeight += g.Weight(int(v))

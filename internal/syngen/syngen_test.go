@@ -1,6 +1,7 @@
 package syngen
 
 import (
+	"context"
 	"testing"
 
 	"graphmatch/internal/core"
@@ -139,7 +140,7 @@ func TestAlgorithmsFindMatchOnLowNoise(t *testing.T) {
 	matched := 0
 	for _, g2 := range w.G2s {
 		in := core.NewInstance(w.G1, g2, w.Matrix(g2), 0.75)
-		m := in.CompMaxCard()
+		m, _ := in.CompMaxCardCtx(context.Background())
 		if err := in.CheckMapping(m, false); err != nil {
 			t.Fatal(err)
 		}

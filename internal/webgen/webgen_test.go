@@ -1,6 +1,7 @@
 package webgen
 
 import (
+	"context"
 	"testing"
 
 	"graphmatch/internal/core"
@@ -107,7 +108,7 @@ func TestVersionsOfSameSiteMatch(t *testing.T) {
 	data := Skeleton(arch.Versions[1], 0.2)
 	mat := simmatrix.FromContent(pattern, data, 4)
 	in := core.NewInstance(pattern, data, mat, 0.75)
-	m := in.CompMaxCard()
+	m, _ := in.CompMaxCardCtx(context.Background())
 	if err := in.CheckMapping(m, false); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,8 @@ func TestNewspaperDriftsFasterThanOrganization(t *testing.T) {
 		data := Skeleton(arch.Versions[10], 0.2)
 		mat := simmatrix.FromContent(pattern, data, 4)
 		in := core.NewInstance(pattern, data, mat, 0.75)
-		return in.QualCard(in.CompMaxCard())
+		m, _ := in.CompMaxCardCtx(context.Background())
+		return in.QualCard(m)
 	}
 	org := quality(Organization, 400)
 	news := quality(Newspaper, 400)
