@@ -98,6 +98,20 @@ func (s *Set) Grown(n int) *Set {
 	return &Set{words: w, n: n}
 }
 
+// Recut re-cuts s to capacity n over its existing words when they can
+// hold n bits, and reports whether they could; s is unchanged when they
+// cannot. The bits are not cleared: after a change of length s may hold
+// stale bits, also past n, so callers Clear it or overwrite it whole
+// (CopyFrom, SplitInto) before reading it.
+func (s *Set) Recut(n int) bool {
+	words := (n + wordBits - 1) / wordBits
+	if words > cap(s.words) {
+		return false
+	}
+	s.words, s.n = s.words[:words], n
+	return true
+}
+
 // Clone returns an independent copy.
 func (s *Set) Clone() *Set {
 	c := &Set{words: make([]uint64, len(s.words)), n: s.n}

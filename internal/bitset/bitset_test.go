@@ -283,3 +283,39 @@ func TestSplitIntoMismatchPanics(t *testing.T) {
 	}()
 	New(10).SplitInto(New(10), nil, New(10), New(20))
 }
+
+func TestRecut(t *testing.T) {
+	s := New(130) // three words
+	s.Fill()
+	if s.Recut(193) {
+		t.Fatal("Recut(193) needs four words and must fail")
+	}
+	if s.Len() != 130 || s.Count() != 130 {
+		t.Fatalf("a failed Recut changed the set: Len %d Count %d", s.Len(), s.Count())
+	}
+	// Shrinking keeps the storage: stale bits stay until overwritten.
+	if !s.Recut(70) || s.Len() != 70 {
+		t.Fatalf("Recut(70): Len = %d", s.Len())
+	}
+	s.Clear()
+	if !s.Empty() {
+		t.Fatal("Clear after Recut left bits")
+	}
+	src := New(70)
+	src.Add(69)
+	s.CopyFrom(src)
+	if s.Count() != 1 || !s.Contains(69) {
+		t.Fatalf("CopyFrom after Recut: Count %d", s.Count())
+	}
+	// Growing back within the capacity works, and a whole overwrite
+	// leaves no phantom bits past the new length's old tail.
+	if !s.Recut(192) {
+		t.Fatal("Recut(192) fits three words")
+	}
+	full := New(192)
+	full.Fill()
+	s.CopyFrom(full)
+	if s.Count() != 192 {
+		t.Fatalf("Count after regrow = %d", s.Count())
+	}
+}

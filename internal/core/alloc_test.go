@@ -3,6 +3,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -41,7 +42,7 @@ func TestGreedyMatchAllocationFree(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := randomInstance(3, 12, 120)
-			mx := in.newMatcher(tc.injective)
+			mx := in.newMatcher(tc.injective, false)
 			h := mx.initialList()
 			if len(h.nodes) == 0 {
 				t.Fatal("degenerate fixture: empty matching list")
@@ -60,12 +61,11 @@ func TestGreedyMatchAllocationFree(t *testing.T) {
 }
 
 func TestGreedyMatchAllocationFreePickBest(t *testing.T) {
-	// The compMaxSim pick path additionally walks the node's candidate
-	// list for the heaviest pair; the recursion must still be
-	// allocation-free.
+	// The compMaxSim pick path additionally walks the node's
+	// weight-ordered candidates for the heaviest pair still in its good
+	// set; the recursion must still be allocation-free.
 	in := weightedRandomInstance(5, 10, 90)
-	mx := in.newMatcher(false)
-	mx.pickBest = true
+	mx := in.newMatcher(false, true)
 	h := mx.initialList()
 	if len(h.nodes) == 0 {
 		t.Fatal("degenerate fixture: empty matching list")
@@ -122,5 +122,35 @@ func TestMaxSimHoldsNoPerNodeRows(t *testing.T) {
 	perMatch := (after.TotalAlloc - before.TotalAlloc) / runs
 	if rows := uint64(n1 * n2 * 8); perMatch >= rows {
 		t.Fatalf("one maxsim match allocates %d B; per-node weight rows alone would be %d B", perMatch, rows)
+	}
+}
+
+// parentPointLabelAllocs is what one point_label-shaped request
+// allocated on average (the four-algorithm rotation over the 40
+// patterns of pointLabelInstances, measured as below) while every
+// request built its matcher's free lists from scratch.
+const parentPointLabelAllocs = 830
+
+// TestPointLabelAllocCeiling holds a warm request, one whose scratch
+// comes from the pool, to a quarter of that.
+func TestPointLabelAllocCeiling(t *testing.T) {
+	ins := pointLabelInstances(40)
+	ctx := context.Background()
+	total := 0.0
+	for _, e := range compEntries {
+		for _, in := range ins {
+			run := func() {
+				if _, err := e.run(in, ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // the cold first request
+			total += testing.AllocsPerRun(3, run)
+		}
+	}
+	avg := total / float64(len(compEntries)*len(ins))
+	t.Logf("%.1f allocs per warm point_label request", avg)
+	if ceiling := parentPointLabelAllocs / 4.0; avg > ceiling {
+		t.Fatalf("a warm point_label request allocates %.1f times, want ≤ %.1f", avg, ceiling)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"graphmatch/internal/closure"
 	"graphmatch/internal/graph"
 	"graphmatch/internal/simmatrix"
+	"graphmatch/internal/syngen"
 )
 
 // Benchmarks for the serving hot path: per-request matcher setup and
@@ -70,7 +72,7 @@ func BenchmarkMatcherSetup(b *testing.B) {
 		in := NewInstance(g1, g2, mat, 0.9)
 		in.SetReach(reach)
 		in.SetIndex(idx)
-		_ = in.newMatcher(false)
+		in.newMatcher(false, false).release()
 	}
 }
 
@@ -85,7 +87,7 @@ func BenchmarkMatcherSetupRowBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		in := NewInstance(g1, g2, mat, 0.9)
 		in.SetReach(reach)
-		_ = in.newMatcher(false)
+		in.newMatcher(false, false).release()
 	}
 }
 
@@ -144,7 +146,7 @@ func BenchmarkGreedyMatchSteadyState(b *testing.B) {
 	in := NewInstance(g1, g2, mat, 0.9)
 	in.SetReach(reach)
 	in.SetIndex(idx)
-	mx := in.newMatcher(false)
+	mx := in.newMatcher(false, false)
 	h := mx.initialList()
 	s, c := mx.greedyMatch(h)
 	mx.putPairs(s)
@@ -155,5 +157,54 @@ func BenchmarkGreedyMatchSteadyState(b *testing.B) {
 		s, c := mx.greedyMatch(h)
 		mx.putPairs(s)
 		mx.putPairs(c)
+	}
+}
+
+// compEntries is cmd/bench's four-algorithm rotation over the
+// context-first entry points.
+var compEntries = []struct {
+	name string
+	run  func(*Instance, context.Context) (Mapping, error)
+}{
+	{"maxcard", (*Instance).CompMaxCardCtx},
+	{"maxcard11", (*Instance).CompMaxCard11Ctx},
+	{"maxsim", (*Instance).CompMaxSimCtx},
+	{"maxsim11", (*Instance).CompMaxSim11Ctx},
+}
+
+// pointLabelInstances is the shape of cmd/bench's point_label requests:
+// patterns of 6–15 nodes carved from a 2 000-node, 64-label bow-tie
+// graph, label equality at ξ = 0.9, with the catalog's shared closure
+// and auto-tier index installed. Each instance's candidate lists are
+// built up front, so what the requests time is the matcher, not the
+// label scan.
+func pointLabelInstances(count int) []*Instance {
+	g2 := syngen.GenerateLarge(syngen.LargeConfig{Nodes: 2000, AvgDeg: 4, Labels: 64, Seed: 11})
+	reach := closure.Compute(g2)
+	idx := closure.AutoIndex(reach)
+	ins := make([]*Instance, count)
+	for i := range ins {
+		g1 := syngen.CarvePattern(g2, 6+i%10, int64(i))
+		in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.9)
+		in.SetReach(reach)
+		in.SetIndex(idx)
+		in.candidates()
+		ins[i] = in
+	}
+	return ins
+}
+
+// BenchmarkPointLabelServing is one point_label-shaped request per op:
+// consecutive ops rotate through the four algorithms, and every fourth
+// op moves to the next of 40 patterns.
+func BenchmarkPointLabelServing(b *testing.B) {
+	ins := pointLabelInstances(40)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := compEntries[i%4].run(ins[(i/4)%len(ins)], ctx); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -22,12 +22,12 @@ import (
 //     path; the channel select only every 128th call).
 //   - A fired poll panics with matchAbort, unwinding the entire
 //     recursion at once; the entry point recovers it and returns
-//     ErrDeadline. Unwinding abandons the matcher's free lists mid
-//     flight, which is safe precisely because the pools are
-//     per-matcher: no shared state is left inconsistent, the
-//     abandoned matcher is garbage collected whole, and a subsequent
-//     identical request builds a fresh matcher and returns
-//     bit-identical results (pinned by TestCancelPoisonsNothing).
+//     ErrDeadline. Unwinding abandons the lists in flight; the
+//     matcher's scratch still goes back to its pool, holding only what
+//     was on its free lists, and the abandoned lists' sets are garbage
+//     collected with them (scratch.go). A subsequent identical request
+//     returns bit-identical results (pinned by TestCancelPoisonsNothing
+//     and TestScratchReuseLeaksNothing).
 //   - The closure build gets the same treatment via
 //     closure.ComputeBoundedCtx (polled per node), reached through
 //     ReachCtx. Builds installed by the catalog are shared across
@@ -172,14 +172,18 @@ func (in *Instance) comp(ctx context.Context, span string, injective, sim bool) 
 		return nil, err
 	}
 	defer recoverAbort(&m, &err)
-	mx := in.newMatcher(injective)
-	mx.pickBest = sim
+	mx := in.newMatcher(injective, sim)
+	defer mx.release() // after the span's end func has read the stats
 	mx.bind(ctx)
 	defer startMatchSpan(ctx, span)(mx)
+	h := mx.initialList()
 	if sim {
-		return mx.runSim(mx.initialList()), nil
+		m = mx.runSim(h)
+	} else {
+		m = mx.run(h)
 	}
-	return mx.run(mx.initialList()), nil
+	mx.putList(h)
+	return m, nil
 }
 
 // DecideCtx reports whether G1 is p-hom to G2 w.r.t. mat() and ξ,

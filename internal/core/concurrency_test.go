@@ -65,10 +65,10 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func BenchmarkInitialList(b *testing.B) {
 	in := randomInstance(1, 100, 300)
-	mx := in.newMatcher(false)
+	mx := in.newMatcher(false, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mx.initialList()
+		mx.putList(mx.initialList())
 	}
 }
 
@@ -77,17 +77,20 @@ func BenchmarkNewMatcher(b *testing.B) {
 	in.Reach()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in.newMatcher(false)
+		in.newMatcher(false, false).release()
 	}
 }
 
 func BenchmarkGreedyMatchRound(b *testing.B) {
 	in := randomInstance(1, 60, 120)
-	mx := in.newMatcher(false)
+	mx := in.newMatcher(false, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h := mx.initialList()
-		mx.greedyMatch(h)
+		s, c := mx.greedyMatch(h)
+		mx.putPairs(s)
+		mx.putPairs(c)
+		mx.putList(h)
 	}
 }
 

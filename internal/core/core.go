@@ -179,7 +179,7 @@ func (in *Instance) SetIndex(ix closure.Index) {
 // discards the result. It exists so external benchmark drivers
 // (cmd/benchcore) can time setup cost without access to package
 // internals; it is not part of the matching API.
-func (in *Instance) BenchSetup() { in.newMatcher(false) }
+func (in *Instance) BenchSetup() { in.newMatcher(false, false).release() }
 
 // Symmetric returns the instance that matches paths on both sides
 // (Section 3.2, Remark): the pattern is replaced by its transitive

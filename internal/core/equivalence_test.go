@@ -386,6 +386,14 @@ func (mx *refMatcher) runSim(h *refList) Mapping {
 	return best
 }
 
+func pairsToMapping(pairs []Pair) Mapping {
+	m := make(Mapping, len(pairs))
+	for _, p := range pairs {
+		m[p.V] = p.U
+	}
+	return m
+}
+
 func refCompMaxCard(in *Instance, injective, pickFirst bool) Mapping {
 	mx := newRefMatcher(in, injective)
 	mx.pickFirst = pickFirst
@@ -456,6 +464,9 @@ func TestGreedyMatchEquivalence(t *testing.T) {
 
 func TestGreedyMatchEquivalenceWeighted(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
+		// Random weights and quantised scores spread the pairs over
+		// several buckets, so runSim makes every bucket run and the
+		// full-list run.
 		in := weightedRandomInstance(seed, 4+int(seed%6), 6+int(seed%9))
 		got, want := compMaxCard(in), refCompMaxCard(in, false, false)
 		mappingsEqual(t, "CompMaxCard/weighted", seed, got, want)
@@ -470,6 +481,28 @@ func TestGreedyMatchEquivalenceWeighted(t *testing.T) {
 			t.Fatalf("qualSim seed %d: %v != %v", seed, gq, wq)
 		}
 		mappingsEqual(t, "CompMaxSim11", seed, compMaxSim11(in), refCompMaxSim(in, true))
+	}
+}
+
+// TestGreedyMatchEquivalenceSingleBucket covers what the weighted cases
+// above cannot: label equality with unit weights gives every admissible
+// pair the same weight, so compMaxSim's buckets collapse into one that
+// holds all of H, and runSim skips its full-list run. refMatcher.runSim
+// still makes both runs; the mappings must agree bit for bit.
+func TestGreedyMatchEquivalenceSingleBucket(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		in := randomInstance(seed, 4+int(seed%9), 6+int(seed%13))
+		mx := in.newMatcher(false, true)
+		h := mx.initialList()
+		if len(h.nodes) > 0 {
+			buckets := mx.simBuckets(h)
+			if len(buckets) != 1 || buckets[0].pairCount() != h.pairCount() {
+				t.Fatalf("seed %d: %d buckets, want one holding all %d pairs", seed, len(buckets), h.pairCount())
+			}
+		}
+		mx.release()
+		mappingsEqual(t, "CompMaxSim/single-bucket", seed, compMaxSim(in), refCompMaxSim(in, false))
+		mappingsEqual(t, "CompMaxSim11/single-bucket", seed, compMaxSim11(in), refCompMaxSim(in, true))
 	}
 }
 

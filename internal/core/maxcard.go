@@ -33,7 +33,11 @@ import (
 // ones), matching lists use dense slice-indexed storage instead of
 // maps, the trim is a single Index.Split pass producing the kept and
 // displaced candidates together, and lists, candidate bitsets and pair
-// buffers are recycled through per-matcher free lists.
+// buffers are recycled through free lists in a pooled scratch that
+// outlives the request (scratch.go). A deadline abort hands the scratch
+// back too, less the sets the lists it abandoned still hold; idle
+// scratch is released at garbage collection, so pooled memory stays
+// bounded by what in-flight requests use.
 // TestGreedyMatchAllocationFree pins the zero-allocation property; the
 // equivalence tests pin that the restructuring returns bit-identical
 // mappings to the direct transcription of Figs. 3–4, and
@@ -55,7 +59,7 @@ type Pair struct {
 type matchList struct {
 	nodes []graph.NodeID
 	good  []*bitset.Set
-	// owned lists the sets drawn from the matcher's free list for this
+	// owned lists the sets drawn from the scratch's free list for this
 	// matchList, as opposed to rows shared with the parent list; only
 	// these go back to the pool when the list is released.
 	owned []*bitset.Set
@@ -67,7 +71,7 @@ func (h *matchList) add(v graph.NodeID, set *bitset.Set) {
 	h.good[v] = set
 }
 
-// addOwned inserts a row drawn from the matcher's set pool.
+// addOwned inserts a row drawn from the scratch's set free list.
 func (h *matchList) addOwned(v graph.NodeID, set *bitset.Set) {
 	h.add(v, set)
 	h.owned = append(h.owned, set)
@@ -106,8 +110,8 @@ type searchStats struct {
 
 // matcher carries the per-run state shared by all greedyMatch
 // invocations: the pattern adjacency (H1), the shared reachability
-// index of G2+ (H2, either tier), the injectivity flag, and the free
-// lists that make the recursion allocation-free. A matcher is
+// index of G2+ (H2, either tier), the injectivity flag, and the scratch
+// whose free lists make the recursion allocation-free. A matcher is
 // single-use and single-goroutine; concurrency happens one matcher per
 // call.
 type matcher struct {
@@ -118,6 +122,7 @@ type matcher struct {
 	n2        int
 	idx       closure.Index        // shared reachability index of G2+
 	cands     [][]simmatrix.Scored // in.candidates(), the admissible images per pattern node
+	order     [][]simmatrix.Scored // cands by descending pair weight, when pickBest
 	prevBits  []*bitset.Set        // prevBits[v] over V1
 	postBits  []*bitset.Set        // postBits[v] over V1
 	stats     searchStats
@@ -129,113 +134,45 @@ type matcher struct {
 	done  <-chan struct{}
 	steps uint64
 
-	// Free lists. Sets are over V2, lists over V1, pair buffers hold
-	// partial σ / I results; all recycle through the recursion so
-	// steady-state greedyMatch does no heap allocation.
-	setPool  []*bitset.Set
-	listPool []*matchList
-	pairPool [][]Pair
+	// sc holds the free lists and per-request buffers (scratch.go),
+	// drawn from scratchPool; release hands it back.
+	sc *scratch
 }
 
-func (in *Instance) newMatcher(injective bool) *matcher {
-	n1, n2 := in.G1.NumNodes(), in.G2.NumNodes()
-	mx := &matcher{in: in, injective: injective, n1: n1, n2: n2, idx: in.Index(), cands: in.candidates()}
-	mx.prevBits = make([]*bitset.Set, n1)
-	mx.postBits = make([]*bitset.Set, n1)
-	for v := 0; v < n1; v++ {
-		pb := bitset.New(n1)
-		for _, p := range in.G1.Prev(graph.NodeID(v)) {
-			pb.Add(int(p))
-		}
-		mx.prevBits[v] = pb
-		sb := bitset.New(n1)
-		for _, s := range in.G1.Post(graph.NodeID(v)) {
-			sb.Add(int(s))
-		}
-		mx.postBits[v] = sb
+// newMatcher sets up a matcher over a scratch drawn from scratchPool.
+// pickBest selects compMaxSim's weight-greedy candidate pick, and with
+// it the per-node weight order the pick walks.
+func (in *Instance) newMatcher(injective, pickBest bool) *matcher {
+	mx := &matcher{
+		in: in, injective: injective, pickBest: pickBest,
+		n1: in.G1.NumNodes(), n2: in.G2.NumNodes(),
+		idx: in.Index(), cands: in.candidates(),
+		sc: scratchPool.Get().(*scratch),
+	}
+	mx.prevBits, mx.postBits = mx.sc.adjacency(in.G1)
+	if pickBest {
+		mx.order = mx.sc.weightOrder(in.G1, mx.cands)
 	}
 	return mx
-}
-
-// Free-list plumbing. Pooled sets come back dirty: every consumer fully
-// overwrites them (CopyFrom / SplitInto) before reading.
-
-func (mx *matcher) getSet() *bitset.Set {
-	if n := len(mx.setPool); n > 0 {
-		s := mx.setPool[n-1]
-		mx.setPool = mx.setPool[:n-1]
-		return s
-	}
-	return bitset.New(mx.n2)
-}
-
-func (mx *matcher) putSet(s *bitset.Set) { mx.setPool = append(mx.setPool, s) }
-
-func (mx *matcher) getList() *matchList {
-	if n := len(mx.listPool); n > 0 {
-		l := mx.listPool[n-1]
-		mx.listPool = mx.listPool[:n-1]
-		return l
-	}
-	return newMatchList(mx.n1)
-}
-
-// putList clears a list and returns it — and its owned sets — to the
-// free lists. Rows shared with a parent list are left untouched.
-func (mx *matcher) putList(h *matchList) {
-	for _, v := range h.nodes {
-		h.good[v] = nil
-	}
-	h.nodes = h.nodes[:0]
-	for _, s := range h.owned {
-		mx.putSet(s)
-	}
-	h.owned = h.owned[:0]
-	mx.listPool = append(mx.listPool, h)
-}
-
-func (mx *matcher) getPairs() []Pair {
-	if n := len(mx.pairPool); n > 0 {
-		ps := mx.pairPool[n-1]
-		mx.pairPool = mx.pairPool[:n-1]
-		return ps
-	}
-	return make([]Pair, 0, 16)
-}
-
-// putPairs recycles a result buffer. nil-safe.
-func (mx *matcher) putPairs(ps []Pair) {
-	if ps == nil {
-		return
-	}
-	mx.pairPool = append(mx.pairPool, ps[:0])
-}
-
-// appendPair appends to a result buffer, drawing a pooled buffer when
-// the child returned none.
-func (mx *matcher) appendPair(ps []Pair, p Pair) []Pair {
-	if ps == nil {
-		ps = mx.getPairs()
-	}
-	return append(ps, p)
 }
 
 // initialList builds the top-level matching list (Fig. 3 line 4) from
 // the instance's candidate lists. Nodes with no candidates are excluded —
 // they can never join a mapping (the Appendix B partitioning
-// observation). The top-level list owns its sets privately (removePairs
-// mutates them); it never returns to the free lists.
+// observation). The top-level list owns its sets (removePairs mutates
+// them); the caller returns it to the free lists when the run is over.
 func (mx *matcher) initialList() *matchList {
-	h := newMatchList(mx.n1)
+	h := mx.getList()
 	for v, row := range mx.cands {
 		if len(row) == 0 {
 			continue
 		}
-		set := bitset.New(mx.n2)
+		set := mx.getSet()
+		set.Clear()
 		for _, c := range row {
 			set.Add(int(c.U))
 		}
-		h.add(graph.NodeID(v), set)
+		h.addOwned(graph.NodeID(v), set)
 	}
 	return h
 }
@@ -367,22 +304,18 @@ func (mx *matcher) greedyMatchAt(h *matchList, depth int) (sigma, conflicts []Pa
 // qualCard), or the heaviest pair w(v)·mat(v, u) for the similarity
 // algorithms (where the pick directly feeds the qualSim numerator),
 // earliest ID among equals. A good set only ever holds candidates of v,
-// so the scores come from walking v's candidate list.
+// so the heaviest pick is the first of v's weight-ordered candidates
+// still in it.
 func (mx *matcher) pickCandidate(v graph.NodeID, good *bitset.Set) graph.NodeID {
 	if !mx.pickBest {
 		return graph.NodeID(good.Next(0))
 	}
-	wv := mx.in.G1.Weight(v)
-	best, bestW := graph.Invalid, 0.0
-	for _, c := range mx.cands[v] {
-		if !good.Contains(int(c.U)) {
-			continue
-		}
-		if w := wv * c.Score; best == graph.Invalid || w > bestW {
-			bestW, best = w, c.U
+	for _, c := range mx.order[v] {
+		if good.Contains(int(c.U)) {
+			return c.U
 		}
 	}
-	return best
+	return graph.Invalid
 }
 
 // removePairs deletes the pairs of I from the top-level matching list
@@ -431,17 +364,25 @@ func (mx *matcher) run(h *matchList) Mapping {
 		h.removePairs(conflicts)
 		mx.putPairs(conflicts)
 	}
-	base := pairsToMapping(sigmaM)
+	image := mx.sc.imageOf(mx.n1)
+	for _, p := range sigmaM {
+		image[p.V] = p.U
+	}
+	size := len(sigmaM)
 	mx.putPairs(sigmaM)
-	out := mx.augment(base)
-	mx.stats.AugmentedPairs += len(out) - len(base)
-	return out
+	added := mx.augment(image)
+	mx.stats.AugmentedPairs += added
+	return imageMapping(image, size+added)
 }
 
-func pairsToMapping(pairs []Pair) Mapping {
-	m := make(Mapping, len(pairs))
-	for _, p := range pairs {
-		m[p.V] = p.U
+// imageMapping turns an image buffer (graph.Invalid off the domain) into
+// a Mapping of the given size.
+func imageMapping(image []graph.NodeID, size int) Mapping {
+	m := make(Mapping, size)
+	for v, u := range image {
+		if u != graph.Invalid {
+			m[graph.NodeID(v)] = u
+		}
 	}
 	return m
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"graphmatch/internal/bitset"
 	"graphmatch/internal/graph"
@@ -20,6 +21,8 @@ import (
 // simBuckets partitions the admissible pairs of the initial matching list
 // into weight buckets. Bucket i holds pairs with weight in
 // (W/2^(i+1), W/2^i]; pairs below the W/(n1·n2) floor are discarded.
+// The buckets are drawn from the scratch; the caller returns each to the
+// free lists once it has run.
 func (mx *matcher) simBuckets(h *matchList) []*matchList {
 	in := mx.in
 	// each visits the pairs of h in list order, ascending u within a node.
@@ -48,7 +51,12 @@ func (mx *matcher) simBuckets(h *matchList) []*matchList {
 	}
 	floor := maxW / float64(n)
 	nb := int(math.Ceil(math.Log2(float64(n)))) + 1
-	buckets := make([]*matchList, nb)
+	sc := mx.sc
+	if cap(sc.buckets) < nb {
+		sc.buckets = make([]*matchList, nb)
+	}
+	buckets := sc.buckets[:nb]
+	clear(buckets)
 	each(func(v, u graph.NodeID, w float64) {
 		if w < floor || w <= 0 {
 			return
@@ -61,11 +69,13 @@ func (mx *matcher) simBuckets(h *matchList) []*matchList {
 			i = nb - 1
 		}
 		if buckets[i] == nil {
-			buckets[i] = newMatchList(mx.n1)
+			buckets[i] = mx.getList()
 		}
 		b := buckets[i]
 		if b.good[v] == nil {
-			b.add(v, bitset.New(mx.n2))
+			set := mx.getSet()
+			set.Clear()
+			b.addOwned(v, set)
 		}
 		b.good[v].Add(int(u))
 	})
@@ -78,94 +88,122 @@ func (mx *matcher) simBuckets(h *matchList) []*matchList {
 	return out
 }
 
-// runSim evaluates the bucket runs plus one run over the full list, greedily
-// augments each candidate mapping, and returns the mapping with the highest
-// qualSim. Both additions are conservative: an extra candidate mapping and a
-// pass that only ever adds weight can only raise the max, so the
-// O(log²(n1·n2)/(n1·n2)) guarantee of the bucket scheme is preserved.
+// runSim evaluates the bucket runs plus one run over the full list and
+// returns the mapping with the highest qualSim; run has already augmented
+// each. The extra run is conservative: one more candidate mapping can only
+// raise the max, so the O(log²(n1·n2)/(n1·n2)) guarantee of the bucket
+// scheme is preserved.
+//
+// When a single bucket holds every pair of H, as when all admissible
+// pairs weigh the same (label equality with unit weights), that bucket
+// is H: it lists H's nodes in H's order with H's candidate sets. The
+// full-list run would return the bucket run's mapping again, which
+// consider cannot prefer (it needs >), so it is skipped. The check comes
+// before anything runs, because run removes conflict pairs from its list.
 func (mx *matcher) runSim(h *matchList) Mapping {
 	in := mx.in
 	best := Mapping{}
 	bestQ := -1.0
 	consider := func(m Mapping) {
-		m = mx.augment(m)
 		if q := in.QualSim(m); q > bestQ {
 			bestQ = q
 			best = m
 		}
 	}
-	for _, b := range mx.simBuckets(h) {
+	buckets := mx.simBuckets(h)
+	whole := len(buckets) == 1 && buckets[0].pairCount() == h.pairCount()
+	for _, b := range buckets {
 		consider(mx.run(b))
+		mx.putList(b)
 	}
-	consider(mx.run(h))
+	if !whole {
+		consider(mx.run(h))
+	}
 	return best
 }
 
-// augment extends a valid mapping with additional admissible pairs in
+// augCand is one pair the augmentation pass may add.
+type augCand struct {
+	v, u graph.NodeID
+	w    float64
+}
+
+// augment extends the mapping in image (image[v] = σ(v), graph.Invalid
+// off the domain) in place with additional admissible pairs in
 // descending weight order, keeping the edge-to-path and (if configured)
-// injectivity constraints intact. The bucket partition deliberately keeps
-// weights homogeneous within a run, so a bucket winner often leaves
-// compatible heavy/light pairs from other buckets on the table; picking
-// them up never decreases qualSim.
-func (mx *matcher) augment(m Mapping) Mapping {
+// injectivity constraints intact, and reports how many it added. The
+// bucket partition deliberately keeps weights homogeneous within a run,
+// so a bucket winner often leaves compatible heavy/light pairs from other
+// buckets on the table; picking them up never decreases qualSim. One
+// pass leaves nothing to add: constraints only grow as pairs join, so a
+// pair rejected once stays rejected.
+func (mx *matcher) augment(image []graph.NodeID) int {
 	in := mx.in
 	reach := in.Reach()
-	out := m.Clone()
-	used := make(map[graph.NodeID]bool, len(out))
-	for _, u := range out {
-		used[u] = true
+	var used *bitset.Set
+	if mx.injective {
+		used = mx.getSet()
+		used.Clear()
+		for _, u := range image {
+			if u != graph.Invalid {
+				used.Add(int(u))
+			}
+		}
 	}
-	type cand struct {
-		v, u graph.NodeID
-		w    float64
-	}
-	var cands []cand
+	cands := mx.sc.aug[:0]
 	for v, row := range mx.cands {
 		mx.poll()
-		vv := graph.NodeID(v)
-		if _, ok := out[vv]; ok {
+		if image[v] != graph.Invalid {
 			continue
 		}
+		vv := graph.NodeID(v)
 		wv := in.G1.Weight(vv)
 		for _, c := range row {
-			cands = append(cands, cand{v: vv, u: c.U, w: wv * c.Score})
+			cands = append(cands, augCand{v: vv, u: c.U, w: wv * c.Score})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].w != cands[j].w {
-			return cands[i].w > cands[j].w
+	mx.sc.aug = cands
+	slices.SortFunc(cands, func(a, b augCand) int {
+		switch {
+		case a.w > b.w:
+			return -1
+		case a.w < b.w:
+			return 1
+		case a.v != b.v:
+			return cmp.Compare(a.v, b.v)
 		}
-		if cands[i].v != cands[j].v {
-			return cands[i].v < cands[j].v
-		}
-		return cands[i].u < cands[j].u
+		return cmp.Compare(a.u, b.u)
 	})
+	added := 0
 	for _, c := range cands {
-		if _, ok := out[c.v]; ok {
-			continue
-		}
-		if mx.injective && used[c.u] {
+		if image[c.v] != graph.Invalid || used != nil && used.Contains(int(c.u)) {
 			continue
 		}
 		ok := true
 		for _, v2 := range in.G1.Post(c.v) {
-			if u2, in2 := out[v2]; in2 && !reach.Reachable(c.u, u2) {
+			if u2 := image[v2]; u2 != graph.Invalid && !reach.Reachable(c.u, u2) {
 				ok = false
 				break
 			}
 		}
 		if ok {
 			for _, v0 := range in.G1.Prev(c.v) {
-				if u0, in0 := out[v0]; in0 && !reach.Reachable(u0, c.u) {
+				if u0 := image[v0]; u0 != graph.Invalid && !reach.Reachable(u0, c.u) {
 					ok = false
 					break
 				}
 			}
 		}
 		if ok {
-			out[c.v] = c.u
-			used[c.u] = true
+			image[c.v] = c.u
+			if used != nil {
+				used.Add(int(c.u))
+			}
+			added++
 		}
 	}
-	return out
+	if used != nil {
+		mx.putSet(used)
+	}
+	return added
 }

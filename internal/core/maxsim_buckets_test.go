@@ -20,7 +20,7 @@ func bucketFixture() (*Instance, *matcher, *matchList) {
 	g1.SetWeight(3, 0.001) // below the W/(n1·n2) floor
 	g2 := graph.FromEdgeList([]string{"a", "b", "c", "d"}, nil)
 	in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.5)
-	mx := in.newMatcher(false)
+	mx := in.newMatcher(false, false)
 	return in, mx, mx.initialList()
 }
 
@@ -76,7 +76,7 @@ func TestSimBucketsEmptyOnZeroWeights(t *testing.T) {
 	g1 := graph.FromEdgeList([]string{"x"}, nil)
 	g2 := graph.FromEdgeList([]string{"y"}, nil) // no admissible pairs
 	in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.5)
-	mx := in.newMatcher(false)
+	mx := in.newMatcher(false, false)
 	if buckets := mx.simBuckets(mx.initialList()); len(buckets) != 0 {
 		t.Fatalf("buckets = %d, want 0", len(buckets))
 	}
@@ -90,12 +90,12 @@ func TestPickCandidateBest(t *testing.T) {
 	mat.Set(0, 1, 0.95) // the heaviest candidate
 	mat.Set(0, 2, 0.9)
 	in := NewInstance(g1, g2, mat, 0.5)
-	mx := in.newMatcher(false)
+	mx := in.newMatcher(false, false)
 	h := mx.initialList()
 	if got := mx.pickCandidate(0, h.good[0]); got != 0 {
 		t.Errorf("default pick = %d, want first (0)", got)
 	}
-	mx.pickBest = true
+	mx = in.newMatcher(false, true)
 	if got := mx.pickCandidate(0, h.good[0]); got != 1 {
 		t.Errorf("best pick = %d, want 1", got)
 	}

@@ -83,8 +83,10 @@ func TestCompMaxSimNeverBeatsExact(t *testing.T) {
 }
 
 func TestCompMaxSimAtLeastAsGoodAsCardOnSim(t *testing.T) {
-	// runSim also evaluates the plain compMaxCard run, so its qualSim can
-	// never fall below compMaxCard's.
+	// randomInstance is label equality with unit weights: every pair
+	// weighs the same and each pick is the earliest candidate by ID, as
+	// in compMaxCard. runSim's one bucket is the whole list, so it makes
+	// compMaxCard's run, and its qualSim cannot fall below compMaxCard's.
 	f := func(seed int64) bool {
 		in := randomInstance(seed, 7, 10)
 		simQ := in.QualSim(compMaxSim(in))
