@@ -5,26 +5,25 @@
 //	benchcore -out BENCH_core.json
 //
 // Three layers are timed with testing.Benchmark against one shared,
-// catalog-shaped fixture (a random data graph whose closure and
-// closure rows are built once, as internal/catalog does for registered
-// graphs):
+// catalog-shaped fixture (a random data graph whose closure is built
+// once, as internal/catalog does for registered graphs):
 //
-//   - matcher setup with a shared index (the serving fast path) and
-//     with a per-request row rebuild (what every request paid before
-//     rows were shareable), whose ratio is the headline of the
-//     zero-rebuild change;
-//   - one full compMaxCard request under each reachability tier —
-//     dense closure rows vs the candidate-sparse component index —
-//     with both tiers' resident bytes, recording the memory/throughput
-//     trade-off of the tiered reachability layer;
+//   - matcher setup with the shared index (the serving fast path) and
+//     with a per-request dense row rebuild (what every request paid
+//     before the index was shareable), whose ratio is the headline of
+//     the zero-rebuild change;
+//   - one full compMaxCard request under the served index (the
+//     candidate-sparse closure.CompIndex) and under the dense
+//     reference rows (closure.NewRows), with the bytes the dense rows
+//     add — the evidence that the server needs only the one index;
 //   - a concurrent engine workload, reported as requests/sec.
 //
 // A second, separately reported scenario (-large-nodes, default 100k)
 // registers a power-law graph with a strongly connected core through a
-// real engine under the auto tier policy, runs matches against it, and
-// compares the catalog's resident bytes to the dense per-node-rows
-// projection 2·n²/8 — the quadratic footprint that made graphs this
-// size unservable before the sparse tier. CI runs both and archives
+// real engine, runs matches against it, and compares the catalog's
+// resident bytes to the dense per-node-rows projection 2·n²/8 — the
+// quadratic footprint that made graphs this size unservable before the
+// SCC-condensed index. CI runs both and archives
 // BENCH_core.json and BENCH_core_large.json next to BENCH_engine.json
 // so hot-path and memory regressions are visible per commit.
 package main
@@ -58,25 +57,26 @@ type report struct {
 	DataNodes    int    `json:"data_nodes"`
 	PatternNodes int    `json:"pattern_nodes"`
 
-	// Per-request matcher setup against a catalog-cached graph.
+	// Per-request matcher setup against a catalog-cached graph and its
+	// shared index.
 	SetupNsOp     int64 `json:"setup_ns_op"`
 	SetupAllocsOp int64 `json:"setup_allocs_op"`
-	// The same setup re-deriving closure rows per request (the
+	// The same setup re-deriving dense closure rows per request (the
 	// pre-sharing behaviour kept as the comparison baseline).
 	SetupRowBuildNsOp     int64   `json:"setup_rowbuild_ns_op"`
 	SetupRowBuildAllocsOp int64   `json:"setup_rowbuild_allocs_op"`
 	SetupSpeedup          float64 `json:"setup_speedup"`
 
 	// One full compMaxCard request: instance + setup + search, under
-	// the dense tier (the default for a graph this size)...
+	// the dense reference rows (closure.NewRows)...
 	MatchNsOp     int64 `json:"match_ns_op"`
 	MatchAllocsOp int64 `json:"match_allocs_op"`
 	MatchBytesOp  int64 `json:"match_bytes_op"`
-	// ...and under the candidate-sparse tier, with both tiers' index
-	// footprints — the memory/throughput trade-off in one place.
-	SparseMatchNsOp  int64 `json:"sparse_match_ns_op"`
-	DenseIndexBytes  int64 `json:"dense_index_bytes"`
-	SparseIndexBytes int64 `json:"sparse_index_bytes"`
+	// ...and under the served index (closure.CompIndex), with the
+	// bytes the dense rows add on top of the closure; the served index
+	// adds none.
+	SparseMatchNsOp int64 `json:"sparse_match_ns_op"`
+	DenseIndexBytes int64 `json:"dense_index_bytes"`
 
 	// Concurrent engine workload.
 	EngineRequests       int     `json:"engine_requests"`
@@ -110,7 +110,7 @@ func main() {
 		for i := 0; i < b.N; i++ {
 			in := core.NewInstance(pattern, data, mat, 0.9)
 			in.SetReach(reach)
-			in.SetIndex(rows)
+			in.SetIndex(sparse)
 			in.BenchSetup()
 		}
 	})
@@ -119,6 +119,7 @@ func main() {
 		for i := 0; i < b.N; i++ {
 			in := core.NewInstance(pattern, data, mat, 0.9)
 			in.SetReach(reach)
+			in.SetIndex(closure.NewRows(reach))
 			in.BenchSetup()
 		}
 	})
@@ -158,7 +159,6 @@ func main() {
 		MatchBytesOp:          match.AllocedBytesPerOp(),
 		SparseMatchNsOp:       sparseMatch.NsPerOp(),
 		DenseIndexBytes:       int64(rows.Bytes()),
-		SparseIndexBytes:      int64(sparse.Bytes()),
 		EngineRequests:        reqs,
 		EngineRequestsPerSec:  float64(reqs) / elapsed.Seconds(),
 	}
@@ -190,28 +190,25 @@ func main() {
 }
 
 // largeReport is the BENCH_core_large.json schema: one serving-scale
-// graph registered through a real engine under the auto tier policy.
+// graph registered through a real engine.
 type largeReport struct {
 	Timestamp  string `json:"timestamp"`
 	GoVersion  string `json:"go_version"`
 	Nodes      int    `json:"nodes"`
 	Edges      int    `json:"edges"`
 	Components int    `json:"components"`
-	Tier       string `json:"tier"`
 
 	// RegisterMS is the one-off preprocessing cost: SCC condensation,
 	// component-closure propagation, and index construction.
 	RegisterMS int64 `json:"register_ms"`
 
-	// ResidentBytes is the catalog's resident closure + index memory
-	// after serving. It is compared against two dense projections:
+	// ResidentBytes is the catalog's resident closure memory after
+	// serving. It is compared against two dense projections:
 	// DenseRowsProjectionBytes — per-node row matrices (2·n²/8, both
-	// directions), the naive H2 materialisation that motivated the
-	// tier and the denominator of MemoryReduction — and
-	// DenseTierProjectionBytes, what this repo's SCC-aliased dense
-	// tier (closure.ProjectedRowsBytes, the number the auto policy
-	// weighs) would actually have allocated, with its own
-	// DenseTierReduction.
+	// directions), the naive H2 materialisation and the denominator of
+	// MemoryReduction — and DenseTierProjectionBytes, what the
+	// SCC-aliased dense reference rows (closure.ProjectedRowsBytes)
+	// would have allocated, with its own DenseTierReduction.
 	ResidentBytes            int64   `json:"resident_bytes"`
 	DenseRowsProjectionBytes int64   `json:"dense_rows_projection_bytes"`
 	MemoryReduction          float64 `json:"memory_reduction"`
@@ -231,8 +228,7 @@ type largeScenarioConfig struct {
 }
 
 // runLargeScenario drives the ≥100k-node path end to end: generate,
-// register (auto tier — must pick candidate-sparse at this size),
-// match, and report memory against the dense projection.
+// register, match, and report memory against the dense projection.
 func runLargeScenario(cfg largeScenarioConfig) {
 	if cfg.requests <= 0 {
 		cfg.requests = 1 // at least one request: the ms/op division needs it
@@ -271,13 +267,9 @@ func runLargeScenario(cfg largeScenarioConfig) {
 	matchMS := float64(time.Since(matchStart).Milliseconds()) / float64(cfg.requests)
 
 	st := eng.Catalog().Stats()
-	tier := "dense"
-	if st.ResidentSparse > 0 {
-		tier = "sparse"
-	}
 	n := int64(g.NumNodes())
 	projection := 2 * n * 8 * ((n + 63) / 64)
-	// The catalog holds the shared closure; reuse it for the dense-tier
+	// The catalog holds the shared closure; reuse it for the dense
 	// projection and the component count instead of recomputing.
 	reach, err := eng.Catalog().Reach("large", 0)
 	if err != nil {
@@ -289,7 +281,6 @@ func runLargeScenario(cfg largeScenarioConfig) {
 		Nodes:                    g.NumNodes(),
 		Edges:                    g.NumEdges(),
 		Components:               reach.NumComponents(),
-		Tier:                     tier,
 		RegisterMS:               registerMS,
 		ResidentBytes:            st.ResidentBytes,
 		DenseRowsProjectionBytes: projection,
@@ -313,8 +304,8 @@ func runLargeScenario(cfg largeScenarioConfig) {
 	if err := enc.Encode(rep); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("large: %d nodes / %d comps, tier %s, register %dms, match %.1fms/op, resident %.1fMB vs per-node rows %.0fMB (%.0fx) / dense tier %.0fMB (%.0fx) → %s",
-		rep.Nodes, rep.Components, rep.Tier, rep.RegisterMS, rep.MatchMsPerOp,
+	log.Printf("large: %d nodes / %d comps, register %dms, match %.1fms/op, resident %.1fMB vs per-node rows %.0fMB (%.0fx) / dense tier %.0fMB (%.0fx) → %s",
+		rep.Nodes, rep.Components, rep.RegisterMS, rep.MatchMsPerOp,
 		float64(rep.ResidentBytes)/1e6, float64(rep.DenseRowsProjectionBytes)/1e6,
 		rep.MemoryReduction, float64(rep.DenseTierProjectionBytes)/1e6,
 		rep.DenseTierReduction, cfg.out)

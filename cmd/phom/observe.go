@@ -60,8 +60,6 @@ type statsWire struct {
 	Catalog struct {
 		Graphs           int     `json:"graphs"`
 		ResidentClosures int     `json:"resident_closures"`
-		ResidentDense    int     `json:"resident_dense"`
-		ResidentSparse   int     `json:"resident_sparse"`
 		ResidentBytes    int64   `json:"resident_bytes"`
 		Hits             uint64  `json:"hits"`
 		Misses           uint64  `json:"misses"`
@@ -97,9 +95,9 @@ func runTop(args []string) {
 		e.Workers, e.Pending, gaugeStr(fams, "phomd_engine_queue_depth"),
 		e.Executed, e.Requests, e.Coalesced, e.Shed, e.Errors)
 	c := st.Catalog
-	fmt.Printf("catalog: %d graphs, closure hit rate %.1f%% (%d hits, %d misses, %d evictions), %d resident (%d dense, %d sparse), %s\n",
+	fmt.Printf("catalog: %d graphs, closure hit rate %.1f%% (%d hits, %d misses, %d evictions), %d resident, %s\n",
 		c.Graphs, c.HitRate*100, c.Hits, c.Misses, c.Evictions,
-		c.ResidentClosures, c.ResidentDense, c.ResidentSparse, sizeStr(c.ResidentBytes))
+		c.ResidentClosures, sizeStr(c.ResidentBytes))
 	if s := st.Store; s != nil {
 		fmt.Printf("store:   seq %d, %d appended (%d since snapshot), %d snapshots, %d segments, %s WAL\n",
 			s.LastSeq, s.Appended, s.SinceSnapshot, s.Snapshots, s.Segments, sizeStr(s.WALBytes))

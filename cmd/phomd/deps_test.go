@@ -2,6 +2,7 @@ package main
 
 import (
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -23,6 +24,35 @@ func TestServerDoesNotLinkOracle(t *testing.T) {
 	for _, pkg := range strings.Fields(string(out)) {
 		if pkg == "graphmatch/internal/product" || pkg == "graphmatch/internal/wis" {
 			t.Errorf("phomd links %s", pkg)
+		}
+	}
+}
+
+// TestServerDoesNotLinkDenseTier pins that the server probes only the
+// SCC-condensed closure (closure.CompIndex): the dense per-node rows and
+// the size-based selection that built them are a test and benchmark
+// reference, so the linker must find no path from phomd to either.
+func TestServerDoesNotLinkDenseTier(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	bin := filepath.Join(t.TempDir(), "phomd")
+	if out, err := exec.Command(goBin, "build", "-o", bin, "graphmatch/cmd/phomd").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	out, err := exec.Command(goBin, "tool", "nm", bin).Output()
+	if err != nil {
+		t.Fatalf("go tool nm: %v", err)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 {
+			continue
+		}
+		switch f[len(f)-1] {
+		case "graphmatch/internal/closure.NewRows", "graphmatch/internal/closure.BuildIndex":
+			t.Errorf("phomd links %s", f[len(f)-1])
 		}
 	}
 }

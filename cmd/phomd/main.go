@@ -30,7 +30,7 @@
 // and fsynced before it is acknowledged, the WAL is compacted into a
 // binary snapshot every -snapshot-every mutations (or on demand via
 // POST /v1/admin/snapshot), and a restart replays snapshot + WAL —
-// rebuilding closure tiers and the search index — before the listener
+// rebuilding closures and the search index — before the listener
 // accepts traffic:
 //
 //	phomd -addr :8080 -store /var/lib/phomd -snapshot-every 1000
@@ -75,7 +75,6 @@ import (
 	"time"
 
 	"graphmatch/internal/catalog"
-	"graphmatch/internal/closure"
 	"graphmatch/internal/engine"
 	"graphmatch/internal/graph"
 	"graphmatch/internal/httpapi"
@@ -98,7 +97,6 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	maxClosures := flag.Int("max-closures", 0, "LRU bound on resident reachability indexes (0 = default)")
 	maxClosureBytes := flag.Int64("max-closure-bytes", 0, "LRU byte budget for resident closures and indexes (0 = unbounded)")
-	reachTier := flag.String("reach-tier", "auto", "reachability index tier: auto (by graph size) | dense | sparse")
 	queueDepth := flag.Int("queue", 0, "pending-request queue depth (0 = 4×workers)")
 	maxExact := flag.Int("max-exact-nodes", 16, "largest pattern accepted for the exponential decide/decide11 algorithms (0 = unlimited)")
 	searchMaxCand := flag.Int("search-max-candidates", 0, "default cap on /v1/search candidates reaching the matcher (0 = unlimited)")
@@ -164,11 +162,6 @@ func main() {
 		}
 	}
 
-	tier, err := closure.ParseTierPolicy(*reachTier)
-	if err != nil {
-		log.Fatalf("phomd: %v", err)
-	}
-
 	// Resolve the admission bound the way the engine resolves its pool:
 	// the default keeps every admitted task's queue send non-blocking.
 	resolvedWorkers := *workers
@@ -208,7 +201,6 @@ func main() {
 		Workers:              *workers,
 		MaxClosures:          *maxClosures,
 		MaxClosureBytes:      *maxClosureBytes,
-		ReachTier:            tier,
 		QueueDepth:           *queueDepth,
 		MaxPending:           pending,
 		ExactNodeLimit:       *maxExact,
@@ -321,7 +313,7 @@ type lifecycle struct {
 // on the serving address: the main server uses a dedicated handler, so
 // the pprof routes net/http/pprof hangs on DefaultServeMux stay
 // unreachable unless -pprof is set. This is how serving hot spots
-// (closure row sweeps, greedyMatch recursion, shard fan-out) get
+// (closure probes, greedyMatch recursion, shard fan-out) get
 // profiled in place:
 //
 //	go tool pprof http://localhost:6060/debug/pprof/profile

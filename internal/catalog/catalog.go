@@ -15,13 +15,12 @@
 // Hit/miss/eviction counters expose cache effectiveness to /v1/stats
 // and the benchmarks.
 //
-// Each cached closure also carries a matcher-facing reachability index
-// (closure.Index) in one of two tiers, selected automatically by
-// projected size: small graphs get dense per-node closure rows (fast
-// word-level trims), large graphs get the candidate-sparse
-// component-probe tier whose footprint is O(n + k²) in the number of
-// SCC-condensation components k rather than O(n²) — the representation
-// that lets the catalog register ≥100k-node data graphs at all.
+// Each cached closure is wrapped, when it is installed, in the
+// matcher-facing reachability index (closure.CompIndex): an O(1)
+// wrapper that probes the SCC-condensed closure directly, so an entry's
+// footprint is O(n + k²) in the number of SCC-condensation components k
+// rather than O(n²) — the representation that lets the catalog register
+// ≥100k-node data graphs at all.
 //
 // Every registered graph also owns a candidate index (simmatrix's
 // content postings), read from the same registry entry as the graph
@@ -67,7 +66,7 @@ const DefaultMaxClosures = 64
 type Option func(*Catalog)
 
 // WithMaxBytes bounds the total resident bytes of cached reachability
-// indexes (closures plus their tier indexes). When an insertion or a
+// closures. When an insertion or a
 // build pushes the resident total past the budget, least-recently-used
 // entries are evicted until it fits again — except the entry just
 // touched, so a single closure larger than the budget still serves its
@@ -75,19 +74,6 @@ type Option func(*Catalog)
 // miss). Non-positive means unbounded (the default).
 func WithMaxBytes(n int64) Option {
 	return func(c *Catalog) { c.maxBytes = n }
-}
-
-// WithTierPolicy fixes the reachability-index tier instead of the
-// default auto selection by projected size.
-func WithTierPolicy(p closure.TierPolicy) Option {
-	return func(c *Catalog) { c.tierPolicy = p }
-}
-
-// WithDenseMaxBytes overrides the auto-tier threshold: graphs whose
-// projected dense rows exceed n bytes get the candidate-sparse tier.
-// Non-positive keeps closure.DefaultDenseMaxBytes.
-func WithDenseMaxBytes(n int) Option {
-	return func(c *Catalog) { c.denseMaxBytes = n }
 }
 
 // WithDeltaBudget tunes incremental closure maintenance on Apply: the
@@ -108,37 +94,20 @@ type Stats struct {
 	// ResidentClosures counts reachability indexes currently cached
 	// (including ones still being built).
 	ResidentClosures int `json:"resident_closures"`
-	// ResidentIndexes counts cached closures whose matcher-facing
-	// reachability index has been built; indexes are built lazily, on
-	// the first request that runs an index-consuming algorithm.
-	ResidentIndexes int `json:"resident_indexes"`
-	// ResidentDense and ResidentSparse break ResidentIndexes down by
-	// tier (dense closure rows vs candidate-sparse component probes).
-	ResidentDense  int `json:"resident_dense"`
-	ResidentSparse int `json:"resident_sparse"`
-	// DenseIndexBytes and SparseIndexBytes approximate the heap held by
-	// resident indexes of each tier, beyond the closures they derive
-	// from.
-	DenseIndexBytes  int64 `json:"dense_index_bytes"`
-	SparseIndexBytes int64 `json:"sparse_index_bytes"`
 	// ResidentBytes approximates the heap held by resident reachability
-	// closures and their indexes — the quantity the LRU bounds protect.
+	// closures — the quantity the LRU bounds protect.
 	ResidentBytes int64 `json:"resident_bytes"`
 	// MaxClosures is the LRU capacity by entry count.
 	MaxClosures int `json:"max_closures"`
 	// MaxBytes is the LRU capacity by resident bytes; 0 = unbounded.
 	MaxBytes int64 `json:"max_bytes"`
-	// TierPolicy is the index tier selection in force (auto, dense or
-	// sparse).
-	TierPolicy string `json:"tier_policy"`
 	// Hits counts Reach calls served from the cache.
 	Hits uint64 `json:"hits"`
 	// Misses counts Reach calls that had to build a closure.
 	Misses uint64 `json:"misses"`
 	// Evictions counts closures dropped by the LRU bound.
 	Evictions uint64 `json:"evictions"`
-	// BuildTime is the cumulative wall time spent building closures
-	// and closure rows.
+	// BuildTime is the cumulative wall time spent building closures.
 	BuildTime time.Duration `json:"build_ns"`
 	// PatchesIncremental counts Apply commits whose cached closure was
 	// patched in place; PatchesRebuild counts the ones that fell back to
@@ -146,11 +115,6 @@ type Stats struct {
 	// over budget).
 	PatchesIncremental uint64 `json:"patches_incremental"`
 	PatchesRebuild     uint64 `json:"patches_rebuild"`
-	// PatchIndexRebuilds counts Apply commits that built the
-	// matcher-facing index afresh (closure.BuildIndex) instead of
-	// patching it: the graph outgrew the dense budget, or the row patch
-	// declined. Zero on a healthy server.
-	PatchIndexRebuilds uint64 `json:"patch_index_rebuilds"`
 	// CandidateIndexBytes approximates the heap held by the registered
 	// graphs' candidate indexes (content postings, present once a
 	// content-similarity request has built them). Outside the LRU bounds
@@ -174,31 +138,20 @@ type closureKey struct {
 	pathLimit int
 }
 
-// entry is one cache slot. ready is closed once reach is final, so
-// lookups can wait for an in-flight build without holding the catalog
-// lock. Builds cannot fail (closure.ComputeBounded is total), so the
-// slot carries no error. The matcher-facing reachability index rides
-// in the same slot — built lazily (single-flight via idxOnce) because
-// only the approximation algorithms consume it — so the LRU bounds
-// account for closure and index together and eviction drops both.
-// bytes and idxBytes are maintained under the catalog lock for the
-// ResidentBytes stat.
+// entry is one cache slot. ready is closed once reach and idx are
+// final, so lookups can wait for an in-flight build without holding the
+// catalog lock. Builds cannot fail (closure.ComputeBounded is total), so
+// the slot carries no error. idx is the matcher-facing wrapper of
+// reach, set together with it; it holds no memory of its own, so bytes
+// — maintained under the catalog lock for the ResidentBytes stat — is
+// the closure's.
 type entry struct {
 	key   closureKey
 	elem  *list.Element
 	ready chan struct{}
 	reach *closure.Reach
-
-	idxOnce sync.Once
-	idx     closure.Index
-
-	bytes    int64
-	idxBytes int64
-	idxTier  closure.Tier
-	// idxCounted records that this entry contributed to the per-tier
-	// resident counters (idxBytes alone cannot: a tiny graph's index
-	// can round to zero bytes while still being resident).
-	idxCounted bool
+	idx   *closure.CompIndex
+	bytes int64
 }
 
 // graphEntry is one registered data graph plus its candidate index: the
@@ -332,20 +285,13 @@ type Catalog struct {
 	persist  Persister
 	patchObs PatchObserver
 
-	tierPolicy    closure.TierPolicy
-	denseMaxBytes int
-	deltaBudget   int
+	deltaBudget int
 
 	hits, misses, evictions uint64
 	patchesIncremental      uint64
 	patchesRebuild          uint64
-	patchIndexRebuilds      uint64
 	buildTime               time.Duration
 	residentBytes           int64
-	residentDense           int
-	residentSparse          int
-	denseBytes              int64
-	sparseBytes             int64
 	candidateBytes          int64 // Σ graphEntry.counted over c.graphs
 }
 
@@ -357,20 +303,13 @@ func New(maxClosures int, opts ...Option) *Catalog {
 		maxClosures = DefaultMaxClosures
 	}
 	c := &Catalog{
-		graphs:     make(map[string]*graphEntry),
-		closures:   make(map[closureKey]*entry),
-		lru:        list.New(),
-		capacity:   maxClosures,
-		tierPolicy: closure.PolicyAuto,
+		graphs:   make(map[string]*graphEntry),
+		closures: make(map[closureKey]*entry),
+		lru:      list.New(),
+		capacity: maxClosures,
 	}
 	for _, opt := range opts {
 		opt(c)
-	}
-	if c.tierPolicy == "" {
-		c.tierPolicy = closure.PolicyAuto
-	}
-	if c.denseMaxBytes <= 0 {
-		c.denseMaxBytes = closure.DefaultDenseMaxBytes
 	}
 	return c
 }
@@ -514,25 +453,21 @@ func (c *Catalog) RemoveCtx(ctx context.Context, name string) error {
 // half-applied edit.
 //
 // The cached full closure is maintained incrementally whenever it can
-// be: the delta update (and, for the dense tier, the row patch) runs
-// outside the lock against the captured closure, and the commit swaps
-// the patched closure in alongside the graph. When the update cannot be
-// incremental — no cached closure, the patch reshapes the SCC
-// condensation, or the delta cone blows the cost budget — the closure
-// is invalidated and rebuilt eagerly, like Register's. A built index
-// follows its closure: patched with it, rebuilt here only when the
-// graph has outgrown the dense budget, left to the next request when
-// the closure itself was rebuilt. In-flight requests that resolved the
-// old (graph, closure) pair finish against that consistent pair.
+// be: the delta update runs outside the lock against the captured
+// closure, and the commit swaps the patched closure — wrapped in its
+// index — in alongside the graph. When the update cannot be incremental
+// — no cached closure, the patch reshapes the SCC condensation, or the
+// delta cone blows the cost budget — the closure is invalidated and
+// rebuilt eagerly, like Register's. In-flight requests that resolved
+// the old (graph, closure) pair finish against that consistent pair.
 func (c *Catalog) Apply(name string, p *graph.Patch) (*graph.Graph, error) {
 	return c.ApplyCtx(context.Background(), name, p)
 }
 
 // ApplyCtx is Apply with a request context for trace attribution: the
 // whole commit is recorded as a catalog.commit span (with the
-// incremental-vs-rebuild outcome, the delta cone size and what happened
-// to the index — index=patched|rebuilt|lazy, index_reason when rebuilt —
-// as attributes) and the persister receives ctx for WAL-append spans.
+// incremental-vs-rebuild outcome and the delta cone size as attributes)
+// and the persister receives ctx for WAL-append spans.
 func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*graph.Graph, error) {
 	if p == nil || p.Empty() {
 		return nil, fmt.Errorf("%w: empty patch for %q", ErrBadPatch, name)
@@ -552,21 +487,16 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 	var ng *graph.Graph
 	var incremental bool
 	var coneSize int
-	var indexed, indexReason string
 	var settle func()
 	for {
 		c.mu.Lock()
 		ge, ok := c.graphs[name]
 		var oldReach *closure.Reach
-		var oldIdx closure.Index
 		if ok {
 			if e, cached := c.closures[closureKey{name: name, pathLimit: 0}]; cached {
 				select {
 				case <-e.ready: // only a finished build can be patched
 					oldReach = e.reach
-					if e.idxCounted {
-						oldIdx = e.idx
-					}
 				default:
 				}
 			}
@@ -586,33 +516,14 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 		// so concurrent readers of the old entry are undisturbed and a
 		// lost commit race just discards the work.
 		var newReach *closure.Reach
-		var newIdx closure.Index
 		var deltaTime time.Duration
 		incremental, coneSize = false, 0
-		indexed, indexReason = "lazy", "" // none built yet, or dropped with its closure
 		if oldReach != nil && c.deltaBudget >= 0 {
 			deltaStart := time.Now()
 			if nr, d, ok2 := oldReach.ApplyEdges(ge.g, len(p.AddNodes), p.DelEdges, p.AddEdges, c.deltaBudget); ok2 {
 				newReach = nr
 				incremental = true
 				coneSize = d.ConeSize()
-				switch old := oldIdx.(type) {
-				case *closure.CompIndex:
-					// The sparse tier reads straight through the Reach:
-					// rewrapping is O(1), incremental by construction.
-					newIdx, indexed = closure.NewCompIndex(newReach), "patched"
-				case *closure.Rows:
-					if c.tierPolicy == closure.PolicyAuto && closure.ProjectedRowsBytes(newReach) > c.denseMaxBytes {
-						indexReason = "outgrew_dense"
-					} else if rw, ok3 := closure.UpdateRows(old, oldReach, newReach, d); ok3 {
-						newIdx, indexed = rw, "patched"
-					} else {
-						indexReason = "row_patch_declined"
-					}
-					if newIdx == nil {
-						newIdx, indexed = closure.BuildIndex(newReach, c.tierPolicy, c.denseMaxBytes), "rebuilt"
-					}
-				}
 			}
 			deltaTime = time.Since(deltaStart)
 		}
@@ -635,13 +546,10 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 		c.buildTime += deltaTime
 		if incremental {
 			c.patchesIncremental++
-			c.installClosureLocked(name, newReach, newIdx)
+			c.installClosureLocked(name, newReach)
 		} else {
 			c.patchesRebuild++
 			c.dropClosuresLocked(name)
-		}
-		if indexed == "rebuilt" {
-			c.patchIndexRebuilds++
 		}
 		c.mu.Unlock()
 		break
@@ -671,43 +579,23 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 	if incremental {
 		sp.SetInt("cone_comps", int64(coneSize))
 	}
-	sp.SetStr("index", indexed)
-	if indexReason != "" {
-		sp.SetStr("index_reason", indexReason)
-	}
 	return ng, nil
 }
 
 // installClosureLocked replaces every cached closure of name with one
-// freshly patched full-closure entry (already built, ready closed) and
-// optionally its maintained index, keeping the LRU accounting exact.
-// Bounded-path-limit entries are simply dropped — they are rebuilt
-// lazily on next use. Callers hold c.mu.
-func (c *Catalog) installClosureLocked(name string, r *closure.Reach, idx closure.Index) {
+// freshly patched full-closure entry (already built and wrapped, ready
+// closed), keeping the LRU accounting exact. Bounded-path-limit entries
+// are simply dropped — they are rebuilt lazily on next use. Callers
+// hold c.mu.
+func (c *Catalog) installClosureLocked(name string, r *closure.Reach) {
 	c.dropClosuresLocked(name)
 	key := closureKey{name: name, pathLimit: 0}
-	e := &entry{key: key, ready: make(chan struct{}), reach: r}
+	e := &entry{key: key, ready: make(chan struct{}), reach: r, idx: closure.NewCompIndex(r)}
 	close(e.ready)
 	e.elem = c.lru.PushFront(e)
 	c.closures[key] = e
 	e.bytes = int64(r.Bytes())
 	c.residentBytes += e.bytes
-	if idx != nil {
-		e.idxOnce.Do(func() { e.idx = idx })
-		ib := int64(idx.Bytes())
-		e.idxBytes = ib
-		e.idxTier = idx.Tier()
-		e.idxCounted = true
-		c.residentBytes += ib
-		switch e.idxTier {
-		case closure.TierSparse:
-			c.residentSparse++
-			c.sparseBytes += ib
-		default:
-			c.residentDense++
-			c.denseBytes += ib
-		}
-	}
 	c.evictLocked()
 	c.evictBytesLocked(e)
 }
@@ -798,18 +686,8 @@ func (c *Catalog) Export(prepare func()) map[string]*graph.Graph {
 // dropAccountingLocked retires an entry's contribution to the resident
 // memory stats. Callers hold c.mu.
 func (c *Catalog) dropAccountingLocked(e *entry) {
-	c.residentBytes -= e.bytes + e.idxBytes
-	if e.idxCounted {
-		switch e.idxTier {
-		case closure.TierSparse:
-			c.residentSparse--
-			c.sparseBytes -= e.idxBytes
-		default:
-			c.residentDense--
-			c.denseBytes -= e.idxBytes
-		}
-	}
-	e.bytes, e.idxBytes, e.idxCounted = 0, 0, false
+	c.residentBytes -= e.bytes
+	e.bytes = 0
 }
 
 // lookup returns the registry entry of name.
@@ -857,11 +735,6 @@ type GraphInfo struct {
 	ResidentClosures int `json:"resident_closures"`
 	// ClosureBytes sums the resident closure bytes across those entries.
 	ClosureBytes int64 `json:"closure_bytes"`
-	// IndexTier is the tier of the full (path-limit 0) closure's
-	// matcher-facing index, empty while none is built.
-	IndexTier string `json:"index_tier,omitempty"`
-	// IndexBytes sums the resident index bytes across the entries.
-	IndexBytes int64 `json:"index_bytes"`
 	// CandidateIndexBytes approximates the graph's candidate index
 	// (content postings; 0 until a content-similarity request builds
 	// them).
@@ -869,8 +742,7 @@ type GraphInfo struct {
 }
 
 // Describe reports the catalog's view of one registered graph: its
-// size plus how much reachability state is currently resident for it
-// and in which tier.
+// size plus how much reachability state is currently resident for it.
 func (c *Catalog) Describe(name string) (GraphInfo, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -890,10 +762,6 @@ func (c *Catalog) Describe(name string) (GraphInfo, error) {
 		}
 		info.ResidentClosures++
 		info.ClosureBytes += e.bytes
-		info.IndexBytes += e.idxBytes
-		if k.pathLimit == 0 && e.idxCounted {
-			info.IndexTier = string(e.idxTier)
-		}
 	}
 	return info, nil
 }
@@ -948,10 +816,9 @@ type Need int
 const (
 	// NeedGraph asks for no closure at all (graph simulation).
 	NeedGraph Need = iota
-	// NeedReach adds the reachability closure (the exact deciders).
+	// NeedReach adds the reachability closure and the matcher-facing
+	// index that wraps it.
 	NeedReach
-	// NeedIndex adds the matcher-facing index too (compMaxCard/Sim).
-	NeedIndex
 )
 
 // Resolved is one consistent read of a registered graph: everything in
@@ -960,7 +827,7 @@ const (
 type Resolved struct {
 	Graph *graph.Graph
 	Reach *closure.Reach // nil under NeedGraph
-	Index closure.Index  // nil unless NeedIndex
+	Index closure.Index  // wraps Reach; nil under NeedGraph
 
 	c    *Catalog
 	name string
@@ -972,12 +839,11 @@ type Resolved struct {
 func (r Resolved) Content() *simmatrix.ContentIndex { return r.c.contentIndex(r.name, r.ge) }
 
 // ResolveCtx resolves the named graph with its candidate index and as
-// much reachability state as need asks for — the closure and the index
-// (the representation the compMaxCard / compMaxSim trim consumes, in
-// whichever tier the catalog's policy selects for the graph's size) are
-// each built once per cached entry, single-flight, and shared by every
-// request. Anything beyond NeedGraph records a catalog.resolve span
-// (cache hit, tier, build times) under the request's trace.
+// much reachability state as need asks for — the closure is built once
+// per cached entry, single-flight, and shared by every request together
+// with the index that wraps it (the representation the compMaxCard /
+// compMaxSim trim consumes). NeedReach records a catalog.resolve span
+// (cache hit, build time) under the request's trace.
 func (c *Catalog) ResolveCtx(ctx context.Context, name string, pathLimit int, need Need) (Resolved, error) {
 	if need == NeedGraph {
 		ge, err := c.lookup(name)
@@ -995,63 +861,18 @@ func (c *Catalog) ResolveCtx(ctx context.Context, name string, pathLimit int, ne
 		return Resolved{}, err
 	}
 	sp.SetBool("closure_cache_hit", hit)
-	r := Resolved{Graph: ge.g, Reach: e.reach, c: c, name: name, ge: ge}
-	if need == NeedIndex {
-		c.ensureIndex(sp, e)
-		sp.SetStr("tier", string(e.idx.Tier()))
-		r.Index = e.idx
-	}
-	return r, nil
+	return Resolved{Graph: ge.g, Reach: e.reach, Index: e.idx, c: c, name: name, ge: ge}, nil
 }
 
-// GetWithIndexCtx is ResolveCtx(NeedIndex) without the candidate index.
+// GetWithIndexCtx is ResolveCtx(NeedReach) without the candidate index.
 func (c *Catalog) GetWithIndexCtx(ctx context.Context, name string, pathLimit int) (*graph.Graph, *closure.Reach, closure.Index, error) {
-	r, err := c.ResolveCtx(ctx, name, pathLimit, NeedIndex)
+	r, err := c.ResolveCtx(ctx, name, pathLimit, NeedReach)
 	return r.Graph, r.Reach, r.Index, err
 }
 
 // GetWithIndex is GetWithIndexCtx for untraced callers.
 func (c *Catalog) GetWithIndex(name string, pathLimit int) (*graph.Graph, *closure.Reach, closure.Index, error) {
 	return c.GetWithIndexCtx(context.Background(), name, pathLimit)
-}
-
-// ensureIndex performs the single-flight matcher-index build for a
-// resolved closure entry. When this call is the one that builds, a
-// catalog.index_build child span records the tier-selection outcome
-// under the request's resolve span (inert span = untraced caller).
-func (c *Catalog) ensureIndex(sp trace.Span, e *entry) {
-	e.idxOnce.Do(func() {
-		bsp := sp.Child("catalog.index_build")
-		start := time.Now()
-		e.idx = closure.BuildIndex(e.reach, c.tierPolicy, c.denseMaxBytes)
-		built := time.Since(start)
-		ib := int64(e.idx.Bytes())
-		tier := e.idx.Tier()
-		bsp.SetStr("tier", string(tier))
-		bsp.SetInt("bytes", ib)
-		bsp.End()
-		c.mu.Lock()
-		c.buildTime += built
-		// Account only while the entry is still resident; an entry
-		// evicted mid-build keeps serving its direct waiters but no
-		// longer counts toward resident memory.
-		if c.closures[e.key] == e {
-			e.idxBytes = ib
-			e.idxTier = tier
-			e.idxCounted = true
-			c.residentBytes += ib
-			switch tier {
-			case closure.TierSparse:
-				c.residentSparse++
-				c.sparseBytes += ib
-			default:
-				c.residentDense++
-				c.denseBytes += ib
-			}
-			c.evictBytesLocked(e)
-		}
-		c.mu.Unlock()
-	})
 }
 
 // getEntry resolves the graph and the cache slot for (name, pathLimit),
@@ -1088,6 +909,7 @@ func (c *Catalog) getEntry(sp trace.Span, name string, pathLimit int) (*graphEnt
 	bsp := sp.Child("catalog.closure_build")
 	start := time.Now()
 	e.reach = closure.ComputeBounded(ge.g, pathLimit)
+	e.idx = closure.NewCompIndex(e.reach)
 	built := time.Since(start)
 	close(e.ready)
 	bsp.SetInt("path_limit", int64(pathLimit))
@@ -1158,22 +980,15 @@ func (c *Catalog) Stats() Stats {
 	return Stats{
 		Graphs:              len(c.graphs),
 		ResidentClosures:    c.lru.Len(),
-		ResidentIndexes:     c.residentDense + c.residentSparse,
-		ResidentDense:       c.residentDense,
-		ResidentSparse:      c.residentSparse,
-		DenseIndexBytes:     c.denseBytes,
-		SparseIndexBytes:    c.sparseBytes,
 		ResidentBytes:       c.residentBytes,
 		MaxClosures:         c.capacity,
 		MaxBytes:            c.maxBytes,
-		TierPolicy:          string(c.tierPolicy),
 		Hits:                c.hits,
 		Misses:              c.misses,
 		Evictions:           c.evictions,
 		BuildTime:           c.buildTime,
 		PatchesIncremental:  c.patchesIncremental,
 		PatchesRebuild:      c.patchesRebuild,
-		PatchIndexRebuilds:  c.patchIndexRebuilds,
 		CandidateIndexBytes: c.candidateBytes,
 	}
 }

@@ -275,40 +275,6 @@ func TestGetWithIndexSharedAndConsistent(t *testing.T) {
 	}
 }
 
-func TestTierPolicySelection(t *testing.T) {
-	g := chain(16)
-	for _, tc := range []struct {
-		opts []Option
-		want closure.Tier
-	}{
-		{nil, closure.TierDense}, // auto on a tiny graph
-		{[]Option{WithTierPolicy(closure.PolicySparse)}, closure.TierSparse},
-		{[]Option{WithTierPolicy(closure.PolicyDense)}, closure.TierDense},
-		// Auto with a 1-byte dense budget tips over to sparse.
-		{[]Option{WithDenseMaxBytes(1)}, closure.TierSparse},
-	} {
-		c := New(4, tc.opts...)
-		if err := c.Register("web", g.Clone()); err != nil {
-			t.Fatal(err)
-		}
-		_, _, idx, err := c.GetWithIndex("web", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if idx.Tier() != tc.want {
-			t.Fatalf("opts %v built tier %q, want %q", tc.opts, idx.Tier(), tc.want)
-		}
-		st := c.Stats()
-		wantDense, wantSparse := 1, 0
-		if tc.want == closure.TierSparse {
-			wantDense, wantSparse = 0, 1
-		}
-		if st.ResidentDense != wantDense || st.ResidentSparse != wantSparse {
-			t.Fatalf("per-tier counts %d/%d, want %d/%d", st.ResidentDense, st.ResidentSparse, wantDense, wantSparse)
-		}
-	}
-}
-
 func TestByteBudgetEviction(t *testing.T) {
 	// A budget big enough for roughly one chain(60) closure: resolving a
 	// second graph must evict the first, but never the entry just
@@ -388,8 +354,8 @@ func TestConcurrentIndexSingleFlight(t *testing.T) {
 			t.Fatal("concurrent GetWithIndex built more than one index")
 		}
 	}
-	if st := c.Stats(); st.ResidentIndexes != 1 {
-		t.Fatalf("ResidentIndexes = %d, want 1", st.ResidentIndexes)
+	if st := c.Stats(); st.ResidentClosures != 1 || st.Misses != 1 {
+		t.Fatalf("%d closures resident after %d builds, want 1 and 1", st.ResidentClosures, st.Misses)
 	}
 }
 
@@ -404,18 +370,12 @@ func TestMemoryAccounting(t *testing.T) {
 	if st.ResidentBytes <= 0 {
 		t.Fatalf("ResidentBytes = %d, want > 0 after registration", st.ResidentBytes)
 	}
-	if st.ResidentIndexes != 0 {
-		t.Fatalf("ResidentIndexes = %d, want 0 before any index consumer", st.ResidentIndexes)
-	}
 	if _, _, _, err := c.GetWithIndex("a", 0); err != nil {
 		t.Fatal(err)
 	}
-	withIdx := c.Stats()
-	if withIdx.ResidentIndexes != 1 {
-		t.Fatalf("ResidentIndexes = %d, want 1", withIdx.ResidentIndexes)
-	}
-	if withIdx.ResidentBytes <= st.ResidentBytes {
-		t.Fatal("materialising the index must grow ResidentBytes")
+	// The index wraps the closure and holds nothing of its own.
+	if withIdx := c.Stats(); withIdx.ResidentBytes != st.ResidentBytes {
+		t.Fatalf("resolving the index moved ResidentBytes %d → %d", st.ResidentBytes, withIdx.ResidentBytes)
 	}
 	// Filling the LRU with fresh slots evicts the old ones and returns
 	// their bytes; removing everything zeroes the account.
@@ -432,18 +392,15 @@ func TestMemoryAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	end := c.Stats()
-	if end.ResidentBytes != 0 || end.ResidentIndexes != 0 || end.ResidentClosures != 0 {
+	if end.ResidentBytes != 0 || end.ResidentClosures != 0 {
 		t.Fatalf("after removing all graphs: %+v, want empty accounting", end)
-	}
-	if end.ResidentDense != 0 || end.ResidentSparse != 0 || end.DenseIndexBytes != 0 || end.SparseIndexBytes != 0 {
-		t.Fatalf("per-tier accounting not zeroed: %+v", end)
 	}
 }
 
 func TestResidentIndexAccountingZeroByteIndex(t *testing.T) {
-	// A 0-node graph's index occupies zero bytes but is still resident;
-	// the ResidentIndexes counter must balance across build and removal
-	// even then.
+	// A 0-node graph's closure and index occupy zero bytes but are
+	// still resident; the ResidentClosures counter must balance across
+	// build and removal even then.
 	c := New(2)
 	empty := graph.New(0)
 	if err := c.Register("empty", empty); err != nil {
@@ -452,13 +409,13 @@ func TestResidentIndexAccountingZeroByteIndex(t *testing.T) {
 	if _, _, _, err := c.GetWithIndex("empty", 0); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.ResidentIndexes != 1 {
-		t.Fatalf("ResidentIndexes = %d, want 1", st.ResidentIndexes)
+	if st := c.Stats(); st.ResidentClosures != 1 {
+		t.Fatalf("ResidentClosures = %d, want 1", st.ResidentClosures)
 	}
 	if err := c.Remove("empty"); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.ResidentIndexes != 0 || st.ResidentBytes != 0 {
+	if st := c.Stats(); st.ResidentClosures != 0 || st.ResidentBytes != 0 {
 		t.Fatalf("after remove: %+v, want zeroed accounting", st)
 	}
 }
@@ -583,19 +540,6 @@ func TestDescribe(t *testing.T) {
 	}
 	if info.ResidentClosures != 1 || info.ClosureBytes <= 0 {
 		t.Fatalf("closure accounting: %+v", info)
-	}
-	if info.IndexTier != "" {
-		t.Fatalf("index tier %q before any index build", info.IndexTier)
-	}
-	if _, _, _, err := c.GetWithIndex("g", 0); err != nil {
-		t.Fatal(err)
-	}
-	info, err = c.Describe("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.IndexTier != string(closure.TierDense) {
-		t.Fatalf("index tier = %q after index build, want dense", info.IndexTier)
 	}
 	if _, err := c.Describe("missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("describe missing: %v", err)
@@ -795,78 +739,79 @@ func applyRandomPatch(t *testing.T, rng *rand.Rand, name string, cats ...*Catalo
 // TestApplyIncrementalEquivalence is the closure-maintenance
 // quickcheck: a catalog patching its cached closures incrementally must
 // expose exactly the same reachability and index answers as one that
-// rebuilds from scratch (WithDeltaBudget(-1)), across both index tiers
-// and arbitrary patch sequences.
+// rebuilds from scratch (WithDeltaBudget(-1)), across arbitrary patch
+// sequences. After every patch, on both catalogs, the resolved index
+// is a CompIndex over the very closure the resolve returned: the index
+// follows its closure by construction, with nothing of its own to patch.
 func TestApplyIncrementalEquivalence(t *testing.T) {
-	tiers := []closure.TierPolicy{closure.PolicyDense, closure.PolicySparse}
 	trials := 40
 	if testing.Short() {
 		trials = 10
 	}
-	for _, tier := range tiers {
-		t.Run(string(tier), func(t *testing.T) {
-			for trial := 0; trial < trials; trial++ {
-				rng := rand.New(rand.NewSource(int64(trial)))
-				n := 4 + rng.Intn(12)
-				g := graph.New(n)
-				for i := 0; i < n; i++ {
-					g.AddNode(fmt.Sprintf("n%d", i))
-				}
-				for i := 0; i < rng.Intn(3*n); i++ {
-					g.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
-				}
-				g.Finish()
+	resolve := func(c *Catalog, where string) (*closure.Reach, closure.Index) {
+		t.Helper()
+		_, r, idx, err := c.GetWithIndex("g", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ci, ok := idx.(*closure.CompIndex); !ok || ci.Reach() != r {
+			t.Fatalf("%s: resolved index %T does not wrap the resolved closure", where, idx)
+		}
+		return r, idx
+	}
+	// The catalog builds one index, the sparse component-probe tier
+	// (closure.CompIndex); the subtest keeps that tier's name.
+	t.Run("sparse", func(t *testing.T) {
+		for trial := 0; trial < trials; trial++ {
+			rng := rand.New(rand.NewSource(int64(trial)))
+			n := 4 + rng.Intn(12)
+			g := graph.New(n)
+			for i := 0; i < n; i++ {
+				g.AddNode(fmt.Sprintf("n%d", i))
+			}
+			for i := 0; i < rng.Intn(3*n); i++ {
+				g.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+			}
+			g.Finish()
 
-				inc := New(0, WithTierPolicy(tier))
-				reb := New(0, WithTierPolicy(tier), WithDeltaBudget(-1))
-				for _, c := range []*Catalog{inc, reb} {
-					if err := c.Register("g", g); err != nil {
-						t.Fatal(err)
-					}
-					if _, _, _, err := c.GetWithIndex("g", 0); err != nil {
-						t.Fatal(err)
-					}
-				}
-
-				for step := 0; step < 6; step++ {
-					applyRandomPatch(t, rng, "g", inc, reb)
-					_, ri, ii, err := inc.GetWithIndex("g", 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					_, rr, ir, err := reb.GetWithIndex("g", 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ri.NumNodes() != rr.NumNodes() {
-						t.Fatalf("trial %d step %d: node counts diverge: %d vs %d", trial, step, ri.NumNodes(), rr.NumNodes())
-					}
-					for u := 0; u < ri.NumNodes(); u++ {
-						uu := graph.NodeID(u)
-						if ii.FanOut(uu) != ir.FanOut(uu) || ii.FanIn(uu) != ir.FanIn(uu) {
-							t.Fatalf("trial %d step %d: fan counts diverge at %d", trial, step, u)
-						}
-						for v := 0; v < ri.NumNodes(); v++ {
-							vv := graph.NodeID(v)
-							if ri.Reachable(uu, vv) != rr.Reachable(uu, vv) {
-								t.Fatalf("trial %d step %d: reachability diverges at (%d,%d): inc=%v reb=%v",
-									trial, step, u, v, ri.Reachable(uu, vv), rr.Reachable(uu, vv))
-							}
-							if ii.Reachable(uu, vv) != ir.Reachable(uu, vv) {
-								t.Fatalf("trial %d step %d: index diverges at (%d,%d)", trial, step, u, v)
-							}
-						}
-					}
-				}
-				if inc.Stats().PatchesIncremental == 0 {
-					t.Fatalf("trial %d: incremental catalog never took the delta path", trial)
-				}
-				if reb.Stats().PatchesIncremental != 0 {
-					t.Fatalf("trial %d: rebuild catalog took the delta path", trial)
+			inc := New(0)
+			reb := New(0, WithDeltaBudget(-1))
+			for _, c := range []*Catalog{inc, reb} {
+				if err := c.Register("g", g); err != nil {
+					t.Fatal(err)
 				}
 			}
-		})
-	}
+
+			for step := 0; step < 6; step++ {
+				applyRandomPatch(t, rng, "g", inc, reb)
+				where := fmt.Sprintf("trial %d step %d", trial, step)
+				ri, ii := resolve(inc, where+" (incremental)")
+				rr, ir := resolve(reb, where+" (rebuild)")
+				if ri.NumNodes() != rr.NumNodes() {
+					t.Fatalf("%s: node counts diverge: %d vs %d", where, ri.NumNodes(), rr.NumNodes())
+				}
+				for u := 0; u < ri.NumNodes(); u++ {
+					uu := graph.NodeID(u)
+					for v := 0; v < ri.NumNodes(); v++ {
+						vv := graph.NodeID(v)
+						if ri.Reachable(uu, vv) != rr.Reachable(uu, vv) {
+							t.Fatalf("%s: reachability diverges at (%d,%d): inc=%v reb=%v",
+								where, u, v, ri.Reachable(uu, vv), rr.Reachable(uu, vv))
+						}
+						if ii.Reachable(uu, vv) != ir.Reachable(uu, vv) {
+							t.Fatalf("%s: index diverges at (%d,%d)", where, u, v)
+						}
+					}
+				}
+			}
+			if inc.Stats().PatchesIncremental == 0 {
+				t.Fatalf("trial %d: incremental catalog never took the delta path", trial)
+			}
+			if reb.Stats().PatchesIncremental != 0 {
+				t.Fatalf("trial %d: rebuild catalog took the delta path", trial)
+			}
+		}
+	})
 }
 
 // contentPatch draws a random valid patch out of content rewrites, node

@@ -177,7 +177,7 @@ func ComputeBFS(g *graph.Graph) *Reach {
 func (r *Reach) NumNodes() int { return r.n }
 
 // NumComponents reports the number of components the index stores —
-// the k that sizes the candidate-sparse tier's O(k²) footprint (equal
+// the k that sizes the index's O(k²) footprint (equal
 // to NumNodes for the per-node constructions ComputeBFS and
 // ComputeBounded).
 func (r *Reach) NumComponents() int { return len(r.compReach) }
@@ -234,4 +234,12 @@ func (r *Reach) Graph(original *graph.Graph) *graph.Graph {
 	}
 	out.Finish()
 	return out
+}
+
+// Bytes approximates the heap bytes held by the Reach index: the
+// component assignment plus the component reachability rows. Used by
+// the catalog's cache accounting.
+func (r *Reach) Bytes() int {
+	k := len(r.compReach)
+	return 8*r.n + k*8*((k+63)/64)
 }

@@ -106,8 +106,8 @@ func (r *Reach) ApplyEdges(g0 *graph.Graph, addedNodes int, dels, adds [][2]grap
 		}
 	}
 
-	// All rows grow to a uniform capacity of k2 components, keeping the
-	// sparse tier's probe loop branch-free. Grown shares the underlying
+	// All rows grow to a uniform capacity of k2 components, keeping
+	// CompIndex's probe loop branch-free. Grown shares the underlying
 	// words when the word count is unchanged, so growth is usually a
 	// header rewrap, not a copy; either way the words are shared with
 	// the receiver until own() clones them.
@@ -420,148 +420,4 @@ func stronglyConnected(g0 *graph.Graph, comp []int, c int, ms []graph.NodeID,
 		return false, work
 	}
 	return sweep(true) == len(ms), work
-}
-
-// UpdateRows patches the dense Rows expansion after an ApplyEdges
-// delta: old expands oldReach, the result expands newReach bit for bit
-// as NewRows(newReach) would, sharing every row the delta left alone.
-//
-// A node's rows are unions of component member sets — Fwd over the
-// components its own reaches, Bwd over the components that reach it —
-// and ApplyEdges never moves a node between components, so each replaced
-// row is derived from the old one: for every dirty component row c, the
-// components that entered it (in newReach's row, not in oldReach's) have
-// their members OR-ed into a copy of fwd[c] and c's members OR-ed into a
-// copy of their own bwd rows; the components that left are masked out
-// the same way. A singleton's member set is one bit, a larger
-// component's a node bitset built on demand. Appended nodes arrive as
-// fresh singleton components with empty rows, and every kept row is
-// re-headed (re-allocated only when n crosses a word boundary) to the
-// new width. The cost is O((dirty rows + changed columns) · n/64) words
-// copied, one set or OR per flipped component bit, and one O(n + k)
-// pass to collect members — where a fresh expansion pays O(k · n/64)
-// words per direction however small the delta.
-//
-// ok=false means the arguments do not fit together (old is not the
-// expansion of oldReach, or newReach and d are not a delta of it); a
-// delta ApplyEdges returned for oldReach is never declined.
-func UpdateRows(old *Rows, oldReach, newReach *Reach, d *Delta) (*Rows, bool) {
-	n2 := newReach.n
-	k0, k2 := len(oldReach.compReach), len(newReach.compReach)
-	if oldReach.n != old.n || len(old.bwd) != k0 || n2 < old.n || k2 != k0+d.AddedComps {
-		return nil, false
-	}
-	for _, c := range d.Dirty {
-		if c < 0 || c >= k2 {
-			return nil, false
-		}
-	}
-
-	// Every kept row at the new width, new components empty.
-	widen := func(rows []*bitset.Set) []*bitset.Set {
-		out := make([]*bitset.Set, k2)
-		for c := 0; c < k0; c++ {
-			out[c] = rows[c].Grown(n2)
-		}
-		for c := k0; c < k2; c++ {
-			out[c] = bitset.New(n2)
-		}
-		return out
-	}
-	rw := &Rows{n: n2, comp: newReach.comp, bwd: widen(old.bwd), aliased: old.aliased}
-	if old.aliased {
-		rw.fwd = newReach.compReach // appended singletons keep the mapping an identity
-	} else {
-		rw.fwd = widen(old.fwd)
-	}
-
-	// diff leaves in entered / left the components that row c gained and
-	// lost, or reports that it only was rewritten.
-	entered, left := bitset.New(k2), bitset.New(k2)
-	diff := func(c int) bool {
-		entered.CopyFrom(newReach.compReach[c])
-		left.Clear()
-		if c < k0 {
-			was := oldReach.compReach[c].Grown(k2)
-			left.CopyFrom(was)
-			left.AndNot(entered)
-			entered.AndNot(was)
-		}
-		return !entered.Empty() || !left.Empty()
-	}
-
-	// Pass 1: the columns that changed, and with the changed rows the
-	// components whose members the patch needs.
-	cols, need := bitset.New(k2), bitset.New(k2)
-	for _, c := range d.Dirty {
-		if diff(c) {
-			need.Add(c)
-			cols.Or(entered)
-			cols.Or(left)
-		}
-	}
-	need.Or(cols)
-	// member[c] says who is in component c, for the components needed:
-	// v+1 for the singleton {v}, −(i+1) for the node set multi[i].
-	member := make([]int32, k2)
-	var multi []*bitset.Set
-	for v, c := range newReach.comp {
-		if !need.Contains(c) {
-			continue
-		}
-		switch m := member[c]; {
-		case m == 0:
-			member[c] = int32(v) + 1
-		case m > 0:
-			set := bitset.New(n2)
-			set.Add(int(m - 1))
-			set.Add(v)
-			multi = append(multi, set)
-			member[c] = -int32(len(multi))
-		default:
-			multi[-m-1].Add(v)
-		}
-	}
-	// put adds (or removes) the members of component c to row.
-	put := func(row *bitset.Set, c int, add bool) {
-		switch m := member[c]; {
-		case m > 0 && add:
-			row.Add(int(m - 1))
-		case m > 0:
-			row.Remove(int(m - 1))
-		case add:
-			row.Or(multi[-m-1])
-		default:
-			row.AndNot(multi[-m-1])
-		}
-	}
-
-	// Pass 2: private copies of the changed rows, then the flips.
-	for dc := cols.Next(0); dc >= 0 && dc < k0; dc = cols.Next(dc + 1) {
-		rw.bwd[dc] = rw.bwd[dc].Clone()
-	}
-	for _, c := range d.Dirty {
-		if !diff(c) {
-			continue
-		}
-		var row *bitset.Set // c's forward row, unless it is the closure's own
-		if !old.aliased {
-			row = rw.fwd[c]
-			if c < k0 {
-				row = row.Clone()
-				rw.fwd[c] = row
-			}
-		}
-		flip := func(comps *bitset.Set, add bool) {
-			for dc := comps.Next(0); dc >= 0; dc = comps.Next(dc + 1) {
-				if row != nil {
-					put(row, dc, add)
-				}
-				put(rw.bwd[dc], c, add)
-			}
-		}
-		flip(left, false)
-		flip(entered, true)
-	}
-	return rw, true
 }

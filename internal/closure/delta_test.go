@@ -51,22 +51,6 @@ func requireSameClosure(t *testing.T, want, got *Reach, label string) {
 	}
 }
 
-func requireSameRows(t *testing.T, want, got *Rows, label string) {
-	t.Helper()
-	if want.NumNodes() != got.NumNodes() {
-		t.Fatalf("%s: rows node count %d vs %d", label, got.NumNodes(), want.NumNodes())
-	}
-	for v := 0; v < want.NumNodes(); v++ {
-		id := graph.NodeID(v)
-		if !want.Fwd(id).Equal(got.Fwd(id)) {
-			t.Fatalf("%s: fwd row %d differs", label, v)
-		}
-		if !want.Bwd(id).Equal(got.Bwd(id)) {
-			t.Fatalf("%s: bwd row %d differs", label, v)
-		}
-	}
-}
-
 func deltaRandGraph(rng *rand.Rand, n int, edges int) *graph.Graph {
 	g := graph.New(n)
 	for i := 0; i < n; i++ {
@@ -126,7 +110,7 @@ func TestApplyEdgesRandomEquivalence(t *testing.T) {
 		r0 := Compute(g0)
 		before := reachMatrix(r0)
 
-		nr, d, ok := r0.ApplyEdges(g0, addedNodes, dels, adds, 1<<30)
+		nr, _, ok := r0.ApplyEdges(g0, addedNodes, dels, adds, 1<<30)
 
 		// The receiver must be untouched either way.
 		after := reachMatrix(r0)
@@ -142,15 +126,6 @@ func TestApplyEdgesRandomEquivalence(t *testing.T) {
 		g2 := applyForTest(t, g0, addedNodes, dels, adds)
 		want := Compute(g2)
 		requireSameClosure(t, want, nr, fmt.Sprintf("trial %d", trial))
-
-		// Dense-tier maintenance must match a fresh expansion bit for
-		// bit whenever it reports success.
-		if d.AddedComps == 0 {
-			old := NewRows(r0)
-			if up, ok2 := UpdateRows(old, r0, nr, d); ok2 {
-				requireSameRows(t, NewRows(nr), up, fmt.Sprintf("trial %d rows", trial))
-			}
-		}
 	}
 	if applied < trials/4 {
 		t.Fatalf("incremental path succeeded only %d/%d times — fallback too eager", applied, trials)
@@ -279,179 +254,5 @@ func TestGrown(t *testing.T) {
 	}
 	if r.NumNodes() != 3 || r.NumComponents() != 3 {
 		t.Fatal("receiver mutated by growth")
-	}
-}
-
-// bowTie builds the shape the serving benchmark mutates: a strongly
-// connected core, IN nodes feeding it and OUT nodes fed by it.
-func bowTie(rng *rand.Rand, ins, core, outs int) *graph.Graph {
-	n := ins + core + outs
-	g := graph.New(n)
-	for i := 0; i < n; i++ {
-		g.AddNode(fmt.Sprintf("n%d", i))
-	}
-	for i := 0; i < core; i++ {
-		g.AddEdge(graph.NodeID(ins+i), graph.NodeID(ins+(i+1)%core))
-	}
-	for i := 0; i < ins; i++ {
-		g.AddEdge(graph.NodeID(i), graph.NodeID(ins+rng.Intn(core)))
-	}
-	for i := 0; i < outs; i++ {
-		g.AddEdge(graph.NodeID(ins+rng.Intn(core)), graph.NodeID(ins+core+i))
-	}
-	g.Finish()
-	return g
-}
-
-// TestUpdateRowsPatchSequences is the dense-tier quickcheck: along
-// random patch sequences — IN→core and core→OUT inserts (one row with
-// many new bits, many rows with one), deletes, node appends that carry
-// n across a 64-bit word boundary, arbitrary edges and MergePatches
-// batches — rows patched from patched rows stay bit-identical to a fresh
-// expansion, row for row and in reported bytes, and UpdateRows never
-// declines a delta ApplyEdges produced.
-func TestUpdateRowsPatchSequences(t *testing.T) {
-	trials := 30
-	if testing.Short() {
-		trials = 10
-	}
-	patched := 0
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		ins, core, outs := 20+rng.Intn(3), 14+rng.Intn(3), 22+rng.Intn(3) // 56–62 nodes
-		g := bowTie(rng, ins, core, outs)
-		r := Compute(g)
-		rows := NewRows(r)
-		var live [][2]graph.NodeID // own inserts, deletable
-		onePatch := func(n int) *graph.Patch {
-			p := &graph.Patch{}
-			pick := func(lo, count int) graph.NodeID { return graph.NodeID(lo + rng.Intn(count)) }
-			switch k := rng.Intn(10); {
-			case k < 3:
-				p.AddEdges = [][2]graph.NodeID{{pick(0, ins), pick(ins, core)}}
-			case k < 6:
-				p.AddEdges = [][2]graph.NodeID{{pick(ins, core), pick(ins+core, outs)}}
-			case k < 7 && len(live) > 0:
-				p.DelEdges, live = live[:1:1], live[1:]
-			case k < 9:
-				p.AddNodes = []graph.Node{{Label: "new"}}
-				p.AddEdges = [][2]graph.NodeID{{pick(ins, core), graph.NodeID(n)}}
-			default:
-				p.AddEdges = [][2]graph.NodeID{{pick(0, n), pick(0, n)}}
-			}
-			return p
-		}
-		for step := 0; step < 60; step++ {
-			p := onePatch(g.NumNodes())
-			if rng.Intn(4) == 0 { // a coalesced burst
-				batch, n := []*graph.Patch{p}, g.NumNodes()+len(p.AddNodes)
-				for i := rng.Intn(3); i >= 0; i-- {
-					q := onePatch(n)
-					n += len(q.AddNodes)
-					batch = append(batch, q)
-				}
-				merged, err := graph.MergePatches(g, batch...)
-				if err != nil {
-					continue // e.g. a delete of an edge an earlier member already deleted
-				}
-				p = merged
-			}
-			if p.Empty() {
-				continue
-			}
-			g2, err := g.ApplyPatch(p)
-			if err != nil {
-				continue
-			}
-			for _, e := range p.AddEdges {
-				if n := graph.NodeID(g.NumNodes()); e[0] >= n || e[1] >= n || !g.HasEdge(e[0], e[1]) {
-					live = append(live, e)
-				}
-			}
-			nr, d, ok := r.ApplyEdges(g, len(p.AddNodes), p.DelEdges, p.AddEdges, 1<<30)
-			if !ok { // SCC merge or split: the catalog rebuilds too
-				g, r = g2, Compute(g2)
-				rows = NewRows(r)
-				continue
-			}
-			label := fmt.Sprintf("trial %d step %d", trial, step)
-			up, ok := UpdateRows(rows, r, nr, d)
-			if !ok {
-				t.Fatalf("%s: UpdateRows declined (n %d→%d, %d dirty)", label, r.NumNodes(), nr.NumNodes(), len(d.Dirty))
-			}
-			fresh := NewRows(nr)
-			requireSameRows(t, fresh, up, label)
-			if up.Bytes() != fresh.Bytes() {
-				t.Fatalf("%s: patched rows report %d bytes, a fresh expansion %d", label, up.Bytes(), fresh.Bytes())
-			}
-			requireSameClosure(t, Compute(g2), nr, label)
-			g, r, rows = g2, nr, up
-			patched++
-		}
-		if g.NumNodes() <= 64 {
-			t.Fatalf("trial %d never grew past a word boundary (n = %d)", trial, g.NumNodes())
-		}
-	}
-	t.Logf("%d row patches over %d trials", patched, trials)
-	if patched < trials*40 {
-		t.Fatalf("only %d row patches over %d trials: the sequences mostly fell back", patched, trials)
-	}
-}
-
-// TestUpdateRowsAliasedForwardRows covers the expansion whose forward
-// rows are the Reach index's own (one singleton component per node in
-// ID order, here a DAG with every edge pointing down): patching keeps
-// the aliasing — and the byte accounting that goes with it — through
-// edge inserts, deletes and appended nodes.
-func TestUpdateRowsAliasedForwardRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 60
-	g := graph.New(n)
-	for i := 0; i < n; i++ {
-		g.AddNode("x")
-	}
-	for i := 0; i < 2*n; i++ {
-		if a, b := rng.Intn(n), rng.Intn(n); a > b {
-			g.AddEdge(graph.NodeID(a), graph.NodeID(b))
-		}
-	}
-	g.Finish()
-	r := Compute(g)
-	rows := NewRows(r)
-	if !rows.aliased {
-		t.Fatal("test graph does not produce the identity component mapping")
-	}
-	for step := 0; step < 30; step++ {
-		n := g.NumNodes()
-		p := &graph.Patch{}
-		switch step % 3 {
-		case 0:
-			a, b := 1+rng.Intn(n-1), 0
-			b = rng.Intn(a)
-			p.AddEdges = [][2]graph.NodeID{{graph.NodeID(a), graph.NodeID(b)}}
-		case 1:
-			p.AddNodes = []graph.Node{{Label: "new"}}
-			p.AddEdges = [][2]graph.NodeID{{graph.NodeID(n), graph.NodeID(rng.Intn(n))}}
-		default:
-			g.Edges(func(from, to graph.NodeID) bool {
-				p.DelEdges = [][2]graph.NodeID{{from, to}}
-				return rng.Intn(20) != 0
-			})
-		}
-		g2, err := g.ApplyPatch(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nr, d := mustApplyEdges(t, r, g, len(p.AddNodes), p.DelEdges, p.AddEdges)
-		up, ok := UpdateRows(rows, r, nr, d)
-		if !ok {
-			t.Fatalf("step %d: UpdateRows declined", step)
-		}
-		fresh := NewRows(nr)
-		requireSameRows(t, fresh, up, fmt.Sprintf("step %d", step))
-		if !up.aliased || up.Bytes() != fresh.Bytes() {
-			t.Fatalf("step %d: aliased %v, %d bytes; fresh expansion %d bytes", step, up.aliased, up.Bytes(), fresh.Bytes())
-		}
-		g, r, rows = g2, nr, up
 	}
 }

@@ -21,12 +21,6 @@ func TestIndexTiersAgreeOnQueries(t *testing.T) {
 			n := r.NumNodes()
 			for u := 0; u < n; u++ {
 				uu := graph.NodeID(u)
-				if rows.FanOut(uu) != comp.FanOut(uu) {
-					t.Fatalf("seed %d: FanOut(%d): dense %d, sparse %d", seed, u, rows.FanOut(uu), comp.FanOut(uu))
-				}
-				if rows.FanIn(uu) != comp.FanIn(uu) {
-					t.Fatalf("seed %d: FanIn(%d): dense %d, sparse %d", seed, u, rows.FanIn(uu), comp.FanIn(uu))
-				}
 				for v := 0; v < n; v++ {
 					vv := graph.NodeID(v)
 					want := r.Reachable(uu, vv)
@@ -86,26 +80,19 @@ func TestIndexTiersAgreeOnSplit(t *testing.T) {
 }
 
 func TestCompIndexBytesSmall(t *testing.T) {
-	// The whole point of the sparse tier: its owned memory is O(k), not
-	// O(n²) — on a graph with one big SCC it must undercut the dense
-	// rows by orders of magnitude.
-	n := 512
-	g := graph.New(n)
-	for i := 0; i < n; i++ {
-		g.AddNode("x")
-	}
-	for i := 0; i < n; i++ {
-		g.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%n)) // one giant cycle
-	}
-	g.Finish()
+	// The whole point of probing the condensed closure: CompIndex holds
+	// nothing beyond its Reach (one wrapper allocation), where the dense
+	// rows add Rows.Bytes on top of it.
+	g := randomRowsGraph(512, 1500, 5)
 	r := Compute(g)
-	comp := NewCompIndex(r)
-	rows := NewRows(r)
-	if comp.Bytes() >= rows.Bytes() {
-		t.Fatalf("CompIndex.Bytes %d not below Rows.Bytes %d", comp.Bytes(), rows.Bytes())
+	if ci := NewCompIndex(r); ci.Reach() != r || ci.NumNodes() != r.NumNodes() {
+		t.Fatalf("CompIndex does not read through its Reach")
 	}
-	if comp.Bytes() <= 0 {
-		t.Fatalf("CompIndex.Bytes = %d, want > 0", comp.Bytes())
+	if allocs := testing.AllocsPerRun(20, func() { NewCompIndex(r) }); allocs > 1 {
+		t.Fatalf("NewCompIndex allocates %.0f times, want at most the wrapper", allocs)
+	}
+	if NewRows(r).Bytes() <= 0 {
+		t.Fatalf("dense rows report no bytes")
 	}
 }
 
@@ -120,45 +107,17 @@ func TestProjectedRowsBytes(t *testing.T) {
 	}
 }
 
-func TestParseTierPolicy(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want TierPolicy
-		ok   bool
-	}{
-		{"", PolicyAuto, true},
-		{"auto", PolicyAuto, true},
-		{"dense", PolicyDense, true},
-		{"sparse", PolicySparse, true},
-		{"rows", "", false},
-	} {
-		got, err := ParseTierPolicy(tc.in)
-		if (err == nil) != tc.ok {
-			t.Fatalf("ParseTierPolicy(%q) err = %v, want ok=%v", tc.in, err, tc.ok)
-		}
-		if err == nil && got != tc.want {
-			t.Fatalf("ParseTierPolicy(%q) = %q, want %q", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestBuildIndexPolicy(t *testing.T) {
 	g := randomRowsGraph(60, 150, 3)
 	r := Compute(g)
-	if tier := BuildIndex(r, PolicyDense, 0).Tier(); tier != TierDense {
-		t.Fatalf("PolicyDense built %q", tier)
+	// A tiny budget forces CompIndex, a huge one allows the dense rows.
+	if _, ok := BuildIndex(r, PolicyAuto, 1).(*CompIndex); !ok {
+		t.Fatalf("auto with 1-byte budget did not build CompIndex")
 	}
-	if tier := BuildIndex(r, PolicySparse, 0).Tier(); tier != TierSparse {
-		t.Fatalf("PolicySparse built %q", tier)
+	if _, ok := BuildIndex(r, PolicyAuto, 1<<30).(*Rows); !ok {
+		t.Fatalf("auto with 1GiB budget did not build Rows")
 	}
-	// Auto: a tiny budget forces sparse, a huge one allows dense.
-	if tier := BuildIndex(r, PolicyAuto, 1).Tier(); tier != TierSparse {
-		t.Fatalf("auto with 1-byte budget built %q", tier)
-	}
-	if tier := BuildIndex(r, PolicyAuto, 1<<30).Tier(); tier != TierDense {
-		t.Fatalf("auto with 1GiB budget built %q", tier)
-	}
-	if tier := AutoIndex(r).Tier(); tier != TierDense {
-		t.Fatalf("AutoIndex on a 60-node graph built %q, want dense", tier)
+	if _, ok := BuildIndex(r, PolicyAuto, DefaultDenseMaxBytes).(*Rows); !ok {
+		t.Fatalf("auto on a 60-node graph under the default budget did not build Rows")
 	}
 }

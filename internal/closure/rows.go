@@ -7,14 +7,13 @@ import (
 
 // Rows materialises a Reach index as dense bitset rows over node IDs in
 // both directions: Fwd(u) is {w : u ⇝ w} and Bwd(u) is {w : w ⇝ u},
-// each as a word-level bitset ready for And/AndNot sweeps. This is the
-// dense tier of the Index abstraction — the representation the
-// compMaxCard/compMaxSim inner loop consumes on small graphs (the trim
-// of Fig. 4 intersects candidate sets against closure rows of G2+),
-// factored out of the matcher so it can be built once per data graph
-// and shared by every request instead of re-materialised per matcher.
-// Beyond the auto-tier threshold the candidate-sparse CompIndex takes
-// over (see index.go).
+// each as a word-level bitset ready for And/AndNot sweeps — O(n₂²) bits
+// in the worst case. No server path builds it: the catalog, the engine
+// and core.Instance all probe the SCC-condensed closure through
+// CompIndex (index.go). Rows is the dense *reference* that the
+// tier-equivalence tests and the benchmark's dense re-time compare
+// CompIndex against; it answers the same Index queries by word-level
+// trims.
 //
 // Nodes in the same SCC have identical closure rows, so Rows keeps one
 // row per component and reads a node's row through the Reach index's
@@ -151,16 +150,62 @@ func (rw *Rows) Fwd(u graph.NodeID) *bitset.Set { return rw.fwd[rw.comp[u]] }
 func (rw *Rows) Bwd(u graph.NodeID) *bitset.Set { return rw.bwd[rw.comp[u]] }
 
 // Bytes reports the heap bytes held by the rows beyond what the
-// underlying Reach index already accounts for — a function of the
-// shape alone, so a patched Rows (UpdateRows) reports what a fresh
-// expansion of the same Reach would. Used by the catalog's cache memory
-// accounting.
+// underlying Reach index already accounts for — a function of the shape
+// alone.
 func (rw *Rows) Bytes() int { return rowsBytes(rw.n, len(rw.bwd), rw.aliased) }
 
-// Bytes approximates the heap bytes held by the Reach index: the
-// component assignment plus the component reachability rows. Used by
-// the catalog's cache accounting.
-func (r *Reach) Bytes() int {
-	k := len(r.compReach)
-	return 8*r.n + k*8*((k+63)/64)
+// Reachable reports whether a nonempty path u ⇝ v exists.
+func (rw *Rows) Reachable(u, v graph.NodeID) bool { return rw.Fwd(u).Contains(int(v)) }
+
+// Split is the word-level trim: one SplitInto pass against the masked
+// closure rows of u.
+func (rw *Rows) Split(cand *bitset.Set, u graph.NodeID, needBwd, needFwd bool, kept, moved *bitset.Set) (anyKept, anyMoved bool) {
+	var a, b *bitset.Set
+	c := rw.comp[u]
+	if needBwd {
+		a = rw.bwd[c]
+	}
+	if needFwd {
+		if a == nil {
+			a = rw.fwd[c]
+		} else {
+			b = rw.fwd[c]
+		}
+	}
+	return cand.SplitInto(a, b, kept, moved)
+}
+
+// ProjectedRowsBytes reports what NewRows would allocate for r without
+// building anything — the size BuildIndex weighs against its budget,
+// and the "dense projection" the large-graph benchmark compares
+// resident memory to.
+func ProjectedRowsBytes(r *Reach) int {
+	return rowsBytes(r.n, len(r.compReach), identityComp(r))
+}
+
+// TierPolicy names how BuildIndex picks between the dense reference and
+// CompIndex. PolicyAuto is its only value.
+type TierPolicy string
+
+// PolicyAuto picks the dense reference while its projected size fits
+// the budget and CompIndex beyond it.
+const PolicyAuto TierPolicy = "auto"
+
+// DefaultDenseMaxBytes is BuildIndex's default budget for the dense
+// reference: 64 MiB, roughly graphs up to 10–15k nodes.
+const DefaultDenseMaxBytes = 64 << 20
+
+// BuildIndex returns the dense reference Rows over r when
+// ProjectedRowsBytes(r) fits denseMaxBytes, and NewCompIndex(r)
+// otherwise. The benchmark times the index build through it; no server
+// path calls it. policy must be PolicyAuto; a non-positive
+// denseMaxBytes means DefaultDenseMaxBytes.
+func BuildIndex(r *Reach, policy TierPolicy, denseMaxBytes int) Index {
+	if denseMaxBytes <= 0 {
+		denseMaxBytes = DefaultDenseMaxBytes
+	}
+	if ProjectedRowsBytes(r) <= denseMaxBytes {
+		return NewRows(r)
+	}
+	return NewCompIndex(r)
 }

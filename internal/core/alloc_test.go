@@ -102,7 +102,7 @@ func TestMaxSimHoldsNoPerNodeRows(t *testing.T) {
 	}
 	g1, _ := g2.InducedSubgraph(keep)
 	reach := closure.Compute(g2)
-	idx := closure.AutoIndex(reach)
+	idx := closure.NewCompIndex(reach)
 	match := func() {
 		in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.9)
 		in.SetReach(reach)

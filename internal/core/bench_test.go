@@ -175,13 +175,13 @@ var compEntries = []struct {
 // pointLabelInstances is the shape of cmd/bench's point_label requests:
 // patterns of 6–15 nodes carved from a 2 000-node, 64-label bow-tie
 // graph, label equality at ξ = 0.9, with the catalog's shared closure
-// and auto-tier index installed. Each instance's candidate lists are
+// and index installed. Each instance's candidate lists are
 // built up front, so what the requests time is the matcher, not the
 // label scan.
 func pointLabelInstances(count int) []*Instance {
 	g2 := syngen.GenerateLarge(syngen.LargeConfig{Nodes: 2000, AvgDeg: 4, Labels: 64, Seed: 11})
 	reach := closure.Compute(g2)
-	idx := closure.AutoIndex(reach)
+	idx := closure.NewCompIndex(reach)
 	ins := make([]*Instance, count)
 	for i := range ins {
 		g1 := syngen.CarvePattern(g2, 6+i%10, int64(i))

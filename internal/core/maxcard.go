@@ -28,9 +28,8 @@ import (
 //
 // The hot path is engineered to be allocation-free in steady state: the
 // reachability index of G2+ is shared immutable state (closure.Index,
-// injected by the serving catalog or built once per instance; dense
-// rows on small graphs, candidate-sparse component probes on large
-// ones), matching lists use dense slice-indexed storage instead of
+// injected by the serving catalog or built once per instance: a
+// per-candidate probe of the SCC-condensed closure), matching lists use dense slice-indexed storage instead of
 // maps, the trim is a single Index.Split pass producing the kept and
 // displaced candidates together, and lists, candidate bitsets and pair
 // buffers are recycled through free lists in a pooled scratch that
@@ -41,7 +40,8 @@ import (
 // TestGreedyMatchAllocationFree pins the zero-allocation property; the
 // equivalence tests pin that the restructuring returns bit-identical
 // mappings to the direct transcription of Figs. 3–4, and
-// TestTierEquivalence pins that both index tiers agree bit for bit.
+// TestTierEquivalence pins that the condensed probe agrees bit for bit
+// with the dense reference rows.
 
 // Pair is one candidate match (v, u) handled by the matching list.
 type Pair struct {
@@ -110,7 +110,7 @@ type searchStats struct {
 
 // matcher carries the per-run state shared by all greedyMatch
 // invocations: the pattern adjacency (H1), the shared reachability
-// index of G2+ (H2, either tier), the injectivity flag, and the scratch
+// index of G2+ (H2), the injectivity flag, and the scratch
 // whose free lists make the recursion allocation-free. A matcher is
 // single-use and single-goroutine; concurrency happens one matcher per
 // call.
@@ -228,8 +228,7 @@ func (mx *matcher) greedyMatchAt(h *matchList, depth int) (sigma, conflicts []Pa
 	// Line 4 (trimMatching) merged with lines 5–9 (partition): for every
 	// other node, trim its candidates against the reachability
 	// constraints the edges demand; displaced candidates go to H−. One
-	// Index.Split pass (a word-level SplitInto on the dense tier, a
-	// per-candidate component probe on the sparse tier) yields the kept
+	// Index.Split pass (a per-candidate component probe) yields the kept
 	// and displaced candidates together.
 	for _, v2 := range h.nodes {
 		if v2 == v {

@@ -67,7 +67,7 @@ func reuseSequence(t *testing.T) []reuseRequest {
 	}
 	prepare := func(g *graph.Graph) data {
 		reach := closure.Compute(g)
-		return data{g, reach, closure.AutoIndex(reach)}
+		return data{g, reach, closure.NewCompIndex(reach)}
 	}
 	g2000 := syngen.GenerateLarge(syngen.LargeConfig{Nodes: 2000, AvgDeg: 4, Labels: 64, Seed: rng.Int63()})
 	g2001, err := g2000.ApplyPatch(&graph.Patch{

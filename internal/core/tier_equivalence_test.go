@@ -93,11 +93,12 @@ func TestTierEquivalencePartitionedAndFiltered(t *testing.T) {
 }
 
 func TestAutoIndexTierSelection(t *testing.T) {
-	// A small instance must auto-build the dense tier (the fast path
-	// existing callers rely on); the sparse tier only takes over via
-	// catalog injection or the auto threshold on genuinely large graphs.
+	// An instance with no injected index derives the one tier on its
+	// own: a CompIndex probing its own closure, the same representation
+	// the serving catalog injects.
 	in := randomInstance(1, 6, 18)
-	if tier := in.Index().Tier(); tier != closure.TierDense {
-		t.Fatalf("small instance auto-built %q, want %q", tier, closure.TierDense)
+	ci, ok := in.Index().(*closure.CompIndex)
+	if !ok || ci.Reach() != in.Reach() {
+		t.Fatalf("instance derived %T, want a CompIndex over its own Reach", in.Index())
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"graphmatch/internal/catalog"
-	"graphmatch/internal/closure"
 	"graphmatch/internal/core"
 	"graphmatch/internal/graph"
 	"graphmatch/internal/metrics"
@@ -189,17 +188,9 @@ type Options struct {
 	// MaxClosures bounds resident reachability indexes in the catalog;
 	// defaults to catalog.DefaultMaxClosures.
 	MaxClosures int
-	// MaxClosureBytes bounds the catalog's resident closure + index
-	// bytes; LRU entries are evicted past it. 0 means unbounded.
+	// MaxClosureBytes bounds the catalog's resident closure bytes; LRU
+	// entries are evicted past it. 0 means unbounded.
 	MaxClosureBytes int64
-	// ReachTier selects the reachability-index tier the catalog builds
-	// for registered graphs: closure.PolicyAuto (the default — dense
-	// rows while they fit DenseMaxBytes, candidate-sparse beyond),
-	// closure.PolicyDense or closure.PolicySparse.
-	ReachTier closure.TierPolicy
-	// DenseMaxBytes overrides the auto-tier threshold; 0 keeps
-	// closure.DefaultDenseMaxBytes.
-	DenseMaxBytes int
 	// QueueDepth bounds pending tasks before Match blocks; defaults to
 	// 4 × Workers.
 	QueueDepth int
@@ -233,7 +224,7 @@ type Options struct {
 	// StorePath, when non-empty, makes the catalog durable: mutations
 	// (Register, Remove, ApplyPatch) are written to a WAL in this
 	// directory and fsynced before they are acknowledged, and Open
-	// replays snapshot + WAL to rebuild the catalog — closure tiers and
+	// replays snapshot + WAL to rebuild the catalog — closures and
 	// search index included — before returning. Engines with a
 	// StorePath must be created with Open, not New.
 	StorePath string
@@ -479,8 +470,6 @@ func Open(opts Options) (*Engine, error) {
 	e := &Engine{
 		cat: catalog.New(opts.MaxClosures,
 			catalog.WithMaxBytes(opts.MaxClosureBytes),
-			catalog.WithTierPolicy(opts.ReachTier),
-			catalog.WithDenseMaxBytes(opts.DenseMaxBytes),
 			catalog.WithDeltaBudget(opts.ClosureDeltaBudget)),
 		queue:            make(chan *task, depth),
 		inflight:         make(map[reqKey]*task),
@@ -952,17 +941,12 @@ func (e *Engine) execute(ctx context.Context, req Request, p *prepared) Result {
 	// Resolve the graph, its candidate index and its closure in one
 	// read; separate lookups could straddle a Remove/Register/patch of
 	// the same name and mix one graph with another's index. Simulation
-	// never consults the closure, the exact deciders only the closure,
-	// and the approximation algorithms additionally receive the
-	// catalog's tiered reachability index (dense rows or
-	// candidate-sparse, whichever the catalog selected for the graph's
-	// size), so their per-request matcher setup materialises nothing.
-	need := catalog.NeedIndex
-	switch req.Algo {
-	case Simulation:
+	// never consults the closure; every other algorithm receives it
+	// together with the catalog's index over it, so the per-request
+	// matcher setup materialises nothing.
+	need := catalog.NeedReach
+	if req.Algo == Simulation {
 		need = catalog.NeedGraph
-	case Decide, Decide11:
-		need = catalog.NeedReach
 	}
 	data, err := e.cat.ResolveCtx(ctx, req.GraphName, req.PathLimit, need)
 	if err != nil {
@@ -993,9 +977,7 @@ func (e *Engine) execute(ctx context.Context, req Request, p *prepared) Result {
 	in := core.NewInstance(req.Pattern, g2, mat, req.Xi)
 	in.MaxPathLen = req.PathLimit
 	in.SetReach(reach)
-	if idx != nil {
-		in.SetIndex(idx)
-	}
+	in.SetIndex(idx)
 
 	var (
 		sigma core.Mapping

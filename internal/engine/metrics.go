@@ -93,25 +93,13 @@ func (e *Engine) initMetrics() {
 		"Reachability indexes currently cached.",
 		func() float64 { return float64(e.cat.Stats().ResidentClosures) })
 	r.GaugeFunc("phomd_catalog_resident_bytes",
-		"Approximate heap held by resident closures and indexes.",
+		"Approximate heap held by resident closures.",
 		func() float64 { return float64(e.cat.Stats().ResidentBytes) })
-	r.GaugeFunc("phomd_catalog_resident_dense",
-		"Resident matcher indexes on the dense tier.",
-		func() float64 { return float64(e.cat.Stats().ResidentDense) })
-	r.GaugeFunc("phomd_catalog_resident_sparse",
-		"Resident matcher indexes on the candidate-sparse tier.",
-		func() float64 { return float64(e.cat.Stats().ResidentSparse) })
-	r.GaugeFunc("phomd_catalog_dense_index_bytes",
-		"Approximate heap held by dense-tier matcher indexes.",
-		func() float64 { return float64(e.cat.Stats().DenseIndexBytes) })
-	r.GaugeFunc("phomd_catalog_sparse_index_bytes",
-		"Approximate heap held by sparse-tier matcher indexes.",
-		func() float64 { return float64(e.cat.Stats().SparseIndexBytes) })
 	r.GaugeFunc("phomd_catalog_candidate_index_bytes",
 		"Approximate heap held by the registered graphs' candidate indexes (content postings, once a content-similarity request has built them).",
 		func() float64 { return float64(e.cat.Stats().CandidateIndexBytes) })
 	r.CounterFunc("phomd_catalog_closure_build_seconds_total",
-		"Cumulative wall time spent building closures and closure rows.",
+		"Cumulative wall time spent building closures.",
 		func() float64 { return e.cat.Stats().BuildTime.Seconds() })
 
 	// Live mutation (patch) maintenance.
@@ -121,9 +109,6 @@ func (e *Engine) initMetrics() {
 	r.CounterFunc("phomd_catalog_patch_rebuild_total",
 		"Patches that fell back to dropping and rebuilding closures.",
 		func() float64 { return float64(e.cat.Stats().PatchesRebuild) })
-	r.CounterFunc("phomd_catalog_patch_index_rebuilds_total",
-		"Patches that rebuilt the matcher index instead of patching it (graph outgrew the dense budget, or the row patch declined).",
-		func() float64 { return float64(e.cat.Stats().PatchIndexRebuilds) })
 	patchHist := r.Histogram("phomd_catalog_patch_seconds",
 		"Patch commit wall time (clone, delta or rebuild, swap).", nil)
 	coneHist := r.Histogram("phomd_catalog_patch_cone_comps",

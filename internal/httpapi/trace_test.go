@@ -306,6 +306,10 @@ func TestTraceIDIn429Body(t *testing.T) {
 		defer close(blockerDone)
 		e.Match(blockerCtx, engine.Request{Pattern: cycleN(3), GraphName: "path", Algo: engine.Decide, Xi: 0.25})
 	}()
+	// The blocker must hold the worker before the occupier is sent:
+	// an occupier that wins the queue runs to completion at once and
+	// never parks.
+	waitFor(t, 5*time.Second, func() bool { return e.Stats().Pending >= 1 })
 	xi := 0.5
 	occupierDone := make(chan struct{})
 	go func() {

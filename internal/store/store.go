@@ -2,8 +2,8 @@
 // append-only write-ahead log of catalog mutations (graph register,
 // remove, and in-place patch) plus periodic compacted snapshots, both
 // in a versioned binary format with per-record checksums. A phomd
-// restart replays snapshot + WAL to rebuild the catalog — closure
-// tiers and the search index rewarm through the ordinary registration
+// restart replays snapshot + WAL to rebuild the catalog — closures
+// and the search index rewarm through the ordinary registration
 // path — instead of losing every registered graph.
 //
 // On-disk layout (one directory per store):

@@ -16,14 +16,13 @@ import (
 // OUT tendril of sink-only nodes fed by it, and power-law in-degrees
 // via preferential attachment.
 //
-// That shape matters beyond realism: the candidate-sparse reachability
-// tier stores the closure SCC-condensed, O(k²) bits in the number of
+// That shape matters beyond realism: the reachability index stores the
+// closure SCC-condensed, O(k²) bits in the number of
 // components k. Here the core is provably one SCC (it is ring-wired)
 // and every tendril node is provably a singleton (IN nodes receive no
 // edges, OUT nodes emit none), so k = (1 − CoreFraction)·Nodes + 1
 // exactly — small enough that the sparse closure fits in megabytes
-// where dense per-node rows would need gigabytes, yet large enough
-// that the catalog's auto policy genuinely selects the sparse tier.
+// where dense per-node rows would need gigabytes.
 // GenerateLarge is how datagen and benchcore exercise that regime end
 // to end.
 
