@@ -83,11 +83,9 @@ func matchBody(salt uint64) []byte {
 // admission control at queue+workers, a request timeout, and every
 // layer instrumented.
 func newServer(workers, graphSize int) (*httptest.Server, *engine.Engine) {
-	queue := 4 * workers
 	e := engine.New(engine.Options{
 		Workers:    workers,
-		QueueDepth: queue,
-		MaxPending: queue + workers,
+		MaxPending: -1, // queue depth (4×workers) + workers
 	})
 	if err := e.Register("path", pathGraph(graphSize)); err != nil {
 		log.Fatalf("benchload: %v", err)

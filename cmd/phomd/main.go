@@ -18,12 +18,12 @@
 // shared across all requests; /v1/stats reports the closure-cache hit
 // rate alongside engine throughput counters.
 //
-// Every request is traced end to end: the last -trace-capacity
-// completed traces (plus slow ones, over -trace-slow) are kept in an
-// in-process flight recorder served at GET /debug/traces and
-// /debug/traces/{id} (trace id or X-Request-ID), ?explain=1 on match
-// and search returns the per-stage breakdown inline, and `phom trace`
-// renders recorded span trees. -no-trace turns all of it off.
+// Every request is traced end to end: the last 128 completed traces
+// (plus slow ones, over 250 ms) are kept in an in-process flight
+// recorder served at GET /debug/traces and /debug/traces/{id} (trace
+// id or X-Request-ID), ?explain=1 on match and search returns the
+// per-stage breakdown inline, and `phom trace` renders recorded span
+// trees. -no-trace turns all of it off.
 //
 // With -store DIR the catalog is durable: every mutation (register,
 // PATCH /v1/graphs/{name}, delete) is appended to a write-ahead log
@@ -68,7 +68,6 @@ import (
 	_ "net/http/pprof" // registers profiling handlers on DefaultServeMux for -pprof
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -79,6 +78,10 @@ import (
 	"graphmatch/internal/graph"
 	"graphmatch/internal/httpapi"
 )
+
+// patchCoalesceCount caps the patches one group commit batches per
+// graph (engine.Options.PatchCoalesceCount).
+const patchCoalesceCount = 64
 
 // loadFlags collects repeated -load name=path pairs.
 type loadFlags []string
@@ -92,89 +95,101 @@ func (l *loadFlags) Set(v string) error {
 	return nil
 }
 
+// flags is phomd's command line.
+type flags struct {
+	addr            string
+	workers         int
+	maxClosures     int
+	maxClosureBytes int64
+	queueDepth      int
+	maxExact        int
+	storePath       string
+	snapshotEvery   int
+	pprofAddr       string
+	requestTimeout  time.Duration
+	maxPending      int
+	maxBatch        int
+	accessLog       bool
+	follow          string
+	readyMaxLag     uint64
+	noTrace         bool
+	router          bool
+	shards          string
+	ringPath        string
+	routeMaxLag     uint64
+	loads           loadFlags
+	// set names the flags given on the command line, so validateFlags
+	// can reject one that the chosen mode would silently ignore.
+	set map[string]bool
+}
+
+// parseFlags registers phomd's flags on fs, parses args and checks the
+// result with validateFlags.
+func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
+	f := &flags{set: make(map[string]bool)}
+	fs.StringVar(&f.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&f.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&f.maxClosures, "max-closures", 0, "LRU bound on resident reachability indexes (0 = default)")
+	fs.Int64Var(&f.maxClosureBytes, "max-closure-bytes", 0, "LRU byte budget for resident closures and indexes (0 = unbounded)")
+	fs.IntVar(&f.queueDepth, "queue", 0, "pending-request queue depth (0 = 4×workers)")
+	fs.IntVar(&f.maxExact, "max-exact-nodes", 16, "largest pattern accepted for the exponential decide/decide11 algorithms (0 = unlimited)")
+	fs.StringVar(&f.storePath, "store", "", "durable catalog directory (WAL + snapshots); empty = in-memory only")
+	fs.IntVar(&f.snapshotEvery, "snapshot-every", 1000, "compact the WAL into a snapshot every N mutations (0 = only on demand via /v1/admin/snapshot); needs -store")
+	fs.StringVar(&f.pprofAddr, "pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060); empty disables")
+	fs.DurationVar(&f.requestTimeout, "request-timeout", 30*time.Second, "per-request wall-time bound, propagated into the matcher as a context deadline; timed-out requests answer 504 and free their worker (0 = unbounded)")
+	fs.IntVar(&f.maxPending, "max-pending", -1, "admission-control bound on queued+running tasks; excess requests answer 429 with Retry-After (-1 = queue depth + workers, 0 = unlimited)")
+	fs.IntVar(&f.maxBatch, "max-batch", 0, "largest accepted /v1/match/batch element count (0 = default, -1 = unlimited)")
+	fs.BoolVar(&f.accessLog, "access-log", false, "log one line per request (id, method, path, status, bytes, duration) to stderr")
+	fs.StringVar(&f.follow, "follow", "", "replicate from the phomd primary at this base URL (read-only follower mode; needs -store)")
+	fs.Uint64Var(&f.readyMaxLag, "ready-max-lag", 0, "follower /readyz stays 503 while replication lag exceeds this many ops; needs -follow")
+	fs.BoolVar(&f.noTrace, "no-trace", false, "disable request tracing and the /debug/traces flight recorder")
+	fs.BoolVar(&f.router, "router", false, "run as a stateless cluster router (scatter-gather front) instead of a shard; needs -shards or -ring")
+	fs.StringVar(&f.shards, "shards", "", `router shard spec: semicolon-separated "name=primary[,replica...]" URL lists (see internal/cluster.ParseSpec); needs -router`)
+	fs.StringVar(&f.ringPath, "ring", "", "router ring config JSON file (the serialized cluster.Config); alternative to -shards")
+	fs.Uint64Var(&f.routeMaxLag, "route-max-lag", 0, "route reads only to replicas whose probed replication lag is within this many ops; needs -router")
+	fs.Var(&f.loads, "load", "preload a data graph as name=path.json (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	fs.Visit(func(fl *flag.Flag) { f.set[fl.Name] = true })
+	return f, validateFlags(f)
+}
+
+// validateFlags rejects flag combinations phomd cannot honour: flags
+// that contradict the chosen mode, and mode-scoped flags given outside
+// their mode, which would otherwise be silently ignored.
+func validateFlags(f *flags) error {
+	switch {
+	case f.router && (f.storePath != "" || f.follow != "" || len(f.loads) > 0):
+		return errors.New("-router is stateless and conflicts with -store, -follow and -load")
+	case f.router && f.shards != "" && f.ringPath != "":
+		return errors.New("-shards and -ring are mutually exclusive")
+	case f.router && f.shards == "" && f.ringPath == "":
+		return errors.New("-router needs -shards <spec> or -ring <config.json>")
+	case !f.router && (f.shards != "" || f.ringPath != ""):
+		return errors.New("-shards/-ring need -router")
+	case !f.router && f.set["route-max-lag"]:
+		return errors.New("-route-max-lag needs -router")
+	case f.follow != "" && f.storePath == "":
+		return errors.New("-follow requires -store (the follower persists what it replicates)")
+	case f.follow != "" && len(f.loads) > 0:
+		return errors.New("-load conflicts with -follow (a follower's catalog comes from the primary)")
+	case f.follow == "" && f.set["ready-max-lag"]:
+		return errors.New("-ready-max-lag needs -follow")
+	case f.storePath == "" && f.set["snapshot-every"]:
+		return errors.New("-snapshot-every needs -store")
+	}
+	return nil
+}
+
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	maxClosures := flag.Int("max-closures", 0, "LRU bound on resident reachability indexes (0 = default)")
-	maxClosureBytes := flag.Int64("max-closure-bytes", 0, "LRU byte budget for resident closures and indexes (0 = unbounded)")
-	queueDepth := flag.Int("queue", 0, "pending-request queue depth (0 = 4×workers)")
-	maxExact := flag.Int("max-exact-nodes", 16, "largest pattern accepted for the exponential decide/decide11 algorithms (0 = unlimited)")
-	searchMaxCand := flag.Int("search-max-candidates", 0, "default cap on /v1/search candidates reaching the matcher (0 = unlimited)")
-	searchMinRes := flag.Float64("search-min-resemblance", 0, "default /v1/search prune threshold on the shingle-containment prefilter score (0 = keep all graphs)")
-	storePath := flag.String("store", "", "durable catalog directory (WAL + snapshots); empty = in-memory only")
-	snapshotEvery := flag.Int("snapshot-every", 1000, "compact the WAL into a snapshot every N mutations (0 = only on demand via /v1/admin/snapshot); needs -store")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060); empty disables")
-	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request wall-time bound, propagated into the matcher as a context deadline; timed-out requests answer 504 and free their worker (0 = unbounded)")
-	maxPending := flag.Int("max-pending", -1, "admission-control bound on queued+running tasks; excess requests answer 429 with Retry-After (-1 = queue depth + workers, 0 = unlimited)")
-	matchConc := flag.Int("match-concurrency", 0, "cap concurrent /v1/match and /v1/match/batch requests in the transport; excess answer 429 (0 = unlimited)")
-	searchConc := flag.Int("search-concurrency", 0, "cap concurrent /v1/search requests (0 = unlimited)")
-	patchConc := flag.Int("patch-concurrency", 0, "cap concurrent PATCH /v1/graphs requests (0 = unlimited)")
-	maxBatch := flag.Int("max-batch", 0, "largest accepted /v1/match/batch element count (0 = default, -1 = unlimited)")
-	accessLog := flag.Bool("access-log", false, "log one line per request (id, method, path, status, bytes, duration) to stderr")
-	follow := flag.String("follow", "", "replicate from the phomd primary at this base URL (read-only follower mode; needs -store)")
-	patchBatch := flag.Int("patch-coalesce-count", 64, "batch up to N concurrent patches per graph into one commit (group commit; ≤1 disables batching)")
-	patchWindow := flag.Duration("patch-coalesce-window", 0, "wait this long for a patch burst to accumulate before each batch commit (0 = batch only while a commit is in flight)")
-	deltaBudget := flag.Int("closure-delta-budget", 0, "incremental closure maintenance cost budget per patch (0 = auto-sized, -1 = always rebuild)")
-	readyMaxLag := flag.Uint64("ready-max-lag", 0, "follower /readyz stays 503 while replication lag exceeds this many ops; needs -follow")
-	noTrace := flag.Bool("no-trace", false, "disable request tracing and the /debug/traces flight recorder")
-	traceCapacity := flag.Int("trace-capacity", 0, "flight-recorder ring size: last N completed traces kept for /debug/traces (0 = default 128)")
-	traceSlow := flag.Duration("trace-slow", 0, "traces at or above this duration are retained in the slow ring even after falling out of the recent one (0 = default 250ms)")
-	router := flag.Bool("router", false, "run as a stateless cluster router (scatter-gather front) instead of a shard; needs -shards or -ring")
-	shardsSpec := flag.String("shards", "", `router shard spec: semicolon-separated "name=primary[,replica...]" URL lists (see internal/cluster.ParseSpec); needs -router`)
-	ringPath := flag.String("ring", "", "router ring config JSON file (the serialized cluster.Config); alternative to -shards")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the consistent-hash ring (0 = default 64); needs -router")
-	routeMaxLag := flag.Uint64("route-max-lag", 0, "route reads only to replicas whose probed replication lag is within this many ops; needs -router")
-	probeInterval := flag.Duration("probe-interval", 0, "shard /readyz health-probe period (0 = default 500ms); needs -router")
-	var loads loadFlags
-	flag.Var(&loads, "load", "preload a data graph as name=path.json (repeatable)")
-	flag.Parse()
-
-	if *router {
-		if *storePath != "" || *follow != "" || len(loads) > 0 {
-			log.Fatalf("phomd: -router is stateless and conflicts with -store, -follow and -load")
-		}
-		runRouter(routerFlags{
-			addr:          *addr,
-			shards:        *shardsSpec,
-			ringPath:      *ringPath,
-			vnodes:        *vnodes,
-			routeMaxLag:   *routeMaxLag,
-			probeInterval: *probeInterval,
-			timeout:       *requestTimeout,
-			accessLog:     *accessLog,
-			noTrace:       *noTrace,
-			traceCapacity: *traceCapacity,
-			traceSlow:     *traceSlow,
-			pprof:         *pprofAddr,
-		})
+	f, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatalf("phomd: %v", err)
+	}
+	if f.router {
+		runRouter(f)
 		return
-	}
-	if *shardsSpec != "" || *ringPath != "" {
-		log.Fatalf("phomd: -shards/-ring need -router")
-	}
-
-	if *follow != "" {
-		if *storePath == "" {
-			log.Fatalf("phomd: -follow requires -store (the follower persists what it replicates)")
-		}
-		if len(loads) > 0 {
-			log.Fatalf("phomd: -load conflicts with -follow (a follower's catalog comes from the primary)")
-		}
-	}
-
-	// Resolve the admission bound the way the engine resolves its pool:
-	// the default keeps every admitted task's queue send non-blocking.
-	resolvedWorkers := *workers
-	if resolvedWorkers <= 0 {
-		resolvedWorkers = runtime.GOMAXPROCS(0)
-	}
-	resolvedQueue := *queueDepth
-	if resolvedQueue <= 0 {
-		resolvedQueue = 4 * resolvedWorkers
-	}
-	pending := *maxPending
-	if pending < 0 {
-		pending = resolvedQueue + resolvedWorkers
 	}
 
 	// Bind the listener before the (possibly long) store replay so
@@ -188,7 +203,7 @@ func main() {
 	est := httpapi.NewReplayEstimator()
 	var handler atomic.Value // of http.Handler
 	handler.Store(httpapi.Booting(est))
-	lc := listen(*addr, *pprofAddr, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	lc := listen(f.addr, f.pprofAddr, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		handler.Load().(http.Handler).ServeHTTP(w, r)
 	}))
 	log.Printf("phomd listening on %s (booting)", lc.ln.Addr())
@@ -198,36 +213,30 @@ func main() {
 	// already answers probes.
 	bootStart := time.Now()
 	eng, err := engine.Open(engine.Options{
-		Workers:              *workers,
-		MaxClosures:          *maxClosures,
-		MaxClosureBytes:      *maxClosureBytes,
-		QueueDepth:           *queueDepth,
-		MaxPending:           pending,
-		ExactNodeLimit:       *maxExact,
-		SearchMaxCandidates:  *searchMaxCand,
-		SearchMinResemblance: *searchMinRes,
-		StorePath:            *storePath,
-		SnapshotEvery:        *snapshotEvery,
-		FollowURL:            *follow,
-		ReplayProgress:       est.Observe,
-		PatchCoalesceCount:   *patchBatch,
-		PatchCoalesceWindow:  *patchWindow,
-		ClosureDeltaBudget:   *deltaBudget,
-		NoTrace:              *noTrace,
-		TraceCapacity:        *traceCapacity,
-		TraceSlowThreshold:   *traceSlow,
+		Workers:            f.workers,
+		MaxClosures:        f.maxClosures,
+		MaxClosureBytes:    f.maxClosureBytes,
+		QueueDepth:         f.queueDepth,
+		MaxPending:         f.maxPending,
+		ExactNodeLimit:     f.maxExact,
+		StorePath:          f.storePath,
+		SnapshotEvery:      f.snapshotEvery,
+		FollowURL:          f.follow,
+		ReplayProgress:     est.Observe,
+		PatchCoalesceCount: patchCoalesceCount,
+		NoTrace:            f.noTrace,
 	})
 	if err != nil {
 		log.Fatalf("phomd: opening engine: %v", err)
 	}
-	if *storePath != "" {
+	if f.storePath != "" {
 		st, _ := eng.StoreStats()
 		log.Printf("store %s: replayed to seq %d (%d graphs, snapshot at seq %d, %d recovered tails) in %v",
-			*storePath, st.LastSeq, eng.Catalog().Len(), st.SnapshotSeq, st.Recovered,
+			f.storePath, st.LastSeq, eng.Catalog().Len(), st.SnapshotSeq, st.Recovered,
 			time.Since(bootStart).Round(time.Millisecond))
 	}
 
-	for _, spec := range loads {
+	for _, spec := range f.loads {
 		name, path, _ := strings.Cut(spec, "=")
 		g, err := loadGraph(path)
 		if err != nil {
@@ -239,7 +248,7 @@ func main() {
 			// before this loop runs; re-registering them is the normal
 			// restart-with-the-same-flags case, not a boot failure. The
 			// store's copy wins (it includes any live patches).
-			if *storePath != "" && errors.Is(err, catalog.ErrDuplicate) {
+			if f.storePath != "" && errors.Is(err, catalog.ErrDuplicate) {
 				log.Printf("skipping -load %q: already recovered from the store", name)
 				continue
 			}
@@ -256,36 +265,30 @@ func main() {
 	// balancers leave it out of rotation until it catches up.
 	var ready atomic.Bool
 	readyFn := ready.Load
-	if *follow != "" {
+	if f.follow != "" {
 		readyFn = func() bool {
 			if !ready.Load() {
 				return false
 			}
 			rs, ok := eng.ReplStats()
-			return ok && rs.SyncedOnce && !rs.Diverged && rs.LagSeq <= *readyMaxLag
+			return ok && rs.SyncedOnce && !rs.Diverged && rs.LagSeq <= f.readyMaxLag
 		}
 	}
-	var lg *log.Logger
-	if *accessLog {
-		lg = log.New(os.Stderr, "access ", log.LstdFlags|log.Lmicroseconds)
-	}
 	handler.Store(httpapi.NewWithOptions(eng, httpapi.Options{
-		RequestTimeout:    *requestTimeout,
-		MatchConcurrency:  *matchConc,
-		SearchConcurrency: *searchConc,
-		PatchConcurrency:  *patchConc,
-		MaxBatch:          *maxBatch,
-		AccessLog:         lg,
-		Ready:             readyFn,
+		RequestTimeout: f.requestTimeout,
+		MaxBatch:       f.maxBatch,
+		AccessLog:      accessLogger(f.accessLog),
+		Ready:          readyFn,
 	}))
 	ready.Store(true)
 
-	if *follow != "" {
+	st := eng.Stats()
+	if f.follow != "" {
 		log.Printf("phomd following %s on %s (%d workers, ready-max-lag %d)",
-			*follow, lc.ln.Addr(), eng.Stats().Workers, *readyMaxLag)
+			f.follow, lc.ln.Addr(), st.Workers, f.readyMaxLag)
 	} else {
 		log.Printf("phomd ready on %s (%d workers, max-pending %d, request-timeout %v)",
-			lc.ln.Addr(), eng.Stats().Workers, pending, *requestTimeout)
+			lc.ln.Addr(), st.Workers, st.MaxPending, f.requestTimeout)
 	}
 	// eng.Close drains the worker pool and — with -store — fsyncs and
 	// closes the WAL, so no acknowledged mutation is left in an unsynced
@@ -360,6 +363,14 @@ func (lc *lifecycle) wait(closeFn func()) {
 		log.Printf("phomd: shutdown: %v", err)
 	}
 	closeFn()
+}
+
+// accessLogger returns the -access-log destination, or nil when off.
+func accessLogger(on bool) *log.Logger {
+	if !on {
+		return nil
+	}
+	return log.New(os.Stderr, "access ", log.LstdFlags|log.Lmicroseconds)
 }
 
 func loadGraph(path string) (*graph.Graph, error) {

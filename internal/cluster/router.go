@@ -44,11 +44,9 @@ type RouterOptions struct {
 	Client *http.Client
 	// AccessLog, when non-nil, receives one line per routed request.
 	AccessLog *log.Logger
-	// NoTrace disables the router's flight recorder; TraceCapacity and
-	// TraceSlowThreshold size it (0 keeps the trace package defaults).
-	NoTrace            bool
-	TraceCapacity      int
-	TraceSlowThreshold time.Duration
+	// NoTrace disables the router's flight recorder, which otherwise
+	// keeps the trace package's default ring sizes.
+	NoTrace bool
 }
 
 // Router is the stateless scatter-gather front of a phomd shard
@@ -92,7 +90,7 @@ func NewRouter(cfg Config, opts RouterOptions) (*Router, error) {
 	}
 	var tracer *trace.Recorder
 	if !opts.NoTrace {
-		tracer = trace.NewRecorder(opts.TraceCapacity, opts.TraceSlowThreshold)
+		tracer = trace.NewRecorder(0, 0)
 	}
 	reg := metrics.NewRegistry()
 	reg.RegisterRuntime()
@@ -152,7 +150,7 @@ func (rt *Router) initMetrics(reg *metrics.Registry) {
 }
 
 func (rt *Router) initMux() {
-	route := func(pattern string, h http.HandlerFunc) { rt.shell.Route(pattern, nil, h) }
+	route := rt.shell.Route
 	route("POST /v1/graphs", rt.handleRegister)
 	route("GET /v1/graphs", rt.handleList)
 	route("GET /v1/graphs/{name}", func(w http.ResponseWriter, r *http.Request) {

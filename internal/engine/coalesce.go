@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"graphmatch/internal/graph"
 	"graphmatch/internal/trace"
@@ -30,12 +29,12 @@ import (
 // per-patch error semantics are exactly those of the uncoalesced path.
 type patchCoalescer struct {
 	eng *Engine
-	// window is how long a flusher waits for a burst to accumulate
-	// before each batch; 0 means pure group commit (no added latency —
-	// batching happens only while a previous apply is in flight).
-	window time.Duration
-	// max caps patches per batch; 0 means unbounded.
+	// max caps patches per batch.
 	max int
+	// beforeBatch, when set, runs on the flusher before it takes each
+	// batch. Tests use it to hold the flusher while they queue the
+	// patches a batch should contain; set it before the first patch.
+	beforeBatch func()
 
 	mu     sync.Mutex
 	cond   *sync.Cond // signalled whenever a queue goes idle
@@ -70,8 +69,8 @@ type patchResult struct {
 	err error
 }
 
-func newPatchCoalescer(e *Engine, window time.Duration, max int) *patchCoalescer {
-	co := &patchCoalescer{eng: e, window: window, max: max, queues: make(map[string]*patchQueue)}
+func newPatchCoalescer(e *Engine, max int) *patchCoalescer {
+	co := &patchCoalescer{eng: e, max: max, queues: make(map[string]*patchQueue)}
 	co.cond = sync.NewCond(&co.mu)
 	return co
 }
@@ -112,12 +111,12 @@ func (co *patchCoalescer) enqueue(ctx context.Context, name string, p *graph.Pat
 // has work, then marks the queue idle and exits.
 func (co *patchCoalescer) flush(name string, q *patchQueue) {
 	for {
-		if co.window > 0 {
-			time.Sleep(co.window)
+		if co.beforeBatch != nil {
+			co.beforeBatch()
 		}
 		co.mu.Lock()
 		batch := q.waiters
-		if co.max > 0 && len(batch) > co.max {
+		if len(batch) > co.max {
 			batch = batch[:co.max:co.max]
 			q.waiters = append([]*patchWaiter(nil), q.waiters[co.max:]...)
 		} else {

@@ -25,15 +25,37 @@ func coalesceBase(n int) *graph.Graph {
 	return g
 }
 
-// TestCoalesceStormBatches fires a burst of concurrent patches inside
-// one coalescing window and checks they commit as one catalog
-// mutation with every edge present.
+// holdBatches makes e's patch flusher wait before each batch until the
+// returned release is called, so a test can queue exactly the patches
+// one batch should carry. Call it before the first patch.
+func holdBatches(e *Engine) (release func()) {
+	gate := make(chan struct{})
+	e.coalescer.beforeBatch = func() { <-gate }
+	return func() { close(gate) }
+}
+
+// waitQueued polls until n patches against name wait in the coalescer.
+func waitQueued(t *testing.T, e *Engine, name string, n int) {
+	t.Helper()
+	co := e.coalescer
+	waitFor(t, 5*time.Second, func() bool {
+		co.mu.Lock()
+		defer co.mu.Unlock()
+		q := co.queues[name]
+		return q != nil && len(q.waiters) >= n
+	})
+}
+
+// TestCoalesceStormBatches fires a burst of concurrent patches while
+// the flusher is held and checks they commit as one catalog mutation
+// with every edge present.
 func TestCoalesceStormBatches(t *testing.T) {
-	e := New(Options{Workers: 2, PatchCoalesceCount: 64, PatchCoalesceWindow: 50 * time.Millisecond})
+	e := New(Options{Workers: 2, PatchCoalesceCount: 64})
 	defer e.Close()
 	if err := e.Register("g", coalesceBase(32)); err != nil {
 		t.Fatal(err)
 	}
+	release := holdBatches(e)
 
 	const storm = 12
 	var wg sync.WaitGroup
@@ -48,6 +70,8 @@ func TestCoalesceStormBatches(t *testing.T) {
 			})
 		}(i)
 	}
+	waitQueued(t, e, "g", storm)
+	release()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -61,8 +85,8 @@ func TestCoalesceStormBatches(t *testing.T) {
 		}
 	}
 	s := e.Stats()
-	if s.PatchBatches == 0 || s.PatchesCoalesced < 2 {
-		t.Fatalf("storm inside one window did not batch: %+v", s)
+	if s.PatchBatches != 1 || s.PatchesCoalesced != storm {
+		t.Fatalf("held storm did not commit as one batch: %+v", s)
 	}
 	// The closure kept up: the chain plus chords still reaches the end.
 	r, err := e.cat.Reach("g", 0)
@@ -78,11 +102,12 @@ func TestCoalesceStormBatches(t *testing.T) {
 // batch contains an invalid patch, it alone fails — its neighbours in
 // the batch commit, exactly as they would uncoalesced.
 func TestCoalesceBadPatchIsolated(t *testing.T) {
-	e := New(Options{Workers: 2, PatchCoalesceCount: 64, PatchCoalesceWindow: 50 * time.Millisecond})
+	e := New(Options{Workers: 2, PatchCoalesceCount: 64})
 	defer e.Close()
 	if err := e.Register("g", coalesceBase(8)); err != nil {
 		t.Fatal(err)
 	}
+	release := holdBatches(e)
 
 	var wg sync.WaitGroup
 	var goodErr, badErr error
@@ -97,6 +122,8 @@ func TestCoalesceBadPatchIsolated(t *testing.T) {
 		// composition.
 		_, badErr = e.ApplyPatch("g", &graph.Patch{DelEdges: [][2]graph.NodeID{{5, 0}}})
 	}()
+	waitQueued(t, e, "g", 2)
+	release()
 	wg.Wait()
 	if goodErr != nil {
 		t.Fatalf("good patch failed alongside a bad one: %v", goodErr)
@@ -112,12 +139,13 @@ func TestCoalesceBadPatchIsolated(t *testing.T) {
 // TestCoalesceCancellingPatches checks that a batch composing to a
 // no-op commits nothing: both waiters observe the unchanged graph.
 func TestCoalesceCancellingPatches(t *testing.T) {
-	e := New(Options{Workers: 2, PatchCoalesceCount: 64, PatchCoalesceWindow: 200 * time.Millisecond})
+	e := New(Options{Workers: 2, PatchCoalesceCount: 64})
 	defer e.Close()
 	if err := e.Register("g", coalesceBase(4)); err != nil {
 		t.Fatal(err)
 	}
 	before := e.mustGet(t, "g")
+	release := holdBatches(e)
 
 	var wg sync.WaitGroup
 	var g1, g2 *graph.Graph
@@ -127,18 +155,23 @@ func TestCoalesceCancellingPatches(t *testing.T) {
 		defer wg.Done()
 		g1, err1 = e.ApplyPatch("g", &graph.Patch{AddEdges: [][2]graph.NodeID{{0, 2}}})
 	}()
-	time.Sleep(10 * time.Millisecond) // order the two inside one window
+	waitQueued(t, e, "g", 1) // the add queues first, the delete behind it
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		g2, err2 = e.ApplyPatch("g", &graph.Patch{DelEdges: [][2]graph.NodeID{{0, 2}}})
 	}()
+	waitQueued(t, e, "g", 2)
+	release()
 	wg.Wait()
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errs: %v, %v", err1, err2)
 	}
 	if g1 != before || g2 != before {
 		t.Fatal("cancelling batch should leave the registered graph object untouched")
+	}
+	if s := e.Stats(); s.PatchBatches != 1 || s.PatchesCoalesced != 2 {
+		t.Fatalf("add and delete did not ride one batch: %+v", s)
 	}
 	if e.mustGet(t, "g").HasEdge(0, 2) {
 		t.Fatal("cancelled edge materialised")
@@ -179,14 +212,13 @@ func TestCoalesceFollower(t *testing.T) {
 	}
 
 	f, err := Open(Options{
-		Workers:             2,
-		StorePath:           t.TempDir(),
-		FollowURL:           p.url(),
-		FollowMinBackoff:    2 * time.Millisecond,
-		FollowMaxBackoff:    25 * time.Millisecond,
-		FollowStallTimeout:  250 * time.Millisecond,
-		PatchCoalesceCount:  16,
-		PatchCoalesceWindow: 2 * time.Millisecond,
+		Workers:            2,
+		StorePath:          t.TempDir(),
+		FollowURL:          p.url(),
+		FollowMinBackoff:   2 * time.Millisecond,
+		FollowMaxBackoff:   25 * time.Millisecond,
+		FollowStallTimeout: 250 * time.Millisecond,
+		PatchCoalesceCount: 16,
 	})
 	if err != nil {
 		t.Fatalf("open follower: %v", err)

@@ -152,6 +152,8 @@ type Stats struct {
 	Searches uint64 `json:"searches"`
 	// Workers is the pool size.
 	Workers int `json:"workers"`
+	// MaxPending is the admission bound in force (0 = no shedding).
+	MaxPending int `json:"max_pending"`
 	// PatchBatches counts multi-patch batches the coalescer committed
 	// as single catalog mutations; PatchesCoalesced counts the patches
 	// that rode in them. Zero when batching is disabled.
@@ -199,10 +201,11 @@ type Options struct {
 	// non-coalesced submissions fail immediately with ErrOverloaded
 	// instead of blocking on the queue. Coalesced requests always
 	// attach (they add no work). 0 — the library default — disables
-	// shedding and preserves the blocking-submit behaviour; servers
-	// exposed to untrusted load should set it (phomd does, to
-	// QueueDepth + Workers). Keeping MaxPending ≤ QueueDepth + Workers
-	// guarantees an admitted task's queue send never blocks.
+	// shedding and preserves the blocking-submit behaviour. Negative
+	// selects QueueDepth + Workers (after their own defaults), the
+	// largest bound under which an admitted task's queue send never
+	// blocks; servers exposed to untrusted load should shed (phomd
+	// does, with that bound).
 	MaxPending int
 	// ExactNodeLimit, when positive, rejects Decide/Decide11 requests
 	// whose pattern has more nodes — those procedures are exponential,
@@ -211,16 +214,6 @@ type Options struct {
 	// time. 0 means unlimited (library default); servers exposed to
 	// untrusted clients should set it (phomd does).
 	ExactNodeLimit int
-	// SearchMaxCandidates is the default stage-1 candidate cap for
-	// Search requests that leave MaxCandidates at 0. Non-positive
-	// means unlimited.
-	SearchMaxCandidates int
-	// SearchMinResemblance is the default stage-1 prune threshold for
-	// Search requests that leave MinResemblance at 0. Non-positive
-	// keeps every graph (the prefilter then only orders candidates,
-	// never drops them, so search is exactly equivalent to a
-	// brute-force scan).
-	SearchMinResemblance float64
 	// StorePath, when non-empty, makes the catalog durable: mutations
 	// (Register, Remove, ApplyPatch) are written to a WAL in this
 	// directory and fsynced before they are acknowledged, and Open
@@ -260,35 +253,18 @@ type Options struct {
 	// calls (and, on a follower, replicated patch records) against the
 	// same graph are composed with graph.MergePatches and committed as
 	// one catalog mutation — one closure delta, one WAL fsync, one
-	// search-index fold per batch instead of per patch. The value caps
-	// patches per batch. Values ≤ 1 disable batching unless
-	// PatchCoalesceWindow is set (an unbounded batch then).
+	// search-index fold per batch instead of per patch. Batching is
+	// group commit: patches batch only while a previous commit of the
+	// same graph is in flight, adding no latency when idle. The value
+	// caps patches per batch; values ≤ 1 disable batching.
 	PatchCoalesceCount int
-	// PatchCoalesceWindow, when positive, makes each batch wait this
-	// long for a burst to accumulate before committing — higher
-	// throughput under storms at the cost of added patch latency. 0
-	// (the default) is pure group commit: patches batch only while a
-	// previous commit is in flight, adding no latency when idle.
-	PatchCoalesceWindow time.Duration
-	// ClosureDeltaBudget tunes the catalog's incremental closure
-	// maintenance on patches: 0 picks a budget proportional to the
-	// graph (the default), positive values override it, and negative
-	// values disable incremental maintenance entirely — every patch
-	// rebuilds closures from scratch (the benchmark baseline).
-	ClosureDeltaBudget int
 	// NoTrace disables the flight recorder entirely: Tracer() returns
 	// nil and no spans are ever recorded, even for requests that carry
 	// a traceparent. Requests without a span in their context already
 	// skip all span work (one context lookup per layer), so this
-	// matters mainly for embedders that bring their own tracing.
+	// matters mainly for embedders that bring their own tracing. The
+	// recorder keeps the trace package's default ring sizes.
 	NoTrace bool
-	// TraceCapacity sizes the flight recorder's ring of recently
-	// completed traces; 0 keeps trace.DefaultCapacity.
-	TraceCapacity int
-	// TraceSlowThreshold is the latency above which a completed trace
-	// is retained in the recorder's slow ring, surviving eviction by
-	// faster traffic; 0 keeps trace.DefaultSlowThreshold.
-	TraceSlowThreshold time.Duration
 }
 
 // reqKey identifies a computation for coalescing. The pattern is
@@ -364,9 +340,7 @@ type Engine struct {
 	// searchIdx is the stage-1 candidate index of the search subsystem;
 	// it observes catalog mutations through the mutation hook, so it is
 	// coherent with Register/Remove by construction.
-	searchIdx        *search.Index
-	searchMaxCand    int
-	searchMinResembl float64
+	searchIdx *search.Index
 
 	mu       sync.Mutex
 	inflight map[reqKey]*task
@@ -467,28 +441,28 @@ func Open(opts Options) (*Engine, error) {
 	if depth <= 0 {
 		depth = 4 * workers
 	}
+	maxPending := opts.MaxPending
+	if maxPending < 0 {
+		maxPending = depth + workers
+	}
 	e := &Engine{
-		cat: catalog.New(opts.MaxClosures,
-			catalog.WithMaxBytes(opts.MaxClosureBytes),
-			catalog.WithDeltaBudget(opts.ClosureDeltaBudget)),
-		queue:            make(chan *task, depth),
-		inflight:         make(map[reqKey]*task),
-		workers:          workers,
-		exactLimit:       opts.ExactNodeLimit,
-		maxPending:       opts.MaxPending,
-		searchMaxCand:    opts.SearchMaxCandidates,
-		searchMinResembl: opts.SearchMinResemblance,
-		snapshotEvery:    opts.SnapshotEvery,
-		reg:              metrics.NewRegistry(),
+		cat:           catalog.New(opts.MaxClosures, catalog.WithMaxBytes(opts.MaxClosureBytes)),
+		queue:         make(chan *task, depth),
+		inflight:      make(map[reqKey]*task),
+		workers:       workers,
+		exactLimit:    opts.ExactNodeLimit,
+		maxPending:    maxPending,
+		snapshotEvery: opts.SnapshotEvery,
+		reg:           metrics.NewRegistry(),
 	}
 	if opts.FollowURL != "" && opts.StorePath == "" {
 		return nil, fmt.Errorf("engine: FollowURL requires StorePath (the follower persists the stream to its own WAL)")
 	}
-	if opts.PatchCoalesceCount > 1 || opts.PatchCoalesceWindow > 0 {
-		e.coalescer = newPatchCoalescer(e, opts.PatchCoalesceWindow, opts.PatchCoalesceCount)
+	if opts.PatchCoalesceCount > 1 {
+		e.coalescer = newPatchCoalescer(e, opts.PatchCoalesceCount)
 	}
 	if !opts.NoTrace {
-		e.tracer = trace.NewRecorder(opts.TraceCapacity, opts.TraceSlowThreshold)
+		e.tracer = trace.NewRecorder(0, 0)
 	}
 	e.initMetrics()
 	e.searchIdx = search.NewIndex(e.cat)
@@ -608,15 +582,16 @@ func (e *Engine) Close() {
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
 	s := Stats{
-		Requests:  e.requests.Load(),
-		Executed:  e.executed.Load(),
-		Coalesced: e.coalesced.Load(),
-		Errors:    e.errors.Load(),
-		Shed:      e.shed.Load(),
-		Pending:   e.pending.Load(),
-		Batches:   e.batches.Load(),
-		Searches:  e.searches.Load(),
-		Workers:   e.workers,
+		Requests:   e.requests.Load(),
+		Executed:   e.executed.Load(),
+		Coalesced:  e.coalesced.Load(),
+		Errors:     e.errors.Load(),
+		Shed:       e.shed.Load(),
+		Pending:    e.pending.Load(),
+		Batches:    e.batches.Load(),
+		Searches:   e.searches.Load(),
+		Workers:    e.workers,
+		MaxPending: e.maxPending,
 
 		SearchIndexPendingDeltas: e.searchIdx.PendingDeltas(),
 	}

@@ -106,6 +106,43 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 }
 
+// TestDefaultPendingBoundIsQueuePlusWorkers pins MaxPending < 0: the
+// engine admits exactly QueueDepth + Workers tasks and sheds the next.
+// The worker is held before executing, so admission never races the
+// matcher.
+func TestDefaultPendingBoundIsQueuePlusWorkers(t *testing.T) {
+	const workers, depth = 1, 3
+	e := New(Options{Workers: workers, QueueDepth: depth, MaxPending: -1})
+	t.Cleanup(e.Close)
+	if err := e.Register("path", pathGraph(40)); err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	e.beforeExecute = func() { <-gate }
+	if got := e.Stats().MaxPending; got != depth+workers {
+		t.Fatalf("Stats.MaxPending = %d, want %d", got, depth+workers)
+	}
+
+	ctx := context.Background()
+	admitted := make(chan Result, depth+workers)
+	for i := 0; i < depth+workers; i++ {
+		go func(i int) { admitted <- e.Match(ctx, slowReq(i)) }(i)
+		waitFor(t, 5*time.Second, func() bool { return e.Stats().Pending == int64(i+1) })
+	}
+	if res := e.Match(ctx, slowReq(depth+workers)); !errors.Is(res.Err, ErrOverloaded) {
+		t.Fatalf("request %d past the bound: err = %v, want ErrOverloaded", depth+workers+1, res.Err)
+	}
+	close(gate)
+	for i := 0; i < depth+workers; i++ {
+		if res := <-admitted; res.Err != nil {
+			t.Fatalf("admitted request failed: %v", res.Err)
+		}
+	}
+	if st := e.Stats(); st.Shed != 1 {
+		t.Fatalf("Stats.Shed = %d, want 1", st.Shed)
+	}
+}
+
 func TestUnlimitedPendingNeverSheds(t *testing.T) {
 	e := newOverloadEngine(t, 0)
 	ctx := context.Background()
@@ -190,31 +227,43 @@ func TestMidFlightCancelFreesWorker(t *testing.T) {
 func TestCoalescedPeerSurvivesCancellation(t *testing.T) {
 	e := New(Options{Workers: 1, QueueDepth: 8})
 	t.Cleanup(e.Close)
-	if err := e.Register("path", pathGraph(200)); err != nil {
+	if err := e.Register("path", pathGraph(40)); err != nil {
 		t.Fatal(err)
 	}
-	// Occupy the worker so the interesting task stays queued while both
-	// waiters attach.
+	// Hold the worker on a blocker so the interesting task stays queued
+	// while both waiters attach and the first one gives up.
+	gate := make(chan struct{})
+	e.beforeExecute = func() { <-gate }
 	blocker := make(chan Result, 1)
 	go func() { blocker <- e.Match(context.Background(), slowReq(2)) }()
-	time.Sleep(10 * time.Millisecond)
+	waitFor(t, 5*time.Second, func() bool { return e.Stats().Pending == 1 })
 
 	shared := slowReq(0)
 	impatient, cancel := context.WithCancel(context.Background())
 	first := make(chan Result, 1)
 	go func() { first <- e.Match(impatient, shared) }()
-	time.Sleep(10 * time.Millisecond)
+	waitFor(t, 5*time.Second, func() bool { return e.Stats().Pending == 2 })
+	coalescedBefore := e.Stats().Coalesced
 	patient := make(chan Result, 1)
 	go func() { patient <- e.Match(context.Background(), shared) }()
-	time.Sleep(10 * time.Millisecond)
+	// An attach adds no pending task; the coalesced counter moves only
+	// once the patient waiter holds a reference on the queued task.
+	waitFor(t, 5*time.Second, func() bool { return e.Stats().Coalesced > coalescedBefore })
+	if got := e.Stats().Pending; got != 2 {
+		t.Fatalf("pending = %d after the patient waiter attached, want 2", got)
+	}
 
 	cancel()
 	if r := <-first; !errors.Is(r.Err, ErrDeadline) {
 		t.Fatalf("impatient waiter err = %v, want ErrDeadline", r.Err)
 	}
+	close(gate)
 	r := <-patient
 	if r.Err != nil {
 		t.Fatalf("patient coalesced waiter failed: %v", r.Err)
+	}
+	if !r.Coalesced {
+		t.Fatal("patient waiter ran its own task instead of coalescing")
 	}
 	if r.Holds {
 		t.Fatal("cycle pattern cannot hold against a DAG")
@@ -273,6 +322,18 @@ func TestRequestIDDecoratesErrors(t *testing.T) {
 	}
 	if RequestID(context.Background()) != "" {
 		t.Fatal("RequestID of bare context should be empty")
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after timeout.
+func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition never became true")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

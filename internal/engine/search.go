@@ -37,12 +37,11 @@ type SearchRequest struct {
 	// K is the number of ranked hits to return; 0 means DefaultSearchK.
 	K int
 	// MaxCandidates caps how many stage-1 candidates reach the
-	// matcher: 0 applies the engine's configured default, negative
-	// means unlimited.
+	// matcher; 0 or negative means unlimited.
 	MaxCandidates int
 	// MinResemblance prunes candidates whose stage-1 content score
-	// falls below it: 0 applies the engine's configured default,
-	// negative disables pruning (exact search).
+	// falls below it; 0 or negative keeps every graph (the prefilter
+	// then only orders candidates, so the search is exact).
 	MinResemblance float64
 	// NoPrefilter bypasses stage 1 entirely and matches every
 	// registered graph — the brute-force scan the benchmark compares
@@ -134,18 +133,10 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 	}
 	pol := search.Policy{Brute: req.NoPrefilter}
 	if !req.NoPrefilter {
-		// Brute force means every graph, so neither the request's nor
-		// the engine's default bounds apply to it.
-		if maxCand := req.MaxCandidates; maxCand != 0 {
-			pol.MaxCandidates = max(maxCand, 0)
-		} else {
-			pol.MaxCandidates = max(e.searchMaxCand, 0)
-		}
-		if minRes := req.MinResemblance; minRes != 0 {
-			pol.MinResemblance = math.Max(minRes, 0)
-		} else {
-			pol.MinResemblance = math.Max(e.searchMinResembl, 0)
-		}
+		// Brute force means every graph, so the request's bounds do not
+		// apply to it.
+		pol.MaxCandidates = max(req.MaxCandidates, 0)
+		pol.MinResemblance = math.Max(req.MinResemblance, 0)
 	}
 	// Prepare the pattern once, up front: stage 1 summarises the same
 	// shingle sets every stage-2 content matrix is built from.

@@ -236,9 +236,9 @@ func TestSearchRanksByAlgorithmMetric(t *testing.T) {
 
 // TestSearchBruteIgnoresEngineDefaults is the regression for the
 // brute-force contract: NoPrefilter must match every registered graph
-// even when the engine is configured with aggressive default pruning.
+// even when the request itself asks for aggressive pruning.
 func TestSearchBruteIgnoresEngineDefaults(t *testing.T) {
-	e := New(Options{Workers: 2, SearchMaxCandidates: 1, SearchMinResemblance: 0.99})
+	e := New(Options{Workers: 2})
 	defer e.Close()
 	for i := 0; i < 4; i++ {
 		g := graph.FromEdgeList([]string{fmt.Sprintf("u%d", i), fmt.Sprintf("w%d", i)}, [][2]int{{0, 1}})
@@ -249,7 +249,10 @@ func TestSearchBruteIgnoresEngineDefaults(t *testing.T) {
 	pattern := graph.FromEdgeList([]string{"u2", "w2"}, [][2]int{{0, 1}})
 	ctx := context.Background()
 
-	brute := e.Search(ctx, SearchRequest{Pattern: pattern, Algo: MaxCard, Xi: 1, NoPrefilter: true})
+	pruning := SearchRequest{Pattern: pattern, Algo: MaxCard, Xi: 1, MaxCandidates: 1, MinResemblance: 0.99}
+	bruteReq := pruning
+	bruteReq.NoPrefilter = true
+	brute := e.Search(ctx, bruteReq)
 	if brute.Err != nil {
 		t.Fatal(brute.Err)
 	}
@@ -260,15 +263,25 @@ func TestSearchBruteIgnoresEngineDefaults(t *testing.T) {
 		t.Fatalf("brute hits %v", hitNames(brute))
 	}
 
-	// The default path, by contrast, honours the configured bounds.
-	def := e.Search(ctx, SearchRequest{Pattern: pattern, Algo: MaxCard, Xi: 1})
-	if def.Err != nil {
-		t.Fatal(def.Err)
+	// The prefiltered path, by contrast, honours the request's bounds.
+	pre := e.Search(ctx, pruning)
+	if pre.Err != nil {
+		t.Fatal(pre.Err)
 	}
-	if def.Stats.Matched != 1 || def.Stats.Pruned != 3 {
-		t.Fatalf("default stats %+v, want 1 matched / 3 pruned", def.Stats)
+	if pre.Stats.Matched != 1 || pre.Stats.Pruned != 3 {
+		t.Fatalf("prefiltered stats %+v, want 1 matched / 3 pruned", pre.Stats)
 	}
-	if len(def.Hits) != 1 || def.Hits[0].Graph != "g2" {
-		t.Fatalf("default hits %v", hitNames(def))
+	if len(pre.Hits) != 1 || pre.Hits[0].Graph != "g2" {
+		t.Fatalf("prefiltered hits %v", hitNames(pre))
+	}
+
+	// Without bounds in the request, nothing is pruned: the engine adds
+	// none of its own.
+	all := e.Search(ctx, SearchRequest{Pattern: pattern, Algo: MaxCard, Xi: 1})
+	if all.Err != nil {
+		t.Fatal(all.Err)
+	}
+	if all.Stats.Matched != 4 || all.Stats.Pruned != 0 {
+		t.Fatalf("unbounded stats %+v, want all 4 matched", all.Stats)
 	}
 }

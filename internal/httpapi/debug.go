@@ -13,7 +13,7 @@ import (
 // most recent completed traces (newest first, slow-ring survivors
 // included) and GET /debug/traces/{id} returns one full span tree,
 // looked up by trace id or by the X-Request-ID a response carried.
-// Both routes live outside the observe shell — see newShell.
+// Both routes live outside the observe shell — see NewShell.
 
 // TraceSummary is one row of GET /debug/traces.
 type TraceSummary struct {

@@ -25,11 +25,11 @@
 //	GET    /healthz            liveness (process up)
 //	GET    /readyz             readiness (store replayed, catalog warm)
 //
-// Observability and overload protection — request IDs, access log,
-// per-route metrics, per-request deadlines and per-endpoint
-// concurrency limits — live in observe.go's Shell, configured through
-// Options / NewWithOptions; the cluster router serves through the same
-// Shell.
+// Observability — request IDs, access log, per-route metrics and
+// per-request deadlines — lives in observe.go's Shell, configured
+// through Options / NewWithOptions; the cluster router serves through
+// the same Shell. Overload protection is the engine's admission
+// control: its ErrOverloaded is the only source of a 429.
 package httpapi
 
 import (
@@ -165,12 +165,12 @@ type GraphDetailResponse struct {
 	MaxDeg int     `json:"max_deg"`
 }
 
-// SearchRequest is the body of POST /v1/search. Xi and MinResemblance
-// are pointers so "absent" and "explicit 0" are distinguishable:
-// absent xi means DefaultXi; absent min_resemblance means the server's
-// configured default, explicit 0 disables pruning (exact search).
-// MaxCandidates: 0 or absent applies the server default, -1 lifts the
-// cap. K ≤ 0 applies the engine default top-k size.
+// SearchRequest is the body of POST /v1/search. Xi is a pointer so
+// "absent" and "explicit 0" are distinguishable: absent xi means
+// DefaultXi. Absent or 0 min_resemblance disables pruning (exact
+// search), and absent, 0 or -1 max_candidates means no cap: a search
+// is bounded only by its own request. K ≤ 0 applies the engine default
+// top-k size.
 type SearchRequest struct {
 	Pattern        *graph.Graph `json:"pattern"`
 	Algo           string       `json:"algo,omitempty"`
@@ -557,10 +557,7 @@ func (mr MatchRequest) toEngine() (engine.Request, error) {
 	}, nil
 }
 
-// toEngine validates the wire search request and converts it. The
-// engine's "0 means server default" convention is mapped here: an
-// explicit wire 0 for min_resemblance becomes the engine's "no
-// pruning" (-1), and max_candidates -1 becomes the engine's unlimited.
+// toEngine validates the wire search request and converts it.
 func (sr SearchRequest) toEngine() (engine.SearchRequest, error) {
 	if sr.Pattern == nil {
 		return engine.SearchRequest{}, fmt.Errorf("missing pattern")
@@ -598,9 +595,6 @@ func (sr SearchRequest) toEngine() (engine.SearchRequest, error) {
 		minRes = *sr.MinResemblance
 		if minRes < 0 || minRes > 1 {
 			return engine.SearchRequest{}, fmt.Errorf("min_resemblance %v outside [0, 1]", minRes)
-		}
-		if minRes == 0 {
-			minRes = -1 // explicit 0: disable pruning rather than "use default"
 		}
 	}
 	return engine.SearchRequest{

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
 	"log"
 	"net/http"
 	"strconv"
@@ -18,9 +17,8 @@ import (
 
 // This file is the transport shell both phomd processes mount — the
 // shard handler below and the cluster router (internal/cluster):
-// request IDs, root spans, per-request deadlines, per-endpoint
-// concurrency limits, per-route metrics, the access log and the
-// introspection routes (/healthz, /metrics, /debug/traces). The JSON
+// request IDs, root spans, per-request deadlines, per-route metrics,
+// the access log and the introspection routes (/healthz, /metrics, /debug/traces). The JSON
 // handlers themselves stay in httpapi.go; everything here wraps them.
 
 // DefaultMaxBatch caps POST /v1/match/batch when Options.MaxBatch is
@@ -28,28 +26,18 @@ import (
 // so an unbounded one is an admission-control bypass.
 const DefaultMaxBatch = 1024
 
-// retryAfterSeconds is the Retry-After hint attached to every 429,
-// whether from the transport's concurrency limits or from the engine's
-// admission control.
+// retryAfterSeconds is the Retry-After hint attached to every 429 —
+// all of which come from the engine's admission control.
 const retryAfterSeconds = "1"
 
-// Options configures the transport shell. The zero value matches the
-// pre-observability behaviour: no deadline, no limits, no access log,
-// always ready.
+// Options configures the transport shell. The zero value means no
+// deadline, the default batch cap, no access log and always ready.
 type Options struct {
 	// RequestTimeout bounds each request's wall time. The deadline
 	// propagates through the engine into the matcher recursion, so a
 	// timed-out request answers 504 AND frees its worker instead of
 	// pinning it. 0 means no per-request deadline.
 	RequestTimeout time.Duration
-	// MatchConcurrency, SearchConcurrency and PatchConcurrency cap how
-	// many requests of each class may be inside their handler at once;
-	// excess requests answer 429 + Retry-After immediately instead of
-	// queueing. 0 means unlimited. MatchConcurrency covers both
-	// /v1/match and /v1/match/batch.
-	MatchConcurrency  int
-	SearchConcurrency int
-	PatchConcurrency  int
 	// MaxBatch caps the element count of one batch request; 0 applies
 	// DefaultMaxBatch, negative lifts the cap.
 	MaxBatch int
@@ -68,7 +56,7 @@ func NewWithOptions(e *engine.Engine, opts Options) http.Handler {
 		opts.MaxBatch = DefaultMaxBatch
 	}
 	s := &server{eng: e, opts: opts}
-	sh := newShell(e.Metrics(), e.Tracer(), opts.RequestTimeout, opts.AccessLog, true)
+	sh := NewShell(e.Metrics(), e.Tracer(), opts.RequestTimeout, opts.AccessLog)
 	if _, follower := e.ReplStats(); follower {
 		// Stale-read disclosure: every follower response carries how
 		// many primary ops it is behind, so clients that care about
@@ -79,18 +67,17 @@ func NewWithOptions(e *engine.Engine, opts Options) http.Handler {
 			return rs.LagSeq, ok
 		}
 	}
-	matchSem := newSem(opts.MatchConcurrency)
-	sh.Route("POST /v1/graphs", nil, s.registerGraph)
-	sh.Route("GET /v1/graphs", nil, s.listGraphs)
-	sh.Route("GET /v1/graphs/{name}", nil, s.describeGraph)
-	sh.Route("PATCH /v1/graphs/{name}", newSem(opts.PatchConcurrency), s.patchGraph)
-	sh.Route("DELETE /v1/graphs/{name}", nil, s.removeGraph)
-	sh.Route("POST /v1/admin/snapshot", nil, s.snapshot)
-	sh.Route("POST /v1/match", matchSem, s.match)
-	sh.Route("POST /v1/match/batch", matchSem, s.matchBatch)
-	sh.Route("POST /v1/search", newSem(opts.SearchConcurrency), s.search)
-	sh.Route("GET /v1/stats", nil, s.stats)
-	sh.Route("GET /readyz", nil, s.readyz)
+	sh.Route("POST /v1/graphs", s.registerGraph)
+	sh.Route("GET /v1/graphs", s.listGraphs)
+	sh.Route("GET /v1/graphs/{name}", s.describeGraph)
+	sh.Route("PATCH /v1/graphs/{name}", s.patchGraph)
+	sh.Route("DELETE /v1/graphs/{name}", s.removeGraph)
+	sh.Route("POST /v1/admin/snapshot", s.snapshot)
+	sh.Route("POST /v1/match", s.match)
+	sh.Route("POST /v1/match/batch", s.matchBatch)
+	sh.Route("POST /v1/search", s.search)
+	sh.Route("GET /v1/stats", s.stats)
+	sh.Route("GET /readyz", s.readyz)
 	if src := e.ReplSource(); src != nil {
 		// The replication stream is mounted outside the observe shell:
 		// it is unbounded by design, so the per-request deadline must
@@ -103,21 +90,12 @@ func NewWithOptions(e *engine.Engine, opts Options) http.Handler {
 	return sh.ServeMux
 }
 
-// newSem builds a concurrency-limit semaphore; 0 or negative means
-// unlimited (nil, which observe treats as "skip the gate").
-func newSem(n int) chan struct{} {
-	if n <= 0 {
-		return nil
-	}
-	return make(chan struct{}, n)
-}
-
 // Shell is the transport shell: a ServeMux whose Route-mounted
 // handlers run inside observe, with the introspection routes already
 // mounted. The shard handler (NewWithOptions) and the cluster router
 // both serve through one, so the two processes share request-id
 // assignment, tracing, deadlines, metric families and the access-log
-// format.
+// format; they differ only by a follower shard's lag header.
 type Shell struct {
 	*http.ServeMux
 	tracer    *trace.Recorder
@@ -132,26 +110,17 @@ type Shell struct {
 	mRequests  *metrics.CounterVec
 	mLatency   *metrics.HistogramVec
 	mRespBytes *metrics.CounterVec
-	mLimited   *metrics.CounterVec
 	mInFlight  *metrics.Gauge
 }
 
-// NewShell builds the shell the cluster router serves through: its
-// phomd_http_* families register into reg, root spans open in tr (nil
-// disables tracing), timeout bounds each request (0 = none) and
-// accessLog, when non-nil, gets one line per request. Routes mounted
-// on it carry no concurrency gates.
+// NewShell builds a shell: its phomd_http_* families register into reg,
+// root spans open in tr (nil disables tracing), timeout bounds each
+// request (0 = none) and accessLog, when non-nil, gets one line per
+// request. It mounts /healthz (observed), /metrics and the
+// flight-recorder routes. If another handler already registered the
+// families (two handlers over one engine), this one leaves its
+// instruments nil rather than double-registering.
 func NewShell(reg *metrics.Registry, tr *trace.Recorder, timeout time.Duration, accessLog *log.Logger) *Shell {
-	return newShell(reg, tr, timeout, accessLog, false)
-}
-
-// newShell registers the transport families — phomd_http_limited_total
-// only when gated, i.e. when routes will mount concurrency limits — and
-// mounts /healthz (observed), /metrics and the flight-recorder routes.
-// If another handler already registered the families (two handlers
-// over one engine), this one leaves its instruments nil rather than
-// double-registering.
-func newShell(reg *metrics.Registry, tr *trace.Recorder, timeout time.Duration, accessLog *log.Logger, gated bool) *Shell {
 	sh := &Shell{ServeMux: http.NewServeMux(), tracer: tr, timeout: timeout, accessLog: accessLog}
 	if !hasFamily(reg, "phomd_http_requests_total") {
 		sh.mRequests = reg.CounterVec("phomd_http_requests_total",
@@ -161,15 +130,10 @@ func newShell(reg *metrics.Registry, tr *trace.Recorder, timeout time.Duration, 
 			"End-to-end request latency by route.", nil, "route")
 		sh.mRespBytes = reg.CounterVec("phomd_http_response_bytes_total",
 			"Response body bytes by route.", "route")
-		if gated {
-			sh.mLimited = reg.CounterVec("phomd_http_limited_total",
-				"Requests answered 429 by the per-endpoint concurrency limits.",
-				"route")
-		}
 		sh.mInFlight = reg.Gauge("phomd_http_in_flight",
 			"Requests currently inside a handler.")
 	}
-	sh.Route("GET /healthz", nil, func(w http.ResponseWriter, r *http.Request) {
+	sh.Route("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	// /metrics and the flight-recorder routes are mounted outside the
@@ -190,17 +154,16 @@ func hasFamily(reg *metrics.Registry, name string) bool {
 	return false
 }
 
-// Route mounts h under pattern inside the shell; a non-nil sem caps how
-// many requests may be inside h at once (excess answer 429).
-func (sh *Shell) Route(pattern string, sem chan struct{}, h http.HandlerFunc) {
-	sh.Handle(pattern, sh.observe(pattern, sem, h))
+// Route mounts h under pattern inside the shell.
+func (sh *Shell) Route(pattern string, h http.HandlerFunc) {
+	sh.Handle(pattern, sh.observe(pattern, h))
 }
 
 // observe wraps a handler with the full transport shell, outermost to
 // innermost: request-ID assignment, in-flight accounting, the
-// concurrency gate, the per-request deadline, then the handler; after
-// it returns, per-route metrics and the access log line.
-func (sh *Shell) observe(route string, sem chan struct{}, h http.HandlerFunc) http.Handler {
+// per-request deadline, then the handler; after it returns, per-route
+// metrics and the access log line.
+func (sh *Shell) observe(route string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := r.Header.Get("X-Request-ID")
@@ -214,12 +177,12 @@ func (sh *Shell) observe(route string, sem chan struct{}, h http.HandlerFunc) ht
 			}
 		}
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		// The root span opens before the concurrency gate so shed
-		// requests are traced too — a 429 with a trace_id is evidence,
-		// not a mystery. An incoming traceparent is continued (the trace
-		// files under the caller's id); otherwise the request id doubles
-		// as the trace identity, so GET /debug/traces/{X-Request-ID}
-		// finds the trace of any response.
+		// Every request is traced, shed ones included — a 429 with a
+		// trace_id is evidence, not a mystery. An incoming traceparent is
+		// continued (the trace files under the caller's id); otherwise
+		// the request id doubles as the trace identity, so
+		// GET /debug/traces/{X-Request-ID} finds the trace of any
+		// response.
 		sp := sh.startTrace(r, route, id, start)
 		if sp.Active() {
 			rec.traceID = sp.TraceID().String()
@@ -230,20 +193,6 @@ func (sh *Shell) observe(route string, sem chan struct{}, h http.HandlerFunc) ht
 			sh.mInFlight.Dec()
 			sh.finish(rec, r, route, id, start, sp)
 		}()
-
-		if sem != nil {
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			default:
-				sh.mLimited.With(route).Inc()
-				sp.SetBool("limited", true)
-				rec.Header().Set("Retry-After", retryAfterSeconds)
-				writeError(rec, http.StatusTooManyRequests,
-					fmt.Errorf("concurrency limit reached for %s", route))
-				return
-			}
-		}
 
 		ctx := engine.WithRequestID(r.Context(), id)
 		if sp.Active() {
@@ -364,7 +313,7 @@ func newRequestID() string {
 }
 
 // writeEngineError maps an engine failure to its HTTP status; 429s
-// carry the same Retry-After hint the transport-level limiter uses.
+// carry a Retry-After hint.
 func writeEngineError(w http.ResponseWriter, err error) {
 	code := statusFor(err)
 	if code == http.StatusTooManyRequests {

@@ -2,7 +2,6 @@ package httpapi
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"log"
 	"net/http"
@@ -300,66 +299,6 @@ func (s syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-// TestConcurrencyLimit429 pins the transport's per-endpoint gate. The
-// single worker is pinned by a direct (cancellable) engine call, an
-// HTTP "occupier" request parks inside the match handler waiting for
-// it — holding the MatchConcurrency=1 slot — and a probe must then be
-// answered 429 + Retry-After. Cancelling the blocker frees the worker
-// and the occupier completes normally.
-func TestConcurrencyLimit429(t *testing.T) {
-	e := engine.New(engine.Options{Workers: 1})
-	t.Cleanup(e.Close)
-	ts := httptest.NewServer(NewWithOptions(e, Options{MatchConcurrency: 1}))
-	t.Cleanup(ts.Close)
-	register(t, ts, "path", pathGraphN(1000))
-
-	blockerCtx, cancelBlocker := context.WithCancel(context.Background())
-	defer cancelBlocker()
-	blockerDone := make(chan struct{})
-	go func() {
-		defer close(blockerDone)
-		e.Match(blockerCtx, engine.Request{Pattern: cycleN(3), GraphName: "path", Algo: engine.Decide, Xi: 0.25})
-	}()
-	// The blocker must hold the worker before the occupier is sent:
-	// an occupier that wins the queue runs to completion at once and
-	// never parks.
-	waitFor(t, 5*time.Second, func() bool { return e.Stats().Pending >= 1 })
-
-	// Occupier: a quick request that parks in the handler behind the
-	// busy worker, holding the concurrency slot.
-	xi := 0.5
-	occupierDone := make(chan int, 1)
-	go func() {
-		resp, _ := postJSON(t, ts.URL+"/v1/match",
-			MatchRequest{Pattern: pathGraphN(2), Graph: "path", Algo: "maxcard", Xi: &xi})
-		occupierDone <- resp.StatusCode
-	}()
-	// Both the blocker (running) and the occupier (queued) are pending
-	// once the occupier is parked inside the handler.
-	waitFor(t, 5*time.Second, func() bool { return e.Stats().Pending >= 2 })
-
-	probeXi := 0.75
-	resp, body := postJSON(t, ts.URL+"/v1/match",
-		MatchRequest{Pattern: pathGraphN(2), Graph: "path", Algo: "maxcard", Xi: &probeXi})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("probe status %d (%s), want 429", resp.StatusCode, body)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Error("429 without Retry-After")
-	}
-
-	cancelBlocker()
-	<-blockerDone
-	select {
-	case code := <-occupierDone:
-		if code != http.StatusOK {
-			t.Fatalf("occupier finished %d, want 200", code)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("occupier never completed after the blocker was cancelled")
-	}
-}
-
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -395,8 +334,7 @@ func TestRequestTimeout504(t *testing.T) {
 }
 
 // TestEngineShedPropagatesAs429 drives the engine's admission control
-// (not the transport limiter) into shedding and checks the HTTP
-// mapping: 429 + Retry-After.
+// into shedding and checks the HTTP mapping: 429 + Retry-After.
 func TestEngineShedPropagatesAs429(t *testing.T) {
 	e := engine.New(engine.Options{Workers: 1, QueueDepth: 2, MaxPending: 2})
 	t.Cleanup(e.Close)

@@ -289,13 +289,14 @@ func TestTraceIDIn504Body(t *testing.T) {
 	checkSpanTree(t, detail)
 }
 
-// TestTraceIDIn429Body: a request rejected by the transport limiter
-// still carries a trace id, so even shed load is attributable. Uses
-// the blocker/occupier/probe choreography from TestConcurrencyLimit429.
+// TestTraceIDIn429Body: a request shed by the engine's admission
+// control still carries a trace id, so even shed load is attributable.
+// A direct (cancellable) engine call holds the single admission slot,
+// so the probe is shed deterministically.
 func TestTraceIDIn429Body(t *testing.T) {
-	e := engine.New(engine.Options{Workers: 1})
+	e := engine.New(engine.Options{Workers: 1, MaxPending: 1})
 	t.Cleanup(e.Close)
-	ts := httptest.NewServer(NewWithOptions(e, Options{MatchConcurrency: 1}))
+	ts := httptest.NewServer(New(e))
 	t.Cleanup(ts.Close)
 	register(t, ts, "path", pathGraphN(1000))
 
@@ -306,24 +307,16 @@ func TestTraceIDIn429Body(t *testing.T) {
 		defer close(blockerDone)
 		e.Match(blockerCtx, engine.Request{Pattern: cycleN(3), GraphName: "path", Algo: engine.Decide, Xi: 0.25})
 	}()
-	// The blocker must hold the worker before the occupier is sent:
-	// an occupier that wins the queue runs to completion at once and
-	// never parks.
-	waitFor(t, 5*time.Second, func() bool { return e.Stats().Pending >= 1 })
-	xi := 0.5
-	occupierDone := make(chan struct{})
-	go func() {
-		defer close(occupierDone)
-		postJSON(t, ts.URL+"/v1/match",
-			MatchRequest{Pattern: pathGraphN(2), Graph: "path", Algo: "maxcard", Xi: &xi})
-	}()
-	waitFor(t, 5*time.Second, func() bool { return e.Stats().Pending >= 2 })
+	waitFor(t, 5*time.Second, func() bool { return e.Stats().Pending == 1 })
 
-	probeXi := 0.75
+	xi := 0.75
 	resp, body := postJSON(t, ts.URL+"/v1/match",
-		MatchRequest{Pattern: pathGraphN(2), Graph: "path", Algo: "maxcard", Xi: &probeXi})
+		MatchRequest{Pattern: pathGraphN(2), Graph: "path", Algo: "maxcard", Xi: &xi})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("probe status %d (%s), want 429", resp.StatusCode, body)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra == "" {
+		t.Error("429 without Retry-After")
 	}
 	var e429 struct {
 		Error   string `json:"error"`
@@ -338,7 +331,6 @@ func TestTraceIDIn429Body(t *testing.T) {
 
 	cancelBlocker()
 	<-blockerDone
-	<-occupierDone
 }
 
 // TestTraceStormSpanTreesWellFormed hammers the server with concurrent
