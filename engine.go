@@ -10,7 +10,7 @@ import (
 // long-lived service: data graphs are registered once in a catalog
 // that computes and shares each graph's reachability index (with an
 // LRU bound on resident closures), and match requests are dispatched
-// over a worker pool that coalesces duplicate in-flight work. See
+// over a worker pool, one task per request on its caller's context. See
 // cmd/phomd for the HTTP transport over this API and DESIGN.md for the
 // architecture.
 type (
@@ -23,8 +23,8 @@ type (
 	// MatchRequest is one unit of engine work: a pattern, the name of
 	// a registered data graph, an algorithm, ξ, and variants.
 	MatchRequest = engine.Request
-	// MatchResult carries a mapping, the paper's quality metrics,
-	// timing, and the coalescing flag.
+	// MatchResult carries a mapping, the paper's quality metrics and
+	// timing.
 	MatchResult = engine.Result
 	// EngineAlgorithm names a matching procedure in a MatchRequest.
 	EngineAlgorithm = engine.Algorithm

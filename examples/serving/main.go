@@ -72,8 +72,8 @@ func main() {
 
 	var stats httpapi.StatsResponse
 	get(base+"/v1/stats", &stats)
-	fmt.Printf("\nengine: %d requests (%d executed, %d coalesced) on %d workers\n",
-		stats.Engine.Requests, stats.Engine.Executed, stats.Engine.Coalesced, stats.Engine.Workers)
+	fmt.Printf("\nengine: %d requests (%d executed) on %d workers\n",
+		stats.Engine.Requests, stats.Engine.Executed, stats.Engine.Workers)
 	fmt.Printf("catalog: %d closure hits, %d misses (hit rate %.0f%%) — closure built once at registration\n",
 		stats.Catalog.Hits, stats.Catalog.Misses, stats.Catalog.HitRate*100)
 }

@@ -223,7 +223,6 @@ func TestClusterEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		rm.ElapsedUS, sm.ElapsedUS = 0, 0
-		rm.Coalesced, sm.Coalesced = false, false
 		if !reflect.DeepEqual(rm, sm) {
 			t.Fatalf("match %s diverges:\nrouter: %+v\nsingle: %+v", name, rm, sm)
 		}
@@ -256,7 +255,6 @@ func TestClusterEquivalence(t *testing.T) {
 	for i := range rb.Results {
 		a, b := rb.Results[i], sb.Results[i]
 		a.ElapsedUS, b.ElapsedUS = 0, 0
-		a.Coalesced, b.Coalesced = false, false
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("batch item %d (%s) diverges:\nrouter: %+v\nsingle: %+v", i, names[i], a, b)
 		}

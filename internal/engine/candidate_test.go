@@ -9,9 +9,9 @@ import (
 	"graphmatch/internal/webgen"
 )
 
-// TestSearchPreparesPatternOnce: a search normalises, fingerprints and
-// shingles its pattern once, however many candidate graphs stage 2 fans
-// it out to; independent matches still prepare one pattern each.
+// TestSearchPreparesPatternOnce: a search normalises and shingles its
+// pattern once, however many candidate graphs stage 2 fans it out to;
+// independent matches still prepare one pattern each.
 func TestSearchPreparesPatternOnce(t *testing.T) {
 	e := New(Options{Workers: 2, MaxClosures: 32})
 	defer e.Close()
@@ -133,11 +133,10 @@ func TestContentMatchRacesContentPatch(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < reads; i++ {
-				// A fresh pattern object per request, salted through ξ, so
-				// requests neither share a preparation nor coalesce.
+				// A fresh pattern object per request, so requests do not
+				// share a preparation.
 				q := req
 				q.Pattern = pattern.Clone()
-				q.Xi += float64(r*reads+i) * 1e-12
 				res := e.Match(ctx, q)
 				if res.Err != nil {
 					t.Errorf("reader %d match %d: %v", r, i, res.Err)

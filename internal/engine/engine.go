@@ -4,9 +4,8 @@
 //
 //   - a bounded worker pool executes match requests concurrently, so a
 //     burst of requests saturates the CPUs instead of serialising;
-//   - duplicate in-flight requests are coalesced: requests with the
-//     same (pattern, graph, algorithm, ξ, path limit, similarity) key
-//     attach to the one running computation and share its result;
+//   - each submission is one task, run on its submitter's context, so
+//     a caller that gives up stops its own computation;
 //   - every request resolves its data graph and reachability index
 //     through the shared catalog, so the expensive transitive closure
 //     of each registered graph is computed once, not per request.
@@ -20,8 +19,6 @@ package engine
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"log"
@@ -121,11 +118,8 @@ type Result struct {
 	QualCard float64
 	QualSim  float64
 	// Elapsed is the execution wall time (matrix construction,
-	// closure lookup, and matching; zero extra for coalesced waiters).
+	// closure lookup, and matching).
 	Elapsed time.Duration
-	// Coalesced reports that this request attached to an identical
-	// in-flight computation instead of running its own.
-	Coalesced bool
 	// Err is the per-request failure, if any (unknown graph, invalid
 	// algorithm, cancelled context).
 	Err error
@@ -133,11 +127,13 @@ type Result struct {
 
 // Stats is a point-in-time snapshot of engine throughput counters.
 type Stats struct {
-	// Requests counts submissions, including coalesced ones.
+	// Requests counts submissions.
 	Requests uint64 `json:"requests"`
 	// Executed counts computations actually run by workers.
 	Executed uint64 `json:"executed"`
-	// Coalesced counts requests that shared an in-flight computation.
+	// Coalesced is always 0: the engine no longer merges identical
+	// in-flight requests. It stays only because cmd/bench reads it for
+	// engine.coalesced_ratio; it goes with that metric.
 	Coalesced uint64 `json:"coalesced"`
 	// Errors counts requests that finished with a non-nil error.
 	Errors uint64 `json:"errors"`
@@ -198,9 +194,8 @@ type Options struct {
 	QueueDepth int
 	// MaxPending enables load-shedding admission control: when more
 	// than this many admitted tasks are queued or running, new
-	// non-coalesced submissions fail immediately with ErrOverloaded
-	// instead of blocking on the queue. Coalesced requests always
-	// attach (they add no work). 0 — the library default — disables
+	// submissions fail immediately with ErrOverloaded instead of
+	// blocking on the queue. 0 — the library default — disables
 	// shedding and preserves the blocking-submit behaviour. Negative
 	// selects QueueDepth + Workers (after their own defaults), the
 	// largest bound under which an admitted task's queue send never
@@ -267,65 +262,21 @@ type Options struct {
 	NoTrace bool
 }
 
-// reqKey identifies a computation for coalescing. The pattern is
-// represented by a collision-resistant digest of its full content so
-// two structurally identical patterns coalesce even when they are
-// distinct objects (e.g. decoded from separate HTTP requests).
-type reqKey struct {
-	pattern   [sha256.Size]byte
-	graphName string
-	algo      Algorithm
-	xi        float64
-	pathLimit int
-	sim       SimKind
-}
-
-// task is one scheduled computation plus its completion signal and
-// its cancellation state. The task owns a private context derived from
-// Background — never from any single waiter's context, because
-// coalesced peers with laxer deadlines must not die with the first
-// impatient waiter. waiters refcounts the attached requests; the last
-// one to abandon the task cancels its context, which the executing
-// matcher observes cooperatively (core's *Ctx entry points).
+// task is one scheduled computation plus its completion signal. It
+// runs on its submitter's context, so a submitter that gives up — while
+// the task is queued or mid-recursion — stops it cooperatively (core's
+// *Ctx entry points).
 type task struct {
 	req      Request
 	prep     *prepared
-	key      reqKey
+	ctx      context.Context
 	done     chan struct{}
 	res      Result
-	ctx      context.Context
-	cancel   context.CancelFunc
-	waiters  atomic.Int32
 	enqueued time.Time
 	// span is the submitting request's engine.match span (inert when
-	// the submitter was untraced). The worker parents queue-wait and
-	// execution spans under it; coalesced waiters do not get their own
-	// execution spans — they record the owner's trace id instead.
+	// the submitter was untraced, and for batch items). The worker
+	// parents queue-wait and execution spans under it.
 	span trace.Span
-}
-
-// attach registers one more waiter. It fails when the refcount already
-// hit zero — every previous waiter gave up and the task's context is
-// (or is about to be) cancelled — in which case the caller must start
-// a fresh task rather than inherit a doomed result.
-func (t *task) attach() bool {
-	for {
-		n := t.waiters.Load()
-		if n <= 0 {
-			return false
-		}
-		if t.waiters.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-// detach drops one waiter, cancelling the task when nobody is left to
-// consume its result.
-func (t *task) detach() {
-	if t.waiters.Add(-1) == 0 {
-		t.cancel()
-	}
 }
 
 // Engine schedules match requests over a shared catalog. Create one
@@ -341,9 +292,6 @@ type Engine struct {
 	// it observes catalog mutations through the mutation hook, so it is
 	// coherent with Register/Remove by construction.
 	searchIdx *search.Index
-
-	mu       sync.Mutex
-	inflight map[reqKey]*task
 
 	// finishMu serialises pattern normalisation: Finish mutates the
 	// graph when it is not yet clean, and two concurrent submissions
@@ -392,19 +340,17 @@ type Engine struct {
 	tracer *trace.Recorder
 
 	// Admission control: pending counts admitted tasks (queued +
-	// running, coalesced attaches excluded); maxPending > 0 sheds past
-	// the bound.
+	// running); maxPending > 0 sheds past the bound.
 	maxPending int
 	pending    atomic.Int64
 	shed       atomic.Uint64
 
-	requests  atomic.Uint64
-	executed  atomic.Uint64
-	coalesced atomic.Uint64
-	errors    atomic.Uint64
-	batches   atomic.Uint64
-	searches  atomic.Uint64
-	workers   int
+	requests atomic.Uint64
+	executed atomic.Uint64
+	errors   atomic.Uint64
+	batches  atomic.Uint64
+	searches atomic.Uint64
+	workers  int
 
 	// reg is the process-wide metrics registry the m* instruments
 	// register into.
@@ -448,7 +394,6 @@ func Open(opts Options) (*Engine, error) {
 	e := &Engine{
 		cat:           catalog.New(opts.MaxClosures, catalog.WithMaxBytes(opts.MaxClosureBytes)),
 		queue:         make(chan *task, depth),
-		inflight:      make(map[reqKey]*task),
 		workers:       workers,
 		exactLimit:    opts.ExactNodeLimit,
 		maxPending:    maxPending,
@@ -584,7 +529,6 @@ func (e *Engine) Stats() Stats {
 	s := Stats{
 		Requests:   e.requests.Load(),
 		Executed:   e.executed.Load(),
-		Coalesced:  e.coalesced.Load(),
 		Errors:     e.errors.Load(),
 		Shed:       e.shed.Load(),
 		Pending:    e.pending.Load(),
@@ -603,11 +547,10 @@ func (e *Engine) Stats() Stats {
 }
 
 // Match schedules one request and waits for its result. An
-// already-expired context is rejected before any work is enqueued; a
-// context that dies while the request is queued or running detaches
-// the waiter, and when it was the last one the computation itself is
-// cancelled cooperatively (coalesced peers keep it alive as long as
-// any of them still wants the result). Both cases return ErrDeadline.
+// already-expired context is rejected before any work is enqueued; the
+// task runs on ctx, so a context that dies while the request is queued
+// or running stops the computation cooperatively. Both cases return
+// ErrDeadline.
 func (e *Engine) Match(ctx context.Context, req Request) Result {
 	// The engine.match span covers validation, queueing and execution;
 	// shed and deadline outcomes are recorded on it so a 429/504 is
@@ -625,7 +568,7 @@ func (e *Engine) Match(ctx context.Context, req Request) Result {
 		msp.End()
 		return Result{Err: decorate(ctx, fmt.Errorf("%w: %w", ErrDeadline, err))}
 	}
-	t, coalesced, err := e.submit(req, nil, msp)
+	t, err := e.submit(ctx, req, nil, msp)
 	if err != nil {
 		e.errors.Add(1)
 		if msp.Active() {
@@ -637,14 +580,8 @@ func (e *Engine) Match(ctx context.Context, req Request) Result {
 		}
 		return Result{Err: decorate(ctx, err)}
 	}
-	res := e.wait(ctx, t, coalesced)
+	res := e.wait(ctx, t)
 	if msp.Active() {
-		if coalesced {
-			msp.SetBool("coalesced", true)
-			if owner := t.span; owner.Active() {
-				msp.SetStr("exec_trace_id", owner.TraceID().String())
-			}
-		}
 		if res.Err != nil {
 			if errors.Is(res.Err, ErrDeadline) {
 				msp.SetStr("cancel_point", "wait")
@@ -657,10 +594,9 @@ func (e *Engine) Match(ctx context.Context, req Request) Result {
 }
 
 // MatchBatch schedules all requests before waiting on any, so
-// independent requests run concurrently across the pool and duplicates
-// within the batch coalesce. Results are positional. The error reports
-// only submission-level failure of the whole batch (engine closed);
-// per-request failures land in Result.Err.
+// independent requests run concurrently across the pool. Results are
+// positional; per-request failures (engine closed included) land in
+// Result.Err.
 func (e *Engine) MatchBatch(ctx context.Context, reqs []Request) []Result {
 	return e.matchBatch(ctx, reqs, nil)
 }
@@ -668,7 +604,7 @@ func (e *Engine) MatchBatch(ctx context.Context, reqs []Request) []Result {
 // matchBatch is MatchBatch starting from a pattern preparation the caller
 // already holds (Search's) or none. Consecutive requests carrying the
 // same pattern object share one preparation, so a fan-out of one pattern
-// over many graphs normalises, fingerprints and shingles it once.
+// over many graphs normalises and shingles it once.
 func (e *Engine) matchBatch(ctx context.Context, reqs []Request, p *prepared) []Result {
 	e.batches.Add(1)
 	results := make([]Result, len(reqs))
@@ -683,7 +619,6 @@ func (e *Engine) matchBatch(ctx context.Context, reqs []Request, p *prepared) []
 		return results
 	}
 	tasks := make([]*task, len(reqs))
-	flags := make([]bool, len(reqs))
 	for i, req := range reqs {
 		if p != nil && p.g != req.Pattern {
 			p = nil
@@ -693,44 +628,41 @@ func (e *Engine) matchBatch(ctx context.Context, reqs []Request, p *prepared) []
 		}
 		// Batch items do not get per-item spans: a search fan-out would
 		// blow the per-trace span cap and drown the interesting stages.
-		t, coalesced, err := e.submit(req, p, trace.Span{})
+		t, err := e.submit(ctx, req, p, trace.Span{})
 		if err != nil {
 			e.errors.Add(1)
-			results[i] = Result{Err: err}
+			results[i] = Result{Err: decorate(ctx, err)}
 			continue
 		}
 		tasks[i] = t
-		flags[i] = coalesced
 	}
 	for i, t := range tasks {
-		if t == nil {
-			continue
+		if t != nil {
+			results[i] = e.wait(ctx, t)
 		}
-		results[i] = e.wait(ctx, t, flags[i])
 	}
 	return results
 }
 
-// prepared is a request pattern made ready for the workers: normalised,
-// fingerprinted for coalescing and — on the first content-similarity use
-// — shingled. Every task of a fan-out over one pattern object shares it.
+// prepared is a request pattern made ready for the workers: normalised
+// and — on the first content-similarity use — shingled. Every task of a
+// fan-out over one pattern object shares it.
 type prepared struct {
-	g   *graph.Graph
-	sum [sha256.Size]byte
+	g *graph.Graph
 
 	setsOnce sync.Once
 	sets     []shingle.Set
 }
 
-// prepare normalises and fingerprints a pattern. Finish is serialised
-// because it mutates a not-yet-clean graph and concurrent submissions
-// may share one pattern object.
+// prepare normalises a pattern. Finish is serialised because it mutates
+// a not-yet-clean graph and concurrent submissions may share one pattern
+// object.
 func (e *Engine) prepare(g *graph.Graph) *prepared {
 	e.prepares.Add(1)
 	e.finishMu.Lock()
 	g.Finish()
 	e.finishMu.Unlock()
-	return &prepared{g: g, sum: fingerprint(g)}
+	return &prepared{g: g}
 }
 
 // contentSets returns the pattern's shingle sets (default window),
@@ -740,121 +672,72 @@ func (p *prepared) contentSets() []shingle.Set {
 	return p.sets
 }
 
-// submit validates a request and either enqueues a new task or attaches
-// to an identical in-flight one. p is the preparation of req.Pattern
-// when the caller already holds one, else nil. sp is the submitter's
-// engine.match span (inert when untraced); a newly created task adopts
-// it, so the worker's execution spans land in the trace of the request
-// that caused the work.
-func (e *Engine) submit(req Request, p *prepared, sp trace.Span) (*task, bool, error) {
+// submit validates a request and enqueues it as a new task running on
+// ctx. p is the preparation of req.Pattern when the caller already holds
+// one, else nil. sp is the submitter's engine.match span (inert when
+// untraced); the task adopts it, so the worker's execution spans land in
+// the trace of the request that caused the work.
+func (e *Engine) submit(ctx context.Context, req Request, p *prepared, sp trace.Span) (*task, error) {
 	e.requests.Add(1)
 	if req.Pattern == nil {
-		return nil, false, fmt.Errorf("engine: nil pattern")
+		return nil, fmt.Errorf("engine: nil pattern")
 	}
 	if _, err := ParseAlgorithm(string(req.Algo)); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if req.Sim == "" {
 		req.Sim = SimLabel
 	}
 	if req.Sim != SimLabel && req.Sim != SimContent {
-		return nil, false, fmt.Errorf("engine: unknown similarity kind %q", req.Sim)
+		return nil, fmt.Errorf("engine: unknown similarity kind %q", req.Sim)
 	}
 	if req.PathLimit < 0 {
 		req.PathLimit = 0
 	}
 	if math.IsNaN(req.Xi) {
-		return nil, false, fmt.Errorf("engine: ξ is NaN")
+		return nil, fmt.Errorf("engine: ξ is NaN")
 	}
 	if (req.Algo == Decide || req.Algo == Decide11) &&
 		e.exactLimit > 0 && req.Pattern.NumNodes() > e.exactLimit {
-		return nil, false, fmt.Errorf("%w: %d nodes > limit %d",
+		return nil, fmt.Errorf("%w: %d nodes > limit %d",
 			ErrExactLimit, req.Pattern.NumNodes(), e.exactLimit)
 	}
-	// Normalise the pattern before workers or coalesced readers touch it.
-	if p == nil {
-		p = e.prepare(req.Pattern)
-	}
-	key := reqKey{
-		pattern:   p.sum,
-		graphName: req.GraphName,
-		algo:      req.Algo,
-		xi:        req.Xi,
-		pathLimit: req.PathLimit,
-		sim:       req.Sim,
-	}
-
-	e.mu.Lock()
-	if t, ok := e.inflight[key]; ok && t.attach() {
-		e.mu.Unlock()
-		e.coalesced.Add(1)
-		return t, true, nil
-	}
-	// No live in-flight task to coalesce onto (either none, or one whose
-	// waiters all gave up — its cancelled result must not be inherited).
-	// This is new work: admission control applies before anything is
-	// published or enqueued.
 	n := e.pending.Add(1)
 	if e.maxPending > 0 && n > int64(e.maxPending) {
 		e.pending.Add(-1)
-		e.mu.Unlock()
 		e.shed.Add(1)
-		return nil, false, fmt.Errorf("%w: %d tasks pending (limit %d)",
+		return nil, fmt.Errorf("%w: %d tasks pending (limit %d)",
 			ErrOverloaded, n-1, e.maxPending)
 	}
-	tctx, cancel := context.WithCancel(context.Background())
-	t := &task{req: req, prep: p, key: key, done: make(chan struct{}), ctx: tctx, cancel: cancel, span: sp}
-	t.waiters.Store(1)
-	e.inflight[key] = t // overwrites a dead (waiterless) predecessor, if any
-	e.mu.Unlock()
+	// Normalise the pattern before a worker touches it.
+	if p == nil {
+		p = e.prepare(req.Pattern)
+	}
+	t := &task{req: req, prep: p, ctx: ctx, done: make(chan struct{}), span: sp}
 
 	e.sendMu.RLock()
+	defer e.sendMu.RUnlock()
 	if e.closed {
-		e.sendMu.RUnlock()
-		// The task was already published to inflight, so a concurrent
-		// identical request may have coalesced onto it: resolve it with
-		// the error before unpublishing, or that waiter hangs forever.
-		t.res = Result{Err: fmt.Errorf("engine: closed")}
-		e.unpublish(t)
 		e.pending.Add(-1)
-		close(t.done)
-		t.cancel()
-		return nil, false, fmt.Errorf("engine: closed")
+		return nil, fmt.Errorf("engine: closed")
 	}
 	t.enqueued = time.Now()
 	e.queue <- t
-	e.sendMu.RUnlock()
-	return t, false, nil
+	return t, nil
 }
 
-// unpublish removes a task from the inflight map — but only if it is
-// still the published entry for its key. A dead task (all waiters
-// detached) may already have been replaced by a fresh one; deleting
-// blindly would unpublish the successor and break its coalescing.
-func (e *Engine) unpublish(t *task) {
-	e.mu.Lock()
-	if e.inflight[t.key] == t {
-		delete(e.inflight, t.key)
-	}
-	e.mu.Unlock()
-}
-
-// wait blocks until the task finishes or ctx is cancelled. A waiter
-// that gives up detaches from the task; the last detach cancels the
-// task's own context, which stops the matcher cooperatively.
-func (e *Engine) wait(ctx context.Context, t *task, coalesced bool) Result {
+// wait blocks until the task finishes or ctx is cancelled. The task
+// runs on the same ctx, so a waiter that gives up has already told the
+// matcher to stop: it skips the work at pickup or abandons it
+// mid-recursion.
+func (e *Engine) wait(ctx context.Context, t *task) Result {
 	select {
 	case <-t.done:
 	case <-ctx.Done():
-		t.detach()
 		e.errors.Add(1)
-		return Result{
-			Err:       decorate(ctx, fmt.Errorf("%w: %w", ErrDeadline, ctx.Err())),
-			Coalesced: coalesced,
-		}
+		return Result{Err: decorate(ctx, fmt.Errorf("%w: %w", ErrDeadline, ctx.Err()))}
 	}
 	res := t.res
-	res.Coalesced = coalesced
 	if res.Err != nil {
 		e.errors.Add(1)
 		res.Err = decorate(ctx, res.Err)
@@ -867,14 +750,12 @@ func (e *Engine) worker() {
 	for t := range e.queue {
 		picked := time.Now()
 		e.mTaskWait.Observe(picked.Sub(t.enqueued).Seconds())
-		ctx := t.ctx
-		if t.span.Active() {
-			// Queue wait is recorded from timestamps already taken for
-			// the metrics, and the task span rides into execute's
-			// context so catalog/core spans nest under it.
-			t.span.ChildSpanning("engine.queue", t.enqueued, picked)
-			ctx = trace.ContextWithSpan(ctx, t.span)
-		}
+		// Queue wait is recorded from timestamps already taken for the
+		// metrics. The task span rides into execute's context even when
+		// inert: a batch item's caller context may carry an active span
+		// (a search's), and its catalog/core spans must not land there.
+		t.span.ChildSpanning("engine.queue", t.enqueued, picked)
+		ctx := trace.ContextWithSpan(t.ctx, t.span)
 		if e.beforeExecute != nil {
 			e.beforeExecute()
 		}
@@ -888,28 +769,18 @@ func (e *Engine) worker() {
 		}
 		e.executed.Add(1)
 		e.pending.Add(-1)
-		// Unpublish before signalling completion so a request arriving
-		// after done is closed starts a fresh computation instead of
-		// reading a task that will never change again — semantically
-		// fine either way, but unpublishing keeps the inflight map from
-		// retaining finished patterns. (unpublish also guards against
-		// deleting a successor task that replaced this one after every
-		// waiter detached.)
-		e.unpublish(t)
 		close(t.done)
-		t.cancel() // release the task context's resources
 	}
 }
 
 // execute runs one computation against the shared catalog. ctx is the
-// task's private context — cancelled only when every attached waiter
-// gave up — and is threaded into the core matcher's cooperative
+// submitter's context, threaded into the core matcher's cooperative
 // cancellation points, so an abandoned computation stops burning its
 // worker within microseconds instead of running to completion.
 func (e *Engine) execute(ctx context.Context, req Request, p *prepared) Result {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
-		// Every waiter detached while the task was still queued: skip
+		// The submitter gave up while the task was still queued: skip
 		// the work entirely.
 		return Result{Err: fmt.Errorf("%w: %w", ErrDeadline, err)}
 	}
@@ -990,36 +861,4 @@ func (e *Engine) execute(ctx context.Context, req Request, p *prepared) Result {
 		res.Holds = len(sigma) == req.Pattern.NumNodes()
 	}
 	return res
-}
-
-// fingerprint digests a graph's complete content — node count, labels,
-// weights, contents, and edge list — so structurally identical patterns
-// coalesce regardless of object identity.
-func fingerprint(g *graph.Graph) [sha256.Size]byte {
-	h := sha256.New()
-	var buf [8]byte
-	writeInt := func(x int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(x))
-		h.Write(buf[:])
-	}
-	writeStr := func(s string) {
-		writeInt(len(s))
-		h.Write([]byte(s))
-	}
-	writeInt(g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		n := g.Node(graph.NodeID(v))
-		writeStr(n.Label)
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(n.Weight))
-		h.Write(buf[:])
-		writeStr(n.Content)
-	}
-	g.Edges(func(from, to graph.NodeID) bool {
-		writeInt(int(from))
-		writeInt(int(to))
-		return true
-	})
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"graphmatch/internal/catalog"
@@ -168,60 +167,6 @@ func TestEngineSimulationBaseline(t *testing.T) {
 	}
 }
 
-// TestCoalescing issues a batch of identical requests through a single
-// worker: all but the first must attach to the in-flight computation.
-// The worker is held between pickup and execution until every duplicate
-// has attached (the coalesced counter only moves after a successful
-// attach), so the outcome does not depend on how long a match takes.
-func TestCoalescing(t *testing.T) {
-	const dup = 16
-	e := New(Options{Workers: 1, QueueDepth: 64})
-	defer e.Close()
-	e.beforeExecute = func() {
-		for e.coalesced.Load() < dup-1 {
-			runtime.Gosched()
-		}
-	}
-	data := randomGraph(250, 4, 5)
-	if err := e.Register("data", data); err != nil {
-		t.Fatal(err)
-	}
-	pattern := patternFrom(data, 25, 6)
-	req := Request{Pattern: pattern, GraphName: "data", Algo: MaxCard, Xi: 0.3, Sim: SimContent}
-	reqs := make([]Request, dup)
-	for i := range reqs {
-		// Distinct pattern objects with identical content must still
-		// coalesce: the key is a content digest, not object identity.
-		reqs[i] = req
-		reqs[i].Pattern = pattern.Clone()
-	}
-	results := e.MatchBatch(context.Background(), reqs)
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("request %d: %v", i, r.Err)
-		}
-		if !mappingEqual(r.Mapping, results[0].Mapping) {
-			t.Fatalf("request %d mapping differs from request 0", i)
-		}
-	}
-	s := e.Stats()
-	if s.Coalesced != dup-1 {
-		t.Errorf("coalesced = %d, want %d", s.Coalesced, dup-1)
-	}
-	if s.Executed != 1 {
-		t.Errorf("executed = %d, want 1", s.Executed)
-	}
-	coalescedFlags := 0
-	for _, r := range results {
-		if r.Coalesced {
-			coalescedFlags++
-		}
-	}
-	if coalescedFlags != dup-1 {
-		t.Errorf("results flagged coalesced = %d, want %d", coalescedFlags, dup-1)
-	}
-}
-
 func TestRequestValidation(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
@@ -320,30 +265,5 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 	if _, err := ParseAlgorithm("subiso"); err == nil {
 		t.Error("ParseAlgorithm accepted an unknown name")
-	}
-}
-
-func TestFingerprintDistinguishesContent(t *testing.T) {
-	a := graph.FromEdgeList([]string{"A", "B"}, [][2]int{{0, 1}})
-	b := graph.FromEdgeList([]string{"A", "B"}, [][2]int{{1, 0}})
-	c := graph.FromEdgeList([]string{"A", "C"}, [][2]int{{0, 1}})
-	if fingerprint(a) == fingerprint(b) {
-		t.Error("edge direction not fingerprinted")
-	}
-	if fingerprint(a) == fingerprint(c) {
-		t.Error("labels not fingerprinted")
-	}
-	if fingerprint(a) != fingerprint(a.Clone()) {
-		t.Error("identical graphs fingerprint differently")
-	}
-	d := a.Clone()
-	d.SetWeight(0, 0.5)
-	if fingerprint(a) == fingerprint(d) {
-		t.Error("weights not fingerprinted")
-	}
-	e := a.Clone()
-	e.SetContent(1, "text")
-	if fingerprint(a) == fingerprint(e) {
-		t.Error("contents not fingerprinted")
 	}
 }

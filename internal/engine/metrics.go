@@ -58,14 +58,11 @@ func (e *Engine) initMetrics() {
 		"Admission-control bound on pending tasks (0 = unlimited).",
 		func() float64 { return float64(e.maxPending) })
 	r.CounterFunc("phomd_engine_requests_total",
-		"Match submissions, including coalesced ones.",
+		"Match submissions.",
 		func() float64 { return float64(e.requests.Load()) })
 	r.CounterFunc("phomd_engine_executed_total",
 		"Computations actually run by workers.",
 		func() float64 { return float64(e.executed.Load()) })
-	r.CounterFunc("phomd_engine_coalesced_total",
-		"Requests that attached to an identical in-flight computation.",
-		func() float64 { return float64(e.coalesced.Load()) })
 	r.CounterFunc("phomd_engine_errors_total",
 		"Requests that finished with a non-nil error.",
 		func() float64 { return float64(e.errors.Load()) })

@@ -45,11 +45,9 @@ func cyclePattern(k int) *graph.Graph {
 
 // slowReq returns a Decide request that keeps a worker busy for tens of
 // milliseconds (cubic in the data-path length, so tunable and
-// deterministic). salt differentiates requests via an admissibility-
-// preserving ξ perturbation (labels match exactly, so mat = 1 ≥ ξ) so
-// they do not coalesce with each other.
-func slowReq(salt int) Request {
-	return Request{Pattern: cyclePattern(3), GraphName: "path", Algo: Decide, Xi: float64(salt) * 1e-9}
+// deterministic).
+func slowReq() Request {
+	return Request{Pattern: cyclePattern(3), GraphName: "path", Algo: Decide}
 }
 
 func newOverloadEngine(t *testing.T, maxPending int) *Engine {
@@ -72,7 +70,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = e.Match(ctx, slowReq(i))
+			results[i] = e.Match(ctx, slowReq())
 		}(i)
 	}
 	wg.Wait()
@@ -98,7 +96,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 		t.Fatalf("Stats.Shed = %d, want %d", st.Shed, shed)
 	}
 	// The engine must fully recover once the burst drains.
-	if res := e.Match(ctx, slowReq(0)); res.Err != nil {
+	if res := e.Match(ctx, slowReq()); res.Err != nil {
 		t.Fatalf("post-burst request failed: %v", res.Err)
 	}
 	if got := e.Stats().Pending; got != 0 {
@@ -126,10 +124,10 @@ func TestDefaultPendingBoundIsQueuePlusWorkers(t *testing.T) {
 	ctx := context.Background()
 	admitted := make(chan Result, depth+workers)
 	for i := 0; i < depth+workers; i++ {
-		go func(i int) { admitted <- e.Match(ctx, slowReq(i)) }(i)
+		go func() { admitted <- e.Match(ctx, slowReq()) }()
 		waitFor(t, 5*time.Second, func() bool { return e.Stats().Pending == int64(i+1) })
 	}
-	if res := e.Match(ctx, slowReq(depth+workers)); !errors.Is(res.Err, ErrOverloaded) {
+	if res := e.Match(ctx, slowReq()); !errors.Is(res.Err, ErrOverloaded) {
 		t.Fatalf("request %d past the bound: err = %v, want ErrOverloaded", depth+workers+1, res.Err)
 	}
 	close(gate)
@@ -152,7 +150,7 @@ func TestUnlimitedPendingNeverSheds(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = e.Match(ctx, slowReq(i)).Err
+			errs[i] = e.Match(ctx, slowReq()).Err
 		}(i)
 	}
 	wg.Wait()
@@ -168,7 +166,7 @@ func TestExpiredContextRejectedBeforeEnqueue(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	before := e.Stats().Executed
-	res := e.Match(ctx, slowReq(0))
+	res := e.Match(ctx, slowReq())
 	if !errors.Is(res.Err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", res.Err)
 	}
@@ -179,7 +177,7 @@ func TestExpiredContextRejectedBeforeEnqueue(t *testing.T) {
 	if got := e.Stats().Pending; got != 0 {
 		t.Fatalf("pending = %d, want 0", got)
 	}
-	for i, r := range e.MatchBatch(ctx, []Request{slowReq(0), slowReq(2)}) {
+	for i, r := range e.MatchBatch(ctx, []Request{slowReq(), slowReq()}) {
 		if !errors.Is(r.Err, ErrDeadline) {
 			t.Fatalf("batch[%d] err = %v, want ErrDeadline", i, r.Err)
 		}
@@ -199,7 +197,7 @@ func TestMidFlightCancelFreesWorker(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res := e.Match(ctx, slowReq(0))
+	res := e.Match(ctx, slowReq())
 	if !errors.Is(res.Err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", res.Err)
 	}
@@ -221,69 +219,64 @@ func TestMidFlightCancelFreesWorker(t *testing.T) {
 	}
 }
 
-// TestCoalescedPeerSurvivesCancellation pins the refcount semantics:
-// the first waiter giving up must not kill a computation a coalesced
-// peer still wants.
-func TestCoalescedPeerSurvivesCancellation(t *testing.T) {
-	e := New(Options{Workers: 1, QueueDepth: 8})
+// TestQueuedCancelSkipsWork pins the queued and pickup cancellation
+// points: a request whose context dies while its task waits in the
+// queue returns ErrDeadline at once, and the worker that later picks
+// the task up skips it before resolving the graph.
+func TestQueuedCancelSkipsWork(t *testing.T) {
+	e := New(Options{Workers: 1, QueueDepth: 4})
 	t.Cleanup(e.Close)
 	if err := e.Register("path", pathGraph(40)); err != nil {
 		t.Fatal(err)
 	}
-	// Hold the worker on a blocker so the interesting task stays queued
-	// while both waiters attach and the first one gives up.
+	// Hold the only worker so the cancelled task stays queued behind a
+	// blocker. The cleanup releases it, so a failure cannot hang Close.
 	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
 	e.beforeExecute = func() { <-gate }
 	blocker := make(chan Result, 1)
-	go func() { blocker <- e.Match(context.Background(), slowReq(2)) }()
+	go func() { blocker <- e.Match(context.Background(), slowReq()) }()
 	waitFor(t, 5*time.Second, func() bool { return e.Stats().Pending == 1 })
 
-	shared := slowReq(0)
-	impatient, cancel := context.WithCancel(context.Background())
-	first := make(chan Result, 1)
-	go func() { first <- e.Match(impatient, shared) }()
+	ctx, cancel := context.WithCancel(context.Background())
+	queued := make(chan Result, 1)
+	go func() { queued <- e.Match(ctx, slowReq()) }()
 	waitFor(t, 5*time.Second, func() bool { return e.Stats().Pending == 2 })
-	coalescedBefore := e.Stats().Coalesced
-	patient := make(chan Result, 1)
-	go func() { patient <- e.Match(context.Background(), shared) }()
-	// An attach adds no pending task; the coalesced counter moves only
-	// once the patient waiter holds a reference on the queued task.
-	waitFor(t, 5*time.Second, func() bool { return e.Stats().Coalesced > coalescedBefore })
-	if got := e.Stats().Pending; got != 2 {
-		t.Fatalf("pending = %d after the patient waiter attached, want 2", got)
+	hits := e.Catalog().Stats().Hits
+	cancel()
+	select {
+	case r := <-queued:
+		if !errors.Is(r.Err, ErrDeadline) {
+			t.Fatalf("queued request err = %v, want ErrDeadline", r.Err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled request did not return while the worker was held")
 	}
 
-	cancel()
-	if r := <-first; !errors.Is(r.Err, ErrDeadline) {
-		t.Fatalf("impatient waiter err = %v, want ErrDeadline", r.Err)
-	}
-	close(gate)
-	r := <-patient
-	if r.Err != nil {
-		t.Fatalf("patient coalesced waiter failed: %v", r.Err)
-	}
-	if !r.Coalesced {
-		t.Fatal("patient waiter ran its own task instead of coalescing")
-	}
-	if r.Holds {
-		t.Fatal("cycle pattern cannot hold against a DAG")
-	}
+	release()
 	if b := <-blocker; b.Err != nil {
 		t.Fatalf("blocker failed: %v", b.Err)
 	}
+	waitFor(t, 5*time.Second, func() bool { return e.Stats().Pending == 0 })
+	// Only the blocker resolved its graph; the skipped task returned
+	// before touching the catalog.
+	if got := e.Catalog().Stats().Hits - hits; got != 1 {
+		t.Fatalf("catalog hits rose by %d after release, want 1 (the blocker only)", got)
+	}
 }
 
-// TestCancelledResultNotInherited pins that a fresh identical request
-// arriving after every waiter detached starts a new computation rather
-// than inheriting the cancelled task's ErrDeadline result — and that
-// the fresh result is bit-identical to an undisturbed run.
+// TestCancelledResultNotInherited pins that a run after a cancelled run
+// of the same request returns the reference answer: cancelling one
+// request leaves nothing behind that a later identical request could
+// observe, and the later result is bit-identical to an undisturbed run.
 func TestCancelledResultNotInherited(t *testing.T) {
 	e := New(Options{Workers: 1})
 	t.Cleanup(e.Close)
 	if err := e.Register("path", pathGraph(220)); err != nil {
 		t.Fatal(err)
 	}
-	req := slowReq(0)
+	req := slowReq()
 	want := e.Match(context.Background(), req)
 	if want.Err != nil {
 		t.Fatalf("baseline failed: %v", want.Err)
@@ -307,7 +300,7 @@ func TestCancelledResultNotInherited(t *testing.T) {
 }
 
 func TestRequestIDDecoratesErrors(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := New(Options{Workers: 1, ExactNodeLimit: 2})
 	t.Cleanup(e.Close)
 	ctx := WithRequestID(context.Background(), "abc123")
 	res := e.Match(ctx, Request{Pattern: cyclePattern(3), GraphName: "nope", Algo: MaxCard})
@@ -316,6 +309,15 @@ func TestRequestIDDecoratesErrors(t *testing.T) {
 	}
 	if got := res.Err.Error(); !containsStr(got, "[req abc123]") {
 		t.Fatalf("error %q lacks request id", got)
+	}
+	// A batch item rejected at submission and a search rejected by
+	// validation carry the id too.
+	batch := e.MatchBatch(ctx, []Request{{Pattern: cyclePattern(3), GraphName: "nope", Algo: Decide}})
+	if err := batch[0].Err; !errors.Is(err, ErrExactLimit) || !containsStr(err.Error(), "[req abc123]") {
+		t.Fatalf("batch item error %v: want ErrExactLimit with the request id", err)
+	}
+	if err := e.Search(ctx, SearchRequest{}).Err; err == nil || !containsStr(err.Error(), "[req abc123]") {
+		t.Fatalf("nil-pattern search error %v lacks request id", err)
 	}
 	if RequestID(ctx) != "abc123" {
 		t.Fatal("RequestID round trip failed")
@@ -369,7 +371,7 @@ func TestSlowReqIsActuallySlow(t *testing.T) {
 	// testing anything — fail loudly instead of silently passing.
 	e := newOverloadEngine(t, 0)
 	start := time.Now()
-	if res := e.Match(context.Background(), slowReq(0)); res.Err != nil {
+	if res := e.Match(context.Background(), slowReq()); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if d := time.Since(start); d < 2*time.Millisecond {

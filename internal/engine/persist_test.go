@@ -12,8 +12,8 @@ import (
 	"graphmatch/internal/webgen"
 )
 
-// fullResult strips the non-deterministic fields (timings, coalescing)
-// from a match result so two engines can be compared bit for bit.
+// fullResult strips the non-deterministic field (timing) from a match
+// result so two engines can be compared bit for bit.
 type fullResult struct {
 	Mapping  map[graph.NodeID]graph.NodeID
 	Holds    bool

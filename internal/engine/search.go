@@ -107,11 +107,10 @@ type SearchResult struct {
 // the top K hits. Stage 1 consults the candidate index (shingle
 // postings + structural signatures) to order and prune the catalog
 // without running the matcher; stage 2 fans the surviving candidates
-// through the worker pool as one batch — concurrent, coalescible with
-// other traffic, cancellable via ctx — and folds the qualities into a
-// deterministic top-k (ties broken by graph name). The ranking is
-// reproducible: the same catalog and request return the same hits in
-// the same order on every run.
+// through the worker pool as one batch — concurrent, cancellable via
+// ctx — and folds the qualities into a deterministic top-k (ties broken
+// by graph name). The ranking is reproducible: the same catalog and
+// request return the same hits in the same order on every run.
 func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 	e.searches.Add(1)
 	if req.Algo == "" {
@@ -125,7 +124,7 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 	if err := e.validateSearch(req); err != nil {
 		e.errors.Add(1)
 		ssp.SetStr("error", err.Error())
-		return SearchResult{Err: err}
+		return SearchResult{Err: decorate(ctx, err)}
 	}
 	k := req.K
 	if k <= 0 {

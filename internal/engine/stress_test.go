@@ -11,7 +11,7 @@ import (
 // issue mixed Match/MatchBatch calls for a pool of distinct requests
 // against a shared catalog, and every result must equal the
 // single-threaded answer computed up front. It exercises the worker
-// pool, the coalescing map, and the shared closure cache concurrently.
+// pool and the shared closure cache concurrently.
 func TestConcurrentStress(t *testing.T) {
 	e := New(Options{Workers: 8, MaxClosures: 4})
 	defer e.Close()
@@ -77,8 +77,8 @@ func TestConcurrentStress(t *testing.T) {
 					}
 				}
 				if it%3 == 0 {
-					// A batch of 4 random picks (duplicates possible,
-					// exercising intra-batch coalescing).
+					// A batch of 4 random picks (duplicates possible: each
+					// runs as its own task).
 					idxs := make([]int, 4)
 					reqs := make([]Request, 4)
 					for j := range reqs {

@@ -2,7 +2,7 @@
 // It is a thin, stateless layer over engine.Engine: graphs arrive in
 // the documented internal/graph wire format ({"nodes": [...], "edges":
 // [[from, to], ...]}), and every matching decision — scheduling,
-// coalescing, shared closures — lives below in the engine and catalog.
+// cancellation, shared closures — lives below in the engine and catalog.
 //
 // Routes:
 //
@@ -138,7 +138,6 @@ type MatchResponse struct {
 	QualCard     float64    `json:"qual_card"`
 	QualSim      float64    `json:"qual_sim"`
 	ElapsedUS    int64      `json:"elapsed_us"`
-	Coalesced    bool       `json:"coalesced"`
 	Error        string     `json:"error,omitempty"`
 	// TraceID and Explain are present only on ?explain=1 responses:
 	// the request's trace id and its deterministic per-stage breakdown
@@ -620,7 +619,6 @@ func toResponse(req MatchRequest, res engine.Result) MatchResponse {
 		QualCard:     res.QualCard,
 		QualSim:      res.QualSim,
 		ElapsedUS:    res.Elapsed.Microseconds(),
-		Coalesced:    res.Coalesced,
 	}
 	if len(res.Mapping) > 0 {
 		out.Mapping = make([][2]int32, 0, len(res.Mapping))

@@ -264,8 +264,6 @@ func TestEndToEndConcurrentBatches(t *testing.T) {
 	if stats.Engine.Requests < uint64(clients*len(algos)) {
 		t.Errorf("engine saw %d requests, want ≥ %d", stats.Engine.Requests, clients*len(algos))
 	}
-	// Identical concurrent batches are prime coalescing fodder; the
-	// counter is timing-dependent, so only log it.
 	t.Logf("engine stats: %+v", stats.Engine)
 	t.Logf("catalog stats: %+v (hit rate %.0f%%)", stats.Catalog.Stats, stats.Catalog.HitRate*100)
 	_ = e

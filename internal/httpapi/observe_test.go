@@ -46,8 +46,8 @@ func cycleN(k int) *graph.Graph {
 	return g
 }
 
-func slowMatchBody(salt int) MatchRequest {
-	xi := 0.5 + float64(salt)*1e-9
+func slowMatchBody() MatchRequest {
+	xi := 0.5
 	return MatchRequest{Pattern: cycleN(3), Graph: "path", Algo: "decide", Xi: &xi}
 }
 
@@ -321,7 +321,7 @@ func TestRequestTimeout504(t *testing.T) {
 	register(t, ts, "path", pathGraphN(1500))
 
 	start := time.Now()
-	resp, body := postJSON(t, ts.URL+"/v1/match", slowMatchBody(0))
+	resp, body := postJSON(t, ts.URL+"/v1/match", slowMatchBody())
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504; body %s", resp.StatusCode, body)
 	}
@@ -350,7 +350,7 @@ func TestEngineShedPropagatesAs429(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, _ := postJSON(t, ts.URL+"/v1/match", slowMatchBody(i))
+			resp, _ := postJSON(t, ts.URL+"/v1/match", slowMatchBody())
 			codes[i] = resp.StatusCode
 			retryAfter[i] = resp.Header.Get("Retry-After")
 		}(i)
@@ -410,7 +410,7 @@ func TestExpiredDeadlineNeverReachesPool(t *testing.T) {
 	register(t, ts, "path", pathGraphN(50))
 
 	before := e.Stats().Executed
-	resp, _ := postJSON(t, ts.URL+"/v1/match", slowMatchBody(0))
+	resp, _ := postJSON(t, ts.URL+"/v1/match", slowMatchBody())
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", resp.StatusCode)
 	}
