@@ -12,7 +12,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a node within one Graph. IDs are dense: a graph with n
@@ -169,18 +169,82 @@ func (g *Graph) Finish() {
 }
 
 func dedupSorted(s []NodeID) []NodeID {
-	if len(s) < 2 {
-		return s
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	w := 1
-	for i := 1; i < len(s); i++ {
-		if s[i] != s[i-1] {
-			s[w] = s[i]
-			w++
+	slices.Sort(s)
+	return slices.Compact(s)
+}
+
+// FromEdges builds a finished graph from its node records and edge list
+// in one counting pass per direction — the bulk path that decoders and
+// the SCC condensation take instead of AddEdge+Finish, with the same
+// result: rows sorted, parallel edges dropped, zero weights normalised
+// to 1. Rows are cut from one arena per direction, as Clone lays them
+// out. A row whose entries arrive strictly ascending (every row, when
+// edges come in (from, to) order, as Edges and the store codec emit
+// them) is never sorted; any other row is sorted and deduplicated.
+// FromEdges takes ownership of nodes and panics on an endpoint out of
+// range, like AddEdge.
+func FromEdges(nodes []Node, edges [][2]NodeID) *Graph {
+	n := len(nodes)
+	for i := range nodes {
+		if nodes[i].Weight == 0 {
+			nodes[i].Weight = 1
 		}
 	}
-	return s[:w]
+	g := &Graph{nodes: nodes, dirty: make([]bool, n), clean: true}
+	for _, e := range edges {
+		g.check(e[0])
+		g.check(e[1])
+	}
+	g.post, g.edges = buildRows(n, edges, 0)
+	g.prev, _ = buildRows(n, edges, 1)
+	return g
+}
+
+// buildRows lays out one direction of edges over n nodes — rows keyed
+// by e[key], holding e[1-key] — and reports the entries kept after
+// deduplication.
+func buildRows(n int, edges [][2]NodeID, key int) (adjacency, int) {
+	// ends[v] holds row v's start after the prefix sum and its end once
+	// the fill has advanced every cursor.
+	ends := make([]int, n+1)
+	for _, e := range edges {
+		ends[e[key]+1]++
+	}
+	for v := 1; v <= n; v++ {
+		ends[v] += ends[v-1]
+	}
+	arena := make([]NodeID, len(edges))
+	for _, e := range edges {
+		v := e[key]
+		arena[ends[v]] = e[1-key]
+		ends[v]++
+	}
+	a := adjacency{pages: make([]*page, n>>pageShift), tail: make([][]NodeID, n&pageMask)}
+	for i := range a.pages {
+		a.pages[i] = new(page)
+	}
+	kept, lo := 0, 0
+	for v := 0; v < n; v++ {
+		row := arena[lo:ends[v]:ends[v]]
+		lo = ends[v]
+		if !strictlyAscending(row) {
+			row = slices.Clip(dedupSorted(row))
+		}
+		if len(row) > 0 {
+			*a.slot(NodeID(v)) = row
+		}
+		kept += len(row)
+	}
+	return a, kept
+}
+
+func strictlyAscending(row []NodeID) bool {
+	for i := 1; i < len(row); i++ {
+		if row[i] <= row[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // NumNodes reports |V|.

@@ -368,6 +368,7 @@ func TestCondense(t *testing.T) {
 			t.Errorf("component %d should be self-reaching (size 2)", i)
 		}
 	}
+	checkCondensation(t, g)
 }
 
 func TestCondenseSelfLoop(t *testing.T) {
@@ -379,6 +380,7 @@ func TestCondenseSelfLoop(t *testing.T) {
 	if selfReach[scc.Comp[1]] {
 		t.Error("plain singleton should not be self-reaching")
 	}
+	checkCondensation(t, g)
 }
 
 func TestInducedSubgraph(t *testing.T) {

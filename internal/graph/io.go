@@ -112,15 +112,15 @@ func (g *Graph) DOT(name string) string {
 //
 //	g := graph.FromEdgeList([]string{"A", "B", "C"}, [][2]int{{0, 1}, {1, 2}})
 func FromEdgeList(labels []string, edges [][2]int) *Graph {
-	g := New(len(labels))
-	for _, l := range labels {
-		g.AddNode(l)
+	nodes := make([]Node, len(labels))
+	for i, l := range labels {
+		nodes[i] = Node{Label: l, Weight: 1}
 	}
-	for _, e := range edges {
-		g.AddEdge(NodeID(e[0]), NodeID(e[1]))
+	es := make([][2]NodeID, len(edges))
+	for i, e := range edges {
+		es[i] = [2]NodeID{NodeID(e[0]), NodeID(e[1])}
 	}
-	g.Finish()
-	return g
+	return FromEdges(nodes, es)
 }
 
 // Labels returns the labels of all nodes indexed by NodeID.

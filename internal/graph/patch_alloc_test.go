@@ -38,8 +38,10 @@ func freshEdges(g *Graph, k int, seed int64) [][2]NodeID {
 // patchBytes reports the mean bytes one single-edge ApplyPatch
 // allocates on a graph of n nodes, each patch applied to the version
 // the one before produced.
-func patchBytes(n int) float64 {
-	g := sparseGraph(n, 1)
+func patchBytes(n int) float64 { return patchBytesOn(sparseGraph(n, 1)) }
+
+// patchBytesOn is patchBytes on a given graph.
+func patchBytesOn(g *Graph) float64 {
 	edges := freshEdges(g, 200, 2)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

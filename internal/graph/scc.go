@@ -21,56 +21,57 @@ type SCCResult struct {
 // NumComponents reports the number of strongly connected components.
 func (r *SCCResult) NumComponents() int { return len(r.Members) }
 
-// SCC computes the strongly connected components of g.
+// SCC computes the strongly connected components of g. Members is laid
+// out after the DFS by one counting pass over Comp, so each component's
+// nodes come out ascending without a per-component sort.
 func (g *Graph) SCC() *SCCResult {
 	g.Finish()
 	n := len(g.nodes)
 	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
+	index := make([]int32, n)
+	low := make([]int32, n)
 	onStack := make([]bool, n)
-	comp := make([]int, n)
-	for i := 0; i < n; i++ {
+	comp := make([]int, n) // every node is assigned when its component pops
+	for i := range index {
 		index[i] = unvisited
-		comp[i] = unvisited
 	}
 	var (
-		stack   []NodeID // Tarjan stack
-		members [][]NodeID
-		counter int
+		stack   = make([]NodeID, 0, n) // Tarjan stack
+		k       int                    // components popped so far
+		counter int32
 	)
 
-	// Explicit DFS frames to avoid recursion on large graphs.
+	// Explicit DFS frames to avoid recursion on large graphs. A frame
+	// holds its node's row, so the page table is read once per node,
+	// not once per edge. Neither stack can outgrow n, so both are
+	// allocated once.
 	type frame struct {
 		v    NodeID
-		next int // next child index in post[v] to process
+		rest []NodeID // the children of v still to process
 	}
-	var frames []frame
+	frames := make([]frame, 0, n)
+	visit := func(v NodeID) {
+		index[v] = counter
+		low[v] = counter
+		counter++
+		stack = append(stack, v)
+		onStack[v] = true
+		frames = append(frames, frame{v: v, rest: g.post.row(v)})
+	}
 
 	for s := 0; s < n; s++ {
 		if index[s] != unvisited {
 			continue
 		}
-		frames = append(frames[:0], frame{v: NodeID(s)})
-		index[s] = counter
-		low[s] = counter
-		counter++
-		stack = append(stack, NodeID(s))
-		onStack[s] = true
-
+		visit(NodeID(s))
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			v := f.v
-			if row := g.post.row(v); f.next < len(row) {
-				w := row[f.next]
-				f.next++
+			if len(f.rest) > 0 {
+				w := f.rest[0]
+				f.rest = f.rest[1:]
 				if index[w] == unvisited {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
+					visit(w)
 				} else if onStack[w] {
 					if index[w] < low[v] {
 						low[v] = index[w]
@@ -80,19 +81,16 @@ func (g *Graph) SCC() *SCCResult {
 			}
 			// All children processed: maybe pop a component, then return.
 			if low[v] == index[v] {
-				id := len(members)
-				var ms []NodeID
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
-					comp[w] = id
-					ms = append(ms, w)
+					comp[w] = k
 					if w == v {
 						break
 					}
 				}
-				members = append(members, dedupSorted(ms))
+				k++
 			}
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
@@ -103,7 +101,31 @@ func (g *Graph) SCC() *SCCResult {
 			}
 		}
 	}
-	return &SCCResult{Comp: comp, Members: members}
+	return &SCCResult{Comp: comp, Members: membersByCount(comp, k)}
+}
+
+// membersByCount groups the nodes by component in one arena: sizes
+// first, then a fill in node order, which leaves every group ascending.
+func membersByCount(comp []int, k int) [][]NodeID {
+	ends := make([]int, k+1)
+	for _, c := range comp {
+		ends[c+1]++
+	}
+	for c := 1; c <= k; c++ {
+		ends[c] += ends[c-1]
+	}
+	arena := make([]NodeID, len(comp))
+	for v, c := range comp {
+		arena[ends[c]] = NodeID(v)
+		ends[c]++
+	}
+	members := make([][]NodeID, k)
+	lo := 0
+	for c := range members {
+		members[c] = arena[lo:ends[c]:ends[c]]
+		lo = ends[c]
+	}
+	return members
 }
 
 // Condense builds the condensation DAG of g: one node per SCC, with an edge
@@ -112,29 +134,27 @@ func (g *Graph) SCC() *SCCResult {
 // (Appendix B compression) assemble them from SCCResult.Members. The second
 // result reports, for every component, whether it contains an internal edge
 // (a self-loop or an SCC of size > 1), i.e. whether the component can reach
-// itself by a nonempty path.
+// itself by a nonempty path. The DAG is built by FromEdges from the
+// cross-component edges.
 func (g *Graph) Condense() (*Graph, *SCCResult, []bool) {
 	scc := g.SCC()
 	k := scc.NumComponents()
-	dag := New(k)
-	for i := 0; i < k; i++ {
-		dag.AddNode("")
-	}
 	selfReach := make([]bool, k)
-	g.Edges(func(from, to NodeID) bool {
-		cf, ct := scc.Comp[from], scc.Comp[to]
-		if cf == ct {
-			selfReach[cf] = true
-		} else {
-			dag.AddEdge(NodeID(cf), NodeID(ct))
+	cross := make([][2]NodeID, 0, g.edges)
+	for v := range g.nodes {
+		cf := scc.Comp[v]
+		for _, u := range g.post.row(NodeID(v)) {
+			if ct := scc.Comp[u]; cf == ct {
+				selfReach[cf] = true
+			} else {
+				cross = append(cross, [2]NodeID{NodeID(cf), NodeID(ct)})
+			}
 		}
-		return true
-	})
+	}
 	for i := 0; i < k; i++ {
 		if len(scc.Members[i]) > 1 {
 			selfReach[i] = true
 		}
 	}
-	dag.Finish()
-	return dag, scc, selfReach
+	return FromEdges(make([]Node, k), cross), scc, selfReach
 }

@@ -259,7 +259,17 @@ func encodeGraph(e *enc, g *graph.Graph) {
 	})
 }
 
-// decodeGraph reads one encoded graph.
+// Smallest encodings of one node record (empty label, 8-byte weight,
+// empty content) and one edge (two one-byte IDs): decodeGraph bounds
+// its counts by them before allocating.
+const (
+	minNodeBytes = 1 + 8 + 1
+	minEdgeBytes = 2
+)
+
+// decodeGraph reads one encoded graph. Nodes and edges are read into
+// flat slices and handed to graph.FromEdges, which keeps the rows of a
+// snapshot — written in (from, to) order — without sorting them.
 func decodeGraph(d *dec) (*graph.Graph, error) {
 	ver, err := d.u8()
 	if err != nil {
@@ -272,9 +282,12 @@ func decodeGraph(d *dec) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := graph.New(n)
-	for v := 0; v < n; v++ {
-		var nd graph.Node
+	if n > d.remaining()/minNodeBytes {
+		return nil, corruptf("%d nodes cannot fit in %d bytes", n, d.remaining())
+	}
+	nodes := make([]graph.Node, n)
+	for v := range nodes {
+		nd := &nodes[v]
 		if nd.Label, err = d.str(); err != nil {
 			return nil, err
 		}
@@ -284,13 +297,16 @@ func decodeGraph(d *dec) (*graph.Graph, error) {
 		if nd.Content, err = d.str(); err != nil {
 			return nil, err
 		}
-		g.AddNodeFull(nd)
 	}
-	edges, err := d.uvarint()
+	m, err := d.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < edges; i++ {
+	if m > d.remaining()/minEdgeBytes {
+		return nil, corruptf("%d edges cannot fit in %d bytes", m, d.remaining())
+	}
+	edges := make([][2]graph.NodeID, m)
+	for i := range edges {
 		from, err := d.node()
 		if err != nil {
 			return nil, err
@@ -302,10 +318,9 @@ func decodeGraph(d *dec) (*graph.Graph, error) {
 		if int(from) >= n || int(to) >= n {
 			return nil, corruptf("edge %d→%d outside [0,%d)", from, to, n)
 		}
-		g.AddEdge(from, to)
+		edges[i] = [2]graph.NodeID{from, to}
 	}
-	g.Finish()
-	return g, nil
+	return graph.FromEdges(nodes, edges), nil
 }
 
 // encodePatch appends the binary encoding of p.
