@@ -860,8 +860,7 @@ func sameContentIndex(t *testing.T, where string, g *graph.Graph, got, want *sim
 		t.Fatalf("%s: carried index covers %d nodes in %d B, a fresh build %d in %d B",
 			where, got.NumNodes(), got.Bytes(), want.NumNodes(), want.Bytes())
 	}
-	sets := simmatrix.ContentSets(g, 0)
-	mg, mw := got.Matrix(sets), want.Matrix(sets)
+	mg, mw := simmatrix.FromContentSets(g, got, 0), simmatrix.FromContentSets(g, want, 0)
 	for v := 0; v < g.NumNodes(); v++ {
 		for u := 0; u < g.NumNodes(); u++ {
 			if a, b := mg.Score(graph.NodeID(v), graph.NodeID(u)), mw.Score(graph.NodeID(v), graph.NodeID(u)); a != b {

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"graphmatch/internal/graph"
+	"graphmatch/internal/simmatrix"
+	"graphmatch/internal/simulation"
 	"graphmatch/internal/webgen"
 )
 
@@ -166,4 +168,41 @@ func TestContentMatchRacesContentPatch(t *testing.T) {
 		t.Fatalf("engine counted %d failed requests, want 0", got)
 	}
 	t.Logf("matches served from version A: %d, from version B: %d", sawA, sawB)
+}
+
+// TestContentMatchAtXiEqualsFullMatrix: the engine builds each content
+// matrix at the request's ξ and keeps only the entries ≥ ξ. Every
+// algorithm, simulation included, must still answer exactly what it
+// answers over the full matrix, because every reader reads at that ξ.
+func TestContentMatchAtXiEqualsFullMatrix(t *testing.T) {
+	e := New(Options{Workers: 2})
+	defer e.Close()
+	arch := webgen.Generate(webgen.Config{Category: webgen.Organization, Pages: 40, Versions: 2, Seed: 3})
+	data := arch.Versions[1]
+	if err := e.Register("site", data.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	pattern := webgen.TopKSkeleton(arch.Versions[0], 6)
+	ctx := context.Background()
+	for _, xi := range []float64{0.3, 0.57, 0.75, 1} {
+		for _, algo := range []Algorithm{MaxCard, MaxCard11, MaxSim, MaxSim11, Decide, Decide11, Simulation} {
+			req := Request{Pattern: pattern, GraphName: "site", Algo: algo, Xi: xi, Sim: SimContent}
+			got := e.Match(ctx, req)
+			if got.Err != nil {
+				t.Fatalf("ξ=%v %s: %v", xi, algo, got.Err)
+			}
+			if algo == Simulation {
+				want := simulation.Compute(pattern, data, simmatrix.FromContent(pattern, data, 0), xi).Matches()
+				if got.Holds != want {
+					t.Errorf("ξ=%v simulation: holds %v, over the full matrix %v", xi, got.Holds, want)
+				}
+				continue
+			}
+			want := directResult(t, data, req)
+			if !mappingEqual(got.Mapping, want.Mapping) || got.QualCard != want.QualCard || got.QualSim != want.QualSim || got.Holds != want.Holds && (algo == Decide || algo == Decide11) {
+				t.Errorf("ξ=%v %s: (%v, %v, %v, %v), over the full matrix (%v, %v, %v, %v)", xi, algo,
+					got.Mapping, got.QualCard, got.QualSim, got.Holds, want.Mapping, want.QualCard, want.QualSim, want.Holds)
+			}
+		}
+	}
 }

@@ -645,13 +645,16 @@ func (e *Engine) matchBatch(ctx context.Context, reqs []Request, p *prepared) []
 }
 
 // prepared is a request pattern made ready for the workers: normalised
-// and — on the first content-similarity use — shingled. Every task of a
-// fan-out over one pattern object shares it.
+// and — on the first content-similarity use — shingled, its sets kept
+// for stage 1 of a search and its distinct shingles sorted once for
+// every content matrix. Every task of a fan-out over one pattern object
+// shares it.
 type prepared struct {
 	g *graph.Graph
 
-	setsOnce sync.Once
-	sets     []shingle.Set
+	contentOnce sync.Once
+	sets        []shingle.Set
+	pattern     *simmatrix.ContentPattern
 }
 
 // prepare normalises a pattern. Finish is serialised because it mutates
@@ -665,11 +668,14 @@ func (e *Engine) prepare(g *graph.Graph) *prepared {
 	return &prepared{g: g}
 }
 
-// contentSets returns the pattern's shingle sets (default window),
-// computed once however many tasks and stages ask.
-func (p *prepared) contentSets() []shingle.Set {
-	p.setsOnce.Do(func() { p.sets = simmatrix.ContentSets(p.g, 0) })
-	return p.sets
+// content shingles the pattern (default window) once however many
+// tasks and stages ask.
+func (p *prepared) content() *prepared {
+	p.contentOnce.Do(func() {
+		p.sets = simmatrix.ContentSets(p.g, 0)
+		p.pattern = simmatrix.NewContentPattern(p.sets)
+	})
+	return p
 }
 
 // submit validates a request and enqueues it as a new task running on
@@ -803,9 +809,10 @@ func (e *Engine) execute(ctx context.Context, req Request, p *prepared) Result {
 	switch req.Sim {
 	case SimContent:
 		// Built over the graph's content postings, from the same registry
-		// entry as g2: the matrix lists its own admissible pairs and the
-		// matcher never scores V1 × V2.
-		mat = data.Content().Matrix(p.contentSets())
+		// entry as g2, at the request's ξ: the matrix holds and lists
+		// only the admissible pairs, and every reader below reads at
+		// that same ξ.
+		mat = data.Content().Matrix(p.content().pattern, req.Xi)
 	default:
 		mat = simmatrix.NewLabelEquality(req.Pattern, g2)
 	}

@@ -142,7 +142,7 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 	prep := e.prepare(req.Pattern)
 
 	start := time.Now()
-	cands, cstats := e.searchIdx.Candidates(search.SummarizeSets(req.Pattern, prep.contentSets()), pol)
+	cands, cstats := e.searchIdx.Candidates(search.SummarizeSets(req.Pattern, prep.content().sets), pol)
 	stats := SearchStats{
 		Graphs:     cstats.Graphs,
 		Candidates: len(cands),

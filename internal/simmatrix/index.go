@@ -2,7 +2,9 @@ package simmatrix
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
+	"sync"
 
 	"graphmatch/internal/graph"
 	"graphmatch/internal/shingle"
@@ -31,7 +33,9 @@ type Enumerable interface {
 	// ascending u and reports true, or leaves dst alone and reports false
 	// when it cannot list that set — always for xi ≤ 0, which admits
 	// every data node, the zero-scoring ones no posting mentions
-	// included.
+	// included. A matrix that kept only the entries at or above a floor
+	// panics when asked below it, rather than list too few pairs or
+	// send Row's fallback to scores it dropped.
 	Support(dst []Scored, v graph.NodeID, xi float64) ([]Scored, bool)
 }
 
@@ -66,97 +70,257 @@ func CutRows(all []Scored, ends []int) [][]Scored {
 	return rows
 }
 
-// Approximate heap cost of one posting-map entry beyond its nodes: the
-// key, the slice header and the bucket share.
-const postingOverhead = 48
-
 // ContentIndex is the candidate index of a data graph under content
-// similarity: the ascending node postings of every shingle (of a node's
-// content, falling back to its label), every node's set size, and the
-// nodes whose set is empty — which resemble exactly the empty pattern
-// sets, fully, and so appear in no posting. It is immutable once built.
+// similarity, in pointer-free arrays: the distinct shingles (of a node's
+// content, falling back to its label) in ascending order, each one's
+// ascending node posting cut from one shared array, every node's set
+// size, and the nodes whose set is empty — which resemble exactly the
+// empty pattern sets, fully, and so appear in no posting. It is
+// immutable once built.
 type ContentIndex struct {
-	sizes    []int32 // per node, distinct shingles
-	postings map[uint64][]graph.NodeID
-	empty    []graph.NodeID
-	entries  int64 // Σ sizes[u]
+	keys  []uint64       // distinct shingles, ascending
+	offs  []int          // the posting of keys[k] is nodes[offs[k]:offs[k+1]]
+	nodes []graph.NodeID // every posting, each ascending
+	sizes []int32        // per node, distinct shingles
+	empty []graph.NodeID
 }
 
 // NewContentIndex shingles every node of g with the given window
 // (non-positive selects shingle.DefaultSize).
 func NewContentIndex(g *graph.Graph, shingleSize int) *ContentIndex {
-	ix := &ContentIndex{
-		sizes:    make([]int32, g.NumNodes()),
-		postings: make(map[uint64][]graph.NodeID),
+	type entry struct {
+		h uint64
+		u graph.NodeID
 	}
+	ix := &ContentIndex{sizes: make([]int32, g.NumNodes())}
 	sh := shingle.NewShingler(shingleSize)
+	var entries []entry
 	for u := range ix.sizes {
 		uu := graph.NodeID(u)
 		set := sh.Shingle(contentText(g, uu))
 		ix.sizes[u] = int32(len(set))
-		ix.entries += int64(len(set))
-		for h := range set {
-			ix.postings[h] = append(ix.postings[h], uu)
-		}
 		if len(set) == 0 {
 			ix.empty = append(ix.empty, uu)
 		}
+		for h := range set {
+			entries = append(entries, entry{h, uu})
+		}
 	}
+	slices.SortFunc(entries, func(a, b entry) int { return cmp.Or(cmp.Compare(a.h, b.h), cmp.Compare(a.u, b.u)) })
+	ix.nodes = make([]graph.NodeID, len(entries))
+	for i, e := range entries {
+		if i == 0 || e.h != entries[i-1].h {
+			ix.keys = append(ix.keys, e.h)
+			ix.offs = append(ix.offs, i)
+		}
+		ix.nodes[i] = e.u
+	}
+	ix.offs = append(ix.offs, len(entries))
 	return ix
 }
 
 // NumNodes reports how many nodes the index covers.
 func (ix *ContentIndex) NumNodes() int { return len(ix.sizes) }
 
-// Bytes approximates the heap the index holds: each (node, shingle)
-// entry once, in the shingle's posting.
+// Bytes reports the heap the index's arrays hold.
 func (ix *ContentIndex) Bytes() int64 {
-	return 4*ix.entries + postingOverhead*int64(len(ix.postings)) + 4*int64(len(ix.sizes)) + 4*int64(len(ix.empty))
+	return 8*int64(len(ix.keys)) + 8*int64(len(ix.offs)) + 4*int64(len(ix.nodes)) + 4*int64(len(ix.sizes)) + 4*int64(len(ix.empty))
 }
 
-// Matrix builds the resemblance matrix of pattern-side shingle sets
-// (ContentSets of the pattern, same window) against the indexed graph.
-// Only pairs sharing a shingle are scored — any other pair resembles 0,
-// except two empty sets, which resemble 1 — from the same integers
-// shingle.Resemblance divides, so every entry equals the pairwise build.
-func (ix *ContentIndex) Matrix(sets1 []shingle.Set) *RowSparse {
-	ends := make([]int, len(sets1))
+// ContentPattern is a pattern's shingle sets made ready to score against
+// any number of content indexes: its distinct shingles in ascending
+// order, and per pattern node the positions of its own shingles among
+// them.
+type ContentPattern struct {
+	keys []uint64 // distinct shingles of all nodes, ascending
+	offs []int    // node v's shingles are keys[at[offs[v]:offs[v+1]]]
+	at   []int32
+}
+
+// NewContentPattern prepares the shingle sets of a pattern's nodes
+// (ContentSets of the pattern, same window as the indexes it will meet),
+// indexed by NodeID.
+func NewContentPattern(sets []shingle.Set) *ContentPattern {
+	p := &ContentPattern{offs: make([]int, len(sets)+1)}
+	for v, set := range sets {
+		p.offs[v+1] = p.offs[v] + len(set)
+	}
+	all := make([]uint64, 0, p.offs[len(sets)])
+	for _, set := range sets {
+		for h := range set {
+			all = append(all, h)
+		}
+	}
+	p.keys = slices.Clone(all)
+	slices.Sort(p.keys)
+	p.keys = slices.Compact(p.keys)
+	p.at = make([]int32, len(all))
+	for i, h := range all {
+		k, _ := slices.BinarySearch(p.keys, h)
+		p.at[i] = int32(k)
+	}
+	return p
+}
+
+// minOverlap is the smallest n with float64(n)/float64(a) ≥ xi, or a+1
+// when no n ≤ a reaches xi. A pattern set of a shingles resembles a set
+// sharing n of them at most n/a, and float division is monotone in both
+// operands, so a pair below this overlap cannot score ≥ xi. It divides
+// as the score does rather than rounding ⌈xi·a⌉, which in float64 can
+// overshoot (0.28·25 = 7.000000000000001) and drop admissible pairs.
+func minOverlap(a int, xi float64) int {
+	n := 0
+	for n <= a && float64(n)/float64(a) < xi {
+		n++
+	}
+	return n
+}
+
+// matrixScratch is what one Matrix call works in, pooled because a
+// search builds a matrix for each of its candidate graphs.
+type matrixScratch struct {
+	post    []int          // per pattern shingle, its key index in the graph or -1
+	present []uint64       // the current node's shingles in the graph: posting length<<32 | key index
+	count   []int32        // per data node, probed postings listing it; zero between nodes
+	touched []graph.NodeID // the data nodes count is nonzero for
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(matrixScratch) }}
+
+// Matrix builds the resemblance matrix of a prepared pattern against the
+// indexed graph, keeping only entries ≥ xi: the matrix's floor, below
+// which it must not be read (RowSparse.Support). Every kept entry is
+// inter / (|S_v|+|S_u|−inter) from the same integers shingle.Resemblance
+// divides, so it equals the pairwise build bit for bit.
+//
+// Which pairs are counted at all follows the prefix filter of
+// set-similarity joins (Chaudhuri et al., ICDE 2006; Bayardo et al.,
+// WWW 2007): with a = |S_v|, m of v's shingles present in the graph and
+// t = minOverlap(a, xi), a data node scoring ≥ xi shares at least t of
+// those m, so it appears in some posting among any m−t+1 of them. The
+// m−t+1 shortest postings are walked; every node they list is then
+// verified by binary search in the other t−1, giving up as soon as even
+// a hit in all the postings left could not lift it to xi, and scored
+// exactly. At xi ≤ 0, t = 0 and every present posting is walked — the
+// full build, with no second code path; at xi > 1 every row is empty.
+func (ix *ContentIndex) Matrix(p *ContentPattern, xi float64) *RowSparse {
+	s := scratchPool.Get().(*matrixScratch)
+	defer scratchPool.Put(s)
+	n2 := len(ix.sizes)
+	if cap(s.count) < n2 {
+		s.count = make([]int32, n2)
+	}
+	count := s.count[:n2]
+	s.post = ix.resolve(s.post[:0], p.keys)
+	posting := func(o uint64) []graph.NodeID {
+		k := int(uint32(o))
+		return ix.nodes[ix.offs[k]:ix.offs[k+1]]
+	}
+
+	n1 := len(p.offs) - 1
+	ends := make([]int, n1)
 	var all []Scored
-	inter := make([]int32, len(ix.sizes))
-	var touched []graph.NodeID
-	for v, set1 := range sets1 {
-		if len(set1) == 0 {
-			for _, u := range ix.empty {
-				all = append(all, Scored{U: u, Score: 1})
+	for v := range ends {
+		at := p.at[p.offs[v]:p.offs[v+1]]
+		a := len(at)
+		if a == 0 {
+			if 1 >= xi { // two empty sets resemble fully
+				for _, u := range ix.empty {
+					all = append(all, Scored{U: u, Score: 1})
+				}
 			}
 			ends[v] = len(all)
 			continue
 		}
-		touched = touched[:0]
-		for h := range set1 {
-			for _, u := range ix.postings[h] {
-				if inter[u] == 0 {
-					touched = append(touched, u)
-				}
-				inter[u]++
+		present := s.present[:0]
+		for _, k := range at {
+			if j := s.post[k]; j >= 0 {
+				present = append(present, uint64(ix.offs[j+1]-ix.offs[j])<<32|uint64(j))
 			}
 		}
-		slices.Sort(touched)
+		s.present = present
+		t := minOverlap(a, xi)
+		if t > len(present) {
+			ends[v] = len(all)
+			continue
+		}
+		probe, rest := present, present[:0]
+		if t > 0 {
+			slices.Sort(present) // shortest posting first
+			probe, rest = present[:len(present)-t+1], present[len(present)-t+1:]
+		}
+		touched := s.touched[:0]
+		for _, o := range probe {
+			for _, u := range posting(o) {
+				if count[u] == 0 {
+					touched = append(touched, u)
+				}
+				count[u]++
+			}
+		}
+		s.touched = touched
+		score := func(u graph.NodeID) {
+			n, b := int(count[u]), int(ix.sizes[u])
+			count[u] = 0
+			for i, o := range rest {
+				// At most n plus every posting left, and never more
+				// than |S_u|; the score only grows with the overlap.
+				most := min(n+len(rest)-i, b)
+				if float64(most)/float64(a+b-most) < xi {
+					return
+				}
+				if _, ok := slices.BinarySearch(posting(o), u); ok {
+					n++
+				}
+			}
+			if r := float64(n) / float64(a+b-n); r >= xi {
+				all = append(all, Scored{U: u, Score: r})
+			}
+		}
+		slices.Sort(touched) // rows ascend in u
 		for _, u := range touched {
-			n := int(inter[u])
-			inter[u] = 0
-			union := len(set1) + int(ix.sizes[u]) - n
-			all = append(all, Scored{U: u, Score: float64(n) / float64(union)})
+			score(u)
 		}
 		ends[v] = len(all)
 	}
-	return &RowSparse{rows: CutRows(all, ends)}
+	return &RowSparse{rows: CutRows(all, ends), floor: xi}
+}
+
+// resolve appends to post, for every key of the ascending list keys, its
+// index among ix.keys or -1 when the graph has no such shingle: one
+// forward merge of the two lists that gallops over the graph's side.
+func (ix *ContentIndex) resolve(post []int, keys []uint64) []int {
+	n, j := len(ix.keys), 0 // every ix.keys[:j] is below the key sought
+	for _, h := range keys {
+		hi, step := j, 1
+		for hi < n && ix.keys[hi] < h {
+			j = hi + 1
+			hi += step
+			step *= 2
+		}
+		off, ok := slices.BinarySearch(ix.keys[j:min(hi+1, n)], h)
+		j += off
+		if !ok {
+			post = append(post, -1)
+			continue
+		}
+		post = append(post, j)
+		j++
+	}
+	return post
 }
 
 // RowSparse is a matrix stored as its rows' nonzero entries in ascending
-// column order; absent pairs score 0.
+// column order; absent pairs score 0. A matrix built at a positive floor
+// ξ holds only the entries ≥ ξ: pairs below it read 0 too, which every
+// consumer tolerates because it reads at the ξ the matrix was built at —
+// core through admissible and candidates() (H[v].good), QualSim over
+// mapped (hence admissible) pairs, componentMatrix's maximum (exact when
+// ≥ ξ, below ξ either way otherwise) and simulation.Compute (a ≥ ξ
+// test). Support enforces the floor.
 type RowSparse struct {
-	rows [][]Scored
+	rows  [][]Scored
+	floor float64
 }
 
 // Score reports mat(v, u).
@@ -169,8 +333,13 @@ func (m *RowSparse) Score(v, u graph.NodeID) float64 {
 	return row[i].Score
 }
 
-// Support filters the stored row.
+// Support filters the stored row. It panics when xi is below a positive
+// floor: the pairs dropped there would be missing from the list, or —
+// through Row's fallback — read as 0.
 func (m *RowSparse) Support(dst []Scored, v graph.NodeID, xi float64) ([]Scored, bool) {
+	if m.floor > 0 && xi < m.floor {
+		panic(fmt.Sprintf("simmatrix: support at ξ = %v of a matrix built at ξ = %v", xi, m.floor))
+	}
 	if xi <= 0 {
 		return dst, false
 	}

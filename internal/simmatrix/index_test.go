@@ -135,3 +135,208 @@ func TestSupportEqualsScan(t *testing.T) {
 		}
 	}
 }
+
+// xiGrid is every threshold the ξ-build tests try: the full build, the
+// smallest positive ξ, the serving default, values whose float product
+// with a set size lands just past an integer (0.28·25, 0.56·25), the
+// exact top, one past it, and a few drawn at random.
+func xiGrid(rng *rand.Rand) []float64 {
+	grid := []float64{0, 1e-9, 0.1, 0.28, 0.5, 0.56, 0.7, 0.75, 0.9, 1, 1.5}
+	for i := 0; i < 3; i++ {
+		grid = append(grid, rng.Float64())
+	}
+	return grid
+}
+
+// assertXiBuild checks the matrix of p against ix built at xi against the
+// full build: equal entry for entry at and above xi, 0 below it, and
+// Support exact at every threshold of grid ≥ xi.
+func assertXiBuild(t *testing.T, name string, ix *ContentIndex, p *ContentPattern, xi float64, grid []float64) {
+	t.Helper()
+	full, built := ix.Matrix(p, 0), ix.Matrix(p, xi)
+	n1, n2 := len(p.offs)-1, ix.NumNodes()
+	for v := 0; v < n1; v++ {
+		vv := graph.NodeID(v)
+		for u := 0; u < n2; u++ {
+			uu := graph.NodeID(u)
+			want := full.Score(vv, uu)
+			if want < xi {
+				want = 0
+			}
+			if got := built.Score(vv, uu); got != want {
+				t.Fatalf("%s: ξ=%v mat(%d,%d) = %v, the full build restricted to ≥ ξ says %v", name, xi, v, u, got, want)
+			}
+		}
+		for _, x := range grid {
+			if x < xi || x <= 0 {
+				continue
+			}
+			got, ok := built.Support(nil, vv, x)
+			if want := scanRow(full, vv, n2, x); !ok || !slices.Equal(got, want) {
+				t.Fatalf("%s: built at ξ=%v, Support(v=%d, %v) = %v (%v), the full build lists %v", name, xi, v, x, got, ok, want)
+			}
+		}
+	}
+}
+
+// TestXiMatrixEqualsFullBuild: the ξ-aware build is the full build
+// restricted to the entries ≥ ξ, on random text (shared shingles, empty
+// sets, label fallback) and on generated Web sites, at every threshold of
+// xiGrid.
+func TestXiMatrixEqualsFullBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 40; i++ {
+		g1, g2 := textGraph(rng, 1+rng.Intn(8)), textGraph(rng, 1+rng.Intn(30))
+		size := rng.Intn(4)
+		ix, p := NewContentIndex(g2, size), NewContentPattern(ContentSets(g1, size))
+		grid := xiGrid(rng)
+		for _, xi := range grid {
+			assertXiBuild(t, fmt.Sprintf("text %d", i), ix, p, xi, grid)
+		}
+	}
+	arch := webgen.Generate(webgen.Config{Category: webgen.Newspaper, Pages: 60, Versions: 3, Seed: 5})
+	for i, data := range arch.Versions {
+		ix, p := NewContentIndex(data, 0), NewContentPattern(ContentSets(webgen.TopKSkeleton(arch.Versions[0], 8+4*i), 0))
+		grid := xiGrid(rng)
+		for _, xi := range grid {
+			assertXiBuild(t, fmt.Sprintf("web v%d", i), ix, p, xi, grid)
+		}
+	}
+}
+
+// words is n distinct one-word shingles (window 1).
+func words(n int) string {
+	w := make([]string, n)
+	for i := range w {
+		w[i] = fmt.Sprintf("w%d", i)
+	}
+	return strings.Join(w, " ")
+}
+
+// TestXiMatrixEdges pins the cases a prefix filter gets wrong first.
+func TestXiMatrixEdges(t *testing.T) {
+	node := func(text string) graph.Node { return graph.Node{Label: "n", Content: text, Weight: 1} }
+	blank := graph.Node{Weight: 1} // no content, no label: the empty set
+	one := func(n graph.Node) *graph.Graph {
+		g := graph.New(1)
+		g.AddNodeFull(n)
+		g.Finish()
+		return g
+	}
+	cases := []struct {
+		name          string
+		pattern, data graph.Node
+		xi, want      float64
+	}{
+		// 0.28·25 is 7.000000000000001 in float64: ⌈ξ·|S_v|⌉ = 8 would
+		// demand one shingle more than the pair shares. (0.7·10 rounds
+		// to 7 exactly, so that case passes either way.)
+		{"S_u ⊂ S_v, 7 of 25 at ξ = 0.28", node(words(25)), node(words(7)), 0.28, 0.28},
+		{"S_u ⊂ S_v, 7 of 10 at ξ = 0.7", node(words(10)), node(words(7)), 0.7, 0.7},
+		{"equal sets at ξ = 1", node("a b c d"), node("d c b a"), 1, 1},
+		{"empty sets on both sides", blank, blank, 0.75, 1},
+		{"empty sets above ξ = 1", blank, blank, 1.5, 0},
+		{"a pattern shingle absent from the graph", node("a b c d"), node("a b c"), 0.75, 0.75},
+		{"one set empty", node("a"), blank, 0, 0},
+		{"ξ above 1", node("a b"), node("a b"), 1.5, 0},
+	}
+	for _, c := range cases {
+		g1, g2 := one(c.pattern), one(c.data)
+		m := NewContentIndex(g2, 1).Matrix(NewContentPattern(ContentSets(g1, 1)), c.xi)
+		if got := m.Score(0, 0); got != c.want {
+			t.Errorf("%s: mat = %v, want %v", c.name, got, c.want)
+		}
+		if want := naiveFromContent(g1, g2, 1).Score(0, 0); c.want != 0 && c.want != want {
+			t.Errorf("%s: the pairwise build scores %v, the case expects %v", c.name, want, c.want)
+		}
+		if row := Row(nil, m, 0, 1, c.xi); (len(row) == 1) != (c.want >= c.xi) {
+			t.Errorf("%s: Row at ξ=%v lists %v", c.name, c.xi, row)
+		}
+	}
+	for _, c := range []struct {
+		a, want int
+		xi      float64
+	}{{25, 7, 0.28}, {25, 14, 0.56}, {10, 7, 0.7}, {10, 0, 0}, {10, 1, 1e-9}, {10, 10, 1}, {10, 11, 1.5}} {
+		if got := minOverlap(c.a, c.xi); got != c.want {
+			t.Errorf("minOverlap(%d, %v) = %d, want %d", c.a, c.xi, got, c.want)
+		}
+	}
+}
+
+// TestSupportBelowFloorPanics: a matrix built at ξ holds nothing below
+// it, so listing its support lower — directly or through Row, whose
+// fallback would read the dropped pairs as 0 — must fail loudly.
+func TestSupportBelowFloorPanics(t *testing.T) {
+	g := textGraph(rand.New(rand.NewSource(4)), 12)
+	m := NewContentIndex(g, 2).Matrix(NewContentPattern(ContentSets(g, 2)), 0.75)
+	for _, xi := range []float64{0.5, 0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Row at ξ=%v of a matrix built at 0.75 did not panic", xi)
+				}
+			}()
+			Row(nil, m, 0, g.NumNodes(), xi)
+		}()
+	}
+	if _, ok := m.Support(nil, 0, 0.75); !ok {
+		t.Error("Support at the build's own ξ declined")
+	}
+	full := FromContent(g, g, 2) // built at 0: complete, any ξ may read it
+	if row := Row(nil, full, 0, g.NumNodes(), -1); len(row) != g.NumNodes() {
+		t.Errorf("Row at ξ=-1 of the full build lists %d of %d nodes", len(row), g.NumNodes())
+	}
+}
+
+// fuzzGraph turns text into isolated nodes, one per line (at most 8).
+func fuzzGraph(text string) *graph.Graph {
+	lines := strings.Split(text, "\n")
+	lines = lines[:min(len(lines), 8)]
+	g := graph.New(len(lines))
+	for _, l := range lines {
+		g.AddNodeFull(graph.Node{Content: l, Weight: 1})
+	}
+	g.Finish()
+	return g
+}
+
+// FuzzContentMatrix: bytes → window, ξ and two tiny text graphs (split
+// at the first '|'); the ξ build must be the full build at and above ξ,
+// and the full build the pairwise one.
+func FuzzContentMatrix(f *testing.F) {
+	f.Add([]byte("\x01\x50a b c d e f g h i j\nx y|a b c d e f g\n\nx y z"))
+	f.Add([]byte("\x00\x55w1 w2 w3 w4 w1 w2\nw2 w3|w1 w2 w3 w4\nw3 w4 w1"))
+	f.Add([]byte("\x02\x0a\n|\n"))
+	f.Add([]byte("\x01\x6ea b|a b\nb a"))
+	f.Add([]byte("\x01\x26" + words(25) + "|" + words(7)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		window, xi := int(data[0]%4), float64(int(data[1])-10)/100
+		pat, dat, _ := strings.Cut(string(data[2:]), "|")
+		g1, g2 := fuzzGraph(pat), fuzzGraph(dat)
+		ix, p := NewContentIndex(g2, window), NewContentPattern(ContentSets(g1, window))
+		assertSameMatrix(t, "full build", ix.Matrix(p, 0), naiveFromContent(g1, g2, window))
+		assertXiBuild(t, "fuzz", ix, p, xi, []float64{xi, xi + 0.05, 0.5, 0.75, 1})
+	})
+}
+
+var matrixSink *RowSparse
+
+// BenchmarkContentMatrix: one web_search-shaped build, a 12-hub skeleton
+// of a site's first version against its second, at the serving ξ and as
+// the full build.
+func BenchmarkContentMatrix(b *testing.B) {
+	arch := webgen.Generate(webgen.Config{Category: webgen.Store, Pages: 60, Versions: 2, Seed: 7})
+	ix := NewContentIndex(arch.Versions[1], 0)
+	p := NewContentPattern(ContentSets(webgen.TopKSkeleton(arch.Versions[0], 12), 0))
+	for _, xi := range []float64{0.75, 0} {
+		b.Run(fmt.Sprintf("xi=%v", xi), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				matrixSink = ix.Matrix(p, xi)
+			}
+		})
+	}
+}

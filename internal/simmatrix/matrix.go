@@ -22,7 +22,10 @@
 // Matrices built over a data graph's candidate index (index.go) can also
 // list, per pattern node, the data nodes at or above a threshold; Row is
 // the one place that asks for that list or falls back to scoring every
-// node.
+// node. The content index is flat arrays (ascending shingles, postings
+// cut from one node array), and ContentIndex.Matrix scores only the pairs
+// that can reach the request's ξ: a matrix built at ξ keeps the entries
+// ≥ ξ and refuses to be listed below it.
 package simmatrix
 
 import (
@@ -149,8 +152,8 @@ func FromContent(g1, g2 *graph.Graph, shingleSize int) *RowSparse {
 }
 
 // ContentSets computes the shingle set of every node of g (content,
-// falling back to the label), indexed by NodeID — the pattern-side input
-// of ContentIndex.Matrix.
+// falling back to the label), indexed by NodeID — what NewContentPattern
+// prepares for ContentIndex.Matrix.
 func ContentSets(g *graph.Graph, shingleSize int) []shingle.Set {
 	sh := shingle.NewShingler(shingleSize)
 	sets := make([]shingle.Set, g.NumNodes())
@@ -160,12 +163,13 @@ func ContentSets(g *graph.Graph, shingleSize int) []shingle.Set {
 	return sets
 }
 
-// FromContentSets builds the content-similarity matrix of g1 against an
-// indexed data graph (the serving catalog keeps one ContentIndex per
-// registered graph, so the data side is shingled once, not per request).
-// shingleSize must match the one the index was built with.
+// FromContentSets builds the full content-similarity matrix of g1 (every
+// nonzero entry, readable at any ξ) against an indexed data graph (the
+// serving catalog keeps one ContentIndex per registered graph, so the
+// data side is shingled once, not per request). shingleSize must match
+// the one the index was built with.
 func FromContentSets(g1 *graph.Graph, data *ContentIndex, shingleSize int) *RowSparse {
-	return data.Matrix(ContentSets(g1, shingleSize))
+	return data.Matrix(NewContentPattern(ContentSets(g1, shingleSize)), 0)
 }
 
 // ContentSet returns the shingle set of one node's content text
