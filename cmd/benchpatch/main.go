@@ -15,10 +15,9 @@
 // worthless.
 //
 // Scenario B (engine): concurrent writers storm one graph through
-// engine.ApplyPatch with patch coalescing on versus off, both on a
-// durable store, measuring the end-to-end acknowledged patches/sec —
-// the group-commit win (one WAL append + one closure update per
-// batch).
+// engine.ApplyPatch on a durable store, measuring the end-to-end
+// acknowledged patches/sec. Every patch is its own catalog commit and
+// WAL fsync; this is the baseline a store-level group commit must beat.
 //
 // benchpatch emits BENCH_patch.json and fails when incremental
 // maintenance does not beat rebuild by at least 5× (full run; the
@@ -68,13 +67,9 @@ type report struct {
 	// divergence aborts the run before the report is written.
 	ReachSamples int `json:"reach_samples"`
 	// Scenario B: concurrent writers, engine-level, durable store.
-	Writers           int     `json:"writers"`
-	EnginePatches     int     `json:"engine_patches"`
-	CoalescedPerSec   float64 `json:"coalesced_patches_per_sec"`
-	UncoalescedPerSec float64 `json:"uncoalesced_patches_per_sec"`
-	CoalesceSpeedup   float64 `json:"coalesce_speedup"`
-	PatchBatches      uint64  `json:"patch_batches"`
-	PatchesCoalesced  uint64  `json:"patches_coalesced"`
+	Writers       int     `json:"writers"`
+	EnginePatches int     `json:"engine_patches"`
+	PatchesPerSec float64 `json:"patches_per_sec"`
 }
 
 func main() {
@@ -139,9 +134,7 @@ func main() {
 
 	// Scenario B.
 	rep.EnginePatches = *writers * *perWriter
-	rep.UncoalescedPerSec = engineStorm(*writers, *perWriter, false, &rep)
-	rep.CoalescedPerSec = engineStorm(*writers, *perWriter, true, &rep)
-	rep.CoalesceSpeedup = rep.CoalescedPerSec / rep.UncoalescedPerSec
+	rep.PatchesPerSec = engineStorm(*writers, *perWriter)
 
 	f, err := os.Create(*out)
 	if err != nil {
@@ -153,9 +146,8 @@ func main() {
 	if err := enc.Encode(rep); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("catalog: incremental %.1f patches/s vs rebuild %.1f patches/s (%.1f×); engine: coalesced %.0f/s vs direct %.0f/s (%.1f×) → %s",
-		rep.IncrementalPerSec, rep.RebuildPerSec, rep.Speedup,
-		rep.CoalescedPerSec, rep.UncoalescedPerSec, rep.CoalesceSpeedup, *out)
+	log.Printf("catalog: incremental %.1f patches/s vs rebuild %.1f patches/s (%.1f×); engine: %.0f patches/s → %s",
+		rep.IncrementalPerSec, rep.RebuildPerSec, rep.Speedup, rep.PatchesPerSec, *out)
 
 	floor := 5.0
 	if *short {
@@ -293,10 +285,9 @@ func verifyEquivalence(inc, reb *catalog.Catalog, storm []*graph.Patch) int {
 }
 
 // engineStorm measures acknowledged end-to-end patch throughput on a
-// durable engine under concurrent writers, with or without patch
-// coalescing. Every writer inserts distinct IN→core edges, so any
-// interleaving (and any batch composition) is valid.
-func engineStorm(writers, perWriter int, coalesce bool, rep *report) float64 {
+// durable engine under concurrent writers. Every writer inserts
+// distinct IN→core edges, so any interleaving is valid.
+func engineStorm(writers, perWriter int) float64 {
 	dir, err := os.MkdirTemp("", "benchpatch-*")
 	if err != nil {
 		log.Fatal(err)
@@ -305,11 +296,7 @@ func engineStorm(writers, perWriter int, coalesce bool, rep *report) float64 {
 
 	g := syngen.GenerateLarge(syngen.LargeConfig{Nodes: 5000, AvgDeg: 5, CoreFraction: 0.9, Seed: 43})
 	ins, _, cores := classify(g)
-	opts := engine.Options{Workers: 2, StorePath: dir}
-	if coalesce {
-		opts.PatchCoalesceCount = 64
-	}
-	eng, err := engine.Open(opts)
+	eng, err := engine.Open(engine.Options{Workers: 2, StorePath: dir})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -357,14 +344,7 @@ func engineStorm(writers, perWriter int, coalesce bool, rep *report) float64 {
 	}
 	sec := time.Since(start).Seconds()
 	total := writers * perWriter
-	mode := "direct"
-	if coalesce {
-		mode = "coalesced"
-		s := eng.Stats()
-		rep.PatchBatches = s.PatchBatches
-		rep.PatchesCoalesced = s.PatchesCoalesced
-	}
-	log.Printf("engine %-10s %d writers × %d patches in %.2fs (%.0f/s)",
-		mode, writers, perWriter, sec, float64(total)/sec)
+	log.Printf("engine %d writers × %d patches in %.2fs (%.0f/s)",
+		writers, perWriter, sec, float64(total)/sec)
 	return float64(total) / sec
 }

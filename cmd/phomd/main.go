@@ -79,10 +79,6 @@ import (
 	"graphmatch/internal/httpapi"
 )
 
-// patchCoalesceCount caps the patches one group commit batches per
-// graph (engine.Options.PatchCoalesceCount).
-const patchCoalesceCount = 64
-
 // loadFlags collects repeated -load name=path pairs.
 type loadFlags []string
 
@@ -213,18 +209,17 @@ func main() {
 	// already answers probes.
 	bootStart := time.Now()
 	eng, err := engine.Open(engine.Options{
-		Workers:            f.workers,
-		MaxClosures:        f.maxClosures,
-		MaxClosureBytes:    f.maxClosureBytes,
-		QueueDepth:         f.queueDepth,
-		MaxPending:         f.maxPending,
-		ExactNodeLimit:     f.maxExact,
-		StorePath:          f.storePath,
-		SnapshotEvery:      f.snapshotEvery,
-		FollowURL:          f.follow,
-		ReplayProgress:     est.Observe,
-		PatchCoalesceCount: patchCoalesceCount,
-		NoTrace:            f.noTrace,
+		Workers:         f.workers,
+		MaxClosures:     f.maxClosures,
+		MaxClosureBytes: f.maxClosureBytes,
+		QueueDepth:      f.queueDepth,
+		MaxPending:      f.maxPending,
+		ExactNodeLimit:  f.maxExact,
+		StorePath:       f.storePath,
+		SnapshotEvery:   f.snapshotEvery,
+		FollowURL:       f.follow,
+		ReplayProgress:  est.Observe,
+		NoTrace:         f.noTrace,
 	})
 	if err != nil {
 		log.Fatalf("phomd: opening engine: %v", err)

@@ -871,7 +871,7 @@ func sameContentIndex(t *testing.T, where string, g *graph.Graph, got, want *sim
 }
 
 // TestCandidateIndexCarriedAcrossPatches drives random patch sequences —
-// content rewrites, node appends, edge edits, merged batches — with
+// content rewrites, node appends, edge edits — with
 // content requests arriving at random points between them (so the index
 // is sometimes built, sometimes pending behind several patches, sometimes
 // never built), and checks the index the catalog hands out always equals
@@ -889,20 +889,7 @@ func TestCandidateIndexCarriedAcrossPatches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := contentPatch(rng, cur, true, true, true)
-			if rng.Intn(3) == 0 { // a coalesced batch: two patches merged into one commit
-				mid, err := cur.ApplyPatch(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if p, err = graph.MergePatches(cur, p, contentPatch(rng, mid, true, true, true)); err != nil {
-					t.Fatal(err)
-				}
-				if p.Empty() {
-					continue
-				}
-			}
-			ng, err := c.Apply("g", p)
+			ng, err := c.Apply("g", contentPatch(rng, cur, true, true, true))
 			if err != nil {
 				t.Fatal(err)
 			}

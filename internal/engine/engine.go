@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"net/http"
 	"runtime"
 	"strings"
 	"sync"
@@ -150,11 +149,6 @@ type Stats struct {
 	Workers int `json:"workers"`
 	// MaxPending is the admission bound in force (0 = no shedding).
 	MaxPending int `json:"max_pending"`
-	// PatchBatches counts multi-patch batches the coalescer committed
-	// as single catalog mutations; PatchesCoalesced counts the patches
-	// that rode in them. Zero when batching is disabled.
-	PatchBatches     uint64 `json:"patch_batches"`
-	PatchesCoalesced uint64 `json:"patches_coalesced"`
 	// SearchIndexPendingDeltas is the point-in-time count of committed
 	// patches the search index has queued and not yet folded into a
 	// graph summary; bounded per summarised graph, 0 while nothing has
@@ -229,29 +223,15 @@ type Options struct {
 	// tail. Requires StorePath. Local mutations (Register, Remove,
 	// ApplyPatch) fail with ErrReadOnly.
 	FollowURL string
-	// FollowClient issues the replication stream requests; nil means a
-	// default client. Tests inject a fault transport here.
-	FollowClient *http.Client
-	// FollowStallTimeout, FollowMinBackoff and FollowMaxBackoff tune
-	// the follower's stall detector and reconnect schedule; zero keeps
-	// the repl package defaults.
-	FollowStallTimeout time.Duration
-	FollowMinBackoff   time.Duration
-	FollowMaxBackoff   time.Duration
 	// ReplayProgress, when non-nil, observes boot-time store replay:
 	// it is called as (done, total) work units — snapshot graphs, WAL
 	// ops, then catalog registrations — so a boot-phase handler can
 	// derive a Retry-After estimate. total may grow between calls (the
 	// registration count is only known once the fold finishes).
 	ReplayProgress func(done, total int)
-	// PatchCoalesceCount enables patch batching: bursts of ApplyPatch
-	// calls (and, on a follower, replicated patch records) against the
-	// same graph are composed with graph.MergePatches and committed as
-	// one catalog mutation — one closure delta, one WAL fsync, one
-	// search-index fold per batch instead of per patch. Batching is
-	// group commit: patches batch only while a previous commit of the
-	// same graph is in flight, adding no latency when idle. The value
-	// caps patches per batch; values ≤ 1 disable batching.
+	// PatchCoalesceCount is ignored: the engine no longer batches
+	// patch bursts, and every patch is one catalog commit. It stays
+	// only because cmd/bench sets it; it goes with that setting.
 	PatchCoalesceCount int
 	// NoTrace disables the flight recorder entirely: Tracer() returns
 	// nil and no spans are ever recorded, even for requests that carry
@@ -260,6 +240,12 @@ type Options struct {
 	// matters mainly for embedders that bring their own tracing. The
 	// recorder keeps the trace package's default ring sizes.
 	NoTrace bool
+
+	// follow carries the follower's transport and timing (Client,
+	// MinBackoff, MaxBackoff, StallTimeout); startFollower fills in the
+	// rest. Zero keeps the repl package defaults. Tests set it to inject
+	// a fault transport and tight reconnect schedules.
+	follow repl.Config
 }
 
 // task is one scheduled computation plus its completion signal. It
@@ -329,11 +315,6 @@ type Engine struct {
 	follower   *repl.Follower
 	primaryURL string
 
-	// coalescer batches patch bursts per graph (see Options.
-	// PatchCoalesceCount); nil when batching is disabled, in which case
-	// patches commit one at a time.
-	coalescer *patchCoalescer
-
 	// tracer is the flight recorder (nil with Options.NoTrace):
 	// completed request traces land here, queryable through
 	// GET /debug/traces and the explain path.
@@ -402,9 +383,6 @@ func Open(opts Options) (*Engine, error) {
 	}
 	if opts.FollowURL != "" && opts.StorePath == "" {
 		return nil, fmt.Errorf("engine: FollowURL requires StorePath (the follower persists the stream to its own WAL)")
-	}
-	if opts.PatchCoalesceCount > 1 {
-		e.coalescer = newPatchCoalescer(e, opts.PatchCoalesceCount)
 	}
 	if !opts.NoTrace {
 		e.tracer = trace.NewRecorder(0, 0)
@@ -502,13 +480,6 @@ func (e *Engine) Close() {
 	if e.follower != nil {
 		e.follower.Stop()
 	}
-	// With the follower stopped and closed set, no new patches can be
-	// submitted; flush what the coalescer still holds before the store
-	// goes away so every accepted patch commits (and, on a primary, is
-	// logged) by the time Close returns.
-	if e.coalescer != nil {
-		e.coalescer.close()
-	}
 	close(e.queue)
 	e.wg.Wait()
 	if e.store != nil {
@@ -526,7 +497,7 @@ func (e *Engine) Close() {
 
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
-	s := Stats{
+	return Stats{
 		Requests:   e.requests.Load(),
 		Executed:   e.executed.Load(),
 		Errors:     e.errors.Load(),
@@ -539,11 +510,6 @@ func (e *Engine) Stats() Stats {
 
 		SearchIndexPendingDeltas: e.searchIdx.PendingDeltas(),
 	}
-	if e.coalescer != nil {
-		s.PatchBatches = e.coalescer.batches.Load()
-		s.PatchesCoalesced = e.coalescer.coalesced.Load()
-	}
-	return s
 }
 
 // Match schedules one request and waits for its result. An

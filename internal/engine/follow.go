@@ -63,16 +63,12 @@ func (e *Engine) ReplSource() *repl.Source {
 // Open, after replay and workers: the follower resumes from the local
 // store's durable tail.
 func (e *Engine) startFollower(opts Options) error {
-	f, err := repl.New(repl.Config{
-		Primary:      opts.FollowURL,
-		Client:       opts.FollowClient,
-		Store:        e.store,
-		Apply:        e.applyReplicated,
-		Reset:        e.resetReplicated,
-		MinBackoff:   opts.FollowMinBackoff,
-		MaxBackoff:   opts.FollowMaxBackoff,
-		StallTimeout: opts.FollowStallTimeout,
-	})
+	cfg := opts.follow
+	cfg.Primary = opts.FollowURL
+	cfg.Store = e.store
+	cfg.Apply = e.applyReplicated
+	cfg.Reset = e.resetReplicated
+	f, err := repl.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -92,22 +88,6 @@ func (e *Engine) startFollower(opts Options) error {
 // reproduce: reported as repl.ErrStateMismatch, which makes the
 // follower resync.
 func (e *Engine) applyReplicated(op store.Op) error {
-	// A batched patch that failed asynchronously means the catalog has
-	// diverged from the WAL we already acknowledged: surface it before
-	// accepting anything further, so the follower resyncs.
-	if e.coalescer != nil {
-		if serr := e.coalescer.stickyErr(); serr != nil {
-			return fmt.Errorf("%w: %v", repl.ErrStateMismatch, serr)
-		}
-		if op.Kind != store.OpPatch {
-			// Register/Remove must observe every earlier patch: flush
-			// the queue so replicated ops commit in stream order.
-			e.coalescer.drain()
-			if serr := e.coalescer.stickyErr(); serr != nil {
-				return fmt.Errorf("%w: %v", repl.ErrStateMismatch, serr)
-			}
-		}
-	}
 	// Re-parent the apply under the primary's trace context: the op
 	// carries the originating request's traceparent (shipped verbatim
 	// off the primary's WAL), so the follower's flight recorder files
@@ -135,19 +115,7 @@ func (e *Engine) applyReplicated(op store.Op) error {
 	case store.OpRemove:
 		err = e.cat.RemoveCtx(ctx, op.Name)
 	case store.OpPatch:
-		if e.coalescer != nil {
-			// Fire-and-forget: the record is durable locally, and the
-			// coalescer batches the catalog commit with its neighbours
-			// in the burst. Enqueued under snapMu so a snapshot's
-			// drain-then-export can never see the append without at
-			// least the enqueue. A commit failure parks in stickyErr
-			// and fails the next apply, which triggers the resync.
-			// The trace context is NOT threaded: the commit happens
-			// after this apply returns and ends its trace.
-			_, err = e.coalescer.enqueue(context.Background(), op.Name, op.Patch, false)
-		} else {
-			_, err = e.cat.ApplyCtx(ctx, op.Name, op.Patch)
-		}
+		_, err = e.cat.ApplyCtx(ctx, op.Name, op.Patch)
 	default:
 		err = fmt.Errorf("unknown op kind %d", op.Kind)
 	}
@@ -197,12 +165,6 @@ func opKindName(k store.OpKind) string {
 // discarding all local history — and swap the catalog to match. Under
 // snapMu for the same reason as applyReplicated.
 func (e *Engine) resetReplicated(state map[string]*graph.Graph, seq uint64) error {
-	// Pending batched patches target catalog state the bootstrap is
-	// about to replace wholesale: drop them, wait out in-flight
-	// commits, and clear the sticky divergence they may have recorded.
-	if e.coalescer != nil {
-		e.coalescer.discard()
-	}
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
 	if err := e.store.ReplaceWithSnapshot(state, seq); err != nil {

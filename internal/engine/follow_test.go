@@ -99,13 +99,15 @@ func (p *testPrimary) shutdown() {
 func openFollower(t *testing.T, dir, primary string, client *http.Client) *Engine {
 	t.Helper()
 	e, err := Open(Options{
-		Workers:            2,
-		StorePath:          dir,
-		FollowURL:          primary,
-		FollowClient:       client,
-		FollowMinBackoff:   2 * time.Millisecond,
-		FollowMaxBackoff:   25 * time.Millisecond,
-		FollowStallTimeout: 250 * time.Millisecond,
+		Workers:   2,
+		StorePath: dir,
+		FollowURL: primary,
+		follow: repl.Config{
+			Client:       client,
+			MinBackoff:   2 * time.Millisecond,
+			MaxBackoff:   25 * time.Millisecond,
+			StallTimeout: 250 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		t.Fatalf("open follower: %v", err)
@@ -401,6 +403,103 @@ func TestFollowerFaultQuickCheck(t *testing.T) {
 	}
 	t.Logf("converged at seq %d: %d connections, %d reconnects, %d resyncs, %d applied",
 		rs.LastApplied, ft.Connections(), rs.Reconnects, rs.Resyncs, rs.Applied)
+}
+
+// TestFollowerCommitsBeforeApplyReturns pins the follower's commit
+// rule: applyReplicated appends a record and commits it under one
+// snapMu hold, so once it returns nil the catalog holds the state at
+// that seq, and a snapshot taken between records exports exactly that
+// state at the rotated seq. Every stream connection is refused, so the
+// only records the follower sees are the ones the test applies.
+func TestFollowerCommitsBeforeApplyReturns(t *testing.T) {
+	dir := t.TempDir()
+	refuse := &repl.FaultTransport{Plan: func(int) repl.Fault { return repl.Fault{Refuse: true} }}
+	f := openFollower(t, dir, "http://127.0.0.1:1", &http.Client{Transport: refuse})
+	defer f.Close()
+
+	ref := map[string]*graph.Graph{}
+	var seq uint64
+	apply := func(op store.Op) {
+		t.Helper()
+		seq++
+		op.Seq = seq
+		if err := f.applyReplicated(op); err != nil {
+			t.Fatalf("seq %d: %v", seq, err)
+		}
+		switch op.Kind {
+		case store.OpRegister:
+			ref[op.Name] = op.Graph.Clone()
+		case store.OpRemove:
+			delete(ref, op.Name)
+		case store.OpPatch:
+			g, err := ref[op.Name].ApplyPatch(op.Patch)
+			if err != nil {
+				t.Fatalf("seq %d: reference rejects the patch: %v", seq, err)
+			}
+			ref[op.Name] = g
+		}
+		got := map[string]*graph.Graph{}
+		for _, name := range f.Catalog().Names() {
+			g, err := f.Catalog().Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[name] = g
+		}
+		sameState(t, fmt.Sprintf("catalog after seq %d", seq), got, ref)
+	}
+
+	for s := 0; s < 2; s++ {
+		g := webgen.Generate(webgen.Config{Category: webgen.Store, Pages: 20, Versions: 1, Seed: int64(s)}).Versions[0]
+		apply(store.Op{Kind: store.OpRegister, Name: fmt.Sprintf("g%d", s), Graph: g})
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 24; i++ {
+		name := fmt.Sprintf("g%d", i%len(ref))
+		apply(store.Op{Kind: store.OpPatch, Name: name, Patch: randomPatch(rng, ref[name])})
+		if i == 17 {
+			apply(store.Op{Kind: store.OpRemove, Name: "g1"})
+		}
+		if i%5 != 4 {
+			continue
+		}
+		st, err := f.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.SnapshotSeq != seq {
+			t.Fatalf("snapshot after seq %d rotated at seq %d", seq, st.SnapshotSeq)
+		}
+		ro, err := store.OpenReadOnly(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := map[string]*graph.Graph{}
+		if err := ro.Replay(func(op store.Op) error {
+			if op.Kind != store.OpRegister || op.Seq != seq {
+				return fmt.Errorf("replay after a snapshot at seq %d yields op kind %d at seq %d", seq, op.Kind, op.Seq)
+			}
+			snap[op.Name] = op.Graph
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sameState(t, fmt.Sprintf("snapshot at seq %d", seq), snap, ref)
+	}
+}
+
+// sameState fails unless two catalogs hold the same names and equal
+// graphs under each.
+func sameState(t *testing.T, where string, got, want map[string]*graph.Graph) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d graphs, want %d", where, len(got), len(want))
+	}
+	for name, w := range want {
+		if g, ok := got[name]; !ok || !graph.Equal(g, w) {
+			t.Fatalf("%s: graph %q differs from the reference", where, name)
+		}
+	}
 }
 
 // TestReplayProgressReported checks the Options.ReplayProgress wiring:

@@ -115,14 +115,6 @@ func (e *Engine) initMetrics() {
 		Latency:  patchHist.Observe,
 		ConeSize: coneHist.Observe,
 	})
-	if e.coalescer != nil {
-		r.CounterFunc("phomd_catalog_patch_batches_total",
-			"Multi-patch batches the coalescer committed as one mutation.",
-			func() float64 { return float64(e.coalescer.batches.Load()) })
-		r.CounterFunc("phomd_catalog_patch_coalesced_total",
-			"Patches that rode in a multi-patch batch.",
-			func() float64 { return float64(e.coalescer.coalesced.Load()) })
-	}
 
 	// Search.
 	r.CounterFunc("phomd_search_requests_total",

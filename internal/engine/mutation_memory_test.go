@@ -284,7 +284,7 @@ func vmHWM() (bytes int64, ok bool) {
 
 // TestPatchSoak is ROADMAP item 3's soak: 50 000 patches of the
 // mutate_read mix — node appends included — from two writers through an
-// engine with a store and phomd's patch batching, a match now and then.
+// engine with a store, one commit per patch, a match now and then.
 // The mix appends 5 000 nodes, and their rows and closure bits are real
 // memory, so what must stay flat is the heap the catalog's contents do
 // not explain: live heap minus the live heap of a fresh engine holding
@@ -300,7 +300,7 @@ func TestPatchSoak(t *testing.T) {
 		patches = 50000
 		writers = 2
 	)
-	e, err := Open(Options{Workers: 2, StorePath: t.TempDir(), SnapshotEvery: 1000, PatchCoalesceCount: 64})
+	e, err := Open(Options{Workers: 2, StorePath: t.TempDir(), SnapshotEvery: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

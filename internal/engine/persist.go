@@ -131,12 +131,6 @@ func (e *Engine) ApplyPatchCtx(ctx context.Context, name string, p *graph.Patch)
 	if e.follower != nil {
 		return nil, fmt.Errorf("%w: patch %q on %s", ErrReadOnly, name, e.primaryURL)
 	}
-	if e.coalescer != nil {
-		// The batch path: waits until the batch containing this patch
-		// commits, so the acknowledgement still means durable and
-		// visible. maybeSnapshot runs inside the coalescer, per commit.
-		return e.coalescer.enqueue(ctx, name, p, true)
-	}
 	g, err := e.cat.ApplyCtx(ctx, name, p)
 	if err != nil {
 		return nil, err
@@ -156,18 +150,6 @@ func (e *Engine) Snapshot() (store.Stats, error) {
 	}
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
-	// On a follower, patch commits are decoupled from WAL appends (the
-	// coalescer applies them after the replication loop has already
-	// persisted the records), so the catalog may lag the WAL tail.
-	// Drain it so the exported state matches the rotated sequence
-	// number; snapMu is held, so no new replicated records can arrive
-	// mid-drain. A primary never needs (or safely could do) this: its
-	// WAL appends happen inside each catalog commit, so state and seq
-	// always agree, and draining under a sustained storm would stall
-	// snapshots behind an ever-refilling queue.
-	if e.follower != nil && e.coalescer != nil {
-		e.coalescer.drain()
-	}
 	var (
 		seq    uint64
 		sealed []string

@@ -92,13 +92,13 @@ func patchBase() *graph.Graph {
 	return g
 }
 
-// patchHandler shares one engine with the patch coalescer enabled, so
-// the fuzzer also drags the batching layer (single-patch fast path)
-// behind PATCH. A separate engine from FuzzRegisterGraph's: that one's
-// catalog must stay empty between iterations.
+// patchHandler shares one engine across iterations and registers the
+// pristine target whenever an accepted patch has reset it. A separate
+// engine from FuzzRegisterGraph's: that one's catalog must stay empty
+// between iterations.
 func patchHandler(t *testing.T) http.Handler {
 	patchOnce.Do(func() {
-		patchEng = engine.New(engine.Options{Workers: 1, PatchCoalesceCount: 8})
+		patchEng = engine.New(engine.Options{Workers: 1})
 		patchMux = New(patchEng)
 	})
 	if patchEng.Catalog().Len() == 0 {
