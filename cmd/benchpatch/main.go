@@ -16,8 +16,11 @@
 //
 // Scenario B (engine): concurrent writers storm one graph through
 // engine.ApplyPatch on a durable store, measuring the end-to-end
-// acknowledged patches/sec. Every patch is its own catalog commit and
-// WAL fsync; this is the baseline a store-level group commit must beat.
+// acknowledged patches/sec over engineRounds rounds of at least one
+// second each (250 ms under -short), reported as the median and
+// quartiles of the per-round rates. Every patch is its own catalog
+// commit and WAL fsync; this is the baseline a store-level group commit
+// must beat.
 //
 // benchpatch emits BENCH_patch.json and fails when incremental
 // maintenance does not beat rebuild by at least 5× (full run; the
@@ -35,7 +38,9 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"graphmatch/internal/catalog"
@@ -67,23 +72,32 @@ type report struct {
 	// divergence aborts the run before the report is written.
 	ReachSamples int `json:"reach_samples"`
 	// Scenario B: concurrent writers, engine-level, durable store.
-	Writers       int     `json:"writers"`
-	EnginePatches int     `json:"engine_patches"`
-	PatchesPerSec float64 `json:"patches_per_sec"`
+	// EnginePatches sums the acknowledged patches of all rounds;
+	// PatchesPerSec is the median per-round rate, Q1/Q3 its quartiles.
+	Writers         int     `json:"writers"`
+	EngineRounds    int     `json:"engine_rounds"`
+	EngineRoundSec  float64 `json:"engine_round_min_sec"`
+	EnginePatches   int     `json:"engine_patches"`
+	PatchesPerSec   float64 `json:"patches_per_sec"`
+	PatchesPerSecQ1 float64 `json:"patches_per_sec_q1"`
+	PatchesPerSecQ3 float64 `json:"patches_per_sec_q3"`
 }
+
+// engineRounds is how many timed rounds scenario B runs.
+const engineRounds = 5
 
 func main() {
 	out := flag.String("out", "BENCH_patch.json", "output path")
 	nodes := flag.Int("nodes", 100000, "bow-tie graph size (scenario A)")
 	patches := flag.Int("patches", 150, "storm length (scenario A)")
 	writers := flag.Int("writers", 8, "concurrent patch writers (scenario B)")
-	perWriter := flag.Int("per-writer", 40, "patches per writer (scenario B)")
-	short := flag.Bool("short", false, "CI-sized run: smaller graph, shorter storm")
+	short := flag.Bool("short", false, "CI-sized run: smaller graph, shorter storm and rounds")
 	flag.Parse()
+	round := time.Second
 	if *short {
 		*nodes = 20000
 		*patches = 40
-		*perWriter = 20
+		round = 250 * time.Millisecond
 	}
 
 	g := syngen.GenerateLarge(syngen.LargeConfig{Nodes: *nodes, AvgDeg: 5, CoreFraction: 0.9, Seed: 42})
@@ -101,6 +115,9 @@ func main() {
 		Edges:      g.NumEdges(),
 		Patches:    len(storm),
 		Writers:    *writers,
+
+		EngineRounds:   engineRounds,
+		EngineRoundSec: round.Seconds(),
 	}
 
 	// Scenario A. Registration and the first closure build are untimed
@@ -133,8 +150,9 @@ func main() {
 		rep.ReachSamples, rep.DeltaPatches, len(storm))
 
 	// Scenario B.
-	rep.EnginePatches = *writers * *perWriter
-	rep.PatchesPerSec = engineStorm(*writers, *perWriter)
+	rates, total := engineStorm(*writers, round)
+	rep.EnginePatches = total
+	rep.PatchesPerSecQ1, rep.PatchesPerSec, rep.PatchesPerSecQ3 = rates[len(rates)/4], rates[len(rates)/2], rates[3*len(rates)/4]
 
 	f, err := os.Create(*out)
 	if err != nil {
@@ -146,8 +164,8 @@ func main() {
 	if err := enc.Encode(rep); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("catalog: incremental %.1f patches/s vs rebuild %.1f patches/s (%.1f×); engine: %.0f patches/s → %s",
-		rep.IncrementalPerSec, rep.RebuildPerSec, rep.Speedup, rep.PatchesPerSec, *out)
+	log.Printf("catalog: incremental %.1f patches/s vs rebuild %.1f patches/s (%.1f×); engine: %.0f patches/s (IQR %.0f–%.0f) → %s",
+		rep.IncrementalPerSec, rep.RebuildPerSec, rep.Speedup, rep.PatchesPerSec, rep.PatchesPerSecQ1, rep.PatchesPerSecQ3, *out)
 
 	floor := 5.0
 	if *short {
@@ -285,9 +303,13 @@ func verifyEquivalence(inc, reb *catalog.Catalog, storm []*graph.Patch) int {
 }
 
 // engineStorm measures acknowledged end-to-end patch throughput on a
-// durable engine under concurrent writers. Every writer inserts
-// distinct IN→core edges, so any interleaving is valid.
-func engineStorm(writers, perWriter int) float64 {
+// durable engine under concurrent writers: engineRounds rounds, in each
+// of which every writer patches until the round's minimum duration has
+// passed. It returns the per-round rates, ascending, and the total
+// patch count. Every patch inserts a distinct IN→core edge (until the
+// pairs wrap around, when re-inserts are no-op commits), so any
+// interleaving is valid.
+func engineStorm(writers int, round time.Duration) (rates []float64, total int) {
 	dir, err := os.MkdirTemp("", "benchpatch-*")
 	if err != nil {
 		log.Fatal(err)
@@ -319,32 +341,40 @@ func engineStorm(writers, perWriter int) float64 {
 	}
 	runtime.GC()
 
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				idx := w*perWriter + i
-				e := [2]graph.NodeID{ins[idx%len(ins)], cores[(idx/len(ins))%len(cores)]}
-				if _, err := eng.ApplyPatch("web", &graph.Patch{AddEdges: [][2]graph.NodeID{{e[0], e[1]}}}); err != nil {
-					errs[w] = fmt.Errorf("writer %d patch %d: %w", w, i, err)
-					return
+	var next atomic.Int64 // index of the next patch, across rounds
+	for r := 0; r < engineRounds; r++ {
+		start := time.Now()
+		deadline := start.Add(round)
+		var wg sync.WaitGroup
+		var acked atomic.Int64
+		errs := make([]error, writers)
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for time.Now().Before(deadline) {
+					idx := int(next.Add(1) - 1)
+					e := [2]graph.NodeID{ins[idx%len(ins)], cores[(idx/len(ins))%len(cores)]}
+					if _, err := eng.ApplyPatch("web", &graph.Patch{AddEdges: [][2]graph.NodeID{e}}); err != nil {
+						errs[w] = fmt.Errorf("round %d writer %d: %w", r, w, err)
+						return
+					}
+					acked.Add(1)
 				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			log.Fatal(err)
+			}(w)
 		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				log.Fatal(err)
+			}
+		}
+		sec := time.Since(start).Seconds()
+		n := int(acked.Load())
+		total += n
+		rates = append(rates, float64(n)/sec)
+		log.Printf("engine round %d: %d writers, %d patches in %.2fs (%.0f/s)", r, writers, n, sec, float64(n)/sec)
 	}
-	sec := time.Since(start).Seconds()
-	total := writers * perWriter
-	log.Printf("engine %d writers × %d patches in %.2fs (%.0f/s)",
-		writers, perWriter, sec, float64(total)/sec)
-	return float64(total) / sec
+	slices.Sort(rates)
+	return rates, total
 }

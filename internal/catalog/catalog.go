@@ -221,31 +221,12 @@ func (c *Catalog) setEntryLocked(name string, ge *graphEntry) {
 	c.graphs[name] = ge
 }
 
-// Mutation describes one committed registry change for MutationHook
-// observers.
-type Mutation struct {
-	// Removed marks a Remove; g is the graph that was registered.
-	Removed bool
-	// Patch and Prev are set on Apply and carry the changed-content
-	// delta: g was produced by applying Patch to Prev. Observers that
-	// maintain per-node derived state (the search index's shingle
-	// postings and degree signatures) use them to update only what
-	// changed instead of re-deriving the whole graph. Both are nil on
-	// Register, Replace and hook-installation replay.
-	Patch *graph.Patch
-	Prev  *graph.Graph
-}
-
 // MutationHook observes registry mutations: it is invoked once per
-// successful Register, Remove and Apply (g is the patched replacement
-// graph on Apply — a new pointer, which is how observers distinguish an
-// in-place update from a replayed Register). Hooks run synchronously
-// under the catalog lock so observers see mutations in their true
-// order; they must return quickly and must not call back into the
-// catalog. Work too heavy for the lock hold is returned as settle,
-// which Apply runs once it has released the lock (nil: nothing to do;
-// no other notification may return one).
-type MutationHook func(name string, g *graph.Graph, m Mutation) (settle func())
+// successful Register, Remove and Apply with the graph's name (removed
+// marks a Remove). Hooks run synchronously under the catalog lock so
+// observers see mutations in their true order; they must return
+// quickly and must not call back into the catalog.
+type MutationHook func(name string, removed bool)
 
 // Persister is the catalog's write-ahead durability callback. Each
 // method is invoked under the catalog lock, after validation but
@@ -352,7 +333,7 @@ func (c *Catalog) RegisterCtx(ctx context.Context, name string, g *graph.Graph) 
 	}
 	c.setEntryLocked(name, &graphEntry{g: g})
 	if c.onMutate != nil {
-		c.onMutate(name, g, Mutation{})
+		c.onMutate(name, false)
 	}
 	c.mu.Unlock()
 	// The registration is committed (and durable, with a persister); the
@@ -392,7 +373,7 @@ func (c *Catalog) SetMutationHook(fn MutationHook) {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		fn(n, c.graphs[n].g, Mutation{})
+		fn(n, false)
 	}
 }
 
@@ -426,8 +407,7 @@ func (c *Catalog) RemoveCtx(ctx context.Context, name string) error {
 	defer sp.End()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ge, ok := c.graphs[name]
-	if !ok {
+	if _, ok := c.graphs[name]; !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	if c.persist != nil {
@@ -437,7 +417,7 @@ func (c *Catalog) RemoveCtx(ctx context.Context, name string) error {
 	}
 	c.setEntryLocked(name, nil)
 	if c.onMutate != nil {
-		c.onMutate(name, ge.g, Mutation{Removed: true})
+		c.onMutate(name, true)
 	}
 	c.dropClosuresLocked(name)
 	return nil
@@ -447,10 +427,9 @@ func (c *Catalog) RemoveCtx(ctx context.Context, name string) error {
 // behind PATCH /v1/graphs/{name}. Registered graphs are shared
 // immutable objects (concurrent matchers and cached closures read
 // them), so the patch is applied copy-on-write — the patched clone is
-// swapped into the registry and the mutation hook fires with the new
-// graph and the patch delta so the search index updates only what
-// changed — all under one lock hold, so observers never see a
-// half-applied edit.
+// swapped into the registry and the mutation hook fires, so the search
+// index marks the graph's summary stale — all under one lock hold, so
+// observers never see a half-applied edit.
 //
 // The cached full closure is maintained incrementally whenever it can
 // be: the delta update runs outside the lock against the captured
@@ -482,12 +461,10 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 	// holding it across a 100k-node copy would stall the serving hot
 	// path behind each mutation. The commit below re-checks that the
 	// entry is still the one the clone derived from and retries against
-	// the newer graph otherwise (same optimistic pattern the search
-	// index uses for its summaries).
+	// the newer graph otherwise.
 	var ng *graph.Graph
 	var incremental bool
 	var coneSize int
-	var settle func()
 	for {
 		c.mu.Lock()
 		ge, ok := c.graphs[name]
@@ -541,7 +518,7 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 		}
 		c.setEntryLocked(name, ne)
 		if c.onMutate != nil {
-			settle = c.onMutate(name, ng, Mutation{Patch: p, Prev: ge.g})
+			c.onMutate(name, false)
 		}
 		c.buildTime += deltaTime
 		if incremental {
@@ -553,9 +530,6 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 		}
 		c.mu.Unlock()
 		break
-	}
-	if settle != nil {
-		settle()
 	}
 	if !incremental {
 		// Warm the closure eagerly, like Register. The patch is
@@ -629,17 +603,16 @@ func (c *Catalog) Replace(state map[string]*graph.Graph) error {
 	}
 	sort.Strings(old)
 	for _, n := range old {
-		ge := c.graphs[n]
 		c.setEntryLocked(n, nil)
 		if c.onMutate != nil {
-			c.onMutate(n, ge.g, Mutation{Removed: true})
+			c.onMutate(n, true)
 		}
 		c.dropClosuresLocked(n)
 	}
 	for _, n := range names {
 		c.setEntryLocked(n, &graphEntry{g: state[n]})
 		if c.onMutate != nil {
-			c.onMutate(n, state[n], Mutation{})
+			c.onMutate(n, false)
 		}
 	}
 	c.mu.Unlock()

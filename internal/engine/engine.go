@@ -35,7 +35,6 @@ import (
 	"graphmatch/internal/metrics"
 	"graphmatch/internal/repl"
 	"graphmatch/internal/search"
-	"graphmatch/internal/shingle"
 	"graphmatch/internal/simmatrix"
 	"graphmatch/internal/simulation"
 	"graphmatch/internal/store"
@@ -149,11 +148,6 @@ type Stats struct {
 	Workers int `json:"workers"`
 	// MaxPending is the admission bound in force (0 = no shedding).
 	MaxPending int `json:"max_pending"`
-	// SearchIndexPendingDeltas is the point-in-time count of committed
-	// patches the search index has queued and not yet folded into a
-	// graph summary; bounded per summarised graph, 0 while nothing has
-	// been searched.
-	SearchIndexPendingDeltas int `json:"search_index_pending_deltas"`
 }
 
 // ErrExactLimit rejects an exact-decision request whose pattern
@@ -507,8 +501,6 @@ func (e *Engine) Stats() Stats {
 		Searches:   e.searches.Load(),
 		Workers:    e.workers,
 		MaxPending: e.maxPending,
-
-		SearchIndexPendingDeltas: e.searchIdx.PendingDeltas(),
 	}
 }
 
@@ -611,15 +603,13 @@ func (e *Engine) matchBatch(ctx context.Context, reqs []Request, p *prepared) []
 }
 
 // prepared is a request pattern made ready for the workers: normalised
-// and — on the first content-similarity use — shingled, its sets kept
-// for stage 1 of a search and its distinct shingles sorted once for
-// every content matrix. Every task of a fan-out over one pattern object
-// shares it.
+// and — on the first content-similarity use — shingled, its distinct
+// shingles sorted once for stage 1 of a search and every content
+// matrix. Every task of a fan-out over one pattern object shares it.
 type prepared struct {
 	g *graph.Graph
 
 	contentOnce sync.Once
-	sets        []shingle.Set
 	pattern     *simmatrix.ContentPattern
 }
 
@@ -638,8 +628,7 @@ func (e *Engine) prepare(g *graph.Graph) *prepared {
 // tasks and stages ask.
 func (p *prepared) content() *prepared {
 	p.contentOnce.Do(func() {
-		p.sets = simmatrix.ContentSets(p.g, 0)
-		p.pattern = simmatrix.NewContentPattern(p.sets)
+		p.pattern = simmatrix.NewContentPattern(simmatrix.ContentSets(p.g, 0))
 	})
 	return p
 }

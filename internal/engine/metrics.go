@@ -120,9 +120,6 @@ func (e *Engine) initMetrics() {
 	r.CounterFunc("phomd_search_requests_total",
 		"Catalog-wide search calls.",
 		func() float64 { return float64(e.searches.Load()) })
-	r.GaugeFunc("phomd_search_index_pending_deltas",
-		"Committed patches queued in the search index, not yet folded into a graph summary.",
-		func() float64 { return float64(e.searchIdx.PendingDeltas()) })
 	e.mSearchCandidates = r.Histogram("phomd_search_candidates",
 		"Stage-1 candidates handed to the matcher per search.", searchCandidateBuckets)
 	e.mSearchPruneRatio = r.Histogram("phomd_search_prune_ratio",

@@ -109,8 +109,8 @@ func mustMatch(t *testing.T, e *Engine, name string, pattern *graph.Graph) Resul
 // item 3: 2 000 single-edge patches on a 2 000-node graph, no search in
 // between, leave no superseded graph version reachable — an early
 // version is finalized and the live heap has not grown by the ≈ 350 MB
-// the search index's delta queue used to pin — whether or not a search
-// built the graph's summary before the run.
+// the search index's former delta queue pinned — whether or not a
+// search built the graph's summary before the run.
 func TestPatchesRetainNoGraphVersion(t *testing.T) {
 	for _, searched := range []bool{false, true} {
 		t.Run(fmt.Sprintf("searched=%v", searched), func(t *testing.T) {
@@ -159,9 +159,6 @@ func TestPatchesRetainNoGraphVersion(t *testing.T) {
 			st := e.Catalog().Stats()
 			if st.PatchesRebuild != 0 {
 				t.Fatalf("patches fell back: %d closure rebuilds", st.PatchesRebuild)
-			}
-			if q := e.Stats().SearchIndexPendingDeltas; (!searched && q != 0) || q > 64 {
-				t.Fatalf("%d patch deltas queued in the search index (searched=%v)", q, searched)
 			}
 		})
 	}

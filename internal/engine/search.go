@@ -138,11 +138,11 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 		pol.MinResemblance = math.Max(req.MinResemblance, 0)
 	}
 	// Prepare the pattern once, up front: stage 1 summarises the same
-	// shingle sets every stage-2 content matrix is built from.
+	// distinct shingles every stage-2 content matrix is built from.
 	prep := e.prepare(req.Pattern)
 
 	start := time.Now()
-	cands, cstats := e.searchIdx.Candidates(search.SummarizeSets(req.Pattern, prep.content().sets), pol)
+	cands, cstats := e.searchIdx.Candidates(search.SummaryOf(req.Pattern, prep.content().pattern.Shingles()), pol)
 	stats := SearchStats{
 		Graphs:     cstats.Graphs,
 		Candidates: len(cands),

@@ -105,9 +105,10 @@ func TestSearchEquivalenceQuickCheck(t *testing.T) {
 }
 
 // TestSearchConcurrentChurn runs searches while other goroutines
-// register and remove graphs. Under -race this pins the coherence
-// contract: no panic, hits only ever name graphs that were registered,
-// and a graph removed before the search starts is never returned.
+// register, remove and patch graphs. Under -race this pins the
+// coherence contract: no panic, hits only ever name graphs that were
+// registered, and a graph removed before the search starts is never
+// returned.
 func TestSearchConcurrentChurn(t *testing.T) {
 	e := New(Options{Workers: 4})
 	defer e.Close()
@@ -123,9 +124,36 @@ func TestSearchConcurrentChurn(t *testing.T) {
 	}
 
 	churnArch := webgen.Generate(webgen.Config{Category: webgen.Newspaper, Pages: 60, Versions: 1, Seed: 5}).Versions[0]
+	patched := webgen.Generate(webgen.Config{Category: webgen.Store, Pages: 60, Versions: 1, Seed: 11}).Versions[0]
+	if err := e.Register("patched", patched); err != nil {
+		t.Fatal(err)
+	}
 	const churners = 3
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	// One patcher alternates edge-only and set_content patches on a
+	// graph that stays registered throughout.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			g, err := e.Catalog().Get("patched")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := e.ApplyPatch("patched", randomSearchPatch(rng, g, i%2)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	for c := 0; c < churners; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -143,7 +171,7 @@ func TestSearchConcurrentChurn(t *testing.T) {
 		}(c)
 	}
 
-	valid := map[string]bool{"stable/v0": true, "stable/v1": true}
+	valid := map[string]bool{"stable/v0": true, "stable/v1": true, "patched": true}
 	for c := 0; c < churners; c++ {
 		valid[fmt.Sprintf("churn-%d", c)] = true
 	}
@@ -167,6 +195,97 @@ func TestSearchConcurrentChurn(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// randomSearchPatch builds a valid patch against g of one kind:
+// 0 toggles one edge (edge-only), 1 rewrites one node's content from
+// another node's text plus a word, 2 appends a node with content linked
+// from an existing one.
+func randomSearchPatch(rng *rand.Rand, g *graph.Graph, kind int) *graph.Patch {
+	n := g.NumNodes()
+	u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+	text := func() string {
+		return fmt.Sprintf("%s extra%d", g.Content(graph.NodeID(rng.Intn(n))), rng.Intn(8))
+	}
+	switch kind {
+	case 0:
+		if g.HasEdge(u, v) {
+			return &graph.Patch{DelEdges: [][2]graph.NodeID{{u, v}}}
+		}
+		return &graph.Patch{AddEdges: [][2]graph.NodeID{{u, v}}}
+	case 1:
+		return &graph.Patch{SetContent: []graph.ContentUpdate{{Node: u, Content: text()}}}
+	default:
+		return &graph.Patch{
+			AddNodes: []graph.Node{{Label: g.Label(v), Weight: 1, Content: text()}},
+			AddEdges: [][2]graph.NodeID{{u, graph.NodeID(n)}},
+		}
+	}
+}
+
+// TestSearchAfterPatchesEqualsFreshEngine pins search over patched
+// graphs: after a seeded run of edge-only, set_content and add-node
+// patches, interleaved with searches that rebuild stale summaries, an
+// engine's hits must deep-equal those of a fresh engine that registered
+// the final graphs — under the zero policy and under a pruning one.
+func TestSearchAfterPatchesEqualsFreshEngine(t *testing.T) {
+	e := New(Options{Workers: 2})
+	defer e.Close()
+	var patterns []*graph.Graph
+	for s, cat := range []webgen.Category{webgen.Store, webgen.Newspaper} {
+		patterns = append(patterns, registerArchive(t, e, fmt.Sprintf("s%d", s), cat, int64(20+s), 50, 3, 6))
+	}
+	names := e.Catalog().Names()
+	policies := []SearchRequest{
+		{Algo: MaxSim, Xi: 0.5, Sim: SimContent, K: 4},
+		{Algo: MaxSim, Xi: 0.5, Sim: SimContent, K: 4, MinResemblance: 0.1, MaxCandidates: 3},
+	}
+	search := func(e *Engine, pattern *graph.Graph, req SearchRequest) SearchResult {
+		req.Pattern = pattern
+		res := e.Search(context.Background(), req)
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		return res
+	}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(17))
+	for step := 0; step < 60; step++ {
+		name := names[rng.Intn(len(names))]
+		g, err := e.Catalog().Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.ApplyPatchCtx(ctx, name, randomSearchPatch(rng, g, rng.Intn(3))); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if step%5 == 0 {
+			search(e, patterns[rng.Intn(len(patterns))], policies[rng.Intn(len(policies))])
+		}
+	}
+
+	fresh := New(Options{Workers: 2})
+	defer fresh.Close()
+	for _, name := range names {
+		g, err := e.Catalog().Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Register(name, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, pattern := range patterns {
+		for j, req := range policies {
+			got, want := search(e, pattern, req), search(fresh, pattern, req)
+			if !reflect.DeepEqual(got.Hits, want.Hits) {
+				t.Fatalf("pattern %d policy %d: patched engine's hits diverge from a fresh engine's\n got %+v\nwant %+v", i, j, got.Hits, want.Hits)
+			}
+			if got.Stats.Candidates != want.Stats.Candidates || got.Stats.Pruned != want.Stats.Pruned {
+				t.Fatalf("pattern %d policy %d: stage 1 diverges: %+v vs %+v", i, j, got.Stats, want.Stats)
+			}
+		}
+	}
 }
 
 // TestSearchValidation pins the request-level failure modes.

@@ -5,54 +5,26 @@ import (
 	"sync"
 
 	"graphmatch/internal/catalog"
-	"graphmatch/internal/graph"
-	"graphmatch/internal/simmatrix"
 )
 
-// patchDelta is one committed graph patch awaiting incremental folding
-// into a record's summary: g is prev with p applied.
-type patchDelta struct {
-	prev, g *graph.Graph
-	p       *graph.Patch
-}
-
-// maxPendingDeltas bounds a record's queue of unfolded patch deltas;
-// past it the patch path folds the queue itself. Every queued delta
-// keeps two graph versions reachable, so the bound is what keeps a
-// summarised graph that is patched but never searched from pinning its
-// whole history. 64 — see DESIGN.md, "Memory under mutation".
-const maxPendingDeltas = 64
-
-// rec is the index's record of one registered graph. The summary is
-// built lazily (once, outside the index lock — summarising shingles a
-// whole graph, which must not stall registration or concurrent
-// searches) and maintained incrementally afterwards: committed patches
-// queue as deltas under Index.mu and the next search folds them into
-// the refcounted intermediates, re-shingling only changed nodes. Until
-// the first search asks for the summary there is nothing to maintain:
-// a patch just replaces the graph.
+// rec is the index's record of one registered graph. It holds no graph:
+// its summary is read from the catalog's content index of the graph
+// version current when a search ensures it (once, outside the index
+// lock — shingling a whole graph must not stall registration or
+// concurrent searches). A commit only marks the record stale.
 type rec struct {
 	name string
 
-	// Guarded by Index.mu: the latest graph, whether patches queue
-	// deltas (from the start of the first summary build on), the queue
-	// of unfolded deltas, whether the summary build has been published,
-	// and whether sum.Hashes live in the postings map.
-	g       *graph.Graph
-	queue   bool
-	pending []patchDelta
-	built   bool
-	indexed bool
+	// fresh is guarded by Index.mu: false from registration and from
+	// each patch until a search has rebuilt sum from a version no older.
+	fresh bool
 
-	// buildMu serialises summary builds and delta folds for this
-	// record. counts (distinct shingle hash → number of contributing
-	// nodes) and degs (raw degree-bucket counts) are touched only by
-	// the buildMu holder; sum is written by the buildMu holder and
-	// published under Index.mu, where Candidates snapshots it.
+	// buildMu serialises summary rebuilds for this record. sum is
+	// written by the buildMu holder and published under Index.mu,
+	// where Candidates snapshots it; sum.Hashes are exactly the hashes
+	// the record is posted under.
 	buildMu sync.Mutex
 	sum     Summary
-	counts  map[uint64]int32
-	degs    [HistBuckets]int
 }
 
 // Index is the stage-1 candidate index over a catalog's registered
@@ -62,10 +34,10 @@ type rec struct {
 // NewIndex installs — Register, Remove and Apply reach the index
 // synchronously, in mutation order.
 type Index struct {
+	cat      *catalog.Catalog
 	mu       sync.Mutex
 	recs     map[string]*rec
 	postings map[uint64][]*rec
-	pending  int // Σ len(rec.pending) over recs
 }
 
 // NewIndex builds an index over cat and keeps it coherent by
@@ -76,6 +48,7 @@ type Index struct {
 // populated catalog is equivalent to having observed every Register.
 func NewIndex(cat *catalog.Catalog) *Index {
 	ix := &Index{
+		cat:      cat,
 		recs:     make(map[string]*rec),
 		postings: make(map[uint64][]*rec),
 	}
@@ -84,232 +57,83 @@ func NewIndex(cat *catalog.Catalog) *Index {
 }
 
 // onMutate is the catalog hook. It runs under the catalog lock, so it
-// only does map bookkeeping — the expensive summary work is deferred
-// to the next search, or, once a record's queue is full, to the settle
-// func the catalog runs after unlocking. A patch against the graph the
-// record already tracks queues an incremental delta if a summary exists
-// to maintain; anything else (register, replace, a patch whose base we
-// never saw) drops the record and starts fresh.
-func (ix *Index) onMutate(name string, g *graph.Graph, m catalog.Mutation) (settle func()) {
+// only does map bookkeeping: a removal drops the record, a patch marks
+// it stale, and a registration starts a stale one. The summary work is
+// deferred to the next search.
+func (ix *Index) onMutate(name string, removed bool) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	old := ix.recs[name]
-	if m.Removed {
-		if old != nil {
-			ix.dropLocked(old)
+	r := ix.recs[name]
+	switch {
+	case removed:
+		if r != nil {
+			delete(ix.recs, name)
+			ix.repostLocked(r, nil)
 		}
+	case r != nil:
+		r.fresh = false
+	default:
+		ix.recs[name] = &rec{name: name}
+	}
+}
+
+// repostLocked moves r's postings from r.sum.Hashes to hashes. The two
+// are the same slice when the catalog carried the content index
+// forward (an edge-only patch), and the postings stay as they are.
+// Callers hold ix.mu.
+func (ix *Index) repostLocked(r *rec, hashes []uint64) {
+	old := r.sum.Hashes
+	if len(old) == len(hashes) && (len(old) == 0 || &old[0] == &hashes[0]) {
 		return
 	}
-	if old != nil {
-		if old.g == g {
-			return // idempotent replay of a graph already indexed
-		}
-		if m.Patch != nil && old.g == m.Prev {
-			old.g = g
-			if old.queue {
-				old.pending = append(old.pending, patchDelta{prev: m.Prev, g: g, p: m.Patch})
-				ix.pending++
+	for _, h := range old {
+		list := ix.postings[h]
+		for i, other := range list {
+			if other == r {
+				list[i] = list[len(list)-1]
+				list = list[:len(list)-1]
+				break
 			}
-			if len(old.pending) > maxPendingDeltas {
-				settle = func() { ix.ensure(old) }
-			}
-			return
 		}
-		ix.dropLocked(old)
-	}
-	ix.recs[name] = &rec{name: name, g: g}
-	return
-}
-
-// PendingDeltas reports the patch deltas queued across all records and
-// not yet folded into their summaries.
-func (ix *Index) PendingDeltas() int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.pending
-}
-
-// dropLocked removes r from the record map and, when its hashes were
-// committed, from every posting list. Callers hold ix.mu.
-func (ix *Index) dropLocked(r *rec) {
-	if ix.recs[r.name] == r {
-		delete(ix.recs, r.name)
-	}
-	ix.pending -= len(r.pending)
-	r.pending, r.queue = nil, false
-	if !r.indexed {
-		return
-	}
-	r.indexed = false
-	for _, h := range r.sum.Hashes {
-		ix.removePostingLocked(h, r)
-	}
-}
-
-// removePostingLocked deletes r from the posting list of h. Callers
-// hold ix.mu.
-func (ix *Index) removePostingLocked(h uint64, r *rec) {
-	list := ix.postings[h]
-	for i, other := range list {
-		if other == r {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			break
+		if len(list) == 0 {
+			delete(ix.postings, h)
+		} else {
+			ix.postings[h] = list
 		}
 	}
-	if len(list) == 0 {
-		delete(ix.postings, h)
-	} else {
-		ix.postings[h] = list
+	for _, h := range hashes {
+		ix.postings[h] = append(ix.postings[h], r)
 	}
+	r.sum.Hashes = hashes
 }
 
-// ensure brings r's summary up to date: a full summarizeCounted on
-// first use, an incremental fold of the queued patch deltas afterwards.
-// Edge-only patches touch no shingles — the hash sample and postings
-// are reused as-is and only the degree signature shifts; content
-// changes re-shingle exactly the written nodes and diff the bottom-k
-// sample against the postings. Folding from refcounts keeps the result
-// bit-identical to a fresh Summarize of the current graph.
+// ensure rebuilds a stale record's summary from the catalog's content
+// index of the current graph version, which stage 2's content matrices
+// read too, so each version is shingled once. The record is marked
+// fresh before the catalog is read: a commit landing after that marks
+// it stale again, and the next search rebuilds once more.
 func (ix *Index) ensure(r *rec) {
 	r.buildMu.Lock()
 	defer r.buildMu.Unlock()
 
 	ix.mu.Lock()
-	alive := ix.recs[r.name] == r
-	g := r.g
-	pending := r.pending
-	r.pending = nil
-	ix.pending -= len(pending)
-	built := r.built
-	r.queue = alive // from this snapshot on, the summary follows g by deltas
+	stale := ix.recs[r.name] == r && !r.fresh
+	r.fresh = true
 	ix.mu.Unlock()
-	if !alive {
+	if !stale {
 		return
 	}
-
-	if !built {
-		sum, counts, degs := summarizeCounted(g, simmatrix.ContentSets(g, 0))
-		ix.mu.Lock()
-		if ix.recs[r.name] == r {
-			if !r.indexed {
-				for _, h := range sum.Hashes {
-					ix.postings[h] = append(ix.postings[h], r)
-				}
-				r.indexed = true
-			}
-			r.sum, r.counts, r.degs = sum, counts, degs
-			r.built = true
-		}
-		ix.mu.Unlock()
-		return
+	g, content, err := ix.cat.ContentSets(r.name)
+	if err != nil {
+		return // removed meanwhile: the hook has dropped the record
 	}
-	if len(pending) == 0 {
-		return
-	}
-
-	contentChanged := false
-	for _, pd := range pending {
-		prevN := pd.prev.NumNodes()
-
-		// Degree histogram: only endpoints of changed edges and new
-		// nodes can shift buckets.
-		touched := make(map[graph.NodeID]struct{}, 2*(len(pd.p.DelEdges)+len(pd.p.AddEdges)))
-		for _, e := range pd.p.DelEdges {
-			touched[e[0]] = struct{}{}
-			touched[e[1]] = struct{}{}
-		}
-		for _, e := range pd.p.AddEdges {
-			touched[e[0]] = struct{}{}
-			touched[e[1]] = struct{}{}
-		}
-		for v := prevN; v < pd.g.NumNodes(); v++ {
-			touched[graph.NodeID(v)] = struct{}{}
-		}
-		for v := range touched {
-			if int(v) < prevN {
-				r.degs[degreeBucket(pd.prev.Degree(v))]--
-			}
-			r.degs[degreeBucket(pd.g.Degree(v))]++
-		}
-
-		// Shingle refcounts: re-shingle only the nodes whose text
-		// changed — SetContent targets and added nodes.
-		for v := range contentTargets(pd) {
-			if int(v) < prevN {
-				for h := range simmatrix.ContentSet(pd.prev, v, 0) {
-					if r.counts[h]--; r.counts[h] == 0 {
-						delete(r.counts, h)
-					}
-				}
-			}
-			for h := range simmatrix.ContentSet(pd.g, v, 0) {
-				r.counts[h]++
-			}
-			contentChanged = true
-		}
-	}
-
-	newSum := Summary{Sig: signatureFromCounts(g.NumNodes(), g.NumEdges(), r.degs)}
-	if !contentChanged {
-		newSum.Hashes, newSum.Total = r.sum.Hashes, r.sum.Total
-		ix.mu.Lock()
-		if ix.recs[r.name] == r {
-			r.sum = newSum
-		}
-		ix.mu.Unlock()
-		return
-	}
-	newSum.Total, newSum.Hashes = hashesFromCounts(r.counts)
-	added, removed := diffSorted(r.sum.Hashes, newSum.Hashes)
+	sum := SummaryOf(g, content.Shingles())
 	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	if ix.recs[r.name] == r {
-		if r.indexed {
-			for _, h := range removed {
-				ix.removePostingLocked(h, r)
-			}
-			for _, h := range added {
-				ix.postings[h] = append(ix.postings[h], r)
-			}
-		}
-		r.sum = newSum
+		ix.repostLocked(r, sum.Hashes)
+		r.sum = sum
 	}
-	ix.mu.Unlock()
-}
-
-// contentTargets collects the nodes whose content text the patch may
-// have changed: SetContent targets plus every added node.
-func contentTargets(pd patchDelta) map[graph.NodeID]struct{} {
-	out := make(map[graph.NodeID]struct{}, len(pd.p.SetContent)+len(pd.p.AddNodes))
-	for v := pd.prev.NumNodes(); v < pd.g.NumNodes(); v++ {
-		out[graph.NodeID(v)] = struct{}{}
-	}
-	for _, cu := range pd.p.SetContent {
-		out[cu.Node] = struct{}{}
-	}
-	return out
-}
-
-// diffSorted compares two sorted hash slices and returns the values
-// only in b (added) and only in a (removed).
-func diffSorted(a, b []uint64) (added, removed []uint64) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			i++
-			j++
-		case a[i] < b[j]:
-			removed = append(removed, a[i])
-			i++
-		default:
-			added = append(added, b[j])
-			j++
-		}
-	}
-	removed = append(removed, a[i:]...)
-	added = append(added, b[j:]...)
-	return added, removed
 }
 
 // Len reports the number of graphs currently indexed.
@@ -326,9 +150,9 @@ func (ix *Index) Len() int {
 // graphs registered or patched while a search is scoring are picked up
 // by the next search; graphs removed concurrently are skipped.
 func (ix *Index) Candidates(pattern Summary, pol Policy) ([]Candidate, Stats) {
-	// Snapshot the records, then build or refresh summaries outside the
-	// index lock: summarising is pure per record, and rec.buildMu makes
-	// concurrent searches cooperate instead of duplicating work.
+	// Snapshot the records, then refresh stale summaries outside the
+	// index lock: rec.buildMu makes concurrent searches cooperate
+	// instead of duplicating work.
 	// Per-record commits matter because the catalog's mutation hook
 	// runs under the catalog lock and takes ix.mu: a whole-catalog
 	// commit under one hold would stall every catalog operation, match
@@ -345,7 +169,7 @@ func (ix *Index) Candidates(pattern Summary, pol Policy) ([]Candidate, Stats) {
 
 	// Gather overlaps, re-validate the snapshot and capture each
 	// record's summary under one more short hold — summaries are
-	// republished by later folds, so scoring reads the captured values,
+	// republished by later rebuilds, so scoring reads the captured values,
 	// which are consistent with the postings gathered in the same hold.
 	// A record removed after this point may still be scored — stage 2
 	// resolves every candidate through the catalog and drops vanished

@@ -31,16 +31,16 @@
 // order), so a search started after a Remove returns never ranks the
 // removed graph, and a newly registered graph is searchable the moment
 // Register returns. Summaries are built lazily outside the lock —
-// registration stays cheap, the first search pays the shingling.
+// registration stays cheap, the first search after a registration or
+// patch pays the shingling, into the catalog's content index of that
+// graph version, which stage 2's content matrices read too.
 package search
 
 import (
 	"math"
 	"math/bits"
-	"sort"
 
 	"graphmatch/internal/graph"
-	"graphmatch/internal/shingle"
 	"graphmatch/internal/simmatrix"
 )
 
@@ -70,33 +70,20 @@ func degreeBucket(d int) int {
 	return b
 }
 
-// signatureFromCounts assembles a Signature from raw degree-bucket
-// counts — the representation the incremental index maintains, since
-// counts compose under edge mutations while the normalised histogram
-// does not.
-func signatureFromCounts(nodes, edges int, counts [HistBuckets]int) Signature {
-	s := Signature{Nodes: nodes, Edges: edges}
-	if nodes == 0 {
-		return s
-	}
-	for i, c := range counts {
-		s.DegHist[i] = float64(c) / float64(nodes)
-	}
-	return s
-}
-
-// degreeCounts tallies the raw degree histogram of g.
-func degreeCounts(g *graph.Graph) [HistBuckets]int {
-	var counts [HistBuckets]int
-	for v := 0; v < g.NumNodes(); v++ {
-		counts[degreeBucket(g.Degree(graph.NodeID(v)))]++
-	}
-	return counts
-}
-
 // SignatureOf derives the structural signature of g.
 func SignatureOf(g *graph.Graph) Signature {
-	return signatureFromCounts(g.NumNodes(), g.NumEdges(), degreeCounts(g))
+	s := Signature{Nodes: g.NumNodes(), Edges: g.NumEdges()}
+	if s.Nodes == 0 {
+		return s
+	}
+	var counts [HistBuckets]int
+	for v := 0; v < s.Nodes; v++ {
+		counts[degreeBucket(g.Degree(graph.NodeID(v)))]++
+	}
+	for i, c := range counts {
+		s.DegHist[i] = float64(c) / float64(s.Nodes)
+	}
+	return s
 }
 
 // StructSim scores the similarity of two degree histograms in [0, 1]:
@@ -139,51 +126,17 @@ type Summary struct {
 // Summarize builds the stage-1 summary of g. It is a pure function of
 // the graph — safe to call concurrently, no shared state.
 func Summarize(g *graph.Graph) Summary {
-	return SummarizeSets(g, simmatrix.ContentSets(g, 0))
+	return SummaryOf(g, simmatrix.NewContentPattern(simmatrix.ContentSets(g, 0)).Shingles())
 }
 
-// SummarizeSets is Summarize for a caller that already holds g's
-// per-node shingle sets (simmatrix.ContentSets, default window), so a
-// query pattern is shingled once for both search stages.
-func SummarizeSets(g *graph.Graph, sets []shingle.Set) Summary {
-	sum, _, _ := summarizeCounted(g, sets)
-	return sum
-}
-
-// summarizeCounted is Summarize plus the mutable intermediates the
-// incremental index folds patches into: per-hash node refcounts (how
-// many nodes contribute each distinct shingle — decrementable under
-// content rewrites, where a plain set is not) and the raw degree-bucket
-// counts behind the signature.
-func summarizeCounted(g *graph.Graph, sets []shingle.Set) (Summary, map[uint64]int32, [HistBuckets]int) {
-	counts := make(map[uint64]int32)
-	for _, s := range sets {
-		for h := range s {
-			counts[h]++
-		}
-	}
-	degs := degreeCounts(g)
-	sum := Summary{Sig: signatureFromCounts(g.NumNodes(), g.NumEdges(), degs)}
-	sum.Total, sum.Hashes = hashesFromCounts(counts)
-	return sum, counts, degs
-}
-
-// hashesFromCounts derives the indexed bottom-k hash sample from the
-// refcount map. Rebuilding from the full map (never from the previous
-// sample) keeps incremental summaries bit-identical to Summarize: a
-// hash that drops out of the bottom k and later returns is recovered
-// exactly.
-func hashesFromCounts(counts map[uint64]int32) (total int, hashes []uint64) {
-	total = len(counts)
-	hashes = make([]uint64, 0, len(counts))
-	for h := range counts {
-		hashes = append(hashes, h)
-	}
-	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
-	if len(hashes) > MaxIndexedShingles {
-		hashes = hashes[:MaxIndexedShingles:MaxIndexedShingles]
-	}
-	return total, hashes
+// SummaryOf builds the stage-1 summary of g from its distinct content
+// shingles in ascending order (ContentIndex.Shingles or
+// ContentPattern.Shingles, default window). Hashes is the bottom-k
+// prefix of shingles itself, not a copy, so summaries read from one
+// content index share its key array.
+func SummaryOf(g *graph.Graph, shingles []uint64) Summary {
+	n := min(len(shingles), MaxIndexedShingles)
+	return Summary{Sig: SignatureOf(g), Hashes: shingles[:n:n], Total: len(shingles)}
 }
 
 // sampleRate is the fraction of the graph's distinct shingles that made

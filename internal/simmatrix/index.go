@@ -122,6 +122,10 @@ func NewContentIndex(g *graph.Graph, shingleSize int) *ContentIndex {
 // NumNodes reports how many nodes the index covers.
 func (ix *ContentIndex) NumNodes() int { return len(ix.sizes) }
 
+// Shingles returns the distinct shingles of the graph, ascending: the
+// index's own key array, which the caller must not modify.
+func (ix *ContentIndex) Shingles() []uint64 { return ix.keys }
+
 // Bytes reports the heap the index's arrays hold.
 func (ix *ContentIndex) Bytes() int64 {
 	return 8*int64(len(ix.keys)) + 8*int64(len(ix.offs)) + 4*int64(len(ix.nodes)) + 4*int64(len(ix.sizes)) + 4*int64(len(ix.empty))
@@ -161,6 +165,11 @@ func NewContentPattern(sets []shingle.Set) *ContentPattern {
 	}
 	return p
 }
+
+// Shingles returns the distinct shingles of all pattern nodes,
+// ascending: the pattern's own key array, which the caller must not
+// modify.
+func (p *ContentPattern) Shingles() []uint64 { return p.keys }
 
 // minOverlap is the smallest n with float64(n)/float64(a) ≥ xi, or a+1
 // when no n ≤ a reaches xi. A pattern set of a shingles resembles a set

@@ -172,15 +172,6 @@ func FromContentSets(g1 *graph.Graph, data *ContentIndex, shingleSize int) *RowS
 	return data.Matrix(NewContentPattern(ContentSets(g1, shingleSize)), 0)
 }
 
-// ContentSet returns the shingle set of one node's content text
-// (content falling back to label) — the per-node unit ContentSets
-// aggregates, exposed so incremental maintenance of derived state (the
-// search index under graph patches) re-shingles exactly the changed
-// nodes with the same rule.
-func ContentSet(g *graph.Graph, v graph.NodeID, shingleSize int) shingle.Set {
-	return shingle.NewShingler(shingleSize).Shingle(contentText(g, v))
-}
-
 func contentText(g *graph.Graph, v graph.NodeID) string {
 	if c := g.Content(v); c != "" {
 		return c

@@ -38,6 +38,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"graphmatch/internal/graph"
@@ -135,7 +136,10 @@ type Store struct {
 	snapshotSeq   uint64
 	snapGraphs    int // graphs in the current snapshot (replay workload)
 	appended      uint64
-	sinceSnapshot int
+	// sinceSnapshot is written under mu but read without it, so the
+	// engine's per-mutation snapshot check never waits behind another
+	// graph's append, which holds mu across its fsync.
+	sinceSnapshot atomic.Int64
 	snapshots     uint64
 	walBytes      int64
 	recovered     int
@@ -216,7 +220,7 @@ func Open(dir string) (*Store, error) {
 	// must resume that count from the recovered WAL tail, or a
 	// read-mostly server would sit on an oversized log until
 	// SnapshotEvery *new* mutations arrive.
-	s.sinceSnapshot = int(s.seq - s.snapshotSeq)
+	s.sinceSnapshot.Store(int64(s.seq - s.snapshotSeq))
 	return s, nil
 }
 
@@ -246,7 +250,7 @@ func OpenReadOnly(dir string) (*Store, error) {
 	if err := s.scanSegments(); err != nil {
 		return nil, err
 	}
-	s.sinceSnapshot = int(s.seq - s.snapshotSeq)
+	s.sinceSnapshot.Store(int64(s.seq - s.snapshotSeq))
 	return s, nil
 }
 
@@ -698,7 +702,7 @@ func (s *Store) appendLocked(op Op) (AppendTiming, error) {
 	}
 	s.seq = op.Seq
 	s.appended++
-	s.sinceSnapshot++
+	s.sinceSnapshot.Add(1)
 	s.segRecords++
 	s.segSize += recordSize(payload)
 	s.walBytes += recordSize(payload)
@@ -791,7 +795,7 @@ func (s *Store) WriteSnapshot(state map[string]*graph.Graph, lastSeq uint64, sea
 	s.snapshots++
 	// Ops may have been appended while the snapshot was encoding; the
 	// exact count of not-yet-folded ops is the sequence distance, not 0.
-	s.sinceSnapshot = int(s.seq - lastSeq)
+	s.sinceSnapshot.Store(int64(s.seq - lastSeq))
 	s.walBytes -= sealedBytes
 	kept := s.sealed[:0]
 	for _, path := range s.sealed {
@@ -898,7 +902,7 @@ func (s *Store) ReplaceWithSnapshot(state map[string]*graph.Graph, seq uint64) e
 	s.snapshotSeq = seq
 	s.snapGraphs = len(state)
 	s.snapshots++
-	s.sinceSnapshot = 0
+	s.sinceSnapshot.Store(0)
 	if err := s.startSegment(); err != nil {
 		return fail(err)
 	}
@@ -907,11 +911,9 @@ func (s *Store) ReplaceWithSnapshot(state map[string]*graph.Graph, seq uint64) e
 
 // SinceSnapshot reports how many ops were appended after the last
 // snapshot — the engine's SnapshotEvery trigger reads it after each
-// mutation.
+// mutation. It takes no lock, so it returns while an append is fsyncing.
 func (s *Store) SinceSnapshot() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sinceSnapshot
+	return int(s.sinceSnapshot.Load())
 }
 
 // Stats snapshots the store counters.
@@ -923,7 +925,7 @@ func (s *Store) Stats() Stats {
 		LastSeq:       s.seq,
 		SnapshotSeq:   s.snapshotSeq,
 		Appended:      s.appended,
-		SinceSnapshot: s.sinceSnapshot,
+		SinceSnapshot: int(s.sinceSnapshot.Load()),
 		Snapshots:     s.snapshots,
 		Segments:      len(s.segs) + len(s.sealed),
 		WALBytes:      s.walBytes,
