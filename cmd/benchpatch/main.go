@@ -20,7 +20,8 @@
 // second each (250 ms under -short), reported as the median and
 // quartiles of the per-round rates. Every patch is its own catalog
 // commit and WAL fsync; this is the baseline a store-level group commit
-// must beat.
+// must beat. Every round replays the same patches on the same graph
+// behind an empty WAL tail, so the quartiles measure noise, not drift.
 //
 // benchpatch emits BENCH_patch.json and fails when incremental
 // maintenance does not beat rebuild by at least 5× (full run; the
@@ -308,7 +309,10 @@ func verifyEquivalence(inc, reb *catalog.Catalog, storm []*graph.Patch) int {
 // passed. It returns the per-round rates, ascending, and the total
 // patch count. Every patch inserts a distinct IN→core edge (until the
 // pairs wrap around, when re-inserts are no-op commits), so any
-// interleaving is valid.
+// interleaving is valid. Between rounds, untimed, undoRound takes the
+// round's edges out again and snapshots the store, so every round
+// replays the same patch sequence on the same graph behind an empty WAL
+// tail; a round that starts from another edge count is fatal.
 func engineStorm(writers int, round time.Duration) (rates []float64, total int) {
 	dir, err := os.MkdirTemp("", "benchpatch-*")
 	if err != nil {
@@ -339,10 +343,22 @@ func engineStorm(writers int, round time.Duration) (rates []float64, total int) 
 			log.Fatal(err)
 		}
 	}
+	base, err := eng.Catalog().Get("web")
+	if err != nil {
+		log.Fatal(err)
+	}
 	runtime.GC()
 
-	var next atomic.Int64 // index of the next patch, across rounds
+	var next atomic.Int64 // index of the next patch of the round
 	for r := 0; r < engineRounds; r++ {
+		cur, err := eng.Catalog().Get("web")
+		if err != nil {
+			log.Fatal(err)
+		}
+		if cur.NumEdges() != base.NumEdges() {
+			log.Fatalf("round %d starts from %d edges, round 0 from %d", r, cur.NumEdges(), base.NumEdges())
+		}
+		next.Store(0)
 		start := time.Now()
 		deadline := start.Add(round)
 		var wg sync.WaitGroup
@@ -353,8 +369,7 @@ func engineStorm(writers int, round time.Duration) (rates []float64, total int) 
 			go func(w int) {
 				defer wg.Done()
 				for time.Now().Before(deadline) {
-					idx := int(next.Add(1) - 1)
-					e := [2]graph.NodeID{ins[idx%len(ins)], cores[(idx/len(ins))%len(cores)]}
+					e := stormEdge(ins, cores, int(next.Add(1)-1))
 					if _, err := eng.ApplyPatch("web", &graph.Patch{AddEdges: [][2]graph.NodeID{e}}); err != nil {
 						errs[w] = fmt.Errorf("round %d writer %d: %w", r, w, err)
 						return
@@ -374,7 +389,37 @@ func engineStorm(writers int, round time.Duration) (rates []float64, total int) 
 		total += n
 		rates = append(rates, float64(n)/sec)
 		log.Printf("engine round %d: %d writers, %d patches in %.2fs (%.0f/s)", r, writers, n, sec, float64(n)/sec)
+		undoRound(eng, base, ins, cores, int(next.Load()))
 	}
+	log.Printf("engine rounds in order: %.0f patches/s", rates)
 	slices.Sort(rates)
 	return rates, total
+}
+
+// stormEdge is scenario B's patch number idx: an IN→core edge, distinct
+// from every other until the pairs wrap around.
+func stormEdge(ins, cores []graph.NodeID, idx int) [2]graph.NodeID {
+	return [2]graph.NodeID{ins[idx%len(ins)], cores[(idx/len(ins))%len(cores)]}
+}
+
+// undoRound deletes, in one patch, every edge the first n storm patches
+// added to base, then snapshots the store so that the WAL tail is empty
+// again.
+func undoRound(eng *engine.Engine, base *graph.Graph, ins, cores []graph.NodeID, n int) {
+	added := make(map[[2]graph.NodeID]bool)
+	var del [][2]graph.NodeID
+	for idx := 0; idx < n; idx++ {
+		if e := stormEdge(ins, cores, idx); !base.HasEdge(e[0], e[1]) && !added[e] {
+			added[e] = true
+			del = append(del, e)
+		}
+	}
+	if len(del) > 0 {
+		if _, err := eng.ApplyPatch("web", &graph.Patch{DelEdges: del}); err != nil {
+			log.Fatalf("undoing a round: %v", err)
+		}
+	}
+	if _, err := eng.Snapshot(); err != nil {
+		log.Fatalf("snapshot after a round: %v", err)
+	}
 }

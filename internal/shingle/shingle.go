@@ -8,9 +8,9 @@
 package shingle
 
 import (
-	"hash/fnv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // DefaultSize is the shingle width used when a Shingler is created with a
@@ -41,43 +41,145 @@ func (s *Shingler) Size() int { return s.size }
 
 // Tokenize lower-cases text and splits it into maximal runs of letters and
 // digits. Punctuation and other separators are discarded, mirroring the
-// "meaningful region" normalisation of page checkers.
+// "meaningful region" normalisation of page checkers. It is the
+// definition AppendHashes computes its windows over without building
+// the token list.
 func Tokenize(text string) []string {
 	return strings.FieldsFunc(strings.ToLower(text), func(r rune) bool {
 		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
 	})
 }
 
-// Shingle computes the hashed shingle set of text. Texts shorter than the
-// window contribute a single shingle covering all their tokens, so that
-// short but identical labels still resemble each other; empty text yields
-// an empty set.
+// Shingle computes the hashed shingle set of text: the distinct values
+// AppendHashes lists.
 func (s *Shingler) Shingle(text string) Set {
-	tokens := Tokenize(text)
-	out := make(Set)
-	if len(tokens) == 0 {
-		return out
-	}
-	w := s.size
-	if len(tokens) < w {
-		out[hashTokens(tokens)] = struct{}{}
-		return out
-	}
-	for i := 0; i+w <= len(tokens); i++ {
-		out[hashTokens(tokens[i:i+w])] = struct{}{}
+	var stack [64]uint64
+	hs := s.AppendHashes(stack[:0], text)
+	out := make(Set, len(hs))
+	for _, h := range hs {
+		out[h] = struct{}{}
 	}
 	return out
 }
 
-func hashTokens(tokens []string) uint64 {
-	h := fnv.New64a()
-	for i, tok := range tokens {
-		if i > 0 {
-			h.Write([]byte{0})
+// 64-bit FNV-1a, as hash/fnv computes it.
+const (
+	offset64 = 14695981039346656037
+	prime64  = 1099511628211
+)
+
+// maxOpen is the widest window AppendHashes keeps on the stack.
+const maxOpen = 16
+
+// lowerWord maps an ASCII letter or digit to its lower case, any other
+// ASCII byte (a separator to Tokenize) to 0, and every byte of a
+// multi-byte rune to itself.
+var lowerWord = func() (t [256]byte) {
+	for c := range t {
+		switch {
+		case 'a' <= c && c <= 'z', '0' <= c && c <= '9', c >= utf8.RuneSelf:
+			t[c] = byte(c)
+		case 'A' <= c && c <= 'Z':
+			t[c] = byte(c) + 'a' - 'A'
 		}
-		h.Write([]byte(tok))
 	}
-	return h.Sum64()
+	return t
+}()
+
+// AppendHashes appends to dst the hash of every w-word window of
+// Tokenize(text), in text order and duplicates included: the 64-bit
+// FNV-1a of the window's tokens joined by a zero byte. Texts shorter than
+// the window contribute a single shingle covering all their tokens, so
+// that short but identical labels still resemble each other; empty text
+// contributes none.
+//
+// It reads text once, a run of ASCII letters and digits or one other
+// rune at a time, and folds each piece of a token, lower-cased, into the
+// hash state of all w windows that hold the token at once, so the w
+// chains of multiplies run side by side. Nothing is allocated when dst
+// has room (and w ≤ 16).
+func (s *Shingler) AppendHashes(dst []uint64, text string) []uint64 {
+	w := s.size
+	var stack [maxOpen]uint64
+	open := stack[:]
+	if w > maxOpen {
+		open = make([]uint64, w)
+	}
+	open = open[:w] // open[t%w] hashes the window that starts at token t
+	n, slot, in := 0, 0, false
+	for i := 0; i <= len(text); {
+		j := i
+		for j < len(text) && text[j] < utf8.RuneSelf && lowerWord[text[j]] != 0 {
+			j++
+		}
+		piece, width := text[i:j], max(j-i, 1)
+		if j == i && i < len(text) && text[i] >= utf8.RuneSelf {
+			var r rune
+			r, width = utf8.DecodeRuneInString(text[i:])
+			if r = unicode.ToLower(r); unicode.IsLetter(r) || unicode.IsDigit(r) {
+				piece = string(r)
+			}
+		}
+		i += width
+		switch {
+		case piece != "":
+			if !in { // token n starts: a zero byte for the windows before it
+				in = true
+				for k := range open {
+					open[k] *= prime64
+				}
+				open[slot] = offset64
+			}
+			fold(open, piece)
+		case in: // token n ends, and with it the window of token n-w+1
+			in = false
+			if slot++; slot == w {
+				slot = 0
+			}
+			if n++; n >= w {
+				dst = append(dst, open[slot])
+			}
+		}
+	}
+	if 0 < n && n < w {
+		dst = append(dst, open[0])
+	}
+	return dst
+}
+
+// fold runs FNV-1a over the lower-cased bytes of piece from each of the
+// states in open, four states per pass so that their multiply chains
+// overlap rather than wait on one another.
+func fold(open []uint64, piece string) {
+	k := 0
+	for ; k+4 <= len(open); k += 4 {
+		h0, h1, h2, h3 := open[k], open[k+1], open[k+2], open[k+3]
+		for i := 0; i < len(piece); i++ {
+			c := uint64(lowerWord[piece[i]])
+			h0 = (h0 ^ c) * prime64
+			h1 = (h1 ^ c) * prime64
+			h2 = (h2 ^ c) * prime64
+			h3 = (h3 ^ c) * prime64
+		}
+		open[k], open[k+1], open[k+2], open[k+3] = h0, h1, h2, h3
+	}
+	for ; k < len(open); k++ {
+		h := open[k]
+		for i := 0; i < len(piece); i++ {
+			h = (h ^ uint64(lowerWord[piece[i]])) * prime64
+		}
+		open[k] = h
+	}
+}
+
+// MaxHashes bounds how many hashes AppendHashes appends for a text of
+// the given byte length: tokens are separated, so there are at most
+// (length+1)/2 of them.
+func (s *Shingler) MaxHashes(length int) int {
+	if length == 0 {
+		return 0
+	}
+	return max((length+1)/2-s.size+1, 1)
 }
 
 // Resemblance is the Jaccard coefficient |A ∩ B| / |A ∪ B| of two shingle

@@ -86,37 +86,111 @@ type ContentIndex struct {
 }
 
 // NewContentIndex shingles every node of g with the given window
-// (non-positive selects shingle.DefaultSize).
+// (non-positive selects shingle.DefaultSize). It builds the index in flat
+// passes, with no map and no comparator: every node's window hashes,
+// duplicates included, go into one array beside the id of their node; a
+// stable radix sort orders them by hash, and since nodes were appended
+// in ascending order every posting comes out ascending; one scan then
+// emits the keys, cuts the postings, drops a node's repeated shingle and
+// counts each node's distinct ones.
 func NewContentIndex(g *graph.Graph, shingleSize int) *ContentIndex {
-	type entry struct {
-		h uint64
-		u graph.NodeID
-	}
-	ix := &ContentIndex{sizes: make([]int32, g.NumNodes())}
+	n := g.NumNodes()
+	ix := &ContentIndex{sizes: make([]int32, n)}
 	sh := shingle.NewShingler(shingleSize)
-	var entries []entry
-	for u := range ix.sizes {
-		uu := graph.NodeID(u)
-		set := sh.Shingle(contentText(g, uu))
-		ix.sizes[u] = int32(len(set))
-		if len(set) == 0 {
-			ix.empty = append(ix.empty, uu)
+	most := 0
+	for u := range n {
+		most += sh.MaxHashes(len(contentText(g, graph.NodeID(u))))
+	}
+	hs := make([]uint64, 0, most)
+	for u := range n {
+		from := len(hs)
+		hs = sh.AppendHashes(hs, contentText(g, graph.NodeID(u)))
+		ix.sizes[u] = int32(len(hs) - from) // for now, the node's window count
+	}
+	ids := make([]graph.NodeID, 0, len(hs))
+	for u, windows := range ix.sizes {
+		for range windows {
+			ids = append(ids, graph.NodeID(u))
 		}
-		for h := range set {
-			entries = append(entries, entry{h, uu})
+		ix.sizes[u] = 0
+	}
+	hs, ids = sortByHash(hs, ids)
+
+	keys := 0
+	for i := range hs {
+		if i == 0 || hs[i] != hs[i-1] {
+			keys++
 		}
 	}
-	slices.SortFunc(entries, func(a, b entry) int { return cmp.Or(cmp.Compare(a.h, b.h), cmp.Compare(a.u, b.u)) })
-	ix.nodes = make([]graph.NodeID, len(entries))
-	for i, e := range entries {
-		if i == 0 || e.h != entries[i-1].h {
-			ix.keys = append(ix.keys, e.h)
-			ix.offs = append(ix.offs, i)
+	ix.keys, ix.offs = make([]uint64, 0, keys), make([]int, 0, keys+1)
+	// The postings are written over ids in place: an entry is written
+	// no later than it is read.
+	post := 0
+	for i, h := range hs {
+		u := ids[i]
+		if i > 0 && h == hs[i-1] {
+			if u == ids[i-1] {
+				continue // the node's repeated shingle
+			}
+		} else {
+			ix.keys = append(ix.keys, h)
+			ix.offs = append(ix.offs, post)
 		}
-		ix.nodes[i] = e.u
+		ids[post] = u
+		post++
+		ix.sizes[u]++
 	}
-	ix.offs = append(ix.offs, len(entries))
+	ix.offs = append(ix.offs, post)
+	ix.nodes = slices.Clone(ids[:post])
+
+	for u, size := range ix.sizes {
+		if size == 0 {
+			ix.empty = append(ix.empty, graph.NodeID(u))
+		}
+	}
 	return ix
+}
+
+// sortByHash orders hs by value, and ids along with it, by a stable LSD
+// radix sort over 8-bit digits that skips every digit all hashes share.
+// It returns the sorted pair, which may be scratch arrays rather than
+// the ones passed in.
+func sortByHash(hs []uint64, ids []graph.NodeID) ([]uint64, []graph.NodeID) {
+	if len(hs) < 2 {
+		return hs, ids
+	}
+	var counts [8][256]int
+	for _, h := range hs {
+		counts[0][byte(h)]++
+		counts[1][byte(h>>8)]++
+		counts[2][byte(h>>16)]++
+		counts[3][byte(h>>24)]++
+		counts[4][byte(h>>32)]++
+		counts[5][byte(h>>40)]++
+		counts[6][byte(h>>48)]++
+		counts[7][byte(h>>56)]++
+	}
+	hs2, ids2 := make([]uint64, len(hs)), make([]graph.NodeID, len(ids))
+	for d := range counts {
+		at := &counts[d]
+		shift := 8 * d
+		if at[byte(hs[0]>>shift)] == len(hs) {
+			continue
+		}
+		sum := 0
+		for b, c := range at {
+			at[b] = sum
+			sum += c
+		}
+		for i, h := range hs {
+			j := &at[byte(h>>shift)]
+			hs2[*j], ids2[*j] = h, ids[i]
+			*j++
+		}
+		hs, hs2 = hs2, hs
+		ids, ids2 = ids2, ids
+	}
+	return hs, ids
 }
 
 // NumNodes reports how many nodes the index covers.

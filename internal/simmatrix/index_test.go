@@ -1,6 +1,7 @@
 package simmatrix
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -82,6 +83,93 @@ func TestPostingsMatrixEqualsPairwise(t *testing.T) {
 	for i, data := range arch.Versions {
 		pattern := webgen.TopKSkeleton(arch.Versions[0], 8+4*i)
 		assertSameMatrix(t, fmt.Sprintf("web v%d", i), FromContent(pattern, data, 0), naiveFromContent(pattern, data, 0))
+	}
+}
+
+// referenceContentIndex is the build NewContentIndex replaced: a
+// shingle.Set per node, every (shingle, node) pair sorted by a comparator,
+// and the postings cut where the shingle changes. It stays here as the
+// reference the flat build must equal array for array.
+func referenceContentIndex(g *graph.Graph, shingleSize int) *ContentIndex {
+	type entry struct {
+		h uint64
+		u graph.NodeID
+	}
+	ix := &ContentIndex{sizes: make([]int32, g.NumNodes())}
+	var entries []entry
+	for u, set := range ContentSets(g, shingleSize) {
+		ix.sizes[u] = int32(len(set))
+		if len(set) == 0 {
+			ix.empty = append(ix.empty, graph.NodeID(u))
+		}
+		for h := range set {
+			entries = append(entries, entry{h, graph.NodeID(u)})
+		}
+	}
+	slices.SortFunc(entries, func(a, b entry) int { return cmp.Or(cmp.Compare(a.h, b.h), cmp.Compare(a.u, b.u)) })
+	ix.nodes = make([]graph.NodeID, len(entries))
+	for i, e := range entries {
+		if i == 0 || e.h != entries[i-1].h {
+			ix.keys = append(ix.keys, e.h)
+			ix.offs = append(ix.offs, i)
+		}
+		ix.nodes[i] = e.u
+	}
+	ix.offs = append(ix.offs, len(entries))
+	return ix
+}
+
+func assertSameIndex(t *testing.T, name string, got, want *ContentIndex) {
+	t.Helper()
+	switch {
+	case !slices.Equal(got.keys, want.keys):
+		t.Fatalf("%s: %d keys, the reference has %d (or they differ)", name, len(got.keys), len(want.keys))
+	case !slices.Equal(got.offs, want.offs):
+		t.Fatalf("%s: posting offsets differ from the reference", name)
+	case !slices.Equal(got.nodes, want.nodes):
+		t.Fatalf("%s: postings differ from the reference", name)
+	case !slices.Equal(got.sizes, want.sizes):
+		t.Fatalf("%s: set sizes %v, the reference %v", name, got.sizes, want.sizes)
+	case !slices.Equal(got.empty, want.empty):
+		t.Fatalf("%s: empty nodes %v, the reference %v", name, got.empty, want.empty)
+	case got.Bytes() != want.Bytes():
+		t.Fatalf("%s: Bytes() = %d, the reference %d", name, got.Bytes(), want.Bytes())
+	}
+}
+
+// TestContentIndexEqualsReference: the flat radix build holds the same
+// five arrays as the comparator build, on generated Web site versions,
+// random text with shared shingles, repeated windows inside one node,
+// empty-content nodes and the label fallback, at several windows.
+func TestContentIndexEqualsReference(t *testing.T) {
+	for _, cat := range []webgen.Category{webgen.Store, webgen.Newspaper} {
+		arch := webgen.Generate(webgen.Config{Category: cat, Pages: 60, Versions: 3, Seed: 11})
+		for i, g := range arch.Versions {
+			for _, size := range []int{0, 1, 2, 6} {
+				name := fmt.Sprintf("web %v v%d w=%d", cat, i, size)
+				assertSameIndex(t, name, NewContentIndex(g, size), referenceContentIndex(g, size))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 60; i++ {
+		g := textGraph(rng, rng.Intn(40))
+		size := rng.Intn(5)
+		assertSameIndex(t, fmt.Sprintf("text %d w=%d", i, size), NewContentIndex(g, size), referenceContentIndex(g, size))
+	}
+	g := graph.New(5)
+	for _, n := range []graph.Node{
+		{Weight: 1}, // neither content nor label
+		{Label: "Home Page", Weight: 1},
+		{Label: "ignored", Content: "a b a b a b a b", Weight: 1}, // one window, repeated
+		{Label: "", Content: " ,.; ", Weight: 1},
+		{Label: "home page", Content: "", Weight: 1},
+	} {
+		g.AddNodeFull(n)
+	}
+	g.Finish()
+	for size := 0; size < 4; size++ {
+		assertSameIndex(t, fmt.Sprintf("edge cases w=%d", size), NewContentIndex(g, size), referenceContentIndex(g, size))
 	}
 }
 
@@ -338,5 +426,17 @@ func BenchmarkContentMatrix(b *testing.B) {
 				matrixSink = ix.Matrix(p, xi)
 			}
 		})
+	}
+}
+
+var indexSink *ContentIndex
+
+// BenchmarkNewContentIndex: the first content read of one web_search
+// graph version, a 60-page site shingled into its candidate index.
+func BenchmarkNewContentIndex(b *testing.B) {
+	g := webgen.Generate(webgen.Config{Category: webgen.Store, Pages: 60, Versions: 1, Seed: 7}).Versions[0]
+	b.ReportAllocs()
+	for b.Loop() {
+		indexSink = NewContentIndex(g, 0)
 	}
 }

@@ -124,18 +124,18 @@ type Stats struct {
 type Store struct {
 	dir string
 
-	mu            sync.Mutex
-	seg           walFile // current append segment (nil when read-only)
-	segPath       string
-	segRecords    int      // records in the current append segment
-	segSize       int64    // bytes in the current append segment
-	segs          []string // live segment paths, append order; last is current
-	sealed        []string // rotated-out segments awaiting snapshot deletion
-	failed        error    // sticky fault: set when the log's tail state is unknown
-	seq           uint64   // last durable sequence number
-	snapshotSeq   uint64
-	snapGraphs    int // graphs in the current snapshot (replay workload)
-	appended      uint64
+	mu          sync.Mutex
+	seg         walFile // current append segment (nil when read-only)
+	segPath     string
+	segRecords  int      // records in the current append segment
+	segSize     int64    // bytes in the current append segment
+	segs        []string // live segment paths, append order; last is current
+	sealed      []string // rotated-out segments awaiting snapshot deletion
+	failed      error    // sticky fault: set when the log's tail state is unknown
+	seq         uint64   // last durable sequence number
+	snapshotSeq uint64
+	snapGraphs  int // graphs in the current snapshot (replay workload)
+	appended    uint64
 	// sinceSnapshot is written under mu but read without it, so the
 	// engine's per-mutation snapshot check never waits behind another
 	// graph's append, which holds mu across its fsync.
