@@ -37,6 +37,10 @@ func TestValidateFlags(t *testing.T) {
 		{[]string{"-ready-max-lag", "0"}, "-ready-max-lag needs -follow"},
 		{[]string{"-snapshot-every", "10"}, "-snapshot-every needs -store"},
 		{[]string{"-snapshot-every", "1000"}, "-snapshot-every needs -store"},
+
+		// The queue depth is derived from the worker count; there is
+		// no flag for it.
+		{[]string{"-queue", "8"}, "flag provided but not defined: -queue"},
 	} {
 		fs := flag.NewFlagSet("phomd", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)

@@ -30,7 +30,7 @@
 // and fsynced before it is acknowledged, the WAL is compacted into a
 // binary snapshot every -snapshot-every mutations (or on demand via
 // POST /v1/admin/snapshot), and a restart replays snapshot + WAL —
-// rebuilding closures and the search index — before the listener
+// rebuilding closures — before the listener
 // accepts traffic:
 //
 //	phomd -addr :8080 -store /var/lib/phomd -snapshot-every 1000
@@ -97,7 +97,6 @@ type flags struct {
 	workers         int
 	maxClosures     int
 	maxClosureBytes int64
-	queueDepth      int
 	maxExact        int
 	storePath       string
 	snapshotEvery   int
@@ -127,13 +126,12 @@ func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
 	fs.IntVar(&f.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&f.maxClosures, "max-closures", 0, "LRU bound on resident reachability indexes (0 = default)")
 	fs.Int64Var(&f.maxClosureBytes, "max-closure-bytes", 0, "LRU byte budget for resident closures and indexes (0 = unbounded)")
-	fs.IntVar(&f.queueDepth, "queue", 0, "pending-request queue depth (0 = 4×workers)")
 	fs.IntVar(&f.maxExact, "max-exact-nodes", 16, "largest pattern accepted for the exponential decide/decide11 algorithms (0 = unlimited)")
 	fs.StringVar(&f.storePath, "store", "", "durable catalog directory (WAL + snapshots); empty = in-memory only")
 	fs.IntVar(&f.snapshotEvery, "snapshot-every", 1000, "compact the WAL into a snapshot every N mutations (0 = only on demand via /v1/admin/snapshot); needs -store")
 	fs.StringVar(&f.pprofAddr, "pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060); empty disables")
 	fs.DurationVar(&f.requestTimeout, "request-timeout", 30*time.Second, "per-request wall-time bound, propagated into the matcher as a context deadline; timed-out requests answer 504 and free their worker (0 = unbounded)")
-	fs.IntVar(&f.maxPending, "max-pending", -1, "admission-control bound on queued+running tasks; excess requests answer 429 with Retry-After (-1 = queue depth + workers, 0 = unlimited)")
+	fs.IntVar(&f.maxPending, "max-pending", -1, "admission-control bound on queued+running tasks; excess requests answer 429 with Retry-After (-1 = 5×workers: the 4×workers queue plus the workers, 0 = unlimited)")
 	fs.IntVar(&f.maxBatch, "max-batch", 0, "largest accepted /v1/match/batch element count (0 = default, -1 = unlimited)")
 	fs.BoolVar(&f.accessLog, "access-log", false, "log one line per request (id, method, path, status, bytes, duration) to stderr")
 	fs.StringVar(&f.follow, "follow", "", "replicate from the phomd primary at this base URL (read-only follower mode; needs -store)")
@@ -205,14 +203,13 @@ func main() {
 	log.Printf("phomd listening on %s (booting)", lc.ln.Addr())
 
 	// With -store, Open replays the persisted catalog (snapshot + WAL)
-	// here — closures and search index rebuilt — while the listener
+	// here — closures rebuilt — while the listener
 	// already answers probes.
 	bootStart := time.Now()
 	eng, err := engine.Open(engine.Options{
 		Workers:         f.workers,
 		MaxClosures:     f.maxClosures,
 		MaxClosureBytes: f.maxClosureBytes,
-		QueueDepth:      f.queueDepth,
 		MaxPending:      f.maxPending,
 		ExactNodeLimit:  f.maxExact,
 		StorePath:       f.storePath,

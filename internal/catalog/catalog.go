@@ -221,13 +221,6 @@ func (c *Catalog) setEntryLocked(name string, ge *graphEntry) {
 	c.graphs[name] = ge
 }
 
-// MutationHook observes registry mutations: it is invoked once per
-// successful Register, Remove and Apply with the graph's name (removed
-// marks a Remove). Hooks run synchronously under the catalog lock so
-// observers see mutations in their true order; they must return
-// quickly and must not call back into the catalog.
-type MutationHook func(name string, removed bool)
-
 // Persister is the catalog's write-ahead durability callback. Each
 // method is invoked under the catalog lock, after validation but
 // before the in-memory mutation commits: an error vetoes the mutation
@@ -236,11 +229,9 @@ type MutationHook func(name string, removed bool)
 // acknowledged mutation survives a crash. LogPatch receives the patch,
 // not the patched graph: the log stays proportional to the edit, and
 // replaying patches against replayed graphs is deterministic.
+// Replay installs no persister until boot is done, so replayed
+// mutations are not re-logged.
 //
-// The persister and the MutationHook split the observer duties: the
-// persister runs first (write-ahead, fallible), the hook after commit
-// (coherence, infallible). Replay installs neither until boot is done,
-// so replayed mutations are not re-logged.
 // The context carries the request's trace span (if any) so the
 // persister can attribute the durability cost — the WAL append and
 // fsync — to the request that caused it and stamp the traceparent
@@ -262,7 +253,6 @@ type Catalog struct {
 	capacity int
 	maxBytes int64 // 0 = unbounded
 
-	onMutate MutationHook
 	persist  Persister
 	patchObs PatchObserver
 
@@ -332,9 +322,6 @@ func (c *Catalog) RegisterCtx(ctx context.Context, name string, g *graph.Graph) 
 		}
 	}
 	c.setEntryLocked(name, &graphEntry{g: g})
-	if c.onMutate != nil {
-		c.onMutate(name, false)
-	}
 	c.mu.Unlock()
 	// The registration is committed (and durable, with a persister); the
 	// eager closure build is a warm-up and can only fail if a concurrent
@@ -344,37 +331,12 @@ func (c *Catalog) RegisterCtx(ctx context.Context, name string, g *graph.Graph) 
 }
 
 // SetPersister installs p as the catalog's write-ahead durability
-// callback (one at most; nil removes it). Unlike SetMutationHook there
-// is no replay: the persister is installed after boot-time recovery
-// precisely so the recovered state is not re-logged.
+// callback (one at most; nil removes it). It is installed after
+// boot-time recovery precisely so the recovered state is not re-logged.
 func (c *Catalog) SetPersister(p Persister) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.persist = p
-}
-
-// SetMutationHook installs fn as the catalog's mutation observer (one
-// hook at most; a later call replaces the previous hook, nil removes
-// it). Installation replays every currently registered graph through fn
-// in sorted-name order, so a late-attaching observer — the search
-// index — starts coherent with the registry and never misses a graph:
-// the replay and all future mutations are serialised under the same
-// lock. See MutationHook for the constraints fn must obey.
-func (c *Catalog) SetMutationHook(fn MutationHook) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onMutate = fn
-	if fn == nil {
-		return
-	}
-	names := make([]string, 0, len(c.graphs))
-	for n := range c.graphs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fn(n, false)
-	}
 }
 
 // SetPatchObserver installs obs as the catalog's per-patch telemetry
@@ -416,9 +378,6 @@ func (c *Catalog) RemoveCtx(ctx context.Context, name string) error {
 		}
 	}
 	c.setEntryLocked(name, nil)
-	if c.onMutate != nil {
-		c.onMutate(name, true)
-	}
 	c.dropClosuresLocked(name)
 	return nil
 }
@@ -426,10 +385,9 @@ func (c *Catalog) RemoveCtx(ctx context.Context, name string) error {
 // Apply patches a registered graph in place: the live-mutation path
 // behind PATCH /v1/graphs/{name}. Registered graphs are shared
 // immutable objects (concurrent matchers and cached closures read
-// them), so the patch is applied copy-on-write — the patched clone is
-// swapped into the registry and the mutation hook fires, so the search
-// index marks the graph's summary stale — all under one lock hold, so
-// observers never see a half-applied edit.
+// them), so the patch is applied copy-on-write: the patched clone is
+// a new graph version, swapped into the registry under one lock hold,
+// so readers never see a half-applied edit.
 //
 // The cached full closure is maintained incrementally whenever it can
 // be: the delta update runs outside the lock against the captured
@@ -517,9 +475,6 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 			}
 		}
 		c.setEntryLocked(name, ne)
-		if c.onMutate != nil {
-			c.onMutate(name, false)
-		}
 		c.buildTime += deltaTime
 		if incremental {
 			c.patchesIncremental++
@@ -575,11 +530,10 @@ func (c *Catalog) installClosureLocked(name string, r *closure.Reach) {
 }
 
 // Replace swaps the entire registry for state in one lock hold: every
-// current graph is removed (the mutation hook fires so the search
-// index drops it), every graph in state is registered (the hook fires
-// again), and no observer ever sees a mixture of old and new. It is
-// the follower's bootstrap path — the primary shipped a full catalog
-// at an exact seq — so, unlike Register/Remove, it never consults the
+// current graph is removed, every graph in state is registered, and no
+// reader ever sees a mixture of old and new. It is the follower's
+// bootstrap path — the primary shipped a full catalog at an exact
+// seq — so, unlike Register/Remove, it never consults the
 // persister: the caller owns durability and has already landed the
 // store on a snapshot of exactly this state. Like Register, closures
 // of the new graphs are warmed eagerly after the swap.
@@ -597,23 +551,12 @@ func (c *Catalog) Replace(state map[string]*graph.Graph) error {
 	}
 	sort.Strings(names)
 	c.mu.Lock()
-	old := make([]string, 0, len(c.graphs))
 	for n := range c.graphs {
-		old = append(old, n)
-	}
-	sort.Strings(old)
-	for _, n := range old {
 		c.setEntryLocked(n, nil)
-		if c.onMutate != nil {
-			c.onMutate(n, true)
-		}
 		c.dropClosuresLocked(n)
 	}
 	for _, n := range names {
 		c.setEntryLocked(n, &graphEntry{g: state[n]})
-		if c.onMutate != nil {
-			c.onMutate(n, false)
-		}
 	}
 	c.mu.Unlock()
 	// Warm-ups, like Register's: the swap is committed; a warm-up can
@@ -637,7 +580,10 @@ func (c *Catalog) dropClosuresLocked(name string) {
 }
 
 // Export returns a point-in-time copy of the registry (name → graph;
-// the graphs are the shared immutable objects, not clones). When
+// the graphs are the shared immutable objects, not clones). A graph
+// pointer names one version: registered graphs are never mutated and
+// Apply installs a new graph, so a reader may key what it derives from
+// a graph by the pointer. When
 // prepare is non-nil it runs under the same lock hold, before the
 // copy: the snapshot path passes the store's WAL rotation here, so the
 // exported state corresponds exactly to the rotation's sequence number

@@ -478,48 +478,6 @@ func TestNamesSorted(t *testing.T) {
 	}
 }
 
-// TestMutationHook pins the hook contract: replay on install, one
-// event per Register/Remove, in order.
-func TestMutationHook(t *testing.T) {
-	type event struct {
-		name    string
-		removed bool
-	}
-	c := New(4)
-	if err := c.Register("pre", chain(3)); err != nil {
-		t.Fatal(err)
-	}
-	var (
-		mu     sync.Mutex
-		events []event
-	)
-	c.SetMutationHook(func(name string, removed bool) {
-		mu.Lock()
-		events = append(events, event{name, removed})
-		mu.Unlock()
-	})
-	if err := c.Register("a", chain(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Remove("pre"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Remove("missing"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("remove missing: %v", err)
-	}
-	want := []event{{"pre", false}, {"a", false}, {"pre", true}}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(events) != len(want) {
-		t.Fatalf("events = %v, want %v", events, want)
-	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("events = %v, want %v", events, want)
-		}
-	}
-}
-
 // TestDescribe checks the detail view: graph size plus resident
 // closure/index accounting, and ErrNotFound for unknown names.
 func TestDescribe(t *testing.T) {
@@ -543,8 +501,7 @@ func TestDescribe(t *testing.T) {
 }
 
 // TestApplyPatch checks the live-mutation path: copy-on-write swap,
-// closure invalidation + eager rebuild, and the mutation hook firing
-// with the patched graph.
+// closure invalidation + eager rebuild.
 func TestApplyPatch(t *testing.T) {
 	c := New(4)
 	if err := c.Register("web", chain(3)); err != nil {
@@ -555,13 +512,6 @@ func TestApplyPatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var hooked *graph.Graph
-	c.SetMutationHook(func(name string, removed bool) {
-		if name == "web" && !removed {
-			hooked = c.graphs[name].g // the hook runs under the catalog lock
-		}
-	})
 
 	ng, err := c.Apply("web", &graph.Patch{
 		AddNodes: []graph.Node{{Label: "n3", Weight: 1}},
@@ -579,9 +529,6 @@ func TestApplyPatch(t *testing.T) {
 	got, _ := c.Get("web")
 	if got != ng || got.NumNodes() != 4 {
 		t.Fatalf("registry holds %v, want patched graph", got)
-	}
-	if hooked != ng {
-		t.Fatal("mutation hook did not observe the patched graph")
 	}
 	// The cached closure was replaced for the new graph (patched
 	// incrementally or rebuilt — either way a fresh value).

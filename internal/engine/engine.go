@@ -200,8 +200,8 @@ type Options struct {
 	// StorePath, when non-empty, makes the catalog durable: mutations
 	// (Register, Remove, ApplyPatch) are written to a WAL in this
 	// directory and fsynced before they are acknowledged, and Open
-	// replays snapshot + WAL to rebuild the catalog — closures and
-	// search index included — before returning. Engines with a
+	// replays snapshot + WAL to rebuild the catalog — closures
+	// included — before returning. Engines with a
 	// StorePath must be created with Open, not New.
 	StorePath string
 	// SnapshotEvery compacts the WAL into a fresh snapshot after this
@@ -269,8 +269,8 @@ type Engine struct {
 	exactLimit int
 
 	// searchIdx is the stage-1 candidate index of the search subsystem;
-	// it observes catalog mutations through the mutation hook, so it is
-	// coherent with Register/Remove by construction.
+	// each search reads the catalog's registry and re-summarises only
+	// the graph versions it has not seen, so it needs no notification.
 	searchIdx *search.Index
 
 	// finishMu serialises pattern normalisation: Finish mutates the
@@ -351,7 +351,7 @@ func New(opts Options) *Engine {
 
 // Open starts an engine. When Options.StorePath is set, the persisted
 // catalog is replayed — graphs registered, patches applied, closures
-// and the search index rebuilt — before Open returns, so a server can
+// rebuilt — before Open returns, so a server can
 // bind its listener only once the recovered engine is ready to serve.
 func Open(opts Options) (*Engine, error) {
 	workers := opts.Workers

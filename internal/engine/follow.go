@@ -15,8 +15,8 @@ import (
 // internal/repl. A primary exposes its store and catalog as a
 // repl.Source (ReplSource); a follower (Options.FollowURL) runs a
 // repl.Follower whose Apply/Reset callbacks land every streamed record
-// through the ordinary catalog paths — closures rebuilt, search index
-// reindexed — and into the follower's own WAL, so a restarted follower
+// through the ordinary catalog paths — closures rebuilt, each new graph
+// version summarised by the next search — and into the follower's own WAL, so a restarted follower
 // resumes from its local tail instead of re-fetching history.
 
 // ErrReadOnly rejects local mutations on a follower engine: the

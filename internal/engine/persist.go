@@ -62,8 +62,8 @@ func (p persister) LogPatch(ctx context.Context, name string, pt *graph.Patch) e
 // are first folded to their final state — a graph registered once and
 // patched N times yields one graph, not N+1 catalog mutations — and
 // each survivor is registered through the ordinary catalog path, so
-// closures rebuild and the search index reindexes exactly once
-// per graph; by the time Open returns, the recovered catalog is warm
+// closures rebuild exactly once per graph (the search index summarises
+// each on the first search); by the time Open returns, the recovered catalog is warm
 // and the HTTP listener can accept traffic. The persister is installed
 // only after the replay, so recovered state is not re-logged — and not
 // at all on a follower, whose ops are logged by the replication apply

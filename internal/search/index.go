@@ -5,34 +5,27 @@ import (
 	"sync"
 
 	"graphmatch/internal/catalog"
+	"graphmatch/internal/graph"
 )
 
-// rec is the index's record of one registered graph. It holds no graph:
-// its summary is read from the catalog's content index of the graph
-// version current when a search ensures it (once, outside the index
-// lock — shingling a whole graph must not stall registration or
-// concurrent searches). A commit only marks the record stale.
+// rec is the index's record of one registered graph: the summary of
+// one graph version, read from the catalog's content index of that
+// version. The catalog gives every version its own *graph.Graph, so
+// the version pointer alone says whether the summary is current.
 type rec struct {
 	name string
-
-	// fresh is guarded by Index.mu: false from registration and from
-	// each patch until a search has rebuilt sum from a version no older.
-	fresh bool
-
-	// buildMu serialises summary rebuilds for this record. sum is
-	// written by the buildMu holder and published under Index.mu,
-	// where Candidates snapshots it; sum.Hashes are exactly the hashes
-	// the record is posted under.
-	buildMu sync.Mutex
-	sum     Summary
+	g    *graph.Graph
+	// sum.Hashes are exactly the hashes the record is posted under.
+	sum Summary
 }
 
 // Index is the stage-1 candidate index over a catalog's registered
 // graphs: an inverted index from content shingle hashes to graphs,
-// plus per-graph structural signatures. It is safe for concurrent use
-// and stays coherent with the catalog through the mutation hook
-// NewIndex installs — Register, Remove and Apply reach the index
-// synchronously, in mutation order.
+// plus per-graph structural signatures. It is a cache keyed by graph
+// version: each search reads the registry once and rebuilds only the
+// records whose version it has not summarised, so the catalog never
+// calls out to it and any number of indexes may share one catalog. It
+// is safe for concurrent use.
 type Index struct {
 	cat      *catalog.Catalog
 	mu       sync.Mutex
@@ -40,40 +33,13 @@ type Index struct {
 	postings map[uint64][]*rec
 }
 
-// NewIndex builds an index over cat and keeps it coherent by
-// installing the catalog's mutation hook (replacing any previous hook;
-// the catalog supports one observer, and the serving engine creates
-// exactly one index per catalog). Graphs already registered are
-// replayed into the index during installation, so attaching to a
-// populated catalog is equivalent to having observed every Register.
+// NewIndex returns an empty index over cat; the first search
+// summarises every registered graph.
 func NewIndex(cat *catalog.Catalog) *Index {
-	ix := &Index{
+	return &Index{
 		cat:      cat,
 		recs:     make(map[string]*rec),
 		postings: make(map[uint64][]*rec),
-	}
-	cat.SetMutationHook(ix.onMutate)
-	return ix
-}
-
-// onMutate is the catalog hook. It runs under the catalog lock, so it
-// only does map bookkeeping: a removal drops the record, a patch marks
-// it stale, and a registration starts a stale one. The summary work is
-// deferred to the next search.
-func (ix *Index) onMutate(name string, removed bool) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	r := ix.recs[name]
-	switch {
-	case removed:
-		if r != nil {
-			delete(ix.recs, name)
-			ix.repostLocked(r, nil)
-		}
-	case r != nil:
-		r.fresh = false
-	default:
-		ix.recs[name] = &rec{name: name}
 	}
 }
 
@@ -107,74 +73,61 @@ func (ix *Index) repostLocked(r *rec, hashes []uint64) {
 	r.sum.Hashes = hashes
 }
 
-// ensure rebuilds a stale record's summary from the catalog's content
-// index of the current graph version, which stage 2's content matrices
-// read too, so each version is shingled once. The record is marked
-// fresh before the catalog is read: a commit landing after that marks
-// it stale again, and the next search rebuilds once more.
-func (ix *Index) ensure(r *rec) {
-	r.buildMu.Lock()
-	defer r.buildMu.Unlock()
-
-	ix.mu.Lock()
-	stale := ix.recs[r.name] == r && !r.fresh
-	r.fresh = true
-	ix.mu.Unlock()
-	if !stale {
-		return
-	}
-	g, content, err := ix.cat.ContentSets(r.name)
-	if err != nil {
-		return // removed meanwhile: the hook has dropped the record
-	}
-	sum := SummaryOf(g, content.Shingles())
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.recs[r.name] == r {
-		ix.repostLocked(r, sum.Hashes)
-		r.sum = sum
-	}
-}
-
-// Len reports the number of graphs currently indexed.
-func (ix *Index) Len() int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return len(ix.recs)
-}
-
-// Candidates scores the query summary against every indexed graph and
-// returns the survivors of pol, ordered deterministically: by score
+// Candidates scores the query summary against every registered graph
+// and returns the survivors of pol, ordered deterministically: by score
 // descending, ties by name ascending (name order alone under
-// Policy.Brute). The search operates on a snapshot of the registry —
-// graphs registered or patched while a search is scoring are picked up
-// by the next search; graphs removed concurrently are skipped.
+// Policy.Brute). It ranks the graphs registered when the search read
+// the registry: one registered after that read is picked up by the
+// next search, and one removed after it may still be scored — stage 2
+// resolves every candidate through the catalog and drops vanished
+// ones. A graph patched while searches overlap may be scored at the
+// version a concurrent search installed; the next search that finds
+// a record's version differing from the registry's rebuilds it.
 func (ix *Index) Candidates(pattern Summary, pol Policy) ([]Candidate, Stats) {
-	// Snapshot the records, then refresh stale summaries outside the
-	// index lock: rec.buildMu makes concurrent searches cooperate
-	// instead of duplicating work.
-	// Per-record commits matter because the catalog's mutation hook
-	// runs under the catalog lock and takes ix.mu: a whole-catalog
-	// commit under one hold would stall every catalog operation, match
-	// traffic included, behind the first search.
+	reg := ix.cat.Export(nil)
 	ix.mu.Lock()
-	snapshot := make([]*rec, 0, len(ix.recs))
-	for _, r := range ix.recs {
-		snapshot = append(snapshot, r)
+	var stale []string
+	for name, g := range reg {
+		if r := ix.recs[name]; r == nil || r.g != g {
+			stale = append(stale, name)
+		}
 	}
 	ix.mu.Unlock()
-	for _, r := range snapshot {
-		ix.ensure(r)
+
+	// Summarise the new versions outside the index lock: shingling a
+	// whole graph must not stall concurrent searches. Each summary is
+	// read from the catalog's content index of the version, which stage
+	// 2's content matrices read too, so each version is shingled once.
+	fresh := make([]rec, 0, len(stale))
+	for _, name := range stale {
+		g, content, err := ix.cat.ContentSets(name)
+		if err != nil {
+			delete(reg, name) // removed since the registry read
+			continue
+		}
+		reg[name] = g
+		fresh = append(fresh, rec{name, g, SummaryOf(g, content.Shingles())})
 	}
 
-	// Gather overlaps, re-validate the snapshot and capture each
-	// record's summary under one more short hold — summaries are
-	// republished by later rebuilds, so scoring reads the captured values,
-	// which are consistent with the postings gathered in the same hold.
-	// A record removed after this point may still be scored — stage 2
-	// resolves every candidate through the catalog and drops vanished
-	// ones, so coherence holds.
+	// Install, drop the names that are gone, gather overlaps and
+	// capture each summary in one hold, so scoring reads values that
+	// are consistent with the postings gathered.
 	ix.mu.Lock()
+	for _, b := range fresh {
+		r := ix.recs[b.name]
+		if r == nil {
+			r = &rec{name: b.name}
+			ix.recs[b.name] = r
+		}
+		ix.repostLocked(r, b.sum.Hashes)
+		r.g, r.sum = b.g, b.sum
+	}
+	for name, r := range ix.recs {
+		if _, ok := reg[name]; !ok {
+			delete(ix.recs, name)
+			ix.repostLocked(r, nil)
+		}
+	}
 	overlap := make(map[*rec]int)
 	if !pol.Brute {
 		for _, h := range pattern.Hashes {
@@ -183,10 +136,10 @@ func (ix *Index) Candidates(pattern Summary, pol Policy) ([]Candidate, Stats) {
 			}
 		}
 	}
-	alive := snapshot[:0]
-	sums := make([]Summary, 0, len(snapshot))
-	for _, r := range snapshot {
-		if ix.recs[r.name] == r {
+	alive := make([]*rec, 0, len(reg))
+	sums := make([]Summary, 0, len(reg))
+	for name := range reg {
+		if r := ix.recs[name]; r != nil {
 			alive = append(alive, r)
 			sums = append(sums, r.sum)
 		}

@@ -26,14 +26,16 @@
 //     (ties broken by graph name) so repeated searches over the same
 //     catalog return byte-identical rankings.
 //
-// The index stays coherent with the catalog through its mutation hook:
-// Register and Remove update the index synchronously (in mutation
-// order), so a search started after a Remove returns never ranks the
-// removed graph, and a newly registered graph is searchable the moment
-// Register returns. Summaries are built lazily outside the lock —
-// registration stays cheap, the first search after a registration or
-// patch pays the shingling, into the catalog's content index of that
-// graph version, which stage 2's content matrices read too.
+// The index is a cache keyed by graph version. The catalog gives every
+// registered or patched graph version its own *graph.Graph, and each
+// search reads the registry once, so a search started after a Remove
+// returns never ranks the removed graph, and a newly registered graph
+// is searchable the moment Register returns. The catalog never calls
+// out to the index, and any number of indexes may share one catalog.
+// Summaries are built lazily outside the index lock: registration stays
+// cheap, and the first search after a registration or patch pays the
+// shingling, into the catalog's content index of that graph version,
+// which stage 2's content matrices read too.
 package search
 
 import (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -191,9 +192,6 @@ func TestIndexCoherence(t *testing.T) {
 	if err := cat.Remove("b"); err != nil {
 		t.Fatal(err)
 	}
-	if ix.Len() != 1 {
-		t.Fatalf("index holds %d records after remove, want 1", ix.Len())
-	}
 	cands, stats := ix.Candidates(q, Policy{MinResemblance: 0.5})
 	if len(cands) != 0 {
 		t.Fatalf("after remove: %v", cands)
@@ -217,27 +215,117 @@ func TestIndexCoherence(t *testing.T) {
 	}
 }
 
-// TestIndexAttachesToPopulatedCatalog checks the hook replay: an index
-// created after graphs were registered still sees them.
+// TestIndexAttachesToPopulatedCatalog checks that an index created
+// after graphs were registered still sees them.
 func TestIndexAttachesToPopulatedCatalog(t *testing.T) {
 	cat := catalog.New(0)
 	if err := cat.Register("pre", contentGraph("registered before the index existed")); err != nil {
 		t.Fatal(err)
 	}
 	ix := NewIndex(cat)
-	if ix.Len() != 1 {
-		t.Fatalf("index missed the pre-registered graph: len %d", ix.Len())
+	cands, stats := ix.Candidates(Summarize(contentGraph("registered before the index existed")), Policy{MinResemblance: 0.5})
+	if stats.Graphs != 1 {
+		t.Fatalf("index missed the pre-registered graph: stats %+v", stats)
 	}
-	cands, _ := ix.Candidates(Summarize(contentGraph("registered before the index existed")), Policy{MinResemblance: 0.5})
 	if len(cands) != 1 || cands[0].Name != "pre" {
 		t.Fatalf("candidates %v", cands)
 	}
 }
 
+// rankedNames returns the names ix ranks for q under the zero policy,
+// sorted.
+func rankedNames(ix *Index, q Summary) []string {
+	cands, _ := ix.Candidates(q, Policy{})
+	names := make([]string, len(cands))
+	for i, c := range cands {
+		names[i] = c.Name
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestIndexesShareCatalog builds two indexes over one catalog: after
+// every Register, Remove and Apply both must rank exactly the current
+// registry, and score it as a fresh index over the same graphs does.
+func TestIndexesShareCatalog(t *testing.T) {
+	cat, first := newIndexOver(t, map[string]*graph.Graph{
+		"a": contentGraph("graph a text that stays registered for the whole test"),
+		"b": contentGraph("graph b text that is removed half way through"),
+	})
+	q := Summarize(contentGraph("graph b text that is removed half way through"))
+	first.Candidates(q, Policy{})
+	second := NewIndex(cat)
+	second.Candidates(q, Policy{})
+
+	check := func(step string, want ...string) {
+		t.Helper()
+		fresh := catalog.New(0)
+		for name, g := range cat.Export(nil) {
+			if err := fresh.Register(name, g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantCands, wantStats := NewIndex(fresh).Candidates(q, Policy{})
+		for i, ix := range []*Index{first, second} {
+			if got := rankedNames(ix, q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: index %d ranks %v, want %v", step, i, got, want)
+			}
+			cands, stats := ix.Candidates(q, Policy{})
+			if !reflect.DeepEqual(cands, wantCands) || stats != wantStats {
+				t.Fatalf("%s: index %d scores %+v %+v, want %+v %+v", step, i, cands, stats, wantCands, wantStats)
+			}
+		}
+	}
+	if err := cat.Register("c", contentGraph("graph c text registered after both indexes")); err != nil {
+		t.Fatal(err)
+	}
+	check("register", "a", "b", "c")
+	if err := cat.Remove("b"); err != nil {
+		t.Fatal(err)
+	}
+	check("remove", "a", "c")
+	if _, err := cat.Apply("a", &graph.Patch{SetContent: []graph.ContentUpdate{{Node: 0, Content: "graph b text that is removed half way through"}}}); err != nil {
+		t.Fatal(err)
+	}
+	check("apply", "a", "c")
+}
+
+// TestIndexFollowsReplace covers the follower bootstrap path: an index
+// built before Catalog.Replace must afterwards rank exactly the new
+// registry, never an old name, and must score a reused name by its new
+// content.
+func TestIndexFollowsReplace(t *testing.T) {
+	oldText := "old content of the reused name before the replace"
+	newText := "new content of the reused name after the replace"
+	cat, ix := newIndexOver(t, map[string]*graph.Graph{
+		"gone":   contentGraph("a graph only the old registry holds"),
+		"reused": contentGraph(oldText),
+	})
+	qOld, qNew := Summarize(contentGraph(oldText)), Summarize(contentGraph(newText))
+	if cands, _ := ix.Candidates(qOld, Policy{MinResemblance: 0.5}); len(cands) != 1 || cands[0].Name != "reused" {
+		t.Fatalf("before replace: %v", cands)
+	}
+	if err := cat.Replace(map[string]*graph.Graph{
+		"reused": contentGraph(newText),
+		"added":  contentGraph("a graph only the new registry holds"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rankedNames(ix, qOld), []string{"added", "reused"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after replace: ranks %v, want %v", got, want)
+	}
+	if cands, _ := ix.Candidates(qOld, Policy{MinResemblance: 0.5}); len(cands) != 0 {
+		t.Fatalf("old content of the reused name still matches: %v", cands)
+	}
+	if cands, _ := ix.Candidates(qNew, Policy{MinResemblance: 0.5}); len(cands) != 1 || cands[0].Name != "reused" {
+		t.Fatalf("new content of the reused name not indexed: %v", cands)
+	}
+}
+
 // TestIndexConcurrentChurn hammers the index with concurrent catalog
 // mutations and searches; run under -race this pins the locking
-// protocol (hook under the catalog lock, summaries built outside,
-// commits re-validated).
+// protocol (one registry read, summaries built outside the index lock,
+// installed in one hold).
 func TestIndexConcurrentChurn(t *testing.T) {
 	cat, ix := newIndexOver(t, map[string]*graph.Graph{
 		"stable": contentGraph("stable graph text that never goes away during the churn"),
@@ -349,7 +437,7 @@ func randomSearchPatch(rng *rand.Rand, g *graph.Graph, words []string) *graph.Pa
 
 // TestIndexPatchEquivalence is the incremental-maintenance quickcheck:
 // after every committed patch, candidate scoring through the live index
-// (folded deltas, diffed postings) must be bit-identical to a fresh
+// (version-keyed records, reposted postings) must be bit-identical to a fresh
 // index built over the same graphs from scratch. Covers edge-only
 // patches (shared hash sample), content rewrites, node growth, and
 // mixed sequences.
@@ -377,7 +465,7 @@ func TestIndexPatchEquivalence(t *testing.T) {
 			}
 		}
 		query := Summarize(contentGraph(text(), text()))
-		ix.Candidates(query, Policy{}) // force the initial builds so later folds are incremental
+		ix.Candidates(query, Policy{}) // build every record, so later searches rebuild only patched ones
 
 		for step := 0; step < 6; step++ {
 			name := names[rng.Intn(len(names))]

@@ -3,8 +3,8 @@
 // remove, and in-place patch) plus periodic compacted snapshots, both
 // in a versioned binary format with per-record checksums. A phomd
 // restart replays snapshot + WAL to rebuild the catalog — closures
-// and the search index rewarm through the ordinary registration
-// path — instead of losing every registered graph.
+// rewarm through the ordinary registration path — instead of losing
+// every registered graph.
 //
 // On-disk layout (one directory per store):
 //
