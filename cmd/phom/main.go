@@ -260,8 +260,8 @@ func runSearch(args []string) {
 			i+1, h.Graph, h.Score, h.QualCard, h.QualSim, h.Holds, h.Containment)
 	}
 	st := res.Stats
-	fmt.Printf("\n%d graphs, %d candidates, %d pruned (%.0f%%), %d matched; stage1 %v, stage2 %v\n",
-		st.Graphs, st.Candidates, st.Pruned, st.PruneRate*100, st.Matched,
+	fmt.Printf("\n%d graphs, %d candidates, %d pruned (%.0f%%), %d matched, %d skipped by bound; stage1 %v, stage2 %v\n",
+		st.Graphs, st.Candidates, st.Pruned, st.PruneRate*100, st.Matched, st.Skipped,
 		st.Stage1.Round(time.Microsecond), st.Stage2.Round(time.Microsecond))
 }
 

@@ -73,8 +73,8 @@ func main() {
 			log.Fatal(res.Err)
 		}
 		st := res.Stats
-		fmt.Printf("query: %s skeleton (%d nodes) — %d graphs, %d pruned by the prefilter (%.0f%%), %d matched\n",
-			cat, patterns[i].NumNodes(), st.Graphs, st.Pruned, st.PruneRate*100, st.Matched)
+		fmt.Printf("query: %s skeleton (%d nodes) — %d graphs, %d pruned by the prefilter (%.0f%%), %d matched, %d skipped by bound\n",
+			cat, patterns[i].NumNodes(), st.Graphs, st.Pruned, st.PruneRate*100, st.Matched, st.Skipped)
 		for rank, h := range res.Hits {
 			fmt.Printf("  #%d  %-16s qualSim %.3f  (containment %.2f)\n",
 				rank+1, h.Graph, h.QualSim, h.Containment)

@@ -547,6 +547,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 		out.Stats.Candidates += sr.Stats.Candidates
 		out.Stats.Pruned += sr.Stats.Pruned
 		out.Stats.Matched += sr.Stats.Matched
+		out.Stats.Skipped += sr.Stats.Skipped
 		out.Stats.Missing += sr.Stats.Missing
 		if sr.Stats.Stage1US > out.Stats.Stage1US {
 			out.Stats.Stage1US = sr.Stats.Stage1US

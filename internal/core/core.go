@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -300,6 +301,49 @@ func (in *Instance) QualSim(m Mapping) float64 {
 		}
 	}
 	return got / total
+}
+
+// QualityBound bounds qualCard and qualSim over every mapping from g1 at
+// threshold xi (clamped as NewInstance clamps it), whatever algorithm
+// produced it. ub[v] must be at least mat(v, u) for every data node u.
+// Only a node with ub[v] ≥ ξ can be mapped, and it adds at most
+// w(v)·ub[v], so
+//
+//	card = |{v : ub[v] ≥ ξ}| / |V1|
+//	sim  = Σ_{ub[v] ≥ ξ} w(v)·ub[v] / Σ_v w(v)
+//
+// The sums run in node-ID order, as QualSim's do. Float addition and
+// multiplication are monotone in each non-negative operand, and the
+// bound's sum has every term of QualSim's, each no smaller, plus more, so
+// the rounded bound is never below the rounded quality. A pattern without
+// nodes or without weight scores 1 whatever the mapping, and one with a
+// negative weight gets an infinite sim bound: its qualSim may exceed 1.
+func QualityBound(g1 *graph.Graph, ub []float64, xi float64) (card, sim float64) {
+	xi = min(max(xi, 0), 1)
+	n := g1.NumNodes()
+	if n == 0 {
+		return 1, 1
+	}
+	total, got, admissible, negative := 0.0, 0.0, 0, false
+	for v := 0; v < n; v++ {
+		w := g1.Weight(graph.NodeID(v))
+		negative = negative || !(w >= 0)
+		total += w
+		if ub[v] >= xi {
+			admissible++
+			got += w * ub[v]
+		}
+	}
+	card = float64(admissible) / float64(n)
+	switch {
+	case negative:
+		sim = math.Inf(1)
+	case total == 0:
+		sim = 1
+	default:
+		sim = got / total
+	}
+	return card, sim
 }
 
 // Matches reports the paper's Section 6 match convention: G1 matches G2

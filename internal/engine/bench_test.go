@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"graphmatch/internal/core"
+	"graphmatch/internal/graph"
 	"graphmatch/internal/simmatrix"
+	"graphmatch/internal/webgen"
 )
 
 // benchEngine registers one data graph and returns request variants
@@ -124,4 +126,37 @@ func BenchmarkSharedVsPrivateClosure(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSearch times one search at a time over a web_search-sized
+// catalog (10 sites × 11 versions × 60 pages, a 12-hub skeleton,
+// maxsim, ξ = 0.75, K = 5): the full scan, where every graph is matched
+// and the per-task hand-off dominates, and the default search, where
+// stage 2 stops once no bound can enter the top-k.
+func BenchmarkSearch(b *testing.B) {
+	e := New(Options{Workers: 2, MaxClosures: 128})
+	defer e.Close()
+	var pattern *graph.Graph
+	for s := 0; s < 10; s++ {
+		arch := webgen.Generate(webgen.Config{Category: webgen.Category(s%3 + 1), Pages: 60, Versions: 11, Seed: int64(s)})
+		for v, g := range arch.Versions {
+			if err := e.Register(fmt.Sprintf("site%02d.v%02d", s, v), g); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if s == 0 {
+			pattern = webgen.TopKSkeleton(arch.Versions[5], 12)
+		}
+	}
+	for _, brute := range []bool{true, false} {
+		req := SearchRequest{Pattern: pattern, Algo: MaxSim, Xi: 0.75, Sim: SimContent, K: 5, NoPrefilter: brute}
+		e.Search(context.Background(), req) // build every summary, matrix index and closure
+		b.Run(fmt.Sprintf("brute=%v", brute), func(b *testing.B) {
+			for b.Loop() {
+				if res := e.Search(context.Background(), req); res.Err != nil {
+					b.Fatal(res.Err)
+				}
+			}
+		})
+	}
 }

@@ -188,7 +188,9 @@ type Options struct {
 	// selects QueueDepth + Workers (after their own defaults), the
 	// largest bound under which an admitted task's queue send never
 	// blocks; servers exposed to untrusted load should shed (phomd
-	// does, with that bound).
+	// does, with that bound). A search is admitted once, by its first
+	// task; the rest of its tasks, at most Workers in flight, are never
+	// shed, and may wait for queue space instead.
 	MaxPending int
 	// ExactNodeLimit, when positive, rejects Decide/Decide11 requests
 	// whose pattern has more nodes — those procedures are exponential,
@@ -257,6 +259,9 @@ type task struct {
 	// the submitter was untraced, and for batch items). The worker
 	// parents queue-wait and execution spans under it.
 	span trace.Span
+	// finished, set for a search's tasks, hears of the task once done is
+	// closed (window.finished).
+	finished chan<- *task
 }
 
 // Engine schedules match requests over a shared catalog. Create one
@@ -333,6 +338,7 @@ type Engine struct {
 	mTaskWait         *metrics.Histogram
 	mTaskRun          *metrics.Histogram
 	mSearchCandidates *metrics.Histogram
+	mSearchMatched    *metrics.Histogram
 	mSearchPruneRatio *metrics.Histogram
 	mSearchStage1     *metrics.Histogram
 	mSearchStage2     *metrics.Histogram
@@ -526,7 +532,7 @@ func (e *Engine) Match(ctx context.Context, req Request) Result {
 		msp.End()
 		return Result{Err: decorate(ctx, fmt.Errorf("%w: %w", ErrDeadline, err))}
 	}
-	t, err := e.submit(ctx, req, nil, msp)
+	t, err := e.submit(ctx, req, nil, msp, nil)
 	if err != nil {
 		e.errors.Add(1)
 		if msp.Active() {
@@ -554,16 +560,10 @@ func (e *Engine) Match(ctx context.Context, req Request) Result {
 // MatchBatch schedules all requests before waiting on any, so
 // independent requests run concurrently across the pool. Results are
 // positional; per-request failures (engine closed included) land in
-// Result.Err.
+// Result.Err. Consecutive requests carrying the same pattern object
+// share one preparation, so a fan-out of one pattern over many graphs
+// normalises and shingles it once.
 func (e *Engine) MatchBatch(ctx context.Context, reqs []Request) []Result {
-	return e.matchBatch(ctx, reqs, nil)
-}
-
-// matchBatch is MatchBatch starting from a pattern preparation the caller
-// already holds (Search's) or none. Consecutive requests carrying the
-// same pattern object share one preparation, so a fan-out of one pattern
-// over many graphs normalises and shingles it once.
-func (e *Engine) matchBatch(ctx context.Context, reqs []Request, p *prepared) []Result {
 	e.batches.Add(1)
 	results := make([]Result, len(reqs))
 	if err := ctx.Err(); err != nil {
@@ -577,6 +577,7 @@ func (e *Engine) matchBatch(ctx context.Context, reqs []Request, p *prepared) []
 		return results
 	}
 	tasks := make([]*task, len(reqs))
+	var p *prepared
 	for i, req := range reqs {
 		if p != nil && p.g != req.Pattern {
 			p = nil
@@ -584,9 +585,9 @@ func (e *Engine) matchBatch(ctx context.Context, reqs []Request, p *prepared) []
 		if p == nil && req.Pattern != nil {
 			p = e.prepare(req.Pattern)
 		}
-		// Batch items do not get per-item spans: a search fan-out would
+		// Batch items do not get per-item spans: a large fan-out would
 		// blow the per-trace span cap and drown the interesting stages.
-		t, err := e.submit(ctx, req, p, trace.Span{})
+		t, err := e.submit(ctx, req, p, trace.Span{}, nil)
 		if err != nil {
 			e.errors.Add(1)
 			results[i] = Result{Err: decorate(ctx, err)}
@@ -637,8 +638,11 @@ func (p *prepared) content() *prepared {
 // ctx. p is the preparation of req.Pattern when the caller already holds
 // one, else nil. sp is the submitter's engine.match span (inert when
 // untraced); the task adopts it, so the worker's execution spans land in
-// the trace of the request that caused the work.
-func (e *Engine) submit(ctx context.Context, req Request, p *prepared, sp trace.Span) (*task, error) {
+// the trace of the request that caused the work. w is the search
+// window the task belongs to, or nil: a window's first task goes through
+// admission control and the rest are never shed, so an admitted search
+// is not shed half-way.
+func (e *Engine) submit(ctx context.Context, req Request, p *prepared, sp trace.Span, w *window) (*task, error) {
 	e.requests.Add(1)
 	if req.Pattern == nil {
 		return nil, fmt.Errorf("engine: nil pattern")
@@ -664,7 +668,7 @@ func (e *Engine) submit(ctx context.Context, req Request, p *prepared, sp trace.
 			ErrExactLimit, req.Pattern.NumNodes(), e.exactLimit)
 	}
 	n := e.pending.Add(1)
-	if e.maxPending > 0 && n > int64(e.maxPending) {
+	if (w == nil || !w.admitted) && e.maxPending > 0 && n > int64(e.maxPending) {
 		e.pending.Add(-1)
 		e.shed.Add(1)
 		return nil, fmt.Errorf("%w: %d tasks pending (limit %d)",
@@ -675,6 +679,9 @@ func (e *Engine) submit(ctx context.Context, req Request, p *prepared, sp trace.
 		p = e.prepare(req.Pattern)
 	}
 	t := &task{req: req, prep: p, ctx: ctx, done: make(chan struct{}), span: sp}
+	if w != nil {
+		t.finished = w.finished
+	}
 
 	e.sendMu.RLock()
 	defer e.sendMu.RUnlock()
@@ -684,6 +691,9 @@ func (e *Engine) submit(ctx context.Context, req Request, p *prepared, sp trace.
 	}
 	t.enqueued = time.Now()
 	e.queue <- t
+	if w != nil {
+		w.admitted = true
+	}
 	return t, nil
 }
 
@@ -731,6 +741,9 @@ func (e *Engine) worker() {
 		e.executed.Add(1)
 		e.pending.Add(-1)
 		close(t.done)
+		if t.finished != nil {
+			t.finished <- t
+		}
 	}
 }
 

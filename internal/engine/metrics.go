@@ -122,6 +122,8 @@ func (e *Engine) initMetrics() {
 		func() float64 { return float64(e.searches.Load()) })
 	e.mSearchCandidates = r.Histogram("phomd_search_candidates",
 		"Stage-1 candidates handed to the matcher per search.", searchCandidateBuckets)
+	e.mSearchMatched = r.Histogram("phomd_search_matched",
+		"Candidates the matcher scored per search: stage 1's less those the bound skipped and those removed between the stages.", searchCandidateBuckets)
 	e.mSearchPruneRatio = r.Histogram("phomd_search_prune_ratio",
 		"Fraction of the catalog stage 1 pruned per search.", ratioBuckets)
 	e.mSearchStage1 = r.Histogram("phomd_search_stage1_seconds",

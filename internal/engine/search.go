@@ -1,15 +1,19 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"graphmatch/internal/catalog"
+	"graphmatch/internal/core"
 	"graphmatch/internal/graph"
 	"graphmatch/internal/search"
+	"graphmatch/internal/simmatrix"
 	"graphmatch/internal/trace"
 )
 
@@ -82,6 +86,10 @@ type SearchStats struct {
 	Pruned int
 	// Matched counts candidates the matcher actually scored.
 	Matched int
+	// Skipped counts candidates stage 2 never matched because their
+	// bound showed they could not enter the top-k. Without a failure,
+	// Matched + Skipped + Missing = Candidates.
+	Skipped int
 	// Missing counts candidates that vanished between stage 1 and
 	// stage 2 (concurrently removed); they are silently dropped.
 	Missing int
@@ -106,11 +114,16 @@ type SearchResult struct {
 // Search ranks the pattern against every registered graph and returns
 // the top K hits. Stage 1 consults the candidate index (shingle
 // postings + structural signatures) to order and prune the catalog
-// without running the matcher; stage 2 fans the surviving candidates
-// through the worker pool as one batch — concurrent, cancellable via
-// ctx — and folds the qualities into a deterministic top-k (ties broken
-// by graph name). The ranking is reproducible: the same catalog and
-// request return the same hits in the same order on every run.
+// without running the matcher, and under content similarity bounds the
+// quality each candidate can reach. Stage 2 matches the candidates in
+// descending bound order through a window of at most Workers tasks —
+// concurrent, cancellable via ctx — folds the qualities into a
+// deterministic top-k (ties broken by graph name), and stops once no
+// remaining bound can enter it. The hits are those of matching every
+// candidate, and reproducible: the same catalog and request return the
+// same hits in the same order, and the same stats, on every run. The
+// search is admitted once, by its first task, so an idle server never
+// sheds it whatever its candidate count.
 func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 	e.searches.Add(1)
 	if req.Algo == "" {
@@ -139,16 +152,27 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 	}
 	// Prepare the pattern once, up front: stage 1 summarises the same
 	// distinct shingles every stage-2 content matrix is built from.
-	prep := e.prepare(req.Pattern)
+	prep := e.prepare(req.Pattern).content()
+	query := search.SummaryOf(req.Pattern, prep.pattern.Shingles())
+	if req.Sim == SimContent && boundable(req.Algo) {
+		query.Nodes = prep.pattern
+	}
 
 	start := time.Now()
-	cands, cstats := e.searchIdx.Candidates(search.SummaryOf(req.Pattern, prep.content().pattern.Shingles()), pol)
+	cands, cstats := e.searchIdx.Candidates(query, pol)
 	stats := SearchStats{
 		Graphs:     cstats.Graphs,
 		Candidates: len(cands),
 		Pruned:     cstats.PrunedScore + cstats.PrunedCap,
-		Stage1:     time.Since(start),
 	}
+	// Stage 2 visits the candidates in descending bound order; the
+	// stable sort keeps stage 1's order among equal bounds.
+	queue := make([]queued, len(cands))
+	for i, c := range cands {
+		queue[i] = queued{cand: c, bound: rankBound(req, prep.pattern, c.Held)}
+	}
+	slices.SortStableFunc(queue, func(a, b queued) int { return cmp.Compare(b.bound, a.bound) })
+	stats.Stage1 = time.Since(start)
 	if stats.Graphs > 0 {
 		stats.PruneRate = float64(stats.Pruned) / float64(stats.Graphs)
 	}
@@ -170,23 +194,70 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 		return SearchResult{Stats: stats, Err: decorate(ctx, fmt.Errorf("%w: %w", ErrDeadline, err))}
 	}
 
-	reqs := make([]Request, len(cands))
-	for i, c := range cands {
-		reqs[i] = Request{
-			Pattern:   req.Pattern,
-			GraphName: c.Name,
-			Algo:      req.Algo,
-			Xi:        req.Xi,
-			PathLimit: req.PathLimit,
-			Sim:       req.Sim,
-		}
-	}
+	// Stage 2 matches through a window of at most Workers tasks and
+	// folds the results in queue order, whatever order they complete
+	// in, so where it stops depends on the results alone. It stops at
+	// the first candidate that can no longer enter the top-k: the fold
+	// holds k hits and the k-th primary score is strictly above the
+	// candidate's bound, hence above every later one's. An equal score
+	// could still win on the tie key or the name.
 	stage2 := time.Now()
-	results := e.matchBatch(ctx, reqs, prep)
-
 	top := search.NewTopK(k)
+	beaten := func(i int) bool {
+		floor, full := top.Floor()
+		return full && floor.Score > queue[i].bound
+	}
+	wctx, abandon := context.WithCancel(ctx)
+	defer abandon() // in-flight tasks past the stop give up at pickup or mid-match
+	win := &window{finished: make(chan *task, e.workers)}
+	tasks := make([]*task, len(queue))
+	errs := make([]error, len(queue))
+	next, folded, inflight := 0, 0, 0
 	var firstErr error
-	for i, res := range results {
+	for ; folded < len(queue) && !beaten(folded); folded++ {
+		// Refill every slot a finished task freed, then wait for this
+		// candidate's task or for any other to free a slot.
+		for {
+			for len(win.finished) > 0 {
+				<-win.finished
+				inflight--
+			}
+			for ; inflight < e.workers && next < len(queue) && !beaten(next); next++ {
+				tasks[next], errs[next] = e.submit(wctx, Request{
+					Pattern:   req.Pattern,
+					GraphName: queue[next].cand.Name,
+					Algo:      req.Algo,
+					Xi:        req.Xi,
+					PathLimit: req.PathLimit,
+					Sim:       req.Sim,
+				}, prep, trace.Span{}, win)
+				if errs[next] == nil {
+					inflight++
+				} else if next == 0 && errors.Is(errs[0], ErrOverloaded) {
+					e.errors.Add(1)
+					ssp.SetBool("shed", true)
+					return SearchResult{Stats: stats, Err: decorate(ctx, errs[0])}
+				}
+			}
+			if tasks[folded] == nil {
+				break
+			}
+			select {
+			case <-win.finished:
+				inflight--
+				continue
+			case <-tasks[folded].done:
+			case <-ctx.Done():
+			}
+			break
+		}
+		res := Result{Err: errs[folded]}
+		if t := tasks[folded]; t != nil {
+			res = e.wait(wctx, t)
+		} else {
+			e.errors.Add(1)
+			res.Err = decorate(ctx, res.Err)
+		}
 		if res.Err != nil {
 			if errors.Is(res.Err, catalog.ErrNotFound) {
 				stats.Missing++ // removed between the stages: not a hit, not an error
@@ -195,18 +266,27 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 			if firstErr == nil {
 				firstErr = res.Err
 			}
+			if ctx.Err() != nil {
+				break // the caller gave up: no later result can be waited for
+			}
 			continue
 		}
 		stats.Matched++
 		primary, tie := rankScore(req.Algo, res)
-		top.Push(search.Hit{Name: cands[i].Name, Score: primary, Tie: tie, Payload: searchPayload{cand: cands[i], res: res}})
+		top.Push(search.Hit{Name: queue[folded].cand.Name, Score: primary, Tie: tie, Payload: searchPayload{cand: queue[folded].cand, res: res}})
+	}
+	if firstErr == nil {
+		stats.Skipped = len(queue) - folded
 	}
 	stats.Stage2 = time.Since(stage2)
 	e.mSearchStage2.Observe(stats.Stage2.Seconds())
+	e.mSearchMatched.Observe(float64(stats.Matched))
 	if ssp.Active() {
 		s2 := ssp.ChildSpanning("search.stage2", stage2, stage2.Add(stats.Stage2))
 		s2.SetInt("matched", int64(stats.Matched))
+		s2.SetInt("skipped", int64(stats.Skipped))
 		s2.SetInt("missing", int64(stats.Missing))
+		s2.SetBool("stopped_early", stats.Skipped > 0)
 	}
 
 	hits := make([]SearchHit, 0, top.Len())
@@ -227,6 +307,61 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 	// Per-candidate failures were already counted by the batch's wait
 	// path; adding one more here would double-count them.
 	return SearchResult{Hits: hits, Stats: stats, Err: firstErr}
+}
+
+// window is one search's stage 2 in flight. Its first task goes
+// through admission control and the rest are never shed. Every task
+// reports on finished once done, so the search refills a slot whichever
+// task frees it; finished has room for as many tasks as the window
+// holds, so a worker never blocks on it, even after the search stopped
+// listening.
+type window struct {
+	admitted bool
+	finished chan *task
+}
+
+// queued is a stage-1 candidate with the bound on the primary score it
+// can reach.
+type queued struct {
+	cand  search.Candidate
+	bound float64
+}
+
+// boundable reports whether an algorithm's primary score (rankScore)
+// has a bound stage 1 can compute: qualCard or qualSim of a mapping. The
+// 0/1 verdicts of the decision procedures and the simulation baseline
+// have none.
+func boundable(algo Algorithm) bool {
+	switch algo {
+	case MaxCard, MaxCard11, MaxSim, MaxSim11:
+		return true
+	}
+	return false
+}
+
+// rankBound bounds the primary score a candidate can reach, from held,
+// the counts stage 1 took of each pattern node's shingles in the graph:
+// node v resembles no data node more than held[v] / |S_v|, and
+// core.QualityBound turns those into bounds on the qualities. Without
+// counts, or with a pattern node whose set is empty (it resembles the
+// graph's empty nodes fully), the bound is +Inf: never skipped.
+func rankBound(req SearchRequest, pat *simmatrix.ContentPattern, held []int32) float64 {
+	if held == nil {
+		return math.Inf(1)
+	}
+	ub := make([]float64, len(held))
+	for v := range ub {
+		a := len(pat.NodeKeys(graph.NodeID(v)))
+		if a == 0 {
+			return math.Inf(1)
+		}
+		ub[v] = float64(held[v]) / float64(a)
+	}
+	card, sim := core.QualityBound(req.Pattern, ub, req.Xi)
+	if req.Algo == MaxSim || req.Algo == MaxSim11 {
+		return sim
+	}
+	return card
 }
 
 // searchPayload rides through the top-k fold.

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"graphmatch/internal/graph"
 	"graphmatch/internal/webgen"
@@ -37,71 +39,105 @@ func hitNames(res SearchResult) []string {
 // TestSearchEquivalenceQuickCheck is the search-vs-brute-force
 // property: over random webgen catalogs, the top-k from the prefiltered
 // path must equal an exhaustive scan that matches every registered
-// graph — exactly under the no-pruning policy (the prefilter then only
-// orders candidates), and on these workloads also under a real pruning
-// threshold (pruned graphs score below the survivors).
+// graph — hit for hit, every match field included, under the no-pruning
+// policy, where the prefilter only orders and bounds candidates and
+// stage 2 stops once no bound can enter the top-k; and by name also under
+// a real pruning threshold (pruned graphs score below the survivors).
+// Every candidate is matched, skipped by the bound, or missing, and a
+// search whose K covers every candidate skips none.
 func TestSearchEquivalenceQuickCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matcher-heavy quickcheck")
 	}
 	cats := []webgen.Category{webgen.Store, webgen.Organization, webgen.Newspaper}
+	stops := 0
 	for trial := 0; trial < 3; trial++ {
 		e := New(Options{Workers: 4, MaxClosures: 64})
 		var patterns []*graph.Graph
+		var versions []int
 		rng := rand.New(rand.NewSource(int64(41 * (trial + 1))))
 		sites := 2 + rng.Intn(2)
 		for s := 0; s < sites; s++ {
+			versions = append(versions, 3+rng.Intn(3))
 			patterns = append(patterns, registerArchive(t, e,
 				fmt.Sprintf("t%d-s%d", trial, s), cats[rng.Intn(len(cats))],
-				int64(trial*100+s), 80+rng.Intn(60), 3+rng.Intn(3), 8))
+				int64(trial*100+s), 80+rng.Intn(60), versions[s], 8))
 		}
 		ctx := context.Background()
 		for s, pattern := range patterns {
 			for _, algo := range []Algorithm{MaxSim, MaxCard} {
-				// K stays within the site's own version count: beyond it
-				// the brute-force tail is filled by near-zero-quality
-				// graphs the prefilter legitimately pruned.
-				base := SearchRequest{Pattern: pattern, Algo: algo, Xi: 0.75, Sim: SimContent, K: 3}
+				for _, k := range []int{1, 3, 5, 100} {
+					name := fmt.Sprintf("trial %d site %d algo %s K %d", trial, s, algo, k)
+					base := SearchRequest{Pattern: pattern, Algo: algo, Xi: 0.75, Sim: SimContent, K: k}
 
-				brute := base
-				brute.NoPrefilter = true
-				want := e.Search(ctx, brute)
-				if want.Err != nil {
-					t.Fatal(want.Err)
-				}
-				if want.Stats.Matched != want.Stats.Graphs {
-					t.Fatalf("brute force skipped graphs: %+v", want.Stats)
-				}
+					brute := base
+					brute.NoPrefilter = true
+					want := e.Search(ctx, brute)
+					if want.Err != nil {
+						t.Fatal(want.Err)
+					}
+					if want.Stats.Matched != want.Stats.Graphs || want.Stats.Skipped != 0 {
+						t.Fatalf("%s: brute force skipped graphs: %+v", name, want.Stats)
+					}
 
-				exact := base // MinResemblance 0 ⇒ order-only prefilter
-				got := e.Search(ctx, exact)
-				if got.Err != nil {
-					t.Fatal(got.Err)
-				}
-				if !reflect.DeepEqual(hitNames(got), hitNames(want)) {
-					t.Fatalf("trial %d site %d algo %s: exact-policy top-k %v != brute %v",
-						trial, s, algo, hitNames(got), hitNames(want))
-				}
+					exact := base // MinResemblance 0 ⇒ order-only prefilter
+					got := e.Search(ctx, exact)
+					if got.Err != nil {
+						t.Fatal(got.Err)
+					}
+					// NoPrefilter computes no stage-1 scores; every other
+					// field must agree.
+					hits := slices.Clone(got.Hits)
+					for i := range hits {
+						hits[i].Containment, hits[i].Resemblance, hits[i].StructSim = 0, 0, 0
+					}
+					if !reflect.DeepEqual(hits, want.Hits) {
+						t.Fatalf("%s: exact-policy hits\n%+v\n!= brute\n%+v", name, hits, want.Hits)
+					}
+					st := got.Stats
+					if st.Matched+st.Skipped+st.Missing != st.Candidates {
+						t.Fatalf("%s: matched %d + skipped %d + missing %d != %d candidates", name, st.Matched, st.Skipped, st.Missing, st.Candidates)
+					}
+					if k >= st.Candidates && st.Matched != st.Candidates {
+						t.Fatalf("%s: K covers all %d candidates, yet %d matched", name, st.Candidates, st.Matched)
+					}
+					if st.Matched < st.Candidates {
+						stops++
+					}
+					if again := e.Search(ctx, exact); again.Stats.Matched != st.Matched || !reflect.DeepEqual(again.Hits, got.Hits) {
+						t.Fatalf("%s: repeated search matched %d then %d", name, st.Matched, again.Stats.Matched)
+					}
 
-				pruned := base
-				pruned.MinResemblance = 0.1
-				got = e.Search(ctx, pruned)
-				if got.Err != nil {
-					t.Fatal(got.Err)
-				}
-				if !reflect.DeepEqual(hitNames(got), hitNames(want)) {
-					t.Fatalf("trial %d site %d algo %s: pruned top-k %v != brute %v",
-						trial, s, algo, hitNames(got), hitNames(want))
-				}
-				// Repeat the pruned search: the ranking must be stable.
-				again := e.Search(ctx, pruned)
-				if !reflect.DeepEqual(hitNames(again), hitNames(got)) {
-					t.Fatalf("ranking not deterministic: %v then %v", hitNames(got), hitNames(again))
+					// K stays within the site's own version count here:
+					// beyond it the brute-force tail is filled by
+					// near-zero-quality graphs the prefilter legitimately
+					// pruned.
+					if k > versions[s] {
+						continue
+					}
+					pruned := base
+					pruned.MinResemblance = 0.1
+					got = e.Search(ctx, pruned)
+					if got.Err != nil {
+						t.Fatal(got.Err)
+					}
+					if !reflect.DeepEqual(hitNames(got), hitNames(want)) {
+						t.Fatalf("%s: pruned top-k %v != brute %v", name, hitNames(got), hitNames(want))
+					}
+					// Repeat the pruned search: the ranking must be stable.
+					again := e.Search(ctx, pruned)
+					if !reflect.DeepEqual(hitNames(again), hitNames(got)) {
+						t.Fatalf("ranking not deterministic: %v then %v", hitNames(got), hitNames(again))
+					}
 				}
 			}
 		}
 		e.Close()
 	}
+	if stops == 0 {
+		t.Fatal("no search stopped before its last candidate: the stop rule went unexercised")
+	}
+	t.Logf("%d searches stopped early", stops)
 }
 
 // TestSearchConcurrentChurn runs searches while other goroutines
@@ -402,5 +438,36 @@ func TestSearchBruteIgnoresEngineDefaults(t *testing.T) {
 	}
 	if all.Stats.Matched != 4 || all.Stats.Pruned != 0 {
 		t.Fatalf("unbounded stats %+v, want all 4 matched", all.Stats)
+	}
+}
+
+// TestSearchServedUnderDefaultAdmission: with the server's admission
+// bound (queue + workers), an idle engine serves a search with three
+// times that many candidates, sheds nothing and matches them all. A
+// search is admitted once and feeds its tasks through a window of
+// Workers; submitting its whole fan-out at once would overrun the bound
+// while the slowed workers drain it.
+func TestSearchServedUnderDefaultAdmission(t *testing.T) {
+	e := New(Options{Workers: 2, MaxPending: -1})
+	defer e.Close()
+	bound := e.Stats().MaxPending
+	n := 3 * bound
+	for i := 0; i < n; i++ {
+		g := graph.FromEdgeList([]string{"home", "news", fmt.Sprintf("page%d", i)}, [][2]int{{0, 1}, {1, 2}})
+		if err := e.Register(fmt.Sprintf("g%02d", i), g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.beforeExecute = func() { time.Sleep(time.Millisecond) }
+	pattern := graph.FromEdgeList([]string{"home", "news"}, [][2]int{{0, 1}})
+	res := e.Search(context.Background(), SearchRequest{Pattern: pattern, Algo: MaxCard, Xi: 1, K: 5})
+	if res.Err != nil {
+		t.Fatalf("search over %d candidates with admission bound %d: %v", n, bound, res.Err)
+	}
+	if st := e.Stats(); st.Shed != 0 {
+		t.Fatalf("%d tasks shed", st.Shed)
+	}
+	if res.Stats.Candidates != n || res.Stats.Matched != n || len(res.Hits) != 5 {
+		t.Fatalf("stats %+v, %d hits; want all %d candidates matched and 5 hits", res.Stats, len(res.Hits), n)
 	}
 }

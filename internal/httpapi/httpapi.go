@@ -202,6 +202,7 @@ type SearchStatsResponse struct {
 	Candidates int     `json:"candidates"`
 	Pruned     int     `json:"pruned"`
 	Matched    int     `json:"matched"`
+	Skipped    int     `json:"skipped"`
 	Missing    int     `json:"missing,omitempty"`
 	PruneRate  float64 `json:"prune_rate"`
 	Stage1US   int64   `json:"stage1_us"`
@@ -462,6 +463,7 @@ func (s *server) search(w http.ResponseWriter, r *http.Request) {
 			Candidates: res.Stats.Candidates,
 			Pruned:     res.Stats.Pruned,
 			Matched:    res.Stats.Matched,
+			Skipped:    res.Stats.Skipped,
 			Missing:    res.Stats.Missing,
 			PruneRate:  res.Stats.PruneRate,
 			Stage1US:   res.Stats.Stage1.Microseconds(),

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -109,6 +110,8 @@ func (ix *Index) Candidates(pattern Summary, pol Policy) ([]Candidate, Stats) {
 		fresh = append(fresh, rec{name, g, SummaryOf(g, content.Shingles())})
 	}
 
+	own := ownersOf(pattern)
+
 	// Install, drop the names that are gone, gather overlaps and
 	// capture each summary in one hold, so scoring reads values that
 	// are consistent with the postings gathered.
@@ -128,11 +131,27 @@ func (ix *Index) Candidates(pattern Summary, pol Policy) ([]Candidate, Stats) {
 			ix.repostLocked(r, nil)
 		}
 	}
-	overlap := make(map[*rec]int)
+	// Number every graph the pattern's postings reach and count its
+	// overlap; when the query counts per pattern node, also add each
+	// posting to the count of every pattern node holding its shingle.
+	slot := make(map[*rec]int)
+	var overlap []int
+	var held []int32
 	if !pol.Brute {
-		for _, h := range pattern.Hashes {
+		for k, h := range pattern.Hashes {
+			holders := own.holders(k)
 			for _, r := range ix.postings[h] {
-				overlap[r]++
+				s, ok := slot[r]
+				if !ok {
+					s = len(overlap)
+					slot[r] = s
+					overlap = append(overlap, 0)
+					held = append(held, own.zeros...)
+				}
+				overlap[s]++
+				for _, v := range holders {
+					held[s*len(own.zeros)+int(v)]++
+				}
 			}
 		}
 	}
@@ -154,20 +173,33 @@ func (ix *Index) Candidates(pattern Summary, pol Policy) ([]Candidate, Stats) {
 			continue
 		}
 		sum := sums[i]
-		cont, res := scoreContent(pattern, sum, overlap[r])
+		s, reached := slot[r]
+		n := 0
+		if reached {
+			n = overlap[s]
+		}
+		cont, res := scoreContent(pattern, sum, n)
 		if pol.MinResemblance > 0 && cont < pol.MinResemblance {
 			stats.PrunedScore++
 			continue
 		}
 		ss := pattern.Sig.StructSim(sum.Sig)
-		cands = append(cands, Candidate{
+		c := Candidate{
 			Name:        r.name,
 			Score:       (1-structWeight)*cont + structWeight*ss,
 			Containment: cont,
 			Resemblance: res,
 			StructSim:   ss,
-			Overlap:     overlap[r],
-		})
+			Overlap:     n,
+		}
+		// A sampled graph is posted under part of its shingles only.
+		if own.zeros != nil && sum.Total == len(sum.Hashes) {
+			c.Held = own.zeros
+			if n1 := len(own.zeros); reached {
+				c.Held = held[s*n1 : (s+1)*n1 : (s+1)*n1]
+			}
+		}
+		cands = append(cands, c)
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].Score != cands[j].Score {
@@ -182,4 +214,52 @@ func (ix *Index) Candidates(pattern Summary, pol Policy) ([]Candidate, Stats) {
 	}
 	stats.Candidates = len(cands)
 	return cands, stats
+}
+
+// owners inverts a query pattern's per-node shingle positions: the
+// pattern nodes holding key k are nodes[offs[k]:offs[k+1]]. zeros is one
+// count per pattern node, all zero, and nil when the query is not
+// counted per node.
+type owners struct {
+	offs  []int32
+	nodes []int32
+	zeros []int32
+}
+
+// ownersOf inverts the per-node structure of a query summary, or returns
+// the zero owners when it has none or its shingle set was sampled (the
+// unsampled shingles would go uncounted).
+func ownersOf(q Summary) owners {
+	p := q.Nodes
+	if p == nil || q.Total > len(q.Hashes) {
+		return owners{}
+	}
+	n1 := p.NumNodes()
+	o := owners{offs: make([]int32, len(q.Hashes)+1), zeros: make([]int32, n1)}
+	for v := range n1 {
+		for _, k := range p.NodeKeys(graph.NodeID(v)) {
+			o.offs[k+1]++
+		}
+	}
+	for k := range q.Hashes {
+		o.offs[k+1] += o.offs[k]
+	}
+	o.nodes = make([]int32, o.offs[len(q.Hashes)])
+	at := slices.Clone(o.offs[:len(q.Hashes)])
+	for v := range n1 {
+		for _, k := range p.NodeKeys(graph.NodeID(v)) {
+			o.nodes[at[k]] = int32(v)
+			at[k]++
+		}
+	}
+	return o
+}
+
+// holders returns the pattern nodes holding key k (none when the query
+// is not counted per node).
+func (o owners) holders(k int) []int32 {
+	if o.zeros == nil {
+		return nil
+	}
+	return o.nodes[o.offs[k]:o.offs[k+1]]
 }

@@ -123,6 +123,12 @@ type Summary struct {
 	// to len(Hashes) whenever the graph fits the cap, in which case
 	// stage-1 containment is exact rather than estimated.
 	Total int
+	// Nodes, set on a query pattern's summary only, is the pattern's
+	// per-node shingle structure, the ContentPattern Hashes was read
+	// from. With it, Candidates counts for every candidate and pattern
+	// node how many of the node's shingles the graph holds
+	// (Candidate.Held).
+	Nodes *simmatrix.ContentPattern
 }
 
 // Summarize builds the stage-1 summary of g. It is a pure function of
@@ -218,6 +224,14 @@ type Candidate struct {
 	StructSim float64
 	// Overlap is the raw count of shared indexed shingle hashes.
 	Overlap int
+	// Held[v] is how many of pattern node v's shingles the graph holds,
+	// read off the postings that gave Overlap. It is nil unless the query
+	// summary carries Nodes and neither side's shingle set was sampled.
+	// |S_v ∩ U_G| / |S_v| bounds v's resemblance to every node of the
+	// graph, U_G being the union of the graph's node shingle sets. The
+	// counts may share memory with other candidates' and must not be
+	// modified.
+	Held []int32
 }
 
 // Stats reports what stage 1 did for one query.

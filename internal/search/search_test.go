@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -11,6 +12,8 @@ import (
 
 	"graphmatch/internal/catalog"
 	"graphmatch/internal/graph"
+	"graphmatch/internal/simmatrix"
+	"graphmatch/internal/webgen"
 )
 
 // contentGraph builds a tiny graph whose nodes carry the given texts
@@ -626,6 +629,102 @@ func TestIndexLongPatchRuns(t *testing.T) {
 			ix.mu.Unlock()
 			if want := Summarize(g); !reflect.DeepEqual(got, want) {
 				t.Fatalf("summary after the run diverges from a fresh Summarize\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestCandidatesCountHeldShingles: with the pattern's per-node structure
+// on the query, every candidate carries, per pattern node, exactly how
+// many of the node's shingles the graph's content index holds; without
+// it, or when the query's shingle set was sampled, it carries none.
+func TestCandidatesCountHeldShingles(t *testing.T) {
+	cat := catalog.New(0)
+	texts := []string{"alpha beta gamma delta", "beta gamma delta epsilon", "zeta eta theta", "alpha beta", ""}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 12; i++ {
+		nodes := make([]string, 1+rng.Intn(4))
+		for j := range nodes {
+			nodes[j] = texts[rng.Intn(len(texts))] + fmt.Sprintf(" w%d", rng.Intn(6))
+		}
+		if err := cat.Register(fmt.Sprintf("g%02d", i), contentGraph(nodes...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pattern := contentGraph("alpha beta gamma delta w1", "zeta eta theta w2", "beta w3", "nothing shared here")
+	p := simmatrix.NewContentPattern(simmatrix.ContentSets(pattern, 0))
+	q := SummaryOf(pattern, p.Shingles())
+	ix := NewIndex(cat)
+
+	plain, _ := ix.Candidates(q, Policy{})
+	for _, c := range plain {
+		if c.Held != nil {
+			t.Fatalf("%s: held counts without the pattern's nodes: %v", c.Name, c.Held)
+		}
+	}
+	q.Nodes = p
+	cands, _ := ix.Candidates(q, Policy{})
+	if len(cands) != 12 {
+		t.Fatalf("%d candidates, want 12", len(cands))
+	}
+	for i, c := range cands {
+		if c.Name != plain[i].Name || c.Overlap != plain[i].Overlap {
+			t.Fatalf("counting per node changed stage 1: %+v vs %+v", c, plain[i])
+		}
+		_, content, err := cat.ContentSets(c.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		union := content.Shingles()
+		for v := 0; v < p.NumNodes(); v++ {
+			want := int32(0)
+			for _, k := range p.NodeKeys(graph.NodeID(v)) {
+				if _, ok := slices.BinarySearch(union, p.Shingles()[k]); ok {
+					want++
+				}
+			}
+			if c.Held[v] != want {
+				t.Fatalf("%s: pattern node %d holds %d shingles, counted %d", c.Name, v, want, c.Held[v])
+			}
+		}
+	}
+	q.Total = len(q.Hashes) + 1 // a sampled query
+	sampled, _ := ix.Candidates(q, Policy{})
+	for _, c := range sampled {
+		if c.Held != nil {
+			t.Fatalf("%s: held counts from a sampled query: %v", c.Name, c.Held)
+		}
+	}
+}
+
+// BenchmarkCandidates times a warm stage 1 over a web_search-sized
+// catalog (10 sites × 11 versions × 60 pages, a 12-hub skeleton), with
+// and without the per-node shingle counts the search bound reads.
+func BenchmarkCandidates(b *testing.B) {
+	cat := catalog.New(0)
+	var pattern *graph.Graph
+	for s := 0; s < 10; s++ {
+		arch := webgen.Generate(webgen.Config{Category: webgen.Category(s%3 + 1), Pages: 60, Versions: 11, Seed: int64(s)})
+		for v, g := range arch.Versions {
+			if err := cat.Register(fmt.Sprintf("site%02d.v%02d", s, v), g); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if s == 0 {
+			pattern = webgen.TopKSkeleton(arch.Versions[5], 12)
+		}
+	}
+	p := simmatrix.NewContentPattern(simmatrix.ContentSets(pattern, 0))
+	ix := NewIndex(cat)
+	for _, held := range []bool{false, true} {
+		q := SummaryOf(pattern, p.Shingles())
+		if held {
+			q.Nodes = p
+		}
+		ix.Candidates(q, Policy{MinResemblance: 0.1})
+		b.Run(fmt.Sprintf("held=%v", held), func(b *testing.B) {
+			for b.Loop() {
+				ix.Candidates(q, Policy{MinResemblance: 0.1})
 			}
 		})
 	}

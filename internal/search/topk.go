@@ -57,6 +57,16 @@ func (t *TopK) Push(h Hit) {
 // Len reports the hits currently held.
 func (t *TopK) Len() int { return len(t.hs) }
 
+// Floor returns the worst held hit once the fold holds k of them, the
+// hit any newcomer must beat to enter, and false before that (always,
+// for a fold that keeps everything).
+func (t *TopK) Floor() (Hit, bool) {
+	if t.k <= 0 || len(t.hs) < t.k {
+		return Hit{}, false
+	}
+	return t.hs[0], true
+}
+
 // Ranked returns the held hits best-first. The fold remains usable.
 func (t *TopK) Ranked() []Hit {
 	out := make([]Hit, len(t.hs))

@@ -245,6 +245,13 @@ func NewContentPattern(sets []shingle.Set) *ContentPattern {
 // modify.
 func (p *ContentPattern) Shingles() []uint64 { return p.keys }
 
+// NumNodes reports how many pattern nodes p was prepared from.
+func (p *ContentPattern) NumNodes() int { return len(p.offs) - 1 }
+
+// NodeKeys returns the positions, among Shingles(), of pattern node v's
+// distinct shingles; its length is |S_v|. The caller must not modify it.
+func (p *ContentPattern) NodeKeys(v graph.NodeID) []int32 { return p.at[p.offs[v]:p.offs[v+1]] }
+
 // minOverlap is the smallest n with float64(n)/float64(a) ≥ xi, or a+1
 // when no n ≤ a reaches xi. A pattern set of a shingles resembles a set
 // sharing n of them at most n/a, and float division is monotone in both
@@ -300,11 +307,11 @@ func (ix *ContentIndex) Matrix(p *ContentPattern, xi float64) *RowSparse {
 		return ix.nodes[ix.offs[k]:ix.offs[k+1]]
 	}
 
-	n1 := len(p.offs) - 1
+	n1 := p.NumNodes()
 	ends := make([]int, n1)
 	var all []Scored
 	for v := range ends {
-		at := p.at[p.offs[v]:p.offs[v+1]]
+		at := p.NodeKeys(graph.NodeID(v))
 		a := len(at)
 		if a == 0 {
 			if 1 >= xi { // two empty sets resemble fully

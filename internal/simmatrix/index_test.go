@@ -440,3 +440,49 @@ func BenchmarkNewContentIndex(b *testing.B) {
 		indexSink = NewContentIndex(g, 0)
 	}
 }
+
+// TestHeldShinglesBoundRows pins the content bound search stage 1 reads
+// off its postings: a pattern node v that shares n of its a shingles
+// with the data graph as a whole scores at most n/a against any one data
+// node, so n/a is at least every entry of row v, at every threshold the
+// matrix is built at. An empty S_v has no such bound (it resembles the
+// graph's empty nodes fully) and is skipped here.
+func TestHeldShinglesBoundRows(t *testing.T) {
+	check := func(name string, ix *ContentIndex, p *ContentPattern) {
+		t.Helper()
+		union, keys := ix.Shingles(), p.Shingles()
+		for _, xi := range []float64{0, 0.3, 0.75, 1} {
+			mat := ix.Matrix(p, xi)
+			for v := 0; v < p.NumNodes(); v++ {
+				at := p.NodeKeys(graph.NodeID(v))
+				if len(at) == 0 {
+					continue
+				}
+				held := 0
+				for _, k := range at {
+					if _, ok := slices.BinarySearch(union, keys[k]); ok {
+						held++
+					}
+				}
+				ub := float64(held) / float64(len(at))
+				for _, e := range mat.rows[v] {
+					if e.Score > ub {
+						t.Fatalf("%s: ξ=%v mat(%d,%d) = %v above the held bound %d/%d", name, xi, v, e.U, e.Score, held, len(at))
+					}
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 40; i++ {
+		g1, g2 := textGraph(rng, 1+rng.Intn(8)), textGraph(rng, 1+rng.Intn(30))
+		size := rng.Intn(4)
+		check(fmt.Sprintf("text %d", i), NewContentIndex(g2, size), NewContentPattern(ContentSets(g1, size)))
+	}
+	arch := webgen.Generate(webgen.Config{Category: webgen.Store, Pages: 60, Versions: 4, Seed: 6})
+	for i, data := range arch.Versions {
+		for j, src := range arch.Versions {
+			check(fmt.Sprintf("web v%d in v%d", j, i), NewContentIndex(data, 0), NewContentPattern(ContentSets(webgen.TopKSkeleton(src, 8+2*j), 0)))
+		}
+	}
+}
