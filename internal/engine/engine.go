@@ -138,7 +138,8 @@ type Stats struct {
 	// Shed counts requests rejected by admission control.
 	Shed uint64 `json:"shed"`
 	// Pending is the point-in-time count of admitted tasks queued or
-	// running.
+	// running, plus the slots searches reserved for their windows and
+	// are not using.
 	Pending int64 `json:"pending"`
 	// Batches counts MatchBatch calls.
 	Batches uint64 `json:"batches"`
@@ -188,9 +189,10 @@ type Options struct {
 	// selects QueueDepth + Workers (after their own defaults), the
 	// largest bound under which an admitted task's queue send never
 	// blocks; servers exposed to untrusted load should shed (phomd
-	// does, with that bound). A search is admitted once, by its first
-	// task; the rest of its tasks, at most Workers in flight, are never
-	// shed, and may wait for queue space instead.
+	// does, with that bound). A search is admitted once, for the whole
+	// window of at most Workers tasks it keeps in flight: it reserves
+	// that many pending slots up front, so it is never shed half-way
+	// and the bound still counts every task queued or running.
 	MaxPending int
 	// ExactNodeLimit, when positive, rejects Decide/Decide11 requests
 	// whose pattern has more nodes — those procedures are exponential,
@@ -249,19 +251,21 @@ type Options struct {
 // the task is queued or mid-recursion — stops it cooperatively (core's
 // *Ctx entry points).
 type task struct {
-	req      Request
-	prep     *prepared
-	ctx      context.Context
+	req  Request
+	prep *prepared
+	ctx  context.Context
+	// The worker signals completion once: it closes done, or, for a
+	// task of a search window, sends the task on finished (done is then
+	// nil). finished has room for the whole window, so the send never
+	// blocks.
 	done     chan struct{}
+	finished chan<- *task
 	res      Result
 	enqueued time.Time
 	// span is the submitting request's engine.match span (inert when
 	// the submitter was untraced, and for batch items). The worker
 	// parents queue-wait and execution spans under it.
 	span trace.Span
-	// finished, set for a search's tasks, hears of the task once done is
-	// closed (window.finished).
-	finished chan<- *task
 }
 
 // Engine schedules match requests over a shared catalog. Create one
@@ -290,6 +294,10 @@ type Engine struct {
 	// up and executing it. Tests use it to hold a worker still while they
 	// queue work behind it; set it before the first submission.
 	beforeExecute func()
+	// afterExecute, when set, runs on the worker between storing a
+	// task's result and signalling its completion. Tests use it to delay
+	// the signal.
+	afterExecute func()
 
 	// sendMu serialises queue sends against Close: submitters hold the
 	// read side across the check-closed + send pair, so the channel is
@@ -638,11 +646,12 @@ func (p *prepared) content() *prepared {
 // ctx. p is the preparation of req.Pattern when the caller already holds
 // one, else nil. sp is the submitter's engine.match span (inert when
 // untraced); the task adopts it, so the worker's execution spans land in
-// the trace of the request that caused the work. w is the search
-// window the task belongs to, or nil: a window's first task goes through
-// admission control and the rest are never shed, so an admitted search
-// is not shed half-way.
-func (e *Engine) submit(ctx context.Context, req Request, p *prepared, sp trace.Span, w *window) (*task, error) {
+// the trace of the request that caused the work. finished is nil for a
+// task of its own, which goes through admission control and closes done
+// when finished. A search window's task passes the window's channel
+// instead: it runs in a pending slot the search reserved, and reports
+// on finished.
+func (e *Engine) submit(ctx context.Context, req Request, p *prepared, sp trace.Span, finished chan<- *task) (*task, error) {
 	e.requests.Add(1)
 	if req.Pattern == nil {
 		return nil, fmt.Errorf("engine: nil pattern")
@@ -667,34 +676,44 @@ func (e *Engine) submit(ctx context.Context, req Request, p *prepared, sp trace.
 		return nil, fmt.Errorf("%w: %d nodes > limit %d",
 			ErrExactLimit, req.Pattern.NumNodes(), e.exactLimit)
 	}
-	n := e.pending.Add(1)
-	if (w == nil || !w.admitted) && e.maxPending > 0 && n > int64(e.maxPending) {
-		e.pending.Add(-1)
-		e.shed.Add(1)
-		return nil, fmt.Errorf("%w: %d tasks pending (limit %d)",
-			ErrOverloaded, n-1, e.maxPending)
+	if finished == nil {
+		if err := e.reserve(1); err != nil {
+			return nil, err
+		}
 	}
 	// Normalise the pattern before a worker touches it.
 	if p == nil {
 		p = e.prepare(req.Pattern)
 	}
-	t := &task{req: req, prep: p, ctx: ctx, done: make(chan struct{}), span: sp}
-	if w != nil {
-		t.finished = w.finished
+	t := &task{req: req, prep: p, ctx: ctx, finished: finished, span: sp}
+	if finished == nil {
+		t.done = make(chan struct{})
 	}
 
 	e.sendMu.RLock()
 	defer e.sendMu.RUnlock()
 	if e.closed {
-		e.pending.Add(-1)
+		if finished == nil {
+			e.pending.Add(-1)
+		}
 		return nil, fmt.Errorf("engine: closed")
 	}
 	t.enqueued = time.Now()
 	e.queue <- t
-	if w != nil {
-		w.admitted = true
-	}
 	return t, nil
+}
+
+// reserve admits n pending slots at once, or sheds them together when
+// they would take the engine past its admission bound.
+func (e *Engine) reserve(n int) error {
+	got := e.pending.Add(int64(n))
+	if e.maxPending > 0 && got > int64(e.maxPending) {
+		e.pending.Add(-int64(n))
+		e.shed.Add(1)
+		return fmt.Errorf("%w: %d tasks pending (limit %d)",
+			ErrOverloaded, got-int64(n), e.maxPending)
+	}
+	return nil
 }
 
 // wait blocks until the task finishes or ctx is cancelled. The task
@@ -739,11 +758,15 @@ func (e *Engine) worker() {
 			e.mTaskRun.Observe(runSecs)
 		}
 		e.executed.Add(1)
+		if e.afterExecute != nil {
+			e.afterExecute()
+		}
+		if t.finished != nil {
+			t.finished <- t // the search owns the task's pending slot
+			continue
+		}
 		e.pending.Add(-1)
 		close(t.done)
-		if t.finished != nil {
-			t.finished <- t
-		}
 	}
 }
 

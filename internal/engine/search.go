@@ -122,8 +122,8 @@ type SearchResult struct {
 // remaining bound can enter it. The hits are those of matching every
 // candidate, and reproducible: the same catalog and request return the
 // same hits in the same order, and the same stats, on every run. The
-// search is admitted once, by its first task, so an idle server never
-// sheds it whatever its candidate count.
+// search is admitted once, for its whole window, so an idle server
+// never sheds it whatever its candidate count.
 func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 	e.searches.Add(1)
 	if req.Algo == "" {
@@ -201,64 +201,74 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 	// holds k hits and the k-th primary score is strictly above the
 	// candidate's bound, hence above every later one's. An equal score
 	// could still win on the tie key or the name.
+	//
+	// The search is admitted once, for its whole window: it reserves a
+	// pending slot per window task up front, so an idle server serves it
+	// whatever its candidate count, and every task it later submits
+	// runs in a slot already counted against the admission bound.
 	stage2 := time.Now()
+	slots := min(e.workers, len(queue))
+	if e.maxPending > 0 {
+		slots = min(slots, e.maxPending)
+	}
+	if err := e.reserve(slots); err != nil {
+		e.errors.Add(1)
+		ssp.SetBool("shed", true)
+		return SearchResult{Stats: stats, Err: decorate(ctx, err)}
+	}
 	top := search.NewTopK(k)
 	beaten := func(i int) bool {
 		floor, full := top.Floor()
 		return full && floor.Score > queue[i].bound
 	}
 	wctx, abandon := context.WithCancel(ctx)
-	defer abandon() // in-flight tasks past the stop give up at pickup or mid-match
-	win := &window{finished: make(chan *task, e.workers)}
+	finished := make(chan *task, slots)
 	tasks := make([]*task, len(queue))
 	errs := make([]error, len(queue))
+	done := make([]bool, len(queue))
 	next, folded, inflight := 0, 0, 0
+	fill := func() {
+		for ; inflight < slots && next < len(queue) && !beaten(next); next++ {
+			tasks[next], errs[next] = e.submit(wctx, Request{
+				Pattern:   req.Pattern,
+				GraphName: queue[next].cand.Name,
+				Algo:      req.Algo,
+				Xi:        req.Xi,
+				PathLimit: req.PathLimit,
+				Sim:       req.Sim,
+			}, prep, trace.Span{}, finished)
+			if errs[next] == nil {
+				inflight++
+			}
+		}
+	}
 	var firstErr error
 	for ; folded < len(queue) && !beaten(folded); folded++ {
-		// Refill every slot a finished task freed, then wait for this
-		// candidate's task or for any other to free a slot.
-		for {
-			for len(win.finished) > 0 {
-				<-win.finished
-				inflight--
-			}
-			for ; inflight < e.workers && next < len(queue) && !beaten(next); next++ {
-				tasks[next], errs[next] = e.submit(wctx, Request{
-					Pattern:   req.Pattern,
-					GraphName: queue[next].cand.Name,
-					Algo:      req.Algo,
-					Xi:        req.Xi,
-					PathLimit: req.PathLimit,
-					Sim:       req.Sim,
-				}, prep, trace.Span{}, win)
-				if errs[next] == nil {
-					inflight++
-				} else if next == 0 && errors.Is(errs[0], ErrOverloaded) {
-					e.errors.Add(1)
-					ssp.SetBool("shed", true)
-					return SearchResult{Stats: stats, Err: decorate(ctx, errs[0])}
-				}
-			}
-			if tasks[folded] == nil {
-				break
-			}
+		// Every task before this candidate has reported, so the window
+		// has a free slot for it if it was not submitted yet. Wait for
+		// its task; each other one reporting meanwhile frees a slot.
+		fill()
+		for tasks[folded] != nil && !done[folded] && ctx.Err() == nil {
 			select {
-			case <-win.finished:
+			case t := <-finished:
 				inflight--
-				continue
-			case <-tasks[folded].done:
+				done[folded+slices.Index(tasks[folded:next], t)] = true
+				fill()
 			case <-ctx.Done():
 			}
-			break
 		}
-		res := Result{Err: errs[folded]}
-		if t := tasks[folded]; t != nil {
-			res = e.wait(wctx, t)
-		} else {
-			e.errors.Add(1)
-			res.Err = decorate(ctx, res.Err)
+		var res Result
+		switch t := tasks[folded]; {
+		case t == nil:
+			res.Err = errs[folded]
+		case done[folded]:
+			res = t.res
+		default:
+			res.Err = fmt.Errorf("%w: %w", ErrDeadline, ctx.Err())
 		}
 		if res.Err != nil {
+			e.errors.Add(1)
+			res.Err = decorate(ctx, res.Err)
 			if errors.Is(res.Err, catalog.ErrNotFound) {
 				stats.Missing++ // removed between the stages: not a hit, not an error
 				continue
@@ -274,6 +284,19 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 		stats.Matched++
 		primary, tie := rankScore(req.Algo, res)
 		top.Push(search.Hit{Name: queue[folded].cand.Name, Score: primary, Tie: tie, Payload: searchPayload{cand: queue[folded].cand, res: res}})
+	}
+	// Tasks still in flight (past the stop, or abandoned with ctx) give
+	// up at pickup or mid-match. The window's free slots go back now; a
+	// task's slot goes back once its worker reports it.
+	abandon()
+	e.pending.Add(-int64(slots - inflight))
+	if inflight > 0 {
+		go func(n int) {
+			for range n {
+				<-finished
+				e.pending.Add(-1)
+			}
+		}(inflight)
 	}
 	if firstErr == nil {
 		stats.Skipped = len(queue) - folded
@@ -307,17 +330,6 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 	// Per-candidate failures were already counted by the batch's wait
 	// path; adding one more here would double-count them.
 	return SearchResult{Hits: hits, Stats: stats, Err: firstErr}
-}
-
-// window is one search's stage 2 in flight. Its first task goes
-// through admission control and the rest are never shed. Every task
-// reports on finished once done, so the search refills a slot whichever
-// task frees it; finished has room for as many tasks as the window
-// holds, so a worker never blocks on it, even after the search stopped
-// listening.
-type window struct {
-	admitted bool
-	finished chan *task
 }
 
 // queued is a stage-1 candidate with the bound on the primary score it

@@ -2,11 +2,14 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -470,4 +473,111 @@ func TestSearchServedUnderDefaultAdmission(t *testing.T) {
 	if res.Stats.Candidates != n || res.Stats.Matched != n || len(res.Hits) != 5 {
 		t.Fatalf("stats %+v, %d hits; want all %d candidates matched and 5 hits", res.Stats, len(res.Hits), n)
 	}
+}
+
+// TestSearchWindowDelayedSignal: with one worker that yields between
+// storing a task's result and reporting it, a bounded search still
+// returns the hits of an unhooked full scan, every field included, and
+// counts no error. Stage 2 folds a candidate only once its own task has
+// reported, so a late report only delays the fold.
+func TestSearchWindowDelayedSignal(t *testing.T) {
+	ref := New(Options{Workers: 2})
+	defer ref.Close()
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	e.afterExecute = func() {
+		runtime.Gosched()
+		time.Sleep(20 * time.Microsecond)
+	}
+	var patterns []*graph.Graph
+	for s, cat := range []webgen.Category{webgen.Store, webgen.Newspaper} {
+		registerArchive(t, ref, fmt.Sprintf("s%d", s), cat, int64(70+s), 80, 4, 8)
+		patterns = append(patterns, registerArchive(t, e, fmt.Sprintf("s%d", s), cat, int64(70+s), 80, 4, 8))
+	}
+	ctx := context.Background()
+	stops := 0
+	for _, pattern := range patterns {
+		for _, k := range []int{1, 3} {
+			req := SearchRequest{Pattern: pattern, Algo: MaxSim, Xi: 0.75, Sim: SimContent, K: k}
+			brute := req
+			brute.NoPrefilter = true
+			want := ref.Search(ctx, brute)
+			got := e.Search(ctx, req)
+			if want.Err != nil || got.Err != nil {
+				t.Fatalf("K %d: errors %v, %v", k, want.Err, got.Err)
+			}
+			for i := range got.Hits {
+				got.Hits[i].Containment, got.Hits[i].Resemblance, got.Hits[i].StructSim = 0, 0, 0
+			}
+			if !reflect.DeepEqual(got.Hits, want.Hits) {
+				t.Fatalf("K %d: hits\n%+v\n!= full scan\n%+v", k, got.Hits, want.Hits)
+			}
+			if st := got.Stats; st.Matched+st.Skipped+st.Missing != st.Candidates {
+				t.Fatalf("K %d: stats %+v do not add up", k, st)
+			}
+			if got.Stats.Skipped > 0 {
+				stops++
+			}
+		}
+	}
+	if stops == 0 {
+		t.Fatal("no search stopped early: the window never had a task past the stop")
+	}
+	if n := e.Stats().Errors; n != 0 {
+		t.Fatalf("%d errors counted", n)
+	}
+	waitFor(t, 5*time.Second, func() bool { return e.Stats().Pending == 0 })
+}
+
+// TestSearchWindowsStayWithinAdmission: concurrent searches reserve
+// their windows against the admission bound, so the pending count —
+// which bounds the tasks queued or running — never exceeds it, each
+// search either runs whole or is shed whole, and every reserved slot
+// is given back.
+func TestSearchWindowsStayWithinAdmission(t *testing.T) {
+	e := New(Options{Workers: 2, QueueDepth: 2, MaxPending: -1})
+	defer e.Close()
+	bound := int64(e.Stats().MaxPending)
+	for i := 0; i < 12; i++ {
+		g := graph.FromEdgeList([]string{"home", "news", fmt.Sprintf("page%d", i)}, [][2]int{{0, 1}, {1, 2}})
+		if err := e.Register(fmt.Sprintf("g%02d", i), g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var peak atomic.Int64
+	e.beforeExecute = func() {
+		n := e.pending.Load()
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	pattern := graph.FromEdgeList([]string{"home", "news"}, [][2]int{{0, 1}})
+	var wg sync.WaitGroup
+	var served, shed atomic.Int64
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				res := e.Search(context.Background(), SearchRequest{Pattern: pattern, Algo: MaxCard, Xi: 1, K: 12})
+				switch {
+				case res.Err == nil && res.Stats.Matched == 12:
+					served.Add(1)
+				case errors.Is(res.Err, ErrOverloaded) && res.Stats.Matched == 0:
+					shed.Add(1)
+				default:
+					t.Errorf("search: %v, stats %+v", res.Err, res.Stats)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if p := peak.Load(); p > bound {
+		t.Fatalf("pending peaked at %d, above the admission bound %d", p, bound)
+	}
+	if served.Load() == 0 {
+		t.Fatal("no search served")
+	}
+	waitFor(t, 5*time.Second, func() bool { return e.Stats().Pending == 0 })
+	t.Logf("%d served, %d shed, pending peak %d of %d", served.Load(), shed.Load(), peak.Load(), bound)
 }
