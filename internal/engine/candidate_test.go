@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -203,6 +204,44 @@ func TestContentMatchAtXiEqualsFullMatrix(t *testing.T) {
 				t.Errorf("ξ=%v %s: (%v, %v, %v, %v), over the full matrix (%v, %v, %v, %v)", xi, algo,
 					got.Mapping, got.QualCard, got.QualSim, got.Holds, want.Mapping, want.QualCard, want.QualSim, want.Holds)
 			}
+		}
+	}
+}
+
+// TestContentXiClampedToUnitRange: ξ outside [0, 1] is read as the
+// nearest end of the range everywhere a request reads it — the content
+// matrix, the search bound and the matcher — so a content match or
+// search at ξ = 1.5 answers as at ξ = 1 and one at ξ = −0.5 as at ξ = 0.
+// A matrix built at the raw ξ and read at the clamped one used to panic
+// in the worker.
+func TestContentXiClampedToUnitRange(t *testing.T) {
+	e := New(Options{Workers: 2})
+	defer e.Close()
+	pattern := registerArchive(t, e, "site", webgen.Organization, 3, 40, 3, 6)
+	ctx := context.Background()
+	for _, c := range []struct{ xi, in float64 }{{1.5, 1}, {-0.5, 0}} {
+		req := Request{Pattern: pattern, GraphName: "site/v1", Algo: MaxSim, Xi: c.in, Sim: SimContent}
+		want := e.Match(ctx, req)
+		req.Xi = c.xi
+		got := e.Match(ctx, req)
+		if want.Err != nil || got.Err != nil {
+			t.Fatalf("ξ=%v: errors %v, %v", c.xi, got.Err, want.Err)
+		}
+		got.Elapsed, want.Elapsed = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("match at ξ=%v: %+v, at ξ=%v: %+v", c.xi, got, c.in, want)
+		}
+
+		sreq := SearchRequest{Pattern: pattern, Algo: MaxSim, Xi: c.in, Sim: SimContent, K: 2}
+		swant := e.Search(ctx, sreq)
+		sreq.Xi = c.xi
+		sgot := e.Search(ctx, sreq)
+		if swant.Err != nil || sgot.Err != nil {
+			t.Fatalf("search ξ=%v: errors %v, %v", c.xi, sgot.Err, swant.Err)
+		}
+		sgot.Stats.Stage1, sgot.Stats.Stage2, swant.Stats.Stage1, swant.Stats.Stage2 = 0, 0, 0, 0
+		if !reflect.DeepEqual(sgot, swant) {
+			t.Errorf("search at ξ=%v: %+v, at ξ=%v: %+v", c.xi, sgot, c.in, swant)
 		}
 	}
 }

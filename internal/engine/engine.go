@@ -18,6 +18,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -93,7 +94,7 @@ type Request struct {
 	GraphName string
 	// Algo selects the matching procedure.
 	Algo Algorithm
-	// Xi is the node-similarity threshold ξ ∈ [0, 1].
+	// Xi is the node-similarity threshold ξ, clamped to [0, 1].
 	Xi float64
 	// PathLimit bounds pattern-edge images to paths of at most k hops;
 	// 0 means unbounded (the paper's p-hom semantics), 1 demands
@@ -135,11 +136,11 @@ type Stats struct {
 	Coalesced uint64 `json:"coalesced"`
 	// Errors counts requests that finished with a non-nil error.
 	Errors uint64 `json:"errors"`
-	// Shed counts requests rejected by admission control.
+	// Shed counts calls rejected by admission control; a shed batch or
+	// search counts once.
 	Shed uint64 `json:"shed"`
-	// Pending is the point-in-time count of admitted tasks queued or
-	// running, plus the slots searches reserved for their windows and
-	// are not using.
+	// Pending is the point-in-time count of pending slots admitted calls
+	// hold. It bounds the tasks queued or running.
 	Pending int64 `json:"pending"`
 	// Batches counts MatchBatch calls.
 	Batches uint64 `json:"batches"`
@@ -189,10 +190,10 @@ type Options struct {
 	// selects QueueDepth + Workers (after their own defaults), the
 	// largest bound under which an admitted task's queue send never
 	// blocks; servers exposed to untrusted load should shed (phomd
-	// does, with that bound). A search is admitted once, for the whole
-	// window of at most Workers tasks it keeps in flight: it reserves
-	// that many pending slots up front, so it is never shed half-way
-	// and the bound still counts every task queued or running.
+	// does, with that bound). Every call is admitted once: a Match
+	// reserves one pending slot, a batch or a search the slots of its
+	// window of at most Workers tasks, so it is served whole or shed
+	// whole and the bound still counts every task queued or running.
 	MaxPending int
 	// ExactNodeLimit, when positive, rejects Decide/Decide11 requests
 	// whose pattern has more nodes — those procedures are exponential,
@@ -254,12 +255,13 @@ type task struct {
 	req  Request
 	prep *prepared
 	ctx  context.Context
-	// The worker signals completion once: it closes done, or, for a
-	// task of a search window, sends the task on finished (done is then
-	// nil). finished has room for the whole window, so the send never
-	// blocks.
-	done     chan struct{}
-	finished chan<- *task
+	// report is the channel of the call that submitted the task: the
+	// worker sends the task's item index i on it once res is stored. It
+	// has room for the call's whole window, so the send never blocks.
+	// reported is the call's own mark that the send arrived.
+	report   chan<- int
+	i        int
+	reported bool
 	res      Result
 	enqueued time.Time
 	// span is the submitting request's engine.match span (inert when
@@ -295,8 +297,7 @@ type Engine struct {
 	// queue work behind it; set it before the first submission.
 	beforeExecute func()
 	// afterExecute, when set, runs on the worker between storing a
-	// task's result and signalling its completion. Tests use it to delay
-	// the signal.
+	// task's result and reporting it. Tests use it to delay the report.
 	afterExecute func()
 
 	// sendMu serialises queue sends against Close: submitters hold the
@@ -327,8 +328,8 @@ type Engine struct {
 	// GET /debug/traces and the explain path.
 	tracer *trace.Recorder
 
-	// Admission control: pending counts admitted tasks (queued +
-	// running); maxPending > 0 sheds past the bound.
+	// Admission control: pending counts the slots admitted calls hold
+	// (see fanOut); maxPending > 0 sheds past the bound.
 	maxPending int
 	pending    atomic.Int64
 	shed       atomic.Uint64
@@ -524,6 +525,7 @@ func (e *Engine) Stats() Stats {
 // or running stops the computation cooperatively. Both cases return
 // ErrDeadline.
 func (e *Engine) Match(ctx context.Context, req Request) Result {
+	e.requests.Add(1)
 	// The engine.match span covers validation, queueing and execution;
 	// shed and deadline outcomes are recorded on it so a 429/504 is
 	// attributable in the flight recorder. One context lookup when the
@@ -533,82 +535,78 @@ func (e *Engine) Match(ctx context.Context, req Request) Result {
 		msp.SetStr("algo", string(req.Algo))
 		msp.SetStr("graph", req.GraphName)
 	}
-	if err := ctx.Err(); err != nil {
-		e.requests.Add(1)
+	if ctx.Err() != nil {
 		e.errors.Add(1)
 		msp.SetStr("cancel_point", "pre-submit")
 		msp.End()
-		return Result{Err: decorate(ctx, fmt.Errorf("%w: %w", ErrDeadline, err))}
+		return Result{Err: decorate(ctx, deadline(ctx))}
 	}
-	t, err := e.submit(ctx, req, nil, msp, nil)
+	var res Result
+	err := e.normalize(&req)
+	if err == nil {
+		_, err = e.fanOut(ctx, 1, func(int) (*task, error) {
+			return &task{req: req, prep: e.prepare(req.Pattern), ctx: ctx, span: msp}, nil
+		}, nil, func(_ int, r Result) { res = r })
+	}
 	if err != nil {
 		e.errors.Add(1)
-		if msp.Active() {
-			if errors.Is(err, ErrOverloaded) {
-				msp.SetBool("shed", true)
-			}
-			msp.SetStr("error", err.Error())
-			msp.End()
+		if errors.Is(err, ErrOverloaded) {
+			msp.SetBool("shed", true)
 		}
-		return Result{Err: decorate(ctx, err)}
+		res.Err = decorate(ctx, err)
+	} else if errors.Is(res.Err, ErrDeadline) {
+		msp.SetStr("cancel_point", "wait")
 	}
-	res := e.wait(ctx, t)
-	if msp.Active() {
-		if res.Err != nil {
-			if errors.Is(res.Err, ErrDeadline) {
-				msp.SetStr("cancel_point", "wait")
-			}
-			msp.SetStr("error", res.Err.Error())
-		}
-		msp.End()
+	if msp.Active() && res.Err != nil {
+		msp.SetStr("error", cmp.Or(err, res.Err).Error())
 	}
+	msp.End()
 	return res
 }
 
-// MatchBatch schedules all requests before waiting on any, so
-// independent requests run concurrently across the pool. Results are
-// positional; per-request failures (engine closed included) land in
-// Result.Err. Consecutive requests carrying the same pattern object
-// share one preparation, so a fan-out of one pattern over many graphs
-// normalises and shingles it once.
+// MatchBatch schedules the requests as one call, admitted once and run
+// through a window of at most Workers tasks, so independent requests
+// run concurrently across the pool. A batch is served whole or shed
+// whole, every result then failing with ErrOverloaded. Results are
+// positional; per-request failures land in Result.Err. Consecutive
+// requests carrying the same pattern object share one preparation, so a
+// fan-out of one pattern over many graphs normalises and shingles it
+// once.
 func (e *Engine) MatchBatch(ctx context.Context, reqs []Request) []Result {
 	e.batches.Add(1)
+	e.requests.Add(uint64(len(reqs)))
 	results := make([]Result, len(reqs))
-	if err := ctx.Err(); err != nil {
-		// Already expired: reject the whole batch before enqueuing any
-		// work.
-		for i := range results {
-			e.requests.Add(1)
-			e.errors.Add(1)
-			results[i] = Result{Err: decorate(ctx, fmt.Errorf("%w: %w", ErrDeadline, err))}
-		}
-		return results
-	}
-	tasks := make([]*task, len(reqs))
 	var p *prepared
-	for i, req := range reqs {
-		if p != nil && p.g != req.Pattern {
-			p = nil
-		}
-		if p == nil && req.Pattern != nil {
-			p = e.prepare(req.Pattern)
-		}
-		// Batch items do not get per-item spans: a large fan-out would
-		// blow the per-trace span cap and drown the interesting stages.
-		t, err := e.submit(ctx, req, p, trace.Span{}, nil)
-		if err != nil {
-			e.errors.Add(1)
-			results[i] = Result{Err: decorate(ctx, err)}
-			continue
-		}
-		tasks[i] = t
+	folded, err := 0, error(nil)
+	if ctx.Err() == nil {
+		folded, err = e.fanOut(ctx, len(reqs), func(i int) (*task, error) {
+			req := reqs[i]
+			if err := e.normalize(&req); err != nil {
+				return nil, err
+			}
+			if p == nil || p.g != req.Pattern {
+				p = e.prepare(req.Pattern)
+			}
+			// Batch items do not get per-item spans: a large fan-out would
+			// blow the per-trace span cap and drown the interesting stages.
+			return &task{req: req, prep: p, ctx: ctx}, nil
+		}, nil, func(i int, res Result) { results[i] = res })
 	}
-	for i, t := range tasks {
-		if t != nil {
-			results[i] = e.wait(ctx, t)
-		}
+	if err == nil && folded < len(reqs) {
+		err = deadline(ctx)
+	}
+	// The items the fan-out did not reach (every one when the context had
+	// expired or admission shed the batch) fail with that cause.
+	for i := folded; i < len(reqs); i++ {
+		e.errors.Add(1)
+		results[i].Err = decorate(ctx, err)
 	}
 	return results
+}
+
+// deadline is the error of work cut short by its context.
+func deadline(ctx context.Context) error {
+	return fmt.Errorf("%w: %w", ErrDeadline, ctx.Err())
 }
 
 // prepared is a request pattern made ready for the workers: normalised
@@ -642,65 +640,133 @@ func (p *prepared) content() *prepared {
 	return p
 }
 
-// submit validates a request and enqueues it as a new task running on
-// ctx. p is the preparation of req.Pattern when the caller already holds
-// one, else nil. sp is the submitter's engine.match span (inert when
-// untraced); the task adopts it, so the worker's execution spans land in
-// the trace of the request that caused the work. finished is nil for a
-// task of its own, which goes through admission control and closes done
-// when finished. A search window's task passes the window's channel
-// instead: it runs in a pending slot the search reserved, and reports
-// on finished.
-func (e *Engine) submit(ctx context.Context, req Request, p *prepared, sp trace.Span, finished chan<- *task) (*task, error) {
-	e.requests.Add(1)
+// normalize validates a request and fills in its defaults. It checks a
+// match, and the fields a search shares with one: the similarity kind
+// defaults to SimLabel, a negative PathLimit means unbounded, and ξ is
+// clamped to [0, 1], the range core.NewInstance holds it to, so the
+// content matrix, the search bound and the matcher all read one ξ.
+func (e *Engine) normalize(req *Request) error {
 	if req.Pattern == nil {
-		return nil, fmt.Errorf("engine: nil pattern")
+		return fmt.Errorf("engine: nil pattern")
 	}
 	if _, err := ParseAlgorithm(string(req.Algo)); err != nil {
-		return nil, err
+		return err
 	}
 	if req.Sim == "" {
 		req.Sim = SimLabel
 	}
 	if req.Sim != SimLabel && req.Sim != SimContent {
-		return nil, fmt.Errorf("engine: unknown similarity kind %q", req.Sim)
-	}
-	if req.PathLimit < 0 {
-		req.PathLimit = 0
+		return fmt.Errorf("engine: unknown similarity kind %q", req.Sim)
 	}
 	if math.IsNaN(req.Xi) {
-		return nil, fmt.Errorf("engine: ξ is NaN")
+		return fmt.Errorf("engine: ξ is NaN")
 	}
+	req.Xi = min(max(req.Xi, 0), 1)
+	req.PathLimit = max(req.PathLimit, 0)
 	if (req.Algo == Decide || req.Algo == Decide11) &&
 		e.exactLimit > 0 && req.Pattern.NumNodes() > e.exactLimit {
-		return nil, fmt.Errorf("%w: %d nodes > limit %d",
+		return fmt.Errorf("%w: %d nodes > limit %d",
 			ErrExactLimit, req.Pattern.NumNodes(), e.exactLimit)
 	}
-	if finished == nil {
-		if err := e.reserve(1); err != nil {
-			return nil, err
+	return nil
+}
+
+// fanOut runs items 0..n-1 of one call through the pool, started in
+// order by start, and folds their results in that order, whatever order
+// the tasks finish in. The call is admitted once: it reserves
+// min(Workers, n, MaxPending) pending slots in one step, or is shed
+// whole with ErrOverloaded, and at most that many of its tasks are
+// queued or running. An error from start is the item's result. stop,
+// when non-nil, ends the fan-out at the first item it holds for; so does
+// an item ctx leaves without a result, which folds ErrDeadline. Failed
+// results reach fold decorated and counted. fanOut returns how many
+// items it folded; the slots of tasks still in flight go back as the
+// tasks report.
+func (e *Engine) fanOut(ctx context.Context, n int, start func(i int) (*task, error), stop func(i int) bool, fold func(i int, res Result)) (int, error) {
+	slots := min(e.workers, n)
+	if e.maxPending > 0 {
+		slots = min(slots, e.maxPending)
+	}
+	if err := e.reserve(slots); err != nil {
+		return 0, err
+	}
+	// Room for the whole window, so a worker's report never blocks. It
+	// carries item indexes, not tasks: a buffer without pointers comes
+	// in the channel's own allocation.
+	report := make(chan int, slots)
+	var one [1]*task // a call of one, Match, allocates no slice
+	started := one[:]
+	if n > 1 {
+		started = make([]*task, n)
+	}
+	next, inflight := 0, 0
+	// fill starts items in order while the window has a free slot,
+	// whichever task freed it.
+	fill := func() {
+		for ; inflight < slots && next < n && (stop == nil || !stop(next)); next++ {
+			t, err := start(next)
+			if err != nil {
+				t = &task{res: Result{Err: err}, reported: true}
+			} else {
+				t.report, t.i = report, next
+				e.submit(t)
+				inflight++
+			}
+			started[next] = t
 		}
 	}
-	// Normalise the pattern before a worker touches it.
-	if p == nil {
-		p = e.prepare(req.Pattern)
+	folded := 0
+	for folded < n && (stop == nil || !stop(folded)) {
+		// Every item before this one has been folded, so its task has
+		// reported and the window has a slot for it if it has not started.
+		fill()
+		i, t := folded, started[folded]
+		folded++
+		for !t.reported && ctx.Err() == nil {
+			select {
+			case r := <-report:
+				started[r].reported = true
+				inflight--
+				fill()
+			case <-ctx.Done():
+			}
+		}
+		if !t.reported {
+			e.errors.Add(1)
+			fold(i, Result{Err: decorate(ctx, deadline(ctx))})
+			break // the caller gave up: no later result can be waited for
+		}
+		res := t.res
+		if res.Err != nil {
+			e.errors.Add(1)
+			res.Err = decorate(ctx, res.Err)
+		}
+		fold(i, res)
 	}
-	t := &task{req: req, prep: p, ctx: ctx, finished: finished, span: sp}
-	if finished == nil {
-		t.done = make(chan struct{})
+	e.pending.Add(-int64(slots - inflight))
+	if inflight > 0 {
+		go func() {
+			for range inflight {
+				<-report
+				e.pending.Add(-1)
+			}
+		}()
 	}
+	return folded, nil
+}
 
+// submit enqueues a task of an admitted call, in one of the call's
+// pending slots. On a closed engine the task reports its failure at once.
+func (e *Engine) submit(t *task) {
 	e.sendMu.RLock()
 	defer e.sendMu.RUnlock()
 	if e.closed {
-		if finished == nil {
-			e.pending.Add(-1)
-		}
-		return nil, fmt.Errorf("engine: closed")
+		t.res.Err = fmt.Errorf("engine: closed")
+		t.report <- t.i
+		return
 	}
 	t.enqueued = time.Now()
 	e.queue <- t
-	return t, nil
 }
 
 // reserve admits n pending slots at once, or sheds them together when
@@ -714,25 +780,6 @@ func (e *Engine) reserve(n int) error {
 			ErrOverloaded, got-int64(n), e.maxPending)
 	}
 	return nil
-}
-
-// wait blocks until the task finishes or ctx is cancelled. The task
-// runs on the same ctx, so a waiter that gives up has already told the
-// matcher to stop: it skips the work at pickup or abandons it
-// mid-recursion.
-func (e *Engine) wait(ctx context.Context, t *task) Result {
-	select {
-	case <-t.done:
-	case <-ctx.Done():
-		e.errors.Add(1)
-		return Result{Err: decorate(ctx, fmt.Errorf("%w: %w", ErrDeadline, ctx.Err()))}
-	}
-	res := t.res
-	if res.Err != nil {
-		e.errors.Add(1)
-		res.Err = decorate(ctx, res.Err)
-	}
-	return res
 }
 
 func (e *Engine) worker() {
@@ -761,12 +808,7 @@ func (e *Engine) worker() {
 		if e.afterExecute != nil {
 			e.afterExecute()
 		}
-		if t.finished != nil {
-			t.finished <- t // the search owns the task's pending slot
-			continue
-		}
-		e.pending.Add(-1)
-		close(t.done)
+		t.report <- t.i // the call owns the task's pending slot
 	}
 }
 
@@ -776,10 +818,10 @@ func (e *Engine) worker() {
 // worker within microseconds instead of running to completion.
 func (e *Engine) execute(ctx context.Context, req Request, p *prepared) Result {
 	start := time.Now()
-	if err := ctx.Err(); err != nil {
+	if ctx.Err() != nil {
 		// The submitter gave up while the task was still queued: skip
 		// the work entirely.
-		return Result{Err: fmt.Errorf("%w: %w", ErrDeadline, err)}
+		return Result{Err: deadline(ctx)}
 	}
 	// Resolve the graph, its candidate index and its closure in one
 	// read; separate lookups could straddle a Remove/Register/patch of
@@ -811,8 +853,8 @@ func (e *Engine) execute(ctx context.Context, req Request, p *prepared) Result {
 	if req.Algo == Simulation {
 		// The simulation fixpoint has no internal cancellation points;
 		// its cost is polynomial and small, so a pre-check suffices.
-		if err := ctx.Err(); err != nil {
-			return Result{Err: fmt.Errorf("%w: %w", ErrDeadline, err)}
+		if ctx.Err() != nil {
+			return Result{Err: deadline(ctx)}
 		}
 		holds := simulation.Compute(req.Pattern, g2, mat, req.Xi).Matches()
 		return Result{Holds: holds, Elapsed: time.Since(start)}

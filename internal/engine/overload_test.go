@@ -141,6 +141,33 @@ func TestDefaultPendingBoundIsQueuePlusWorkers(t *testing.T) {
 	}
 }
 
+// TestBatchServedUnderDefaultAdmission: with the server's admission
+// bound (queue + workers), an idle engine serves a batch of three times
+// that many items whole. A batch is admitted once and feeds its items
+// through a window of Workers tasks; admitting item by item shed every
+// item past the bound while the slowed workers drained the first ones.
+func TestBatchServedUnderDefaultAdmission(t *testing.T) {
+	e := New(Options{Workers: 2, MaxPending: -1})
+	defer e.Close()
+	if err := e.Register("path", pathGraph(40)); err != nil {
+		t.Fatal(err)
+	}
+	e.beforeExecute = func() { time.Sleep(time.Millisecond) }
+	bound := e.Stats().MaxPending
+	reqs := make([]Request, 3*bound)
+	for i := range reqs {
+		reqs[i] = Request{Pattern: pathGraph(3), GraphName: "path", Algo: MaxCard, Xi: 1}
+	}
+	for i, r := range e.MatchBatch(context.Background(), reqs) {
+		if r.Err != nil || !r.Holds {
+			t.Fatalf("item %d of %d with admission bound %d: holds %v, err %v", i, len(reqs), bound, r.Holds, r.Err)
+		}
+	}
+	if st := e.Stats(); st.Shed != 0 || st.Executed != uint64(len(reqs)) {
+		t.Fatalf("stats %+v: want nothing shed and all %d items executed", st, len(reqs))
+	}
+}
+
 func TestUnlimitedPendingNeverSheds(t *testing.T) {
 	e := newOverloadEngine(t, 0)
 	ctx := context.Background()

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -32,7 +31,7 @@ type SearchRequest struct {
 	// defaults to MaxSim (its qualSim metric gives the smoothest
 	// ranking signal).
 	Algo Algorithm
-	// Xi is the node-similarity threshold ξ ∈ [0, 1].
+	// Xi is the node-similarity threshold ξ, clamped to [0, 1].
 	Xi float64
 	// PathLimit bounds pattern-edge images, as in Request.
 	PathLimit int
@@ -134,7 +133,9 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 		ssp.SetStr("algo", string(req.Algo))
 		defer ssp.End()
 	}
-	if err := e.validateSearch(req); err != nil {
+	// Every candidate's match is this request with the graph filled in.
+	base := Request{Pattern: req.Pattern, Algo: req.Algo, Xi: req.Xi, PathLimit: req.PathLimit, Sim: req.Sim}
+	if err := e.normalize(&base); err != nil {
 		e.errors.Add(1)
 		ssp.SetStr("error", err.Error())
 		return SearchResult{Err: decorate(ctx, err)}
@@ -154,7 +155,7 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 	// distinct shingles every stage-2 content matrix is built from.
 	prep := e.prepare(req.Pattern).content()
 	query := search.SummaryOf(req.Pattern, prep.pattern.Shingles())
-	if req.Sim == SimContent && boundable(req.Algo) {
+	if base.Sim == SimContent && boundable(base.Algo) {
 		query.Nodes = prep.pattern
 	}
 
@@ -169,18 +170,16 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 	// stable sort keeps stage 1's order among equal bounds.
 	queue := make([]queued, len(cands))
 	for i, c := range cands {
-		queue[i] = queued{cand: c, bound: rankBound(req, prep.pattern, c.Held)}
+		queue[i] = queued{cand: c, bound: rankBound(base, prep.pattern, c.Held)}
 	}
 	slices.SortStableFunc(queue, func(a, b queued) int { return cmp.Compare(b.bound, a.bound) })
 	stats.Stage1 = time.Since(start)
 	if stats.Graphs > 0 {
 		stats.PruneRate = float64(stats.Pruned) / float64(stats.Graphs)
+		e.mSearchPruneRatio.Observe(stats.PruneRate)
 	}
 	e.mSearchStage1.Observe(stats.Stage1.Seconds())
 	e.mSearchCandidates.Observe(float64(stats.Candidates))
-	if stats.Graphs > 0 {
-		e.mSearchPruneRatio.Observe(stats.PruneRate)
-	}
 	if ssp.Active() {
 		s1 := ssp.ChildSpanning("search.stage1", start, start.Add(stats.Stage1))
 		s1.SetInt("graphs", int64(stats.Graphs))
@@ -188,115 +187,50 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 		s1.SetInt("pruned", int64(stats.Pruned))
 		s1.SetFloat("prune_rate", stats.PruneRate)
 	}
-	if err := ctx.Err(); err != nil {
+	if ctx.Err() != nil {
 		e.errors.Add(1)
-		ssp.SetStr("error", err.Error())
-		return SearchResult{Stats: stats, Err: decorate(ctx, fmt.Errorf("%w: %w", ErrDeadline, err))}
+		ssp.SetStr("error", ctx.Err().Error())
+		return SearchResult{Stats: stats, Err: decorate(ctx, deadline(ctx))}
 	}
 
-	// Stage 2 matches through a window of at most Workers tasks and
-	// folds the results in queue order, whatever order they complete
-	// in, so where it stops depends on the results alone. It stops at
-	// the first candidate that can no longer enter the top-k: the fold
-	// holds k hits and the k-th primary score is strictly above the
-	// candidate's bound, hence above every later one's. An equal score
-	// could still win on the tie key or the name.
-	//
-	// The search is admitted once, for its whole window: it reserves a
-	// pending slot per window task up front, so an idle server serves it
-	// whatever its candidate count, and every task it later submits
-	// runs in a slot already counted against the admission bound.
+	// Stage 2 is one fan-out over the queue, folded in queue order, so
+	// where it stops depends on the results alone. It stops at the first
+	// candidate that can no longer enter the top-k: the fold holds k hits
+	// and the k-th primary score is strictly above the candidate's bound,
+	// hence above every later one's. An equal score could still win on
+	// the tie key or the name. Tasks in flight past the stop are
+	// abandoned: they give up at pickup or mid-match.
 	stage2 := time.Now()
-	slots := min(e.workers, len(queue))
-	if e.maxPending > 0 {
-		slots = min(slots, e.maxPending)
-	}
-	if err := e.reserve(slots); err != nil {
-		e.errors.Add(1)
-		ssp.SetBool("shed", true)
-		return SearchResult{Stats: stats, Err: decorate(ctx, err)}
-	}
 	top := search.NewTopK(k)
-	beaten := func(i int) bool {
+	wctx, abandon := context.WithCancel(ctx)
+	defer abandon()
+	var firstErr error
+	folded, err := e.fanOut(ctx, len(queue), func(i int) (*task, error) {
+		e.requests.Add(1)
+		r := base
+		r.GraphName = queue[i].cand.Name
+		return &task{req: r, prep: prep, ctx: wctx}, nil
+	}, func(i int) bool {
 		floor, full := top.Floor()
 		return full && floor.Score > queue[i].bound
-	}
-	wctx, abandon := context.WithCancel(ctx)
-	finished := make(chan *task, slots)
-	tasks := make([]*task, len(queue))
-	errs := make([]error, len(queue))
-	done := make([]bool, len(queue))
-	next, folded, inflight := 0, 0, 0
-	fill := func() {
-		for ; inflight < slots && next < len(queue) && !beaten(next); next++ {
-			tasks[next], errs[next] = e.submit(wctx, Request{
-				Pattern:   req.Pattern,
-				GraphName: queue[next].cand.Name,
-				Algo:      req.Algo,
-				Xi:        req.Xi,
-				PathLimit: req.PathLimit,
-				Sim:       req.Sim,
-			}, prep, trace.Span{}, finished)
-			if errs[next] == nil {
-				inflight++
-			}
-		}
-	}
-	var firstErr error
-	for ; folded < len(queue) && !beaten(folded); folded++ {
-		// Every task before this candidate has reported, so the window
-		// has a free slot for it if it was not submitted yet. Wait for
-		// its task; each other one reporting meanwhile frees a slot.
-		fill()
-		for tasks[folded] != nil && !done[folded] && ctx.Err() == nil {
-			select {
-			case t := <-finished:
-				inflight--
-				done[folded+slices.Index(tasks[folded:next], t)] = true
-				fill()
-			case <-ctx.Done():
-			}
-		}
-		var res Result
-		switch t := tasks[folded]; {
-		case t == nil:
-			res.Err = errs[folded]
-		case done[folded]:
-			res = t.res
-		default:
-			res.Err = fmt.Errorf("%w: %w", ErrDeadline, ctx.Err())
-		}
-		if res.Err != nil {
-			e.errors.Add(1)
-			res.Err = decorate(ctx, res.Err)
-			if errors.Is(res.Err, catalog.ErrNotFound) {
-				stats.Missing++ // removed between the stages: not a hit, not an error
-				continue
-			}
+	}, func(i int, res Result) {
+		switch {
+		case errors.Is(res.Err, catalog.ErrNotFound):
+			stats.Missing++ // removed between the stages: not a hit, not an error
+		case res.Err != nil:
 			if firstErr == nil {
 				firstErr = res.Err
 			}
-			if ctx.Err() != nil {
-				break // the caller gave up: no later result can be waited for
-			}
-			continue
+		default:
+			stats.Matched++
+			primary, tie := rankScore(base.Algo, res)
+			top.Push(search.Hit{Name: queue[i].cand.Name, Score: primary, Tie: tie, Payload: searchPayload{cand: queue[i].cand, res: res}})
 		}
-		stats.Matched++
-		primary, tie := rankScore(req.Algo, res)
-		top.Push(search.Hit{Name: queue[folded].cand.Name, Score: primary, Tie: tie, Payload: searchPayload{cand: queue[folded].cand, res: res}})
-	}
-	// Tasks still in flight (past the stop, or abandoned with ctx) give
-	// up at pickup or mid-match. The window's free slots go back now; a
-	// task's slot goes back once its worker reports it.
-	abandon()
-	e.pending.Add(-int64(slots - inflight))
-	if inflight > 0 {
-		go func(n int) {
-			for range n {
-				<-finished
-				e.pending.Add(-1)
-			}
-		}(inflight)
+	})
+	if err != nil {
+		e.errors.Add(1)
+		ssp.SetBool("shed", true)
+		return SearchResult{Stats: stats, Err: decorate(ctx, err)}
 	}
 	if firstErr == nil {
 		stats.Skipped = len(queue) - folded
@@ -327,8 +261,6 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 			StructSim:   p.cand.StructSim,
 		})
 	}
-	// Per-candidate failures were already counted by the batch's wait
-	// path; adding one more here would double-count them.
 	return SearchResult{Hits: hits, Stats: stats, Err: firstErr}
 }
 
@@ -357,7 +289,7 @@ func boundable(algo Algorithm) bool {
 // core.QualityBound turns those into bounds on the qualities. Without
 // counts, or with a pattern node whose set is empty (it resembles the
 // graph's empty nodes fully), the bound is +Inf: never skipped.
-func rankBound(req SearchRequest, pat *simmatrix.ContentPattern, held []int32) float64 {
+func rankBound(req Request, pat *simmatrix.ContentPattern, held []int32) float64 {
 	if held == nil {
 		return math.Inf(1)
 	}
@@ -380,30 +312,6 @@ func rankBound(req SearchRequest, pat *simmatrix.ContentPattern, held []int32) f
 type searchPayload struct {
 	cand search.Candidate
 	res  Result
-}
-
-// validateSearch mirrors submit's request validation for the fields a
-// search shares with a match, so malformed searches fail before any
-// per-candidate work.
-func (e *Engine) validateSearch(req SearchRequest) error {
-	if req.Pattern == nil {
-		return fmt.Errorf("engine: nil pattern")
-	}
-	if _, err := ParseAlgorithm(string(req.Algo)); err != nil {
-		return err
-	}
-	if req.Sim != "" && req.Sim != SimLabel && req.Sim != SimContent {
-		return fmt.Errorf("engine: unknown similarity kind %q", req.Sim)
-	}
-	if math.IsNaN(req.Xi) {
-		return fmt.Errorf("engine: ξ is NaN")
-	}
-	if (req.Algo == Decide || req.Algo == Decide11) &&
-		e.exactLimit > 0 && req.Pattern.NumNodes() > e.exactLimit {
-		return fmt.Errorf("%w: %d nodes > limit %d",
-			ErrExactLimit, req.Pattern.NumNodes(), e.exactLimit)
-	}
-	return nil
 }
 
 // rankScore maps a match result onto the (primary, tie) ranking keys

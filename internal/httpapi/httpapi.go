@@ -410,27 +410,23 @@ func (s *server) matchBatch(w http.ResponseWriter, r *http.Request) {
 		pos = append(pos, i)
 	}
 	results := s.eng.MatchBatch(r.Context(), ereqs)
-	shedAll := len(results) > 0
-	for j, res := range results {
-		i := pos[j]
-		if res.Err != nil {
-			out.Results[i] = MatchResponse{Algo: batch.Requests[i].Algo, Graph: batch.Requests[i].Graph, Error: res.Err.Error()}
-			if !errors.Is(res.Err, engine.ErrOverloaded) {
-				shedAll = false
-			}
-			continue
-		}
-		shedAll = false
-		out.Results[i] = toResponse(batch.Requests[i], res)
-	}
-	// A batch the admission controller rejected wholesale is a 429 —
-	// the client should back off, not inspect per-item errors.
-	if shedAll {
+	// The engine admits a batch whole or sheds it whole, every item then
+	// failing with ErrOverloaded. A shed batch is a 429: the client
+	// should back off, not inspect per-item errors.
+	if len(results) > 0 && errors.Is(results[0].Err, engine.ErrOverloaded) {
 		writeEngineError(w, results[0].Err)
 		return
 	}
 	// Otherwise the batch as a whole is 200; per-item failures ride in
 	// "error".
+	for j, res := range results {
+		i := pos[j]
+		if res.Err != nil {
+			out.Results[i] = MatchResponse{Algo: batch.Requests[i].Algo, Graph: batch.Requests[i].Graph, Error: res.Err.Error()}
+			continue
+		}
+		out.Results[i] = toResponse(batch.Requests[i], res)
+	}
 	WriteJSON(w, http.StatusOK, out)
 }
 

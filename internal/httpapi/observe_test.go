@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"log"
 	"net/http"
@@ -397,6 +398,66 @@ func TestBatchSizeCap(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch at cap: %d %s, want 200", resp.StatusCode, body)
 	}
+}
+
+// TestBatchServedUnderDefaultAdmission: an idle server with the default
+// admission bound (queue + workers) serves a batch of more items than
+// the bound whole: no item is shed. A malformed item still gets its own
+// error.
+func TestBatchServedUnderDefaultAdmission(t *testing.T) {
+	e := engine.New(engine.Options{Workers: 2, MaxPending: -1})
+	t.Cleanup(e.Close)
+	ts := httptest.NewServer(New(e))
+	t.Cleanup(ts.Close)
+	register(t, ts, "path", pathGraphN(80))
+
+	reqs := make([]MatchRequest, 3*e.Stats().MaxPending)
+	for i := range reqs {
+		reqs[i] = slowMatchBody()
+	}
+	reqs[1].Algo = "bogus"
+	resp, body := postJSON(t, ts.URL+"/v1/match/batch", BatchRequest{Requests: reqs})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch of %d: status %d (%s), want 200", len(reqs), resp.StatusCode, body)
+	}
+	var out BatchResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range out.Results {
+		if (r.Error != "") != (i == 1) || strings.Contains(r.Error, "overloaded") {
+			t.Errorf("item %d: error %q", i, r.Error)
+		}
+	}
+}
+
+// TestShedBatchIs429: a batch the engine sheds is answered 429 with
+// Retry-After, not 200 with per-item errors. A direct engine call holds
+// the single admission slot, so the batch is shed deterministically.
+func TestShedBatchIs429(t *testing.T) {
+	e := engine.New(engine.Options{Workers: 1, MaxPending: 1})
+	t.Cleanup(e.Close)
+	ts := httptest.NewServer(New(e))
+	t.Cleanup(ts.Close)
+	register(t, ts, "path", pathGraphN(1000))
+
+	blockerCtx, cancelBlocker := context.WithCancel(context.Background())
+	blockerDone := make(chan struct{})
+	go func() {
+		defer close(blockerDone)
+		e.Match(blockerCtx, engine.Request{Pattern: cycleN(3), GraphName: "path", Algo: engine.Decide, Xi: 0.25})
+	}()
+	waitFor(t, 5*time.Second, func() bool { return e.Stats().Pending == 1 })
+
+	bogus := slowMatchBody()
+	bogus.Algo = "bogus"
+	resp, body := postJSON(t, ts.URL+"/v1/match/batch", BatchRequest{Requests: []MatchRequest{slowMatchBody(), bogus, slowMatchBody()}})
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("shed batch: status %d, Retry-After %q (%s); want 429 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	cancelBlocker()
+	<-blockerDone
 }
 
 // TestExpiredDeadlineNeverReachesPool pins the preflight: a request
