@@ -769,17 +769,17 @@ func (e *Engine) submit(t *task) {
 	e.queue <- t
 }
 
-// reserve admits n pending slots at once, or sheds them together when
-// they would take the engine past its admission bound.
+// reserve admits n pending slots at once, or sheds them together, never
+// counted, when they would take the engine past its admission bound.
 func (e *Engine) reserve(n int) error {
-	got := e.pending.Add(int64(n))
-	if e.maxPending > 0 && got > int64(e.maxPending) {
-		e.pending.Add(-int64(n))
-		e.shed.Add(1)
-		return fmt.Errorf("%w: %d tasks pending (limit %d)",
-			ErrOverloaded, got-int64(n), e.maxPending)
+	got := e.pending.Load()
+	for ; e.maxPending <= 0 || got+int64(n) <= int64(e.maxPending); got = e.pending.Load() {
+		if e.pending.CompareAndSwap(got, got+int64(n)) {
+			return nil
+		}
 	}
-	return nil
+	e.shed.Add(1)
+	return fmt.Errorf("%w: %d tasks pending (limit %d)", ErrOverloaded, got, e.maxPending)
 }
 
 func (e *Engine) worker() {
