@@ -41,6 +41,9 @@ func TestValidateFlags(t *testing.T) {
 		// The queue depth is derived from the worker count; there is
 		// no flag for it.
 		{[]string{"-queue", "8"}, "flag provided but not defined: -queue"},
+		// A batch is capped at httpapi.MaxBatch items; there is no flag
+		// for it.
+		{[]string{"-max-batch", "8"}, "flag provided but not defined: -max-batch"},
 	} {
 		fs := flag.NewFlagSet("phomd", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)

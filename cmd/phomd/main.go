@@ -103,7 +103,6 @@ type flags struct {
 	pprofAddr       string
 	requestTimeout  time.Duration
 	maxPending      int
-	maxBatch        int
 	accessLog       bool
 	follow          string
 	readyMaxLag     uint64
@@ -132,7 +131,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
 	fs.StringVar(&f.pprofAddr, "pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060); empty disables")
 	fs.DurationVar(&f.requestTimeout, "request-timeout", 30*time.Second, "per-request wall-time bound, propagated into the matcher as a context deadline; timed-out requests answer 504 and free their worker (0 = unbounded)")
 	fs.IntVar(&f.maxPending, "max-pending", -1, "admission-control bound on queued+running tasks; excess requests answer 429 with Retry-After (-1 = 5×workers: the 4×workers queue plus the workers, 0 = unlimited)")
-	fs.IntVar(&f.maxBatch, "max-batch", 0, "largest accepted /v1/match/batch element count (0 = default, -1 = unlimited)")
 	fs.BoolVar(&f.accessLog, "access-log", false, "log one line per request (id, method, path, status, bytes, duration) to stderr")
 	fs.StringVar(&f.follow, "follow", "", "replicate from the phomd primary at this base URL (read-only follower mode; needs -store)")
 	fs.Uint64Var(&f.readyMaxLag, "ready-max-lag", 0, "follower /readyz stays 503 while replication lag exceeds this many ops; needs -follow")
@@ -268,7 +266,6 @@ func main() {
 	}
 	handler.Store(httpapi.NewWithOptions(eng, httpapi.Options{
 		RequestTimeout: f.requestTimeout,
-		MaxBatch:       f.maxBatch,
 		AccessLog:      accessLogger(f.accessLog),
 		Ready:          readyFn,
 	}))

@@ -635,7 +635,7 @@ func (e *Engine) prepare(g *graph.Graph) *prepared {
 // tasks and stages ask.
 func (p *prepared) content() *prepared {
 	p.contentOnce.Do(func() {
-		p.pattern = simmatrix.NewContentPattern(simmatrix.ContentSets(p.g, 0))
+		p.pattern = simmatrix.NewContentPattern(p.g, 0)
 	})
 	return p
 }

@@ -390,9 +390,9 @@ func (s *server) matchBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
 		return
 	}
-	if s.opts.MaxBatch > 0 && len(batch.Requests) > s.opts.MaxBatch {
+	if len(batch.Requests) > MaxBatch {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d exceeds limit %d", len(batch.Requests), s.opts.MaxBatch))
+			fmt.Errorf("batch of %d exceeds limit %d", len(batch.Requests), MaxBatch))
 		return
 	}
 	// Convert up front and dispatch only the well-formed items, so

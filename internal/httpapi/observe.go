@@ -21,26 +21,24 @@ import (
 // the access log and the introspection routes (/healthz, /metrics, /debug/traces). The JSON
 // handlers themselves stay in httpapi.go; everything here wraps them.
 
-// DefaultMaxBatch caps POST /v1/match/batch when Options.MaxBatch is
-// left zero. A batch is dispatched concurrently into the worker pool,
-// so an unbounded one is an admission-control bypass.
-const DefaultMaxBatch = 1024
+// MaxBatch caps the element count of one POST /v1/match/batch; a
+// larger batch answers 400. The engine admits a batch whole and runs it
+// through a window of at most Workers tasks, so the cap bounds the
+// memory one request body can pin, not the load it can queue.
+const MaxBatch = 1024
 
 // retryAfterSeconds is the Retry-After hint attached to every 429 —
 // all of which come from the engine's admission control.
 const retryAfterSeconds = "1"
 
 // Options configures the transport shell. The zero value means no
-// deadline, the default batch cap, no access log and always ready.
+// deadline, no access log and always ready.
 type Options struct {
 	// RequestTimeout bounds each request's wall time. The deadline
 	// propagates through the engine into the matcher recursion, so a
 	// timed-out request answers 504 AND frees its worker instead of
 	// pinning it. 0 means no per-request deadline.
 	RequestTimeout time.Duration
-	// MaxBatch caps the element count of one batch request; 0 applies
-	// DefaultMaxBatch, negative lifts the cap.
-	MaxBatch int
 	// AccessLog, when non-nil, receives one line per request:
 	// request id, method, path, status, response bytes, duration.
 	AccessLog *log.Logger
@@ -52,9 +50,6 @@ type Options struct {
 // NewWithOptions returns the phomd handler over e with the given
 // transport options. New(e) is NewWithOptions(e, Options{}).
 func NewWithOptions(e *engine.Engine, opts Options) http.Handler {
-	if opts.MaxBatch == 0 {
-		opts.MaxBatch = DefaultMaxBatch
-	}
 	s := &server{eng: e, opts: opts}
 	sh := NewShell(e.Metrics(), e.Tracer(), opts.RequestTimeout, opts.AccessLog)
 	if _, follower := e.ReplStats(); follower {

@@ -382,21 +382,22 @@ func TestEngineShedPropagatesAs429(t *testing.T) {
 func TestBatchSizeCap(t *testing.T) {
 	e := engine.New(engine.Options{Workers: 1})
 	t.Cleanup(e.Close)
-	ts := httptest.NewServer(NewWithOptions(e, Options{MaxBatch: 2}))
+	ts := httptest.NewServer(New(e))
 	t.Cleanup(ts.Close)
 	register(t, ts, "g", pathGraphN(4))
 
 	xi := 0.5
-	mk := func() MatchRequest {
-		return MatchRequest{Pattern: pathGraphN(2), Graph: "g", Algo: "maxcard", Xi: &xi}
+	items := make([]MatchRequest, MaxBatch+1)
+	for i := range items {
+		items[i] = MatchRequest{Pattern: pathGraphN(2), Graph: "g", Algo: "maxcard", Xi: &xi}
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/match/batch", BatchRequest{Requests: []MatchRequest{mk(), mk(), mk()}})
+	resp, body := postJSON(t, ts.URL+"/v1/match/batch", BatchRequest{Requests: items})
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("batch over cap: %d %s, want 400", resp.StatusCode, body)
+		t.Fatalf("batch over cap: %d %.200s, want 400", resp.StatusCode, body)
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/match/batch", BatchRequest{Requests: []MatchRequest{mk(), mk()}})
+	resp, body = postJSON(t, ts.URL+"/v1/match/batch", BatchRequest{Requests: items[:MaxBatch]})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch at cap: %d %s, want 200", resp.StatusCode, body)
+		t.Fatalf("batch at cap: %d %.200s, want 200", resp.StatusCode, body)
 	}
 }
 

@@ -134,7 +134,7 @@ type Summary struct {
 // Summarize builds the stage-1 summary of g. It is a pure function of
 // the graph — safe to call concurrently, no shared state.
 func Summarize(g *graph.Graph) Summary {
-	return SummaryOf(g, simmatrix.NewContentPattern(simmatrix.ContentSets(g, 0)).Shingles())
+	return SummaryOf(g, simmatrix.NewContentPattern(g, 0).Shingles())
 }
 
 // SummaryOf builds the stage-1 summary of g from its distinct content
@@ -158,9 +158,9 @@ func (s Summary) sampleRate() float64 {
 
 // scoreContent converts a raw posting overlap (pattern hashes found in
 // the graph's indexed sample) into containment and resemblance
-// estimates, mirroring the shingle package's empty-set conventions so
-// search scoring never divides by zero: two empty sets resemble fully,
-// an empty pattern is contained in anything, and an empty graph
+// estimates. Empty sets score by convention, so search scoring never
+// divides by zero: two empty sets resemble fully, as in the content
+// matrix; an empty pattern is contained in anything; and an empty graph
 // contains nothing. When both sides fit MaxIndexedShingles the
 // estimates are exact; otherwise the overlap is scaled by the smaller
 // sample rate (both samples keep their smallest hashes, so the shared

@@ -652,7 +652,7 @@ func TestCandidatesCountHeldShingles(t *testing.T) {
 		}
 	}
 	pattern := contentGraph("alpha beta gamma delta w1", "zeta eta theta w2", "beta w3", "nothing shared here")
-	p := simmatrix.NewContentPattern(simmatrix.ContentSets(pattern, 0))
+	p := simmatrix.NewContentPattern(pattern, 0)
 	q := SummaryOf(pattern, p.Shingles())
 	ix := NewIndex(cat)
 
@@ -714,7 +714,7 @@ func BenchmarkCandidates(b *testing.B) {
 			pattern = webgen.TopKSkeleton(arch.Versions[5], 12)
 		}
 	}
-	p := simmatrix.NewContentPattern(simmatrix.ContentSets(pattern, 0))
+	p := simmatrix.NewContentPattern(pattern, 0)
 	ix := NewIndex(cat)
 	for _, held := range []bool{false, true} {
 		q := SummaryOf(pattern, p.Shingles())

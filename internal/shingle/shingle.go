@@ -19,7 +19,9 @@ import (
 // repository.
 const DefaultSize = 4
 
-// Set is a set of hashed shingles.
+// Set is a set of hashed shingles: the reference form that the flat
+// builds over AppendHashes (simmatrix's content index and pattern) are
+// tested against, not a form the serving path builds.
 type Set map[uint64]struct{}
 
 // Shingler turns text into shingle sets with a fixed window size.
@@ -51,7 +53,8 @@ func Tokenize(text string) []string {
 }
 
 // Shingle computes the hashed shingle set of text: the distinct values
-// AppendHashes lists.
+// AppendHashes lists. Like Set and Resemblance, it is the reference the
+// flat builds are checked against.
 func (s *Shingler) Shingle(text string) Set {
 	var stack [64]uint64
 	hs := s.AppendHashes(stack[:0], text)
@@ -184,7 +187,8 @@ func (s *Shingler) MaxHashes(length int) int {
 
 // Resemblance is the Jaccard coefficient |A ∩ B| / |A ∪ B| of two shingle
 // sets, the similarity measure of [8]. Two empty sets resemble fully (1);
-// one empty set resembles nothing (0).
+// one empty set resembles nothing (0). It is the pairwise reference that
+// simmatrix's postings build must equal bit for bit.
 func Resemblance(a, b Set) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
@@ -204,27 +208,4 @@ func Resemblance(a, b Set) float64 {
 	}
 	union := len(a) + len(b) - inter
 	return float64(inter) / float64(union)
-}
-
-// Containment is |A ∩ B| / |A|: how much of a is covered by b. Broder's
-// companion measure to resemblance; useful when a pattern page should be
-// subsumed by a data page rather than equal to it.
-func Containment(a, b Set) float64 {
-	if len(a) == 0 {
-		return 1
-	}
-	inter := 0
-	for h := range a {
-		if _, ok := b[h]; ok {
-			inter++
-		}
-	}
-	return float64(inter) / float64(len(a))
-}
-
-// Similarity is a convenience that shingles both texts with the default
-// window and returns their resemblance.
-func Similarity(a, b string) float64 {
-	s := NewShingler(DefaultSize)
-	return Resemblance(s.Shingle(a), s.Shingle(b))
 }

@@ -124,32 +124,9 @@ func TestResemblanceRange(t *testing.T) {
 	}
 }
 
-func TestContainment(t *testing.T) {
-	s := NewShingler(2)
-	small := s.Shingle("a b c")
-	big := s.Shingle("a b c d e f")
-	if got := Containment(small, big); got != 1 {
-		t.Fatalf("containment of prefix = %v, want 1", got)
-	}
-	if got := Containment(big, small); got >= 1 {
-		t.Fatalf("containment of superset in subset = %v, want < 1", got)
-	}
-	if Containment(Set{}, big) != 1 {
-		t.Error("empty set containment should be 1")
-	}
-}
-
-func TestSimilarityConvenience(t *testing.T) {
-	if got := Similarity("books about science", "books about science"); got != 1 {
-		t.Fatalf("identical similarity = %v, want 1", got)
-	}
-	if got := Similarity("books about science", "entirely different words here"); got != 0 {
-		t.Fatalf("disjoint similarity = %v, want 0", got)
-	}
-}
-
 func TestCaseInsensitive(t *testing.T) {
-	if Similarity("The Quick Brown Fox", "the quick brown fox") != 1 {
+	s := NewShingler(DefaultSize)
+	if Resemblance(s.Shingle("The Quick Brown Fox"), s.Shingle("the quick brown fox")) != 1 {
 		t.Error("shingling should be case-insensitive")
 	}
 }
@@ -168,31 +145,21 @@ func randText(rng *rand.Rand, n int) string {
 
 // TestContainmentEdgeCases pins the divide-by-zero guards the search
 // subsystem's scoring relies on: empty and nil sets must score without
-// arithmetic panics, mirroring Resemblance's conventions.
+// arithmetic panics. Nil maps behave as empty sets, in either argument.
 func TestContainmentEdgeCases(t *testing.T) {
 	s := NewShingler(4)
 	full := s.Shingle("one two three four five six")
-	if got := Containment(Set{}, full); got != 1 {
-		t.Fatalf("Containment(empty, full) = %v, want 1", got)
-	}
-	if got := Containment(Set{}, Set{}); got != 1 {
-		t.Fatalf("Containment(empty, empty) = %v, want 1", got)
-	}
-	if got := Containment(full, Set{}); got != 0 {
-		t.Fatalf("Containment(full, empty) = %v, want 0", got)
-	}
-	// Nil maps behave as empty sets.
-	if got := Containment(nil, full); got != 1 {
-		t.Fatalf("Containment(nil, full) = %v, want 1", got)
-	}
-	if got := Containment(full, nil); got != 0 {
-		t.Fatalf("Containment(full, nil) = %v, want 0", got)
-	}
 	if got := Resemblance(nil, nil); got != 1 {
 		t.Fatalf("Resemblance(nil, nil) = %v, want 1", got)
 	}
+	if got := Resemblance(nil, Set{}); got != 1 {
+		t.Fatalf("Resemblance(nil, empty) = %v, want 1", got)
+	}
 	if got := Resemblance(nil, full); got != 0 {
 		t.Fatalf("Resemblance(nil, full) = %v, want 0", got)
+	}
+	if got := Resemblance(full, nil); got != 0 {
+		t.Fatalf("Resemblance(full, nil) = %v, want 0", got)
 	}
 }
 

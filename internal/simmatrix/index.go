@@ -86,16 +86,34 @@ type ContentIndex struct {
 }
 
 // NewContentIndex shingles every node of g with the given window
-// (non-positive selects shingle.DefaultSize). It builds the index in flat
-// passes, with no map and no comparator: every node's window hashes,
-// duplicates included, go into one array beside the id of their node; a
-// stable radix sort orders them by hash, and since nodes were appended
-// in ascending order every posting comes out ascending; one scan then
-// emits the keys, cuts the postings, drops a node's repeated shingle and
-// counts each node's distinct ones.
+// (non-positive selects shingle.DefaultSize) into its candidate index,
+// by shingleNodes' flat passes.
 func NewContentIndex(g *graph.Graph, shingleSize int) *ContentIndex {
+	keys, offs, nodes, sizes := shingleNodes(g, shingleSize)
+	ix := &ContentIndex{keys: keys, offs: offs, nodes: slices.Clone(nodes), sizes: sizes}
+	for u, size := range sizes {
+		if size == 0 {
+			ix.empty = append(ix.empty, graph.NodeID(u))
+		}
+	}
+	return ix
+}
+
+// shingleNodes is the one shingling of a graph's nodes (content, falling
+// back to the label), which both a data graph's index and a prepared
+// pattern are read from: the distinct shingles in ascending order, the
+// posting of keys[k] as nodes[offs[k]:offs[k+1]] in ascending node order,
+// and per node its count of distinct shingles. It works in flat passes,
+// with no map and no comparator: every node's window hashes, duplicates
+// included, go into one array beside the id of their node; a stable
+// radix sort orders them by hash, and since nodes were appended in
+// ascending order every posting comes out ascending; one scan then emits
+// the keys, cuts the postings, drops a node's repeated shingle and
+// counts each node's distinct ones. nodes is cut from a scratch array
+// sized for every window, duplicates included.
+func shingleNodes(g *graph.Graph, shingleSize int) (keys []uint64, offs []int, nodes []graph.NodeID, sizes []int32) {
 	n := g.NumNodes()
-	ix := &ContentIndex{sizes: make([]int32, n)}
+	sizes = make([]int32, n)
 	sh := shingle.NewShingler(shingleSize)
 	most := 0
 	for u := range n {
@@ -105,24 +123,24 @@ func NewContentIndex(g *graph.Graph, shingleSize int) *ContentIndex {
 	for u := range n {
 		from := len(hs)
 		hs = sh.AppendHashes(hs, contentText(g, graph.NodeID(u)))
-		ix.sizes[u] = int32(len(hs) - from) // for now, the node's window count
+		sizes[u] = int32(len(hs) - from) // for now, the node's window count
 	}
 	ids := make([]graph.NodeID, 0, len(hs))
-	for u, windows := range ix.sizes {
+	for u, windows := range sizes {
 		for range windows {
 			ids = append(ids, graph.NodeID(u))
 		}
-		ix.sizes[u] = 0
+		sizes[u] = 0
 	}
 	hs, ids = sortByHash(hs, ids)
 
-	keys := 0
+	distinct := 0
 	for i := range hs {
 		if i == 0 || hs[i] != hs[i-1] {
-			keys++
+			distinct++
 		}
 	}
-	ix.keys, ix.offs = make([]uint64, 0, keys), make([]int, 0, keys+1)
+	keys, offs = make([]uint64, 0, distinct), make([]int, 0, distinct+1)
 	// The postings are written over ids in place: an entry is written
 	// no later than it is read.
 	post := 0
@@ -133,22 +151,15 @@ func NewContentIndex(g *graph.Graph, shingleSize int) *ContentIndex {
 				continue // the node's repeated shingle
 			}
 		} else {
-			ix.keys = append(ix.keys, h)
-			ix.offs = append(ix.offs, post)
+			keys = append(keys, h)
+			offs = append(offs, post)
 		}
 		ids[post] = u
 		post++
-		ix.sizes[u]++
+		sizes[u]++
 	}
-	ix.offs = append(ix.offs, post)
-	ix.nodes = slices.Clone(ids[:post])
-
-	for u, size := range ix.sizes {
-		if size == 0 {
-			ix.empty = append(ix.empty, graph.NodeID(u))
-		}
-	}
-	return ix
+	offs = append(offs, post)
+	return keys, offs, ids[:post], sizes
 }
 
 // sortByHash orders hs by value, and ids along with it, by a stable LSD
@@ -207,35 +218,33 @@ func (ix *ContentIndex) Bytes() int64 {
 
 // ContentPattern is a pattern's shingle sets made ready to score against
 // any number of content indexes: its distinct shingles in ascending
-// order, and per pattern node the positions of its own shingles among
-// them.
+// order, and per pattern node the ascending positions of its own
+// shingles among them.
 type ContentPattern struct {
 	keys []uint64 // distinct shingles of all nodes, ascending
 	offs []int    // node v's shingles are keys[at[offs[v]:offs[v+1]]]
 	at   []int32
 }
 
-// NewContentPattern prepares the shingle sets of a pattern's nodes
-// (ContentSets of the pattern, same window as the indexes it will meet),
-// indexed by NodeID.
-func NewContentPattern(sets []shingle.Set) *ContentPattern {
-	p := &ContentPattern{offs: make([]int, len(sets)+1)}
-	for v, set := range sets {
-		p.offs[v+1] = p.offs[v] + len(set)
+// NewContentPattern shingles every node of a pattern with the given
+// window (the one of the indexes it will meet; non-positive selects
+// shingle.DefaultSize) and prepares it for ContentIndex.Matrix. It reads
+// shingleNodes' postings back per node: the pattern's keys are the
+// postings' keys, and walking the keys in ascending order lists every
+// node's own positions among them in ascending order too.
+func NewContentPattern(g *graph.Graph, shingleSize int) *ContentPattern {
+	keys, offs, nodes, sizes := shingleNodes(g, shingleSize)
+	p := &ContentPattern{keys: keys, offs: make([]int, len(sizes)+1), at: make([]int32, len(nodes))}
+	// While the postings are read, offs[v+1] is where node v's next
+	// position goes: it starts at v's first and ends past its last.
+	for v := 1; v < len(sizes); v++ {
+		p.offs[v+1] = p.offs[v] + int(sizes[v-1])
 	}
-	all := make([]uint64, 0, p.offs[len(sets)])
-	for _, set := range sets {
-		for h := range set {
-			all = append(all, h)
+	for k := range keys {
+		for _, v := range nodes[offs[k]:offs[k+1]] {
+			p.at[p.offs[v+1]] = int32(k)
+			p.offs[v+1]++
 		}
-	}
-	p.keys = slices.Clone(all)
-	slices.Sort(p.keys)
-	p.keys = slices.Compact(p.keys)
-	p.at = make([]int32, len(all))
-	for i, h := range all {
-		k, _ := slices.BinarySearch(p.keys, h)
-		p.at[i] = int32(k)
 	}
 	return p
 }
@@ -280,8 +289,9 @@ var scratchPool = sync.Pool{New: func() any { return new(matrixScratch) }}
 // Matrix builds the resemblance matrix of a prepared pattern against the
 // indexed graph, keeping only entries ≥ xi: the matrix's floor, below
 // which it must not be read (RowSparse.Support). Every kept entry is
-// inter / (|S_v|+|S_u|−inter) from the same integers shingle.Resemblance
-// divides, so it equals the pairwise build bit for bit.
+// the Jaccard resemblance inter / (|S_v|+|S_u|−inter) of the two
+// shingle sets, divided from the same integers as a pairwise build over
+// the sets, so it equals that build bit for bit.
 //
 // Which pairs are counted at all follows the prefix filter of
 // set-similarity joins (Chaudhuri et al., ICDE 2006; Bayardo et al.,

@@ -13,6 +13,19 @@ import (
 	"graphmatch/internal/webgen"
 )
 
+// ContentSets is the map shingling the flat builds replaced: the
+// shingle set of every node of g (content, falling back to the label),
+// indexed by NodeID. It stays here as the reference both builds'
+// arrays are checked against.
+func ContentSets(g *graph.Graph, shingleSize int) []shingle.Set {
+	sh := shingle.NewShingler(shingleSize)
+	sets := make([]shingle.Set, g.NumNodes())
+	for v := range sets {
+		sets[v] = sh.Shingle(contentText(g, graph.NodeID(v)))
+	}
+	return sets
+}
+
 // naiveFromContent is the pairwise build FromContent replaced: every
 // (pattern node, data node) pair through shingle.Resemblance. It stays
 // here as the reference the postings build must equal entry for entry.
@@ -119,6 +132,45 @@ func referenceContentIndex(g *graph.Graph, shingleSize int) *ContentIndex {
 	return ix
 }
 
+// referenceContentPattern is the preparation NewContentPattern replaced:
+// every node's set in map order, the distinct keys sorted by a
+// comparator and each node's shingle found among them by binary search.
+// It stays here as the reference the flat build must equal array for
+// array, up to the order of each node's positions.
+func referenceContentPattern(g *graph.Graph, shingleSize int) *ContentPattern {
+	sets := ContentSets(g, shingleSize)
+	p := &ContentPattern{offs: make([]int, len(sets)+1)}
+	var all []uint64
+	for v, set := range sets {
+		p.offs[v+1] = p.offs[v] + len(set)
+		for h := range set {
+			all = append(all, h)
+		}
+	}
+	p.keys = slices.Compact(slices.Sorted(slices.Values(all)))
+	for _, h := range all {
+		k, _ := slices.BinarySearch(p.keys, h)
+		p.at = append(p.at, int32(k))
+	}
+	return p
+}
+
+func assertSamePattern(t *testing.T, name string, got, want *ContentPattern) {
+	t.Helper()
+	switch {
+	case !slices.Equal(got.keys, want.keys):
+		t.Fatalf("%s: pattern has %d keys, the reference %d (or they differ)", name, len(got.keys), len(want.keys))
+	case !slices.Equal(got.offs, want.offs):
+		t.Fatalf("%s: pattern offsets %v, the reference %v", name, got.offs, want.offs)
+	}
+	for v := range got.NumNodes() {
+		at, ref := got.NodeKeys(graph.NodeID(v)), slices.Sorted(slices.Values(want.NodeKeys(graph.NodeID(v))))
+		if !slices.Equal(at, ref) {
+			t.Fatalf("%s: node %d's key positions %v, the reference's sorted %v", name, v, at, ref)
+		}
+	}
+}
+
 func assertSameIndex(t *testing.T, name string, got, want *ContentIndex) {
 	t.Helper()
 	switch {
@@ -138,16 +190,22 @@ func assertSameIndex(t *testing.T, name string, got, want *ContentIndex) {
 }
 
 // TestContentIndexEqualsReference: the flat radix build holds the same
-// five arrays as the comparator build, on generated Web site versions,
-// random text with shared shingles, repeated windows inside one node,
-// empty-content nodes and the label fallback, at several windows.
+// five arrays as the comparator build, and the pattern it prepares the
+// same keys, offsets and (sorted) per-node positions as the map
+// preparation, on generated Web site versions, random text with shared
+// shingles, repeated windows inside one node, empty-content nodes and
+// the label fallback, at several windows.
 func TestContentIndexEqualsReference(t *testing.T) {
+	check := func(name string, g *graph.Graph, size int) {
+		t.Helper()
+		assertSameIndex(t, name, NewContentIndex(g, size), referenceContentIndex(g, size))
+		assertSamePattern(t, name, NewContentPattern(g, size), referenceContentPattern(g, size))
+	}
 	for _, cat := range []webgen.Category{webgen.Store, webgen.Newspaper} {
 		arch := webgen.Generate(webgen.Config{Category: cat, Pages: 60, Versions: 3, Seed: 11})
 		for i, g := range arch.Versions {
 			for _, size := range []int{0, 1, 2, 6} {
-				name := fmt.Sprintf("web %v v%d w=%d", cat, i, size)
-				assertSameIndex(t, name, NewContentIndex(g, size), referenceContentIndex(g, size))
+				check(fmt.Sprintf("web %v v%d w=%d", cat, i, size), g, size)
 			}
 		}
 	}
@@ -155,7 +213,7 @@ func TestContentIndexEqualsReference(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		g := textGraph(rng, rng.Intn(40))
 		size := rng.Intn(5)
-		assertSameIndex(t, fmt.Sprintf("text %d w=%d", i, size), NewContentIndex(g, size), referenceContentIndex(g, size))
+		check(fmt.Sprintf("text %d w=%d", i, size), g, size)
 	}
 	g := graph.New(5)
 	for _, n := range []graph.Node{
@@ -169,7 +227,7 @@ func TestContentIndexEqualsReference(t *testing.T) {
 	}
 	g.Finish()
 	for size := 0; size < 4; size++ {
-		assertSameIndex(t, fmt.Sprintf("edge cases w=%d", size), NewContentIndex(g, size), referenceContentIndex(g, size))
+		check(fmt.Sprintf("edge cases w=%d", size), g, size)
 	}
 }
 
@@ -276,7 +334,7 @@ func TestXiMatrixEqualsFullBuild(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		g1, g2 := textGraph(rng, 1+rng.Intn(8)), textGraph(rng, 1+rng.Intn(30))
 		size := rng.Intn(4)
-		ix, p := NewContentIndex(g2, size), NewContentPattern(ContentSets(g1, size))
+		ix, p := NewContentIndex(g2, size), NewContentPattern(g1, size)
 		grid := xiGrid(rng)
 		for _, xi := range grid {
 			assertXiBuild(t, fmt.Sprintf("text %d", i), ix, p, xi, grid)
@@ -284,7 +342,7 @@ func TestXiMatrixEqualsFullBuild(t *testing.T) {
 	}
 	arch := webgen.Generate(webgen.Config{Category: webgen.Newspaper, Pages: 60, Versions: 3, Seed: 5})
 	for i, data := range arch.Versions {
-		ix, p := NewContentIndex(data, 0), NewContentPattern(ContentSets(webgen.TopKSkeleton(arch.Versions[0], 8+4*i), 0))
+		ix, p := NewContentIndex(data, 0), NewContentPattern(webgen.TopKSkeleton(arch.Versions[0], 8+4*i), 0)
 		grid := xiGrid(rng)
 		for _, xi := range grid {
 			assertXiBuild(t, fmt.Sprintf("web v%d", i), ix, p, xi, grid)
@@ -330,7 +388,7 @@ func TestXiMatrixEdges(t *testing.T) {
 	}
 	for _, c := range cases {
 		g1, g2 := one(c.pattern), one(c.data)
-		m := NewContentIndex(g2, 1).Matrix(NewContentPattern(ContentSets(g1, 1)), c.xi)
+		m := NewContentIndex(g2, 1).Matrix(NewContentPattern(g1, 1), c.xi)
 		if got := m.Score(0, 0); got != c.want {
 			t.Errorf("%s: mat = %v, want %v", c.name, got, c.want)
 		}
@@ -356,7 +414,7 @@ func TestXiMatrixEdges(t *testing.T) {
 // fallback would read the dropped pairs as 0 — must fail loudly.
 func TestSupportBelowFloorPanics(t *testing.T) {
 	g := textGraph(rand.New(rand.NewSource(4)), 12)
-	m := NewContentIndex(g, 2).Matrix(NewContentPattern(ContentSets(g, 2)), 0.75)
+	m := NewContentIndex(g, 2).Matrix(NewContentPattern(g, 2), 0.75)
 	for _, xi := range []float64{0.5, 0, -1} {
 		func() {
 			defer func() {
@@ -389,8 +447,9 @@ func fuzzGraph(text string) *graph.Graph {
 }
 
 // FuzzContentMatrix: bytes → window, ξ and two tiny text graphs (split
-// at the first '|'); the ξ build must be the full build at and above ξ,
-// and the full build the pairwise one.
+// at the first '|'); the pattern is prepared by NewContentPattern, the
+// ξ build must be the full build at and above ξ, and the full build the
+// pairwise one over the map reference sets.
 func FuzzContentMatrix(f *testing.F) {
 	f.Add([]byte("\x01\x50a b c d e f g h i j\nx y|a b c d e f g\n\nx y z"))
 	f.Add([]byte("\x00\x55w1 w2 w3 w4 w1 w2\nw2 w3|w1 w2 w3 w4\nw3 w4 w1"))
@@ -404,7 +463,7 @@ func FuzzContentMatrix(f *testing.F) {
 		window, xi := int(data[0]%4), float64(int(data[1])-10)/100
 		pat, dat, _ := strings.Cut(string(data[2:]), "|")
 		g1, g2 := fuzzGraph(pat), fuzzGraph(dat)
-		ix, p := NewContentIndex(g2, window), NewContentPattern(ContentSets(g1, window))
+		ix, p := NewContentIndex(g2, window), NewContentPattern(g1, window)
 		assertSameMatrix(t, "full build", ix.Matrix(p, 0), naiveFromContent(g1, g2, window))
 		assertXiBuild(t, "fuzz", ix, p, xi, []float64{xi, xi + 0.05, 0.5, 0.75, 1})
 	})
@@ -418,7 +477,7 @@ var matrixSink *RowSparse
 func BenchmarkContentMatrix(b *testing.B) {
 	arch := webgen.Generate(webgen.Config{Category: webgen.Store, Pages: 60, Versions: 2, Seed: 7})
 	ix := NewContentIndex(arch.Versions[1], 0)
-	p := NewContentPattern(ContentSets(webgen.TopKSkeleton(arch.Versions[0], 12), 0))
+	p := NewContentPattern(webgen.TopKSkeleton(arch.Versions[0], 12), 0)
 	for _, xi := range []float64{0.75, 0} {
 		b.Run(fmt.Sprintf("xi=%v", xi), func(b *testing.B) {
 			b.ReportAllocs()
@@ -429,7 +488,10 @@ func BenchmarkContentMatrix(b *testing.B) {
 	}
 }
 
-var indexSink *ContentIndex
+var (
+	indexSink   *ContentIndex
+	patternSink *ContentPattern
+)
 
 // BenchmarkNewContentIndex: the first content read of one web_search
 // graph version, a 60-page site shingled into its candidate index.
@@ -438,6 +500,16 @@ func BenchmarkNewContentIndex(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		indexSink = NewContentIndex(g, 0)
+	}
+}
+
+// BenchmarkNewContentPattern: the preparation of one web_search pattern,
+// a 12-hub skeleton of a 60-page site, done once per search.
+func BenchmarkNewContentPattern(b *testing.B) {
+	g := webgen.TopKSkeleton(webgen.Generate(webgen.Config{Category: webgen.Store, Pages: 60, Versions: 1, Seed: 7}).Versions[0], 12)
+	b.ReportAllocs()
+	for b.Loop() {
+		patternSink = NewContentPattern(g, 0)
 	}
 }
 
@@ -477,12 +549,12 @@ func TestHeldShinglesBoundRows(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		g1, g2 := textGraph(rng, 1+rng.Intn(8)), textGraph(rng, 1+rng.Intn(30))
 		size := rng.Intn(4)
-		check(fmt.Sprintf("text %d", i), NewContentIndex(g2, size), NewContentPattern(ContentSets(g1, size)))
+		check(fmt.Sprintf("text %d", i), NewContentIndex(g2, size), NewContentPattern(g1, size))
 	}
 	arch := webgen.Generate(webgen.Config{Category: webgen.Store, Pages: 60, Versions: 4, Seed: 6})
 	for i, data := range arch.Versions {
 		for j, src := range arch.Versions {
-			check(fmt.Sprintf("web v%d in v%d", j, i), NewContentIndex(data, 0), NewContentPattern(ContentSets(webgen.TopKSkeleton(src, 8+2*j), 0)))
+			check(fmt.Sprintf("web v%d in v%d", j, i), NewContentIndex(data, 0), NewContentPattern(webgen.TopKSkeleton(src, 8+2*j), 0))
 		}
 	}
 }

@@ -28,10 +28,7 @@
 // ≥ ξ and refuses to be listed below it.
 package simmatrix
 
-import (
-	"graphmatch/internal/graph"
-	"graphmatch/internal/shingle"
-)
+import "graphmatch/internal/graph"
 
 // Matrix scores the similarity of node v of G1 against node u of G2.
 // Implementations must return values in [0, 1] and be safe for concurrent
@@ -151,25 +148,13 @@ func FromContent(g1, g2 *graph.Graph, shingleSize int) *RowSparse {
 	return FromContentSets(g1, NewContentIndex(g2, shingleSize), shingleSize)
 }
 
-// ContentSets computes the shingle set of every node of g (content,
-// falling back to the label), indexed by NodeID — what NewContentPattern
-// prepares for ContentIndex.Matrix.
-func ContentSets(g *graph.Graph, shingleSize int) []shingle.Set {
-	sh := shingle.NewShingler(shingleSize)
-	sets := make([]shingle.Set, g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		sets[v] = sh.Shingle(contentText(g, graph.NodeID(v)))
-	}
-	return sets
-}
-
 // FromContentSets builds the full content-similarity matrix of g1 (every
 // nonzero entry, readable at any ξ) against an indexed data graph (the
 // serving catalog keeps one ContentIndex per registered graph, so the
 // data side is shingled once, not per request). shingleSize must match
 // the one the index was built with.
 func FromContentSets(g1 *graph.Graph, data *ContentIndex, shingleSize int) *RowSparse {
-	return data.Matrix(NewContentPattern(ContentSets(g1, shingleSize)), 0)
+	return data.Matrix(NewContentPattern(g1, shingleSize), 0)
 }
 
 func contentText(g *graph.Graph, v graph.NodeID) string {
