@@ -150,6 +150,9 @@ type Stats struct {
 	Workers int `json:"workers"`
 	// MaxPending is the admission bound in force (0 = no shedding).
 	MaxPending int `json:"max_pending"`
+	// SearchIndexBytes is the heap held by the search subsystem's
+	// stage-1 postings (search.Index.Bytes); 0 until the first search.
+	SearchIndexBytes int64 `json:"search_index_bytes"`
 }
 
 // ErrExactLimit rejects an exact-decision request whose pattern
@@ -507,15 +510,16 @@ func (e *Engine) Close() {
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Requests:   e.requests.Load(),
-		Executed:   e.executed.Load(),
-		Errors:     e.errors.Load(),
-		Shed:       e.shed.Load(),
-		Pending:    e.pending.Load(),
-		Batches:    e.batches.Load(),
-		Searches:   e.searches.Load(),
-		Workers:    e.workers,
-		MaxPending: e.maxPending,
+		Requests:         e.requests.Load(),
+		Executed:         e.executed.Load(),
+		Errors:           e.errors.Load(),
+		Shed:             e.shed.Load(),
+		Pending:          e.pending.Load(),
+		Batches:          e.batches.Load(),
+		Searches:         e.searches.Load(),
+		Workers:          e.workers,
+		MaxPending:       e.maxPending,
+		SearchIndexBytes: e.searchIdx.Bytes(),
 	}
 }
 

@@ -95,6 +95,9 @@ func (e *Engine) initMetrics() {
 	r.GaugeFunc("phomd_catalog_candidate_index_bytes",
 		"Approximate heap held by the registered graphs' candidate indexes (content postings, once a content-similarity request has built them).",
 		func() float64 { return float64(e.cat.Stats().CandidateIndexBytes) })
+	r.GaugeFunc("phomd_search_index_bytes",
+		"Heap held by the search index's stage-1 postings (12 B per posting plus the slot table; 0 until the first search).",
+		func() float64 { return float64(e.searchIdx.Bytes()) })
 	r.CounterFunc("phomd_catalog_closure_build_seconds_total",
 		"Cumulative wall time spent building closures.",
 		func() float64 { return e.cat.Stats().BuildTime.Seconds() })

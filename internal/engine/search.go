@@ -186,6 +186,8 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 		s1.SetInt("candidates", int64(stats.Candidates))
 		s1.SetInt("pruned", int64(stats.Pruned))
 		s1.SetFloat("prune_rate", stats.PruneRate)
+		s1.SetInt("installed", int64(cstats.Installed))
+		s1.SetInt("dropped", int64(cstats.Dropped))
 	}
 	if ctx.Err() != nil {
 		e.errors.Add(1)

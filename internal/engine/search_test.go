@@ -630,3 +630,32 @@ func TestSearchWindowsStayWithinAdmission(t *testing.T) {
 	t.Logf("mixed: searches %d served, %d shed; batches %d served, %d shed; pending peak %d of %d",
 		served.Load(), shed.Load(), batchesServed.Load(), batchesShed.Load(), peak.Load(), bound)
 }
+
+// TestSearchIndexBytesReported: Stats reports what the stage-1 postings
+// hold — nothing before the first search, a non-zero size after it, and
+// nothing again once every graph is removed and a search has run.
+func TestSearchIndexBytesReported(t *testing.T) {
+	e := New(Options{Workers: 2})
+	defer e.Close()
+	pattern := registerArchive(t, e, "site", webgen.Organization, 3, 30, 2, 5)
+	if got := e.Stats().SearchIndexBytes; got != 0 {
+		t.Fatalf("before any search: %d bytes", got)
+	}
+	if res := e.Search(context.Background(), SearchRequest{Pattern: pattern, K: 1}); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if got := e.Stats().SearchIndexBytes; got <= 0 {
+		t.Fatalf("after a search: %d bytes", got)
+	}
+	for v := range 2 {
+		if err := e.Remove(fmt.Sprintf("site/v%d", v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res := e.Search(context.Background(), SearchRequest{Pattern: pattern, K: 1}); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if got := e.Stats().SearchIndexBytes; got != 0 {
+		t.Fatalf("every graph removed and searched: %d bytes", got)
+	}
+}

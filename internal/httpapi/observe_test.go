@@ -116,6 +116,7 @@ func TestMetricsCoversAllLayers(t *testing.T) {
 		"phomd_catalog_candidate_index_bytes",
 		"phomd_search_requests_total", // search
 		"phomd_search_prune_ratio",    //
+		"phomd_search_index_bytes",    //
 		"phomd_store_appended_total",  // store
 		"phomd_store_fsync_seconds",   //
 		"phomd_store_snapshot_seconds",

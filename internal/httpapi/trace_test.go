@@ -114,7 +114,7 @@ func TestExplainDeterministic(t *testing.T) {
 		}
 	}
 
-	search := func() []string {
+	search := func() ([]string, map[string]any) {
 		resp, body := postJSON(t, ts.URL+"/v1/search?explain=1", SearchRequest{Pattern: pattern})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("search: %d %s", resp.StatusCode, body)
@@ -126,9 +126,20 @@ func TestExplainDeterministic(t *testing.T) {
 		if !hex32.MatchString(out.TraceID) {
 			t.Fatalf("search explain trace_id %q", out.TraceID)
 		}
-		return stageNames(out.Explain)
+		for _, st := range out.Explain {
+			if st.Name == "search.stage1" {
+				return stageNames(out.Explain), st.Attrs
+			}
+		}
+		return stageNames(out.Explain), nil
 	}
-	s1, s2 := search(), search()
+	s1, a1 := search()
+	s2, a2 := search()
+	// The first search installs the one graph's postings, the second
+	// finds them current.
+	if a1["installed"] != 1.0 || a2["installed"] != 0.0 || a1["dropped"] != 0.0 || a2["dropped"] != 0.0 {
+		t.Errorf("search.stage1 attrs: first %v, second %v; want installed 1 then 0, dropped 0", a1, a2)
+	}
 	if strings.Join(s1, ",") != strings.Join(s2, ",") {
 		t.Errorf("search explain stages differ: %v vs %v", s1, s2)
 	}

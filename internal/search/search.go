@@ -244,6 +244,14 @@ type Stats struct {
 	PrunedScore int
 	// PrunedCap counts graphs dropped by Policy.MaxCandidates.
 	PrunedCap int
+	// Installed counts the graph versions whose postings the query
+	// installed: newly registered graphs and versions whose shingle
+	// set is a new one. A version left by an edge-only patch shares its
+	// predecessor's shingles and installs nothing.
+	Installed int
+	// Dropped counts the removed graphs whose postings the query
+	// dropped.
+	Dropped int
 }
 
 // structWeight blends the structural signature into the candidate

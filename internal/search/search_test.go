@@ -1,6 +1,7 @@
 package search
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -235,6 +236,14 @@ func TestIndexAttachesToPopulatedCatalog(t *testing.T) {
 	}
 }
 
+// scoring returns s without the counts of postings installed and
+// dropped, which depend on what the index held before the query: the
+// part of the stats a fresh index over the same graphs must equal.
+func scoring(s Stats) Stats {
+	s.Installed, s.Dropped = 0, 0
+	return s
+}
+
 // rankedNames returns the names ix ranks for q under the zero policy,
 // sorted.
 func rankedNames(ix *Index, q Summary) []string {
@@ -274,7 +283,7 @@ func TestIndexesShareCatalog(t *testing.T) {
 				t.Fatalf("%s: index %d ranks %v, want %v", step, i, got, want)
 			}
 			cands, stats := ix.Candidates(q, Policy{})
-			if !reflect.DeepEqual(cands, wantCands) || stats != wantStats {
+			if !reflect.DeepEqual(cands, wantCands) || scoring(stats) != scoring(wantStats) {
 				t.Fatalf("%s: index %d scores %+v %+v, want %+v %+v", step, i, cands, stats, wantCands, wantStats)
 			}
 		}
@@ -439,18 +448,21 @@ func randomSearchPatch(rng *rand.Rand, g *graph.Graph, words []string) *graph.Pa
 }
 
 // TestIndexPatchEquivalence is the incremental-maintenance quickcheck:
-// after every committed patch, candidate scoring through the live index
-// (version-keyed records, reposted postings) must be bit-identical to a fresh
-// index built over the same graphs from scratch. Covers edge-only
-// patches (shared hash sample), content rewrites, node growth, and
-// mixed sequences.
+// after every step of random patches, removals and re-registrations,
+// several of them between two searches, the live index (version-keyed
+// records, spliced postings, freed and reused slots) must score every
+// registered graph as a naive reference over the graphs' own shingle
+// sets does, field by field, and bit-identically to a fresh index built
+// over the same graphs. Covers edge-only patches (shared hash sample),
+// content rewrites, node growth, and several versions sharing a hash
+// changing in one call.
 func TestIndexPatchEquivalence(t *testing.T) {
 	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "iota", "kappa"}
 	trials := 60
 	if testing.Short() {
 		trials = 15
 	}
-	names := []string{"g0", "g1", "g2"}
+	names := []string{"g0", "g1", "g2", "g3"}
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		text := func() string {
@@ -467,28 +479,73 @@ func TestIndexPatchEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		query := Summarize(contentGraph(text(), text()))
-		ix.Candidates(query, Policy{}) // build every record, so later searches rebuild only patched ones
-
-		for step := 0; step < 6; step++ {
-			name := names[rng.Intn(len(names))]
-			g, err := cat.Get(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := cat.Apply(name, randomSearchPatch(rng, g, words)); err != nil {
-				t.Fatalf("trial %d step %d: %v", trial, step, err)
-			}
-
+		pg := contentGraph(text(), text(), text())
+		p := simmatrix.NewContentPattern(pg, 0)
+		query := SummaryOf(pg, p.Shingles())
+		if trial%2 == 1 {
+			query.Nodes = p // count per pattern node too
+		}
+		// posted records what the index was last seen to post per name.
+		posted := map[string][]uint64{}
+		check := func(step int) {
+			t.Helper()
 			got, gotStats := ix.Candidates(query, Policy{})
-
-			fresh := catalog.New(0)
-			for _, n := range names {
-				cur, err := cat.Get(n)
+			reg := cat.Export(nil)
+			var installed, dropped int
+			byName := map[string]Candidate{}
+			for _, c := range got {
+				byName[c.Name] = c
+			}
+			if len(byName) != len(reg) || len(got) != len(reg) {
+				t.Fatalf("trial %d step %d: %d candidates for %d graphs", trial, step, len(got), len(reg))
+			}
+			var postings []posting
+			ix.mu.Lock()
+			for name := range reg {
+				g, content, err := cat.ContentSets(name)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := fresh.Register(n, cur); err != nil {
+				sum := SummaryOf(g, content.Shingles())
+				for _, h := range sum.Hashes {
+					postings = append(postings, posting{h, ix.recs[name].slot})
+				}
+				if old, ok := posted[name]; !ok || len(old) != len(sum.Hashes) || len(old) > 0 && &old[0] != &sum.Hashes[0] {
+					installed++
+				}
+				posted[name] = sum.Hashes
+				c, ok := byName[name]
+				if !ok {
+					t.Fatalf("trial %d step %d: %s not ranked", trial, step, name)
+				}
+				if want := naiveCandidate(name, query, sum); !reflect.DeepEqual(c, want) {
+					t.Fatalf("trial %d step %d: %s scored\n got %+v\nwant %+v", trial, step, name, c, want)
+				}
+			}
+			for name := range posted {
+				if _, ok := reg[name]; !ok {
+					delete(posted, name)
+					dropped++
+				}
+			}
+			if gotStats.Installed != installed || gotStats.Dropped != dropped {
+				t.Fatalf("trial %d step %d: installed %d dropped %d, want %d and %d", trial, step, gotStats.Installed, gotStats.Dropped, installed, dropped)
+			}
+			slices.SortFunc(postings, func(a, b posting) int {
+				return cmp.Or(cmp.Compare(a.hash, b.hash), cmp.Compare(a.slot, b.slot))
+			})
+			var held []posting
+			for i, h := range ix.post.hash {
+				held = append(held, posting{h, ix.post.slot[i]})
+			}
+			ix.mu.Unlock()
+			if !slices.Equal(held, postings) {
+				t.Fatalf("trial %d step %d: postings\n got %v\nwant %v", trial, step, held, postings)
+			}
+
+			fresh := catalog.New(0)
+			for n, g := range reg {
+				if err := fresh.Register(n, g); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -496,45 +553,152 @@ func TestIndexPatchEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d step %d: incremental candidates diverge\n got %+v\nwant %+v", trial, step, got, want)
 			}
-			if gotStats != wantStats {
+			if scoring(gotStats) != scoring(wantStats) {
 				t.Fatalf("trial %d step %d: stats diverge: %+v vs %+v", trial, step, gotStats, wantStats)
 			}
+		}
+		check(0) // build every record, so later searches rebuild only changed ones
+
+		for step := 1; step <= 8; step++ {
+			for range 1 + rng.Intn(3) {
+				name := names[rng.Intn(len(names))]
+				g, err := cat.Get(name)
+				switch {
+				case err != nil: // removed: register the name again
+					if err := cat.Register(name, contentGraph(text(), text())); err != nil {
+						t.Fatal(err)
+					}
+				case rng.Intn(4) == 0:
+					if err := cat.Remove(name); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					if _, err := cat.Apply(name, randomSearchPatch(rng, g, words)); err != nil {
+						t.Fatalf("trial %d step %d: %v", trial, step, err)
+					}
+				}
+			}
+			check(step)
 		}
 	}
 }
 
+// posting is one (hash, slot) pair of an index's postings.
+type posting struct {
+	hash uint64
+	slot int32
+}
+
+// naiveCandidate scores graph name with summary sum against the query
+// q without the index: its overlap by a two-pointer merge of the two
+// ascending hash lists, and each pattern node's held count by looking
+// the node's shingles up in a set of the graph's.
+func naiveCandidate(name string, q, sum Summary) Candidate {
+	overlap := 0
+	for i, j := 0, 0; i < len(q.Hashes) && j < len(sum.Hashes); {
+		switch {
+		case q.Hashes[i] < sum.Hashes[j]:
+			i++
+		case q.Hashes[i] > sum.Hashes[j]:
+			j++
+		default:
+			overlap++
+			i++
+			j++
+		}
+	}
+	cont, res := scoreContent(q, sum, overlap)
+	ss := q.Sig.StructSim(sum.Sig)
+	c := Candidate{
+		Name:        name,
+		Score:       (1-structWeight)*cont + structWeight*ss,
+		Containment: cont,
+		Resemblance: res,
+		StructSim:   ss,
+		Overlap:     overlap,
+	}
+	if q.Nodes != nil && q.Total == len(q.Hashes) && sum.Total == len(sum.Hashes) {
+		in := map[uint64]bool{}
+		for _, h := range sum.Hashes {
+			in[h] = true
+		}
+		c.Held = make([]int32, q.Nodes.NumNodes())
+		for v := range c.Held {
+			for _, k := range q.Nodes.NodeKeys(graph.NodeID(v)) {
+				if in[q.Hashes[k]] {
+					c.Held[v]++
+				}
+			}
+		}
+	}
+	return c
+}
+
 // TestIndexEdgeOnlyPatchSharesHashes pins the cheap path: a patch that
-// touches no content must leave the hash sample (and hence postings)
-// physically shared, shifting only the structural signature.
+// touches no content installs no postings (the new version shares its
+// predecessor's hash sample) and moves only the structural signature,
+// while a content patch installs the version again.
 func TestIndexEdgeOnlyPatchSharesHashes(t *testing.T) {
 	cat := catalog.New(0)
 	ix := NewIndex(cat)
 	if err := cat.Register("g", contentGraph("some shared words", "more shared words", "yet more text")); err != nil {
 		t.Fatal(err)
 	}
-	q := Summarize(contentGraph("some shared words"))
-	ix.Candidates(q, Policy{})
-
-	ix.mu.Lock()
-	before := ix.recs["g"].sum
-	ix.mu.Unlock()
+	q := Summarize(contentGraph("some shared words", "more shared words"))
+	before, stats := ix.Candidates(q, Policy{})
+	if len(before) != 1 || stats.Installed != 1 {
+		t.Fatalf("first search: candidates %v, stats %+v", before, stats)
+	}
 
 	if _, err := cat.Apply("g", &graph.Patch{AddEdges: [][2]graph.NodeID{{0, 2}}}); err != nil {
 		t.Fatal(err)
 	}
-	cands, _ := ix.Candidates(q, Policy{})
-	if len(cands) != 1 {
-		t.Fatalf("candidates %v", cands)
+	after, stats := ix.Candidates(q, Policy{})
+	if len(after) != 1 {
+		t.Fatalf("candidates %v", after)
+	}
+	if stats.Installed != 0 || stats.Dropped != 0 {
+		t.Fatalf("edge-only patch installed %d and dropped %d, want none", stats.Installed, stats.Dropped)
+	}
+	if after[0].Overlap != before[0].Overlap || after[0].StructSim == before[0].StructSim {
+		t.Fatalf("edge patch: before %+v, after %+v; want the overlap kept and the structure moved", before[0], after[0])
 	}
 
-	ix.mu.Lock()
-	after := ix.recs["g"].sum
-	ix.mu.Unlock()
-	if len(before.Hashes) == 0 || &before.Hashes[0] != &after.Hashes[0] {
-		t.Fatal("edge-only patch rebuilt the hash sample instead of sharing it")
+	if _, err := cat.Apply("g", &graph.Patch{SetContent: []graph.ContentUpdate{{Node: 2, Content: "rewritten text"}}}); err != nil {
+		t.Fatal(err)
 	}
-	if before.Sig == after.Sig {
-		t.Fatal("edge patch left the structural signature unchanged")
+	if _, stats := ix.Candidates(q, Policy{}); stats.Installed != 1 {
+		t.Fatalf("content patch installed %d, want 1", stats.Installed)
+	}
+}
+
+// TestIndexBytes pins Bytes on a two-graph catalog: 12 B per posting
+// and 8 B per slot, and nothing once every graph is gone and a search
+// has run.
+func TestIndexBytes(t *testing.T) {
+	a := contentGraph("first graph text with several shingles", "and a second node")
+	b := contentGraph("second graph text", "sharing several shingles with the first")
+	cat, ix := newIndexOver(t, map[string]*graph.Graph{"a": a, "b": b})
+	if got := ix.Bytes(); got != 0 {
+		t.Fatalf("empty index: %d bytes", got)
+	}
+	q := Summarize(contentGraph("graph text"))
+	ix.Candidates(q, Policy{})
+	na, nb := len(Summarize(a).Hashes), len(Summarize(b).Hashes)
+	if got, want := ix.Bytes(), int64(12*(na+nb)+8*2); got != want {
+		t.Fatalf("two graphs (%d + %d shingles): %d bytes, want %d", na, nb, got, want)
+	}
+	for _, name := range []string{"a", "b"} {
+		if err := cat.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := ix.Bytes(), int64(12*(na+nb)+8*2); got != want {
+		t.Fatalf("removed, not yet searched: %d bytes, want %d", got, want)
+	}
+	ix.Candidates(q, Policy{})
+	if got := ix.Bytes(); got != 0 {
+		t.Fatalf("every graph removed and searched: %d bytes, want 0", got)
 	}
 }
 
@@ -697,24 +861,43 @@ func TestCandidatesCountHeldShingles(t *testing.T) {
 	}
 }
 
-// BenchmarkCandidates times a warm stage 1 over a web_search-sized
-// catalog (10 sites × 11 versions × 60 pages, a 12-hub skeleton), with
-// and without the per-node shingle counts the search bound reads.
-func BenchmarkCandidates(b *testing.B) {
+// webSearchCatalog registers a web_search-sized catalog (10 sites × 11
+// versions × 60 pages) and returns it with a 12-hub skeleton of site 0
+// prepared as the engine prepares a search pattern.
+func webSearchCatalog(tb testing.TB) (*catalog.Catalog, *graph.Graph, *simmatrix.ContentPattern) {
+	tb.Helper()
 	cat := catalog.New(0)
 	var pattern *graph.Graph
 	for s := 0; s < 10; s++ {
 		arch := webgen.Generate(webgen.Config{Category: webgen.Category(s%3 + 1), Pages: 60, Versions: 11, Seed: int64(s)})
 		for v, g := range arch.Versions {
 			if err := cat.Register(fmt.Sprintf("site%02d.v%02d", s, v), g); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		if s == 0 {
 			pattern = webgen.TopKSkeleton(arch.Versions[5], 12)
 		}
 	}
-	p := simmatrix.NewContentPattern(pattern, 0)
+	return cat, pattern, simmatrix.NewContentPattern(pattern, 0)
+}
+
+// buildContentIndexes builds every registered version's content index,
+// so a timed stage 1 reads them instead of shingling.
+func buildContentIndexes(tb testing.TB, cat *catalog.Catalog) {
+	tb.Helper()
+	for name := range cat.Export(nil) {
+		if _, _, err := cat.ContentSets(name); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCandidates times a warm stage 1 over a web_search-sized
+// catalog, with and without the per-node shingle counts the search
+// bound reads.
+func BenchmarkCandidates(b *testing.B) {
+	cat, pattern, p := webSearchCatalog(b)
 	ix := NewIndex(cat)
 	for _, held := range []bool{false, true} {
 		q := SummaryOf(pattern, p.Shingles())
@@ -727,5 +910,45 @@ func BenchmarkCandidates(b *testing.B) {
 				ix.Candidates(q, Policy{MinResemblance: 0.1})
 			}
 		})
+	}
+}
+
+// BenchmarkCandidatesCold times the first stage 1 of a fresh index over
+// the same catalog, whose content indexes are already built: what the
+// first search after a boot pays to post every version.
+func BenchmarkCandidatesCold(b *testing.B) {
+	cat, pattern, p := webSearchCatalog(b)
+	buildContentIndexes(b, cat)
+	q := SummaryOf(pattern, p.Shingles())
+	q.Nodes = p
+	for b.Loop() {
+		NewIndex(cat).Candidates(q, Policy{MinResemblance: 0.1})
+	}
+}
+
+// BenchmarkCandidatesAfterPatch times the stage 1 that follows one
+// version's set_content patch: the patch and the new version's content
+// index are built off the clock, so the timed call re-posts that one
+// version.
+func BenchmarkCandidatesAfterPatch(b *testing.B) {
+	cat, pattern, p := webSearchCatalog(b)
+	buildContentIndexes(b, cat)
+	q := SummaryOf(pattern, p.Shingles())
+	q.Nodes = p
+	ix := NewIndex(cat)
+	ix.Candidates(q, Policy{MinResemblance: 0.1})
+	const name = "site00.v05"
+	b.ResetTimer()
+	for i := range b.N { // b.Loop does not end when its body stops the timer
+		b.StopTimer()
+		patch := &graph.Patch{SetContent: []graph.ContentUpdate{{Node: 0, Content: fmt.Sprintf("patched home page text %d with a few more words", i)}}}
+		if _, err := cat.Apply(name, patch); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := cat.ContentSets(name); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		ix.Candidates(q, Policy{MinResemblance: 0.1})
 	}
 }
