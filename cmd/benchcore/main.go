@@ -41,6 +41,7 @@ import (
 	"testing"
 	"time"
 
+	"graphmatch/internal/catalog"
 	"graphmatch/internal/closure"
 	"graphmatch/internal/core"
 	"graphmatch/internal/engine"
@@ -242,7 +243,7 @@ func runLargeScenario(cfg largeScenarioConfig) {
 	eng := engine.New(engine.Options{})
 	defer eng.Close()
 	regStart := time.Now()
-	if err := eng.Register("large", g); err != nil {
+	if err := eng.Register(context.Background(), "large", g); err != nil {
 		log.Fatal(err)
 	}
 	registerMS := time.Since(regStart).Milliseconds()
@@ -271,7 +272,8 @@ func runLargeScenario(cfg largeScenarioConfig) {
 	projection := 2 * n * 8 * ((n + 63) / 64)
 	// The catalog holds the shared closure; reuse it for the dense
 	// projection and the component count instead of recomputing.
-	reach, err := eng.Catalog().Reach("large", 0)
+	res, err := eng.Catalog().Resolve(context.Background(), "large", 0, catalog.NeedReach)
+	reach := res.Reach
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -318,7 +320,7 @@ func engineWorkload(total, clients, dataNodes, avgDeg, patNodes int) (int, time.
 	defer eng.Close()
 	names := []string{"g0", "g1", "g2"}
 	for i, name := range names {
-		if err := eng.Register(name, randomGraph(dataNodes, avgDeg, int64(i+1))); err != nil {
+		if err := eng.Register(context.Background(), name, randomGraph(dataNodes, avgDeg, int64(i+1))); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -326,7 +328,8 @@ func engineWorkload(total, clients, dataNodes, avgDeg, patNodes int) (int, time.
 	pool := make([]engine.Request, 48)
 	for i := range pool {
 		name := names[i%len(names)]
-		g, err := eng.Catalog().Get(name)
+		res, err := eng.Catalog().Resolve(context.Background(), name, 0, catalog.NeedGraph)
+		g := res.Graph
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"graphmatch/internal/catalog"
 	"graphmatch/internal/engine"
 	"graphmatch/internal/graph"
 )
@@ -69,7 +70,7 @@ func main() {
 	names := make([]string, *dataGraphs)
 	for i := range names {
 		names[i] = fmt.Sprintf("g%d", i)
-		if err := eng.Register(names[i], randomGraph(*dataNodes, 4, int64(i+1))); err != nil {
+		if err := eng.Register(context.Background(), names[i], randomGraph(*dataNodes, 4, int64(i+1))); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -80,7 +81,8 @@ func main() {
 	pool := make([]engine.Request, *poolSize)
 	for i := range pool {
 		name := names[i%len(names)]
-		data, err := eng.Catalog().Get(name)
+		res, err := eng.Catalog().Resolve(context.Background(), name, 0, catalog.NeedGraph)
+		data := res.Graph
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -20,6 +20,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -85,7 +86,7 @@ func newServer(workers, graphSize int) (*httptest.Server, *engine.Engine) {
 		Workers:    workers,
 		MaxPending: -1, // queue depth (4×workers) + workers
 	})
-	if err := e.Register("path", pathGraph(graphSize)); err != nil {
+	if err := e.Register(context.Background(), "path", pathGraph(graphSize)); err != nil {
 		log.Fatalf("benchload: %v", err)
 	}
 	ts := httptest.NewServer(httpapi.NewWithOptions(e, httpapi.Options{

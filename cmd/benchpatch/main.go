@@ -32,6 +32,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -126,10 +127,10 @@ func main() {
 	inc := catalog.New(8)
 	reb := catalog.New(8, catalog.WithDeltaBudget(-1))
 	for _, c := range []*catalog.Catalog{inc, reb} {
-		if err := c.Register("web", g.Clone()); err != nil {
+		if err := c.RegisterCtx(context.Background(), "web", g.Clone()); err != nil {
 			log.Fatal(err)
 		}
-		if _, _, _, err := c.GetWithIndex("web", 0); err != nil {
+		if _, err := c.Resolve(context.Background(), "web", 0, catalog.NeedReach); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -251,7 +252,7 @@ func buildStorm(g *graph.Graph, ins, outs, cores []graph.NodeID, n int) []*graph
 func applyStorm(c *catalog.Catalog, storm []*graph.Patch, label string) float64 {
 	start := time.Now()
 	for i, p := range storm {
-		if _, err := c.Apply("web", p); err != nil {
+		if _, err := c.ApplyCtx(context.Background(), "web", p); err != nil {
 			log.Fatalf("%s: storm patch %d: %v", label, i, err)
 		}
 	}
@@ -264,14 +265,15 @@ func applyStorm(c *catalog.Catalog, storm []*graph.Patch, label string) float64 
 // sizes, then sampled Reachable pairs — half uniform, half anchored on
 // nodes the storm touched, where a stale closure would actually show.
 func verifyEquivalence(inc, reb *catalog.Catalog, storm []*graph.Patch) int {
-	gi, ri, err := inc.GetWithReach("web", 0)
+	ri, err := inc.Resolve(context.Background(), "web", 0, catalog.NeedReach)
 	if err != nil {
 		log.Fatal(err)
 	}
-	gr, rr, err := reb.GetWithReach("web", 0)
+	rr, err := reb.Resolve(context.Background(), "web", 0, catalog.NeedReach)
 	if err != nil {
 		log.Fatal(err)
 	}
+	gi, gr := ri.Graph, rr.Graph
 	if gi.NumNodes() != gr.NumNodes() || gi.NumEdges() != gr.NumEdges() {
 		log.Fatalf("graphs diverged: incremental %d/%d vs rebuild %d/%d",
 			gi.NumNodes(), gi.NumEdges(), gr.NumNodes(), gr.NumEdges())
@@ -296,7 +298,7 @@ func verifyEquivalence(inc, reb *catalog.Catalog, storm []*graph.Patch) int {
 			u = graph.NodeID(rng.Intn(n))
 		}
 		v = graph.NodeID(rng.Intn(n))
-		if a, b := ri.Reachable(u, v), rr.Reachable(u, v); a != b {
+		if a, b := ri.Reach.Reachable(u, v), rr.Reach.Reachable(u, v); a != b {
 			log.Fatalf("closures diverged: Reachable(%d, %d) = %v incremental, %v rebuilt", u, v, a, b)
 		}
 	}
@@ -327,23 +329,24 @@ func engineStorm(writers int, round time.Duration) (rates []float64, total int) 
 		log.Fatal(err)
 	}
 	defer eng.Close()
-	if err := eng.Register("web", g); err != nil {
+	if err := eng.Register(context.Background(), "web", g); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := eng.Catalog().Reach("web", 0); err != nil {
+	if _, err := eng.Catalog().Resolve(context.Background(), "web", 0, catalog.NeedReach); err != nil {
 		log.Fatal(err)
 	}
 	// Untimed warm-up: fault in the WAL path and the patched-closure
 	// machinery so the timed section measures steady state, not first
 	// touch; then clear the allocation debt scenario A left behind.
 	for i := 0; i < 4; i++ {
-		if _, err := eng.ApplyPatch("web", &graph.Patch{
+		if _, err := eng.ApplyPatch(context.Background(), "web", &graph.Patch{
 			AddEdges: [][2]graph.NodeID{{ins[len(ins)-1-i], cores[len(cores)-1-i]}},
 		}); err != nil {
 			log.Fatal(err)
 		}
 	}
-	base, err := eng.Catalog().Get("web")
+	res, err := eng.Catalog().Resolve(context.Background(), "web", 0, catalog.NeedGraph)
+	base := res.Graph
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -351,7 +354,8 @@ func engineStorm(writers int, round time.Duration) (rates []float64, total int) 
 
 	var next atomic.Int64 // index of the next patch of the round
 	for r := 0; r < engineRounds; r++ {
-		cur, err := eng.Catalog().Get("web")
+		res, err := eng.Catalog().Resolve(context.Background(), "web", 0, catalog.NeedGraph)
+		cur := res.Graph
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -370,7 +374,7 @@ func engineStorm(writers int, round time.Duration) (rates []float64, total int) 
 				defer wg.Done()
 				for time.Now().Before(deadline) {
 					e := stormEdge(ins, cores, int(next.Add(1)-1))
-					if _, err := eng.ApplyPatch("web", &graph.Patch{AddEdges: [][2]graph.NodeID{e}}); err != nil {
+					if _, err := eng.ApplyPatch(context.Background(), "web", &graph.Patch{AddEdges: [][2]graph.NodeID{e}}); err != nil {
 						errs[w] = fmt.Errorf("round %d writer %d: %w", r, w, err)
 						return
 					}
@@ -415,7 +419,7 @@ func undoRound(eng *engine.Engine, base *graph.Graph, ins, cores []graph.NodeID,
 		}
 	}
 	if len(del) > 0 {
-		if _, err := eng.ApplyPatch("web", &graph.Patch{DelEdges: del}); err != nil {
+		if _, err := eng.ApplyPatch(context.Background(), "web", &graph.Patch{DelEdges: del}); err != nil {
 			log.Fatalf("undoing a round: %v", err)
 		}
 	}

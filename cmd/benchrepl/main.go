@@ -37,6 +37,7 @@ import (
 	"runtime"
 	"time"
 
+	"graphmatch/internal/catalog"
 	"graphmatch/internal/engine"
 	"graphmatch/internal/graph"
 	"graphmatch/internal/repl"
@@ -109,7 +110,7 @@ func main() {
 			Seed:     int64(100 + s),
 		})
 		name := fmt.Sprintf("site%02d", s)
-		if err := primary.Register(name, arch.Versions[0]); err != nil {
+		if err := primary.Register(context.Background(), name, arch.Versions[0]); err != nil {
 			log.Fatal(err)
 		}
 		names = append(names, name)
@@ -117,11 +118,12 @@ func main() {
 	}
 	mutate := func() {
 		name := names[rng.Intn(len(names))]
-		g, err := primary.Catalog().Get(name)
+		res, err := primary.Catalog().Resolve(context.Background(), name, 0, catalog.NeedGraph)
+		g := res.Graph
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := primary.ApplyPatch(name, smallPatch(rng, g)); err != nil {
+		if _, err := primary.ApplyPatch(context.Background(), name, smallPatch(rng, g)); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -94,7 +94,7 @@ func main() {
 			Seed:     int64(1000 + s),
 		})
 		for v, g := range arch.Versions {
-			if err := eng.Register(fmt.Sprintf("site%02d/v%02d", s, v), g); err != nil {
+			if err := eng.Register(context.Background(), fmt.Sprintf("site%02d/v%02d", s, v), g); err != nil {
 				log.Fatal(err)
 			}
 		}

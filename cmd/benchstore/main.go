@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -167,7 +168,7 @@ func main() {
 			}
 			base := filepath.Base(path)
 			name := fmt.Sprintf("site%s/v%s", base[1:3], base[4:6])
-			if err := eng.Register(name, g); err != nil {
+			if err := eng.Register(context.Background(), name, g); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -222,7 +223,7 @@ func buildStore(dir string, fleet []named, patches int, compact bool) (regSec, s
 	for _, nd := range fleet {
 		// The engine takes ownership; clone so the generator's graphs
 		// stay reusable for the other store.
-		if err := eng.Register(nd.name, nd.g.Clone()); err != nil {
+		if err := eng.Register(context.Background(), nd.name, nd.g.Clone()); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -232,7 +233,7 @@ func buildStore(dir string, fleet []named, patches int, compact bool) (regSec, s
 		// fresh node's ID is the engine copy's current count, not the
 		// pristine fleet graph's.
 		grown := i / len(fleet)
-		if _, err := eng.ApplyPatch(nd.name, &graph.Patch{
+		if _, err := eng.ApplyPatch(context.Background(), nd.name, &graph.Patch{
 			AddNodes: []graph.Node{{Label: "patched", Weight: 1,
 				Content: fmt.Sprintf("live patch %d applied during the burn-in burst", i)}},
 			AddEdges: [][2]graph.NodeID{{0, graph.NodeID(nd.g.NumNodes() + grown)}},

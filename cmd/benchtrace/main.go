@@ -33,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"graphmatch/internal/catalog"
 	"graphmatch/internal/engine"
 	"graphmatch/internal/graph"
 	"graphmatch/internal/trace"
@@ -162,7 +163,7 @@ func runPass(m mode, workers, clients, totalReqs int) (rps float64, traced uint6
 	names := make([]string, 3)
 	for i := range names {
 		names[i] = fmt.Sprintf("g%d", i)
-		if err := eng.Register(names[i], randomGraph(400, 4, int64(i+1))); err != nil {
+		if err := eng.Register(context.Background(), names[i], randomGraph(400, 4, int64(i+1))); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -170,7 +171,8 @@ func runPass(m mode, workers, clients, totalReqs int) (rps float64, traced uint6
 	pool := make([]engine.Request, 48)
 	for i := range pool {
 		name := names[i%len(names)]
-		data, err := eng.Catalog().Get(name)
+		res, err := eng.Catalog().Resolve(context.Background(), name, 0, catalog.NeedGraph)
+		data := res.Graph
 		if err != nil {
 			log.Fatal(err)
 		}

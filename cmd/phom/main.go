@@ -233,7 +233,7 @@ func runSearch(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		if err := eng.Register(name, g); err != nil {
+		if err := eng.Register(context.Background(), name, g); err != nil {
 			fatal(err)
 		}
 	}

@@ -233,7 +233,7 @@ func main() {
 			log.Fatalf("phomd: loading %s: %v", spec, err)
 		}
 		start := time.Now()
-		if err := eng.Register(name, g); err != nil {
+		if err := eng.Register(context.Background(), name, g); err != nil {
 			// A store-backed restart replays -load'ed graphs from the WAL
 			// before this loop runs; re-registering them is the normal
 			// restart-with-the-same-flags case, not a boot failure. The

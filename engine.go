@@ -87,7 +87,7 @@ const (
 //
 //	eng := graphmatch.NewEngine(graphmatch.EngineOptions{})
 //	defer eng.Close()
-//	eng.Register("web", dataGraph)
+//	eng.Register(ctx, "web", dataGraph)
 //	res := eng.Match(ctx, graphmatch.MatchRequest{
 //		Pattern: pattern, GraphName: "web",
 //		Algo: graphmatch.AlgoMaxCard, Xi: 0.75,

@@ -14,7 +14,7 @@ func TestEngineAgreesWithMatcher(t *testing.T) {
 
 	eng := NewEngine(EngineOptions{Workers: 2})
 	defer eng.Close()
-	if err := eng.Register("store", g); err != nil {
+	if err := eng.Register(context.Background(), "store", g); err != nil {
 		t.Fatal(err)
 	}
 
@@ -70,7 +70,7 @@ func TestEngineBatch(t *testing.T) {
 	gp, g, _ := fig1()
 	eng := NewEngine(EngineOptions{})
 	defer eng.Close()
-	if err := eng.Register("store", g); err != nil {
+	if err := eng.Register(context.Background(), "store", g); err != nil {
 		t.Fatal(err)
 	}
 	reqs := []MatchRequest{

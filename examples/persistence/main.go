@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"graphmatch"
+	"graphmatch/internal/catalog"
 	"graphmatch/internal/graph"
 	"graphmatch/internal/webgen"
 )
@@ -38,10 +39,11 @@ func main() {
 	}
 
 	// Register two archived versions of a generated web site.
+	ctx := context.Background()
 	arch := webgen.Generate(webgen.Config{Category: webgen.Store, Pages: 150, Versions: 2, Seed: 7})
 	for v, g := range arch.Versions {
 		name := fmt.Sprintf("site/v%d", v)
-		if err := eng.Register(name, g); err != nil {
+		if err := eng.Register(ctx, name, g); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("registered %-8s %5d nodes %5d edges (WAL'd + fsynced)\n",
@@ -51,9 +53,9 @@ func main() {
 	// Mutate site/v1 in place: add a page, rewire a link, edit content.
 	// The patch flows through the catalog — closure invalidated and
 	// rebuilt, search index refreshed — and into the WAL.
-	g1, _ := eng.Catalog().Get("site/v1")
-	n := g1.NumNodes()
-	patched, err := eng.ApplyPatch("site/v1", &graphmatch.GraphPatch{
+	v1, _ := eng.Catalog().Resolve(ctx, "site/v1", 0, catalog.NeedGraph)
+	n := v1.Graph.NumNodes()
+	patched, err := eng.ApplyPatch(ctx, "site/v1", &graphmatch.GraphPatch{
 		AddNodes:   []graph.Node{{Label: "page", Weight: 1, Content: "breaking: a brand new page appears"}},
 		SetContent: []graphmatch.ContentUpdate{{Node: 0, Content: "the root page, rewritten in place"}},
 		AddEdges:   [][2]graph.NodeID{{0, graph.NodeID(n)}},
@@ -66,7 +68,6 @@ func main() {
 
 	// Record pre-crash results.
 	pattern := webgen.TopKSkeleton(arch.Versions[0], 10)
-	ctx := context.Background()
 	req := graphmatch.MatchRequest{
 		Pattern: pattern, GraphName: "site/v1",
 		Algo: graphmatch.AlgoMaxSim, Xi: 0.75, Sim: graphmatch.SimContent,

@@ -40,6 +40,7 @@ func main() {
 
 	// Three sites, each archived over several versions — 18 registered
 	// graphs in all. Real catalogs hold hundreds; see cmd/benchsearch.
+	ctx := context.Background()
 	sites := []webgen.Category{webgen.Store, webgen.Organization, webgen.Newspaper}
 	patterns := make([]*graphmatch.Graph, len(sites))
 	for i, cat := range sites {
@@ -51,7 +52,7 @@ func main() {
 		})
 		for v, g := range arch.Versions {
 			name := fmt.Sprintf("%s/v%d", cat, v)
-			if err := eng.Register(name, g); err != nil {
+			if err := eng.Register(ctx, name, g); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -59,7 +60,6 @@ func main() {
 		patterns[i] = webgen.TopKSkeleton(arch.Versions[0], 10)
 	}
 
-	ctx := context.Background()
 	for i, cat := range sites {
 		res := eng.Search(ctx, graphmatch.SearchRequest{
 			Pattern:        patterns[i],

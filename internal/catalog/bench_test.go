@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -27,12 +28,12 @@ func randomGraph(n, avgDeg int, seed int64) *graph.Graph {
 // lookup — the per-request overhead the catalog adds to a match.
 func BenchmarkReachHit(b *testing.B) {
 	c := New(8)
-	if err := c.Register("g", randomGraph(500, 4, 1)); err != nil {
+	if err := c.RegisterCtx(context.Background(), "g", randomGraph(500, 4, 1)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Reach("g", 0); err != nil {
+		if _, err := c.Resolve(context.Background(), "g", 0, NeedReach); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -45,10 +46,10 @@ func BenchmarkReachMiss(b *testing.B) {
 	for _, n := range []int{200, 500} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			c := New(1)
-			if err := c.Register("a", randomGraph(n, 4, 1)); err != nil {
+			if err := c.RegisterCtx(context.Background(), "a", randomGraph(n, 4, 1)); err != nil {
 				b.Fatal(err)
 			}
-			if err := c.Register("b", randomGraph(n, 4, 2)); err != nil {
+			if err := c.RegisterCtx(context.Background(), "b", randomGraph(n, 4, 2)); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -57,7 +58,7 @@ func BenchmarkReachMiss(b *testing.B) {
 				if i%2 == 0 {
 					name = "b"
 				}
-				if _, err := c.Reach(name, 0); err != nil {
+				if _, err := c.Resolve(context.Background(), name, 0, NeedReach); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -69,13 +70,13 @@ func BenchmarkReachMiss(b *testing.B) {
 // concurrent hit traffic.
 func BenchmarkReachParallel(b *testing.B) {
 	c := New(8)
-	if err := c.Register("g", randomGraph(500, 4, 1)); err != nil {
+	if err := c.RegisterCtx(context.Background(), "g", randomGraph(500, 4, 1)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := c.Reach("g", 0); err != nil {
+			if _, err := c.Resolve(context.Background(), "g", 0, NeedReach); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -50,9 +50,9 @@ import (
 var (
 	// ErrNotFound reports an unknown graph name.
 	ErrNotFound = errors.New("catalog: graph not found")
-	// ErrDuplicate reports a Register against a name already taken.
+	// ErrDuplicate reports a RegisterCtx against a name already taken.
 	ErrDuplicate = errors.New("catalog: graph already registered")
-	// ErrBadPatch reports an Apply whose patch failed validation (empty,
+	// ErrBadPatch reports an ApplyCtx whose patch failed validation (empty,
 	// out-of-range node, absent edge) — the client's fault, nothing
 	// committed.
 	ErrBadPatch = errors.New("catalog: invalid patch")
@@ -76,7 +76,7 @@ func WithMaxBytes(n int64) Option {
 	return func(c *Catalog) { c.maxBytes = n }
 }
 
-// WithDeltaBudget tunes incremental closure maintenance on Apply: the
+// WithDeltaBudget tunes incremental closure maintenance on ApplyCtx: the
 // cached closure is patched in place while the update's work estimate
 // stays under the budget, and rebuilt from scratch beyond it. Zero (the
 // default) derives the budget from the graph size — roughly half the
@@ -101,15 +101,15 @@ type Stats struct {
 	MaxClosures int `json:"max_closures"`
 	// MaxBytes is the LRU capacity by resident bytes; 0 = unbounded.
 	MaxBytes int64 `json:"max_bytes"`
-	// Hits counts Reach calls served from the cache.
+	// Hits counts closure lookups served from the cache.
 	Hits uint64 `json:"hits"`
-	// Misses counts Reach calls that had to build a closure.
+	// Misses counts closure lookups that had to build a closure.
 	Misses uint64 `json:"misses"`
 	// Evictions counts closures dropped by the LRU bound.
 	Evictions uint64 `json:"evictions"`
 	// BuildTime is the cumulative wall time spent building closures.
 	BuildTime time.Duration `json:"build_ns"`
-	// PatchesIncremental counts Apply commits whose cached closure was
+	// PatchesIncremental counts ApplyCtx commits whose cached closure was
 	// patched in place; PatchesRebuild counts the ones that fell back to
 	// invalidate+rebuild (no cached closure, SCC reshape, or delta cone
 	// over budget).
@@ -285,19 +285,14 @@ func New(maxClosures int, opts ...Option) *Catalog {
 	return c
 }
 
-// Register adds a data graph under name and eagerly builds its
+// RegisterCtx adds a data graph under name and eagerly builds its
 // unbounded closure so the first match request is already a cache hit.
 // The catalog takes ownership: the graph must not be mutated afterwards
 // (it is normalised here so concurrent readers never race on lazy
 // adjacency sorting). Registering an existing name fails with
-// ErrDuplicate.
-func (c *Catalog) Register(name string, g *graph.Graph) error {
-	return c.RegisterCtx(context.Background(), name, g)
-}
-
-// RegisterCtx is Register with a request context for trace
-// attribution: the commit is recorded as a catalog.commit span and the
-// persister receives ctx for WAL-append spans.
+// ErrDuplicate. ctx carries the request's trace: the commit is recorded
+// as a catalog.commit span and the persister receives ctx for
+// WAL-append spans.
 func (c *Catalog) RegisterCtx(ctx context.Context, name string, g *graph.Graph) error {
 	if name == "" {
 		return fmt.Errorf("catalog: empty graph name")
@@ -323,10 +318,7 @@ func (c *Catalog) RegisterCtx(ctx context.Context, name string, g *graph.Graph) 
 	}
 	c.setEntryLocked(name, &graphEntry{g: g})
 	c.mu.Unlock()
-	// The registration is committed (and durable, with a persister); the
-	// eager closure build is a warm-up and can only fail if a concurrent
-	// Remove already took the name — not a registration failure.
-	_, _ = c.Reach(name, 0)
+	c.warm(name)
 	return nil
 }
 
@@ -339,16 +331,14 @@ func (c *Catalog) SetPersister(p Persister) {
 	c.persist = p
 }
 
-// SetPatchObserver installs obs as the catalog's per-patch telemetry
-// sink (one at most; zero-value fields are skipped). Observations fire
-// after each Apply commit, outside the catalog lock.
-func (c *Catalog) SetPatchObserver(obs PatchObserver) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.patchObs = obs
+// warm builds name's full closure ahead of the first request. It runs
+// after a committed mutation, which a concurrent RemoveCtx of the name can
+// only make moot, so its error is no failure of the mutation.
+func (c *Catalog) warm(name string) {
+	_, _ = c.Resolve(context.Background(), name, 0, NeedReach)
 }
 
-// PatchObserver receives per-Apply maintenance telemetry for the
+// PatchObserver receives per-ApplyCtx maintenance telemetry for the
 // metrics layer: the end-to-end patch latency in seconds and — on
 // incremental commits — the delta cone size in components.
 type PatchObserver struct {
@@ -356,12 +346,15 @@ type PatchObserver struct {
 	ConeSize func(comps float64)
 }
 
-// Remove drops a graph and every cached closure derived from it.
-func (c *Catalog) Remove(name string) error {
-	return c.RemoveCtx(context.Background(), name)
+// WithPatchObserver installs obs as the catalog's per-patch telemetry
+// sink (zero-value fields are skipped). Observations fire after each
+// ApplyCtx commit, outside the catalog lock.
+func WithPatchObserver(obs PatchObserver) Option {
+	return func(c *Catalog) { c.patchObs = obs }
 }
 
-// RemoveCtx is Remove with a request context for trace attribution.
+// RemoveCtx drops a graph and every cached closure derived from it;
+// ctx carries the request's trace.
 func (c *Catalog) RemoveCtx(ctx context.Context, name string) error {
 	sp := trace.SpanFromContext(ctx).Child("catalog.commit")
 	sp.SetStr("op", "remove")
@@ -382,7 +375,7 @@ func (c *Catalog) RemoveCtx(ctx context.Context, name string) error {
 	return nil
 }
 
-// Apply patches a registered graph in place: the live-mutation path
+// ApplyCtx patches a registered graph in place: the live-mutation path
 // behind PATCH /v1/graphs/{name}. Registered graphs are shared
 // immutable objects (concurrent matchers and cached closures read
 // them), so the patch is applied copy-on-write: the patched clone is
@@ -395,16 +388,13 @@ func (c *Catalog) RemoveCtx(ctx context.Context, name string) error {
 // index — in alongside the graph. When the update cannot be incremental
 // — no cached closure, the patch reshapes the SCC condensation, or the
 // delta cone blows the cost budget — the closure is invalidated and
-// rebuilt eagerly, like Register's. In-flight requests that resolved
+// rebuilt eagerly, like RegisterCtx's. In-flight requests that resolved
 // the old (graph, closure) pair finish against that consistent pair.
-func (c *Catalog) Apply(name string, p *graph.Patch) (*graph.Graph, error) {
-	return c.ApplyCtx(context.Background(), name, p)
-}
-
-// ApplyCtx is Apply with a request context for trace attribution: the
-// whole commit is recorded as a catalog.commit span (with the
-// incremental-vs-rebuild outcome and the delta cone size as attributes)
-// and the persister receives ctx for WAL-append spans.
+//
+// ctx carries the request's trace: the whole commit is recorded as a
+// catalog.commit span (with the incremental-vs-rebuild outcome and the
+// delta cone size as attributes) and the persister receives ctx for
+// WAL-append spans.
 func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*graph.Graph, error) {
 	if p == nil || p.Empty() {
 		return nil, fmt.Errorf("%w: empty patch for %q", ErrBadPatch, name)
@@ -487,17 +477,12 @@ func (c *Catalog) ApplyCtx(ctx context.Context, name string, p *graph.Patch) (*g
 		break
 	}
 	if !incremental {
-		// Warm the closure eagerly, like Register. The patch is
-		// committed (and, with a persister, durable) at this point: a
-		// warm-up failure — only possible when a concurrent Remove takes
-		// the name, making the warm-up moot — must not be reported as a
-		// mutation failure, or a client would retry an already-applied
-		// patch.
-		_, _ = c.Reach(name, 0)
+		// The patch is committed (and, with a persister, durable): a
+		// warm-up failure must not be reported, or a client would retry
+		// an already-applied patch.
+		c.warm(name)
 	}
-	c.mu.Lock()
-	obs := c.patchObs
-	c.mu.Unlock()
+	obs := c.patchObs // set once by New
 	if obs.Latency != nil {
 		obs.Latency(time.Since(start).Seconds())
 	}
@@ -533,9 +518,9 @@ func (c *Catalog) installClosureLocked(name string, r *closure.Reach) {
 // current graph is removed, every graph in state is registered, and no
 // reader ever sees a mixture of old and new. It is the follower's
 // bootstrap path — the primary shipped a full catalog at an exact
-// seq — so, unlike Register/Remove, it never consults the
+// seq — so, unlike RegisterCtx/RemoveCtx, it never consults the
 // persister: the caller owns durability and has already landed the
-// store on a snapshot of exactly this state. Like Register, closures
+// store on a snapshot of exactly this state. Like RegisterCtx, closures
 // of the new graphs are warmed eagerly after the swap.
 func (c *Catalog) Replace(state map[string]*graph.Graph) error {
 	names := make([]string, 0, len(state))
@@ -559,10 +544,8 @@ func (c *Catalog) Replace(state map[string]*graph.Graph) error {
 		c.setEntryLocked(n, &graphEntry{g: state[n]})
 	}
 	c.mu.Unlock()
-	// Warm-ups, like Register's: the swap is committed; a warm-up can
-	// only fail if a concurrent mutation already took the name.
 	for _, n := range names {
-		_, _ = c.Reach(n, 0)
+		c.warm(n)
 	}
 	return nil
 }
@@ -582,7 +565,7 @@ func (c *Catalog) dropClosuresLocked(name string) {
 // Export returns a point-in-time copy of the registry (name → graph;
 // the graphs are the shared immutable objects, not clones). A graph
 // pointer names one version: registered graphs are never mutated and
-// Apply installs a new graph, so a reader may key what it derives from
+// ApplyCtx installs a new graph, so a reader may key what it derives from
 // a graph by the pointer. When
 // prepare is non-nil it runs under the same lock hold, before the
 // copy: the snapshot path passes the store's WAL rotation here, so the
@@ -609,37 +592,6 @@ func (c *Catalog) dropAccountingLocked(e *entry) {
 	e.bytes = 0
 }
 
-// lookup returns the registry entry of name.
-func (c *Catalog) lookup(name string) (*graphEntry, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ge, ok := c.graphs[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return ge, nil
-}
-
-// Get returns the registered graph.
-func (c *Catalog) Get(name string) (*graph.Graph, error) {
-	ge, err := c.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return ge.g, nil
-}
-
-// ContentSets returns the named graph's content postings (built once, on
-// first use, with the default shingle window) together with the graph
-// they index, both from one registry read.
-func (c *Catalog) ContentSets(name string) (*graph.Graph, *simmatrix.ContentIndex, error) {
-	ge, err := c.lookup(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ge.g, c.contentIndex(name, ge), nil
-}
-
 // GraphInfo is a point-in-time description of one registered graph and
 // the reachability state the catalog holds for it, as served by the
 // GET /v1/graphs/{name} detail endpoint.
@@ -660,14 +612,16 @@ type GraphInfo struct {
 	CandidateIndexBytes int64 `json:"candidate_index_bytes"`
 }
 
-// Describe reports the catalog's view of one registered graph: its
-// size plus how much reachability state is currently resident for it.
-func (c *Catalog) Describe(name string) (GraphInfo, error) {
+// Describe reports the catalog's view of one registered graph — its
+// size plus how much reachability state is currently resident for it —
+// and returns the graph version it describes, read under the same lock
+// hold, so a caller deriving more from the graph stays on that version.
+func (c *Catalog) Describe(name string) (GraphInfo, *graph.Graph, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ge, ok := c.graphs[name]
 	if !ok {
-		return GraphInfo{}, fmt.Errorf("%w: %q", ErrNotFound, name)
+		return GraphInfo{}, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	info := GraphInfo{
 		Name:                name,
@@ -682,7 +636,7 @@ func (c *Catalog) Describe(name string) (GraphInfo, error) {
 		info.ResidentClosures++
 		info.ClosureBytes += e.bytes
 	}
-	return info, nil
+	return info, ge.g, nil
 }
 
 // Names lists the registered graphs in sorted order.
@@ -704,31 +658,7 @@ func (c *Catalog) Len() int {
 	return len(c.graphs)
 }
 
-// Reach returns the shared reachability index of the named graph under
-// the given path limit (0 = the full transitive closure), building and
-// caching it on first use. Concurrent callers for the same key share a
-// single build.
-func (c *Catalog) Reach(name string, pathLimit int) (*closure.Reach, error) {
-	_, r, err := c.GetWithReach(name, pathLimit)
-	return r, err
-}
-
-// GetWithReach resolves the named graph and its shared reachability
-// index in one step, so the pair is guaranteed consistent even if the
-// name is concurrently removed and re-registered with a different
-// graph (separate Get + Reach calls could pair the old graph with the
-// new graph's closure). The graph and the cached closure entry are
-// resolved under one lock acquisition; a fresh build uses the graph
-// pointer captured there, never a re-lookup by name.
-func (c *Catalog) GetWithReach(name string, pathLimit int) (*graph.Graph, *closure.Reach, error) {
-	ge, e, _, err := c.getEntry(trace.Span{}, name, pathLimit)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ge.g, e.reach, nil
-}
-
-// Need says how much reachability state a ResolveCtx must come back
+// Need says how much reachability state a Resolve must come back
 // with; the graph and its candidate index always do.
 type Need int
 
@@ -741,8 +671,8 @@ const (
 )
 
 // Resolved is one consistent read of a registered graph: everything in
-// it belongs to the same registry entry, whatever Remove, Register or
-// Apply does to the name meanwhile.
+// it belongs to the same registry entry, whatever RemoveCtx,
+// RegisterCtx or ApplyCtx does to the name meanwhile.
 type Resolved struct {
 	Graph *graph.Graph
 	Reach *closure.Reach // nil under NeedGraph
@@ -757,17 +687,24 @@ type Resolved struct {
 // use; concurrent callers share the one build.
 func (r Resolved) Content() *simmatrix.ContentIndex { return r.c.contentIndex(r.name, r.ge) }
 
-// ResolveCtx resolves the named graph with its candidate index and as
-// much reachability state as need asks for — the closure is built once
-// per cached entry, single-flight, and shared by every request together
-// with the index that wraps it (the representation the compMaxCard /
-// compMaxSim trim consumes). NeedReach records a catalog.resolve span
-// (cache hit, build time) under the request's trace.
-func (c *Catalog) ResolveCtx(ctx context.Context, name string, pathLimit int, need Need) (Resolved, error) {
+// Resolve is the catalog's one keyed read. It resolves the named graph
+// with its candidate index and as much reachability state as need asks
+// for (pathLimit 0 = the full transitive closure), all from one
+// registry entry, so the parts stay consistent even if the name is
+// concurrently removed and re-registered with a different graph. The
+// closure is built once per cached entry, single-flight, from the graph
+// pointer read with the entry — never a re-lookup by name — and shared
+// by every request together with the index that wraps it (the
+// representation the compMaxCard / compMaxSim trim consumes). NeedReach
+// records a catalog.resolve span (cache hit, build time) under the
+// request's trace.
+func (c *Catalog) Resolve(ctx context.Context, name string, pathLimit int, need Need) (Resolved, error) {
 	if need == NeedGraph {
-		ge, err := c.lookup(name)
-		if err != nil {
-			return Resolved{}, err
+		c.mu.Lock()
+		ge, ok := c.graphs[name]
+		c.mu.Unlock()
+		if !ok {
+			return Resolved{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 		}
 		return Resolved{Graph: ge.g, c: c, name: name, ge: ge}, nil
 	}
@@ -783,15 +720,28 @@ func (c *Catalog) ResolveCtx(ctx context.Context, name string, pathLimit int, ne
 	return Resolved{Graph: ge.g, Reach: e.reach, Index: e.idx, c: c, name: name, ge: ge}, nil
 }
 
-// GetWithIndexCtx is ResolveCtx(NeedReach) without the candidate index.
+// GetWithReach is Resolve(NeedReach) without the index. Its only
+// production caller is cmd/bench.
+func (c *Catalog) GetWithReach(name string, pathLimit int) (*graph.Graph, *closure.Reach, error) {
+	r, err := c.Resolve(context.TODO(), name, pathLimit, NeedReach)
+	return r.Graph, r.Reach, err
+}
+
+// GetWithIndexCtx is Resolve(NeedReach) without the candidate index.
+// Its only production caller is cmd/bench.
 func (c *Catalog) GetWithIndexCtx(ctx context.Context, name string, pathLimit int) (*graph.Graph, *closure.Reach, closure.Index, error) {
-	r, err := c.ResolveCtx(ctx, name, pathLimit, NeedReach)
+	r, err := c.Resolve(ctx, name, pathLimit, NeedReach)
 	return r.Graph, r.Reach, r.Index, err
 }
 
-// GetWithIndex is GetWithIndexCtx for untraced callers.
-func (c *Catalog) GetWithIndex(name string, pathLimit int) (*graph.Graph, *closure.Reach, closure.Index, error) {
-	return c.GetWithIndexCtx(context.Background(), name, pathLimit)
+// ContentSets is Resolve(NeedGraph).Content() with the graph it indexes.
+// Its only production caller is cmd/bench.
+func (c *Catalog) ContentSets(name string) (*graph.Graph, *simmatrix.ContentIndex, error) {
+	r, err := c.Resolve(context.TODO(), name, 0, NeedGraph)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.Graph, r.Content(), nil
 }
 
 // getEntry resolves the graph and the cache slot for (name, pathLimit),

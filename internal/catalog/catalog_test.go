@@ -28,20 +28,21 @@ func chain(n int) *graph.Graph {
 func TestRegisterAndGet(t *testing.T) {
 	c := New(4)
 	g := chain(5)
-	if err := c.Register("web", g); err != nil {
+	if err := c.RegisterCtx(context.Background(), "web", g); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get("web")
+	res, err := c.Resolve(context.Background(), "web", 0, NeedGraph)
+	got := res.Graph
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != g {
-		t.Fatalf("Get returned a different graph")
+		t.Fatalf("Resolve returned a different graph")
 	}
-	if err := c.Register("web", chain(3)); !errors.Is(err, ErrDuplicate) {
+	if err := c.RegisterCtx(context.Background(), "web", chain(3)); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("duplicate register: err = %v, want ErrDuplicate", err)
 	}
-	if _, err := c.Get("nope"); !errors.Is(err, ErrNotFound) {
+	if _, err := c.Resolve(context.Background(), "nope", 0, NeedGraph); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing get: err = %v, want ErrNotFound", err)
 	}
 	if names := c.Names(); len(names) != 1 || names[0] != "web" {
@@ -51,14 +52,15 @@ func TestRegisterAndGet(t *testing.T) {
 
 func TestRegisterPrecomputesClosure(t *testing.T) {
 	c := New(4)
-	if err := c.Register("g", chain(6)); err != nil {
+	if err := c.RegisterCtx(context.Background(), "g", chain(6)); err != nil {
 		t.Fatal(err)
 	}
 	s := c.Stats()
 	if s.Misses != 1 || s.ResidentClosures != 1 {
 		t.Fatalf("after register: %+v, want 1 miss and 1 resident closure", s)
 	}
-	r, err := c.Reach("g", 0)
+	res, err := c.Resolve(context.Background(), "g", 0, NeedReach)
+	r := res.Reach
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,22 +68,25 @@ func TestRegisterPrecomputesClosure(t *testing.T) {
 		t.Fatalf("closure semantics wrong on a 6-chain")
 	}
 	if s := c.Stats(); s.Hits != 1 {
-		t.Fatalf("post-register Reach should hit, stats %+v", s)
+		t.Fatalf("post-register Resolve should hit, stats %+v", s)
 	}
 }
 
 func TestReachSharedPointer(t *testing.T) {
 	c := New(4)
-	if err := c.Register("g", chain(8)); err != nil {
+	if err := c.RegisterCtx(context.Background(), "g", chain(8)); err != nil {
 		t.Fatal(err)
 	}
-	r1, _ := c.Reach("g", 0)
-	r2, _ := c.Reach("g", 0)
+	res, _ := c.Resolve(context.Background(), "g", 0, NeedReach)
+	r1 := res.Reach
+	res, _ = c.Resolve(context.Background(), "g", 0, NeedReach)
+	r2 := res.Reach
 	if r1 != r2 {
-		t.Fatalf("repeated Reach returned distinct indexes — closure not shared")
+		t.Fatalf("repeated Resolve returned distinct closures — closure not shared")
 	}
 	// A bounded index is a different cache slot with different semantics.
-	b, err := c.Reach("g", 1)
+	res, err := c.Resolve(context.Background(), "g", 1, NeedReach)
+	b := res.Reach
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +104,7 @@ func TestReachSharedPointer(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	c := New(2)
 	for _, name := range []string{"a", "b", "c"} {
-		if err := c.Register(name, chain(4)); err != nil {
+		if err := c.RegisterCtx(context.Background(), name, chain(4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +116,7 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatalf("evictions = %d, want 1", s.Evictions)
 	}
 	// "a" was evicted; touching it is a miss that rebuilds and evicts "b".
-	if _, err := c.Reach("a", 0); err != nil {
+	if _, err := c.Resolve(context.Background(), "a", 0, NeedReach); err != nil {
 		t.Fatal(err)
 	}
 	s = c.Stats()
@@ -120,7 +125,7 @@ func TestLRUEviction(t *testing.T) {
 	}
 	// "c" is still resident: a hit.
 	hits := s.Hits
-	if _, err := c.Reach("c", 0); err != nil {
+	if _, err := c.Resolve(context.Background(), "c", 0, NeedReach); err != nil {
 		t.Fatal(err)
 	}
 	if s = c.Stats(); s.Hits != hits+1 {
@@ -130,22 +135,22 @@ func TestLRUEviction(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	c := New(4)
-	if err := c.Register("g", chain(4)); err != nil {
+	if err := c.RegisterCtx(context.Background(), "g", chain(4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Reach("g", 2); err != nil {
+	if _, err := c.Resolve(context.Background(), "g", 2, NeedReach); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Remove("g"); err != nil {
+	if err := c.RemoveCtx(context.Background(), "g"); err != nil {
 		t.Fatal(err)
 	}
 	if s := c.Stats(); s.Graphs != 0 || s.ResidentClosures != 0 {
 		t.Fatalf("after remove: %+v", s)
 	}
-	if _, err := c.Reach("g", 0); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Reach after remove: %v, want ErrNotFound", err)
+	if _, err := c.Resolve(context.Background(), "g", 0, NeedReach); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Resolve after remove: %v, want ErrNotFound", err)
 	}
-	if err := c.Remove("g"); !errors.Is(err, ErrNotFound) {
+	if err := c.RemoveCtx(context.Background(), "g"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double remove: %v, want ErrNotFound", err)
 	}
 }
@@ -167,7 +172,8 @@ func TestConcurrentReachSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := c.Reach("g", 0)
+			res, err := c.Resolve(context.Background(), "g", 0, NeedReach)
+			r := res.Reach
 			if err != nil {
 				results[i] = err
 				return
@@ -196,7 +202,7 @@ func TestConcurrentReachSingleFlight(t *testing.T) {
 func TestContentSetsCachedAndConsistent(t *testing.T) {
 	c := New(4)
 	g := chain(5)
-	if err := c.Register("g", g); err != nil {
+	if err := c.RegisterCtx(context.Background(), "g", g); err != nil {
 		t.Fatal(err)
 	}
 	cg, sets, err := c.ContentSets("g")
@@ -243,19 +249,21 @@ func TestStatsHitRate(t *testing.T) {
 func TestGetWithIndexSharedAndConsistent(t *testing.T) {
 	c := New(4)
 	g := chain(12)
-	if err := c.Register("web", g); err != nil {
+	if err := c.RegisterCtx(context.Background(), "web", g); err != nil {
 		t.Fatal(err)
 	}
-	g1, r1, idx1, err := c.GetWithIndex("web", 0)
+	res, err := c.Resolve(context.Background(), "web", 0, NeedReach)
+	g1, r1, idx1 := res.Graph, res.Reach, res.Index
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, r2, idx2, err := c.GetWithIndex("web", 0)
+	res, err = c.Resolve(context.Background(), "web", 0, NeedReach)
+	g2, r2, idx2 := res.Graph, res.Reach, res.Index
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g1 != g2 || r1 != r2 || idx1 != idx2 {
-		t.Fatal("GetWithIndex must return the shared (graph, reach, index) triple")
+		t.Fatal("Resolve must return the shared (graph, reach, index) triple")
 	}
 	// The index must agree with the reach it derives from.
 	for u := 0; u < g.NumNodes(); u++ {
@@ -266,7 +274,8 @@ func TestGetWithIndexSharedAndConsistent(t *testing.T) {
 		}
 	}
 	// A different path limit is a different cache slot with its own index.
-	_, rb, idxB, err := c.GetWithIndex("web", 1)
+	res, err = c.Resolve(context.Background(), "web", 1, NeedReach)
+	rb, idxB := res.Reach, res.Index
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +290,7 @@ func TestByteBudgetEviction(t *testing.T) {
 	// resolved.
 	c := New(16, WithMaxBytes(int64(closureFootprint(60))+64))
 	for _, name := range []string{"a", "b"} {
-		if err := c.Register(name, chain(60)); err != nil {
+		if err := c.RegisterCtx(context.Background(), name, chain(60)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,10 +319,10 @@ func TestByteBudgetKeepsOversizedEntryServing(t *testing.T) {
 	// served (the entry survives as the sole resident) rather than
 	// thrashing.
 	c := New(16, WithMaxBytes(8))
-	if err := c.Register("big", chain(40)); err != nil {
+	if err := c.RegisterCtx(context.Background(), "big", chain(40)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.GetWithIndex("big", 0); err != nil {
+	if _, err := c.Resolve(context.Background(), "big", 0, NeedReach); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -330,7 +339,7 @@ func closureFootprint(n int) int {
 
 func TestConcurrentIndexSingleFlight(t *testing.T) {
 	c := New(4)
-	if err := c.Register("web", chain(60)); err != nil {
+	if err := c.RegisterCtx(context.Background(), "web", chain(60)); err != nil {
 		t.Fatal(err)
 	}
 	const goroutines = 16
@@ -340,7 +349,8 @@ func TestConcurrentIndexSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, idx, err := c.GetWithIndex("web", 0)
+			res, err := c.Resolve(context.Background(), "web", 0, NeedReach)
+			idx := res.Index
 			if err != nil {
 				t.Error(err)
 				return
@@ -351,7 +361,7 @@ func TestConcurrentIndexSingleFlight(t *testing.T) {
 	wg.Wait()
 	for i := 1; i < goroutines; i++ {
 		if got[i] != got[0] {
-			t.Fatal("concurrent GetWithIndex built more than one index")
+			t.Fatal("concurrent Resolve built more than one index")
 		}
 	}
 	if st := c.Stats(); st.ResidentClosures != 1 || st.Misses != 1 {
@@ -362,7 +372,7 @@ func TestConcurrentIndexSingleFlight(t *testing.T) {
 func TestMemoryAccounting(t *testing.T) {
 	c := New(2)
 	for _, name := range []string{"a", "b"} {
-		if err := c.Register(name, chain(20)); err != nil {
+		if err := c.RegisterCtx(context.Background(), name, chain(20)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -370,7 +380,7 @@ func TestMemoryAccounting(t *testing.T) {
 	if st.ResidentBytes <= 0 {
 		t.Fatalf("ResidentBytes = %d, want > 0 after registration", st.ResidentBytes)
 	}
-	if _, _, _, err := c.GetWithIndex("a", 0); err != nil {
+	if _, err := c.Resolve(context.Background(), "a", 0, NeedReach); err != nil {
 		t.Fatal(err)
 	}
 	// The index wraps the closure and holds nothing of its own.
@@ -385,10 +395,10 @@ func TestMemoryAccounting(t *testing.T) {
 	if _, _, err := c.GetWithReach("b", 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Remove("a"); err != nil {
+	if err := c.RemoveCtx(context.Background(), "a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Remove("b"); err != nil {
+	if err := c.RemoveCtx(context.Background(), "b"); err != nil {
 		t.Fatal(err)
 	}
 	end := c.Stats()
@@ -403,16 +413,16 @@ func TestResidentIndexAccountingZeroByteIndex(t *testing.T) {
 	// build and removal even then.
 	c := New(2)
 	empty := graph.New(0)
-	if err := c.Register("empty", empty); err != nil {
+	if err := c.RegisterCtx(context.Background(), "empty", empty); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.GetWithIndex("empty", 0); err != nil {
+	if _, err := c.Resolve(context.Background(), "empty", 0, NeedReach); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.ResidentClosures != 1 {
 		t.Fatalf("ResidentClosures = %d, want 1", st.ResidentClosures)
 	}
-	if err := c.Remove("empty"); err != nil {
+	if err := c.RemoveCtx(context.Background(), "empty"); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.ResidentClosures != 0 || st.ResidentBytes != 0 {
@@ -428,7 +438,7 @@ func TestByteBudgetEvictsPastKeptEntry(t *testing.T) {
 	// because it needs a hit mid-build.
 	c := New(16) // no byte budget yet: both entries must come resident
 	for _, name := range []string{"a", "b"} {
-		if err := c.Register(name, chain(30)); err != nil {
+		if err := c.RegisterCtx(context.Background(), name, chain(30)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -460,7 +470,7 @@ func TestByteBudgetEvictsPastKeptEntry(t *testing.T) {
 func TestNamesSorted(t *testing.T) {
 	c := New(8)
 	for _, name := range []string{"zeta", "alpha", "mid", "beta", "omega"} {
-		if err := c.Register(name, chain(3)); err != nil {
+		if err := c.RegisterCtx(context.Background(), name, chain(3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -482,10 +492,10 @@ func TestNamesSorted(t *testing.T) {
 // closure/index accounting, and ErrNotFound for unknown names.
 func TestDescribe(t *testing.T) {
 	c := New(4)
-	if err := c.Register("g", chain(6)); err != nil {
+	if err := c.RegisterCtx(context.Background(), "g", chain(6)); err != nil {
 		t.Fatal(err)
 	}
-	info, err := c.Describe("g")
+	info, _, err := c.Describe("g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +505,7 @@ func TestDescribe(t *testing.T) {
 	if info.ResidentClosures != 1 || info.ClosureBytes <= 0 {
 		t.Fatalf("closure accounting: %+v", info)
 	}
-	if _, err := c.Describe("missing"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := c.Describe("missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("describe missing: %v", err)
 	}
 }
@@ -504,16 +514,18 @@ func TestDescribe(t *testing.T) {
 // closure invalidation + eager rebuild.
 func TestApplyPatch(t *testing.T) {
 	c := New(4)
-	if err := c.Register("web", chain(3)); err != nil {
+	if err := c.RegisterCtx(context.Background(), "web", chain(3)); err != nil {
 		t.Fatal(err)
 	}
-	old, _ := c.Get("web")
-	oldReach, err := c.Reach("web", 0)
+	res, _ := c.Resolve(context.Background(), "web", 0, NeedGraph)
+	old := res.Graph
+	res, err := c.Resolve(context.Background(), "web", 0, NeedReach)
+	oldReach := res.Reach
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ng, err := c.Apply("web", &graph.Patch{
+	ng, err := c.ApplyCtx(context.Background(), "web", &graph.Patch{
 		AddNodes: []graph.Node{{Label: "n3", Weight: 1}},
 		AddEdges: [][2]graph.NodeID{{2, 3}},
 	})
@@ -526,13 +538,15 @@ func TestApplyPatch(t *testing.T) {
 	if old.NumNodes() != 3 {
 		t.Fatal("old graph mutated")
 	}
-	got, _ := c.Get("web")
+	res, _ = c.Resolve(context.Background(), "web", 0, NeedGraph)
+	got := res.Graph
 	if got != ng || got.NumNodes() != 4 {
 		t.Fatalf("registry holds %v, want patched graph", got)
 	}
 	// The cached closure was replaced for the new graph (patched
 	// incrementally or rebuilt — either way a fresh value).
-	newReach, err := c.Reach("web", 0)
+	res, err = c.Resolve(context.Background(), "web", 0, NeedReach)
+	newReach := res.Reach
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,16 +558,16 @@ func TestApplyPatch(t *testing.T) {
 	}
 
 	// Bad patches leave everything untouched.
-	if _, err := c.Apply("web", &graph.Patch{DelEdges: [][2]graph.NodeID{{3, 0}}}); err == nil {
+	if _, err := c.ApplyCtx(context.Background(), "web", &graph.Patch{DelEdges: [][2]graph.NodeID{{3, 0}}}); err == nil {
 		t.Fatal("deleting an absent edge should fail")
 	}
-	if g, _ := c.Get("web"); g != ng {
+	if res, _ := c.Resolve(context.Background(), "web", 0, NeedGraph); res.Graph != ng {
 		t.Fatal("failed patch replaced the graph")
 	}
-	if _, err := c.Apply("missing", &graph.Patch{AddNodes: []graph.Node{{Label: "x"}}}); !errors.Is(err, ErrNotFound) {
+	if _, err := c.ApplyCtx(context.Background(), "missing", &graph.Patch{AddNodes: []graph.Node{{Label: "x"}}}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("apply to missing graph: %v", err)
 	}
-	if _, err := c.Apply("web", &graph.Patch{}); err == nil {
+	if _, err := c.ApplyCtx(context.Background(), "web", &graph.Patch{}); err == nil {
 		t.Fatal("empty patch should fail")
 	}
 }
@@ -569,33 +583,33 @@ func (v vetoPersister) LogPatch(context.Context, string, *graph.Patch) error    
 // aborts the mutation before anything commits.
 func TestPersisterVeto(t *testing.T) {
 	c := New(4)
-	if err := c.Register("keep", chain(3)); err != nil {
+	if err := c.RegisterCtx(context.Background(), "keep", chain(3)); err != nil {
 		t.Fatal(err)
 	}
 	bang := errors.New("disk full")
 	c.SetPersister(vetoPersister{err: bang})
 
-	if err := c.Register("new", chain(2)); !errors.Is(err, bang) {
+	if err := c.RegisterCtx(context.Background(), "new", chain(2)); !errors.Is(err, bang) {
 		t.Fatalf("register under veto: %v", err)
 	}
-	if _, err := c.Get("new"); !errors.Is(err, ErrNotFound) {
+	if _, err := c.Resolve(context.Background(), "new", 0, NeedGraph); !errors.Is(err, ErrNotFound) {
 		t.Fatal("vetoed register still committed")
 	}
-	if err := c.Remove("keep"); !errors.Is(err, bang) {
+	if err := c.RemoveCtx(context.Background(), "keep"); !errors.Is(err, bang) {
 		t.Fatalf("remove under veto: %v", err)
 	}
-	if _, err := c.Get("keep"); err != nil {
+	if _, err := c.Resolve(context.Background(), "keep", 0, NeedGraph); err != nil {
 		t.Fatal("vetoed remove still committed")
 	}
-	if _, err := c.Apply("keep", &graph.Patch{AddNodes: []graph.Node{{Label: "x"}}}); !errors.Is(err, bang) {
+	if _, err := c.ApplyCtx(context.Background(), "keep", &graph.Patch{AddNodes: []graph.Node{{Label: "x"}}}); !errors.Is(err, bang) {
 		t.Fatalf("apply under veto: %v", err)
 	}
-	if g, _ := c.Get("keep"); g.NumNodes() != 3 {
+	if res, _ := c.Resolve(context.Background(), "keep", 0, NeedGraph); res.Graph.NumNodes() != 3 {
 		t.Fatal("vetoed apply still committed")
 	}
 
 	c.SetPersister(nil)
-	if err := c.Register("new", chain(2)); err != nil {
+	if err := c.RegisterCtx(context.Background(), "new", chain(2)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -603,7 +617,7 @@ func TestPersisterVeto(t *testing.T) {
 func TestExport(t *testing.T) {
 	c := New(4)
 	for _, n := range []string{"a", "b"} {
-		if err := c.Register(n, chain(3)); err != nil {
+		if err := c.RegisterCtx(context.Background(), n, chain(3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -615,7 +629,8 @@ func TestExport(t *testing.T) {
 	if len(state) != 2 {
 		t.Fatalf("exported %d graphs, want 2", len(state))
 	}
-	ga, _ := c.Get("a")
+	res, _ := c.Resolve(context.Background(), "a", 0, NeedGraph)
+	ga := res.Graph
 	if state["a"] != ga {
 		t.Fatal("export should share the registered graph objects")
 	}
@@ -626,7 +641,8 @@ func TestExport(t *testing.T) {
 // catalogs diverge on the patched graph.
 func applyRandomPatch(t *testing.T, rng *rand.Rand, name string, cats ...*Catalog) {
 	t.Helper()
-	g, err := cats[0].Get(name)
+	res, err := cats[0].Resolve(context.Background(), name, 0, NeedGraph)
+	g := res.Graph
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,7 +674,7 @@ func applyRandomPatch(t *testing.T, rng *rand.Rand, name string, cats ...*Catalo
 		}
 	}
 	for _, c := range cats {
-		if _, err := c.Apply(name, p); err != nil {
+		if _, err := c.ApplyCtx(context.Background(), name, p); err != nil {
 			t.Fatalf("apply: %v", err)
 		}
 	}
@@ -678,7 +694,8 @@ func TestApplyIncrementalEquivalence(t *testing.T) {
 	}
 	resolve := func(c *Catalog, where string) (*closure.Reach, closure.Index) {
 		t.Helper()
-		_, r, idx, err := c.GetWithIndex("g", 0)
+		res, err := c.Resolve(context.Background(), "g", 0, NeedReach)
+		r, idx := res.Reach, res.Index
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -705,7 +722,7 @@ func TestApplyIncrementalEquivalence(t *testing.T) {
 			inc := New(0)
 			reb := New(0, WithDeltaBudget(-1))
 			for _, c := range []*Catalog{inc, reb} {
-				if err := c.Register("g", g); err != nil {
+				if err := c.RegisterCtx(context.Background(), "g", g); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -809,15 +826,16 @@ func TestCandidateIndexCarriedAcrossPatches(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		c := New(4)
 		g := chain(3 + rng.Intn(8))
-		if err := c.Register("g", g); err != nil {
+		if err := c.RegisterCtx(context.Background(), "g", g); err != nil {
 			t.Fatal(err)
 		}
 		for step := 0; step < 12; step++ {
-			cur, err := c.Get("g")
+			res, err := c.Resolve(context.Background(), "g", 0, NeedGraph)
+			cur := res.Graph
 			if err != nil {
 				t.Fatal(err)
 			}
-			ng, err := c.Apply("g", contentPatch(rng, cur, true, true, true))
+			ng, err := c.ApplyCtx(context.Background(), "g", contentPatch(rng, cur, true, true, true))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -845,10 +863,10 @@ func TestCandidateIndexPatchRules(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := New(4)
 	g := chain(40)
-	if err := c.Register("g", g); err != nil {
+	if err := c.RegisterCtx(context.Background(), "g", g); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Register("other", chain(5)); err != nil {
+	if err := c.RegisterCtx(context.Background(), "other", chain(5)); err != nil {
 		t.Fatal(err)
 	}
 	total := func(where string, want int64) {
@@ -869,7 +887,7 @@ func TestCandidateIndexPatchRules(t *testing.T) {
 
 	cur := g
 	for i := 0; i < 5; i++ {
-		if cur, err = c.Apply("g", contentPatch(rng, cur, false, false, true)); err != nil {
+		if cur, err = c.ApplyCtx(context.Background(), "g", contentPatch(rng, cur, false, false, true)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -878,7 +896,7 @@ func TestCandidateIndexPatchRules(t *testing.T) {
 	}
 	total("after edge-only patches", built.Bytes())
 
-	if cur, err = c.Apply("g", &graph.Patch{SetContent: []graph.ContentUpdate{{Node: 7, Content: "entirely new words on page seven"}}}); err != nil {
+	if cur, err = c.ApplyCtx(context.Background(), "g", &graph.Patch{SetContent: []graph.ContentUpdate{{Node: 7, Content: "entirely new words on page seven"}}}); err != nil {
 		t.Fatal(err)
 	}
 	total("after a content rewrite, before the next content request", 0)
@@ -888,7 +906,7 @@ func TestCandidateIndexPatchRules(t *testing.T) {
 	}
 	sameContentIndex(t, "after SetContent", cur, ix, simmatrix.NewContentIndex(cur, 0))
 
-	if cur, err = c.Apply("g", &graph.Patch{
+	if cur, err = c.ApplyCtx(context.Background(), "g", &graph.Patch{
 		AddNodes: []graph.Node{{Label: "x", Weight: 1, Content: "a"}, {Label: "y", Weight: 1}},
 		AddEdges: [][2]graph.NodeID{{0, 40}, {40, 41}},
 	}); err != nil {
@@ -900,7 +918,7 @@ func TestCandidateIndexPatchRules(t *testing.T) {
 	}
 	sameContentIndex(t, "after AddNodes", cur, grown, simmatrix.NewContentIndex(cur, 0))
 
-	info, err := c.Describe("g")
+	info, _, err := c.Describe("g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -912,22 +930,22 @@ func TestCandidateIndexPatchRules(t *testing.T) {
 
 	// A reader still holding a replaced entry may build that entry's
 	// index; nothing registered owns it, so it is not counted.
-	r, err := c.ResolveCtx(context.Background(), "other", 0, NeedGraph)
+	r, err := c.Resolve(context.Background(), "other", 0, NeedGraph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Apply("other", &graph.Patch{AddNodes: []graph.Node{{Label: "z", Weight: 1}}}); err != nil {
+	if _, err := c.ApplyCtx(context.Background(), "other", &graph.Patch{AddNodes: []graph.Node{{Label: "z", Weight: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	total("after patching the second graph", grown.Bytes())
 	if r.Content() != small {
 		t.Fatal("a held entry lost its index")
 	}
-	r2, err := c.ResolveCtx(context.Background(), "g", 0, NeedGraph)
+	r2, err := c.Resolve(context.Background(), "g", 0, NeedGraph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Remove("g"); err != nil {
+	if err := c.RemoveCtx(context.Background(), "g"); err != nil {
 		t.Fatal(err)
 	}
 	total("after removing the first graph", 0)
@@ -951,7 +969,7 @@ func TestCandidateIndexPatchRules(t *testing.T) {
 // at exactly the registered entry's index, whichever side won each race.
 func TestCandidateIndexBytesUnderRaces(t *testing.T) {
 	c := New(4)
-	if err := c.Register("g", chain(30)); err != nil {
+	if err := c.RegisterCtx(context.Background(), "g", chain(30)); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -961,12 +979,13 @@ func TestCandidateIndexBytesUnderRaces(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 60; i++ {
-				cur, err := c.Get("g")
+				res, err := c.Resolve(context.Background(), "g", 0, NeedGraph)
+				cur := res.Graph
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := c.Apply("g", contentPatch(rng, cur, i%3 == 0, i%7 == 0, true)); err != nil {
+				if _, err := c.ApplyCtx(context.Background(), "g", contentPatch(rng, cur, i%3 == 0, i%7 == 0, true)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -989,5 +1008,79 @@ func TestCandidateIndexBytesUnderRaces(t *testing.T) {
 	}
 	if got := c.Stats().CandidateIndexBytes; got != ix.Bytes() {
 		t.Fatalf("Stats.CandidateIndexBytes = %d after the dust settled, the registered index holds %d", got, ix.Bytes())
+	}
+}
+
+// TestResolveConsistentUnderChurn checks that one Resolve hands back one
+// registry entry while the name is removed, re-registered at another
+// size and grown by patches: the closure, its index and the content
+// postings all describe the graph they came with. Readers ask for the
+// full closure and a bounded one, so both the writer's warm-ups and the
+// readers' own builds race the writer.
+func TestResolveConsistentUnderChurn(t *testing.T) {
+	ctx := context.Background()
+	c := New(4)
+	if err := c.RegisterCtx(ctx, "g", chain(5)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(pathLimit int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				r, err := c.Resolve(ctx, "g", pathLimit, NeedReach)
+				if errors.Is(err, ErrNotFound) {
+					continue // between a remove and the next register
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				n := r.Graph.NumNodes()
+				if r.Reach.NumNodes() != n || r.Content().NumNodes() != n {
+					t.Errorf("path limit %d: graph has %d nodes, closure %d, content index %d",
+						pathLimit, n, r.Reach.NumNodes(), r.Content().NumNodes())
+					return
+				}
+				for u := graph.NodeID(0); int(u) < n; u++ {
+					for v := graph.NodeID(0); int(v) < n; v++ {
+						if r.Index.Reachable(u, v) != r.Reach.Reachable(u, v) {
+							t.Errorf("path limit %d: index and closure disagree at (%d,%d)", pathLimit, u, v)
+							return
+						}
+					}
+				}
+			}
+		}(2 * (w % 2))
+	}
+	defer func() {
+		close(done)
+		wg.Wait()
+	}()
+	for i := 0; i < 300 && !t.Failed(); i++ {
+		n := 5 + 4*(i%2)
+		if err := c.RemoveCtx(ctx, "g"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RegisterCtx(ctx, "g", chain(n)); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 2; k++ {
+			p := &graph.Patch{
+				AddNodes: []graph.Node{{Label: "grown"}},
+				AddEdges: [][2]graph.NodeID{{graph.NodeID(n - 1), graph.NodeID(n)}},
+			}
+			if _, err := c.ApplyCtx(ctx, "g", p); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
 	}
 }

@@ -44,7 +44,7 @@ func TestPatchedIndexIsExactAndExactlyCharged(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const ins, core, outs = 40, 120, 40
 	c := New(0)
-	if err := c.Register("g", bowTie(rng, ins, core, outs)); err != nil {
+	if err := c.RegisterCtx(context.Background(), "g", bowTie(rng, ins, core, outs)); err != nil {
 		t.Fatal(err)
 	}
 	var live [][2]graph.NodeID
@@ -63,7 +63,7 @@ func TestPatchedIndexIsExactAndExactlyCharged(t *testing.T) {
 			n++
 		case k%2 == 0:
 			e := [2]graph.NodeID{pick(0, ins), pick(ins, core)}
-			if g, _ := c.Get("g"); has[e] || g.HasEdge(e[0], e[1]) {
+			if res, _ := c.Resolve(context.Background(), "g", 0, NeedGraph); has[e] || res.Graph.HasEdge(e[0], e[1]) {
 				continue
 			}
 			has[e] = true
@@ -72,13 +72,14 @@ func TestPatchedIndexIsExactAndExactlyCharged(t *testing.T) {
 		default:
 			p.AddEdges = [][2]graph.NodeID{{pick(ins, core), pick(ins+core, outs)}}
 		}
-		if _, err := c.Apply("g", p); err != nil {
+		if _, err := c.ApplyCtx(context.Background(), "g", p); err != nil {
 			t.Fatalf("patch %d: %v", k, err)
 		}
 		if k%50 != 0 {
 			continue
 		}
-		g, reach, idx, err := c.GetWithIndex("g", 0)
+		res, err := c.Resolve(context.Background(), "g", 0, NeedReach)
+		g, reach, idx := res.Graph, res.Reach, res.Index
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,9 +103,10 @@ func TestPatchedIndexIsExactAndExactlyCharged(t *testing.T) {
 	if st.PatchesRebuild != 0 {
 		t.Fatalf("%d closure rebuilds over the run, want none", st.PatchesRebuild)
 	}
-	g, _ := c.Get("g")
+	res, _ := c.Resolve(context.Background(), "g", 0, NeedGraph)
+	g := res.Graph
 	fresh := New(0)
-	if err := fresh.Register("g", g.Clone()); err != nil {
+	if err := fresh.RegisterCtx(context.Background(), "g", g.Clone()); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := st.ResidentBytes, fresh.Stats().ResidentBytes; got != want {
@@ -127,7 +129,8 @@ func TestPatchIndexOutcomeIsVisible(t *testing.T) {
 			t.Fatal(err)
 		}
 		root.End()
-		_, reach, idx, err := c.GetWithIndex("g", 0)
+		res, err := c.Resolve(context.Background(), "g", 0, NeedReach)
+		reach, idx := res.Reach, res.Index
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +154,7 @@ func TestPatchIndexOutcomeIsVisible(t *testing.T) {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(1))
-	if err := c.Register("g", bowTie(rng, 10, 30, 10)); err != nil {
+	if err := c.RegisterCtx(context.Background(), "g", bowTie(rng, 10, 30, 10)); err != nil {
 		t.Fatal(err)
 	}
 	if a := commit("edge", &graph.Patch{AddEdges: [][2]graph.NodeID{{0, 12}}}); a["incremental"] != true || a["cone_comps"] == nil {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"graphmatch/internal/catalog"
 	"graphmatch/internal/engine"
 	"graphmatch/internal/graph"
 	"graphmatch/internal/httpapi"
@@ -334,7 +336,7 @@ func TestClusterPartialFailure(t *testing.T) {
 		if shards[0].eng.Catalog().Len() == 0 {
 			break
 		}
-		if _, err := shards[1].eng.Catalog().Get(h.Graph); err == nil {
+		if _, err := shards[1].eng.Catalog().Resolve(context.Background(), h.Graph, 0, catalog.NeedGraph); err == nil {
 			t.Fatalf("partial result contains %s from the dead shard", h.Graph)
 		}
 	}
@@ -432,7 +434,7 @@ func TestClusterReadRetryOnce(t *testing.T) {
 	if got := bad2Count.Load(); got != 1 {
 		t.Fatalf("failing primary hit %d times by one mutation, want exactly 1 (no retry)", got)
 	}
-	if _, err := good.eng.Catalog().Get("h"); err == nil {
+	if _, err := good.eng.Catalog().Resolve(context.Background(), "h", 0, catalog.NeedGraph); err == nil {
 		t.Fatal("mutation was retried onto the replica")
 	}
 }
@@ -464,7 +466,7 @@ func TestClusterMisdirectedFollow(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("register through 421 redirect: %d %s", code, body)
 	}
-	if _, err := real.eng.Catalog().Get("g"); err != nil {
+	if _, err := real.eng.Catalog().Resolve(context.Background(), "g", 0, catalog.NeedGraph); err != nil {
 		t.Fatalf("mutation did not land on the real primary: %v", err)
 	}
 	if got := stubHits.Load(); got != 1 {

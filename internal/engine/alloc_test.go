@@ -23,7 +23,7 @@ func allocEngine(t *testing.T) (*Engine, Request) {
 	t.Helper()
 	e := New(Options{Workers: 1})
 	t.Cleanup(e.Close)
-	if err := e.Register("path", pathGraph(200)); err != nil {
+	if err := e.Register(context.Background(), "path", pathGraph(200)); err != nil {
 		t.Fatal(err)
 	}
 	return e, Request{Pattern: pathGraph(6), GraphName: "path", Algo: MaxCard, Xi: 1}

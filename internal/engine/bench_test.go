@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"graphmatch/internal/catalog"
 	"graphmatch/internal/core"
 	"graphmatch/internal/graph"
 	"graphmatch/internal/simmatrix"
@@ -18,7 +19,7 @@ func benchEngine(b *testing.B, workers, dataNodes int) (*Engine, []Request) {
 	b.Helper()
 	e := New(Options{Workers: workers})
 	data := randomGraph(dataNodes, 4, 1)
-	if err := e.Register("data", data); err != nil {
+	if err := e.Register(context.Background(), "data", data); err != nil {
 		b.Fatal(err)
 	}
 	var reqs []Request
@@ -95,7 +96,8 @@ func BenchmarkMatchBatch(b *testing.B) {
 func BenchmarkSharedVsPrivateClosure(b *testing.B) {
 	e, reqs := benchEngine(b, 1, 400)
 	defer e.Close()
-	data, err := e.Catalog().Get("data")
+	res, err := e.Catalog().Resolve(context.Background(), "data", 0, catalog.NeedGraph)
+	data := res.Graph
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -140,7 +142,7 @@ func BenchmarkSearch(b *testing.B) {
 	for s := 0; s < 10; s++ {
 		arch := webgen.Generate(webgen.Config{Category: webgen.Category(s%3 + 1), Pages: 60, Versions: 11, Seed: int64(s)})
 		for v, g := range arch.Versions {
-			if err := e.Register(fmt.Sprintf("site%02d.v%02d", s, v), g); err != nil {
+			if err := e.Register(context.Background(), fmt.Sprintf("site%02d.v%02d", s, v), g); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -86,7 +86,7 @@ func TestContentMatchRacesContentPatch(t *testing.T) {
 	fresh := func(g *graph.Graph) Result {
 		e := New(Options{Workers: 1})
 		defer e.Close()
-		if err := e.Register("site", g.Clone()); err != nil {
+		if err := e.Register(context.Background(), "site", g.Clone()); err != nil {
 			t.Fatal(err)
 		}
 		res := e.Match(ctx, req)
@@ -102,7 +102,7 @@ func TestContentMatchRacesContentPatch(t *testing.T) {
 
 	e := New(Options{Workers: 4})
 	defer e.Close()
-	if err := e.Register("site", base.Clone()); err != nil {
+	if err := e.Register(context.Background(), "site", base.Clone()); err != nil {
 		t.Fatal(err)
 	}
 	const readers, reads = 4, 40
@@ -122,7 +122,7 @@ func TestContentMatchRacesContentPatch(t *testing.T) {
 			if i%2 == 1 {
 				p = toA
 			}
-			if _, err := e.ApplyPatch("site", p); err != nil {
+			if _, err := e.ApplyPatch(context.Background(), "site", p); err != nil {
 				t.Errorf("patch %d: %v", i, err)
 				return
 			}
@@ -180,7 +180,7 @@ func TestContentMatchAtXiEqualsFullMatrix(t *testing.T) {
 	defer e.Close()
 	arch := webgen.Generate(webgen.Config{Category: webgen.Organization, Pages: 40, Versions: 2, Seed: 3})
 	data := arch.Versions[1]
-	if err := e.Register("site", data.Clone()); err != nil {
+	if err := e.Register(context.Background(), "site", data.Clone()); err != nil {
 		t.Fatal(err)
 	}
 	pattern := webgen.TopKSkeleton(arch.Versions[0], 6)

@@ -385,7 +385,6 @@ func Open(opts Options) (*Engine, error) {
 		maxPending = depth + workers
 	}
 	e := &Engine{
-		cat:           catalog.New(opts.MaxClosures, catalog.WithMaxBytes(opts.MaxClosureBytes)),
 		queue:         make(chan *task, depth),
 		workers:       workers,
 		exactLimit:    opts.ExactNodeLimit,
@@ -399,7 +398,8 @@ func Open(opts Options) (*Engine, error) {
 	if !opts.NoTrace {
 		e.tracer = trace.NewRecorder(0, 0)
 	}
-	e.initMetrics()
+	e.cat = catalog.New(opts.MaxClosures, catalog.WithMaxBytes(opts.MaxClosureBytes),
+		catalog.WithPatchObserver(e.initMetrics()))
 	e.searchIdx = search.NewIndex(e.cat)
 	if opts.StorePath != "" {
 		// primaryURL is set before the replay so openStore knows not to
@@ -435,15 +435,10 @@ func (e *Engine) Tracer() *trace.Recorder { return e.tracer }
 
 // Register adds a data graph to the catalog and precomputes its shared
 // closure. When the engine has a store, the registration is logged and
-// fsynced before it is acknowledged. See catalog.Catalog.Register for
-// ownership rules.
-func (e *Engine) Register(name string, g *graph.Graph) error {
-	return e.RegisterCtx(context.Background(), name, g)
-}
-
-// RegisterCtx is Register with a request context for trace
-// attribution (catalog commit and WAL append spans).
-func (e *Engine) RegisterCtx(ctx context.Context, name string, g *graph.Graph) error {
+// fsynced before it is acknowledged. ctx carries the request's trace
+// (catalog commit and WAL append spans). See catalog.Catalog.RegisterCtx
+// for ownership rules.
+func (e *Engine) Register(ctx context.Context, name string, g *graph.Graph) error {
 	if e.follower != nil {
 		return fmt.Errorf("%w: register %q on %s", ErrReadOnly, name, e.primaryURL)
 	}
@@ -457,13 +452,8 @@ func (e *Engine) RegisterCtx(ctx context.Context, name string, g *graph.Graph) e
 // Remove drops a registered data graph and every cached closure and
 // index derived from it. In-flight requests against the graph finish
 // against the state they already resolved. With a store, the removal
-// is durable before it is acknowledged.
-func (e *Engine) Remove(name string) error {
-	return e.RemoveCtx(context.Background(), name)
-}
-
-// RemoveCtx is Remove with a request context for trace attribution.
-func (e *Engine) RemoveCtx(ctx context.Context, name string) error {
+// is durable before it is acknowledged. ctx carries the request's trace.
+func (e *Engine) Remove(ctx context.Context, name string) error {
 	if e.follower != nil {
 		return fmt.Errorf("%w: remove %q on %s", ErrReadOnly, name, e.primaryURL)
 	}
@@ -837,7 +827,7 @@ func (e *Engine) execute(ctx context.Context, req Request, p *prepared) Result {
 	if req.Algo == Simulation {
 		need = catalog.NeedGraph
 	}
-	data, err := e.cat.ResolveCtx(ctx, req.GraphName, req.PathLimit, need)
+	data, err := e.cat.Resolve(ctx, req.GraphName, req.PathLimit, need)
 	if err != nil {
 		return Result{Err: err}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"graphmatch/internal/catalog"
@@ -103,7 +104,7 @@ func TestEngineMatchesDirectMatcher(t *testing.T) {
 	e := New(Options{Workers: 4})
 	defer e.Close()
 	data := randomGraph(60, 3, 1)
-	if err := e.Register("data", data); err != nil {
+	if err := e.Register(context.Background(), "data", data); err != nil {
 		t.Fatal(err)
 	}
 	pattern := patternFrom(data, 8, 2)
@@ -154,7 +155,7 @@ func TestEngineSimulationBaseline(t *testing.T) {
 	e := New(Options{Workers: 2})
 	defer e.Close()
 	data := randomGraph(40, 3, 3)
-	if err := e.Register("data", data); err != nil {
+	if err := e.Register(context.Background(), "data", data); err != nil {
 		t.Fatal(err)
 	}
 	pattern := patternFrom(data, 5, 4)
@@ -170,7 +171,7 @@ func TestEngineSimulationBaseline(t *testing.T) {
 func TestRequestValidation(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
-	if err := e.Register("g", randomGraph(10, 2, 7)); err != nil {
+	if err := e.Register(context.Background(), "g", randomGraph(10, 2, 7)); err != nil {
 		t.Fatal(err)
 	}
 	pattern := graph.FromEdgeList([]string{"L0"}, nil)
@@ -201,7 +202,7 @@ func TestExactNodeLimit(t *testing.T) {
 	e := New(Options{Workers: 1, ExactNodeLimit: 5})
 	defer e.Close()
 	data := randomGraph(30, 3, 12)
-	if err := e.Register("g", data); err != nil {
+	if err := e.Register(context.Background(), "g", data); err != nil {
 		t.Fatal(err)
 	}
 	big := patternFrom(data, 8, 13)
@@ -223,17 +224,17 @@ func TestExactNodeLimit(t *testing.T) {
 func TestRegisterDuplicate(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
-	if err := e.Register("g", randomGraph(10, 2, 8)); err != nil {
+	if err := e.Register(context.Background(), "g", randomGraph(10, 2, 8)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Register("g", randomGraph(10, 2, 9)); !errors.Is(err, catalog.ErrDuplicate) {
+	if err := e.Register(context.Background(), "g", randomGraph(10, 2, 9)); !errors.Is(err, catalog.ErrDuplicate) {
 		t.Errorf("duplicate register: %v, want ErrDuplicate", err)
 	}
 }
 
 func TestClose(t *testing.T) {
 	e := New(Options{Workers: 2})
-	if err := e.Register("g", randomGraph(20, 2, 10)); err != nil {
+	if err := e.Register(context.Background(), "g", randomGraph(20, 2, 10)); err != nil {
 		t.Fatal(err)
 	}
 	pattern := patternFrom(e.mustGet(t, "g"), 4, 11)
@@ -249,7 +250,8 @@ func TestClose(t *testing.T) {
 
 func (e *Engine) mustGet(t *testing.T, name string) *graph.Graph {
 	t.Helper()
-	g, err := e.cat.Get(name)
+	res, err := e.cat.Resolve(context.Background(), name, 0, catalog.NeedGraph)
+	g := res.Graph
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,5 +267,19 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 	if _, err := ParseAlgorithm("subiso"); err == nil {
 		t.Error("ParseAlgorithm accepted an unknown name")
+	}
+}
+
+// TestNoContextTwins keeps one entry point per operation on the catalog
+// and the engine: no exported method M may have an exported sibling
+// MCtx, because the one method takes the context first.
+func TestNoContextTwins(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeOf(&catalog.Catalog{}), reflect.TypeOf(&Engine{})} {
+		for i := 0; i < typ.NumMethod(); i++ {
+			name := typ.Method(i).Name
+			if _, twin := typ.MethodByName(name + "Ctx"); twin {
+				t.Errorf("%v has both %s and %sCtx", typ, name, name)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"graphmatch/internal/catalog"
 	"graphmatch/internal/graph"
 	"graphmatch/internal/repl"
 	"graphmatch/internal/store"
@@ -161,7 +163,7 @@ func seedPrimary(t *testing.T, p *testPrimary, sites, pages int) []*graph.Graph 
 			Versions: 1,
 			Seed:     int64(31 + s),
 		})
-		if err := p.eng.Register(fmt.Sprintf("site%d", s), arch.Versions[0]); err != nil {
+		if err := p.eng.Register(context.Background(), fmt.Sprintf("site%d", s), arch.Versions[0]); err != nil {
 			t.Fatal(err)
 		}
 		patterns = append(patterns, webgen.TopKSkeleton(arch.Versions[0], 6))
@@ -196,28 +198,29 @@ func TestFollowerServesAndRejectsWrites(t *testing.T) {
 
 	// Live mutations flow through.
 	rng := rand.New(rand.NewSource(7))
-	g, err := p.eng.Catalog().Get("site0")
+	res, err := p.eng.Catalog().Resolve(context.Background(), "site0", 0, catalog.NeedGraph)
+	g := res.Graph
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.eng.ApplyPatch("site0", randomPatch(rng, g)); err != nil {
+	if _, err := p.eng.ApplyPatch(context.Background(), "site0", randomPatch(rng, g)); err != nil {
 		t.Fatal(err)
 	}
 	extra := webgen.Generate(webgen.Config{Category: webgen.Store, Pages: 20, Versions: 1, Seed: 99}).Versions[0]
-	if err := p.eng.Register("extra", extra); err != nil {
+	if err := p.eng.Register(context.Background(), "extra", extra); err != nil {
 		t.Fatal(err)
 	}
 	waitSynced(t, f, p, 5*time.Second)
 	probeEngines(t, "after mutations", f, p.eng, patterns)
 
 	// Local mutations are refused.
-	if err := f.Register("local", extra.Clone()); !errors.Is(err, ErrReadOnly) {
+	if err := f.Register(context.Background(), "local", extra.Clone()); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Register on follower = %v, want ErrReadOnly", err)
 	}
-	if _, err := f.ApplyPatch("site0", &graph.Patch{}); !errors.Is(err, ErrReadOnly) {
+	if _, err := f.ApplyPatch(context.Background(), "site0", &graph.Patch{}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("ApplyPatch on follower = %v, want ErrReadOnly", err)
 	}
-	if err := f.Remove("site0"); !errors.Is(err, ErrReadOnly) {
+	if err := f.Remove(context.Background(), "site0"); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Remove on follower = %v, want ErrReadOnly", err)
 	}
 	// None of the refused mutations may have leaked into the catalog.
@@ -241,11 +244,12 @@ func TestFollowerRestartResumesFromLocalTail(t *testing.T) {
 	// Primary moves on while the follower is down.
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 3; i++ {
-		g, err := p.eng.Catalog().Get("site1")
+		res, err := p.eng.Catalog().Resolve(context.Background(), "site1", 0, catalog.NeedGraph)
+		g := res.Graph
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.eng.ApplyPatch("site1", randomPatch(rng, g)); err != nil {
+		if _, err := p.eng.ApplyPatch(context.Background(), "site1", randomPatch(rng, g)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -357,20 +361,21 @@ func TestFollowerFaultQuickCheck(t *testing.T) {
 			switch r := rng.Float64(); {
 			case r < 0.65:
 				name := names[rng.Intn(len(names))]
-				g, err := eng.Catalog().Get(name)
+				res, err := eng.Catalog().Resolve(context.Background(), name, 0, catalog.NeedGraph)
+				g := res.Graph
 				if err != nil {
 					continue
 				}
-				_, _ = eng.ApplyPatch(name, randomPatch(rng, g))
+				_, _ = eng.ApplyPatch(context.Background(), name, randomPatch(rng, g))
 			case r < 0.8:
 				name := fmt.Sprintf("burst%d", rng.Intn(1000))
 				g := webgen.Generate(webgen.Config{Category: webgen.Newspaper, Pages: 15, Versions: 1, Seed: int64(i)}).Versions[0]
-				if err := eng.Register(name, g); err == nil {
+				if err := eng.Register(context.Background(), name, g); err == nil {
 					names = append(names, name)
 				}
 			case len(names) > 3:
 				j := 3 + rng.Intn(len(names)-3) // keep the seed sites
-				_ = eng.Remove(names[j])
+				_ = eng.Remove(context.Background(), names[j])
 				names = append(names[:j], names[j+1:]...)
 			}
 			time.Sleep(time.Duration(rng.Intn(4)) * time.Millisecond)
@@ -440,7 +445,8 @@ func TestFollowerCommitsBeforeApplyReturns(t *testing.T) {
 		}
 		got := map[string]*graph.Graph{}
 		for _, name := range f.Catalog().Names() {
-			g, err := f.Catalog().Get(name)
+			res, err := f.Catalog().Resolve(context.Background(), name, 0, catalog.NeedGraph)
+			g := res.Graph
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -515,12 +521,13 @@ func TestReplayProgressReported(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for s := 0; s < 3; s++ {
 		g := webgen.Generate(webgen.Config{Category: webgen.Store, Pages: 20, Versions: 1, Seed: int64(s)}).Versions[0]
-		if err := e.Register(fmt.Sprintf("g%d", s), g); err != nil {
+		if err := e.Register(context.Background(), fmt.Sprintf("g%d", s), g); err != nil {
 			t.Fatal(err)
 		}
 	}
-	g, _ := e.Catalog().Get("g0")
-	if _, err := e.ApplyPatch("g0", randomPatch(rng, g)); err != nil {
+	res, _ := e.Catalog().Resolve(context.Background(), "g0", 0, catalog.NeedGraph)
+	g := res.Graph
+	if _, err := e.ApplyPatch(context.Background(), "g0", randomPatch(rng, g)); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()

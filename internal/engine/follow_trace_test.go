@@ -20,7 +20,7 @@ func TestFollowerReParentsReplicatedTraces(t *testing.T) {
 
 	sp := p.eng.Tracer().StartTrace(trace.DeriveTraceID("rid-repl-9"), "POST /v1/graphs", "rid-repl-9")
 	ctx := trace.ContextWithSpan(context.Background(), sp)
-	if err := p.eng.RegisterCtx(ctx, "traced", randomGraph(40, 3, 7)); err != nil {
+	if err := p.eng.Register(ctx, "traced", randomGraph(40, 3, 7)); err != nil {
 		t.Fatal(err)
 	}
 	id := sp.TraceID().String()

@@ -34,9 +34,12 @@ var coneBuckets = []float64{0, 1, 2, 5, 10, 20, 50, 100, 1000, 10000}
 // Metrics returns the engine's registry.
 func (e *Engine) Metrics() *metrics.Registry { return e.reg }
 
-// initMetrics registers the engine-pool, catalog, and search families.
-// Called once from Open, before workers start.
-func (e *Engine) initMetrics() {
+// initMetrics registers the engine-pool, catalog, and search families
+// and returns the patch observer the catalog is built with. Called once
+// from Open, before the catalog exists and before workers start: the
+// catalog and search collectors read e.cat and e.searchIdx only at
+// scrape time.
+func (e *Engine) initMetrics() catalog.PatchObserver {
 	r := e.reg
 	r.RegisterRuntime()
 
@@ -114,10 +117,7 @@ func (e *Engine) initMetrics() {
 	coneHist := r.Histogram("phomd_catalog_patch_cone_comps",
 		"Closure components rewritten per incremental patch (the delta cone).",
 		coneBuckets)
-	e.cat.SetPatchObserver(catalog.PatchObserver{
-		Latency:  patchHist.Observe,
-		ConeSize: coneHist.Observe,
-	})
+	obs := catalog.PatchObserver{Latency: patchHist.Observe, ConeSize: coneHist.Observe}
 
 	// Search.
 	r.CounterFunc("phomd_search_requests_total",
@@ -133,6 +133,7 @@ func (e *Engine) initMetrics() {
 		"Stage-1 (candidate selection) wall time per search.", nil)
 	e.mSearchStage2 = r.Histogram("phomd_search_stage2_seconds",
 		"Stage-2 (ranked matching fan-out) wall time per search.", nil)
+	return obs
 }
 
 // initStoreMetrics registers the WAL/snapshot families and installs

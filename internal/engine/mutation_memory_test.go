@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"graphmatch/internal/catalog"
 	"graphmatch/internal/graph"
 	"graphmatch/internal/syngen"
 )
@@ -117,7 +118,7 @@ func TestPatchesRetainNoGraphVersion(t *testing.T) {
 			e := New(Options{Workers: 1})
 			defer e.Close()
 			g := bowTieGraph(2000, 7)
-			if err := e.Register("g", g); err != nil {
+			if err := e.Register(context.Background(), "g", g); err != nil {
 				t.Fatal(err)
 			}
 			pattern := syngen.CarvePattern(g, 8, 1)
@@ -132,7 +133,7 @@ func TestPatchesRetainNoGraphVersion(t *testing.T) {
 			collected := make(chan struct{})
 			before := heapAfterGC()
 			for i := 0; i < 2000; i++ {
-				ng, err := e.ApplyPatch("g", mix.next(false))
+				ng, err := e.ApplyPatch(context.Background(), "g", mix.next(false))
 				if err != nil {
 					t.Fatalf("patch %d: %v", i, err)
 				}
@@ -173,7 +174,7 @@ func TestMatchersOnSupersededVersions(t *testing.T) {
 	e := New(Options{Workers: 2})
 	defer e.Close()
 	g := bowTieGraph(300, 3)
-	if err := e.Register("g", g); err != nil {
+	if err := e.Register(context.Background(), "g", g); err != nil {
 		t.Fatal(err)
 	}
 	pattern := syngen.CarvePattern(g, 6, 2)
@@ -223,7 +224,7 @@ func TestMatchersOnSupersededVersions(t *testing.T) {
 			p.AddNodes = []graph.Node{{Label: g.Label(graph.NodeID(i)), Content: "appended"}}
 			p.AddEdges = append(p.AddEdges, [2]graph.NodeID{mix.cores[i%len(mix.cores)], nid})
 		}
-		ng, err := e.ApplyPatch("g", p)
+		ng, err := e.ApplyPatch(context.Background(), "g", p)
 		if err != nil {
 			t.Fatalf("patch %d: %v", i, err)
 		}
@@ -235,7 +236,7 @@ func TestMatchersOnSupersededVersions(t *testing.T) {
 	want := make([]Result, len(versions))
 	for i, v := range versions {
 		fresh := New(Options{Workers: 1})
-		if err := fresh.Register("g", v.Clone()); err != nil {
+		if err := fresh.Register(context.Background(), "g", v.Clone()); err != nil {
 			t.Fatal(err)
 		}
 		want[i] = mustMatch(t, fresh, "g", pattern)
@@ -308,7 +309,7 @@ func TestPatchSoak(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("g%02d", i)
 		g := bowTieGraph(2000, int64(100+i))
-		if err := e.Register(names[i], g); err != nil {
+		if err := e.Register(context.Background(), names[i], g); err != nil {
 			t.Fatal(err)
 		}
 		mixes[i] = newMutateMix(g, int64(i))
@@ -327,11 +328,12 @@ func TestPatchSoak(t *testing.T) {
 		fresh := New(Options{Workers: 1})
 		defer fresh.Close()
 		for i, name := range names {
-			g, err := e.Catalog().Get(name)
+			res, err := e.Catalog().Resolve(context.Background(), name, 0, catalog.NeedGraph)
+			g := res.Graph
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fresh.Register(name, g.Clone()); err != nil {
+			if err := fresh.Register(context.Background(), name, g.Clone()); err != nil {
 				t.Fatal(err)
 			}
 			mustMatch(t, fresh, name, patterns[i])
@@ -349,7 +351,7 @@ func TestPatchSoak(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < n/writers; i++ {
 					gi := w + writers*(i%(graphs/writers))
-					if _, err := e.ApplyPatch(names[gi], mixes[gi].next(true)); err != nil {
+					if _, err := e.ApplyPatch(context.Background(), names[gi], mixes[gi].next(true)); err != nil {
 						t.Errorf("patch on %s: %v", names[gi], err)
 						return
 					}
@@ -392,8 +394,9 @@ func TestPatchSoak(t *testing.T) {
 	fresh := New(Options{Workers: 1})
 	defer fresh.Close()
 	for i, name := range names {
-		g, _ := e.Catalog().Get(name)
-		if err := fresh.Register(name, g.Clone()); err != nil {
+		res, _ := e.Catalog().Resolve(context.Background(), name, 0, catalog.NeedGraph)
+		g := res.Graph
+		if err := fresh.Register(context.Background(), name, g.Clone()); err != nil {
 			t.Fatal(err)
 		}
 		mustMatch(t, fresh, name, patterns[i])
@@ -413,7 +416,7 @@ func BenchmarkPatchMix(b *testing.B) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
 	g := bowTieGraph(2000, 7)
-	if err := e.Register("g", g); err != nil {
+	if err := e.Register(context.Background(), "g", g); err != nil {
 		b.Fatal(err)
 	}
 	if res := e.Match(context.Background(), Request{Pattern: syngen.CarvePattern(g, 8, 1), GraphName: "g", Algo: MaxCard, Xi: 0.9}); res.Err != nil {
@@ -423,7 +426,7 @@ func BenchmarkPatchMix(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.ApplyPatch("g", mix.next(true)); err != nil {
+		if _, err := e.ApplyPatch(context.Background(), "g", mix.next(true)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -54,7 +54,7 @@ func newOverloadEngine(t *testing.T, maxPending int) *Engine {
 	t.Helper()
 	e := New(Options{Workers: 1, QueueDepth: 4, MaxPending: maxPending})
 	t.Cleanup(e.Close)
-	if err := e.Register("path", pathGraph(160)); err != nil {
+	if err := e.Register(context.Background(), "path", pathGraph(160)); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -112,7 +112,7 @@ func TestDefaultPendingBoundIsQueuePlusWorkers(t *testing.T) {
 	const workers, depth = 1, 3
 	e := New(Options{Workers: workers, QueueDepth: depth, MaxPending: -1})
 	t.Cleanup(e.Close)
-	if err := e.Register("path", pathGraph(40)); err != nil {
+	if err := e.Register(context.Background(), "path", pathGraph(40)); err != nil {
 		t.Fatal(err)
 	}
 	gate := make(chan struct{})
@@ -149,7 +149,7 @@ func TestDefaultPendingBoundIsQueuePlusWorkers(t *testing.T) {
 func TestBatchServedUnderDefaultAdmission(t *testing.T) {
 	e := New(Options{Workers: 2, MaxPending: -1})
 	defer e.Close()
-	if err := e.Register("path", pathGraph(40)); err != nil {
+	if err := e.Register(context.Background(), "path", pathGraph(40)); err != nil {
 		t.Fatal(err)
 	}
 	e.beforeExecute = func() { time.Sleep(time.Millisecond) }
@@ -218,7 +218,7 @@ func TestMidFlightCancelFreesWorker(t *testing.T) {
 	e := New(Options{Workers: 1})
 	t.Cleanup(e.Close)
 	// Big enough that the uncancelled decide takes ~seconds.
-	if err := e.Register("path", pathGraph(2500)); err != nil {
+	if err := e.Register(context.Background(), "path", pathGraph(2500)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
@@ -253,7 +253,7 @@ func TestMidFlightCancelFreesWorker(t *testing.T) {
 func TestQueuedCancelSkipsWork(t *testing.T) {
 	e := New(Options{Workers: 1, QueueDepth: 4})
 	t.Cleanup(e.Close)
-	if err := e.Register("path", pathGraph(40)); err != nil {
+	if err := e.Register(context.Background(), "path", pathGraph(40)); err != nil {
 		t.Fatal(err)
 	}
 	// Hold the only worker so the cancelled task stays queued behind a
@@ -300,7 +300,7 @@ func TestQueuedCancelSkipsWork(t *testing.T) {
 func TestCancelledResultNotInherited(t *testing.T) {
 	e := New(Options{Workers: 1})
 	t.Cleanup(e.Close)
-	if err := e.Register("path", pathGraph(220)); err != nil {
+	if err := e.Register(context.Background(), "path", pathGraph(220)); err != nil {
 		t.Fatal(err)
 	}
 	req := slowReq()

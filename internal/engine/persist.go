@@ -99,7 +99,7 @@ func (e *Engine) openStore(path string, progress func(done, total int)) error {
 	total = done + len(names)
 	report()
 	for _, name := range names {
-		if err := e.cat.Register(name, state[name]); err != nil {
+		if err := e.cat.RegisterCtx(context.Background(), name, state[name]); err != nil {
 			st.Close()
 			return fmt.Errorf("engine: replaying %s: %w", path, err)
 		}
@@ -118,16 +118,10 @@ func (e *Engine) openStore(path string, progress func(done, total int)) error {
 // searchable, every closure and index derived from the old version is
 // invalidated, and — when the engine has a store — the patch is logged
 // and fsynced before it is acknowledged. See graph.Patch for the edit
-// semantics.
-func (e *Engine) ApplyPatch(name string, p *graph.Patch) (*graph.Graph, error) {
-	return e.ApplyPatchCtx(context.Background(), name, p)
-}
-
-// ApplyPatchCtx is ApplyPatch with a request context for trace
-// attribution: the catalog commit and WAL append are recorded as
-// spans under the request's trace, and the logged op carries the
-// request's traceparent so followers can re-parent their apply.
-func (e *Engine) ApplyPatchCtx(ctx context.Context, name string, p *graph.Patch) (*graph.Graph, error) {
+// semantics. ctx carries the request's trace: the catalog commit and
+// WAL append are recorded as spans under it, and the logged op carries
+// its traceparent so followers can re-parent their apply.
+func (e *Engine) ApplyPatch(ctx context.Context, name string, p *graph.Patch) (*graph.Graph, error) {
 	if e.follower != nil {
 		return nil, fmt.Errorf("%w: patch %q on %s", ErrReadOnly, name, e.primaryURL)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"graphmatch/internal/catalog"
 	"graphmatch/internal/graph"
 	"graphmatch/internal/webgen"
 )
@@ -159,9 +160,9 @@ func TestReplayEquivalenceQuickCheck(t *testing.T) {
 					g2 := g.Clone()
 					apply(func(e *Engine) error {
 						if e == reference {
-							return e.Register(name, g2)
+							return e.Register(context.Background(), name, g2)
 						}
-						return e.Register(name, g)
+						return e.Register(context.Background(), name, g)
 					})
 				}
 				patterns = append(patterns, webgen.TopKSkeleton(arch.Versions[0], 8))
@@ -171,17 +172,18 @@ func TestReplayEquivalenceQuickCheck(t *testing.T) {
 				switch r := rng.Float64(); {
 				case r < 0.55: // patch a random survivor
 					name := names[rng.Intn(len(names))]
-					g, err := durable.Catalog().Get(name)
+					res, err := durable.Catalog().Resolve(context.Background(), name, 0, catalog.NeedGraph)
+					g := res.Graph
 					if err != nil {
 						continue
 					}
 					p := randomPatch(rng, g)
-					apply(func(e *Engine) error { _, err := e.ApplyPatch(name, p); return err })
+					apply(func(e *Engine) error { _, err := e.ApplyPatch(context.Background(), name, p); return err })
 				case r < 0.7 && len(names) > 2: // remove one
 					j := rng.Intn(len(names))
 					name := names[j]
 					names = append(names[:j], names[j+1:]...)
-					apply(func(e *Engine) error { return e.Remove(name) })
+					apply(func(e *Engine) error { return e.Remove(context.Background(), name) })
 				default: // register a fresh small graph
 					name := fmt.Sprintf("extra%d", i)
 					g := webgen.Generate(webgen.Config{
@@ -194,9 +196,9 @@ func TestReplayEquivalenceQuickCheck(t *testing.T) {
 					names = append(names, name)
 					apply(func(e *Engine) error {
 						if e == reference {
-							return e.Register(name, g2)
+							return e.Register(context.Background(), name, g2)
 						}
-						return e.Register(name, g)
+						return e.Register(context.Background(), name, g)
 					})
 				}
 				if trial%2 == 0 && i == 5 {
@@ -237,10 +239,10 @@ func TestPersistMutationBurstCrash(t *testing.T) {
 	const graphs = 4
 	for s := 0; s < graphs; s++ {
 		g := webgen.Generate(webgen.Config{Category: webgen.Store, Pages: 40, Versions: 1, Seed: int64(s)}).Versions[0]
-		if err := durable.Register(fmt.Sprintf("g%d", s), g.Clone()); err != nil {
+		if err := durable.Register(context.Background(), fmt.Sprintf("g%d", s), g.Clone()); err != nil {
 			t.Fatal(err)
 		}
-		if err := reference.Register(fmt.Sprintf("g%d", s), g); err != nil {
+		if err := reference.Register(context.Background(), fmt.Sprintf("g%d", s), g); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -256,13 +258,14 @@ func TestPersistMutationBurstCrash(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(7 + s)))
 			name := fmt.Sprintf("g%d", s)
 			for i := 0; i < 8; i++ {
-				g, err := durable.Catalog().Get(name)
+				res, err := durable.Catalog().Resolve(context.Background(), name, 0, catalog.NeedGraph)
+				g := res.Graph
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				p := randomPatch(rng, g)
-				if _, err := durable.ApplyPatch(name, p); err != nil {
+				if _, err := durable.ApplyPatch(context.Background(), name, p); err != nil {
 					t.Error(err)
 					return
 				}
@@ -277,7 +280,7 @@ func TestPersistMutationBurstCrash(t *testing.T) {
 	for s, ps := range patches {
 		name := fmt.Sprintf("g%d", s)
 		for _, p := range ps {
-			if _, err := reference.ApplyPatch(name, p); err != nil {
+			if _, err := reference.ApplyPatch(context.Background(), name, p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -291,7 +294,8 @@ func TestPersistMutationBurstCrash(t *testing.T) {
 	}
 	defer reopened.Close()
 	pattern := webgen.TopKSkeleton(func() *graph.Graph {
-		g, err := reference.Catalog().Get("g0")
+		res, err := reference.Catalog().Resolve(context.Background(), "g0", 0, catalog.NeedGraph)
+		g := res.Graph
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +314,7 @@ func TestPersistSnapshotEvery(t *testing.T) {
 	}
 	for i := 0; i < 12; i++ {
 		g := graph.FromEdgeList([]string{"A", "B"}, [][2]int{{0, 1}})
-		if err := e.Register(fmt.Sprintf("g%02d", i), g); err != nil {
+		if err := e.Register(context.Background(), fmt.Sprintf("g%02d", i), g); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -346,10 +350,10 @@ func TestPersistApplyPatchSearchCoherence(t *testing.T) {
 		}
 		return g
 	}
-	if err := e.Register("target", mk("completely unrelated filler text about nothing")); err != nil {
+	if err := e.Register(context.Background(), "target", mk("completely unrelated filler text about nothing")); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Register("decoy", mk("some other filler that stays put")); err != nil {
+	if err := e.Register(context.Background(), "decoy", mk("some other filler that stays put")); err != nil {
 		t.Fatal(err)
 	}
 	pattern := mk("the quick brown fox jumps over the lazy dog")
@@ -367,7 +371,7 @@ func TestPersistApplyPatchSearchCoherence(t *testing.T) {
 	for v := 0; v < 3; v++ {
 		p.SetContent = append(p.SetContent, graph.ContentUpdate{Node: graph.NodeID(v), Content: "the quick brown fox jumps over the lazy dog"})
 	}
-	if _, err := e.ApplyPatch("target", p); err != nil {
+	if _, err := e.ApplyPatch(context.Background(), "target", p); err != nil {
 		t.Fatal(err)
 	}
 	res = e.Search(context.Background(), SearchRequest{Pattern: pattern, Algo: MaxSim, Xi: 0.7, Sim: SimContent, K: 1, MinResemblance: 0.5})

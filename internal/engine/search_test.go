@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"graphmatch/internal/catalog"
 	"graphmatch/internal/graph"
 	"graphmatch/internal/webgen"
 )
@@ -24,7 +25,7 @@ func registerArchive(t *testing.T, e *Engine, prefix string, cat webgen.Category
 	t.Helper()
 	arch := webgen.Generate(webgen.Config{Category: cat, Pages: pages, Versions: versions, Seed: seed})
 	for v, g := range arch.Versions {
-		if err := e.Register(fmt.Sprintf("%s/v%d", prefix, v), g); err != nil {
+		if err := e.Register(context.Background(), fmt.Sprintf("%s/v%d", prefix, v), g); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,16 +156,16 @@ func TestSearchConcurrentChurn(t *testing.T) {
 	stable := registerArchive(t, e, "stable", webgen.Organization, 7, 80, 2, 6)
 	// A graph removed before any search starts must never appear.
 	gone := webgen.Generate(webgen.Config{Category: webgen.Store, Pages: 60, Versions: 1, Seed: 99}).Versions[0]
-	if err := e.Register("gone", gone); err != nil {
+	if err := e.Register(context.Background(), "gone", gone); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Remove("gone"); err != nil {
+	if err := e.Remove(context.Background(), "gone"); err != nil {
 		t.Fatal(err)
 	}
 
 	churnArch := webgen.Generate(webgen.Config{Category: webgen.Newspaper, Pages: 60, Versions: 1, Seed: 5}).Versions[0]
 	patched := webgen.Generate(webgen.Config{Category: webgen.Store, Pages: 60, Versions: 1, Seed: 11}).Versions[0]
-	if err := e.Register("patched", patched); err != nil {
+	if err := e.Register(context.Background(), "patched", patched); err != nil {
 		t.Fatal(err)
 	}
 	const churners = 3
@@ -182,12 +183,13 @@ func TestSearchConcurrentChurn(t *testing.T) {
 				return
 			default:
 			}
-			g, err := e.Catalog().Get("patched")
+			res, err := e.Catalog().Resolve(context.Background(), "patched", 0, catalog.NeedGraph)
+			g := res.Graph
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if _, err := e.ApplyPatch("patched", randomSearchPatch(rng, g, i%2)); err != nil {
+			if _, err := e.ApplyPatch(context.Background(), "patched", randomSearchPatch(rng, g, i%2)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -204,8 +206,8 @@ func TestSearchConcurrentChurn(t *testing.T) {
 					return
 				default:
 				}
-				_ = e.Register(name, churnArch)
-				_ = e.Remove(name)
+				_ = e.Register(context.Background(), name, churnArch)
+				_ = e.Remove(context.Background(), name)
 			}
 		}(c)
 	}
@@ -291,11 +293,12 @@ func TestSearchAfterPatchesEqualsFreshEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for step := 0; step < 60; step++ {
 		name := names[rng.Intn(len(names))]
-		g, err := e.Catalog().Get(name)
+		res, err := e.Catalog().Resolve(context.Background(), name, 0, catalog.NeedGraph)
+		g := res.Graph
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.ApplyPatchCtx(ctx, name, randomSearchPatch(rng, g, rng.Intn(3))); err != nil {
+		if _, err := e.ApplyPatch(ctx, name, randomSearchPatch(rng, g, rng.Intn(3))); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		if step%5 == 0 {
@@ -306,11 +309,12 @@ func TestSearchAfterPatchesEqualsFreshEngine(t *testing.T) {
 	fresh := New(Options{Workers: 2})
 	defer fresh.Close()
 	for _, name := range names {
-		g, err := e.Catalog().Get(name)
+		res, err := e.Catalog().Resolve(context.Background(), name, 0, catalog.NeedGraph)
+		g := res.Graph
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fresh.Register(name, g); err != nil {
+		if err := fresh.Register(context.Background(), name, g); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,10 +373,10 @@ func TestSearchRanksByAlgorithmMetric(t *testing.T) {
 	// labels, so its quality is strictly lower under either metric.
 	full := graph.FromEdgeList([]string{"a", "b", "c", "d"}, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 	half := graph.FromEdgeList([]string{"a", "b", "x", "y"}, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-	if err := e.Register("full", full); err != nil {
+	if err := e.Register(context.Background(), "full", full); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Register("half", half); err != nil {
+	if err := e.Register(context.Background(), "half", half); err != nil {
 		t.Fatal(err)
 	}
 	pattern := graph.FromEdgeList([]string{"a", "b", "c", "d"}, [][2]int{{0, 1}, {1, 2}, {2, 3}})
@@ -400,7 +404,7 @@ func TestSearchBruteIgnoresEngineDefaults(t *testing.T) {
 	defer e.Close()
 	for i := 0; i < 4; i++ {
 		g := graph.FromEdgeList([]string{fmt.Sprintf("u%d", i), fmt.Sprintf("w%d", i)}, [][2]int{{0, 1}})
-		if err := e.Register(fmt.Sprintf("g%d", i), g); err != nil {
+		if err := e.Register(context.Background(), fmt.Sprintf("g%d", i), g); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -457,7 +461,7 @@ func TestSearchServedUnderDefaultAdmission(t *testing.T) {
 	n := 3 * bound
 	for i := 0; i < n; i++ {
 		g := graph.FromEdgeList([]string{"home", "news", fmt.Sprintf("page%d", i)}, [][2]int{{0, 1}, {1, 2}})
-		if err := e.Register(fmt.Sprintf("g%02d", i), g); err != nil {
+		if err := e.Register(context.Background(), fmt.Sprintf("g%02d", i), g); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -541,7 +545,7 @@ func TestSearchWindowsStayWithinAdmission(t *testing.T) {
 	bound := int64(e.Stats().MaxPending)
 	for i := 0; i < 12; i++ {
 		g := graph.FromEdgeList([]string{"home", "news", fmt.Sprintf("page%d", i)}, [][2]int{{0, 1}, {1, 2}})
-		if err := e.Register(fmt.Sprintf("g%02d", i), g); err != nil {
+		if err := e.Register(context.Background(), fmt.Sprintf("g%02d", i), g); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -648,7 +652,7 @@ func TestSearchIndexBytesReported(t *testing.T) {
 		t.Fatalf("after a search: %d bytes", got)
 	}
 	for v := range 2 {
-		if err := e.Remove(fmt.Sprintf("site/v%d", v)); err != nil {
+		if err := e.Remove(context.Background(), fmt.Sprintf("site/v%d", v)); err != nil {
 			t.Fatal(err)
 		}
 	}

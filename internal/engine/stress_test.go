@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"graphmatch/internal/catalog"
 )
 
 // TestConcurrentStress is the -race acceptance test: many goroutines
@@ -18,7 +20,7 @@ func TestConcurrentStress(t *testing.T) {
 
 	graphs := map[string]int64{"alpha": 21, "beta": 22, "gamma": 23}
 	for name, seed := range graphs {
-		if err := e.Register(name, randomGraph(50, 3, seed)); err != nil {
+		if err := e.Register(context.Background(), name, randomGraph(50, 3, seed)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -31,7 +33,8 @@ func TestConcurrentStress(t *testing.T) {
 	algos := []Algorithm{MaxCard, MaxCard11, MaxSim, MaxSim11}
 	i := 0
 	for name := range graphs {
-		data, err := e.Catalog().Get(name)
+		res, err := e.Catalog().Resolve(context.Background(), name, 0, catalog.NeedGraph)
+		data := res.Graph
 		if err != nil {
 			t.Fatal(err)
 		}

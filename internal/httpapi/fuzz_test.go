@@ -2,12 +2,14 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 
+	"graphmatch/internal/catalog"
 	"graphmatch/internal/engine"
 	"graphmatch/internal/graph"
 )
@@ -61,7 +63,7 @@ func FuzzRegisterGraph(f *testing.F) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
 				t.Fatalf("undecodable 201 body %q: %v", rec.Body.Bytes(), err)
 			}
-			if err := fuzzEng.Remove(ack.Name); err != nil {
+			if err := fuzzEng.Remove(context.Background(), ack.Name); err != nil {
 				t.Fatalf("removing registered graph %q: %v", ack.Name, err)
 			}
 		case http.StatusBadRequest, http.StatusConflict:
@@ -102,7 +104,7 @@ func patchHandler(t *testing.T) http.Handler {
 		patchMux = New(patchEng)
 	})
 	if patchEng.Catalog().Len() == 0 {
-		if err := patchEng.Register("t", patchBase()); err != nil {
+		if err := patchEng.Register(context.Background(), "t", patchBase()); err != nil {
 			t.Fatalf("registering fuzz target: %v", err)
 		}
 	}
@@ -141,7 +143,8 @@ func FuzzApplyPatch(f *testing.F) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
 				t.Fatalf("undecodable 200 body %q: %v", rec.Body.Bytes(), err)
 			}
-			g, err := patchEng.Catalog().Get("t")
+			res, err := patchEng.Catalog().Resolve(context.Background(), "t", 0, catalog.NeedGraph)
+			g := res.Graph
 			if err != nil {
 				t.Fatalf("patched graph vanished: %v", err)
 			}
@@ -152,7 +155,7 @@ func FuzzApplyPatch(f *testing.F) {
 			// Reset to the pristine base so a long run stays O(1) in
 			// memory (add_nodes would otherwise grow the target without
 			// bound) — which also drags Remove through the corpus.
-			if err := patchEng.Remove("t"); err != nil {
+			if err := patchEng.Remove(context.Background(), "t"); err != nil {
 				t.Fatalf("resetting fuzz target: %v", err)
 			}
 		case http.StatusBadRequest:

@@ -270,7 +270,7 @@ func (s *server) registerGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("missing graph"))
 		return
 	}
-	if err := s.eng.RegisterCtx(r.Context(), req.Name, req.Graph); err != nil {
+	if err := s.eng.Register(r.Context(), req.Name, req.Graph); err != nil {
 		s.writeMutationError(w, r, err)
 		return
 	}
@@ -287,18 +287,15 @@ func (s *server) listGraphs(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) describeGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	info, err := s.eng.Catalog().Describe(name)
+	// Describe hands back the graph it described, so the degrees below
+	// come from the same version as nodes and edges.
+	info, g, err := s.eng.Catalog().Describe(name)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	out := GraphDetailResponse{GraphInfo: info}
-	if g, err := s.eng.Catalog().Get(name); err == nil {
-		st := graph.ComputeStats(g)
-		out.AvgDeg = st.AvgDeg
-		out.MaxDeg = st.MaxDeg
-	}
-	WriteJSON(w, http.StatusOK, out)
+	st := graph.ComputeStats(g)
+	WriteJSON(w, http.StatusOK, GraphDetailResponse{GraphInfo: info, AvgDeg: st.AvgDeg, MaxDeg: st.MaxDeg})
 }
 
 func (s *server) patchGraph(w http.ResponseWriter, r *http.Request) {
@@ -308,8 +305,8 @@ func (s *server) patchGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Validation — empty patch, bad node IDs, absent edges — lives in
-	// catalog.Apply and surfaces as ErrBadPatch (400 via statusFor).
-	g, err := s.eng.ApplyPatchCtx(r.Context(), name, req.toPatch())
+	// catalog.ApplyCtx and surfaces as ErrBadPatch (400 via statusFor).
+	g, err := s.eng.ApplyPatch(r.Context(), name, req.toPatch())
 	if err != nil {
 		// catalog.ErrBadPatch → 400, ErrNotFound → 404, follower → 421
 		// via statusFor; anything else (store I/O) is a genuine 500.
@@ -334,7 +331,7 @@ func (s *server) removeGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("missing graph name"))
 		return
 	}
-	if err := s.eng.RemoveCtx(r.Context(), name); err != nil {
+	if err := s.eng.Remove(r.Context(), name); err != nil {
 		s.writeMutationError(w, r, err)
 		return
 	}

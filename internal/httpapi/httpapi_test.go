@@ -462,6 +462,62 @@ func TestGraphDetail(t *testing.T) {
 	}
 }
 
+// TestGraphDetailOneVersion checks that GET /v1/graphs/{name} reports
+// one graph version while a patcher adds and deletes an edge: the
+// degree stats must agree with the node and edge counts beside them
+// (every edge adds two to the degree sum).
+func TestGraphDetailOneVersion(t *testing.T) {
+	e := engine.New(engine.Options{Workers: 1})
+	t.Cleanup(e.Close)
+	_, data := storeGraphs()
+	ctx := context.Background()
+	if err := e.Register(ctx, "g", data); err != nil {
+		t.Fatal(err)
+	}
+	h := New(e)
+	done := make(chan struct{})
+	patched := make(chan error, 1)
+	go func() {
+		edge := [][2]graph.NodeID{{2, 6}}
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				patched <- nil
+				return
+			default:
+			}
+			p := &graph.Patch{AddEdges: edge}
+			if i%2 == 1 {
+				p = &graph.Patch{DelEdges: edge}
+			}
+			if _, err := e.ApplyPatch(ctx, "g", p); err != nil {
+				patched <- err
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(done)
+		if err := <-patched; err != nil {
+			t.Error(err)
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/graphs/g", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+		var d GraphDetailResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &d); err != nil {
+			t.Fatal(err)
+		}
+		if diff := d.AvgDeg*float64(d.Nodes) - 2*float64(d.Edges); diff > 1e-9 || diff < -1e-9 {
+			t.Fatalf("GET %d mixes two versions: avg_deg %v over %d nodes, but %d edges", i, d.AvgDeg, d.Nodes, d.Edges)
+		}
+	}
+}
+
 // TestSearchEndpoint drives POST /v1/search over a small catalog: the
 // self-graph ranks first, ranks are 1-based and deterministic, and the
 // stats report the catalog size.

@@ -2,6 +2,7 @@ package search
 
 import (
 	"cmp"
+	"context"
 	"slices"
 	"strings"
 	"sync"
@@ -304,13 +305,13 @@ func (ix *Index) Candidates(pattern Summary, pol Policy) ([]Candidate, Stats) {
 	// 2's content matrices read too, so each version is shingled once.
 	fresh := make([]rec, 0, len(stale))
 	for _, name := range stale {
-		g, content, err := ix.cat.ContentSets(name)
+		r, err := ix.cat.Resolve(context.TODO(), name, 0, catalog.NeedGraph)
 		if err != nil {
 			delete(reg, name) // removed since the registry read
 			continue
 		}
-		reg[name] = g
-		fresh = append(fresh, rec{name: name, g: g, sum: SummaryOf(g, content.Shingles())})
+		reg[name] = r.Graph
+		fresh = append(fresh, rec{name: name, g: r.Graph, sum: SummaryOf(r.Graph, r.Content().Shingles())})
 	}
 
 	own := ownersOf(pattern)

@@ -2,6 +2,7 @@ package search
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -109,7 +110,7 @@ func newIndexOver(t *testing.T, graphs map[string]*graph.Graph) (*catalog.Catalo
 	t.Helper()
 	cat := catalog.New(0)
 	for name, g := range graphs {
-		if err := cat.Register(name, g); err != nil {
+		if err := cat.RegisterCtx(context.Background(), name, g); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,7 +194,7 @@ func TestIndexCoherence(t *testing.T) {
 	if len(cands) != 1 || cands[0].Name != "b" {
 		t.Fatalf("before remove: %v", cands)
 	}
-	if err := cat.Remove("b"); err != nil {
+	if err := cat.RemoveCtx(context.Background(), "b"); err != nil {
 		t.Fatal(err)
 	}
 	cands, stats := ix.Candidates(q, Policy{MinResemblance: 0.5})
@@ -205,7 +206,7 @@ func TestIndexCoherence(t *testing.T) {
 	}
 	// Re-register the name with different content: the index must serve
 	// the new graph, not the stale postings.
-	if err := cat.Register("b", contentGraph("completely new content for the reused name")); err != nil {
+	if err := cat.RegisterCtx(context.Background(), "b", contentGraph("completely new content for the reused name")); err != nil {
 		t.Fatal(err)
 	}
 	cands, _ = ix.Candidates(q, Policy{MinResemblance: 0.5})
@@ -223,7 +224,7 @@ func TestIndexCoherence(t *testing.T) {
 // after graphs were registered still sees them.
 func TestIndexAttachesToPopulatedCatalog(t *testing.T) {
 	cat := catalog.New(0)
-	if err := cat.Register("pre", contentGraph("registered before the index existed")); err != nil {
+	if err := cat.RegisterCtx(context.Background(), "pre", contentGraph("registered before the index existed")); err != nil {
 		t.Fatal(err)
 	}
 	ix := NewIndex(cat)
@@ -273,7 +274,7 @@ func TestIndexesShareCatalog(t *testing.T) {
 		t.Helper()
 		fresh := catalog.New(0)
 		for name, g := range cat.Export(nil) {
-			if err := fresh.Register(name, g); err != nil {
+			if err := fresh.RegisterCtx(context.Background(), name, g); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -288,15 +289,15 @@ func TestIndexesShareCatalog(t *testing.T) {
 			}
 		}
 	}
-	if err := cat.Register("c", contentGraph("graph c text registered after both indexes")); err != nil {
+	if err := cat.RegisterCtx(context.Background(), "c", contentGraph("graph c text registered after both indexes")); err != nil {
 		t.Fatal(err)
 	}
 	check("register", "a", "b", "c")
-	if err := cat.Remove("b"); err != nil {
+	if err := cat.RemoveCtx(context.Background(), "b"); err != nil {
 		t.Fatal(err)
 	}
 	check("remove", "a", "c")
-	if _, err := cat.Apply("a", &graph.Patch{SetContent: []graph.ContentUpdate{{Node: 0, Content: "graph b text that is removed half way through"}}}); err != nil {
+	if _, err := cat.ApplyCtx(context.Background(), "a", &graph.Patch{SetContent: []graph.ContentUpdate{{Node: 0, Content: "graph b text that is removed half way through"}}}); err != nil {
 		t.Fatal(err)
 	}
 	check("apply", "a", "c")
@@ -360,9 +361,9 @@ func TestIndexConcurrentChurn(t *testing.T) {
 				default:
 				}
 				g := contentGraph(fmt.Sprintf("churning content %d %d %s", c, i, "filler words to shingle"))
-				_ = cat.Register(name, g)
+				_ = cat.RegisterCtx(context.Background(), name, g)
 				if rng.Intn(4) > 0 { // leave the name registered now and then
-					_ = cat.Remove(name)
+					_ = cat.RemoveCtx(context.Background(), name)
 				}
 			}
 		}(c)
@@ -390,7 +391,7 @@ func TestIndexConcurrentChurn(t *testing.T) {
 	wg.Wait()
 	// Drain the churned names; only the stable graph must remain.
 	for c := 0; c < churners; c++ {
-		_ = cat.Remove(fmt.Sprintf("churn-%d", c))
+		_ = cat.RemoveCtx(context.Background(), fmt.Sprintf("churn-%d", c))
 	}
 	cands, stats := ix.Candidates(q, Policy{})
 	if stats.Graphs != 1 || len(cands) != 1 || cands[0].Name != "stable" {
@@ -475,7 +476,7 @@ func TestIndexPatchEquivalence(t *testing.T) {
 		cat := catalog.New(0)
 		ix := NewIndex(cat)
 		for _, name := range names {
-			if err := cat.Register(name, contentGraph(text(), text(), text())); err != nil {
+			if err := cat.RegisterCtx(context.Background(), name, contentGraph(text(), text(), text())); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -545,7 +546,7 @@ func TestIndexPatchEquivalence(t *testing.T) {
 
 			fresh := catalog.New(0)
 			for n, g := range reg {
-				if err := fresh.Register(n, g); err != nil {
+				if err := fresh.RegisterCtx(context.Background(), n, g); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -562,18 +563,19 @@ func TestIndexPatchEquivalence(t *testing.T) {
 		for step := 1; step <= 8; step++ {
 			for range 1 + rng.Intn(3) {
 				name := names[rng.Intn(len(names))]
-				g, err := cat.Get(name)
+				res, err := cat.Resolve(context.Background(), name, 0, catalog.NeedGraph)
+				g := res.Graph
 				switch {
 				case err != nil: // removed: register the name again
-					if err := cat.Register(name, contentGraph(text(), text())); err != nil {
+					if err := cat.RegisterCtx(context.Background(), name, contentGraph(text(), text())); err != nil {
 						t.Fatal(err)
 					}
 				case rng.Intn(4) == 0:
-					if err := cat.Remove(name); err != nil {
+					if err := cat.RemoveCtx(context.Background(), name); err != nil {
 						t.Fatal(err)
 					}
 				default:
-					if _, err := cat.Apply(name, randomSearchPatch(rng, g, words)); err != nil {
+					if _, err := cat.ApplyCtx(context.Background(), name, randomSearchPatch(rng, g, words)); err != nil {
 						t.Fatalf("trial %d step %d: %v", trial, step, err)
 					}
 				}
@@ -641,7 +643,7 @@ func naiveCandidate(name string, q, sum Summary) Candidate {
 func TestIndexEdgeOnlyPatchSharesHashes(t *testing.T) {
 	cat := catalog.New(0)
 	ix := NewIndex(cat)
-	if err := cat.Register("g", contentGraph("some shared words", "more shared words", "yet more text")); err != nil {
+	if err := cat.RegisterCtx(context.Background(), "g", contentGraph("some shared words", "more shared words", "yet more text")); err != nil {
 		t.Fatal(err)
 	}
 	q := Summarize(contentGraph("some shared words", "more shared words"))
@@ -650,7 +652,7 @@ func TestIndexEdgeOnlyPatchSharesHashes(t *testing.T) {
 		t.Fatalf("first search: candidates %v, stats %+v", before, stats)
 	}
 
-	if _, err := cat.Apply("g", &graph.Patch{AddEdges: [][2]graph.NodeID{{0, 2}}}); err != nil {
+	if _, err := cat.ApplyCtx(context.Background(), "g", &graph.Patch{AddEdges: [][2]graph.NodeID{{0, 2}}}); err != nil {
 		t.Fatal(err)
 	}
 	after, stats := ix.Candidates(q, Policy{})
@@ -664,7 +666,7 @@ func TestIndexEdgeOnlyPatchSharesHashes(t *testing.T) {
 		t.Fatalf("edge patch: before %+v, after %+v; want the overlap kept and the structure moved", before[0], after[0])
 	}
 
-	if _, err := cat.Apply("g", &graph.Patch{SetContent: []graph.ContentUpdate{{Node: 2, Content: "rewritten text"}}}); err != nil {
+	if _, err := cat.ApplyCtx(context.Background(), "g", &graph.Patch{SetContent: []graph.ContentUpdate{{Node: 2, Content: "rewritten text"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, stats := ix.Candidates(q, Policy{}); stats.Installed != 1 {
@@ -689,7 +691,7 @@ func TestIndexBytes(t *testing.T) {
 		t.Fatalf("two graphs (%d + %d shingles): %d bytes, want %d", na, nb, got, want)
 	}
 	for _, name := range []string{"a", "b"} {
-		if err := cat.Remove(name); err != nil {
+		if err := cat.RemoveCtx(context.Background(), name); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -764,7 +766,7 @@ func TestIndexLongPatchRuns(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
 			cat := catalog.New(0)
 			ix := NewIndex(cat)
-			if err := cat.Register("g", contentGraph("alpha beta gamma", "delta epsilon zeta", "eta theta alpha")); err != nil {
+			if err := cat.RegisterCtx(context.Background(), "g", contentGraph("alpha beta gamma", "delta epsilon zeta", "eta theta alpha")); err != nil {
 				t.Fatal(err)
 			}
 			query := Summarize(contentGraph("alpha beta"))
@@ -772,11 +774,12 @@ func TestIndexLongPatchRuns(t *testing.T) {
 				ix.Candidates(query, Policy{})
 			}
 			for step := 1; step <= 320; step++ {
-				g, err := cat.Get("g")
+				res, err := cat.Resolve(context.Background(), "g", 0, catalog.NeedGraph)
+				g := res.Graph
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := cat.Apply("g", randomSearchPatch(rng, g, words)); err != nil {
+				if _, err := cat.ApplyCtx(context.Background(), "g", randomSearchPatch(rng, g, words)); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 				if tc.searchEvery > 0 && step%tc.searchEvery == 0 {
@@ -784,7 +787,8 @@ func TestIndexLongPatchRuns(t *testing.T) {
 				}
 			}
 			ix.Candidates(query, Policy{}) // rebuild the stale summary
-			g, err := cat.Get("g")
+			res, err := cat.Resolve(context.Background(), "g", 0, catalog.NeedGraph)
+			g := res.Graph
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -811,7 +815,7 @@ func TestCandidatesCountHeldShingles(t *testing.T) {
 		for j := range nodes {
 			nodes[j] = texts[rng.Intn(len(texts))] + fmt.Sprintf(" w%d", rng.Intn(6))
 		}
-		if err := cat.Register(fmt.Sprintf("g%02d", i), contentGraph(nodes...)); err != nil {
+		if err := cat.RegisterCtx(context.Background(), fmt.Sprintf("g%02d", i), contentGraph(nodes...)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -871,7 +875,7 @@ func webSearchCatalog(tb testing.TB) (*catalog.Catalog, *graph.Graph, *simmatrix
 	for s := 0; s < 10; s++ {
 		arch := webgen.Generate(webgen.Config{Category: webgen.Category(s%3 + 1), Pages: 60, Versions: 11, Seed: int64(s)})
 		for v, g := range arch.Versions {
-			if err := cat.Register(fmt.Sprintf("site%02d.v%02d", s, v), g); err != nil {
+			if err := cat.RegisterCtx(context.Background(), fmt.Sprintf("site%02d.v%02d", s, v), g); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -942,7 +946,7 @@ func BenchmarkCandidatesAfterPatch(b *testing.B) {
 	for i := range b.N { // b.Loop does not end when its body stops the timer
 		b.StopTimer()
 		patch := &graph.Patch{SetContent: []graph.ContentUpdate{{Node: 0, Content: fmt.Sprintf("patched home page text %d with a few more words", i)}}}
-		if _, err := cat.Apply(name, patch); err != nil {
+		if _, err := cat.ApplyCtx(context.Background(), name, patch); err != nil {
 			b.Fatal(err)
 		}
 		if _, _, err := cat.ContentSets(name); err != nil {
