@@ -39,7 +39,8 @@ func main() {
 	defer eng.Close()
 
 	// Three sites, each archived over several versions — 18 registered
-	// graphs in all. Real catalogs hold hundreds; see cmd/benchsearch.
+	// graphs in all. Real catalogs hold hundreds; the engine's
+	// TestSearchPrunesWebFleet searches 110.
 	ctx := context.Background()
 	sites := []webgen.Category{webgen.Store, webgen.Organization, webgen.Newspaper}
 	patterns := make([]*graphmatch.Graph, len(sites))

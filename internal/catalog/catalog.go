@@ -76,17 +76,6 @@ func WithMaxBytes(n int64) Option {
 	return func(c *Catalog) { c.maxBytes = n }
 }
 
-// WithDeltaBudget tunes incremental closure maintenance on ApplyCtx: the
-// cached closure is patched in place while the update's work estimate
-// stays under the budget, and rebuilt from scratch beyond it. Zero (the
-// default) derives the budget from the graph size — roughly half the
-// estimated rebuild cost; negative disables incremental maintenance
-// entirely, forcing the invalidate+rebuild path (the rebuild baseline
-// cmd/benchpatch measures against).
-func WithDeltaBudget(n int) Option {
-	return func(c *Catalog) { c.deltaBudget = n }
-}
-
 // Stats is a point-in-time snapshot of catalog effectiveness.
 type Stats struct {
 	// Graphs is the number of registered data graphs.
@@ -256,6 +245,10 @@ type Catalog struct {
 	persist  Persister
 	patchObs PatchObserver
 
+	// deltaBudget caps the work estimate of an incremental closure
+	// update on ApplyCtx; past it the closure is rebuilt. Zero derives
+	// the cap from the graph size (about half a rebuild); tests set it
+	// negative to force the rebuild path.
 	deltaBudget int
 
 	hits, misses, evictions uint64

@@ -683,7 +683,7 @@ func applyRandomPatch(t *testing.T, rng *rand.Rand, name string, cats ...*Catalo
 // TestApplyIncrementalEquivalence is the closure-maintenance
 // quickcheck: a catalog patching its cached closures incrementally must
 // expose exactly the same reachability and index answers as one that
-// rebuilds from scratch (WithDeltaBudget(-1)), across arbitrary patch
+// rebuilds from scratch (deltaBudget = -1), across arbitrary patch
 // sequences. After every patch, on both catalogs, the resolved index
 // is a CompIndex over the very closure the resolve returned: the index
 // follows its closure by construction, with nothing of its own to patch.
@@ -720,7 +720,8 @@ func TestApplyIncrementalEquivalence(t *testing.T) {
 			g.Finish()
 
 			inc := New(0)
-			reb := New(0, WithDeltaBudget(-1))
+			reb := New(0)
+			reb.deltaBudget = -1
 			for _, c := range []*Catalog{inc, reb} {
 				if err := c.RegisterCtx(context.Background(), "g", g); err != nil {
 					t.Fatal(err)

@@ -173,12 +173,6 @@ func (in *Instance) SetIndex(ix closure.Index) {
 	in.mu.Unlock()
 }
 
-// BenchSetup runs the per-request matcher construction path once and
-// discards the result. It exists so external benchmark drivers
-// (cmd/benchcore) can time setup cost without access to package
-// internals; it is not part of the matching API.
-func (in *Instance) BenchSetup() { in.newMatcher(false, false).release() }
-
 // Symmetric returns the instance that matches paths on both sides
 // (Section 3.2, Remark): the pattern is replaced by its transitive
 // closure G1+, so a pattern *path* v ⇝ v′ may map to a data path. The

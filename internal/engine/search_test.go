@@ -40,6 +40,59 @@ func hitNames(res SearchResult) []string {
 	return out
 }
 
+// webFleet generates the catalog of the search and boot gates: 10
+// webgen sites × 11 archived versions × 120 pages, named "siteSS/vVV",
+// and per site the 12-hub skeleton of its oldest version as the query.
+func webFleet() (names []string, graphs, patterns []*graph.Graph) {
+	cats := []webgen.Category{webgen.Store, webgen.Organization, webgen.Newspaper}
+	for s := 0; s < 10; s++ {
+		arch := webgen.Generate(webgen.Config{Category: cats[s%len(cats)], Pages: 120, Versions: 11, Seed: int64(1000 + s)})
+		for v, g := range arch.Versions {
+			names = append(names, fmt.Sprintf("site%02d/v%02d", s, v))
+			graphs = append(graphs, g)
+		}
+		patterns = append(patterns, webgen.TopKSkeleton(arch.Versions[0], 12))
+	}
+	return names, graphs, patterns
+}
+
+// TestSearchPrunesWebFleet is the pruning gate at catalog scale: over
+// the 110-graph fleet at MinResemblance 0.1, every ranking equals the
+// full scan's, and summed over the queries stage 1 keeps and stage 2
+// matches at most half the graphs the full scans match.
+func TestSearchPrunesWebFleet(t *testing.T) {
+	names, graphs, patterns := webFleet()
+	e := New(Options{MaxClosures: len(graphs) + 8})
+	defer e.Close()
+	ctx := context.Background()
+	for i, g := range graphs {
+		if err := e.Register(ctx, names[i], g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var kept, matched, brute int
+	for s, pattern := range patterns {
+		req := SearchRequest{Pattern: pattern, Algo: MaxSim, Xi: 0.75, Sim: SimContent, K: 5, MinResemblance: 0.1}
+		got := e.Search(ctx, req)
+		req.MinResemblance, req.NoPrefilter = 0, true
+		want := e.Search(ctx, req)
+		if got.Err != nil || want.Err != nil {
+			t.Fatalf("site %d: %v, full scan %v", s, got.Err, want.Err)
+		}
+		if !slices.Equal(hitNames(got), hitNames(want)) {
+			t.Fatalf("site %d: pruned top-k %v != full scan %v", s, hitNames(got), hitNames(want))
+		}
+		kept += got.Stats.Candidates
+		matched += got.Stats.Matched
+		brute += want.Stats.Matched
+	}
+	t.Logf("%d queries: stage 1 kept %d graphs, stage 2 matched %d, the full scans %d (prune rate %.2f)",
+		len(patterns), kept, matched, brute, 1-float64(matched)/float64(brute))
+	if 2*kept > brute || 2*matched > brute {
+		t.Fatalf("prefiltered searches kept %d and matched %d graphs, more than half of the full scans' %d", kept, matched, brute)
+	}
+}
+
 // TestSearchEquivalenceQuickCheck is the search-vs-brute-force
 // property: over random webgen catalogs, the top-k from the prefiltered
 // path must equal an exhaustive scan that matches every registered

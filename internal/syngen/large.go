@@ -23,8 +23,9 @@ import (
 // edges, OUT nodes emit none), so k = (1 − CoreFraction)·Nodes + 1
 // exactly — small enough that the sparse closure fits in megabytes
 // where dense per-node rows would need gigabytes.
-// GenerateLarge is how datagen and benchcore exercise that regime end
-// to end.
+// GenerateLarge is how datagen, the benchmark's deep_match and
+// mutate_read workloads and the catalog's patch-storm test exercise
+// that regime end to end.
 
 // LargeConfig parameterises GenerateLarge. Zero values select
 // defaults.
