@@ -12,13 +12,13 @@ import (
 // The allocation gates pin the hot path of a match through the engine:
 // admission, the task and its completion signal, the worker hop and the
 // matcher itself, on a 6-node path pattern against a 200-node path
-// graph. The limits are the counts the engine had before Match, MatchBatch
-// and search shared one fan-out; a change that makes a plain match pay for
-// that sharing fails here. The race detector allocates on its own, hence
-// the build tag.
+// graph. Counted on one P with the collector off (pinAllocCounts), the
+// counts are exact, and the limits are those counts: one allocation more
+// on the hot path fails here, whichever P the worker runs on. The race
+// detector allocates on its own, hence the build tag.
 const (
-	matchAllocLimit = 25
-	batchAllocLimit = 95
+	matchAllocLimit = 24
+	batchAllocLimit = 92
 )
 
 func allocEngine(t *testing.T, noTrace bool) (*Engine, Request) {
@@ -37,7 +37,21 @@ func allocEngine(t *testing.T, noTrace bool) (*Engine, Request) {
 	return e, req
 }
 
+// pinAllocCounts runs the rest of the calling test on one P with the
+// garbage collector off, so the pooled matcher scratch is always found —
+// never missed on a P it was not put on, nor after a GC emptied the pool
+// — and every count below is exact.
+func pinAllocCounts(t *testing.T) {
+	t.Helper()
+	procs, gc := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
+	t.Cleanup(func() {
+		debug.SetGCPercent(gc)
+		runtime.GOMAXPROCS(procs)
+	})
+}
+
 func TestMatchAllocs(t *testing.T) {
+	pinAllocCounts(t)
 	e, req := allocEngine(t, false)
 	ctx := context.Background()
 	got := testing.AllocsPerRun(200, func() {
@@ -52,6 +66,7 @@ func TestMatchAllocs(t *testing.T) {
 }
 
 func TestMatchBatchAllocs(t *testing.T) {
+	pinAllocCounts(t)
 	e, req := allocEngine(t, false)
 	ctx := context.Background()
 	reqs := []Request{req, req, req, req}
@@ -70,12 +85,9 @@ func TestMatchBatchAllocs(t *testing.T) {
 
 // TestUntracedAllocsEqualNoTrace holds tracing to its bargain: a Match
 // or MatchBatch that carries no span allocates exactly as often with a
-// flight recorder as with NoTrace. Counting runs on one P with no GC,
-// so a pooled matcher scratch is never missed on a P it was not put
-// on, nor after a GC emptied the pool.
+// flight recorder as with NoTrace, counted as exactly as the gates above.
 func TestUntracedAllocsEqualNoTrace(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	pinAllocCounts(t)
 	ctx := context.Background()
 	var match, batch [2]float64
 	for i, noTrace := range []bool{false, true} {

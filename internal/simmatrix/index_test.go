@@ -3,8 +3,10 @@ package simmatrix
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -102,7 +104,8 @@ func TestPostingsMatrixEqualsPairwise(t *testing.T) {
 // referenceContentIndex is the build NewContentIndex replaced: a
 // shingle.Set per node, every (shingle, node) pair sorted by a comparator,
 // and the postings cut where the shingle changes. It stays here as the
-// reference the flat build must equal array for array.
+// reference the flat build must equal array for array, packing each
+// posting as shingleNodes documents.
 func referenceContentIndex(g *graph.Graph, shingleSize int) *ContentIndex {
 	type entry struct {
 		h uint64
@@ -120,16 +123,41 @@ func referenceContentIndex(g *graph.Graph, shingleSize int) *ContentIndex {
 		}
 	}
 	slices.SortFunc(entries, func(a, b entry) int { return cmp.Or(cmp.Compare(a.h, b.h), cmp.Compare(a.u, b.u)) })
-	ix.nodes = make([]graph.NodeID, len(entries))
-	for i, e := range entries {
-		if i == 0 || e.h != entries[i-1].h {
-			ix.keys = append(ix.keys, e.h)
-			ix.offs = append(ix.offs, i)
+	ix.nodes = []graph.NodeID{}
+	for i := 0; i < len(entries); {
+		j := i + 1
+		for j < len(entries) && entries[j].h == entries[i].h {
+			j++
 		}
-		ix.nodes[i] = e.u
+		ix.keys = append(ix.keys, entries[i].h)
+		if j-i == 1 {
+			ix.post = append(ix.post, 1<<32|uint64(entries[i].u))
+		} else {
+			ix.post = append(ix.post, uint64(j-i)<<32|uint64(len(ix.nodes)))
+			for _, e := range entries[i:j] {
+				ix.nodes = append(ix.nodes, e.u)
+			}
+		}
+		i = j
 	}
-	ix.offs = append(ix.offs, len(entries))
+	ix.dir, ix.shift = referenceDirectory(ix.keys)
 	return ix
+}
+
+// referenceDirectory is the directory by its definition: the smallest
+// shift leaving ⌈log2 n⌉ top bits, and per bucket b a binary search for
+// the first key whose top bits are ≥ b.
+func referenceDirectory(keys []uint64) ([]int32, uint) {
+	top := 0
+	for 1<<top < len(keys) {
+		top++
+	}
+	shift := uint(64 - top)
+	dir := make([]int32, 1<<top+1)
+	for b := range dir {
+		dir[b] = int32(sort.Search(len(keys), func(k int) bool { return keys[k]>>shift >= uint64(b) }))
+	}
+	return dir, shift
 }
 
 // referenceContentPattern is the preparation NewContentPattern replaced:
@@ -176,23 +204,25 @@ func assertSameIndex(t *testing.T, name string, got, want *ContentIndex) {
 	switch {
 	case !slices.Equal(got.keys, want.keys):
 		t.Fatalf("%s: %d keys, the reference has %d (or they differ)", name, len(got.keys), len(want.keys))
-	case !slices.Equal(got.offs, want.offs):
-		t.Fatalf("%s: posting offsets differ from the reference", name)
+	case !slices.Equal(got.post, want.post):
+		t.Fatalf("%s: packed postings differ from the reference", name)
 	case !slices.Equal(got.nodes, want.nodes):
 		t.Fatalf("%s: postings differ from the reference", name)
 	case !slices.Equal(got.sizes, want.sizes):
 		t.Fatalf("%s: set sizes %v, the reference %v", name, got.sizes, want.sizes)
 	case !slices.Equal(got.empty, want.empty):
 		t.Fatalf("%s: empty nodes %v, the reference %v", name, got.empty, want.empty)
+	case got.shift != want.shift || !slices.Equal(got.dir, want.dir):
+		t.Fatalf("%s: directory of %d buckets (shift %d), the reference %d (shift %d), or they differ", name, len(got.dir)-1, got.shift, len(want.dir)-1, want.shift)
 	case got.Bytes() != want.Bytes():
 		t.Fatalf("%s: Bytes() = %d, the reference %d", name, got.Bytes(), want.Bytes())
 	}
 }
 
 // TestContentIndexEqualsReference: the flat radix build holds the same
-// five arrays as the comparator build, and the pattern it prepares the
-// same keys, offsets and (sorted) per-node positions as the map
-// preparation, on generated Web site versions, random text with shared
+// five arrays and directory as the comparator build, and the pattern it
+// prepares the same keys, offsets and (sorted) per-node positions as the
+// map preparation, on generated Web site versions, random text with shared
 // shingles, repeated windows inside one node, empty-content nodes and
 // the label fallback, at several windows.
 func TestContentIndexEqualsReference(t *testing.T) {
@@ -385,6 +415,7 @@ func TestXiMatrixEdges(t *testing.T) {
 		{"a pattern shingle absent from the graph", node("a b c d"), node("a b c"), 0.75, 0.75},
 		{"one set empty", node("a"), blank, 0, 0},
 		{"ξ above 1", node("a b"), node("a b"), 1.5, 0},
+		{"ξ NaN admits nothing", node("a b"), node("a b"), math.NaN(), 0},
 	}
 	for _, c := range cases {
 		g1, g2 := one(c.pattern), one(c.data)
@@ -488,6 +519,33 @@ func BenchmarkContentMatrix(b *testing.B) {
 	}
 }
 
+// BenchmarkContentMatrixFleet: web_search's stage-2 builds as a server
+// sees them — an 8- to 16-hub skeleton of each site against that site's
+// 11 versions, in a 10-site × 11-version catalog of 60-page sites, the
+// site changing on every call and the version every ten calls, so each
+// build finds its index's keys, directory and postings out of cache
+// rather than warm from the previous call as in BenchmarkContentMatrix.
+func BenchmarkContentMatrixFleet(b *testing.B) {
+	const sites, versions = 10, 11
+	categories := []webgen.Category{webgen.Store, webgen.Organization, webgen.Newspaper}
+	var fleet []*ContentIndex // site s's version v is fleet[s*versions+v]
+	var patterns []*ContentPattern
+	for s := range sites {
+		arch := webgen.Generate(webgen.Config{Category: categories[s%3], Pages: 60, Versions: versions, Seed: int64(s)})
+		for _, g := range arch.Versions {
+			fleet = append(fleet, NewContentIndex(g, 0))
+		}
+		patterns = append(patterns, NewContentPattern(webgen.TopKSkeleton(arch.Versions[5], 8+s%9), 0))
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		s, v := i%sites, i/sites%versions
+		matrixSink = fleet[s*versions+v].Matrix(patterns[s], 0.75)
+		i++
+	}
+}
+
 var (
 	indexSink   *ContentIndex
 	patternSink *ContentPattern
@@ -555,6 +613,269 @@ func TestHeldShinglesBoundRows(t *testing.T) {
 	for i, data := range arch.Versions {
 		for j, src := range arch.Versions {
 			check(fmt.Sprintf("web v%d in v%d", j, i), NewContentIndex(data, 0), NewContentPattern(webgen.TopKSkeleton(src, 8+2*j), 0))
+		}
+	}
+}
+
+// gallopResolve is the join the directory replaced: one forward merge of
+// the ascending pattern keys against the graph's that gallops over the
+// graph's side. It stays here as the reference resolve must equal; it
+// gives each key's index among graph, or -1 where the graph lacks it.
+func gallopResolve(graph, keys []uint64) []int {
+	var post []int
+	n, j := len(graph), 0 // every graph[:j] is below the key sought
+	for _, h := range keys {
+		hi, step := j, 1
+		for hi < n && graph[hi] < h {
+			j = hi + 1
+			hi += step
+			step *= 2
+		}
+		off, ok := slices.BinarySearch(graph[j:min(hi+1, n)], h)
+		j += off
+		if !ok {
+			post = append(post, -1)
+			continue
+		}
+		post = append(post, j)
+		j++
+	}
+	return post
+}
+
+// keyIndex is an index over the given ascending distinct keys alone: the
+// posting of keys[k] lists the k%3+1 nodes from k on, so the packings
+// resolve returns vary.
+func keyIndex(keys []uint64) *ContentIndex {
+	ix := &ContentIndex{keys: keys}
+	for k := range keys {
+		if k%3 == 0 {
+			ix.post = append(ix.post, 1<<32|uint64(k))
+			continue
+		}
+		ix.post = append(ix.post, uint64(k%3+1)<<32|uint64(len(ix.nodes)))
+		for u := range k%3 + 1 {
+			ix.nodes = append(ix.nodes, graph.NodeID(k+u))
+		}
+	}
+	ix.dir, ix.shift = directory(keys)
+	return ix
+}
+
+// assertResolve checks the directory against its definition and resolve
+// against the gallop: every pattern key the graph holds reads its
+// posting as packed beside the key, every other one reads 0.
+func assertResolve(t *testing.T, name string, ix *ContentIndex, keys []uint64) {
+	t.Helper()
+	if dir, shift := referenceDirectory(ix.keys); shift != ix.shift || !slices.Equal(dir, ix.dir) {
+		t.Fatalf("%s: directory %v (shift %d), by definition %v (shift %d)", name, ix.dir, ix.shift, dir, shift)
+	}
+	got, want := ix.resolve(nil, keys), gallopResolve(ix.keys, keys)
+	if len(got) != len(want) {
+		t.Fatalf("%s: resolve gave %d postings for %d keys", name, len(got), len(keys))
+	}
+	for i, j := range want {
+		packed := uint64(0)
+		if j >= 0 {
+			packed = ix.post[j]
+		}
+		if got[i] != packed {
+			t.Fatalf("%s: key %#x resolves to %#x, the gallop finds index %d (packed %#x)", name, keys[i], got[i], j, packed)
+		}
+	}
+}
+
+// TestResolveEqualsGallop: the directory finds every pattern key the
+// gallop finds, and no other, on hand-built indexes that stress it — no
+// keys, one key, every key in one bucket, the extreme keys 0 and
+// MaxUint64, pattern keys below, between and above the graph's — and on
+// generated Web site versions.
+func TestResolveEqualsGallop(t *testing.T) {
+	const top = math.MaxUint64
+	spread := make([]uint64, 0, 1000)
+	for i := range 1000 {
+		spread = append(spread, 1000+uint64(i)*(top/1001))
+	}
+	lowRun := make([]uint64, 100) // all top bits zero: one bucket holds them all
+	for i := range lowRun {
+		lowRun[i] = uint64(2 * (i + 1))
+	}
+	probes := []uint64{0, 1, 2, 3, 42, 43, 199, 200, 201, 999, 1000, 1001, top / 2, top - 1, top}
+	probes = append(probes, spread[0], spread[1]-1, spread[1], spread[500], spread[500]+1, spread[999])
+	probes = slices.Compact(slices.Sorted(slices.Values(probes)))
+	for _, c := range []struct {
+		name string
+		keys []uint64
+	}{
+		{"no keys", nil},
+		{"one key", []uint64{42}},
+		{"the key 0 alone", []uint64{0}},
+		{"the key MaxUint64 alone", []uint64{top}},
+		{"0 and MaxUint64", []uint64{0, top}},
+		{"one bucket holds all", lowRun},
+		{"spread over every bucket", spread},
+		{"spread plus 0 and MaxUint64", append(append([]uint64{0}, spread...), top)},
+	} {
+		ix := keyIndex(c.keys)
+		assertResolve(t, c.name, ix, probes)
+		assertResolve(t, c.name+", no pattern keys", ix, nil)
+		assertResolve(t, c.name+", its own keys", ix, c.keys)
+	}
+	arch := webgen.Generate(webgen.Config{Category: webgen.Store, Pages: 60, Versions: 3, Seed: 7})
+	for i, data := range arch.Versions {
+		assertResolve(t, fmt.Sprintf("web v%d", i), NewContentIndex(data, 0), NewContentPattern(webgen.TopKSkeleton(arch.Versions[0], 8+4*i), 0).Shingles())
+	}
+}
+
+// FuzzContentIndexResolve: bytes → two ascending key sets, each 9-byte
+// record one key (8 bytes, little-endian) and whether it goes to the
+// graph, the pattern or both; the first byte's low 6 bits clear as many
+// top bits of every key, crowding the keys into few buckets.
+func FuzzContentIndexResolve(f *testing.F) {
+	f.Add([]byte{0, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255, 255, 255, 255, 255})
+	f.Add([]byte{40, 0, 1, 2, 3, 4, 5, 6, 7, 8, 1, 1, 2, 3, 4, 5, 6, 7, 9, 2, 9, 9, 9, 9, 9, 9, 9, 9})
+	f.Add([]byte{63, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 0, 255, 255, 255, 255, 255, 255, 255, 255, 1, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		mask := uint64(math.MaxUint64) >> (data[0] % 64)
+		var graphKeys, patternKeys []uint64
+		for rec := data[1:]; len(rec) >= 9; rec = rec[9:] {
+			var h uint64
+			for i := 8; i >= 1; i-- {
+				h = h<<8 | uint64(rec[i])
+			}
+			h &= mask
+			if rec[0]%3 != 1 {
+				graphKeys = append(graphKeys, h)
+			}
+			if rec[0]%3 != 0 {
+				patternKeys = append(patternKeys, h)
+			}
+		}
+		graphKeys = slices.Compact(slices.Sorted(slices.Values(graphKeys)))
+		patternKeys = slices.Compact(slices.Sorted(slices.Values(patternKeys)))
+		assertResolve(t, "fuzz", keyIndex(graphKeys), patternKeys)
+	})
+}
+
+// minOverlapWalk and leastOverlapWalk are the two least-overlap searches
+// walked up from 0, the references the estimated starts must equal.
+func minOverlapWalk(a int, xi float64) int {
+	n := 0
+	for n <= a && float64(n)/float64(a) < xi {
+		n++
+	}
+	return n
+}
+
+func leastOverlapWalk(a, b int, xi float64) int {
+	n, most := 0, min(a, b)
+	for n <= most && float64(n)/float64(a+b-n) < xi {
+		n++
+	}
+	return n
+}
+
+// TestOverlapsFromEstimate: starting the least-overlap walks at their
+// float estimates changes no answer, over every set size up to 300 (the
+// pair form up to 120 a side, and a few large pairs) at every ξ of
+// xiGrid, negative and infinite ξ included.
+func TestOverlapsFromEstimate(t *testing.T) {
+	grid := append(xiGrid(rand.New(rand.NewSource(9))), -1, 0.25, 0.3, 0.6, 0.99, 1+1e-15, 2, math.Inf(1))
+	for _, xi := range grid {
+		for a := 0; a <= 300; a++ {
+			if got, want := minOverlap(a, xi), minOverlapWalk(a, xi); got != want {
+				t.Fatalf("minOverlap(%d, %v) = %d, the walk from 0 gives %d", a, xi, got, want)
+			}
+		}
+		share := xi / (1 + xi)
+		check := func(a, b int) {
+			if got, want := leastOverlap(a, b, xi, share), leastOverlapWalk(a, b, xi); got != want {
+				t.Fatalf("leastOverlap(%d, %d, %v) = %d, the walk from 0 gives %d", a, b, xi, got, want)
+			}
+		}
+		for a := 1; a <= 120; a++ {
+			for b := 0; b <= 120; b++ {
+				check(a, b)
+			}
+		}
+		for _, a := range []int{1, 999, 5000, 65535} {
+			for _, b := range []int{0, 1, 1000, 4999, 65536} {
+				check(a, b)
+			}
+		}
+	}
+}
+
+// TestQuickselect: whatever order distinct values come in, the first k
+// after quickselect are the k smallest, and the whole is a permutation
+// of the input — sorted, reversed and shuffled orders, k from 0 to n.
+func TestQuickselect(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 2000; i++ {
+		n := 1 + rng.Intn(60)
+		xs := make([]uint64, n)
+		for j := range xs {
+			length := uint64(1 + rng.Intn(1+rng.Intn(40)))
+			xs[j] = length<<32 | uint64(j)
+		}
+		switch i % 4 {
+		case 1:
+			slices.Sort(xs)
+		case 2:
+			slices.Sort(xs)
+			slices.Reverse(xs)
+		}
+		k := rng.Intn(n + 1)
+		sorted := slices.Sorted(slices.Values(xs))
+		quickselect(xs, k)
+		if got := slices.Sorted(slices.Values(xs)); !slices.Equal(got, sorted) {
+			t.Fatalf("quickselect lost or duplicated values: %v, want a permutation of %v", xs, sorted)
+		}
+		if got := slices.Sorted(slices.Values(xs[:k])); !slices.Equal(got, sorted[:k]) {
+			t.Fatalf("quickselect(%d) put %v first, the %d smallest are %v", k, got, k, sorted[:k])
+		}
+	}
+}
+
+// TestSortByHashEqualsStableSort: both of sortByHash's paths — the top
+// byte and an insertion sort, taken on few hashes spread over their top
+// bytes, and the LSD radix sort, taken on many or on hashes crowded
+// into one top byte — order hashes and their ids as a stable comparison
+// sort does, duplicates included.
+func TestSortByHashEqualsStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for i := 0; i < 400; i++ {
+		n := rng.Intn(3000)
+		mask := uint64(math.MaxUint64)
+		if i%3 == 0 {
+			mask >>= 8 // every top byte 0: the radix sort
+		}
+		hs, ids := make([]uint64, n), make([]graph.NodeID, n)
+		for j := range hs {
+			hs[j] = rng.Uint64() & mask
+			if j > 0 && rng.Intn(4) == 0 {
+				hs[j] = hs[rng.Intn(j)] // a shingle another node shares
+			}
+			ids[j] = graph.NodeID(j)
+		}
+		type entry struct {
+			h uint64
+			u graph.NodeID
+		}
+		want := make([]entry, n)
+		for j := range want {
+			want[j] = entry{hs[j], ids[j]}
+		}
+		slices.SortStableFunc(want, func(a, b entry) int { return cmp.Compare(a.h, b.h) })
+		gotH, gotU := sortByHash(hs, ids)
+		for j, e := range want {
+			if gotH[j] != e.h || gotU[j] != e.u {
+				t.Fatalf("n=%d mask %#x: entry %d is (%#x, %d), a stable sort puts (%#x, %d)", n, mask, j, gotH[j], gotU[j], e.h, e.u)
+			}
 		}
 	}
 }
