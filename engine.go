@@ -18,7 +18,7 @@ type (
 	// Create one with NewEngine; Close it to release the worker pool.
 	Engine = engine.Engine
 	// EngineOptions configures NewEngine (worker count, closure-cache
-	// bound, queue depth). The zero value picks sensible defaults.
+	// bound, admission bound). The zero value picks sensible defaults.
 	EngineOptions = engine.Options
 	// MatchRequest is one unit of engine work: a pattern, the name of
 	// a registered data graph, an algorithm, ξ, and variants.

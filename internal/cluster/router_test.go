@@ -22,20 +22,43 @@ import (
 	"graphmatch/internal/webgen"
 )
 
-// testShard is one real phomd shard: an in-memory engine behind the
-// full httpapi handler (observe shell, tracing, the lot).
+// testShard is one real phomd node: an engine behind the full httpapi
+// handler (observe shell, tracing, the lot). A replicated shard's
+// primary lists the followers that tail it.
 type testShard struct {
-	eng *engine.Engine
-	srv *httptest.Server
+	eng       *engine.Engine
+	srv       *httptest.Server
+	followers []*testShard
 }
+
+// nodeOpts configures every node the tests start unless a test needs
+// its own worker budget.
+var nodeOpts = engine.Options{Workers: 2}
 
 func newShard(t *testing.T) *testShard {
 	t.Helper()
-	e := engine.New(engine.Options{Workers: 2})
+	return serveNode(t, engine.New(nodeOpts))
+}
+
+// serveNode puts e behind the full handler; both close with the test.
+func serveNode(t *testing.T, e *engine.Engine) *testShard {
+	t.Helper()
 	t.Cleanup(e.Close)
 	srv := httptest.NewServer(httpapi.New(e))
 	t.Cleanup(srv.Close)
 	return &testShard{eng: e, srv: srv}
+}
+
+// openNode opens a durable engine over a fresh temp dir, following
+// primary when it is non-empty.
+func openNode(t *testing.T, opts engine.Options, primary string) *engine.Engine {
+	t.Helper()
+	opts.StorePath, opts.FollowURL = t.TempDir(), primary
+	e, err := engine.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 // newTestRouter builds a router over the given shards and serves it.
@@ -108,32 +131,74 @@ func webCatalog(sites, pages int) (names []string, graphs []*graph.Graph, patter
 	return names, graphs, patterns
 }
 
-// clusterOf builds n real shards and a router fronting them.
-func clusterOf(t *testing.T, n int, opts RouterOptions) ([]*testShard, *Router, *httptest.Server) {
+// clusterOf builds n real shards of the given replica count and a
+// router fronting them; every node starts from opts. A one-replica
+// shard is an in-memory node. A replicated one is a durable primary
+// plus replicas−1 followers tailing its WAL over HTTP, the shape
+// phomd -follow serves; waitReplicated brings them level.
+func clusterOf(t *testing.T, n, replicas int, opts engine.Options, ropts RouterOptions) ([]*testShard, *Router, *httptest.Server) {
 	t.Helper()
 	shards := make([]*testShard, n)
 	cfg := Config{Version: 1}
 	for i := range shards {
-		shards[i] = newShard(t)
-		cfg.Shards = append(cfg.Shards, ShardConfig{
-			Name:      fmt.Sprintf("s%d", i),
-			Endpoints: []string{shards[i].srv.URL},
-		})
+		if replicas == 1 {
+			shards[i] = serveNode(t, engine.New(opts))
+		} else {
+			shards[i] = serveNode(t, openNode(t, opts, ""))
+		}
+		eps := []string{shards[i].srv.URL}
+		for r := 1; r < replicas; r++ {
+			f := serveNode(t, openNode(t, opts, shards[i].srv.URL))
+			shards[i].followers = append(shards[i].followers, f)
+			eps = append(eps, f.srv.URL)
+		}
+		cfg.Shards = append(cfg.Shards, ShardConfig{Name: fmt.Sprintf("s%d", i), Endpoints: eps})
 	}
-	rt, srv := newTestRouter(t, cfg, opts)
+	rt, srv := newTestRouter(t, cfg, ropts)
 	return shards, rt, srv
 }
 
+// waitReplicated blocks until every follower has applied its primary's
+// whole log, then runs one probe round, so the router sees each replica
+// ready at lag 0 and balances reads over all of them. A stale replica
+// answering a balanced read would turn a replication race into a false
+// divergence.
+func waitReplicated(t *testing.T, rt *Router, shards []*testShard) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for _, p := range shards {
+		ps, _ := p.eng.StoreStats()
+		for _, f := range p.followers {
+			for {
+				rs, ok := f.eng.ReplStats()
+				if !ok {
+					t.Fatal("waitReplicated on a non-follower")
+				}
+				if rs.SyncedOnce && !rs.Diverged && rs.LastApplied == ps.LastSeq {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("follower %s never caught up: %+v, primary seq %d", f.srv.URL, rs, ps.LastSeq)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+	}
+	rt.health.probeAll()
+}
+
 // TestClusterEquivalence is the sharded-vs-single-node quickcheck: the
-// same webgen catalog registered through a 3-shard router and into one
-// node must answer bit-identical /v1/search top-k (hits compared as
-// raw JSON), identical /v1/match and batch results, and the same graph
-// listing. This is the empirical side of the DESIGN §11 exactness
-// argument.
+// same webgen catalog registered through a router over 3 shards × 2
+// replicas and into one node must answer bit-identical /v1/search
+// top-k (hits compared as raw JSON), identical /v1/match and batch
+// results, and the same graph listing. Each shard is a durable primary
+// and a follower tailing it, and reads are balanced over both, so
+// followers serve part of every pass. This is the empirical side of
+// the DESIGN §11 exactness argument.
 func TestClusterEquivalence(t *testing.T) {
 	names, graphs, patterns := webCatalog(9, 12)
 	single := newShard(t)
-	shards, _, router := clusterOf(t, 3, RouterOptions{})
+	shards, rt, router := clusterOf(t, 3, 2, nodeOpts, RouterOptions{})
 
 	perShard := make(map[string]int)
 	for i, name := range names {
@@ -156,6 +221,7 @@ func TestClusterEquivalence(t *testing.T) {
 	if total != len(names) {
 		t.Fatalf("shards hold %d graphs total (%v), want %d", total, perShard, len(names))
 	}
+	waitReplicated(t, rt, shards)
 
 	// Listing: the union must equal the single node's list.
 	_, routerList := getJSON(t, router.URL+"/v1/graphs")
@@ -218,6 +284,13 @@ func TestClusterEquivalence(t *testing.T) {
 
 	// Single-graph match through the router (balanced read) must equal
 	// the single node, modulo timing.
+	followerRuns := func() (n uint64) {
+		for _, s := range shards {
+			n += s.followers[0].eng.Stats().Executed
+		}
+		return n
+	}
+	before := followerRuns()
 	for i, name := range names {
 		req := httpapi.MatchRequest{Pattern: patterns[i%len(patterns)], Graph: name, Algo: "maxsim", Sim: "content"}
 		rCode, rBody := postJSON(t, router.URL+"/v1/match", req)
@@ -236,6 +309,9 @@ func TestClusterEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(rm, sm) {
 			t.Fatalf("match %s diverges:\nrouter: %+v\nsingle: %+v", name, rm, sm)
 		}
+	}
+	if followerRuns() == before {
+		t.Fatal("no balanced /v1/match read landed on a follower")
 	}
 
 	// Batch: split by shard, reassembled positionally.
@@ -298,7 +374,7 @@ func TestClusterEquivalence(t *testing.T) {
 // serves the surviving shards' results flagged incomplete.
 func TestClusterPartialFailure(t *testing.T) {
 	names, graphs, patterns := webCatalog(6, 10)
-	shards, _, router := clusterOf(t, 3, RouterOptions{})
+	shards, _, router := clusterOf(t, 3, 1, nodeOpts, RouterOptions{})
 	for i, name := range names {
 		if code, body := postJSON(t, router.URL+"/v1/graphs",
 			httpapi.RegisterRequest{Name: name, Graph: graphs[i]}); code != http.StatusCreated {
@@ -483,7 +559,7 @@ func TestClusterMisdirectedFollow(t *testing.T) {
 // trace id — the cross-shard /debug/traces/{id} story.
 func TestClusterTraceFanout(t *testing.T) {
 	names, graphs, patterns := webCatalog(3, 10)
-	shards, _, router := clusterOf(t, 3, RouterOptions{})
+	shards, _, router := clusterOf(t, 3, 1, nodeOpts, RouterOptions{})
 	for i, name := range names {
 		if code, _ := postJSON(t, router.URL+"/v1/graphs",
 			httpapi.RegisterRequest{Name: name, Graph: graphs[i]}); code != http.StatusCreated {

@@ -182,18 +182,15 @@ type Options struct {
 	// MaxClosureBytes bounds the catalog's resident closure bytes; LRU
 	// entries are evicted past it. 0 means unbounded.
 	MaxClosureBytes int64
-	// QueueDepth bounds pending tasks before Match blocks; defaults to
-	// 4 × Workers.
-	QueueDepth int
 	// MaxPending enables load-shedding admission control: when more
 	// than this many admitted tasks are queued or running, new
 	// submissions fail immediately with ErrOverloaded instead of
 	// blocking on the queue. 0 — the library default — disables
 	// shedding and preserves the blocking-submit behaviour. Negative
-	// selects QueueDepth + Workers (after their own defaults), the
-	// largest bound under which an admitted task's queue send never
-	// blocks; servers exposed to untrusted load should shed (phomd
-	// does, with that bound). Every call is admitted once: a Match
+	// selects 5 × Workers (after its default): the queue holds 4 ×
+	// Workers tasks, so that is the largest bound under which an
+	// admitted task's queue send never blocks; servers exposed to
+	// untrusted load should shed (phomd does, with that bound). Every call is admitted once: a Match
 	// reserves one pending slot, a batch or a search the slots of its
 	// window of at most Workers tasks, so it is served whole or shed
 	// whole and the bound still counts every task queued or running.
@@ -376,10 +373,7 @@ func Open(opts Options) (*Engine, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	depth := opts.QueueDepth
-	if depth <= 0 {
-		depth = 4 * workers
-	}
+	depth := 4 * workers
 	maxPending := opts.MaxPending
 	if maxPending < 0 {
 		maxPending = depth + workers

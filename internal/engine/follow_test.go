@@ -30,7 +30,7 @@ var fastRepl = repl.HandlerOptions{Poll: 2 * time.Millisecond, CheckpointEvery: 
 // testPrimary is a primary engine serving its replication stream on a
 // real listener, restartable at the same address.
 type testPrimary struct {
-	t    *testing.T
+	t    testing.TB
 	dir  string
 	addr string
 	eng  *Engine
@@ -41,7 +41,7 @@ type testPrimary struct {
 // startPrimary boots a primary over dir and serves its stream. addr ""
 // picks a fresh port; passing a previous primary's addr rebinds it (a
 // restart, from the follower's point of view).
-func startPrimary(t *testing.T, dir, addr string) *testPrimary {
+func startPrimary(t testing.TB, dir, addr string) *testPrimary {
 	t.Helper()
 	eng, err := Open(Options{Workers: 2, StorePath: dir})
 	if err != nil {
@@ -98,7 +98,7 @@ func (p *testPrimary) shutdown() {
 
 // openFollower boots a follower engine over dir tailing primary, with
 // test-tight backoff and stall settings.
-func openFollower(t *testing.T, dir, primary string, client *http.Client) *Engine {
+func openFollower(t testing.TB, dir, primary string, client *http.Client) *Engine {
 	t.Helper()
 	e, err := Open(Options{
 		Workers:   2,
@@ -128,7 +128,7 @@ func killFollower(e *Engine) {
 
 // waitSynced blocks until the follower has durably applied everything
 // the primary's store holds, without being diverged.
-func waitSynced(t *testing.T, f *Engine, p *testPrimary, timeout time.Duration) {
+func waitSynced(t testing.TB, f *Engine, p *testPrimary, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
@@ -152,7 +152,7 @@ func waitSynced(t *testing.T, f *Engine, p *testPrimary, timeout time.Duration) 
 
 // seedPrimary registers sites generated per category and returns the
 // match/search patterns probeEngines will replay.
-func seedPrimary(t *testing.T, p *testPrimary, sites, pages int) []*graph.Graph {
+func seedPrimary(t testing.TB, p *testPrimary, sites, pages int) []*graph.Graph {
 	t.Helper()
 	cats := []webgen.Category{webgen.Store, webgen.Organization, webgen.Newspaper}
 	var patterns []*graph.Graph
@@ -171,15 +171,35 @@ func seedPrimary(t *testing.T, p *testPrimary, sites, pages int) []*graph.Graph 
 	return patterns
 }
 
+// patchPrimary applies n random patches spread over the first sites
+// graphs seedPrimary registered.
+func patchPrimary(t testing.TB, p *testPrimary, rng *rand.Rand, sites, n int) {
+	t.Helper()
+	ctx := context.Background()
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("site%d", rng.Intn(sites))
+		res, err := p.eng.Catalog().Resolve(ctx, name, 0, catalog.NeedGraph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.eng.ApplyPatch(ctx, name, randomPatch(rng, res.Graph)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestFollowerServesAndRejectsWrites is the basic replication
-// contract: a follower converges to the primary's exact catalog,
-// serves bit-identical match and search results, keeps converging as
-// the primary mutates, and rejects every local mutation with
+// contract: a cold follower catches up on the primary's whole history,
+// registers and a run of patches, and converges to its exact catalog;
+// it serves bit-identical match and search results, keeps converging
+// as the primary mutates, and rejects every local mutation with
 // ErrReadOnly.
 func TestFollowerServesAndRejectsWrites(t *testing.T) {
 	p := startPrimary(t, t.TempDir(), "")
 	defer p.shutdown()
 	patterns := seedPrimary(t, p, 2, 30)
+	rng := rand.New(rand.NewSource(7))
+	patchPrimary(t, p, rng, 2, 60)
 
 	f := openFollower(t, t.TempDir(), p.url(), nil)
 	defer f.Close()
@@ -194,18 +214,10 @@ func TestFollowerServesAndRejectsWrites(t *testing.T) {
 	if f.ReplSource() != nil {
 		t.Fatal("follower must not offer a replication source (chaining unsupported)")
 	}
-	probeEngines(t, "initial sync", f, p.eng, patterns)
+	probeEngines(t, "catch-up", f, p.eng, patterns)
 
 	// Live mutations flow through.
-	rng := rand.New(rand.NewSource(7))
-	res, err := p.eng.Catalog().Resolve(context.Background(), "site0", 0, catalog.NeedGraph)
-	g := res.Graph
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.eng.ApplyPatch(context.Background(), "site0", randomPatch(rng, g)); err != nil {
-		t.Fatal(err)
-	}
+	patchPrimary(t, p, rng, 1, 1)
 	extra := webgen.Generate(webgen.Config{Category: webgen.Store, Pages: 20, Versions: 1, Seed: 99}).Versions[0]
 	if err := p.eng.Register(context.Background(), "extra", extra); err != nil {
 		t.Fatal(err)
@@ -564,4 +576,26 @@ func TestReplayProgressReported(t *testing.T) {
 	if last.done != last.total || last.total != 7 {
 		t.Fatalf("final progress %+v, want done == total == 7", last)
 	}
+}
+
+// BenchmarkFollowerCatchUp times a cold follower replaying a primary's
+// whole history over the replication stream: six 50-page sites and 60
+// patches. ops/s counts replicated WAL records; MB/s is WAL bytes.
+func BenchmarkFollowerCatchUp(b *testing.B) {
+	p := startPrimary(b, b.TempDir(), "")
+	defer p.shutdown()
+	seedPrimary(b, p, 6, 50)
+	patchPrimary(b, p, rand.New(rand.NewSource(1)), 6, 60)
+	ps, _ := p.eng.StoreStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := openFollower(b, b.TempDir(), p.url(), nil)
+		waitSynced(b, f, p, time.Minute)
+		b.StopTimer()
+		f.Close()
+		b.StartTimer()
+	}
+	sec := b.Elapsed().Seconds()
+	b.ReportMetric(float64(ps.LastSeq)*float64(b.N)/sec, "ops/s")
+	b.ReportMetric(float64(ps.WALBytes)*float64(b.N)/(1<<20)/sec, "MB/s")
 }

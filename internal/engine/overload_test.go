@@ -52,7 +52,7 @@ func slowReq() Request {
 
 func newOverloadEngine(t *testing.T, maxPending int) *Engine {
 	t.Helper()
-	e := New(Options{Workers: 1, QueueDepth: 4, MaxPending: maxPending})
+	e := New(Options{Workers: 1, MaxPending: maxPending})
 	t.Cleanup(e.Close)
 	if err := e.Register(context.Background(), "path", pathGraph(160)); err != nil {
 		t.Fatal(err)
@@ -105,12 +105,13 @@ func TestAdmissionControlSheds(t *testing.T) {
 }
 
 // TestDefaultPendingBoundIsQueuePlusWorkers pins MaxPending < 0: the
-// engine admits exactly QueueDepth + Workers tasks and sheds the next.
-// The worker is held before executing, so admission never races the
-// matcher.
+// engine admits exactly its queue of 4 × Workers plus Workers tasks,
+// 5 × Workers, and sheds the next. The worker is held before
+// executing, so admission never races the matcher.
 func TestDefaultPendingBoundIsQueuePlusWorkers(t *testing.T) {
-	const workers, depth = 1, 3
-	e := New(Options{Workers: workers, QueueDepth: depth, MaxPending: -1})
+	const workers = 1
+	const depth = 4 * workers // the queue Open sizes
+	e := New(Options{Workers: workers, MaxPending: -1})
 	t.Cleanup(e.Close)
 	if err := e.Register(context.Background(), "path", pathGraph(40)); err != nil {
 		t.Fatal(err)
@@ -251,7 +252,7 @@ func TestMidFlightCancelFreesWorker(t *testing.T) {
 // queue returns ErrDeadline at once, and the worker that later picks
 // the task up skips it before resolving the graph.
 func TestQueuedCancelSkipsWork(t *testing.T) {
-	e := New(Options{Workers: 1, QueueDepth: 4})
+	e := New(Options{Workers: 1})
 	t.Cleanup(e.Close)
 	if err := e.Register(context.Background(), "path", pathGraph(40)); err != nil {
 		t.Fatal(err)

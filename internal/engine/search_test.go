@@ -593,7 +593,7 @@ func TestSearchWindowDelayedSignal(t *testing.T) {
 // is given back. A second burst runs batches beside the searches under
 // the same bound: each batch, too, is served whole or shed whole.
 func TestSearchWindowsStayWithinAdmission(t *testing.T) {
-	e := New(Options{Workers: 2, QueueDepth: 2, MaxPending: -1})
+	e := New(Options{Workers: 2, MaxPending: 4})
 	defer e.Close()
 	bound := int64(e.Stats().MaxPending)
 	for i := 0; i < 12; i++ {

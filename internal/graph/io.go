@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 )
 
 // JSON wire format. The format is deliberately simple so data sets produced
@@ -91,22 +89,6 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// DOT renders the graph in Graphviz DOT syntax for visual inspection.
-// Node names are "n<ID>" with the label attribute set to L(v).
-func (g *Graph) DOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", name)
-	for v := 0; v < g.NumNodes(); v++ {
-		fmt.Fprintf(&b, "  n%d [label=%q];\n", v, g.nodes[v].Label)
-	}
-	g.Edges(func(from, to NodeID) bool {
-		fmt.Fprintf(&b, "  n%d -> n%d;\n", from, to)
-		return true
-	})
-	b.WriteString("}\n")
-	return b.String()
-}
-
 // FromEdgeList builds a graph from parallel label and edge slices. It is the
 // terse constructor used pervasively by tests and examples:
 //
@@ -129,20 +111,6 @@ func (g *Graph) Labels() []string {
 	for v := range out {
 		out[v] = g.nodes[v].Label
 	}
-	return out
-}
-
-// LabelSet returns the distinct labels in sorted order.
-func (g *Graph) LabelSet() []string {
-	set := make(map[string]struct{})
-	for v := range g.nodes {
-		set[g.nodes[v].Label] = struct{}{}
-	}
-	out := make([]string, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Strings(out)
 	return out
 }
 

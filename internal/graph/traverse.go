@@ -1,6 +1,6 @@
 package graph
 
-// This file contains traversal utilities: BFS/DFS, single-source
+// This file contains traversal utilities: BFS, single-source
 // reachability, undirected connected components (used by the Appendix B
 // partitioning optimisation) and simple path queries (used to verify
 // p-hom mappings, whose edge-to-path condition requires a nonempty path
@@ -26,32 +26,6 @@ func (g *Graph) BFS(start NodeID, visit func(v NodeID) bool) {
 			if !seen[u] {
 				seen[u] = true
 				queue = append(queue, u)
-			}
-		}
-	}
-}
-
-// DFS visits nodes reachable from start in depth-first preorder, invoking
-// visit for each. Traversal stops early if visit returns false. The
-// implementation is iterative so deep graphs cannot overflow the stack.
-func (g *Graph) DFS(start NodeID, visit func(v NodeID) bool) {
-	g.check(start)
-	g.Finish()
-	seen := make([]bool, len(g.nodes))
-	stack := []NodeID{start}
-	seen[start] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !visit(v) {
-			return
-		}
-		// Push children in reverse so traversal order matches recursion.
-		row := g.post.row(v)
-		for i := len(row) - 1; i >= 0; i-- {
-			if u := row[i]; !seen[u] {
-				seen[u] = true
-				stack = append(stack, u)
 			}
 		}
 	}
@@ -229,37 +203,4 @@ func (g *Graph) IsDAG() bool {
 		}
 	}
 	return visited == n
-}
-
-// TopoSort returns a topological order of the nodes, or nil if the graph is
-// cyclic.
-func (g *Graph) TopoSort() []NodeID {
-	g.Finish()
-	n := len(g.nodes)
-	indeg := make([]int, n)
-	for v := 0; v < n; v++ {
-		indeg[v] = len(g.prev.row(NodeID(v)))
-	}
-	queue := make([]NodeID, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, NodeID(v))
-		}
-	}
-	order := make([]NodeID, 0, n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, u := range g.post.row(v) {
-			indeg[u]--
-			if indeg[u] == 0 {
-				queue = append(queue, u)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil
-	}
-	return order
 }

@@ -338,7 +338,7 @@ func TestRequestTimeout504(t *testing.T) {
 // TestEngineShedPropagatesAs429 drives the engine's admission control
 // into shedding and checks the HTTP mapping: 429 + Retry-After.
 func TestEngineShedPropagatesAs429(t *testing.T) {
-	e := engine.New(engine.Options{Workers: 1, QueueDepth: 2, MaxPending: 2})
+	e := engine.New(engine.Options{Workers: 1, MaxPending: 2})
 	t.Cleanup(e.Close)
 	ts := httptest.NewServer(New(e))
 	t.Cleanup(ts.Close)

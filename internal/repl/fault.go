@@ -14,8 +14,9 @@ import (
 // or stall the stream silently — so tests can prove the follower's
 // recovery machinery (CRC validation, seq contiguity, backoff, stall
 // detection, resync) against every failure the wire can produce. It
-// lives in the package proper, not a _test file, because the engine's
-// fault quickcheck and cmd/benchrepl both inject it.
+// lives in the package proper, not a _test file, because a test in
+// another package injects it: internal/engine's fault quickcheck,
+// TestFollowerFaultQuickCheck.
 
 // Fault sabotages one connection. The zero value is a healthy link.
 type Fault struct {
