@@ -278,7 +278,7 @@ func BenchmarkAblation_CompressClosure(b *testing.B) {
 	})
 	b.Run("compressed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			in.CompressedMaxCard()
+			experiments.CompressedMaxCard(in)
 		}
 	})
 }

@@ -8,10 +8,12 @@ import (
 )
 
 // TestServerDoesNotLinkOracle pins the boundary between the served
-// matchers and Theorem 5.1's product-graph solvers: internal/product
-// and internal/wis are the quality oracle of the tests and the
-// experiments, exponential code that no request can reach, so phomd
-// must not link them.
+// matchers and the code only tests and experiments run: internal/product
+// and internal/wis are Theorem 5.1's product-graph solvers, the quality
+// oracle of the tests and the experiments, exponential code that no
+// request can reach; internal/experiments holds the paper's
+// reproductions and Appendix B's compression of G2+, which only the
+// compress-g2 ablation runs. phomd must link none of them.
 func TestServerDoesNotLinkOracle(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -22,7 +24,8 @@ func TestServerDoesNotLinkOracle(t *testing.T) {
 		t.Fatalf("go list: %v", err)
 	}
 	for _, pkg := range strings.Fields(string(out)) {
-		if pkg == "graphmatch/internal/product" || pkg == "graphmatch/internal/wis" {
+		switch pkg {
+		case "graphmatch/internal/product", "graphmatch/internal/wis", "graphmatch/internal/experiments":
 			t.Errorf("phomd links %s", pkg)
 		}
 	}

@@ -193,17 +193,6 @@ func (s *Set) IntersectionCount(t *Set) int {
 	return c
 }
 
-// Intersects reports whether s ∩ t is nonempty.
-func (s *Set) Intersects(t *Set) bool {
-	s.checkLen(t)
-	for i, w := range t.words {
-		if s.words[i]&w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Equal reports whether s and t contain the same bits.
 func (s *Set) Equal(t *Set) bool {
 	if s.n != t.n {
@@ -211,17 +200,6 @@ func (s *Set) Equal(t *Set) bool {
 	}
 	for i, w := range t.words {
 		if s.words[i] != w {
-			return false
-		}
-	}
-	return true
-}
-
-// SubsetOf reports whether every bit of s is set in t.
-func (s *Set) SubsetOf(t *Set) bool {
-	s.checkLen(t)
-	for i, w := range s.words {
-		if w&^t.words[i] != 0 {
 			return false
 		}
 	}
@@ -266,35 +244,3 @@ func (s *Set) checkLen(t *Set) {
 		panic("bitset: capacity mismatch")
 	}
 }
-
-// Matrix is a square bit matrix with row-level bitset access: row v answers
-// "which columns does v relate to". It backs the transitive-closure index
-// H2 (H2[u1][u2] = 1 iff (u1,u2) ∈ E+, Fig. 3).
-type Matrix struct {
-	rows []*Set
-	n    int
-}
-
-// NewMatrix returns an n×n all-zero bit matrix.
-func NewMatrix(n int) *Matrix {
-	m := &Matrix{rows: make([]*Set, n), n: n}
-	for i := range m.rows {
-		m.rows[i] = New(n)
-	}
-	return m
-}
-
-// N reports the dimension.
-func (m *Matrix) N() int { return m.n }
-
-// Set sets entry (i, j).
-func (m *Matrix) Set(i, j int) { m.rows[i].Add(j) }
-
-// Get reports entry (i, j).
-func (m *Matrix) Get(i, j int) bool { return m.rows[i].Contains(j) }
-
-// Row returns row i. The row is shared, not copied.
-func (m *Matrix) Row(i int) *Set { return m.rows[i] }
-
-// OrRow ORs src into row i.
-func (m *Matrix) OrRow(i int, src *Set) { m.rows[i].Or(src) }

@@ -12,11 +12,13 @@
 //     order, then read member reachability through component rows. Nodes in
 //     a nontrivial SCC (or with a self-loop) reach themselves by a nonempty
 //     path, which makes every SCC a clique in G2+ — the fact Appendix B's
-//     compression exploits.
+//     compression (internal/experiments) exploits.
 //
-//   - ComputeBFS: a reference implementation running one BFS per node.
-//     It is asymptotically worse but obviously correct; tests compare the
-//     two and benchmarks quantify the gap (DESIGN.md ablation #5).
+//   - ComputeBounded: one successor-seeded BFS per node, cut at a path
+//     length. It serves path_limit; at a bound of |V| it is the full
+//     closure, asymptotically worse but obviously correct, so tests use it
+//     as Compute's reference and benchmarks quantify the gap (DESIGN.md
+//     ablation #5).
 package closure
 
 import (
@@ -139,47 +141,12 @@ func ComputeBoundedCtx(ctx context.Context, g *graph.Graph, maxLen int) (*Reach,
 	return &Reach{n: n, comp: comp, compReach: rows}, nil
 }
 
-// ComputeBFS builds the closure index by running one truncated BFS per
-// node. Exported for tests and ablation benchmarks.
-func ComputeBFS(g *graph.Graph) *Reach {
-	n := g.NumNodes()
-	// Represent the result in the same component-based form with one
-	// singleton component per node, so both constructions share Reachable.
-	comp := make([]int, n)
-	rows := make([]*bitset.Set, n)
-	for v := 0; v < n; v++ {
-		comp[v] = v
-		row := bitset.New(n)
-		// BFS from successors so the empty path is excluded.
-		queue := make([]graph.NodeID, 0, 8)
-		for _, w := range g.Post(graph.NodeID(v)) {
-			if !row.Contains(int(w)) {
-				row.Add(int(w))
-				queue = append(queue, w)
-			}
-		}
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
-			for _, w := range g.Post(x) {
-				if !row.Contains(int(w)) {
-					row.Add(int(w))
-					queue = append(queue, w)
-				}
-			}
-		}
-		rows[v] = row
-	}
-	return &Reach{n: n, comp: comp, compReach: rows}
-}
-
 // NumNodes reports the number of nodes the index covers.
 func (r *Reach) NumNodes() int { return r.n }
 
 // NumComponents reports the number of components the index stores —
 // the k that sizes the index's O(k²) footprint (equal
-// to NumNodes for the per-node constructions ComputeBFS and
-// ComputeBounded).
+// to NumNodes for the per-node construction ComputeBounded).
 func (r *Reach) NumComponents() int { return len(r.compReach) }
 
 // Reachable reports whether a nonempty path from u to v exists.
@@ -198,21 +165,6 @@ func (r *Reach) ReachableSet(u graph.NodeID) *bitset.Set {
 		}
 	}
 	return out
-}
-
-// CountEdges reports |E+|, the number of ordered pairs (u, v) with a
-// nonempty path u ⇝ v. Quadratic; intended for tests and dataset reports.
-func (r *Reach) CountEdges() int {
-	c := 0
-	for u := 0; u < r.n; u++ {
-		row := r.compReach[r.comp[u]]
-		for v := 0; v < r.n; v++ {
-			if row.Contains(r.comp[v]) {
-				c++
-			}
-		}
-	}
-	return c
 }
 
 // Graph materialises the closure as an explicit graph G+ with the same

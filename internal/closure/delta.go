@@ -58,8 +58,8 @@ func (d *Delta) ConeSize() int { return len(d.Dirty) }
 // (each becoming a fresh singleton component, with no edges until adds
 // wire them), then all of dels removed, then each of adds inserted in
 // order — the application order of graph.ApplyPatch. The receiver must
-// be an exact unbounded closure of g0 (the Compute/ComputeBFS shape,
-// not a length-bounded index).
+// be an exact unbounded closure of g0 (Compute's shape, not a
+// length-bounded index).
 //
 // On success it returns a new Reach equivalent to recomputing the
 // closure of the patched graph, sharing untouched rows with the

@@ -16,7 +16,7 @@ func tierIndexes(r *Reach) []Index {
 func TestIndexTiersAgreeOnQueries(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		g := randomRowsGraph(25+int(seed), 60+4*int(seed), seed)
-		for _, r := range []*Reach{Compute(g), ComputeBFS(g), ComputeBounded(g, 2)} {
+		for _, r := range []*Reach{Compute(g), ComputeBounded(g, g.NumNodes()), ComputeBounded(g, 2)} {
 			rows, comp := NewRows(r), NewCompIndex(r)
 			n := r.NumNodes()
 			for u := 0; u < n; u++ {
@@ -99,7 +99,7 @@ func TestCompIndexBytesSmall(t *testing.T) {
 func TestProjectedRowsBytes(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g := randomRowsGraph(40+int(seed), 100, seed)
-		for _, r := range []*Reach{Compute(g), ComputeBFS(g)} {
+		for _, r := range []*Reach{Compute(g), ComputeBounded(g, g.NumNodes())} {
 			if got, want := ProjectedRowsBytes(r), NewRows(r).Bytes(); got != want {
 				t.Fatalf("seed %d: ProjectedRowsBytes = %d, NewRows allocated %d", seed, got, want)
 			}

@@ -18,9 +18,8 @@ import (
 // Nodes in the same SCC have identical closure rows, so Rows keeps one
 // row per component and reads a node's row through the Reach index's
 // component assignment; when the Reach index already stores one
-// singleton component per node in ID order (the ComputeBFS/
-// ComputeBounded shape), the forward rows are the Reach rows themselves
-// with no copying at all.
+// singleton component per node in ID order (the ComputeBounded shape),
+// the forward rows are the Reach rows themselves with no copying at all.
 //
 // Rows is immutable once built and safe for concurrent readers. The
 // returned row sets are shared — callers must never mutate them.
@@ -35,7 +34,7 @@ type Rows struct {
 }
 
 // identityComp reports whether r stores one singleton component per
-// node, in ID order — the shape ComputeBFS and ComputeBounded produce.
+// node, in ID order — the shape ComputeBounded produces.
 // There the component rows already are node rows.
 func identityComp(r *Reach) bool {
 	if len(r.compReach) != r.n {

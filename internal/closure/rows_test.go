@@ -48,9 +48,9 @@ func checkRows(t *testing.T, r *Reach, rw *Rows) {
 
 func TestRowsMatchReach(t *testing.T) {
 	// Compute produces SCC components (the shared-row expansion path);
-	// ComputeBFS and ComputeBounded produce singleton components in ID
-	// order (the zero-copy identity path). All three shapes must expand
-	// to the same relation their Reach encodes.
+	// ComputeBounded produces singleton components in ID order (the
+	// zero-copy identity path), at full depth and at a bound. All three
+	// must expand to the same relation their Reach encodes.
 	for seed := int64(0); seed < 12; seed++ {
 		g := randomRowsGraph(20+int(seed), 50+3*int(seed), seed)
 		for _, tc := range []struct {
@@ -58,7 +58,7 @@ func TestRowsMatchReach(t *testing.T) {
 			r    *Reach
 		}{
 			{"scc", Compute(g)},
-			{"bfs", ComputeBFS(g)},
+			{"bounded-full", ComputeBounded(g, g.NumNodes())},
 			{"bounded2", ComputeBounded(g, 2)},
 		} {
 			checkRows(t, tc.r, NewRows(tc.r))

@@ -541,7 +541,8 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 			first = false
 		}
 		for _, hit := range sr.Hits {
-			top.Push(search.Hit{Name: hit.Graph, Score: hit.Score, Tie: tieOf(algo, hit), Payload: hit})
+			_, tie := engine.RankScore(engine.Algorithm(algo), engine.Result{Holds: hit.Holds, QualCard: hit.QualCard, QualSim: hit.QualSim})
+			top.Push(search.Hit{Name: hit.Graph, Score: hit.Score, Tie: tie, Payload: hit})
 		}
 		out.Stats.Graphs += sr.Stats.Graphs
 		out.Stats.Candidates += sr.Stats.Candidates
@@ -569,20 +570,6 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	out.ShardsFailed = failed
 	out.Incomplete = len(failed) > 0
 	httpapi.WriteJSON(w, http.StatusOK, out)
-}
-
-// tieOf reconstructs the secondary ranking key the shard's fold used
-// (engine.rankScore): the maxsim algorithms rank by qualSim and tie
-// by qualCard; everything else ties by qualSim. Score already carries
-// the primary key, so (Score, tieOf, Graph) reproduces the shard-side
-// total order exactly.
-func tieOf(algo string, h httpapi.SearchHitResponse) float64 {
-	switch engine.Algorithm(algo) {
-	case engine.MaxSim, engine.MaxSim11:
-		return h.QualCard
-	default:
-		return h.QualSim
-	}
 }
 
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {

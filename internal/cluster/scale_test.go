@@ -29,7 +29,9 @@ import (
 // with no more cores than shards that parallelism cannot show (the run
 // times the scheduler, not the architecture), so the test skips as
 // cpu_limited. It is a timed gate: -short skips it and the race build
-// leaves it out.
+// leaves it out. Each side runs whole rounds of its queries for at
+// least minDrive, so the rate rests on more than a few milliseconds of
+// work.
 func TestClusterSearchScales(t *testing.T) {
 	const (
 		shards, replicas       = 3, 2
@@ -37,6 +39,7 @@ func TestClusterSearchScales(t *testing.T) {
 		patternNodes, k        = 8, 10
 		reps, clients          = 3, 8
 		minSpeedup             = 2.0
+		minDrive               = time.Second
 	)
 	if testing.Short() {
 		t.Skip("timed gate: skipped under -short")
@@ -94,11 +97,11 @@ func TestClusterSearchScales(t *testing.T) {
 		queries = append(queries, bodies...)
 	}
 
-	one := drive(t, single.srv.URL, queries, clients)
-	all := drive(t, router.URL, queries, clients)
+	one := drive(t, single.srv.URL, queries, clients, minDrive)
+	all := drive(t, router.URL, queries, clients, minDrive)
 	speedup := all.qps / one.qps
-	t.Logf("%d graphs, %d queries, %d clients: single %.1f q/s (p50 %v, p95 %v); %d×%d cluster %.1f q/s (p50 %v, p95 %v); %.2fx",
-		len(graphs), len(queries), clients, one.qps, one.p50, one.p95, shards, replicas, all.qps, all.p50, all.p95, speedup)
+	t.Logf("%d graphs, %d queries a round, %d clients: single %.1f q/s over %d queries (p50 %v, p95 %v); %d×%d cluster %.1f q/s over %d queries (p50 %v, p95 %v); %.2fx",
+		len(graphs), len(queries), clients, one.qps, one.n, one.p50, one.p95, shards, replicas, all.qps, all.n, all.p50, all.p95, speedup)
 	if speedup < minSpeedup {
 		t.Fatalf("cluster search throughput is %.2fx the single node's, want ≥ %.1fx", speedup, minSpeedup)
 	}
@@ -126,49 +129,56 @@ func searchHits(t *testing.T, base string, req httpapi.SearchRequest) []byte {
 
 // side is one side's measured search serving.
 type side struct {
+	n        int
 	qps      float64
 	p50, p95 time.Duration
 }
 
-// drive posts every query once to base/v1/search from clients
-// concurrent workers and reports the aggregate rate and latency.
-func drive(t *testing.T, base string, queries [][]byte, clients int) side {
+// drive posts whole rounds of queries to base/v1/search from clients
+// concurrent workers until at least minDrive has passed, and reports
+// the aggregate rate (queries over elapsed time) and latency.
+func drive(t *testing.T, base string, queries [][]byte, clients int, minDrive time.Duration) side {
 	t.Helper()
-	lat := make([]time.Duration, len(queries))
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var lat []time.Duration
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
 	defer client.CloseIdleConnections()
 	start := time.Now()
-	for range clients {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < len(queries); i = int(next.Add(1) - 1) {
-				q := time.Now()
-				resp, err := client.Post(base+"/v1/search", "application/json", bytes.NewReader(queries[i]))
-				if err != nil {
-					t.Errorf("search on %s: %v", base, err)
-					return
+	for time.Since(start) < minDrive {
+		round := make([]time.Duration, len(queries))
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1) - 1); i < len(queries); i = int(next.Add(1) - 1) {
+					q := time.Now()
+					resp, err := client.Post(base+"/v1/search", "application/json", bytes.NewReader(queries[i]))
+					if err != nil {
+						t.Errorf("search on %s: %v", base, err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("search on %s: status %d", base, resp.StatusCode)
+						return
+					}
+					round[i] = time.Since(q)
 				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("search on %s: status %d", base, resp.StatusCode)
-					return
-				}
-				lat[i] = time.Since(q)
-			}
-		}()
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		lat = append(lat, round...)
 	}
-	wg.Wait()
 	elapsed := time.Since(start)
-	if t.Failed() {
-		t.FailNow()
-	}
 	slices.Sort(lat)
 	return side{
-		qps: float64(len(queries)) / elapsed.Seconds(),
+		n:   len(lat),
+		qps: float64(len(lat)) / elapsed.Seconds(),
 		p50: lat[len(lat)/2],
 		p95: lat[len(lat)*95/100],
 	}

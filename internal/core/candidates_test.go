@@ -98,7 +98,7 @@ func TestListedCandidatesChangeNothing(t *testing.T) {
 		{"maxsim11", total(compMaxSim11)},
 		{"decide", decide},
 		{"decide11", decide11},
-		{"partitioned-maxsim", total((*Instance).PartitionedMaxSim)},
+		{"partitioned-maxcard", total((*Instance).PartitionedMaxCard)},
 	}
 	sawCandidates := false
 	for seed := int64(0); seed < 12; seed++ {

@@ -50,7 +50,7 @@ func TestExactSolversAgree(t *testing.T) {
 					got["witness"] = witness
 				}
 				if !inj { // Proposition 1 needs freely combinable components
-					got["partitioned-card"], got["partitioned-sim"] = in.PartitionedMaxCard(), in.PartitionedMaxSim()
+					got["partitioned-card"] = in.PartitionedMaxCard()
 				}
 				for kind, m := range got {
 					if err := in.CheckMapping(m, inj); err != nil {

@@ -83,57 +83,6 @@ func TestPartitionedSingletonPicksBestScore(t *testing.T) {
 	}
 }
 
-func TestPartitionedMaxSimValid(t *testing.T) {
-	f := func(seed int64) bool {
-		in := randomInstance(seed, 8, 10)
-		m := in.PartitionedMaxSim()
-		return in.CheckMapping(m, false) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCompressedMaxCardValid(t *testing.T) {
-	f := func(seed int64) bool {
-		in := randomInstance(seed, 8, 12)
-		m := in.CompressedMaxCard()
-		return in.CheckMapping(m, false) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCompressedMaxCardOnCyclicData(t *testing.T) {
-	// Pattern chain a→b→c against a data 3-cycle with matching labels:
-	// the whole cycle is one SCC, so the compressed data graph has one bag
-	// node, and all three pattern nodes map into it.
-	g1 := graph.FromEdgeList([]string{"a", "b", "c"}, [][2]int{{0, 1}, {1, 2}})
-	g2 := graph.FromEdgeList([]string{"a", "b", "c"}, [][2]int{{0, 1}, {1, 2}, {2, 0}})
-	in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.5)
-	m := in.CompressedMaxCard()
-	if err := in.CheckMapping(m, false); err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 3 {
-		t.Fatalf("compressed matching covers %d, want 3 (σ=%v)", len(m), m)
-	}
-}
-
-func TestCompressedMatchesDirectOnDAGs(t *testing.T) {
-	// On a DAG every SCC is trivial, so compression is the identity and
-	// the compressed run must find a mapping of the same cardinality.
-	g1 := graph.FromEdgeList([]string{"a", "b", "c"}, [][2]int{{0, 1}, {0, 2}})
-	g2 := graph.FromEdgeList([]string{"a", "x", "b", "c"}, [][2]int{{0, 1}, {1, 2}, {0, 3}})
-	in := NewInstance(g1, g2, simmatrix.NewLabelEquality(g1, g2), 0.5)
-	direct := compMaxCard(in)
-	compressed := in.CompressedMaxCard()
-	if len(direct) != len(compressed) {
-		t.Fatalf("direct %v vs compressed %v", direct, compressed)
-	}
-}
-
 func TestPartitionComponentsShareClosure(t *testing.T) {
 	// The sub-instances reuse the parent's closure; validate by checking a
 	// mapping found on a component against the parent instance.

@@ -351,6 +351,9 @@ type Engine struct {
 	mSearchPruneRatio *metrics.Histogram
 	mSearchStage1     *metrics.Histogram
 	mSearchStage2     *metrics.Histogram
+	mStoreAppend      *metrics.Histogram
+	mStoreFsync       *metrics.Histogram
+	mStoreSnapshot    *metrics.Histogram
 }
 
 // New starts an engine with the given options. It panics when
@@ -403,7 +406,6 @@ func Open(opts Options) (*Engine, error) {
 		if err := e.openStore(opts.StorePath, opts.ReplayProgress); err != nil {
 			return nil, err
 		}
-		e.initStoreMetrics()
 	}
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {

@@ -25,9 +25,6 @@ import (
 // location.
 var ErrReadOnly = errors.New("engine: read-only follower")
 
-// IsFollower reports whether the engine replicates from a primary.
-func (e *Engine) IsFollower() bool { return e.follower != nil }
-
 // PrimaryURL is the followed primary's base URL, empty on a
 // non-follower.
 func (e *Engine) PrimaryURL() string {
@@ -100,15 +97,16 @@ func (e *Engine) applyReplicated(op store.Op) error {
 	}
 	e.snapMu.Lock()
 	asp := sp.Child("store.append")
-	if err := e.store.AppendAt(op); err != nil {
+	tm, err := e.store.AppendAt(op)
+	if err != nil {
 		e.snapMu.Unlock()
 		sp.SetStr("error", err.Error())
 		sp.End()
 		return err
 	}
+	e.observeAppend(tm)
 	asp.SetInt("seq", int64(op.Seq))
 	asp.End()
-	var err error
 	switch op.Kind {
 	case store.OpRegister:
 		err = e.cat.RegisterCtx(ctx, op.Name, op.Graph)

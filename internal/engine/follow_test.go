@@ -205,11 +205,11 @@ func TestFollowerServesAndRejectsWrites(t *testing.T) {
 	defer f.Close()
 	waitSynced(t, f, p, 5*time.Second)
 
-	if !f.IsFollower() || f.PrimaryURL() != p.url() {
-		t.Fatalf("follower identity: IsFollower=%v PrimaryURL=%q", f.IsFollower(), f.PrimaryURL())
+	if _, ok := f.ReplStats(); !ok || f.PrimaryURL() != p.url() {
+		t.Fatalf("follower identity: ReplStats ok=%v PrimaryURL=%q", ok, f.PrimaryURL())
 	}
-	if p.eng.IsFollower() || p.eng.PrimaryURL() != "" {
-		t.Fatalf("primary identity: IsFollower=%v PrimaryURL=%q", p.eng.IsFollower(), p.eng.PrimaryURL())
+	if _, ok := p.eng.ReplStats(); ok || p.eng.PrimaryURL() != "" {
+		t.Fatalf("primary identity: ReplStats ok=%v PrimaryURL=%q", ok, p.eng.PrimaryURL())
 	}
 	if f.ReplSource() != nil {
 		t.Fatal("follower must not offer a replication source (chaining unsupported)")
@@ -237,6 +237,20 @@ func TestFollowerServesAndRejectsWrites(t *testing.T) {
 	}
 	// None of the refused mutations may have leaked into the catalog.
 	probeEngines(t, "after refused writes", f, p.eng, patterns)
+
+	// Each acknowledged append, the primary's through the persister and
+	// the follower's through the replication apply, observes each store
+	// histogram exactly once. snapMu orders the read after the
+	// follower's last apply has observed its append.
+	for _, e := range []*Engine{p.eng, f} {
+		e.snapMu.Lock()
+		appended := e.store.Stats().Appended
+		nAppend, nFsync := e.mStoreAppend.Count(), e.mStoreFsync.Count()
+		e.snapMu.Unlock()
+		if appended == 0 || nAppend != appended || nFsync != appended {
+			t.Fatalf("store histograms: %d append and %d fsync observations for %d appends", nAppend, nFsync, appended)
+		}
+	}
 }
 
 // TestFollowerRestartResumesFromLocalTail kills a synced follower,
@@ -310,7 +324,7 @@ func TestFollowerResync(t *testing.T) {
 			t.Fatal(err)
 		}
 		phantom := webgen.Generate(webgen.Config{Category: webgen.Store, Pages: 10, Versions: 1, Seed: 1234}).Versions[0]
-		if err := st.AppendAt(store.Op{Seq: st.Stats().LastSeq + 1, Kind: store.OpRegister, Name: "phantom", Graph: phantom}); err != nil {
+		if _, err := st.AppendAt(store.Op{Seq: st.Stats().LastSeq + 1, Kind: store.OpRegister, Name: "phantom", Graph: phantom}); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Close(); err != nil {

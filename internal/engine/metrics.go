@@ -136,25 +136,18 @@ func (e *Engine) initMetrics() catalog.PatchObserver {
 	return obs
 }
 
-// initStoreMetrics registers the WAL/snapshot families and installs
-// the store observer. Called from openStore, after replay (replay does
-// not append, so nothing is missed) and before traffic.
+// initStoreMetrics registers the WAL/snapshot families. Called from
+// openStore, after replay (replay does not append, so nothing is
+// missed) and before the persister is installed, so every logged
+// mutation finds its histograms.
 func (e *Engine) initStoreMetrics() {
 	r := e.reg
-	if e.store == nil {
-		return
-	}
-	appendHist := r.Histogram("phomd_store_append_seconds",
+	e.mStoreAppend = r.Histogram("phomd_store_append_seconds",
 		"WAL append critical section (encode + write + fsync) per mutation.", nil)
-	fsyncHist := r.Histogram("phomd_store_fsync_seconds",
+	e.mStoreFsync = r.Histogram("phomd_store_fsync_seconds",
 		"fsync portion of each WAL append.", nil)
-	snapHist := r.Histogram("phomd_store_snapshot_seconds",
+	e.mStoreSnapshot = r.Histogram("phomd_store_snapshot_seconds",
 		"Snapshot write wall time.", nil)
-	e.store.Instrument(store.Observer{
-		Append:   appendHist.Observe,
-		Fsync:    fsyncHist.Observe,
-		Snapshot: snapHist.Observe,
-	})
 	r.CounterFunc("phomd_store_appended_total",
 		"Ops logged since the store was opened.",
 		func() float64 { return float64(e.store.Stats().Appended) })
@@ -170,6 +163,13 @@ func (e *Engine) initStoreMetrics() {
 	r.GaugeFunc("phomd_store_since_snapshot",
 		"Ops logged since the last snapshot.",
 		func() float64 { return float64(e.store.Stats().SinceSnapshot) })
+}
+
+// observeAppend records one acknowledged WAL append on the store
+// histograms: exactly one observation each per append.
+func (e *Engine) observeAppend(tm store.AppendTiming) {
+	e.mStoreAppend.Observe(tm.Total.Seconds())
+	e.mStoreFsync.Observe(tm.Fsync.Seconds())
 }
 
 // initReplMetrics registers the follower's replication families.

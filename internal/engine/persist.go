@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log"
 	"sort"
+	"time"
 
 	"graphmatch/internal/graph"
 	"graphmatch/internal/store"
@@ -16,29 +17,28 @@ import (
 // an engine that was opened without Options.StorePath.
 var ErrNoStore = errors.New("engine: no store configured")
 
-// persister adapts the store to the catalog's write-ahead callback.
-// Its methods run under the catalog lock, so the WAL order is exactly
-// the mutation order and an acknowledged mutation is durable (Append
-// fsyncs) before the registry commits it.
-type persister struct{ st *store.Store }
+// persister adapts the engine's store to the catalog's write-ahead
+// callback. Its methods run under the catalog lock, so the WAL order
+// is exactly the mutation order and an acknowledged mutation is durable
+// (the append fsyncs) before the registry commits it.
+type persister struct{ e *Engine }
 
-// append logs op, attributing the durability cost to the request's
-// trace when ctx carries one: the op is stamped with the request's
-// traceparent (which the replication stream ships verbatim, so
-// followers can re-parent their apply spans under the primary's trace)
-// and a store.append span records the WAL write and fsync split.
+// append logs op and observes its cost on the store histograms. When
+// ctx carries a trace, the op is stamped with the request's traceparent
+// (which the replication stream ships verbatim, so followers can
+// re-parent their apply spans under the primary's trace) and a
+// store.append span records the WAL write and fsync split.
 func (p persister) append(ctx context.Context, op store.Op) error {
 	sp := trace.SpanFromContext(ctx)
-	if !sp.Active() {
-		_, err := p.st.Append(op)
-		return err
+	if sp.Active() {
+		op.Trace = sp.Traceparent()
 	}
-	op.Trace = sp.Traceparent()
 	ssp := sp.Child("store.append")
-	seq, tm, err := p.st.AppendTimed(op)
+	seq, tm, err := p.e.store.AppendTimed(op)
 	if err != nil {
 		ssp.SetStr("error", err.Error())
 	} else {
+		p.e.observeAppend(tm)
 		ssp.SetInt("seq", int64(seq))
 	}
 	ssp.SetInt("fsync_us", tm.Fsync.Microseconds())
@@ -107,8 +107,9 @@ func (e *Engine) openStore(path string, progress func(done, total int)) error {
 		report()
 	}
 	e.store = st
+	e.initStoreMetrics()
 	if e.primaryURL == "" {
-		e.cat.SetPersister(persister{st: st})
+		e.cat.SetPersister(persister{e: e})
 	}
 	return nil
 }
@@ -153,9 +154,11 @@ func (e *Engine) Snapshot() (store.Stats, error) {
 	if rerr != nil {
 		return store.Stats{}, rerr
 	}
+	start := time.Now()
 	if err := e.store.WriteSnapshot(state, seq, sealed); err != nil {
 		return store.Stats{}, err
 	}
+	e.mStoreSnapshot.Observe(time.Since(start).Seconds())
 	return e.store.Stats(), nil
 }
 

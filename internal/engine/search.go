@@ -225,7 +225,7 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) SearchResult {
 			}
 		default:
 			stats.Matched++
-			primary, tie := rankScore(base.Algo, res)
+			primary, tie := RankScore(base.Algo, res)
 			top.Push(search.Hit{Name: queue[i].cand.Name, Score: primary, Tie: tie, Payload: searchPayload{cand: queue[i].cand, res: res}})
 		}
 	})
@@ -273,7 +273,7 @@ type queued struct {
 	bound float64
 }
 
-// boundable reports whether an algorithm's primary score (rankScore)
+// boundable reports whether an algorithm's primary score (RankScore)
 // has a bound stage 1 can compute: qualCard or qualSim of a mapping. The
 // 0/1 verdicts of the decision procedures and the simulation baseline
 // have none.
@@ -316,11 +316,12 @@ type searchPayload struct {
 	res  Result
 }
 
-// rankScore maps a match result onto the (primary, tie) ranking keys
-// of the fold: whatever quality metric the chosen algorithm optimises
-// ranks first, the other metric splits ties, and the graph name splits
-// what remains (inside search.Better).
-func rankScore(algo Algorithm, res Result) (primary, tie float64) {
+// RankScore maps a match result onto the (primary, tie) ranking keys
+// of the search fold: whatever quality metric the chosen algorithm
+// optimises ranks first, the other metric splits ties, and the graph
+// name splits what remains (inside search.Better). The cluster router
+// ranks shard hits with it, so a merged top-k keeps each shard's order.
+func RankScore(algo Algorithm, res Result) (primary, tie float64) {
 	switch algo {
 	case MaxSim, MaxSim11:
 		return res.QualSim, res.QualCard

@@ -68,7 +68,7 @@ func RunAblations(m int, seed int64) []AblationRow {
 	// Study 3: compressing G2+ (Appendix B) on SCC-heavy data.
 	cyc := cyclicInstance(m, seed)
 	measure("compress-g2", "raw-closure", cyc, direct(cyc))
-	measure("compress-g2", "compressed", cyc, cyc.CompressedMaxCard)
+	measure("compress-g2", "compressed", cyc, func() core.Mapping { return CompressedMaxCard(cyc) })
 
 	// Study 4: the Fig. 4 max-|good| pick vs an arbitrary pick.
 	w := syngen.Generate(syngen.Config{M: m, NoisePercent: 10, NumData: 1, Seed: seed + 1})

@@ -1,46 +1,9 @@
 package graph
 
-// This file contains traversal utilities: BFS, single-source
-// reachability, undirected connected components (used by the Appendix B
-// partitioning optimisation) and simple path queries (used to verify
-// p-hom mappings, whose edge-to-path condition requires a nonempty path
-// between matched endpoints).
-
-// BFS visits nodes reachable from start in breadth-first order, invoking
-// visit for each (including start). Traversal stops early if visit returns
-// false.
-func (g *Graph) BFS(start NodeID, visit func(v NodeID) bool) {
-	g.check(start)
-	g.Finish()
-	seen := make([]bool, len(g.nodes))
-	queue := make([]NodeID, 0, 16)
-	queue = append(queue, start)
-	seen[start] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if !visit(v) {
-			return
-		}
-		for _, u := range g.post.row(v) {
-			if !seen[u] {
-				seen[u] = true
-				queue = append(queue, u)
-			}
-		}
-	}
-}
-
-// ReachableFrom returns the set of nodes reachable from start, including
-// start itself, as a boolean slice indexed by NodeID.
-func (g *Graph) ReachableFrom(start NodeID) []bool {
-	reach := make([]bool, g.NumNodes())
-	g.BFS(start, func(v NodeID) bool {
-		reach[v] = true
-		return true
-	})
-	return reach
-}
+// This file contains traversal utilities: undirected connected
+// components (used by the Appendix B partitioning optimisation) and
+// simple path queries (used to verify p-hom mappings, whose edge-to-path
+// condition requires a nonempty path between matched endpoints).
 
 // HasPath reports whether a nonempty path from u to v exists — the exact
 // condition a p-hom mapping imposes on matched edge endpoints (Section 3.2:

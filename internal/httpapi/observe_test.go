@@ -142,10 +142,19 @@ func TestMetricsCoversAllLayers(t *testing.T) {
 	if !found {
 		t.Error("no phomd_http_requests_total sample for POST /v1/match code=200")
 	}
-	// Store latency histograms must have observations (register +
-	// patch-free WAL appends happened above).
-	if f := fams["phomd_store_fsync_seconds"]; histCount(f) == 0 {
-		t.Error("phomd_store_fsync_seconds has no observations")
+	// Store latency histograms hold one observation per WAL append (the
+	// register above) and per snapshot: cmd/bench divides the fsync
+	// count by acknowledged writes.
+	appended := fams["phomd_store_appended_total"].Samples[0].Value
+	snapshots := fams["phomd_store_snapshots_total"].Samples[0].Value
+	for name, want := range map[string]float64{
+		"phomd_store_append_seconds":   appended,
+		"phomd_store_fsync_seconds":    appended,
+		"phomd_store_snapshot_seconds": snapshots,
+	} {
+		if got := histCount(fams[name]); want == 0 || got != want {
+			t.Errorf("%s has %v observations, want %v", name, got, want)
+		}
 	}
 }
 

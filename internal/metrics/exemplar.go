@@ -28,19 +28,6 @@ func (h *Histogram) ObserveWithExemplar(v float64, labelKey, labelVal string) {
 	h.ex.Store(&exemplar{labelKey: labelKey, labelVal: labelVal, value: v})
 }
 
-// Exemplar returns the most recent exemplar's label value and
-// observation, or ok=false when none was recorded.
-func (h *Histogram) Exemplar() (labelKey, labelVal string, v float64, ok bool) {
-	if h == nil {
-		return "", "", 0, false
-	}
-	ex := h.ex.Load()
-	if ex == nil {
-		return "", "", 0, false
-	}
-	return ex.labelKey, ex.labelVal, ex.value, true
-}
-
 // WriteOpenMetrics renders the registry in the OpenMetrics 1.0 text
 // format: counter families drop their "_total" suffix on HELP/TYPE
 // lines (samples keep it), histogram bucket lines carry the family's

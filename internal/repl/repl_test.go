@@ -147,7 +147,7 @@ func (m *memCatalog) mutate(t *testing.T, op store.Op) uint64 {
 func (m *memCatalog) apply(op store.Op) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.st.AppendAt(op); err != nil {
+	if _, err := m.st.AppendAt(op); err != nil {
 		return err
 	}
 	if err := m.applyLocked(op); err != nil {
@@ -400,7 +400,7 @@ func TestDivergedFollowerResyncs(t *testing.T) {
 	}
 	// The follower durably applied ops the primary has no memory of.
 	for seq := uint64(1); seq <= 5; seq++ {
-		if err := phantom.AppendAt(store.Op{Seq: seq, Kind: store.OpRegister, Name: fmt.Sprintf("ph%d", seq), Graph: testGraph(int(seq))}); err != nil {
+		if _, err := phantom.AppendAt(store.Op{Seq: seq, Kind: store.OpRegister, Name: fmt.Sprintf("ph%d", seq), Graph: testGraph(int(seq))}); err != nil {
 			t.Fatal(err)
 		}
 	}

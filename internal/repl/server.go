@@ -2,7 +2,6 @@ package repl
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -158,7 +157,3 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
-
-// IsDivergence reports whether a stream error is the primary's 409 —
-// the follower is ahead of the primary's log and must resync.
-func IsDivergence(err error) bool { return errors.Is(err, errDiverged) }

@@ -107,38 +107,6 @@ func (le *LabelEquality) Score(v, u graph.NodeID) float64 {
 	return 0
 }
 
-// Grouped implements the synthetic-data convention of Section 6: the label
-// alphabet is partitioned into groups; labels in different groups are
-// "totally different" (score 0) and labels in the same group carry a
-// pairwise score assigned at generation time.
-type Grouped struct {
-	g1, g2 *graph.Graph
-	group  map[string]int
-	score  map[[2]string]float64
-}
-
-// NewGrouped builds a grouped matrix. group maps each label to its group
-// index; score carries the in-group pairwise similarities keyed by
-// [labelOfV, labelOfU]. Identical labels always score 1 even if absent
-// from score.
-func NewGrouped(g1, g2 *graph.Graph, group map[string]int, score map[[2]string]float64) *Grouped {
-	return &Grouped{g1: g1, g2: g2, group: group, score: score}
-}
-
-// Score reports the configured in-group similarity.
-func (gr *Grouped) Score(v, u graph.NodeID) float64 {
-	lv, lu := gr.g1.Label(v), gr.g2.Label(u)
-	if lv == lu {
-		return 1
-	}
-	gv, okv := gr.group[lv]
-	gu, oku := gr.group[lu]
-	if !okv || !oku || gv != gu {
-		return 0
-	}
-	return gr.score[[2]string{lv, lu}]
-}
-
 // FromContent builds the matrix of shingle resemblance of node contents,
 // falling back to label text when a node has no content. This is how
 // Web-graph similarity is derived in Section 6 ("the similarity between

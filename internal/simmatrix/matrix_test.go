@@ -46,38 +46,6 @@ func TestLabelEquality(t *testing.T) {
 	}
 }
 
-func TestGrouped(t *testing.T) {
-	g1 := graph.FromEdgeList([]string{"l0", "l1"}, nil)
-	g2 := graph.FromEdgeList([]string{"l2", "l3"}, nil)
-	group := map[string]int{"l0": 0, "l1": 1, "l2": 0, "l3": 1}
-	score := map[[2]string]float64{
-		{"l0", "l2"}: 0.9,
-	}
-	gr := NewGrouped(g1, g2, group, score)
-	if got := gr.Score(0, 0); got != 0.9 {
-		t.Errorf("in-group Score = %v, want 0.9", got)
-	}
-	if got := gr.Score(0, 1); got != 0 {
-		t.Errorf("cross-group Score = %v, want 0", got)
-	}
-	if got := gr.Score(1, 0); got != 0 {
-		t.Errorf("cross-group Score = %v, want 0", got)
-	}
-	// Unlisted in-group pair scores zero.
-	if got := gr.Score(1, 1); got != 0 {
-		t.Errorf("unlisted in-group Score = %v, want 0", got)
-	}
-}
-
-func TestGroupedIdenticalLabels(t *testing.T) {
-	g1 := graph.FromEdgeList([]string{"x"}, nil)
-	g2 := graph.FromEdgeList([]string{"x"}, nil)
-	gr := NewGrouped(g1, g2, map[string]int{"x": 0}, nil)
-	if gr.Score(0, 0) != 1 {
-		t.Error("identical labels should score 1 even without explicit entry")
-	}
-}
-
 func TestFromContent(t *testing.T) {
 	g1 := graph.FromEdgeList([]string{"p"}, nil)
 	g1.SetContent(0, "science fiction books for young readers")

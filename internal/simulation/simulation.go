@@ -98,18 +98,3 @@ func (r *Result) Matches() bool {
 	}
 	return r.n1 >= 0
 }
-
-// Coverage reports the fraction of pattern nodes with a nonempty sim set —
-// a qualCard-like quantity for diagnostics.
-func (r *Result) Coverage() float64 {
-	if r.n1 == 0 {
-		return 1
-	}
-	covered := 0
-	for _, set := range r.Sim {
-		if !set.Empty() {
-			covered++
-		}
-	}
-	return float64(covered) / float64(r.n1)
-}

@@ -85,7 +85,7 @@ func TestOpenReadOnlyRejectsMutations(t *testing.T) {
 	if _, err := ro.Append(Op{Kind: OpRemove, Name: "a"}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Append on read-only store: %v, want ErrReadOnly", err)
 	}
-	if err := ro.AppendAt(Op{Seq: 9, Kind: OpRemove, Name: "a"}); !errors.Is(err, ErrReadOnly) {
+	if _, err := ro.AppendAt(Op{Seq: 9, Kind: OpRemove, Name: "a"}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("AppendAt on read-only store: %v, want ErrReadOnly", err)
 	}
 	if _, _, err := ro.Rotate(); !errors.Is(err, ErrReadOnly) {
@@ -147,11 +147,11 @@ func TestAppendAtPreservesUpstreamSeqs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, seq := range []uint64{3, 4, 7} { // gaps are legal
-		if err := s.AppendAt(Op{Seq: seq, Kind: OpRegister, Name: string(rune('a' + seq)), Graph: testGraph(int(seq))}); err != nil {
+		if _, err := s.AppendAt(Op{Seq: seq, Kind: OpRegister, Name: string(rune('a' + seq)), Graph: testGraph(int(seq))}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.AppendAt(Op{Seq: 7, Kind: OpRemove, Name: "x"}); err == nil {
+	if _, err := s.AppendAt(Op{Seq: 7, Kind: OpRemove, Name: "x"}); err == nil {
 		t.Fatal("AppendAt accepted a non-advancing seq")
 	}
 	if got := s.Stats().LastSeq; got != 7 {
@@ -194,7 +194,7 @@ func TestReplaceWithSnapshot(t *testing.T) {
 		t.Fatalf("after replace: LastSeq %d SnapshotSeq %d, want 42/42", st.LastSeq, st.SnapshotSeq)
 	}
 	// The store keeps appending from the new base.
-	if err := s.AppendAt(Op{Seq: 43, Kind: OpRegister, Name: "tail", Graph: testGraph(12)}); err != nil {
+	if _, err := s.AppendAt(Op{Seq: 43, Kind: OpRegister, Name: "tail", Graph: testGraph(12)}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()

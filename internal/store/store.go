@@ -153,35 +153,6 @@ type Store struct {
 	segLimits map[string]int64 // read-only: validated byte prefix per segment
 
 	lock *os.File // exclusive flock on dir/LOCK, held until Close
-
-	// obs receives durability timings (see Observer). Installed once at
-	// boot, before concurrent appends start; nil callbacks are skipped.
-	obs Observer
-}
-
-// Observer receives durability timings for instrumentation. All
-// callbacks are optional (nil = not observed) and must be cheap and
-// safe for concurrent use: Append and Fsync fire under the store lock
-// on every logged mutation, Snapshot fires once per snapshot. Seconds
-// are wall-clock durations.
-type Observer struct {
-	// Append observes the full Append critical section: encode, write,
-	// and fsync of one record.
-	Append func(seconds float64)
-	// Fsync observes just the fsync portion of an Append — the
-	// dominant, device-dependent cost the WAL pays per mutation.
-	Fsync func(seconds float64)
-	// Snapshot observes WriteSnapshot wall time.
-	Snapshot func(seconds float64)
-}
-
-// Instrument installs the observer. Call it during boot, before the
-// store sees concurrent traffic (the engine installs it right after
-// replay, alongside the persister).
-func (s *Store) Instrument(obs Observer) {
-	s.mu.Lock()
-	s.obs = obs
-	s.mu.Unlock()
 }
 
 // Open opens (creating if needed) the store directory, validates every
@@ -608,7 +579,7 @@ func (s *Store) Append(op Op) (uint64, error) {
 
 // AppendTiming breaks an append's latency into its total and the
 // fsync portion, for callers attaching the durability cost to a
-// request trace.
+// request trace and to their metrics.
 type AppendTiming struct {
 	Total time.Duration
 	Fsync time.Duration
@@ -635,18 +606,17 @@ func (s *Store) AppendTimed(op Op) (uint64, AppendTiming, error) {
 // follower must persist it verbatim so a restarted follower resumes
 // from the exact upstream position. The seq must be beyond the last
 // durable one; gaps are legal (a bootstrap resets the base), going
-// backwards is not.
-func (s *Store) AppendAt(op Op) error {
+// backwards is not. Like AppendTimed, it returns the append's timings.
+func (s *Store) AppendAt(op Op) (AppendTiming, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.appendGuard(); err != nil {
-		return err
+		return AppendTiming{}, err
 	}
 	if op.Seq <= s.seq {
-		return fmt.Errorf("store: AppendAt seq %d not beyond durable seq %d", op.Seq, s.seq)
+		return AppendTiming{}, fmt.Errorf("store: AppendAt seq %d not beyond durable seq %d", op.Seq, s.seq)
 	}
-	_, err := s.appendLocked(op)
-	return err
+	return s.appendLocked(op)
 }
 
 // appendGuard rejects appends on a store that cannot take them.
@@ -694,12 +664,6 @@ func (s *Store) appendLocked(op Op) (AppendTiming, error) {
 	}
 	tm := AppendTiming{Fsync: time.Since(syncStart)}
 	tm.Total = time.Since(start)
-	if s.obs.Fsync != nil {
-		s.obs.Fsync(tm.Fsync.Seconds())
-	}
-	if s.obs.Append != nil {
-		s.obs.Append(tm.Total.Seconds())
-	}
 	s.seq = op.Seq
 	s.appended++
 	s.sinceSnapshot.Add(1)
@@ -772,7 +736,6 @@ func (s *Store) WriteSnapshot(state map[string]*graph.Graph, lastSeq uint64, sea
 	if ro {
 		return ErrReadOnly
 	}
-	start := time.Now()
 	if err := writeSnapshotFile(s.dir, state, lastSeq); err != nil {
 		return err
 	}
@@ -804,11 +767,7 @@ func (s *Store) WriteSnapshot(state map[string]*graph.Graph, lastSeq uint64, sea
 		}
 	}
 	s.sealed = kept
-	obs := s.obs.Snapshot
 	s.mu.Unlock()
-	if obs != nil {
-		obs(time.Since(start).Seconds())
-	}
 	return nil
 }
 
