@@ -248,18 +248,16 @@ func main() {
 			name, g.NumNodes(), g.NumEdges(), time.Since(start).Round(time.Millisecond))
 	}
 
-	// Warm-up done: swap in the real API and flip readiness. A follower
-	// is ready only once it has provably been at the primary's head and
-	// its lag is within -ready-max-lag — a cold replica that would serve
+	// Warm-up done: swap in the real API, which is what makes /readyz
+	// reachable at all (the booting handler answers it 503), so a
+	// primary is ready from here on (a nil Ready). A follower is ready
+	// only once it has provably been at the primary's head and its lag
+	// is within -ready-max-lag — a cold replica that would serve
 	// arbitrarily stale reads keeps answering /readyz 503, so load
 	// balancers leave it out of rotation until it catches up.
-	var ready atomic.Bool
-	readyFn := ready.Load
+	var ready func() bool
 	if f.follow != "" {
-		readyFn = func() bool {
-			if !ready.Load() {
-				return false
-			}
+		ready = func() bool {
 			rs, ok := eng.ReplStats()
 			return ok && rs.SyncedOnce && !rs.Diverged && rs.LagSeq <= f.readyMaxLag
 		}
@@ -267,9 +265,8 @@ func main() {
 	handler.Store(httpapi.NewWithOptions(eng, httpapi.Options{
 		RequestTimeout: f.requestTimeout,
 		AccessLog:      accessLogger(f.accessLog),
-		Ready:          readyFn,
+		Ready:          ready,
 	}))
-	ready.Store(true)
 
 	st := eng.Stats()
 	if f.follow != "" {

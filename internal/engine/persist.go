@@ -70,23 +70,23 @@ func (p persister) LogPatch(ctx context.Context, name string, pt *graph.Patch) e
 // path instead.
 //
 // progress (Options.ReplayProgress), when non-nil, observes the work:
-// done counts snapshot graphs and WAL ops as the fold consumes them,
-// then catalog registrations; total is extended once the fold reveals
-// how many survivors there are to register.
+// done counts snapshot graphs and WAL ops as the fold consumes them
+// (against the fold's own total), then catalog registrations; total is
+// extended once the fold reveals how many survivors there are to
+// register.
 func (e *Engine) openStore(path string, progress func(done, total int)) error {
 	st, err := store.Open(path)
 	if err != nil {
 		return err
 	}
-	snapGraphs, walOps := st.ReplayPlan()
-	done, total := 0, snapGraphs+walOps
+	done, total := 0, 0
 	report := func() {
 		if progress != nil {
 			progress(done, total)
 		}
 	}
 	report()
-	state, _, err := st.FoldStateObserved(func() { done++; report() })
+	state, _, err := st.FoldStateObserved(func(d, t int) { done, total = d, t; report() })
 	if err != nil {
 		st.Close()
 		return fmt.Errorf("engine: replaying %s: %w", path, err)

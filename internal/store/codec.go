@@ -129,17 +129,8 @@ func EncodeOp(op Op) ([]byte, error) { return encodeOp(op) }
 // DecodeOp parses a WAL record payload.
 func DecodeOp(payload []byte) (Op, error) { return decodeOp(payload) }
 
-// PeekSeq extracts the sequence number from an op payload without
-// decoding the rest — the tail reader filters records by position
-// before anything needs the graph bytes.
-func PeekSeq(payload []byte) (uint64, error) {
-	d := &dec{buf: payload}
-	return d.u64()
-}
-
-// EncodeNamedGraph serialises a (name, graph) pair — the replication
-// bootstrap's unit of transfer, matching the snapshot's graph record
-// layout.
+// EncodeNamedGraph serialises a (name, graph) pair: one snapshot graph
+// record, and the replication bootstrap's unit of transfer.
 func EncodeNamedGraph(name string, g *graph.Graph) []byte {
 	e := &enc{buf: make([]byte, 0, 1024)}
 	e.str(name)

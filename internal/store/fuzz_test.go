@@ -1,8 +1,10 @@
 package store
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"graphmatch/internal/graph"
@@ -67,12 +69,12 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("open failed on damaged WAL (must recover instead): %v", err)
 		}
 		defer st.Close()
-		prev := uint64(0)
+		var replayed []uint64
 		if err := st.Replay(func(op Op) error {
-			if op.Seq <= prev {
-				t.Fatalf("non-monotonic replay: seq %d after %d", op.Seq, prev)
+			if n := len(replayed); n > 0 && op.Seq <= replayed[n-1] {
+				t.Fatalf("non-monotonic replay: seq %d after %d", op.Seq, replayed[n-1])
 			}
-			prev = op.Seq
+			replayed = append(replayed, op.Seq)
 			if op.Kind == OpRegister && op.Graph == nil {
 				t.Fatal("register op without graph survived recovery")
 			}
@@ -82,6 +84,14 @@ func FuzzWALReplay(f *testing.F) {
 			return nil
 		}); err != nil {
 			t.Fatalf("replay failed after successful open: %v", err)
+		}
+		// The replication tail reads the same records replay does.
+		recs, err := st.ReadSince(0, math.MaxInt)
+		if err != nil {
+			t.Fatalf("ReadSince after recovery: %v", err)
+		}
+		if got := recSeqs(recs); !slices.Equal(got, replayed) {
+			t.Fatalf("ReadSince(0) = %v, Replay visited %v", got, replayed)
 		}
 		// The recovered store must keep serving.
 		if _, err := st.Append(Op{Kind: OpRemove, Name: "post-recovery"}); err != nil {

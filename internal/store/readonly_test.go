@@ -384,15 +384,17 @@ func TestReplayPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	snapGraphs, walOps := s2.ReplayPlan()
-	if snapGraphs != 4 || walOps != 2 {
-		t.Fatalf("ReplayPlan = (%d, %d), want (4, 2)", snapGraphs, walOps)
-	}
-	seen := 0
-	if _, _, err := s2.FoldStateObserved(func() { seen++ }); err != nil {
+	// 4 snapshot graphs + 2 WAL ops above the snapshot.
+	calls := 0
+	if _, _, err := s2.FoldStateObserved(func(done, total int) {
+		calls++
+		if done != calls || total != 4+2 {
+			t.Fatalf("progress call %d = (%d, %d), want (%d, 6)", calls, done, total, calls)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if seen != snapGraphs+walOps {
-		t.Fatalf("FoldStateObserved fired %d times, want %d", seen, snapGraphs+walOps)
+	if calls != 4+2 {
+		t.Fatalf("FoldStateObserved reported %d times, want 6", calls)
 	}
 }

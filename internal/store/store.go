@@ -24,14 +24,20 @@
 // snapshot + old segments or the new snapshot + the new segment, both
 // complete.
 //
-// Recovery trusts checksums, not file sizes: open scans every segment
-// record by record, truncates the first torn or checksum-corrupt
-// record (and drops any later, now-unreachable segments), and replay
-// skips records at or below the snapshot's sequence number, so a crash
-// between snapshot rename and segment deletion does not double-apply.
+// Recovery trusts checksums, not file sizes. One reader, walkSegment,
+// reads every segment record by record: open walks them all and
+// truncates the first torn, checksum-corrupt or undecodable record
+// (and drops any later, now-unreachable segments). Replay and the
+// replication tail visit only records with a seq above their cursor
+// and at most the durable seq at the call, so a crash between snapshot
+// rename and segment deletion does not double-apply, a record still
+// being written is never read, and a read-only view sees exactly the
+// intact prefix its own scan found.
 package store
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -147,10 +153,9 @@ type Store struct {
 
 	// readOnly marks a store opened by OpenReadOnly: no flock, no
 	// append segment, and — critically — no repair. Damage found during
-	// the scan is remembered as a per-segment byte limit (segLimits)
-	// instead of truncated, so a live writer's files are never mutated.
-	readOnly  bool
-	segLimits map[string]int64 // read-only: validated byte prefix per segment
+	// the scan ends the view's seq there instead of being truncated, so
+	// a live writer's files are never mutated.
+	readOnly bool
 
 	lock *os.File // exclusive flock on dir/LOCK, held until Close
 }
@@ -202,19 +207,20 @@ var ErrReadOnly = fmt.Errorf("store: opened read-only")
 // OpenReadOnly opens the store for reading while skipping everything
 // Open does to claim ownership: no directory flock (a live phomd may
 // hold it), no append segment, no removal of a stale snapshot temp
-// file, and no truncation of damaged tails. Instead the scan records
-// the validated byte prefix of each segment and Replay/FoldState stop
-// there, yielding a consistent point-in-time view of the durable state
-// at open. Append, Rotate, WriteSnapshot, and friends return
-// ErrReadOnly.
+// file, and no truncation of damaged tails. Instead the view's seq is
+// the last intact seq its scan found, and Replay, FoldState and
+// ReadSince are fenced by it, yielding a consistent point-in-time view
+// of the durable state at open. Append, Rotate, WriteSnapshot, and
+// friends return ErrReadOnly.
 //
 // The view is a snapshot: ops the writer appends after OpenReadOnly
-// are not visible. If the writer compacts concurrently, a segment this
-// view still needs may be deleted before it is replayed; Replay then
-// fails with the underlying not-exist error and the caller should
-// simply reopen and retry.
+// are not visible. If the writer compacts concurrently, the snapshot
+// or a segment this view still needs may be replaced or deleted before
+// it is replayed; Replay then fails with an error satisfying
+// errors.Is(err, os.ErrNotExist) and the caller should simply reopen
+// and retry.
 func OpenReadOnly(dir string) (*Store, error) {
-	s := &Store{dir: dir, readOnly: true, segLimits: make(map[string]int64)}
+	s := &Store{dir: dir, readOnly: true}
 	if err := s.loadSnapshotHeader(); err != nil {
 		return nil, err
 	}
@@ -270,10 +276,10 @@ func readSnapshotHeader(r io.Reader) (lastSeq uint64, count int, err error) {
 }
 
 // scanSegments lists the WAL segments in order and walks every record,
-// validating framing, checksums, and sequence monotonicity. The first
-// damaged record ends the log: the segment is truncated there and
-// later segments — unreachable past the hole — are deleted. The scan
-// also recovers the last durable sequence number.
+// validating framing, checksums, sequence monotonicity and the op
+// encoding. The first damaged record ends the log: the segment is
+// truncated there and later segments — unreachable past the hole — are
+// deleted. The scan also recovers the last durable sequence number.
 func (s *Store) scanSegments() error {
 	names, err := filepath.Glob(filepath.Join(s.dir, walPrefix+"*"+walSuffix))
 	if err != nil {
@@ -281,49 +287,43 @@ func (s *Store) scanSegments() error {
 	}
 	sort.Strings(names) // %016x names sort in numeric = sequence order
 
-	// prevSeq enforces strictly increasing sequence numbers across the
+	// prev enforces strictly increasing sequence numbers across the
 	// whole log (within and across segments): a record duplicated or
 	// spliced out of order would otherwise carry a valid checksum, be
 	// replayed twice, and break FoldState. Note it starts at 0, not the
 	// snapshot's seq — segments sealed into the snapshot but not yet
 	// deleted legitimately hold records below it.
-	var prevSeq uint64
-	prevRecords := 0
+	var prev uint64
 	for i, path := range names {
-		good, lastSeq, records, intact, err := scanSegment(path, prevSeq)
-		if err != nil {
-			return err
-		}
-		s.walBytes += good
-		if lastSeq > s.seq {
-			s.seq = lastSeq
-		}
-		s.segs = append(s.segs, path)
-		s.segRecords = records
-		if s.readOnly {
-			// Freeze the validated prefix: a live writer may keep
-			// appending past it, but this view replays exactly the
-			// records that were intact at open.
-			s.segLimits[path] = good
-		}
-		if intact {
-			if records > 0 {
-				prevSeq = lastSeq
+		records := 0
+		good, err := walkSegment(path, prev, func(seq uint64, payload []byte) error {
+			// A record whose checksum holds but whose payload cannot
+			// decode is damage, like a checksum failure.
+			if _, err := decodeOp(payload); err != nil {
+				return err
 			}
-			prevRecords = records
+			prev = seq
+			records++
+			return nil
+		})
+		if err != nil && !IsCorrupt(err) {
+			return fmt.Errorf("store: reading %s: %w", path, err)
+		}
+		s.seq = max(s.seq, prev)
+		if good > 0 { // a torn header keeps the segment out of the log
+			s.segs = append(s.segs, path)
+			s.segRecords = records
+			s.walBytes += good
+		}
+		if err == nil {
 			continue
 		}
 		// Damaged record: drop everything from it on.
 		s.recovered++
 		if s.readOnly {
 			// A reader must not repair: the "damage" may simply be the
-			// writer's in-flight append. The byte limit above already
-			// fences replay; keep a torn-header segment out of the
-			// list and ignore anything past the damage.
-			if good == 0 {
-				s.segs = s.segs[:len(s.segs)-1]
-				s.segRecords = prevRecords
-			}
+			// writer's in-flight append. The view's seq ends at the last
+			// intact record and fences every later read there.
 			break
 		}
 		if good == 0 {
@@ -331,10 +331,8 @@ func (s *Store) scanSegments() error {
 			// Truncating would leave a magicless segment that accepts
 			// appends and then reads as empty on the next open — silently
 			// discarding acknowledged ops. Delete it; the append target
-			// falls back to the previous segment (whose record count must
-			// be restored) or is recreated with a fresh header.
-			s.segs = s.segs[:len(s.segs)-1]
-			s.segRecords = prevRecords
+			// falls back to the previous segment (whose record count
+			// stands) or is recreated with a fresh header.
 			if err := os.Remove(path); err != nil {
 				return fmt.Errorf("store: removing torn %s: %w", path, err)
 			}
@@ -352,48 +350,51 @@ func (s *Store) scanSegments() error {
 	return nil
 }
 
-// scanSegment walks one segment. Records must carry strictly
-// increasing sequence numbers continuing from prevSeq (the last seq of
-// the preceding segment); a duplicate or out-of-order record is
-// damage, like a bad checksum. It returns the byte offset of the end
-// of the last intact record, the last sequence number seen, how many
-// intact records precede any damage, and whether the segment was fully
-// intact.
-func scanSegment(path string, prevSeq uint64) (good int64, lastSeq uint64, records int, intact bool, err error) {
+// walkSegment is the one reader of a WAL segment file. It checks the
+// magic, then hands each framed record's seq — read from the payload
+// head, so nothing decodes a graph it does not need — and payload to
+// visit in order. Seqs must strictly increase, starting above prev. A
+// torn header, a torn or checksum-failing record and a seq that does
+// not advance are damage, returned as an error satisfying IsCorrupt;
+// visit's own error ends the walk and is returned as is. good is the
+// byte offset just past the last record visit accepted, or 0 when the
+// header is torn.
+func walkSegment(path string, prev uint64, visit func(seq uint64, payload []byte) error) (good int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, 0, false, fmt.Errorf("store: %w", err)
+		return 0, err
 	}
 	defer f.Close()
+	r := bufio.NewReader(f)
 	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != walMagic {
-		// A header torn mid-write: the whole segment is empty.
-		return 0, 0, 0, false, nil
+	if _, err := io.ReadFull(r, magic[:]); err != nil || string(magic[:]) != walMagic {
+		// Still mid-write by the segment's creator, or torn by a crash.
+		return 0, corruptf("torn segment header")
 	}
 	good = int64(len(magic))
-	lastSeq = prevSeq
 	for {
-		payload, err := readRecord(f)
+		payload, err := readRecord(r)
 		if err == io.EOF {
-			return good, lastSeq, records, true, nil
+			return good, nil
 		}
-		if err == io.ErrUnexpectedEOF || IsCorrupt(err) {
-			return good, lastSeq, records, false, nil
+		if err == io.ErrUnexpectedEOF {
+			return good, corruptf("torn record at offset %d", good)
 		}
 		if err != nil {
-			return 0, 0, 0, false, fmt.Errorf("store: reading %s: %w", path, err)
+			return good, err
 		}
-		// decodeOp re-validates structure; a record whose checksum holds
-		// but whose payload cannot decode — or whose sequence number does
-		// not advance — is treated as the end of the intact prefix, like
-		// a checksum failure.
-		op, derr := decodeOp(payload)
-		if derr != nil || op.Seq <= lastSeq {
-			return good, lastSeq, records, false, nil
+		seq, err := (&dec{buf: payload}).u64()
+		if err != nil {
+			return good, err
+		}
+		if seq <= prev {
+			return good, corruptf("seq %d after %d at offset %d", seq, prev, good)
+		}
+		if err := visit(seq, payload); err != nil {
+			return good, err
 		}
 		good += recordSize(payload)
-		lastSeq = op.Seq
-		records++
+		prev = seq
 	}
 }
 
@@ -465,106 +466,120 @@ func (s *Store) createSegment(path string) (walFile, error) {
 
 // Replay streams the persisted state to apply in its durable order:
 // first every snapshot graph (as OpRegister with the snapshot's
-// sequence number), then every WAL op newer than the snapshot. An
-// apply error aborts the replay and is returned. Replay must complete
-// before the first Append.
+// sequence number), then every WAL op newer than the snapshot, up to
+// the durable seq. An apply error aborts the replay and is returned.
+// Replay must complete before the first Append.
 func (s *Store) Replay(apply func(Op) error) error {
-	if err := s.replaySnapshot(apply); err != nil {
+	snapSeq, err := s.replaySnapshot(apply)
+	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	segs := append([]string(nil), s.segs...)
-	snapSeq := s.snapshotSeq
-	limits := make(map[string]int64, len(s.segLimits))
-	for p, l := range s.segLimits {
-		limits[p] = l
-	}
-	s.mu.Unlock()
-	for _, path := range segs {
-		if err := replaySegment(path, limits[path], snapSeq, apply); err != nil {
+	return s.walkDurable(snapSeq, func(seq uint64, payload []byte) error {
+		op, err := decodeOp(payload)
+		if err != nil {
 			return err
 		}
-	}
-	return nil
+		return apply(op)
+	}, func(path string, err error) error {
+		// Open validated (and possibly truncated) every segment, so
+		// damage here is an I/O failure, not a recoverable tail.
+		return fmt.Errorf("store: replaying %s: %w", path, err)
+	})
 }
 
-// replaySnapshot decodes the snapshot's graphs and feeds them to apply.
-func (s *Store) replaySnapshot(apply func(Op) error) error {
+// replaySnapshot decodes the snapshot's graphs, feeds them to apply and
+// returns the snapshot's seq. That must be the seq open found: a
+// read-only view whose snapshot the writer has since replaced fails
+// like one whose segment was compacted away.
+func (s *Store) replaySnapshot(apply func(Op) error) (uint64, error) {
+	s.mu.Lock()
+	want := s.snapshotSeq
+	s.mu.Unlock()
 	f, err := os.Open(filepath.Join(s.dir, snapshotName))
-	if os.IsNotExist(err) {
-		return nil
+	if os.IsNotExist(err) && want == 0 {
+		return 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return 0, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
 	lastSeq, count, err := readSnapshotHeader(f)
 	if err != nil {
-		return fmt.Errorf("store: snapshot: %w", err)
+		return 0, fmt.Errorf("store: snapshot: %w", err)
+	}
+	if lastSeq != want {
+		return 0, fmt.Errorf("store: snapshot at seq %d replaced by seq %d: %w", want, lastSeq, os.ErrNotExist)
 	}
 	for i := 0; i < count; i++ {
 		payload, err := readRecord(f)
 		if err != nil {
-			return fmt.Errorf("store: snapshot graph %d/%d: %w", i+1, count, err)
+			return 0, fmt.Errorf("store: snapshot graph %d/%d: %w", i+1, count, err)
 		}
-		d := &dec{buf: payload}
-		name, err := d.str()
+		name, g, err := DecodeNamedGraph(payload)
 		if err != nil {
-			return fmt.Errorf("store: snapshot graph %d/%d: %w", i+1, count, err)
-		}
-		g, err := decodeGraph(d)
-		if err != nil {
-			return fmt.Errorf("store: snapshot graph %q: %w", name, err)
+			return 0, fmt.Errorf("store: snapshot graph %d/%d: %w", i+1, count, err)
 		}
 		if err := apply(Op{Seq: lastSeq, Kind: OpRegister, Name: name, Graph: g}); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	return lastSeq, nil
 }
 
-// replaySegment feeds one segment's ops newer than snapSeq to apply.
-// The segment was validated (and possibly truncated) at open, so any
-// damage here is an I/O failure, not a recoverable tail. A non-zero
-// limit bounds the read to the validated byte prefix — the read-only
-// open records one per segment instead of truncating, since a live
-// writer may still be appending past it.
-func replaySegment(path string, limit int64, snapSeq uint64, apply func(Op) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
+// errStop ends a walkDurable early, without an error.
+var errStop = errors.New("store: stop walking")
+
+// walkDurable visits, in seq order, every WAL record with from < seq ≤
+// the durable seq read at the call. That fence keeps a reader off a
+// record still being written or rolled back, and holds a read-only
+// view to the intact prefix its scan found. A cursor behind the
+// snapshot is a TruncatedHistoryError. visit returning errStop ends
+// the walk cleanly. Any other error of visit, and a segment's damage or
+// I/O error, goes to fail: nil moves on to the next segment, an error
+// ends the walk with it.
+func (s *Store) walkDurable(from uint64, visit func(seq uint64, payload []byte) error, fail func(path string, err error) error) error {
+	s.mu.Lock()
+	hi, snapSeq := s.seq, s.snapshotSeq
+	segs := append(append([]string(nil), s.sealed...), s.segs...)
+	s.mu.Unlock()
+	if from < snapSeq {
+		return &TruncatedHistoryError{SnapshotSeq: snapSeq}
 	}
-	defer f.Close()
-	var r io.Reader = f
-	if limit > 0 {
-		r = io.LimitReader(f, limit)
-	}
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil // fully truncated segment: no records survived
+	for i, path := range segs {
+		if from >= hi {
+			return nil
 		}
-		return fmt.Errorf("store: %s: %w", path, err)
-	}
-	for {
-		payload, err := readRecord(r)
-		if err == io.EOF {
+		// Segment names carry the seq the segment was started at; every
+		// record in it is ≥ that, and every record in its predecessors
+		// is below it. A successor starting at or below from+1 proves
+		// this whole segment is behind the cursor, so it is not read.
+		if i+1 < len(segs) {
+			if next, ok := segStartSeq(segs[i+1]); ok && next <= from+1 {
+				continue
+			}
+		}
+		_, err := walkSegment(path, 0, func(seq uint64, payload []byte) error {
+			if seq > from && seq <= hi {
+				if err := visit(seq, payload); err != nil {
+					return err
+				}
+				from = seq
+			}
+			if seq >= hi {
+				return errStop
+			}
+			return nil
+		})
+		if err == errStop {
 			return nil
 		}
 		if err != nil {
-			return fmt.Errorf("store: replaying %s: %w", path, err)
-		}
-		op, err := decodeOp(payload)
-		if err != nil {
-			return fmt.Errorf("store: replaying %s: %w", path, err)
-		}
-		if op.Seq <= snapSeq {
-			continue // already folded into the snapshot
-		}
-		if err := apply(op); err != nil {
-			return err
+			if err := fail(path, err); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // Append assigns the next sequence number to op, writes it to the
@@ -800,10 +815,7 @@ func writeSnapshotFile(dir string, state map[string]*graph.Graph, lastSeq uint64
 			return err
 		}
 		for _, name := range names {
-			e := &enc{buf: make([]byte, 0, 1024)}
-			e.str(name)
-			encodeGraph(e, state[name])
-			if err := writeRecord(f, e.buf); err != nil {
+			if err := writeRecord(f, EncodeNamedGraph(name, state[name])); err != nil {
 				return err
 			}
 		}
@@ -963,17 +975,20 @@ func (s *Store) FoldState() (state map[string]*graph.Graph, replayed int, err er
 	return s.FoldStateObserved(nil)
 }
 
-// FoldStateObserved is FoldState with a progress callback: onOp fires
-// after each op folds in (snapshot graphs and WAL ops alike), so boot
-// can estimate replay time remaining for its Retry-After header.
-func (s *Store) FoldStateObserved(onOp func()) (state map[string]*graph.Graph, replayed int, err error) {
+// FoldStateObserved is FoldState with a progress callback: progress
+// fires after each op folds in (snapshot graphs and WAL ops alike) with
+// the ops done so far and the total, the snapshot's graphs plus the WAL
+// ops above it, so boot can estimate replay time remaining for its
+// Retry-After header.
+func (s *Store) FoldStateObserved(progress func(done, total int)) (state map[string]*graph.Graph, replayed int, err error) {
 	s.mu.Lock()
 	snapSeq := s.snapshotSeq
+	done, total := 0, s.snapGraphs+int(s.seq-s.snapshotSeq)
 	s.mu.Unlock()
 	state = make(map[string]*graph.Graph)
 	err = s.Replay(func(op Op) error {
-		if onOp != nil {
-			defer onOp()
+		if progress != nil {
+			defer func() { done++; progress(done, total) }()
 		}
 		switch op.Kind {
 		case OpRegister:
@@ -1008,16 +1023,6 @@ func (s *Store) FoldStateObserved(onOp func()) (state map[string]*graph.Graph, r
 		return nil, 0, err
 	}
 	return state, replayed, nil
-}
-
-// ReplayPlan reports the boot replay workload before it runs: the
-// number of graphs in the current snapshot and the number of WAL ops
-// above it. Paired with FoldStateObserved it lets boot turn "how far
-// along is replay" into a Retry-After estimate.
-func (s *Store) ReplayPlan() (snapshotGraphs, walOps int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapGraphs, int(s.seq - s.snapshotSeq)
 }
 
 // CompactInfo reports what an offline compaction did.

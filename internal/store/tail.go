@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -45,8 +44,8 @@ func (e *TruncatedHistoryError) Error() string {
 //   - records are capped at the last *acknowledged* seq, so an append
 //     that is mid-write (or about to be rolled back after a failed
 //     fsync) is never shipped;
-//   - a torn or corrupt tail — the writer racing us — ends the batch
-//     cleanly, to be re-read next call;
+//   - a torn or corrupt record ends that segment's batch, and the read
+//     goes on with the next segment;
 //   - a segment deleted by a concurrent compaction is skipped if its
 //     records were already behind from, and reported as
 //     TruncatedHistoryError otherwise.
@@ -54,106 +53,40 @@ func (e *TruncatedHistoryError) Error() string {
 // An empty batch with a nil error means the caller is caught up.
 func (s *Store) ReadSince(from uint64, max int) ([]Record, error) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
 		return nil, fmt.Errorf("store: closed")
 	}
-	capSeq := s.seq
-	snapSeq := s.snapshotSeq
-	segs := make([]string, 0, len(s.sealed)+len(s.segs))
-	segs = append(segs, s.sealed...)
-	segs = append(segs, s.segs...)
-	limits := make(map[string]int64, len(s.segLimits))
-	for p, l := range s.segLimits {
-		limits[p] = l
-	}
-	s.mu.Unlock()
-
-	if from < snapSeq {
-		return nil, &TruncatedHistoryError{SnapshotSeq: snapSeq}
-	}
-	if from >= capSeq || max <= 0 {
-		return nil, nil
-	}
-
 	var recs []Record
-	for i, path := range segs {
-		// Segment names carry the seq the segment was started at; every
-		// record in it is ≥ that, and every record in its predecessors
-		// is below it. A successor starting at or below from+1 proves
-		// this whole segment is behind the cursor.
-		if i+1 < len(segs) {
-			if next, ok := segStartSeq(segs[i+1]); ok && next <= from+1 {
-				continue
-			}
-		}
-		var err error
-		recs, err = readSegmentSince(path, limits[path], from, capSeq, max, recs)
-		if err != nil {
-			if os.IsNotExist(err) {
-				// Compacted away mid-read. Harmless iff its records were
-				// all behind the cursor, which holds exactly when the
-				// cursor is still at or past the (possibly just-advanced)
-				// snapshot position.
-				s.mu.Lock()
-				snapSeq = s.snapshotSeq
-				s.mu.Unlock()
-				if from >= snapSeq {
-					continue
-				}
-				return nil, &TruncatedHistoryError{SnapshotSeq: snapSeq}
-			}
-			return nil, err
-		}
-		if len(recs) > 0 {
-			from = recs[len(recs)-1].Seq
-		}
+	err := s.walkDurable(from, func(seq uint64, payload []byte) error {
 		if len(recs) >= max {
-			break
+			return errStop
 		}
-	}
-	return recs, nil
-}
-
-// readSegmentSince scans one segment, appending records in (from,
-// capSeq] to recs until max. Torn tails and checksum failures end the
-// scan cleanly: against a live writer they are simply the in-flight
-// append.
-func readSegmentSince(path string, limit int64, from, capSeq uint64, max int, recs []Record) ([]Record, error) {
-	f, err := os.Open(path)
+		recs = append(recs, Record{Seq: seq, Payload: payload})
+		from = seq
+		return nil
+	}, func(path string, err error) error {
+		if IsCorrupt(err) {
+			return nil // the writer racing us: re-read next call
+		}
+		if !os.IsNotExist(err) {
+			return fmt.Errorf("store: tailing %s: %w", path, err)
+		}
+		// Compacted away mid-read. Harmless iff its records were all
+		// behind the cursor, which holds exactly when the cursor is
+		// still at or past the (possibly just-advanced) snapshot
+		// position.
+		s.mu.Lock()
+		snapSeq := s.snapshotSeq
+		s.mu.Unlock()
+		if from >= snapSeq {
+			return nil
+		}
+		return &TruncatedHistoryError{SnapshotSeq: snapSeq}
+	})
 	if err != nil {
-		return recs, err
-	}
-	defer f.Close()
-	var r io.Reader = f
-	if limit > 0 {
-		r = io.LimitReader(f, limit)
-	}
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil || string(magic[:]) != walMagic {
-		// A header still mid-write by the segment's creator: no records.
-		return recs, nil
-	}
-	var prev uint64 // last seq seen in this file; must strictly increase
-	for len(recs) < max {
-		payload, err := readRecord(r)
-		if err == io.EOF || err == io.ErrUnexpectedEOF || IsCorrupt(err) {
-			return recs, nil
-		}
-		if err != nil {
-			return recs, fmt.Errorf("store: tailing %s: %w", path, err)
-		}
-		seq, err := PeekSeq(payload)
-		if err != nil || seq <= prev {
-			return recs, nil // damage past the validated prefix: stop here
-		}
-		prev = seq
-		if seq > capSeq {
-			return recs, nil // written but not yet acknowledged
-		}
-		if seq > from {
-			recs = append(recs, Record{Seq: seq, Payload: payload})
-		}
+		return nil, err
 	}
 	return recs, nil
 }
